@@ -6,7 +6,12 @@ the minimal index of a proper subgroup.  Everything else is computed and
 verified here: the element list and multiplication table of T, the full
 automorphism group as index bijections of T, inner/outer coset labels, and
 the catalog invariants (simplicity, generation, the |Out|^3 < |T| bound,
-prime divisors, minimal-index consistency).
+prime divisors, minimal-index consistency).  Only the closure of the
+generators of T uses permutation objects; the group theory after it runs on
+integer tables: ``mul`` follows from the closure's derivation words, an
+automorphism is keyed by its images of the two generators, subgroup
+closures (simplicity, generating pairs) are breadth-first walks over
+``mul``, and Aut(T) element orders are powers of the Aut rows.
 
 Automorphisms are stored as rows over the element index of T, so applying
 one is a single array lookup.  Composition is left-to-right throughout:
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from math import factorial
 
@@ -150,26 +155,28 @@ def _finish_record(name, fields):
 # materialized group with Aut table
 
 
-def _rows_to_ids(table_rows, query_rows):
-    """Map each query row to its index in table_rows (rows must all occur)."""
-    n, width = table_rows.shape
-    dt = np.dtype((np.void, table_rows.dtype.itemsize * width))
-    tv = np.ascontiguousarray(table_rows).view(dt).ravel()
-    qv = np.ascontiguousarray(query_rows.reshape(-1, width)).view(dt).ravel()
-    order = np.argsort(tv)
-    pos = np.searchsorted(tv[order], qv)
-    ids = order[np.clip(pos, 0, n - 1)]
-    if not np.array_equal(tv[ids], qv):
-        raise ValidationError("row lookup failed: result left the group")
-    return ids.astype(np.int32).reshape(query_rows.shape[:-1])
+def _closure_ids(mul, gen_ids):
+    """Element ids of the subgroup generated by gen_ids (breadth-first over
+    the multiplication table, one whole frontier per step)."""
+    gens = np.unique(np.asarray(gen_ids, dtype=np.int64))
+    seen = np.zeros(mul.shape[0], dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        reached = np.unique(mul[frontier[:, None], gens])
+        frontier = reached[~seen[reached]]
+        seen[frontier] = True
+    return np.flatnonzero(seen)
 
 
 def _closure_with_derivations(gens, budget):
-    """BFS closure recording, per element, (parent index, generator index)."""
+    """BFS closure recording, per element, (parent index, generator index),
+    and ``right[gi, i]``, the index of element i times generator gi."""
     ident = Perm.identity(gens[0].degree)
     elements = [ident]
     index = {ident._key: 0}
     deriv = [(-1, -1)]
+    right = [[] for _ in gens]
     head = 0
     while head < len(elements):
         e = elements[head]
@@ -182,55 +189,39 @@ def _closure_with_derivations(gens, budget):
                 index[f._key] = len(elements)
                 elements.append(f)
                 deriv.append((head, gi))
+            right[gi].append(index[f._key])
         head += 1
-    return elements, index, deriv
+    return elements, deriv, np.array(right, dtype=np.int32)
 
 
 class AutTable:
     """Aut(T) as bijections of the element index of T."""
 
     def __init__(self, group: "SimpleGroup"):
-        self.T = group
-        self._build()
-
-    def _build(self):
-        T = self.T
+        self.T = T = group
         n = T.order
         mul, inv = T.mul, T.inv
+        # an automorphism is known by its images of the two generators of T:
+        # _row_of_code[img(g1) * n + img(g2)] is its row, -1 if none yet
+        self._row_of_code = np.full(n * n, -1, dtype=np.int32)
+        self.n_aut = 0
         # inner automorphisms: phi_t[x] = t^-1 x t, one row per t
         left = mul[inv]                       # left[t, x] = t^-1 * x
-        inn = mul[left, np.arange(n, dtype=np.int32)[:, None]]
-        rows = [np.ascontiguousarray(r, dtype=np.int32) for r in inn]
-        index = {r.tobytes(): t for t, r in enumerate(rows)}
-        if len(index) != n:
+        rows = mul[left, np.arange(n, dtype=np.int32)[:, None]]
+        if len(self._add_new(rows)) != n:
             raise ValidationError("inner automorphisms not distinct; "
                                   "center is nontrivial", spec=T.name)
-
-        outer_rows = [self._resolve_aut_images(images)
-                      for images in T.record.aut_generators]
-        gen_rows = [rows[T.gen_ids[0]], rows[T.gen_ids[1]], *outer_rows]
-        frontier = []
-        for r in outer_rows:
-            key = r.tobytes()
-            if key not in index:
-                index[key] = len(rows)
-                rows.append(r)
-                frontier.append(r)
-        while frontier:
-            new = []
-            for a in frontier:
-                for b in gen_rows:
-                    c = np.ascontiguousarray(b[a])
-                    key = c.tobytes()
-                    if key not in index:
-                        index[key] = len(rows)
-                        rows.append(c)
-                        new.append(c)
-            frontier = new
-
-        self.rows = np.stack(rows)
-        self.index = index
-        self.n_aut = len(rows)
+        outer = np.array([self._resolve_aut_images(images)
+                          for images in T.record.aut_generators])
+        gens = np.concatenate([rows[T.gen_ids], outer])
+        frontier = self._add_new(outer)
+        blocks = [rows, frontier]
+        while len(frontier):
+            # apply a frontier row, then a generator; a-major order
+            frontier = self._add_new(
+                gens[:, frontier].transpose(1, 0, 2).reshape(-1, n))
+            blocks.append(frontier)
+        self.rows = np.ascontiguousarray(np.concatenate(blocks))
         if self.n_aut % n:
             raise ValidationError(
                 f"|Aut| = {self.n_aut} is not a multiple of |T| = {n}",
@@ -242,9 +233,26 @@ class AutTable:
         self.conjugator_of_row[:n] = np.arange(n, dtype=np.int32)
         self.identity_row = 0  # phi of the identity element
         self._assign_labels()
-        self._order_of_row = None
         self._group = None
         self._comp = None
+
+    def _codes(self, images):
+        g1, g2 = self.T.gen_ids
+        return images[..., g1] * self.T.order + images[..., g2]
+
+    def _lookup(self, images):
+        """Row ids of automorphisms given as image arrays (last axis)."""
+        return self._row_of_code[self._codes(images)]
+
+    def _add_new(self, candidates):
+        """Number the candidates not in the table yet, in order of first
+        occurrence, after the rows already there; returns those rows."""
+        codes = self._codes(candidates)
+        first = np.sort(np.unique(codes, return_index=True)[1])
+        first = first[self._row_of_code[codes[first]] < 0]
+        self._row_of_code[codes[first]] = self.n_aut + np.arange(len(first))
+        self.n_aut += len(first)
+        return candidates[first]
 
     def _resolve_aut_images(self, images):
         """Bijection of T induced by generator images, via derivation words."""
@@ -275,21 +283,11 @@ class AutTable:
     def _assign_labels(self):
         n = self.T.order
         labels = np.full(self.n_aut, -1, dtype=np.int32)
-        labels[:n] = 0
-        reps = [0]
-        for r in range(n, self.n_aut):
-            row = self.rows[r]
-            rinv = np.empty(n, dtype=np.int32)
-            rinv[row] = np.arange(n, dtype=np.int32)
-            for lab, rep in enumerate(reps):
-                # row . rep^-1 inner  <=>  same Inn-coset
-                probe = rinv[self.rows[rep]]
-                if probe.tobytes() in self.index and \
-                        self.index[probe.tobytes()] < n:
-                    labels[r] = lab
-                    break
+        reps = []
+        for r in range(self.n_aut):
             if labels[r] < 0:
-                labels[r] = len(reps)
+                # the Inn-coset of r: apply phi_t, then r, for every t
+                labels[self._lookup(self.rows[r][self.rows[:n]])] = len(reps)
                 reps.append(r)
         self.labels = labels
         self.label_reps = reps
@@ -299,15 +297,10 @@ class AutTable:
                 "Inn-coset partition is not out_order parts of size |T|",
                 spec=self.T.name)
         # multiplication table of the (small) outer label group
-        m = len(reps)
-        lm = np.zeros((m, m), dtype=np.int32)
-        for a in range(m):
-            for b in range(m):
-                comp = self.rows[reps[b]][self.rows[reps[a]]]
-                lm[a, b] = labels[self.index[comp.tobytes()]]
-        self.label_mul = lm
-        self.label_inv = np.array([int(np.where(lm[a] == 0)[0][0])
-                                   for a in range(m)], dtype=np.int32)
+        rep_rows = self.rows[reps]
+        # [b, a]: apply rep a, then rep b
+        self.label_mul = labels[self._lookup(rep_rows[:, rep_rows])].T
+        self.label_inv = np.argmin(self.label_mul, axis=1).astype(np.int32)
 
     # -- queries -------------------------------------------------------------
 
@@ -316,11 +309,13 @@ class AutTable:
         return int(self.inn_row_of[t])
 
     def row_of(self, bijection) -> int:
-        arr = np.ascontiguousarray(np.asarray(bijection, dtype=np.int32))
-        key = arr.tobytes()
-        if key not in self.index:
-            raise ValidationError("bijection is not an automorphism in the table")
-        return self.index[key]
+        arr = np.asarray(bijection, dtype=np.int32)
+        n = self.T.order
+        if arr.shape == (n,) and 0 <= arr.min() and arr.max() < n:
+            r = int(self._lookup(arr))
+            if r >= 0 and np.array_equal(self.rows[r], arr):
+                return r
+        raise ValidationError("bijection is not an automorphism in the table")
 
     def recover_conjugator(self, a) -> int:
         """The unique t with a = phi_t; NotInnerError if a is outer."""
@@ -339,53 +334,43 @@ class AutTable:
         """Row id of (apply a, then b)."""
         if self._comp is not None:
             return int(self._comp[a, b])
-        c = self.rows[b][self.rows[a]]
-        return self.index[np.ascontiguousarray(c).tobytes()]
+        return int(self._lookup(self.rows[b][self.rows[a]]))
 
     def invert_row(self, a: int) -> int:
         row = self.rows[a]
         rinv = np.empty(len(row), dtype=np.int32)
         rinv[row] = np.arange(len(row), dtype=np.int32)
-        return self.index[rinv.tobytes()]
+        return int(self._lookup(rinv))
 
     def composition_table(self) -> np.ndarray:
-        """Full n_aut x n_aut composition table (built lazily)."""
+        """Full n_aut x n_aut composition table (built lazily); a row is
+        known by its images of the two generators of T."""
         if self._comp is None:
-            comp = np.empty((self.n_aut, self.n_aut), dtype=np.int32)
-            for a in range(self.n_aut):
-                composed = self.rows[:, self.rows[a]]  # [b] = apply a then b
-                comp[a] = _rows_to_ids(self.rows, composed)
-            self._comp = comp
+            n, (g1, g2), rows = self.T.order, self.T.gen_ids, self.rows
+            # [b, a]: code of (apply a, then b)
+            codes = rows[:, rows[:, g1]] * n + rows[:, rows[:, g2]]
+            self._comp = np.ascontiguousarray(self._row_of_code[codes].T)
         return self._comp
 
-    def order_of_row(self, a: int) -> int:
-        if self._order_of_row is None:
-            self._order_of_row = np.zeros(self.n_aut, dtype=np.int64)
-        cached = int(self._order_of_row[a])
-        if cached:
-            return cached
-        ident = self.rows[self.identity_row]
-        r = self.rows[a]
-        cur = r.copy()
-        n = 1
-        while not np.array_equal(cur, ident):
-            cur = r[cur]
-            n += 1
-        self._order_of_row[a] = n
-        return n
+    @cached_property
+    def orders(self) -> np.ndarray:
+        """orders[r] is the order of the automorphism in row r: the rows
+        not yet at the identity are composed with themselves once more per
+        step."""
+        orders = np.zeros(self.n_aut, dtype=np.int64)
+        open_ids, power, step = np.arange(self.n_aut), self.rows, 1
+        while open_ids.size:
+            done = np.all(power == self.rows[self.identity_row], axis=1)
+            orders[open_ids[done]] = step
+            open_ids, power = open_ids[~done], power[~done]
+            power = np.take_along_axis(self.rows[open_ids], power, axis=1)
+            step += 1
+        return orders
 
     def rows_with_labels(self, labels) -> np.ndarray:
         labels = set(int(v) for v in labels)
         return np.array([r for r in range(self.n_aut)
                          if int(self.labels[r]) in labels], dtype=np.int32)
-
-    def centralizer_sizes(self, a: int):
-        """(|C_Aut(alpha)|, |C_Inn(alpha)|) for the row a."""
-        row = self.rows[a]
-        lhs = self.rows[:, row]          # compose(a, r) for every r
-        rhs = row[self.rows]             # compose(r, a)
-        eq = np.all(lhs == rhs, axis=1)
-        return int(eq.sum()), int(eq[:self.T.order].sum())
 
     def group_table(self) -> GroupTable:
         """Aut(T) wrapped as a GroupTable on |T| points."""
@@ -414,28 +399,28 @@ class SimpleGroup:
         self.natural_degree = record.natural_degree
         self.min_index = record.min_index
         gens = record.generators
-        elements, index, deriv = _closure_with_derivations(
+        elements, deriv, right = _closure_with_derivations(
             gens, ELEMENT_BUDGET)
         self.table = GroupTable.from_elements(elements, gens)
         self.deriv = deriv
         self.order = len(elements)
         self.gen_ids = [self.table.position(g) for g in gens]
-        self._build_tables()
+        self._build_tables(right)
         self.aut = AutTable(self)
         self.out_order = self.aut.out_order
         self.min_index_status = "literature"
         if validate:
             self.validate()
 
-    def _build_tables(self):
-        E = self.table.arrays()
-        n = self.order
-        # mul[i, j] = index of (apply element i, then element j)
-        composed = E[:, E]                      # [j, i] = e_j[e_i] = e_i * e_j
-        self.mul = np.ascontiguousarray(_rows_to_ids(E, composed).T)
-        self.inv = np.array(
-            [int(np.where(self.mul[i] == 0)[0][0]) for i in range(n)],
-            dtype=np.int32)
+    def _build_tables(self, right):
+        # mul[i, j] = index of (apply element i, then element j); with
+        # e_j = e_parent * g, column j is column parent times g
+        cols = np.empty((self.order, self.order), dtype=np.int32)
+        cols[0] = np.arange(self.order)
+        for j, (parent, gi) in enumerate(self.deriv[1:], start=1):
+            cols[j] = right[gi][cols[parent]]
+        self.mul = np.ascontiguousarray(cols.T)
+        self.inv = np.nonzero(self.mul == 0)[1].astype(np.int32)
         self.order_of = np.array([e.order() for e in self.table.elements],
                                  dtype=np.int64)
 
@@ -452,37 +437,44 @@ class SimpleGroup:
         if self.order < 60:
             raise ValidationError("group too small to be non-abelian simple",
                                   spec=self.name)
-        part = self.table.conjugacy_classes()
-        for rep in part.reps:
-            if rep == 0:
+        # class of x = its images under the inner rows; a class generates
+        # its own normal closure, which must be all of T
+        inner = self.aut.rows[:self.order]
+        classified = np.zeros(self.order, dtype=bool)
+        classified[0] = True
+        for x in range(1, self.order):
+            if classified[x]:
                 continue
-            cls_elems = [self.table.elements[i]
-                         for i in np.where(part.class_of ==
-                                           part.class_of[rep])[0]]
-            closure = GroupTable.generate(cls_elems, budget=self.order + 1)
-            if closure.order != self.order:
+            cls = np.unique(inner[:, x])
+            classified[cls] = True
+            if len(_closure_ids(self.mul, cls)) != self.order:
                 raise ValidationError(
                     "normal closure of a nonidentity element is proper; "
                     "group is not simple", spec=self.name)
 
+    def _generating_pair_ids(self, field_name):
+        ids = []
+        for p in getattr(self.record, field_name):
+            if p._key not in self.table.index:
+                raise ValidationError("pair element is not in the group",
+                                      spec=self.name, field=field_name)
+            ids.append(self.table.index[p._key])
+        if len(_closure_ids(self.mul, ids)) != self.order:
+            raise ValidationError("pair does not generate the group",
+                                  spec=self.name, field=field_name)
+        return ids
+
     def _check_pairs(self):
-        x, y = self.record.gen_pair_distinct_orders
-        if x.order() == y.order():
+        x, y = self._generating_pair_ids("gen_pair_distinct_orders")
+        if self.order_of[x] == self.order_of[y]:
             raise ValidationError("gen_pair_distinct_orders have equal orders",
                                   spec=self.name,
                                   field="gen_pair_distinct_orders")
-        if GroupTable.generate([x, y], budget=self.order + 1).order != self.order:
-            raise ValidationError("gen_pair_distinct_orders do not generate",
-                                  spec=self.name,
-                                  field="gen_pair_distinct_orders")
-        x, y = self.record.involution_pair
-        if y.order() != 2:
+        _, y = self._generating_pair_ids("involution_pair")
+        if self.order_of[y] != 2:
             raise ValidationError("second element of involution_pair is not "
                                   "an involution", spec=self.name,
                                   field="involution_pair")
-        if GroupTable.generate([x, y], budget=self.order + 1).order != self.order:
-            raise ValidationError("involution_pair does not generate",
-                                  spec=self.name, field="involution_pair")
 
     @staticmethod
     def _check_out_bound(order, out_order, name):
@@ -525,9 +517,6 @@ class SimpleGroup:
 
     # -- convenience ----------------------------------------------------------
 
-    def element_ids_of_order(self, order):
-        return np.where(self.order_of == order)[0]
-
     def distinct_order_pair_ids(self):
         x, y = self.record.gen_pair_distinct_orders
         return self.table.position(x), self.table.position(y)
@@ -567,20 +556,29 @@ def default_catalog_text() -> str:
         .read_text(encoding="utf-8")
 
 
+@lru_cache(maxsize=None)
+def _default_records() -> dict:
+    return {rec.name: rec for rec in parse_catalog(default_catalog_text())}
+
+
 def load_catalog(source: str | None = None, validate: bool = True):
-    """Parse, build, and validate every catalog record."""
-    text = source if source is not None else default_catalog_text()
-    return [SimpleGroup(rec, validate=validate) for rec in parse_catalog(text)]
+    """Every catalog group, built and validated.
+
+    The default catalog comes from the ``get_group`` cache; an explicit
+    ``source`` text is parsed and built afresh."""
+    if source is None:
+        return [get_group(name) for name in catalog_names()]
+    return [SimpleGroup(rec, validate=validate)
+            for rec in parse_catalog(source)]
 
 
 @lru_cache(maxsize=None)
 def get_group(name: str) -> SimpleGroup:
     """Build (and cache) one catalog group by name."""
-    for rec in parse_catalog(default_catalog_text()):
-        if rec.name == name:
-            return SimpleGroup(rec)
-    raise ValidationError(f"no catalog entry named {name!r}")
+    if name not in _default_records():
+        raise ValidationError(f"no catalog entry named {name!r}")
+    return SimpleGroup(_default_records()[name])
 
 
 def catalog_names():
-    return [rec.name for rec in parse_catalog(default_catalog_text())]
+    return list(_default_records())

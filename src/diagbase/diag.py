@@ -418,21 +418,36 @@ def gd_generators(g: DiagTypeGroup):
 
 
 def gd_orbit_reps(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
-    """One representative per orbit of G_D on the point set (explicit walk)."""
-    gens = gd_generators(g)
-    seen = set()
+    """One representative per orbit of G_D on the point set, the first in
+    omega_iter order; each generator acts on all points at once (act_diag
+    on a tuple matrix), giving a map of point indices to walk."""
+    if g.degree > budget:
+        raise BudgetExceededError(
+            f"point set of size {g.degree} exceeds budget {budget}")
+    T, k = g.T, g.k
+    # row i is the i-th tuple of omega_iter: i in base |T|, first digit 0
+    tuples = np.zeros((g.degree, k), dtype=np.int64)
+    tuples[:, 1:] = np.indices((T.order,) * (k - 1)).reshape(k - 1, -1).T
+    place = T.order ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    maps = []
+    for a, perm in gd_generators(g):
+        pinv = perm.inverse().images
+        t0inv = T.inv[tuples[:, pinv[0]]]
+        images = T.aut.rows[a][T.mul[t0inv[:, None], tuples[:, pinv]]]
+        maps.append((images @ place).tolist())
+    seen = bytearray(g.degree)
     reps = []
-    for point in omega_iter(g, budget):
-        if point.tuple_ids in seen:
+    for start in range(g.degree):
+        if seen[start]:
             continue
-        reps.append(point)
-        frontier = [point]
-        seen.add(point.tuple_ids)
+        reps.append(OmegaPoint(tuple(tuples[start].tolist())))
+        seen[start] = 1
+        frontier = [start]
         while frontier:
             p = frontier.pop()
-            for aut_row, perm in gens:
-                q = act_diag(g.T, p, aut_row, perm)
-                if q.tuple_ids not in seen:
-                    seen.add(q.tuple_ids)
+            for image in maps:
+                q = image[p]
+                if not seen[q]:
+                    seen[q] = 1
                     frontier.append(q)
     return reps

@@ -50,6 +50,15 @@ class Perm:
         self.images = arr
         self._key = arr.tobytes()
 
+    @classmethod
+    def _unchecked(cls, arr: np.ndarray) -> "Perm":
+        """Wrap a fresh int32 image array already known to be a bijection."""
+        p = object.__new__(cls)
+        arr.setflags(write=False)
+        p.images = arr
+        p._key = arr.tobytes()
+        return p
+
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -116,13 +125,16 @@ class Perm:
         return f"Perm({self})"
 
     def __mul__(self, other: "Perm") -> "Perm":
-        # apply self first, then other
-        return Perm(other.images[self.images])
+        # apply self first, then other; a product of bijections is one
+        if len(other.images) != len(self.images):
+            raise ValueError("cannot multiply permutations of different "
+                             "degrees")
+        return Perm._unchecked(other.images[self.images])
 
     def inverse(self) -> "Perm":
         inv = np.empty(self.degree, dtype=np.int32)
         inv[self.images] = np.arange(self.degree, dtype=np.int32)
-        return Perm(inv)
+        return Perm._unchecked(inv)
 
     def __pow__(self, n: int) -> "Perm":
         if n < 0:

@@ -30,13 +30,6 @@ DEFAULT_SEED = 0x5EED
 # prime-order diagonal candidates and their R-tags
 
 
-def _top_order_info(g: DiagTypeGroup):
-    table = g.top.table
-    orders = table.element_orders()
-    fixes = np.array([len(p.fixed_points()) for p in table.elements])
-    return orders, fixes
-
-
 def prime_order_candidates(g: DiagTypeGroup):
     """(cand_a, cand_p, tags) for the prime-order elements of G_D.
 
@@ -49,28 +42,16 @@ def prime_order_candidates(g: DiagTypeGroup):
     if g.top.is_symbolic:
         raise PreconditionError(
             "prime-order candidate listing needs an explicit top")
-    aut_orders = {int(r): g.T.aut.group_table().elements[int(r)].order()
-                  for r in g.aut_rows}
-    top_orders, top_fixes = _top_order_info(g)
-    cand_a, cand_p, tags = [], [], []
-    for r in g.aut_rows:
-        oa = aut_orders[int(r)]
-        for pid in range(len(top_orders)):
-            op = int(top_orders[pid])
-            order = oa * op // gcd(oa, op)
-            if not _is_prime(order):
-                continue
-            cand_a.append(int(r))
-            cand_p.append(pid)
-            if op == 1:
-                tags.append(2)
-            elif top_fixes[pid] == 0:
-                tags.append(1)
-            else:
-                tags.append(3)
-    cache = (np.array(cand_a, dtype=np.int32),
-             np.array(cand_p, dtype=np.int32),
-             np.array(tags, dtype=np.int8))
+    top = g.top.table
+    top_orders = top.element_orders()
+    fixed_point_free = [not p.fixed_points() for p in top.elements]
+    orders = np.lcm.outer(g.T.aut.orders[g.aut_rows], top_orders)
+    prime = np.array([_is_prime(v) for v in range(int(orders.max()) + 1)])
+    ia, pid = np.nonzero(prime[orders])        # row-major: by row, then perm
+    tag_of_perm = np.where(top_orders == 1, 2,
+                           np.where(fixed_point_free, 1, 3))
+    cache = (g.aut_rows[ia].astype(np.int32), pid.astype(np.int32),
+             tag_of_perm[pid].astype(np.int8))
     g._prime_cache = cache
     return cache
 
@@ -227,7 +208,7 @@ def centralizer_order_formula(g: DiagTypeGroup, aut_row: int,
     T = g.T
     if int(T.aut.labels[aut_row]) not in g.out_labels:
         raise PreconditionError("automorphism label outside the out-part")
-    o_a = T.aut.group_table().elements[aut_row].order()
+    o_a = int(T.aut.orders[aut_row])
     o_p = perm.order()
     order = o_a * o_p // gcd(o_a, o_p)
     if order == 1:
@@ -339,9 +320,6 @@ class RowCodedGroup:
         for p in self.g.top.table.generators:
             gens.append((ident, self.g.top.table.position(p)))
         return gens
-
-    def element_count(self):
-        return self.order
 
     # -- enumeration (vectorized) -------------------------------------------
 
@@ -476,18 +454,12 @@ class ProbReport:
     mc_estimate: dict | None = None
 
     def describe(self):
-        def frac(x):
-            if x is None:
-                return None
-            return {"num": str(x.numerator), "den": str(x.denominator)}
-
+        # report.encode_value writes the rationals as {"num", "den"}
         return {
             "group": self.group,
             "n": str(self.n),
-            "exact_nonbase_pair_fraction":
-                frac(self.exact_nonbase_pair_fraction),
-            "q2_bound": frac(self.q2_bound),
-            "r_split": None if self.r_split is None else
-                [frac(r) for r in self.r_split],
+            "exact_nonbase_pair_fraction": self.exact_nonbase_pair_fraction,
+            "q2_bound": self.q2_bound,
+            "r_split": self.r_split,
             "mc_estimate": self.mc_estimate,
         }

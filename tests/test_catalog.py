@@ -1,9 +1,23 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from diagbase.catalog import (SimpleGroup, catalog_names, get_group,
-                              load_catalog, parse_catalog)
-from diagbase.errors import NotInnerError, ValidationError
+import diagbase
+
+from diagbase.catalog import (SimpleGroup, _closure_ids, catalog_names,
+                              get_group, load_catalog, parse_catalog)
+from diagbase.errors import MembershipError, NotInnerError, ValidationError
+from diagbase.perm import GroupTable, Perm
+
+A5_RECORD = ("group {name}\n  natural_degree: 5\n"
+             "  generators: (1 2 3 4 5) | (1 2 3)\n"
+             "  aut_generator: (1 2 3 5 4) | (1 2 3)\n"
+             "  gen_pair_distinct_orders: {pair}\n"
+             "  involution_pair: (1 2 3 4 5) | (2 4)(3 5)\n"
+             "  min_index: 5\nend\n")
 
 
 class TestParsing:
@@ -176,3 +190,79 @@ class TestPairs:
         pool = A5.elements_with_orders_excluding(
             {int(A5.order_of[xi]), int(A5.order_of[yi])})
         assert len(pool) == 15
+
+
+class TestValidationOnTables:
+    def test_non_simple_group_rejected(self):
+        # S5: the 3-cycle class closes only to A5
+        text = ("group S5\n  natural_degree: 5\n"
+                "  generators: (1 2 3 4 5) | (1 2)\n"
+                "  aut_generator: (1 2 3 4 5) | (1 2)\n"
+                "  gen_pair_distinct_orders: (1 2 3 4 5) | (1 2)\n"
+                "  involution_pair: (1 2 3 4 5) | (1 2)\n"
+                "  min_index: 5\nend\n")
+        with pytest.raises(ValidationError) as err:
+            load_catalog(text)
+        assert "not simple" in str(err.value)
+
+    def test_pair_generating_proper_subgroup_rejected(self):
+        text = A5_RECORD.format(name="A5sub", pair="(1 2 3) | (1 2)(4 5)")
+        with pytest.raises(ValidationError) as err:
+            load_catalog(text)
+        assert "gen_pair_distinct_orders" in str(err.value)
+
+    def test_pair_element_outside_group_rejected(self):
+        text = A5_RECORD.format(name="A5odd", pair="(1 2 3 4 5) | (1 2)")
+        with pytest.raises(ValidationError) as err:
+            load_catalog(text)
+        assert not isinstance(err.value, MembershipError)
+        assert "gen_pair_distinct_orders" in str(err.value)
+
+    @pytest.mark.parametrize("gens", [["(1 2 3)", "(1 2)(4 5)"],
+                                      ["(1 2 3 4 5)"],
+                                      ["(1 2 3)", "(3 4 5)"]])
+    def test_table_closure_matches_perm_closure(self, A5, gens):
+        perms = [Perm.parse(c, 5) for c in gens]
+        want = GroupTable.generate(perms)
+        got = _closure_ids(A5.mul, [A5.table.position(p) for p in perms])
+        assert sorted(got) == sorted(A5.table.position(e) for e in want)
+
+    def test_good_record_builds_fresh_from_source(self):
+        text = A5_RECORD.format(name="A5", pair="(1 2 3 4 5) | (1 2 3)")
+        (T,) = load_catalog(text)
+        assert T.order == 60 and T is not get_group("A5")
+
+    def test_default_catalog_shares_get_group_cache(self):
+        assert all(T is get_group(T.name) for T in load_catalog())
+
+    @pytest.mark.parametrize("name", ["A5", "A6", "L2(7)", "L2(8)", "L2(11)"])
+    def test_aut_orders_match_perm_orders(self, name):
+        aut = get_group(name).aut
+        assert np.array_equal(aut.orders,
+                              aut.group_table().element_orders())
+
+    @pytest.mark.parametrize("name", ["A5", "L2(7)"])
+    def test_composition_table_composes_rows(self, name):
+        aut = get_group(name).aut
+        rows = aut.rows
+        # [a, b, x] = x under (apply a, then b)
+        want = rows[:, rows].transpose(1, 0, 2)
+        assert np.array_equal(rows[aut.composition_table()], want)
+
+    def test_prob_path_builds_no_perm_aut_table(self):
+        # a fresh process: other tests build Aut(T) as a GroupTable on
+        # purpose, in the shared get_group cache
+        code = ("import contextlib, io\n"
+                "from diagbase.catalog import get_group\n"
+                "from diagbase.cli import main\n"
+                "T = get_group('A5')\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    code = main(['prob-exact', '--group', 'A5', '--k', '3',\n"
+                "                 '--out-part', 'full', '--top', 'sym-table'])\n"
+                "assert code == 0, code\n"
+                "assert T.aut._group is None\n")
+        src = os.path.dirname(os.path.dirname(diagbase.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr

@@ -276,9 +276,11 @@ class TestExplicitCosetOracle:
 
 
 class TestOrbitReps:
-    def test_reps_partition_point_set(self, A5):
+    @staticmethod
+    def check_reps(T, g):
+        """Walk every orbit with act_diag; reps must partition the point
+        set, each being its orbit's first point in omega order."""
         from diagbase.diag import gd_generators
-        g = build_group(A5, 2, "full", "sym-table")
         reps = gd_orbit_reps(g)
         assert reps[0].is_diagonal()
         gens = gd_generators(g)
@@ -289,10 +291,19 @@ class TestOrbitReps:
             while frontier:
                 p = frontier.pop()
                 for a, perm in gens:
-                    q = act_diag(A5, p, a, perm)
+                    q = act_diag(T, p, a, perm)
                     if q.tuple_ids not in orbit:
                         orbit.add(q.tuple_ids)
                         frontier.append(q)
             assert covered.isdisjoint(orbit)
+            assert rep.tuple_ids == min(orbit)
             covered |= orbit
         assert len(covered) == g.degree
+
+    def test_reps_partition_point_set(self, A5):
+        self.check_reps(A5, build_group(A5, 2, "full", "sym-table"))
+
+    @pytest.mark.parametrize("out,top", [("inner", "cyclic"),
+                                         ("full", "sym-table")])
+    def test_reps_partition_point_set_k3(self, A5, out, top):
+        self.check_reps(A5, build_group(A5, 3, out, top))
