@@ -2,7 +2,6 @@
 at desk scale, with every computed quantity backed by an independent check.
 """
 
-from ._accel import NUMBA_ENABLED
 from .baseengine import (BaseCertificate, OrderMatrix, alt_formula_bounds,
                          construct_auto, construct_digit_base,
                          construct_distinguishing_base,

@@ -103,7 +103,6 @@ def build_parser():
     _group_flags(p, multi=True)
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--workers", type=int, default=1)
     _output_flags(p)
 
     p = sub.add_parser("paper-suite",
@@ -127,7 +126,7 @@ def _emit(args, command, config, payload, elapsed):
 
 
 def _build_from_args(args, name=None):
-    for attr in ("budget", "samples", "workers"):
+    for attr in ("budget", "samples"):
         if getattr(args, attr, 1) < 1:
             raise PreconditionError(f"--{attr} must be positive")
     T = get_group(name or args.group)
@@ -189,6 +188,10 @@ def cmd_base_verify(args):
     g = _build_from_args(args)
     pts = [OmegaPoint.parse(part, g.T)
            for part in args.points.split(";") if part.strip()]
+    for p in pts:
+        if p.k != g.k:
+            raise PreconditionError(
+                f"point {p} has {p.k} entries, expected k = {g.k}")
     cert = is_base(g, pts)
     return {"group": g.describe(), "certificate": cert.describe()}
 
@@ -213,7 +216,7 @@ def cmd_prob_mc(args):
         g = _build_from_args(args, name.strip())
         rep = ProbReport(group=g.describe(), n=g.degree)
         rep.mc_estimate = monte_carlo_nonbase(
-            g, args.samples, seed=args.seed, workers=args.workers)
+            g, args.samples, seed=args.seed)
         payload.append(rep.describe())
     return payload
 

@@ -120,8 +120,11 @@ def make_top(spec, k: int) -> TopGroup:
     if name == "dihedral":
         return TopGroup(k, table=dihedral_table(k))
     if name.startswith("gens:"):
-        gens = [Perm.parse(part, k)
-                for part in spec.strip()[5:].split("|")]
+        try:
+            gens = [Perm.parse(part, k)
+                    for part in spec.strip()[5:].split("|")]
+        except ValueError as exc:
+            raise PreconditionError(f"bad top generator: {exc}") from None
         return TopGroup(k, table=GroupTable.generate(gens))
     raise PreconditionError(f"unknown top descriptor {spec!r}")
 
@@ -196,7 +199,13 @@ class OmegaPoint:
 
     @classmethod
     def parse(cls, text: str, T: SimpleGroup) -> "OmegaPoint":
-        ids = [int(tok) for tok in text.split()]
+        try:
+            ids = [int(tok) for tok in text.split()]
+        except ValueError:
+            raise PreconditionError(
+                f"tuple entries must be integers: {text!r}") from None
+        if not ids:
+            raise PreconditionError("empty tuple")
         if any(not 0 <= v < T.order for v in ids):
             raise PreconditionError("tuple entry out of range for |T|")
         if ids[0] != 0:

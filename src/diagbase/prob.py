@@ -111,42 +111,28 @@ def exact_nonbase_pair_proportion(g: DiagTypeGroup,
 
 
 def monte_carlo_nonbase(g: DiagTypeGroup, samples: int,
-                        seed: int = DEFAULT_SEED, workers: int = 1):
+                        seed: int = DEFAULT_SEED):
     """Monte-Carlo estimate of the non-base pair proportion.
 
     Points are sampled uniformly (independent coordinates past the first);
     the per-sample test runs G_D-side only, so large point sets cost nothing.
-    Each worker consumes its own deterministically spawned seed stream, so
-    the result depends only on (samples, seed, workers).
+    The result depends only on (samples, seed).
     """
     if samples < 1:
         raise PreconditionError("need at least one sample")
-    chunks = np.array_split(np.arange(samples), workers)
-    streams = np.random.SeedSequence(seed).spawn(workers)
-
-    def run_chunk(pair):
-        chunk, stream = pair
-        if len(chunk) == 0:
-            return 0
-        rng = np.random.default_rng(stream)
-        tuples = np.zeros((len(chunk), g.k), dtype=np.int32)
-        tuples[:, 1:] = rng.integers(0, g.T.order, size=(len(chunk), g.k - 1),
-                                     dtype=np.int32)
-        return int(_detect_nonbase(g, tuples).sum())
-
-    # integer sum over per-chunk streams: identical result either way
-    if workers > 1 and not g.top.is_symbolic:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(run_chunk, zip(chunks, streams)))
-    else:
-        hits = sum(run_chunk(pair) for pair in zip(chunks, streams))
+    # drawing from the one spawned child, not from the seed itself, keeps
+    # the hit counts of a given seed equal to those of earlier versions
+    (stream,) = np.random.SeedSequence(seed).spawn(1)
+    rng = np.random.default_rng(stream)
+    tuples = np.zeros((samples, g.k), dtype=np.int32)
+    tuples[:, 1:] = rng.integers(0, g.T.order, size=(samples, g.k - 1),
+                                 dtype=np.int32)
+    hits = int(_detect_nonbase(g, tuples).sum())
     return {
         "fraction": hits / samples,
         "hits": hits,
         "samples": samples,
         "seed": seed,
-        "workers": workers,
     }
 
 

@@ -1,70 +1,103 @@
-"""The numba kernels and the numpy fallbacks must agree exactly."""
-
-import os
-import subprocess
-import sys
+"""The scan kernel against the fixing-condition oracle."""
 
 import numpy as np
 import pytest
 
 from diagbase import _accel
-from diagbase.diag import build_group
+from diagbase.baseengine import element_fixes_points
+from diagbase.diag import OmegaPoint, build_group
 
 
-def _random_inputs(A5, seed, n_tuples=40):
-    g = build_group(A5, 3, "full", "sym-table")
+def _random_inputs(T, seed, n_cand=200, n_tuples=40):
+    """Random candidates of G_D for k = 3 (all of G_D if ``n_cand`` is None)
+    and random tuples whose entries come from three elements of T, so that
+    many pairs fix and many do not."""
+    g = build_group(T, 3, "full", "sym-table")
     rng = np.random.default_rng(seed)
-    aut = A5.aut
     perms = g.top.table.arrays().astype(np.int32)
-    n = 200
-    cand_a = rng.integers(0, aut.n_aut, n).astype(np.int32)
-    cand_p = rng.integers(0, len(perms), n).astype(np.int32)
+    if n_cand is None:
+        cand_a, cand_p = np.divmod(np.arange(T.aut.n_aut * len(perms),
+                                             dtype=np.int32), len(perms))
+    else:
+        cand_a = rng.integers(0, T.aut.n_aut, n_cand).astype(np.int32)
+        cand_p = rng.integers(0, len(perms), n_cand).astype(np.int32)
+    entries = np.concatenate([[0], rng.choice(np.arange(1, T.order), 2,
+                                              replace=False)])
     tuples = np.zeros((n_tuples, 3), dtype=np.int32)
-    tuples[:, 1:] = rng.integers(0, A5.order, (n_tuples, 2))
-    return aut.rows, perms, cand_a, cand_p, tuples, A5.mul, A5.inv
+    tuples[:, 1:] = rng.choice(entries, (n_tuples, 2))
+    return g, (T.aut.rows, perms, cand_a, cand_p, tuples, T.mul, T.inv)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_filter_candidates_paths_agree(A5, seed):
-    args = _random_inputs(A5, seed)
-    np.testing.assert_array_equal(
-        _accel.filter_candidates_np(*args),
-        _accel.filter_candidates_nb(*args))
+def _oracle(g, args):
+    """fixes[c, j]: candidate c fixes tuple j, by element_fixes_points."""
+    _, _, cand_a, cand_p, tuples, _, _ = args
+    points = [OmegaPoint(tuple(int(v) for v in t)) for t in tuples]
+    return np.array([[element_fixes_points(g, int(a),
+                                           g.top.table.elements[int(p)], [pt])
+                      for pt in points]
+                     for a, p in zip(cand_a, cand_p)], dtype=bool)
+
+
+@pytest.fixture(params=["A5", "L27"])
+def T(request):
+    return request.getfixturevalue(request.param)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_filter_candidates_matches_oracle(T, seed):
+    g, args = _random_inputs(T, seed, n_cand=None, n_tuples=2)
+    fixes = _oracle(g, args)
+    mask = _accel.filter_candidates(*args)
+    assert mask.dtype == np.uint8
+    np.testing.assert_array_equal(mask.astype(bool), fixes.all(axis=1))
+    assert 0 < mask.sum() < len(mask)
 
 
 @pytest.mark.parametrize("seed", [3, 4])
-def test_detect_per_tuple_paths_agree(A5, seed):
-    args = _random_inputs(A5, seed)
-    np.testing.assert_array_equal(
-        _accel.detect_per_tuple_np(*args),
-        _accel.detect_per_tuple_nb(*args))
-
-
-@pytest.mark.parametrize("seed", [5, 6])
-def test_count_per_tuple_paths_agree(A5, seed):
-    args = _random_inputs(A5, seed)
-    np.testing.assert_array_equal(
-        _accel.count_per_tuple_np(*args),
-        _accel.count_per_tuple_nb(*args))
+def test_count_per_tuple_matches_oracle(T, seed):
+    g, args = _random_inputs(T, seed)
+    fixes = _oracle(g, args)
+    counts = _accel.count_per_tuple(*args)
+    assert counts.dtype == np.int64
+    np.testing.assert_array_equal(counts, fixes.sum(axis=0))
+    assert 0 < counts.sum() < fixes.size
 
 
 def test_counts_bound_detections(A5):
-    args = _random_inputs(A5, 7)
+    _, args = _random_inputs(A5, 7)
     counts = _accel.count_per_tuple(*args)
     detected = _accel.detect_per_tuple(*args)
+    assert detected.dtype == np.uint8
     np.testing.assert_array_equal(detected.astype(bool), counts > 0)
 
 
-def test_env_flag_selects_numpy_path():
-    env = dict(os.environ, DIAGBASE_NO_NUMBA="1")
-    code = ("import diagbase._accel as a; "
-            "assert not a.NUMBA_ENABLED; "
-            "assert a.filter_candidates is a.filter_candidates_np")
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+def test_pairs_span_several_chunks(A5):
+    g, args = _random_inputs(A5, 8, n_cand=200, n_tuples=400)
+    assert 200 * 400 > _accel._CHUNK_PAIRS
+    fixes = _oracle(g, args)
+    np.testing.assert_array_equal(_accel.count_per_tuple(*args),
+                                  fixes.sum(axis=0))
+    np.testing.assert_array_equal(_accel.detect_per_tuple(*args),
+                                  fixes.any(axis=0))
+    np.testing.assert_array_equal(_accel.filter_candidates(*args),
+                                  fixes.all(axis=1))
 
 
-@pytest.mark.skipif(bool(os.environ.get("DIAGBASE_NO_NUMBA")),
-                    reason="numpy path forced via DIAGBASE_NO_NUMBA")
-def test_default_uses_numba_when_available():
-    assert _accel.NUMBA_ENABLED
-    assert _accel.filter_candidates is _accel.filter_candidates_nb
+def test_no_candidates(A5):
+    _, (auts, perms, cand_a, cand_p, tuples, mul, inv) = _random_inputs(A5, 9)
+    args = (auts, perms, cand_a[:0], cand_p[:0], tuples, mul, inv)
+    assert _accel.filter_candidates(*args).shape == (0,)
+    np.testing.assert_array_equal(_accel.detect_per_tuple(*args),
+                                  np.zeros(len(tuples), np.uint8))
+    np.testing.assert_array_equal(_accel.count_per_tuple(*args),
+                                  np.zeros(len(tuples), np.int64))
+
+
+def test_no_tuples(A5):
+    _, (auts, perms, cand_a, cand_p, tuples, mul, inv) = _random_inputs(A5, 10)
+    args = (auts, perms, cand_a, cand_p, tuples[:0], mul, inv)
+    # every candidate fixes all of no tuples
+    np.testing.assert_array_equal(_accel.filter_candidates(*args),
+                                  np.ones(len(cand_a), np.uint8))
+    assert _accel.detect_per_tuple(*args).shape == (0,)
+    assert _accel.count_per_tuple(*args).shape == (0,)

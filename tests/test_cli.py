@@ -1,6 +1,7 @@
 import json
 
 import jsonschema
+import pytest
 
 from diagbase import report as report_mod
 from diagbase.cli import main
@@ -104,6 +105,18 @@ class TestSchema:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ("--k", "3", "--top", "sym-table", "--points", "0 5"),
+        ("--k", "2", "--top", "sym-table", "--points", "0 5 7"),
+        ("--k", "2", "--top", "sym-table", "--points", "0,5"),
+        ("--k", "5", "--top", "gens:(1 2 9)", "--points", "0 0 0 0 0"),
+    ])
+    def test_malformed_base_verify_input(self, capsys, argv):
+        code = main(["base-verify", "--group", "A5", *argv])
+        err = capsys.readouterr().err
+        assert code == 5
+        assert "precondition error" in err and "Traceback" not in err
+
     def test_invalid_top_precondition(self, capsys):
         code, _ = run_cli(capsys, "base-min", "--group", "A5", "--k", "4",
                           "--top", "cyclic")

@@ -97,6 +97,11 @@ class TestOmegaPoint:
         with pytest.raises(PreconditionError):
             OmegaPoint.parse("3 0", A5)
 
+    @pytest.mark.parametrize("text", ["0,5", "0 x", "", "  "])
+    def test_parse_rejects_malformed(self, A5, text):
+        with pytest.raises(PreconditionError):
+            OmegaPoint.parse(text, A5)
+
     def test_omega_iter_counts(self, A5):
         g = build_group(A5, 2, "full", "sym-table")
         points = list(omega_iter(g))

@@ -117,11 +117,6 @@ class TestMonteCarlo:
         sigma = sqrt(exact * (1 - exact) / (samples * len(means)))
         assert abs(mean - exact) <= 3 * sigma
 
-    def test_workers_change_stream_but_stay_deterministic(self, inn2a5):
-        a = monte_carlo_nonbase(inn2a5, 300, seed=2, workers=3)
-        b = monte_carlo_nonbase(inn2a5, 300, seed=2, workers=3)
-        assert a == b
-
     def test_symbolic_top_path(self, A5):
         g = build_group(A5, 6, "full", "sym")
         out = monte_carlo_nonbase(g, 30, seed=3)
