@@ -8,15 +8,19 @@ loses nothing), and never touch the point set itself: a diagonal pair
     alpha(t[i]) = t[pi(0)]^-1 * t[pi(i)]   for every coordinate i,
 
 which is pure index arithmetic over the element table of T.  For explicit top
-groups the full candidate list G_D is scanned through the accelerated kernels;
-for symbolic Alt/Sym tops a constraint solver propagates the forced images
-``i pi`` from the same condition, branching only where a point's tuple has
-repeated values.
+groups the full candidate list G_D is scanned through the accelerated kernels.
+For symbolic Alt/Sym tops the same condition says that x -> t[0 pi] *
+alpha(x) permutes the multiset of columns of the points' tuple matrix; a
+column-set test over integer column codes checks that for every alpha and
+every admissible image of the identity column at once, and the permutation
+part is read off by matching equal columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations, product
+from math import factorial, prod
 
 import numpy as np
 
@@ -28,7 +32,13 @@ from .errors import (BudgetExceededError, PreconditionError,
                      UnsupportedEnumerationError, ValidationError)
 from .perm import Perm
 
+# most stabilizer elements listed for a symbolic top (mode="all")
 SOLVER_NODE_BUDGET = 10**6
+# pairs (alpha, y) per chunk of the column-set test, and the target size of
+# survivors x columns per block.  On a 2-CPU VM (perfbench symbolic-sweep,
+# seeds 811-813) 2^10..2^12 ran equally fast at 43.2-43.6 MB peak RSS;
+# 2^14 was about 10% slower at 45.1-45.3 MB, 2^16 25% slower at 51.7 MB.
+SOLVER_CHUNK_PAIRS = 1 << 12
 
 
 # ---------------------------------------------------------------------------
@@ -63,8 +73,8 @@ def pointwise_stabilizer(g: DiagTypeGroup, points,
                          node_budget: int = SOLVER_NODE_BUDGET):
     """All (alpha, pi) in G_D fixing every point (D itself is implicit).
 
-    Explicit tops scan the candidate list; symbolic tops run the constraint
-    solver.  Returns a list of (aut row id, Perm) pairs.
+    Explicit tops scan the candidate list; symbolic tops run the column-set
+    test.  Returns a list of (aut row id, Perm) pairs.
     """
     tuples = _accel.as_tuple_matrix([p.as_array() for p in points], g.k)
     if g.top.is_symbolic:
@@ -119,106 +129,135 @@ def pointwise_stabilizer_by_action(g: DiagTypeGroup, points):
 
 
 # ---------------------------------------------------------------------------
-# constraint solver for symbolic Alt/Sym tops
+# column-set test for symbolic Alt/Sym tops
+
+
+def _column_codes(digits, n, dtype):
+    """Base-n code of each column of ``digits`` (row 0 most significant)."""
+    code = np.zeros(digits.shape[1:], dtype=dtype)
+    for row in digits:
+        code = code * n + row.astype(dtype)
+    return code
+
+
+def _surviving_pairs(g, ys, cols, col_counts, target, target_counts, dtype):
+    """Yield, chunk by chunk, the pairs (alpha row, y index) whose map
+    x -> y * alpha(x) sends every column of ``cols`` to a code of ``target``
+    with the same count.  Columns are tested in blocks sized so that
+    survivors x block stays near ``SOLVER_CHUNK_PAIRS``."""
+    T, n = g.T, g.T.order
+    rows, mul = T.aut.rows, T.mul
+    n_y, n_cols = ys.shape[1], cols.shape[1]
+    total = len(g.aut_rows) * n_y
+    for start in range(0, total, SOLVER_CHUNK_PAIRS):
+        p = np.arange(start, min(start + SOLVER_CHUNK_PAIRS, total))
+        a, y = g.aut_rows[p // n_y], ys[:, p % n_y]
+        j = 0
+        while len(a) and j < n_cols:
+            stop = j + max(1, SOLVER_CHUNK_PAIRS // len(a))
+            alpha_x = rows[a[None, :, None], cols[:, None, j:stop]]
+            code = _column_codes(mul[y[:, :, None], alpha_x], n, dtype)
+            pos = np.searchsorted(target, code).clip(max=len(target) - 1)
+            ok = (target[pos] == code) & \
+                (target_counts[pos] == col_counts[j:stop])
+            keep = ok.all(axis=1)
+            a, y, p = a[keep], y[:, keep], p[keep]
+            j = stop
+        yield a, p % n_y
 
 
 def _solve_symbolic(g: DiagTypeGroup, tuples, mode: str, node_budget: int):
-    """Diagonal stabilizer elements via constraint propagation.
+    """Diagonal stabilizer elements of the points for a symbolic top.
 
-    For each automorphism row alpha (label in the out part) and each candidate
-    c for the image of coordinate 0, the fixing condition forces, coordinate
-    by coordinate, ``t[i pi] = t[c] * alpha(t[i])`` in every point
-    simultaneously; positions are matched through a combined-value index.
-    Depth-first assignment branches only where a combined value repeats, and
-    the whole search is capped by ``node_budget`` nodes.
+    Read the m x k tuple matrix as k columns x_j in T^m, x_0 the identity.
+    A pair (alpha, pi) fixes D and the points iff x_{i pi} = y * alpha(x_i)
+    for every i, where y = x_{0 pi}: the map f(x) = y * alpha(x) permutes
+    the column multiset and pi matches it.  For each alpha in the out part
+    and each column y as frequent as x_0, f is tested on the distinct
+    columns (or, for a set of distinct columns filling more than half of
+    T^m, on its complement), all pairs at once in chunks.
+
+    ``mode="witness"`` returns [one nonidentity element] or []: a repeated
+    column gives a transposition (Sym), a 3-cycle or a double transposition
+    (Alt) outright; otherwise a surviving f is matched, an odd pi fixed up
+    with the one repeated pair, or (all columns distinct) skipped for Alt.
+    ``mode="all"`` returns every element: each surviving f with one matching
+    pi composed with every permutation within the classes of equal columns,
+    even ones only for Alt; more than ``node_budget`` of them raise
+    BudgetExceededError before any is built.
     """
-    T, k = g.T, g.k
-    mul = T.mul
-    alt_only = g.top.symbolic == "alt"
-    rows = T.aut.rows
-    ident_row = T.aut.identity_row
-    pts = [np.asarray(t, dtype=np.int64) for t in tuples]
+    T, k, n = g.T, g.k, g.T.order
+    alt = g.top.symbolic == "alt"
+    ident = T.aut.identity_row
+    X = np.asarray(tuples, dtype=np.int64)
+    m = X.shape[0]
+    dtype = np.int64 if n ** m < 2 ** 63 else object
+    codes = _column_codes(X, n, dtype)
+    uniq, first, inverse, counts = np.unique(
+        codes, return_index=True, return_inverse=True, return_counts=True)
+    repeated = [np.nonzero(inverse == c)[0] for c in np.nonzero(counts > 1)[0]]
+    # equal columns swap freely: a transposition for Sym; for Alt a 3-cycle
+    # on a triple or a double transposition on two pairs
+    if mode == "witness" and repeated and (
+            not alt or len(repeated) > 1 or len(repeated[0]) > 2):
+        cycles = [repeated[0][:3]] if alt and len(repeated[0]) > 2 else \
+            [r[:2] for r in repeated[:1 + alt]]
+        return [(ident, Perm.from_cycles([c.tolist() for c in cycles], k))]
 
-    pos_by_key = {}
-    for j in range(k):
-        key = tuple(int(t[j]) for t in pts)
-        pos_by_key.setdefault(key, []).append(j)
+    ys = X[:, first[counts == counts[0]]]
+    if len(uniq) == k and n ** m < 2 * k:
+        # f permutes the columns iff it permutes the smaller complement
+        comp = np.setdiff1d(np.arange(n ** m), uniq)
+        cols = np.stack([comp // n ** (m - 1 - r) % n for r in range(m)])
+        ones = np.ones(len(comp), dtype=np.int64)
+        survivors = _surviving_pairs(g, ys, cols, ones, comp, ones, dtype)
+    else:
+        survivors = _surviving_pairs(g, ys, X[:, first[1:]], counts[1:], uniq,
+                                     counts, dtype)
+    order = np.argsort(codes, kind="stable")
 
-    results = []
-    nodes = 0
+    def matching(a, yi):
+        """One pi with x_{i pi} = f(x_i): equal codes matched in order."""
+        pi = np.empty(k, dtype=np.int32)
+        img = _column_codes(T.mul[ys[:, yi, None], T.aut.rows[a][X]], n,
+                            dtype)
+        pi[np.argsort(img, kind="stable")] = order
+        return pi
 
-    def emit(a, pi):
-        perm = Perm(pi.astype(np.int32))
-        if alt_only and perm.sign() != 1:
-            return False
-        if mode == "witness" and a == ident_row and perm.is_identity():
-            return False
-        results.append((a, perm))
-        return mode == "witness"
-
-    for a in g.aut_rows:
-        a = int(a)
-        alpha = rows[a]
-        imgs = [alpha[t] for t in pts]
-        for c in range(k):
-            cand = []
-            feasible = True
-            for i in range(1, k):
-                key = tuple(int(mul[t[c], im[i]]) for t, im in zip(pts, imgs))
-                lst = pos_by_key.get(key)
-                if not lst:
-                    feasible = False
-                    break
-                cand.append((i, lst))
-            if not feasible:
-                continue
-            cand.sort(key=lambda pair: len(pair[1]))
-            pi = np.full(k, -1, dtype=np.int64)
-            pi[0] = c
-            used = bytearray(k)
-            used[c] = 1
-
-            # iterative depth-first assignment (k can exceed the Python
-            # recursion limit); chosen[d] tracks the live choice per level
-            n_levels = len(cand)
-            if n_levels == 0:
-                if emit(a, pi):
-                    return results
-                continue
-            chosen = [-1] * n_levels
-            iters = [iter(cand[0][1])]
-            hit_witness = False
-            while iters:
-                d = len(iters) - 1
-                i_d = cand[d][0]
-                if chosen[d] >= 0:
-                    used[chosen[d]] = 0
-                    pi[i_d] = -1
-                    chosen[d] = -1
-                advanced = False
-                for j in iters[-1]:
-                    if used[j]:
-                        continue
-                    nodes += 1
-                    if nodes > node_budget:
-                        raise BudgetExceededError(
-                            f"constraint solver exceeded {node_budget} nodes")
-                    chosen[d] = j
-                    used[j] = 1
-                    pi[i_d] = j
-                    advanced = True
-                    break
-                if not advanced:
-                    iters.pop()
+    if mode == "witness":
+        swap_pair = np.arange(k)        # the one repeated pair, if any
+        if repeated:
+            swap_pair[repeated[0]] = repeated[0][::-1]
+        for a_s, y_s in survivors:
+            for a, yi in zip(a_s.tolist(), y_s.tolist()):
+                if a == ident and yi == 0:
                     continue
-                if d + 1 == n_levels:
-                    if emit(a, pi):
-                        hit_witness = True
-                        break
-                else:
-                    iters.append(iter(cand[d + 1][1]))
-            if hit_witness and mode == "witness":
-                return results
+                perm = Perm(matching(a, yi))
+                if alt and perm.sign() != 1:
+                    if not repeated:
+                        continue
+                    perm = Perm(perm.images[swap_pair])
+                return [(a, perm)]
+        return []
+    found = [(a, yi) for a_s, y_s in survivors
+             for a, yi in zip(a_s.tolist(), y_s.tolist())]
+    total = len(found) * prod(factorial(len(r)) for r in repeated)
+    if total > node_budget:
+        raise BudgetExceededError(
+            f"{total} stabilizer elements exceed the budget of {node_budget}")
+    sigmas = []
+    for combo in product(*(permutations(r.tolist()) for r in repeated)):
+        sigma = np.arange(k)
+        for r, images in zip(repeated, combo):
+            sigma[r] = images
+        sigmas.append(sigma)
+    results = []
+    for a, yi in found:
+        pi = matching(a, yi)
+        for sigma in sigmas:
+            perm = Perm(pi[sigma])
+            if not alt or perm.sign() == 1:
+                results.append((a, perm))
     return results
 
 
@@ -567,8 +606,11 @@ def minimal_base_size(g: DiagTypeGroup, budget: int = 10**7):
 
 
 def nonbase_witness(g: DiagTypeGroup, points):
-    """A nonidentity element fixing D and all points, by the column-matrix
-    case analysis; valid under the alternating-top lower-bound hypotheses.
+    """A nonidentity element fixing D and all points, which the
+    alternating-top lower-bound hypotheses guarantee; found by the
+    stabilizer test (for symbolic tops the column-set test, whose repeated
+    columns and complement of T^l are the cases of the paper's argument)
+    and re-checked against the fixing condition.
 
     points: the l non-anchor points.  Requires the top to contain Alt(k) and
     one of: k > |T|^l; l = 1 and k = |T|; top symmetric and k in
@@ -589,149 +631,13 @@ def nonbase_witness(g: DiagTypeGroup, points):
             "hypotheses unmet: need k > |T|^l, or l=1 and k=|T|, or a "
             "symmetric top with k in {|T|^l, |T|^l - 1}")
 
-    B = np.stack([p.as_array().astype(np.int64) for p in points])
-    witness = _column_case_witness(g, B)
+    witness = stabilizer_witness(g, points)
     if witness is None:
-        raise ValidationError("case analysis failed to produce a witness")
+        raise ValidationError("no witness although the hypotheses hold")
     aut_row, perm = witness
     if not element_fixes_points(g, aut_row, perm, points):
-        raise ValidationError("constructed witness does not fix the points")
+        raise ValidationError("witness does not fix the points")
     return witness
-
-
-def _column_case_witness(g: DiagTypeGroup, B):
-    T, k = g.T, g.k
-    l = B.shape[0]
-    mul, inv = T.mul, T.inv
-    ident = Perm.identity(k)
-    symmetric = g.top.is_symmetric()
-
-    def rescale(col):
-        """Row multipliers sending the given column value to the identity."""
-        return np.stack([mul[inv[col[p]], B[p]] for p in range(l)])
-
-    cols = [tuple(int(B[p, j]) for p in range(l)) for j in range(k)]
-    groups = {}
-    for j, c in enumerate(cols):
-        groups.setdefault(c, []).append(j)
-    repeated = sorted([js for js in groups.values() if len(js) > 1],
-                      key=lambda js: js[0])
-
-    if any(len(js) >= 3 for js in repeated):
-        js = next(js for js in repeated if len(js) >= 3)
-        return (g.T.aut.identity_row,
-                Perm.from_cycles([js[:3]], k))
-    if len(repeated) >= 2:
-        j1, j2 = repeated[0][:2]
-        j3, j4 = repeated[1][:2]
-        return (g.T.aut.identity_row,
-                Perm.from_cycles([[j1, j2], [j3, j4]], k))
-    if len(repeated) == 1:
-        j1, j2 = repeated[0][:2]
-        if symmetric:
-            return (g.T.aut.identity_row, Perm.from_cycles([[j1, j2]], k))
-        # normalize the repeated column to all-identity and act on the rest
-        Bn = rescale(B[:, j1])
-        if l == 1 and k == T.order:
-            # exactly one nonidentity value is absent; pick a nontrivial
-            # inner map fixing it (the value itself centralizes)
-            missing = [c for c in _missing_columns(T, Bn, l, exclude=(j1, j2))
-                       if any(v != 0 for v in c)]
-            t_missing = missing[0][0]
-            aut_row = T.aut.inn_of(_centralizing_element(T, t_missing))
-        else:
-            aut_row = T.aut.inn_of(1)
-        perm = _column_permutation(T, Bn, aut_row, skip=(j1, j2))
-        if perm is None:
-            return None
-        if perm.sign() != 1:
-            swap = Perm.from_cycles([[j1, j2]], k)
-            perm = perm * swap
-        return (aut_row, perm)
-
-    # all columns distinct: k <= |T|^l
-    if k == T.order ** l:
-        aut_row = _small_order_inner(T, min_order=3)
-        perm = _column_permutation(T, B, aut_row, skip=())
-        if perm is None:
-            return None
-        if perm.sign() != 1 and not symmetric:
-            comp = T.aut.compose_rows(aut_row, aut_row)
-            return (comp, perm * perm)
-        return (aut_row, perm)
-    if k == T.order ** l - 1 and symmetric:
-        missing = _missing_columns(T, B, l, exclude=())
-        col = np.array(missing[0], dtype=np.int64)
-        Bn = rescale(col)
-        aut_row = _small_order_inner(T, min_order=3)
-        perm = _column_permutation(T, Bn, aut_row, skip=())
-        if perm is None:
-            return None
-        if perm.sign() != 1:
-            comp = T.aut.compose_rows(aut_row, aut_row)
-            return (comp, perm * perm)
-        return (aut_row, perm)
-    return None
-
-
-def _missing_columns(T, B, l, exclude):
-    """Columns of T^l absent from B (exclude listed column indices)."""
-    present = {tuple(int(B[p, j]) for p in range(l))
-               for j in range(B.shape[1]) if j not in exclude}
-    out = []
-    if l == 1:
-        for t in range(T.order):
-            if (t,) not in present:
-                out.append((t,))
-        return out
-    # l > 1 only arises for k near |T|^l, which is materializable only for
-    # tiny |T|; enumerate lazily and stop at the first few
-    from itertools import product
-    for col in product(range(T.order), repeat=l):
-        if col not in present:
-            out.append(col)
-            if len(out) > 4:
-                break
-    return out
-
-
-def _centralizing_element(T, t):
-    """A nontrivial element commuting with t (powers of t suffice)."""
-    if t != 0:
-        return t
-    return 1
-
-
-def _small_order_inner(T, min_order=3):
-    for t in range(1, T.order):
-        if int(T.order_of[t]) >= min_order:
-            return T.aut.inn_of(t)
-    raise ValidationError("no element of order >= 3 found")
-
-
-def _column_permutation(T, B, aut_row, skip):
-    """The permutation induced by an automorphism on the columns of B.
-
-    Columns listed in ``skip`` are fixed; the rest must be permuted among
-    themselves (entrywise application), else None.
-    """
-    l, k = B.shape
-    alpha = T.aut.rows[aut_row]
-    pos = {}
-    for j in range(k):
-        if j in skip:
-            continue
-        pos[tuple(int(B[p, j]) for p in range(l))] = j
-    images = np.arange(k, dtype=np.int32)
-    for j in range(k):
-        if j in skip:
-            continue
-        target = tuple(int(alpha[B[p, j]]) for p in range(l))
-        if target not in pos:
-            return None
-        images[j] = pos[target]
-    perm = Perm(images)
-    return perm
 
 
 # ---------------------------------------------------------------------------

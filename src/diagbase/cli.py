@@ -224,7 +224,11 @@ def cmd_prob_mc(args):
 def cmd_paper_suite(args):
     ids = None
     if args.criteria:
-        ids = {int(v) for v in args.criteria.split(",")}
+        try:
+            ids = {int(v) for v in args.criteria.split(",")}
+        except ValueError:
+            raise PreconditionError(
+                f"--criteria takes integer ids: {args.criteria!r}") from None
     results = run_suite(ids)
     if args.format == "text" and not args.output:
         print(format_table(results))

@@ -32,6 +32,7 @@ from .errors import (BudgetExceededError, InvalidTopError, PreconditionError,
                      UnsupportedEnumerationError)
 from .perm import (GroupTable, Perm, alternating_table, cyclic_table,
                    dihedral_table, symmetric_table)
+from .report import int_str
 
 OMEGA_BUDGET = 10**7
 
@@ -142,7 +143,7 @@ def resolve_out_part(T: SimpleGroup, spec) -> tuple:
             seeds = set()
             for part in name.split(","):
                 part = part.strip()
-                if not part.startswith("g"):
+                if not (part.startswith("g") and part[1:].isdecimal()):
                     raise PreconditionError(
                         f"unknown out-part descriptor {spec!r}")
                 idx = int(part[1:]) - 1
@@ -248,8 +249,8 @@ class DiagTypeGroup:
             "k": self.k,
             "out_labels": list(self.out_labels),
             "top": self.top.describe(),
-            "degree": str(self.degree),
-            "order": str(self.order),
+            "degree": int_str(self.degree),
+            "order": int_str(self.order),
         }
 
     def __repr__(self):
@@ -371,7 +372,7 @@ def stab_of_D(g: DiagTypeGroup):
     if g.top.is_symbolic:
         raise UnsupportedEnumerationError(
             "symbolic top groups cannot be enumerated explicitly; route the "
-            "computation through the constraint solver instead")
+            "computation through the column-set test instead")
     return [(int(a), p) for a in g.aut_rows for p in g.top.table.elements]
 
 

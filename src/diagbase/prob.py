@@ -22,6 +22,7 @@ from . import _accel
 from .diag import DiagTypeGroup, OmegaPoint, omega_iter
 from .errors import PreconditionError
 from .perm import Perm, _is_prime
+from .report import int_str
 
 DEFAULT_SEED = 0x5EED
 
@@ -443,7 +444,7 @@ class ProbReport:
         # report.encode_value writes the rationals as {"num", "den"}
         return {
             "group": self.group,
-            "n": str(self.n),
+            "n": int_str(self.n),
             "exact_nonbase_pair_fraction": self.exact_nonbase_pair_fraction,
             "q2_bound": self.q2_bound,
             "r_split": self.r_split,

@@ -18,10 +18,29 @@ from importlib import resources
 SCHEMA_VERSION = "1.0"
 
 
+def int_str(value: int) -> str:
+    """Decimal digits of an int of any size.
+
+    Plain ``str`` below the interpreter's int-to-str digit limit; above it
+    the value is split by divmod on a power of ten, so the result never
+    depends on (or changes) the process-wide limit.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        pass
+    if value < 0:
+        return "-" + int_str(-value)
+    low_digits = value.bit_length() * 3 // 20    # about half the digits
+    high, low = divmod(value, 10 ** low_digits)
+    return int_str(high) + int_str(low).zfill(low_digits)
+
+
 def encode_value(value):
     """Recursively convert payload values into JSON-encodable structures."""
     if isinstance(value, Fraction):
-        return {"num": str(value.numerator), "den": str(value.denominator)}
+        return {"num": int_str(value.numerator),
+                "den": int_str(value.denominator)}
     if isinstance(value, dict):
         return {k: encode_value(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -10,9 +10,10 @@ from diagbase.baseengine import (alt_formula_bounds, ceil_log, construct_auto,
                                  minimal_base_size, nonbase_witness,
                                  order_matrix, pointwise_stabilizer,
                                  pointwise_stabilizer_by_action, pyber_check)
+from diagbase import baseengine
 from diagbase.diag import OmegaPoint, build_group
-from diagbase.errors import PreconditionError
-from diagbase.perm import Perm
+from diagbase.errors import BudgetExceededError, PreconditionError
+from diagbase.perm import Perm, alternating_table, symmetric_table
 
 
 def random_point(T, k, rng):
@@ -127,6 +128,153 @@ class TestPointwiseStabilizer:
                     assert all(alpha[t[i]] == t[pi[i]] for i in range(4))
                     checked += 1
         assert checked > 0
+
+
+def stab_set(g, pts):
+    return {(a, p._key) for a, p in pointwise_stabilizer(g, pts)}
+
+
+def brute_force_stabilizer(g, column):
+    """Every (alpha, pi) fixing D and one point whose k entries (columns,
+    m = 1) are distinct: for each alpha and each y in S, f(x) = y alpha(x)
+    must map S onto itself, and then pi is forced entry by entry."""
+    T = g.T
+    S = set(column.tolist())
+    out = set()
+    for a in g.aut_rows:
+        image = T.aut.rows[a][column]
+        for y in column:
+            fx = T.mul[y, image]
+            if set(fx.tolist()) != S:
+                continue
+            pi = Perm([column.tolist().index(v) for v in fx.tolist()])
+            if g.top.accepts_parity(pi.sign()):
+                out.add((int(a), pi._key))
+    return out
+
+
+def planted_points(g, rng, m):
+    """m points whose k distinct columns (the first the identity) form a
+    union of orbits of f(x) = y alpha(x), alpha the last outer involution
+    in the out part and y alpha(y) = 1, so that f^2 = 1; an even number of
+    2-orbits keeps the matching pi even.  Returns (alpha, pi) and the
+    points."""
+    T, k = g.T, g.k
+    rows = T.aut.rows
+    a = next(int(r) for r in g.aut_rows[::-1]
+             if T.aut.labels[r] != 0 and (rows[r][rows[r]] == np.arange(
+                 T.order)).all())
+    alpha = rows[a]
+    roots = [t for t in range(1, T.order) if T.mul[t, alpha[t]] == 0]
+    y = rng.choice(roots, size=m)
+    place = T.order ** np.arange(m - 1, -1, -1)
+    digits = np.indices((T.order,) * m).reshape(m, -1)
+    image = T.mul[y[:, None], alpha[digits]].T @ place
+    fixed = np.nonzero(image == np.arange(len(image)))[0]
+    movers = [c for c in rng.permutation(len(image)).tolist()
+              if image[c] > c and c != 0]
+    n_two = (k - 2) // 2 - int(rng.integers(0, 10))
+    n_two -= n_two % 2 == 0          # odd here, even with {1, y}
+    codes = [0, int(image[0])] + movers[:n_two] + \
+        [int(image[c]) for c in movers[:n_two]]
+    codes += rng.choice(fixed, k - len(codes), replace=False).tolist()
+    codes = [0] + rng.permutation(codes[1:]).tolist()
+    position = {c: j for j, c in enumerate(codes)}
+    pi = Perm([position[int(image[c])] for c in codes])
+    points = [OmegaPoint(tuple(row.tolist())) for row in digits[:, codes]]
+    return (a, pi), points
+
+
+class TestColumnSetSolver:
+    """The symbolic-top solver against the table scan, a brute-force
+    oracle, planted fixers and the digit bases."""
+
+    @pytest.mark.parametrize("name", ["A5", "L2(7)"])
+    def test_matches_tables_small_alphabet(self, name):
+        from diagbase.catalog import get_group
+        T = get_group(name)
+        rng = np.random.default_rng(2024)
+        for k in (5, 6):
+            for out_part in ("inner", "full"):
+                for tag, table in [("sym", symmetric_table(k)),
+                                   ("alt", alternating_table(k))]:
+                    g_table = build_group(T, k, out_part, table)
+                    g_solver = build_group(T, k, out_part, tag)
+                    for _ in range(6):
+                        alphabet = rng.choice(T.order, int(rng.integers(2, 4)),
+                                              replace=False)
+                        pts = [OmegaPoint.from_tuple(
+                            T, rng.choice(alphabet, k))
+                            for _ in range(int(rng.integers(1, 3)))]
+                        assert stab_set(g_table, pts) == \
+                            stab_set(g_solver, pts)
+
+    def test_matches_table_past_int64_codes(self, A5):
+        # 33 points: |T|^33 > 2^63, so columns need exact wide codes.
+        # Columns 1 and 2 differ only in the first point, whose digit
+        # weight 60^32 is 0 mod 2^64: wrapped int64 codes would merge them.
+        g_table = build_group(A5, 5, "full", symmetric_table(5))
+        g_solver = build_group(A5, 5, "full", "sym")
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            rows = rng.choice([0, 7], (33, 5))
+            rows[:, 0] = 0
+            rows[:, 2] = rows[:, 1]
+            rows[0, 1:3] = (7, 0)
+            pts = [OmegaPoint(tuple(row)) for row in rows.tolist()]
+            assert stab_set(g_table, pts) == stab_set(g_solver, pts)
+
+    @pytest.mark.parametrize("top", ["sym", "alt"])
+    def test_dense_sets_match_brute_force(self, A5, top):
+        # k > |T|/2 distinct entries: the solver tests the complement
+        rng = np.random.default_rng(31)
+        verdicts = set()
+        for k in (31, 40, 50, 56, 57, 58, 59):
+            g = build_group(A5, k, "full", top)
+            for _ in range(2):
+                column = np.array(
+                    [0, *rng.choice(np.arange(1, 60), k - 1, replace=False)])
+                om = OmegaPoint(tuple(column.tolist()))
+                want = brute_force_stabilizer(g, column)
+                assert stab_set(g, [om]) == want
+                assert is_base(g, [om]).verdict == (len(want) == 1)
+                verdicts.add(len(want) == 1)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("name,k,m,top", [
+        ("A5", 1000, 3, "sym"), ("A5", 3000, 2, "alt"),
+        ("A5", 2500, 2, "sym"), ("L2(7)", 1200, 2, "alt")])
+    def test_planted_fixer_at_large_k(self, name, k, m, top):
+        from diagbase.catalog import get_group
+        T = get_group(name)
+        g = build_group(T, k, "full", top)
+        (a, pi), pts = planted_points(g, np.random.default_rng(k), m)
+        assert element_fixes_points(g, a, pi, pts) and g.contains_diag(a, pi)
+        cert = is_base(g, pts)
+        assert cert.verdict is False
+        wa, wp = cert.witness
+        assert not (wa == T.aut.identity_row and wp.is_identity())
+        assert element_fixes_points(g, wa, wp, pts)
+        assert g.contains_diag(wa, wp)
+
+    @pytest.mark.parametrize("k", [2700, 3601, 5000])
+    @pytest.mark.parametrize("top", ["sym", "alt"])
+    def test_digit_bases_at_large_k(self, A5, k, top):
+        g = build_group(A5, k, "full", top)
+        pts = construct_digit_base(g)
+        assert is_base(g, pts[1:]).verdict
+
+    def test_all_mode_budget_checked_before_enumerating(self, A5,
+                                                        monkeypatch):
+        # 11 equal columns allow 11! permutations per surviving f
+        g = build_group(A5, 12, "full", "sym")
+        om = OmegaPoint.from_tuple(A5, [0] * 11 + [1])
+
+        def no_perms(*_args):
+            raise AssertionError("enumeration started")
+        monkeypatch.setattr(baseengine, "Perm", no_perms)
+        with pytest.raises(BudgetExceededError):
+            pointwise_stabilizer(g, [om])
 
 
 class TestOrderMatrix:

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import jsonschema
 import pytest
@@ -117,6 +118,17 @@ class TestExitCodes:
         assert code == 5
         assert "precondition error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("base-min", "--group", "A5", "--k", "2", "--out-part", "gx",
+         "--top", "sym-table"),
+        ("paper-suite", "--criteria", "x"),
+    ])
+    def test_malformed_numbers_are_preconditions(self, capsys, argv):
+        code = main(list(argv))
+        err = capsys.readouterr().err
+        assert code == 5
+        assert "precondition error" in err and "Traceback" not in err
+
     def test_invalid_top_precondition(self, capsys):
         code, _ = run_cli(capsys, "base-min", "--group", "A5", "--k", "4",
                           "--top", "cyclic")
@@ -139,3 +151,34 @@ class TestExitCodes:
                             "--output", str(target))
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["command"] == "catalog-validate"
+
+
+class TestLargeIntegers:
+    def test_int_str_matches_str_without_limit(self):
+        values = [0, 7, -12, 10 ** 4299, 10 ** 4300, 60 ** 4999,
+                  -(60 ** 4999), 10 ** 9000 + 7, 2 ** 40000 - 1]
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            want = [str(v) for v in values]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert [report_mod.int_str(v) for v in values] == want
+        assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("argv", [
+        ("base-construct", "--group", "A5", "--k", "5000", "--top", "sym"),
+        ("prob-mc", "--group", "A5", "--k", "3000", "--top", "sym",
+         "--samples", "2"),
+    ])
+    def test_large_k_reports(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 0 and "Traceback" not in captured.err
+        rep = json.loads(captured.out)
+        payload = rep["payload"]
+        group = payload["group"] if isinstance(payload, dict) else \
+            payload[0]["group"]
+        k = rep["config"]["k"]
+        assert group["degree"] == report_mod.int_str(60 ** (k - 1))
+        assert len(group["degree"]) > 4300

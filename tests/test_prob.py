@@ -122,6 +122,18 @@ class TestMonteCarlo:
         out = monte_carlo_nonbase(g, 30, seed=3)
         assert 0.0 <= out["fraction"] <= 1.0
 
+    @pytest.mark.parametrize("k,sym_hits,alt_hits", [
+        (6, 54, 7), (8, 84, 11), (10, 106, 33), (12, 142, 52)])
+    def test_symbolic_hits_pinned(self, A5, k, sym_hits, alt_hits):
+        # hit counts of seed 4242, 200 samples, as first recorded
+        for top, hits in (("sym", sym_hits), ("alt", alt_hits)):
+            g = build_group(A5, k, "full", top)
+            assert monte_carlo_nonbase(g, 200, seed=4242)["hits"] == hits
+
+    def test_symbolic_hits_pinned_l27(self, L27):
+        g = build_group(L27, 9, "full", "alt")
+        assert monte_carlo_nonbase(g, 500, seed=4242)["hits"] == 5
+
     def test_large_k_cyclic_small_fraction(self, A5):
         g = build_group(A5, 37, "full", "cyclic")
         out = monte_carlo_nonbase(g, 2000, seed=0x5EED)
