@@ -27,13 +27,15 @@ import numpy as np
 from . import _accel
 from .catalog import SimpleGroup
 from .diag import (DiagTypeGroup, OmegaPoint, act_diag, gd_orbit_reps,
-                   omega_iter, stab_of_D)
+                   omega_tuples, stab_of_D)
 from .errors import (BudgetExceededError, PreconditionError,
                      UnsupportedEnumerationError, ValidationError)
 from .perm import Perm
 
 # most stabilizer elements listed for a symbolic top (mode="all")
 SOLVER_NODE_BUDGET = 10**6
+# most one-point candidate filters in one minimal_base_size search
+MIN_BASE_FILTER_BUDGET = 10**5
 # pairs (alpha, y) per chunk of the column-set test, and the target size of
 # survivors x columns per block.  On a 2-CPU VM (perfbench symbolic-sweep,
 # seeds 811-813) 2^10..2^12 ran equally fast at 43.2-43.6 MB peak RSS;
@@ -52,11 +54,10 @@ def _scan_arrays(g: DiagTypeGroup):
         if g.top.is_symbolic:
             raise UnsupportedEnumerationError(
                 "explicit G_D scan requested for a symbolic top")
-        perms = np.ascontiguousarray(g.top.table.arrays().astype(np.int32))
-        n_a, n_p = len(g.aut_rows), len(perms)
-        cand_a = np.repeat(g.aut_rows.astype(np.int32), n_p)
+        n_a, n_p = len(g.aut_rows), g.top.table.order
+        cand_a = np.repeat(g.aut_rows, n_p)
         cand_p = np.tile(np.arange(n_p, dtype=np.int32), n_a)
-        cache = {"perms": perms, "cand_a": cand_a, "cand_p": cand_p}
+        cache = {"cand_a": cand_a, "cand_p": cand_p}
         g._scan_cache = cache
     return cache
 
@@ -85,8 +86,8 @@ def pointwise_stabilizer(g: DiagTypeGroup, points,
         return _solve_symbolic(g, tuples, mode="all", node_budget=node_budget)
     cache = _scan_arrays(g)
     mask = _accel.filter_candidates(
-        g.T.aut.rows, cache["perms"], cache["cand_a"], cache["cand_p"],
-        tuples, g.T.mul, g.T.inv)
+        g.T.aut.rows, g.top.table.arrays(), cache["cand_a"],
+        cache["cand_p"], tuples, g.T.mul, g.T.inv)
     return _pairs_from_mask(g, mask, cache["cand_a"], cache["cand_p"])
 
 
@@ -102,8 +103,8 @@ def stabilizer_witness(g: DiagTypeGroup, points,
         return found[0] if found else None
     cache = _scan_arrays(g)
     mask = _accel.filter_candidates(
-        g.T.aut.rows, cache["perms"], cache["cand_a"], cache["cand_p"],
-        tuples, g.T.mul, g.T.inv)
+        g.T.aut.rows, g.top.table.arrays(), cache["cand_a"],
+        cache["cand_p"], tuples, g.T.mul, g.T.inv)
     ident_row = g.T.aut.identity_row
     for i in np.nonzero(mask)[0]:
         a, p = int(cache["cand_a"][i]), int(cache["cand_p"][i])
@@ -528,7 +529,8 @@ def minimal_base_size(g: DiagTypeGroup, budget: int = 10**7):
     first non-anchor point ranging over orbit representatives of G_D, later
     points over the whole point set in ascending order; surviving stabilizer
     candidates are filtered down one point at a time and the last level is
-    tested in bulk.
+    tested in bulk.  More than ``MIN_BASE_FILTER_BUDGET`` one-point filters
+    raise BudgetExceededError.
     """
     if g.top.is_symbolic:
         raise PreconditionError("minimal_base_size needs an explicit top")
@@ -538,66 +540,56 @@ def minimal_base_size(g: DiagTypeGroup, budget: int = 10**7):
         pts = None
     if pts is not None and len(pts) == 2 and is_base(g, pts[1:]).verdict:
         return 2, pts
-    if g.degree > budget:
-        raise BudgetExceededError(
-            f"point set of size {g.degree} exceeds budget {budget}")
+    tuples = omega_tuples(g, budget)
     T = g.T
     cache = _scan_arrays(g)
-    rows, mul, inv = T.aut.rows, T.mul, T.inv
-    perms = cache["perms"]
-    all_points = list(omega_iter(g, budget))
-    all_tuples = _accel.as_tuple_matrix(
-        [p.as_array() for p in all_points], g.k)
-    reps = gd_orbit_reps(g, budget)
-    reps = [p for p in reps if not p.is_diagonal()]
+    rows, perms, mul, inv = T.aut.rows, g.top.table.arrays(), T.mul, T.inv
+    reps = [p for p in gd_orbit_reps(g, budget) if not p.is_diagonal()]
 
     ident_row = T.aut.identity_row
-
-    def nonid(cand_a, cand_p):
-        keep = ~((cand_a == ident_row) & (cand_p == 0))
-        return cand_a[keep], cand_p[keep]
-
-    base_a, base_p = nonid(cache["cand_a"], cache["cand_p"])
+    keep = ~((cache["cand_a"] == ident_row) & (cache["cand_p"] == 0))
+    base_a, base_p = cache["cand_a"][keep], cache["cand_p"][keep]
+    filters = 0
 
     def filter_point(cand_a, cand_p, point):
-        tuples = _accel.as_tuple_matrix([point.as_array()], g.k)
+        nonlocal filters
+        filters += 1
+        if filters > MIN_BASE_FILTER_BUDGET:
+            raise BudgetExceededError(
+                f"minimal base search exceeds {MIN_BASE_FILTER_BUDGET} "
+                f"point filters")
         mask = _accel.filter_candidates(rows, perms, cand_a, cand_p,
-                                        tuples, mul, inv).astype(bool)
+                                        point, mul, inv).astype(bool)
         return cand_a[mask], cand_p[mask]
 
-    def extend(cand_a, cand_p, chosen, depth):
-        """DFS for a point set of the given remaining depth killing all
-        candidates; returns the point list or None."""
+    def extend(cand_a, cand_p, start, depth):
+        """DFS over rows from ``start`` on for a point set of the given
+        depth killing all candidates; returns the row list or None."""
         if len(cand_a) == 0:
             return []
         if depth == 1:
             detected = _accel.detect_per_tuple(rows, perms, cand_a, cand_p,
-                                               all_tuples, mul, inv)
-            start = chosen[-1] + 1 if chosen else 1
-            for j in range(start, len(all_points)):
-                if not detected[j]:
-                    return [j]
-            return None
-        start = chosen[-1] + 1 if chosen else 1
-        for j in range(start, len(all_points)):
-            sub_a, sub_p = filter_point(cand_a, cand_p, all_points[j])
-            found = extend(sub_a, sub_p, chosen + [j], depth - 1)
+                                               tuples[start:], mul, inv)
+            free = np.flatnonzero(detected == 0)
+            return [start + int(free[0])] if len(free) else None
+        for j in range(start, g.degree):
+            sub_a, sub_p = filter_point(cand_a, cand_p, tuples[j:j + 1])
+            found = extend(sub_a, sub_p, j + 1, depth - 1)
             if found is not None:
                 return [j, *found]
         return None
 
     for size in range(2, g.degree + 2):
         for rep in reps:
-            cand_a, cand_p = filter_point(base_a, base_p, rep)
+            cand_a, cand_p = filter_point(base_a, base_p, rep.as_array()[None])
             if size == 2:
                 if len(cand_a) == 0:
                     return 2, [g.diagonal_point(), rep]
                 continue
-            found = extend(cand_a, cand_p, [], size - 2)
+            found = extend(cand_a, cand_p, 1, size - 2)
             if found is not None:
-                pts = [g.diagonal_point(), rep] + \
-                    [all_points[j] for j in found]
-                return size, pts
+                return size, [g.diagonal_point(), rep] + \
+                    [OmegaPoint(tuple(tuples[j].tolist())) for j in found]
     raise PreconditionError("no base found; group not faithful?")
 
 

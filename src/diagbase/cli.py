@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage, 3 validation failure, 4 budget exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -58,6 +59,7 @@ def _output_flags(p):
                    help="embed wall-clock timing in the report")
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="diagbase",
@@ -229,11 +231,7 @@ def cmd_paper_suite(args):
         except ValueError:
             raise PreconditionError(
                 f"--criteria takes integer ids: {args.criteria!r}") from None
-    results = run_suite(ids)
-    if args.format == "text" and not args.output:
-        print(format_table(results))
-        return None if all(r["passed"] for r in results) else "failed"
-    return results
+    return run_suite(ids)
 
 
 COMMANDS = {
@@ -262,18 +260,13 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    if args.command == "paper-suite" and payload == "failed":
-        return 1
-    if args.command == "paper-suite" and payload is None:
-        return 0
-    if args.command == "paper-suite":
-        failed = not all(r["passed"] for r in payload)
+    suite = args.command == "paper-suite"
+    if suite and args.format == "text" and not args.output:
+        print(format_table(payload))
+    else:
         _emit(args, args.command, _config_echo(args), payload,
               time.perf_counter() - start)
-        return 1 if failed else 0
-    _emit(args, args.command, _config_echo(args), payload,
-          time.perf_counter() - start)
-    return 0
+    return 1 if suite and not all(r["passed"] for r in payload) else 0
 
 
 if __name__ == "__main__":

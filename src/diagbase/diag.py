@@ -5,8 +5,11 @@ the number of factors k, a subgroup O of the outer label group (always
 containing the inner label), and a top group P which is either an explicit
 permutation group on k points or the symbolic tag Alt/Sym.  G consists of the
 elements (a_1,...,a_k)pi with all a_i in a common Inn-coset whose label lies
-in O and pi in P.  The stabilized coset D is the diagonal, and the point set
-is represented by canonical k-tuples over T with first entry the identity.
+in O and pi in P.  The stabilized coset D is the diagonal, and a point is
+a canonical k-tuple over T with first entry the identity.  The whole point
+set is one (degree, k) int32 matrix, ``omega_tuples``, whose row order is
+the point order everywhere; the orbit representatives of G_D are read off
+it by applying each generator to every row at once.
 
 The right action on canonical tuples: for w = (a_1,...,a_k)pi and a point
 with tuple t, the image point has tuple
@@ -383,22 +386,23 @@ def top_group_of(g: DiagTypeGroup):
     return g.top.table
 
 
-def omega_iter(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
-    """All canonical tuples, lexicographic; refuses oversized point sets."""
+def omega_tuples(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
+    """The point set as one (degree, k) int32 matrix, refusing oversized
+    point sets: row i is the canonical tuple of point i, a leading 0 and
+    then the base-|T| digits of i, most significant first."""
     if g.degree > budget:
         raise BudgetExceededError(
             f"point set of size {g.degree} exceeds budget {budget}")
-    n, k = g.T.order, g.k
-    idx = [0] * (k - 1)
-    while True:
-        yield OmegaPoint((0, *idx))
-        for pos in range(k - 2, -1, -1):
-            idx[pos] += 1
-            if idx[pos] < n:
-                break
-            idx[pos] = 0
-        else:
-            return
+    tuples = np.zeros((g.degree, g.k), dtype=np.int32)
+    tuples[:, 1:] = np.indices((g.T.order,) * (g.k - 1), dtype=np.int32) \
+        .reshape(g.k - 1, -1).T
+    return tuples
+
+
+def omega_iter(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
+    """All canonical tuples as points, in omega_tuples order."""
+    for row in omega_tuples(g, budget).tolist():
+        yield OmegaPoint(tuple(row))
 
 
 def gd_generators(g: DiagTypeGroup):
@@ -429,35 +433,33 @@ def gd_generators(g: DiagTypeGroup):
 
 def gd_orbit_reps(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
     """One representative per orbit of G_D on the point set, the first in
-    omega_iter order; each generator acts on all points at once (act_diag
-    on a tuple matrix), giving a map of point indices to walk."""
-    if g.degree > budget:
-        raise BudgetExceededError(
-            f"point set of size {g.degree} exceeds budget {budget}")
-    T, k = g.T, g.k
-    # row i is the i-th tuple of omega_iter: i in base |T|, first digit 0
-    tuples = np.zeros((g.degree, k), dtype=np.int64)
-    tuples[:, 1:] = np.indices((T.order,) * (k - 1)).reshape(k - 1, -1).T
-    place = T.order ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    maps = []
+    omega_tuples order.
+
+    Each generator acts on all points at once (act_diag on the tuple
+    matrix), giving an index array of images.  Every point carries a label,
+    at first its own index; a pass takes each label's own label and then,
+    generator by generator, the smaller of a point's label and its image's.
+    G_D is finite, so forward images reach the whole orbit: labels stay in
+    their orbit, never rise, and stop changing once every point carries its
+    orbit's first index.
+    """
+    tuples = omega_tuples(g, budget)
+    T = g.T
+    images = []
     for a, perm in gd_generators(g):
-        pinv = perm.inverse().images
+        alpha, pinv = T.aut.rows[a], perm.inverse().images
         t0inv = T.inv[tuples[:, pinv[0]]]
-        images = T.aut.rows[a][T.mul[t0inv[:, None], tuples[:, pinv]]]
-        maps.append((images @ place).tolist())
-    seen = bytearray(g.degree)
-    reps = []
-    for start in range(g.degree):
-        if seen[start]:
-            continue
-        reps.append(OmegaPoint(tuple(tuples[start].tolist())))
-        seen[start] = 1
-        frontier = [start]
-        while frontier:
-            p = frontier.pop()
-            for image in maps:
-                q = image[p]
-                if not seen[q]:
-                    seen[q] = 1
-                    frontier.append(q)
-    return reps
+        image = np.zeros(g.degree, dtype=np.int64)
+        for col in pinv:
+            image = image * T.order + alpha[T.mul[t0inv, tuples[:, col]]]
+        images.append(image)
+    label = np.arange(g.degree)
+    while True:
+        new = label[label]
+        for image in images:
+            new = np.minimum(new, new[image])
+        if np.array_equal(new, label):
+            break
+        label = new
+    first = tuples[label == np.arange(g.degree)]
+    return [OmegaPoint(tuple(row)) for row in first.tolist()]

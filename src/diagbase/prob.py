@@ -19,7 +19,7 @@ from math import gcd
 import numpy as np
 
 from . import _accel
-from .diag import DiagTypeGroup, OmegaPoint, omega_iter
+from .diag import DiagTypeGroup, OmegaPoint, omega_tuples
 from .errors import PreconditionError
 from .perm import Perm, _is_prime
 from .report import int_str
@@ -62,7 +62,7 @@ def fixing_prime_elements(g: DiagTypeGroup, point: OmegaPoint):
     cand_a, cand_p, tags = prime_order_candidates(g)
     tuples = _accel.as_tuple_matrix([point.as_array()], g.k)
     mask = _accel.filter_candidates(
-        g.T.aut.rows, g.top.table.arrays().astype(np.int32), cand_a, cand_p,
+        g.T.aut.rows, g.top.table.arrays(), cand_a, cand_p,
         tuples, g.T.mul, g.T.inv).astype(bool)
     out = []
     for i in np.nonzero(mask)[0]:
@@ -76,11 +76,6 @@ def fixing_prime_elements(g: DiagTypeGroup, point: OmegaPoint):
 # exact bounds over the whole point set
 
 
-def _all_tuples(g: DiagTypeGroup, budget):
-    return _accel.as_tuple_matrix(
-        [p.as_array() for p in omega_iter(g, budget)], g.k)
-
-
 def q2_bound_exact(g: DiagTypeGroup, budget: int = 10**7) -> Fraction:
     """The second-moment bound at b = 2, as an exact rational.
 
@@ -88,9 +83,9 @@ def q2_bound_exact(g: DiagTypeGroup, budget: int = 10**7) -> Fraction:
     number of prime-order diagonal-stabilizer elements fixing the point.
     """
     cand_a, cand_p, _tags = prime_order_candidates(g)
-    tuples = _all_tuples(g, budget)
+    tuples = omega_tuples(g, budget)
     counts = _accel.count_per_tuple(
-        g.T.aut.rows, g.top.table.arrays().astype(np.int32), cand_a, cand_p,
+        g.T.aut.rows, g.top.table.arrays(), cand_a, cand_p,
         tuples, g.T.mul, g.T.inv)
     return Fraction(int(counts.sum()), g.degree)
 
@@ -104,9 +99,9 @@ def exact_nonbase_pair_proportion(g: DiagTypeGroup,
     of prime order, so scanning the prime-order candidates is exhaustive.
     """
     cand_a, cand_p, _tags = prime_order_candidates(g)
-    tuples = _all_tuples(g, budget)
+    tuples = omega_tuples(g, budget)
     detected = _accel.detect_per_tuple(
-        g.T.aut.rows, g.top.table.arrays().astype(np.int32), cand_a, cand_p,
+        g.T.aut.rows, g.top.table.arrays(), cand_a, cand_p,
         tuples, g.T.mul, g.T.inv)
     return Fraction(int(detected.sum()), g.degree)
 
@@ -148,7 +143,7 @@ def _detect_nonbase(g: DiagTypeGroup, tuples):
         return out
     cand_a, cand_p, _tags = prime_order_candidates(g)
     return _accel.detect_per_tuple(
-        g.T.aut.rows, g.top.table.arrays().astype(np.int32), cand_a, cand_p,
+        g.T.aut.rows, g.top.table.arrays(), cand_a, cand_p,
         np.ascontiguousarray(tuples), g.T.mul, g.T.inv)
 
 
@@ -265,7 +260,7 @@ class RowCodedGroup:
             dtype=np.int32)
         table = g.top.table
         self.n_top = table.order
-        self.top_arr = table.arrays().astype(np.int32)
+        self.top_arr = table.arrays()
         self.tmul = np.array(
             [[table.position(p * q) for q in table.elements]
              for p in table.elements], dtype=np.int32)
@@ -413,13 +408,13 @@ def q2_bound_by_classes(g: DiagTypeGroup, budget: int = 10**7) -> Fraction:
     """Per-class evaluation of the bound: sum |x^G| (fix(x)/n)^2 over
     prime-order classes (those missing every point stabilizer contribute 0)."""
     rc = RowCodedGroup(g)
-    tuples = _all_tuples(g, budget)
+    tuples = omega_tuples(g, budget)
     total = Fraction(0)
     for cls in rc.class_data():
         a = cls["rep"][0][0]
         perm = g.top.table.elements[cls["rep"][1]]
         fix = int(_accel.count_per_tuple(
-            g.T.aut.rows, g.top.table.arrays().astype(np.int32),
+            g.T.aut.rows, g.top.table.arrays(),
             np.array([a], dtype=np.int32),
             np.array([g.top.table.position(perm)], dtype=np.int32),
             tuples, g.T.mul, g.T.inv).sum())

@@ -11,6 +11,8 @@ from diagbase.baseengine import (alt_formula_bounds, ceil_log, construct_auto,
                                  order_matrix, pointwise_stabilizer,
                                  pointwise_stabilizer_by_action, pyber_check)
 from diagbase import baseengine
+from diagbase.catalog import get_group
+from diagbase.cli import main
 from diagbase.diag import OmegaPoint, build_group
 from diagbase.errors import BudgetExceededError, PreconditionError
 from diagbase.perm import Perm, alternating_table, symmetric_table
@@ -468,6 +470,31 @@ class TestMinimalBaseSize:
     def test_symbolic_rejected(self, A5):
         with pytest.raises(PreconditionError):
             minimal_base_size(build_group(A5, 5, "full", "sym"))
+
+    @pytest.mark.parametrize("name,k,base", [
+        ("A5", 2, ["0 0", "0 1", "0 2", "0 4"]),
+        ("L2(7)", 3, ["0 0 0", "0 1 2"]),
+        ("A6", 3, ["0 0 0", "0 1 4"]),
+        ("A5", 4, ["0 0 0 0", "0 1 2 3"]),
+    ])
+    def test_search_returns_pinned_base(self, name, k, base):
+        # the search order decides which base comes back; these are the
+        # bases it has always returned
+        g = build_group(get_group(name), k, "full", "sym-table")
+        size, pts = minimal_base_size(g)
+        assert size == len(base)
+        assert [p.serialize() for p in pts] == base
+
+    def test_filter_budget(self, A5, monkeypatch, capsys):
+        # b = 4, so the search runs past the two-point stage
+        g = build_group(A5, 2, "full", "sym-table")
+        monkeypatch.setattr(baseengine, "MIN_BASE_FILTER_BUDGET", 5)
+        with pytest.raises(BudgetExceededError, match="5 point filters"):
+            minimal_base_size(g)
+        code = main(["base-min", "--group", "A5", "--k", "2", "--top",
+                     "sym-table"])
+        assert code == 4
+        assert "budget exceeded" in capsys.readouterr().err
 
 
 class TestNonbaseWitness:

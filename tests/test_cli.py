@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import sys
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from diagbase import cli
 from diagbase import report as report_mod
 from diagbase.cli import main
 
@@ -145,6 +150,20 @@ class TestExitCodes:
                           "--top", "sym-table")
         assert code == 3
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("passed,want", [(True, 0), (False, 1)])
+    def test_paper_suite_exit_code(self, capsys, monkeypatch, fmt, passed,
+                                   want):
+        result = {"id": 1, "name": "stub", "passed": passed,
+                  "details": ["d"], "elapsed_seconds": 0.0}
+        monkeypatch.setattr(cli, "run_suite", lambda ids: [result])
+        code, out = run_cli(capsys, "paper-suite", "--format", fmt)
+        assert code == want
+        if fmt == "text":
+            assert out.startswith("[PASS]" if passed else "[FAIL]")
+        else:
+            assert json.loads(out)["payload"] == [result]
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out = run_cli(capsys, "catalog-validate", "--group", "A5",
@@ -182,3 +201,56 @@ class TestLargeIntegers:
         k = rep["config"]["k"]
         assert group["degree"] == report_mod.int_str(60 ** (k - 1))
         assert len(group["degree"]) > 4300
+
+
+# the CLI grammar, with malformed values mixed in; --r-split is never drawn
+# because it enumerates the whole group
+_NUMBERS = st.sampled_from(["-1", "0", "1", "50"])
+_TOPS = st.sampled_from(["trivial", "sym", "alt", "sym-table", "alt-table",
+                         "cyclic", "dihedral", "gens:(0 1 2)",
+                         "gens:(0 1)|(0 1 2)", "gens:(0 1", "gens:(0 9)",
+                         "gens:", "gens:x"])
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["catalog-validate", "base-construct",
+                                    "base-min", "base-verify", "prob-exact",
+                                    "prob-mc"]))
+    group = draw(st.sampled_from(["A5", "junk"]))
+    argv = [command]
+    if command == "catalog-validate":
+        if draw(st.booleans()):
+            argv += ["--group", group]
+    else:
+        argv += ["--group", group,
+                 "--k", draw(st.sampled_from(["-1", "0", "1", "2", "3",
+                                              "5"])),
+                 "--out-part", draw(st.sampled_from(["inner", "full", "g1",
+                                                     "g9", "gx", ""])),
+                 "--top", draw(_TOPS)]
+    if command in ("base-construct", "base-min", "prob-exact") and \
+            draw(st.booleans()):
+        argv += ["--budget", draw(_NUMBERS)]
+    if command == "prob-mc":
+        argv += ["--samples", draw(_NUMBERS)]
+    if command == "base-verify":
+        argv += ["--points", draw(st.text("015 ;x-", max_size=12))]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["json", "csv", "text"]))]
+    if draw(st.integers(0, 9)) == 0:
+        argv.pop()          # a flag without its value, or no command
+    return argv
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_argv())
+def test_cli_fuzz_exits_with_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:       # argparse usage errors
+            code = exc.code
+    assert code in (0, 2, 3, 4, 5), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,10 @@ from hypothesis import strategies as st
 
 from diagbase.diag import (OmegaPoint, WElement, act, act_diag,
                            build_group, gd_orbit_reps, omega_iter,
-                           stab_of_D, top_group_of, w_identity, w_inverse,
-                           w_multiply)
-from diagbase.errors import (InvalidTopError, PreconditionError,
-                             UnsupportedEnumerationError)
+                           omega_tuples, stab_of_D, top_group_of, w_identity,
+                           w_inverse, w_multiply)
+from diagbase.errors import (BudgetExceededError, InvalidTopError,
+                             PreconditionError, UnsupportedEnumerationError)
 from diagbase.perm import Perm, symmetric_table
 
 
@@ -108,6 +110,20 @@ class TestOmegaPoint:
         assert len(points) == 60
         assert points[0].is_diagonal()
         assert len({p.tuple_ids for p in points}) == 60
+
+    def test_omega_tuples_in_product_order(self, A5):
+        g = build_group(A5, 3, "full", "sym-table")
+        tuples = omega_tuples(g)
+        want = [(0, *t) for t in product(range(60), repeat=2)]
+        assert tuples.shape == (3600, 3) and tuples.dtype == np.int32
+        assert [tuple(row) for row in tuples.tolist()] == want
+        assert [p.tuple_ids for p in omega_iter(g)] == want
+
+    def test_omega_tuples_budget(self, A5):
+        g = build_group(A5, 3, "full", "sym-table")
+        with pytest.raises(BudgetExceededError, match="3600 exceeds"):
+            omega_tuples(g, budget=3599)
+        assert len(omega_tuples(g, budget=3600)) == 3600
 
 
 class TestAction:
@@ -312,3 +328,7 @@ class TestOrbitReps:
                                          ("full", "sym-table")])
     def test_reps_partition_point_set_k3(self, A5, out, top):
         self.check_reps(A5, build_group(A5, 3, out, top))
+
+    def test_reps_partition_point_set_l27_k3(self, L27):
+        # 28,224 points in several orbits
+        self.check_reps(L27, build_group(L27, 3, "full", "alt-table"))
