@@ -19,6 +19,7 @@ from .perm import GroupTable, Perm, element_order
 from .prob import (ProbReport, centralizer_order_formula,
                    class_count_inequality_check, class_intersection_formula,
                    exact_nonbase_pair_proportion, fixing_prime_elements,
-                   monte_carlo_nonbase, q2_bound_exact)
+                   monte_carlo_nonbase, nonbase_fraction_and_q2_bound,
+                   q2_bound_exact)
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _accel
 from .catalog import SimpleGroup
-from .diag import (DiagTypeGroup, OmegaPoint, act_diag, gd_orbit_reps,
+from .diag import (DiagTypeGroup, OmegaPoint, _orbit_rep_rows, act_diag,
                    omega_tuples, stab_of_D)
 from .errors import (BudgetExceededError, PreconditionError,
                      UnsupportedEnumerationError, ValidationError)
@@ -544,7 +544,8 @@ def minimal_base_size(g: DiagTypeGroup, budget: int = 10**7):
     T = g.T
     cache = _scan_arrays(g)
     rows, perms, mul, inv = T.aut.rows, g.top.table.arrays(), T.mul, T.inv
-    reps = [p for p in gd_orbit_reps(g, budget) if not p.is_diagonal()]
+    # row 0 is the diagonal point, the first of its own orbit
+    reps = _orbit_rep_rows(g, tuples)[1:]
 
     ident_row = T.aut.identity_row
     keep = ~((cache["cand_a"] == ident_row) & (cache["cand_p"] == 0))
@@ -581,15 +582,16 @@ def minimal_base_size(g: DiagTypeGroup, budget: int = 10**7):
 
     for size in range(2, g.degree + 2):
         for rep in reps:
-            cand_a, cand_p = filter_point(base_a, base_p, rep.as_array()[None])
+            cand_a, cand_p = filter_point(base_a, base_p,
+                                          tuples[rep:rep + 1])
             if size == 2:
-                if len(cand_a) == 0:
-                    return 2, [g.diagonal_point(), rep]
-                continue
-            found = extend(cand_a, cand_p, 1, size - 2)
+                found = [] if len(cand_a) == 0 else None
+            else:
+                found = extend(cand_a, cand_p, 1, size - 2)
             if found is not None:
-                return size, [g.diagonal_point(), rep] + \
-                    [OmegaPoint(tuple(tuples[j].tolist())) for j in found]
+                return size, [g.diagonal_point()] + \
+                    [OmegaPoint(tuple(tuples[j].tolist()))
+                     for j in (rep, *found)]
     raise PreconditionError("no base found; group not faithful?")
 
 

@@ -22,8 +22,8 @@ from .baseengine import (construct_auto, is_base, minimal_base_size,
 from .catalog import catalog_names, get_group
 from .diag import OmegaPoint, build_group
 from .errors import (BudgetExceededError, PreconditionError, ValidationError)
-from .prob import (ProbReport, exact_nonbase_pair_proportion,
-                   monte_carlo_nonbase, q2_bound_exact, r_split_exact)
+from .prob import (ProbReport, monte_carlo_nonbase,
+                   nonbase_fraction_and_q2_bound, r_split_exact)
 from .suite import format_table, run_suite
 
 EXIT_VALIDATION = 3
@@ -95,10 +95,12 @@ def build_parser():
     p = sub.add_parser("prob-exact",
                        help="exact non-base pair proportion and bound")
     _group_flags(p, multi=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="most points scanned, and most class members "
+                        "walked by --r-split")
     p.add_argument("--r-split", action="store_true",
-                   help="also compute the per-class split (enumerates the "
-                        "full group)")
+                   help="also compute the per-class split (walks the "
+                        "prime-order conjugacy classes of the whole group)")
     _output_flags(p)
 
     p = sub.add_parser("prob-mc", help="Monte-Carlo non-base fraction")
@@ -203,11 +205,12 @@ def cmd_prob_exact(args):
     for name in args.group.split(","):
         g = _build_from_args(args, name.strip())
         rep = ProbReport(group=g.describe(), n=g.degree)
-        rep.exact_nonbase_pair_fraction = \
-            exact_nonbase_pair_proportion(g, budget=args.budget)
-        rep.q2_bound = q2_bound_exact(g, budget=args.budget)
+        # the class walk first, so that a group too large to code exits 5
+        # whatever the size of its point set
         if args.r_split:
-            rep.r_split = r_split_exact(g)
+            rep.r_split = r_split_exact(g, budget=args.budget)
+        rep.exact_nonbase_pair_fraction, rep.q2_bound = \
+            nonbase_fraction_and_q2_bound(g, budget=args.budget)
         payload.append(rep.describe())
     return payload
 

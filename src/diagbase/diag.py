@@ -433,7 +433,15 @@ def gd_generators(g: DiagTypeGroup):
 
 def gd_orbit_reps(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
     """One representative per orbit of G_D on the point set, the first in
-    omega_tuples order.
+    omega_tuples order."""
+    tuples = omega_tuples(g, budget)
+    return [OmegaPoint(tuple(row))
+            for row in tuples[_orbit_rep_rows(g, tuples)].tolist()]
+
+
+def _orbit_rep_rows(g: DiagTypeGroup, tuples):
+    """Indices into ``tuples`` (the omega_tuples matrix) of the first point
+    of each G_D orbit, ascending.
 
     Each generator acts on all points at once (act_diag on the tuple
     matrix), giving an index array of images.  Every point carries a label,
@@ -443,7 +451,6 @@ def gd_orbit_reps(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
     their orbit, never rise, and stop changing once every point carries its
     orbit's first index.
     """
-    tuples = omega_tuples(g, budget)
     T = g.T
     images = []
     for a, perm in gd_generators(g):
@@ -461,5 +468,4 @@ def gd_orbit_reps(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
         if np.array_equal(new, label):
             break
         label = new
-    first = tuples[label == np.arange(g.degree)]
-    return [OmegaPoint(tuple(row)) for row in first.tolist()]
+    return np.flatnonzero(label == np.arange(g.degree))

@@ -3,11 +3,15 @@
 Everything enumerable is an exact rational.  The second-moment bound on the
 proportion of non-base pairs is evaluated by double counting: summing, over
 all points, the number of prime-order diagonal-stabilizer elements fixing
-each point, divided by the degree.  The same quantity decomposes over
-conjugacy classes into three contributions split by the permutation part
-(fixed-point-free, trivial, or mixed), and the class data itself is computed
-twice: by the displayed product formulas and by brute-force orbit
-enumeration in a row-coded copy of the full group.
+each point, divided by the degree.  The same per-point counts give the
+exact non-base proportion (the points with a nonzero count), so one scan
+yields both.  The bound decomposes over conjugacy classes into three
+contributions split by the permutation part (fixed-point-free, trivial, or
+mixed), and the class data itself is computed twice: by the displayed
+product formulas and by brute-force orbit enumeration in a row-coded copy
+of the full group.  That enumeration packs each element into one int64
+code and walks each conjugacy class level by level, conjugating the whole
+frontier by every generator at once.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from . import _accel
 from .diag import DiagTypeGroup, OmegaPoint, omega_tuples
-from .errors import PreconditionError
+from .errors import BudgetExceededError, PreconditionError
 from .perm import Perm, _is_prime
 from .report import int_str
 
@@ -76,34 +80,33 @@ def fixing_prime_elements(g: DiagTypeGroup, point: OmegaPoint):
 # exact bounds over the whole point set
 
 
-def q2_bound_exact(g: DiagTypeGroup, budget: int = 10**7) -> Fraction:
-    """The second-moment bound at b = 2, as an exact rational.
+def nonbase_fraction_and_q2_bound(g: DiagTypeGroup, budget: int = 10**7):
+    """The exact proportion of ordered point pairs that are not bases and
+    the second-moment bound at b = 2, both exact rationals, from one scan.
 
-    Evaluated via the transitivity identity: (1/n) * sum over points of the
-    number of prime-order diagonal-stabilizer elements fixing the point.
+    By transitivity both are averages over the points of the pair with D.
+    Per point, the scan counts the prime-order diagonal-stabilizer elements
+    fixing it.  A nontrivial stabilizer always contains an element of prime
+    order, so the points with a nonzero count are exactly the non-bases;
+    the bound is (1/n) * the sum of the counts.
     """
     cand_a, cand_p, _tags = prime_order_candidates(g)
-    tuples = omega_tuples(g, budget)
     counts = _accel.count_per_tuple(
         g.T.aut.rows, g.top.table.arrays(), cand_a, cand_p,
-        tuples, g.T.mul, g.T.inv)
-    return Fraction(int(counts.sum()), g.degree)
+        omega_tuples(g, budget), g.T.mul, g.T.inv)
+    return (Fraction(int(np.count_nonzero(counts)), g.degree),
+            Fraction(int(counts.sum()), g.degree))
 
 
 def exact_nonbase_pair_proportion(g: DiagTypeGroup,
                                   budget: int = 10**7) -> Fraction:
-    """Exact proportion of ordered point pairs that are not bases.
+    """Exact proportion of ordered point pairs that are not bases."""
+    return nonbase_fraction_and_q2_bound(g, budget)[0]
 
-    By transitivity this is the fraction of points whose pair with D has a
-    nontrivial stabilizer; a nontrivial stabilizer always contains an element
-    of prime order, so scanning the prime-order candidates is exhaustive.
-    """
-    cand_a, cand_p, _tags = prime_order_candidates(g)
-    tuples = omega_tuples(g, budget)
-    detected = _accel.detect_per_tuple(
-        g.T.aut.rows, g.top.table.arrays(), cand_a, cand_p,
-        tuples, g.T.mul, g.T.inv)
-    return Fraction(int(detected.sum()), g.degree)
+
+def q2_bound_exact(g: DiagTypeGroup, budget: int = 10**7) -> Fraction:
+    """The second-moment bound at b = 2, as an exact rational."""
+    return nonbase_fraction_and_q2_bound(g, budget)[1]
 
 
 def monte_carlo_nonbase(g: DiagTypeGroup, samples: int,
@@ -244,9 +247,10 @@ def class_count_inequality_check(pairs):
 class RowCodedGroup:
     """G = A_O(k,T) x| P materialized as (k aut-row ids, perm id) codes.
 
-    Supports product, inverse, and conjugation through the automorphism
-    composition table; used as the independent oracle for the class and
-    centralizer formulas.  Sized for full enumeration (millions of codes).
+    Supports product and inverse through the automorphism composition
+    table, and conjugation of whole arrays of elements; used as the
+    independent oracle for the class and centralizer formulas.  Sized for
+    full enumeration (millions of codes).
     """
 
     def __init__(self, g: DiagTypeGroup):
@@ -281,9 +285,6 @@ class RowCodedGroup:
         qi = self.top_arr[pinv]
         rows = tuple(int(self.inv_row[xr[qi[i]]]) for i in range(self.g.k))
         return rows, pinv
-
-    def conjugate(self, x, s):
-        return self.multiply(self.multiply(self.inverse(s), x), s)
 
     def generators(self):
         T, k = self.T, self.g.k
@@ -343,62 +344,97 @@ class RowCodedGroup:
 
     # -- class orbits ---------------------------------------------------------
 
-    def diagonal_prime_order_elements(self):
-        cand_a, cand_p, tags = prime_order_candidates(self.g)
-        out = []
-        for a, p, tag in zip(cand_a, cand_p, tags):
-            out.append(((tuple([int(a)] * self.g.k), int(p)), int(tag)))
-        return out
+    def _encode(self, rows, pids):
+        """int64 codes: the k aut-row ids as base-n_aut digits, most
+        significant first, then the perm id."""
+        code = np.zeros(len(pids), dtype=np.int64)
+        for i in range(self.g.k):
+            code = code * self.T.aut.n_aut + rows[:, i]
+        return code * self.n_top + pids
 
-    def class_data(self):
-        """BFS conjugation orbits seeded from diagonal prime-order elements.
+    def _decode(self, codes):
+        rest, pids = np.divmod(codes, self.n_top)
+        rows = np.empty((len(codes), self.g.k), dtype=np.int64)
+        for i in reversed(range(self.g.k)):
+            rest, rows[:, i] = np.divmod(rest, self.T.aut.n_aut)
+        return rows, pids
 
-        Returns a list of dicts: class size, the diagonal members, the R-tag,
-        and a representative.  Cached after the first call.
+    def _conjugates(self, rows, pids, s, s_inv):
+        """s^-1 x s for every element x = (rows[j], pids[j]): the two
+        products of ``multiply``, applied to whole arrays."""
+        (sr, sp), (ir, ip) = s, s_inv
+        u = self.comp[np.asarray(ir), rows[:, self.top_arr[ip]]]
+        up = self.tmul[ip, pids]
+        return (self.comp[u, np.asarray(sr)[self.top_arr[up]]],
+                self.tmul[up, sp])
+
+    def class_data(self, budget: int = 10**7):
+        """Conjugacy classes of the prime-order diagonal elements, by orbit
+        walks under conjugation by the generators.
+
+        Classes come in candidate order, each seeded from the first
+        diagonal prime-order element not yet in a class.  A walk keeps its
+        members as sorted int64 codes; each level conjugates the whole
+        frontier by every generator and keeps the codes not yet seen.
+        Returns a list of dicts: class size, the diagonal members (all k
+        aut rows equal), the R-tag, and a representative.  Cached after the
+        first call.  More than ``budget`` members walked in all raise
+        BudgetExceededError; groups whose codes would not fit in int64 are
+        refused.
         """
         cached = getattr(self, "_class_data", None)
         if cached is not None:
             return cached
-        gens = self.generators()
-        diag, tag_of = [], {}
-        for x, tag in self.diagonal_prime_order_elements():
-            diag.append(x)
-            tag_of[x] = tag
-        assigned = {}
-        classes = []
-        for x in diag:
-            if x in assigned:
+        if self.T.aut.n_aut ** self.g.k * self.n_top > np.iinfo(np.int64).max:
+            raise PreconditionError(
+                "class walk codes would not fit in int64")
+        gens = [(s, self.inverse(s)) for s in self.generators()]
+        cand_a, cand_p, tags = prime_order_candidates(self.g)
+        diag = self._encode(np.repeat(cand_a[:, None], self.g.k, axis=1),
+                            cand_p)
+        assigned = np.zeros(len(diag), dtype=bool)
+        classes, walked = [], 0
+        for i in range(len(diag)):
+            if assigned[i]:
                 continue
-            cid = len(classes)
-            members = {x}
-            frontier = [x]
-            while frontier:
-                y = frontier.pop()
-                for s in gens:
-                    z = self.conjugate(y, s)
-                    if z not in members:
-                        members.add(z)
-                        frontier.append(z)
-            diag_members = [m for m in members
-                            if len(set(m[0])) == 1]
-            for m in diag_members:
-                assigned[m] = cid
+            members = frontier = diag[i:i + 1]
+            while len(frontier):
+                rows, pids = self._decode(frontier)
+                images = np.concatenate(
+                    [self._encode(*self._conjugates(rows, pids, s, s_inv))
+                     for s, s_inv in gens])
+                images = np.sort(images)
+                at = np.searchsorted(members, images)
+                new = members[np.minimum(at, len(members) - 1)] != images
+                new[1:] &= images[1:] != images[:-1]
+                frontier = images[new]
+                members = np.insert(members, at[new], frontier)
+                if walked + len(members) > budget:
+                    raise BudgetExceededError(
+                        f"class walk exceeds budget {budget} members")
+            walked += len(members)
+            rows, pids = self._decode(members)
+            on_diag = np.all(rows == rows[:, :1], axis=1)
+            assigned |= np.isin(diag, members[on_diag])
             classes.append({
-                "rep": x,
+                "rep": ((int(cand_a[i]),) * self.g.k, int(cand_p[i])),
                 "size": len(members),
-                "diag_members": diag_members,
-                "tag": tag_of[x],
+                "diag_members": [(tuple(r), p) for r, p in
+                                 zip(rows[on_diag].tolist(),
+                                     pids[on_diag].tolist())],
+                "tag": int(tags[i]),
             })
         self._class_data = classes
         return classes
 
 
-def r_split_exact(g: DiagTypeGroup):
+def r_split_exact(g: DiagTypeGroup, budget: int = 10**7):
     """The three class-sum contributions (fpf / trivial / mixed permutation
-    part), each an exact rational; they sum to the second-moment bound."""
+    part), each an exact rational; they sum to the second-moment bound.
+    ``budget`` bounds the members walked by ``RowCodedGroup.class_data``."""
     rc = RowCodedGroup(g)
     split = {1: Fraction(0), 2: Fraction(0), 3: Fraction(0)}
-    for cls in rc.class_data():
+    for cls in rc.class_data(budget):
         contrib = Fraction(len(cls["diag_members"]) ** 2, cls["size"])
         split[cls["tag"]] += contrib
     return split[1], split[2], split[3]

@@ -8,11 +8,11 @@ from diagbase.baseengine import element_fixes_points
 from diagbase.diag import OmegaPoint, build_group
 
 
-def _random_inputs(T, seed, n_cand=200, n_tuples=40):
-    """Random candidates of G_D for k = 3 (all of G_D if ``n_cand`` is None)
-    and random tuples whose entries come from three elements of T, so that
+def _random_inputs(T, seed, n_cand=200, n_tuples=40, k=3):
+    """Random candidates of G_D (all of G_D if ``n_cand`` is None) and random
+    canonical k-tuples whose entries come from three elements of T, so that
     many pairs fix and many do not."""
-    g = build_group(T, 3, "full", "sym-table")
+    g = build_group(T, k, "full", "sym-table")
     rng = np.random.default_rng(seed)
     perms = g.top.table.arrays().astype(np.int32)
     if n_cand is None:
@@ -23,8 +23,8 @@ def _random_inputs(T, seed, n_cand=200, n_tuples=40):
         cand_p = rng.integers(0, len(perms), n_cand).astype(np.int32)
     entries = np.concatenate([[0], rng.choice(np.arange(1, T.order), 2,
                                               replace=False)])
-    tuples = np.zeros((n_tuples, 3), dtype=np.int32)
-    tuples[:, 1:] = rng.choice(entries, (n_tuples, 2))
+    tuples = np.zeros((n_tuples, k), dtype=np.int32)
+    tuples[:, 1:] = rng.choice(entries, (n_tuples, k - 1))
     return g, (T.aut.rows, perms, cand_a, cand_p, tuples, T.mul, T.inv)
 
 
@@ -69,6 +69,20 @@ def test_counts_bound_detections(A5):
     detected = _accel.detect_per_tuple(*args)
     assert detected.dtype == np.uint8
     np.testing.assert_array_equal(detected.astype(bool), counts > 0)
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_k2_block_pass_matches_oracle(T, seed):
+    # at k = 2 the block pass over coordinate 1 is the only test made
+    g, args = _random_inputs(T, seed, n_cand=None, n_tuples=30, k=2)
+    fixes = _oracle(g, args)
+    assert 0 < fixes.sum() < fixes.size
+    np.testing.assert_array_equal(_accel.filter_candidates(*args),
+                                  fixes.all(axis=1))
+    np.testing.assert_array_equal(_accel.detect_per_tuple(*args),
+                                  fixes.any(axis=0))
+    np.testing.assert_array_equal(_accel.count_per_tuple(*args),
+                                  fixes.sum(axis=0))
 
 
 def test_pairs_span_several_chunks(A5):

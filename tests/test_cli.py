@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagbase import cli
+from diagbase import _accel, cli
 from diagbase import report as report_mod
 from diagbase.cli import main
 
@@ -58,6 +58,21 @@ class TestCommands:
         entry = rep["payload"][0]
         assert entry["exact_nonbase_pair_fraction"] == {
             "num": "1", "den": "1"}
+
+    def test_prob_exact_scans_once_per_group(self, capsys, monkeypatch):
+        calls = []
+        scan = _accel._fixing_pairs
+
+        def counting(*args):
+            calls.append(len(args[4]))
+            return scan(*args)
+
+        monkeypatch.setattr(_accel, "_fixing_pairs", counting)
+        code, _ = run_cli(capsys, "prob-exact", "--group", "A5,L2(7)",
+                          "--k", "2", "--out-part", "inner",
+                          "--top", "trivial")
+        assert code == 0
+        assert calls == [60, 168]
 
     def test_prob_mc_sweep_csv(self, capsys):
         code, out = run_cli(capsys, "prob-mc", "--group", "A5,A6", "--k", "5",
@@ -144,6 +159,25 @@ class TestExitCodes:
                           "--out-part", "inner", "--top", "trivial",
                           "--budget", "10")
         assert code == 4
+
+    def test_class_walk_budget_exceeded(self, capsys):
+        # the 3,600-point scan fits the budget, the 22,031 class members
+        # walked by --r-split do not
+        argv = ["prob-exact", "--group", "A5", "--k", "3", "--out-part",
+                "inner", "--top", "alt-table", "--budget", "5000"]
+        assert run_cli(capsys, *argv)[0] == 0
+        code = main(argv + ["--r-split"])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "class walk" in err and "Traceback" not in err
+
+    def test_class_walk_codes_too_wide(self, capsys):
+        # 120^11 * 11 element codes of A5 at k = 11 exceed int64
+        code = main(["prob-exact", "--group", "A5", "--k", "11",
+                     "--top", "cyclic", "--r-split"])
+        err = capsys.readouterr().err
+        assert code == 5
+        assert "int64" in err and "Traceback" not in err
 
     def test_unknown_group_validation(self, capsys):
         code, _ = run_cli(capsys, "base-min", "--group", "M11", "--k", "2",

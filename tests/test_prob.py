@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diagbase.diag import OmegaPoint, build_group
-from diagbase.errors import PreconditionError
+from diagbase.errors import BudgetExceededError, PreconditionError
 from diagbase.perm import Perm, symmetric_table, cyclic_table
 from diagbase.prob import (RowCodedGroup, centralizer_order_formula,
                            class_count_inequality_check,
@@ -251,3 +251,40 @@ class TestRowCodedGroup:
         classes = rc.class_data()
         assert sum(len(c["diag_members"]) for c in classes) == \
             len(prime_order_candidates(w2a5)[0])
+
+    # class counts and sorted sizes, as the tuple-by-tuple walk that the
+    # array walk replaced computed them
+    @pytest.mark.parametrize("name,k,out_part,top,sizes", [
+        ("A5", 2, "full", "sym-table", [60, 60, 100, 225, 288, 400]),
+        ("L27", 2, "full", "sym-table", [168, 168, 441, 784, 1152, 3136]),
+        ("A5", 3, "inner", "alt-table",
+         [1728, 1728, 3375, 3600, 3600, 8000]),
+    ])
+    def test_class_sizes_pinned(self, request, name, k, out_part, top,
+                                sizes):
+        g = build_group(request.getfixturevalue(name), k, out_part, top)
+        classes = RowCodedGroup(g).class_data()
+        assert sorted(c["size"] for c in classes) == sizes
+
+    def test_classes_obey_orbit_stabilizer(self, A5):
+        rc = RowCodedGroup(build_group(A5, 3, "inner", "alt-table"))
+        for cls in rc.class_data():
+            assert cls["size"] * rc.centralizer_count(cls["rep"]) == rc.order
+            rows, pid = cls["rep"]
+            assert (rows, pid) in cls["diag_members"]
+            assert all(len(set(m[0])) == 1 for m in cls["diag_members"])
+
+    def test_class_walk_budget(self, A5):
+        g = build_group(A5, 3, "inner", "alt-table")
+        with pytest.raises(BudgetExceededError):
+            r_split_exact(g, budget=5000)
+        # 22,031 members in all
+        assert sum(r_split_exact(g, budget=22031)) == q2_bound_exact(g)
+        with pytest.raises(BudgetExceededError):
+            r_split_exact(g, budget=22030)
+
+    def test_codes_must_fit_int64(self, A5):
+        # 120^11 * 11 aut-row and perm codes exceed 2^63
+        g = build_group(A5, 11, "full", "cyclic")
+        with pytest.raises(PreconditionError):
+            RowCodedGroup(g).class_data()
