@@ -13,7 +13,10 @@ For symbolic Alt/Sym tops the same condition says that x -> t[0 pi] *
 alpha(x) permutes the multiset of columns of the points' tuple matrix; a
 column-set test over integer column codes checks that for every alpha and
 every admissible image of the identity column at once, and the permutation
-part is read off by matching equal columns.
+part is read off by matching equal columns.  A row-histogram prefilter runs
+first: such a map preserves the histogram over T of every row, which pins
+each row's entry of the image of the identity column to a few candidates
+per alpha, so only the pairs allowed by every row reach the column test.
 """
 
 from __future__ import annotations
@@ -141,17 +144,91 @@ def _column_codes(digits, n, dtype):
     return code
 
 
-def _surviving_pairs(g, ys, cols, col_counts, target, target_counts, dtype):
-    """Yield, chunk by chunk, the pairs (alpha row, y index) whose map
-    x -> y * alpha(x) sends every column of ``cols`` to a code of ``target``
-    with the same count.  Columns are tested in blocks sized so that
-    survivors x block stays near ``SOLVER_CHUNK_PAIRS``."""
+def _row_histograms(X, n):
+    """Count of every element of T in each row of X, an R x n matrix."""
+    R = len(X)
+    flat = np.asarray(X, dtype=np.int64) + n * np.arange(R)[:, None]
+    return np.bincount(flat.ravel(), minlength=R * n).reshape(R, n)
+
+
+def _histogram_survivors(g, hist):
+    """Row-histogram test: the triples (row, alpha index into g.aut_rows,
+    y in T) for which t -> y * alpha(t) preserves the histogram ``hist[row]``
+    of a row over T.
+
+    Such a map sends each count class onto itself, so with C the rarest
+    class of a row and t* its last element, y * alpha(t*) lies in C: the
+    candidates are y = c * alpha(t*)^-1 for c in C, kept only if y, the
+    image of the identity, is as frequent as the identity.  They are tested
+    on the support of the row, a block of support elements at a time sized
+    so that candidates x block stays near ``SOLVER_CHUNK_PAIRS``, and only
+    the survivors go on.
+    """
+    T, n = g.T, g.T.order
+    # flat tables: entry [i, j] of an n-column table sits at i * n + j
+    rows, mul, counts = T.aut.rows.ravel(), T.mul.ravel(), hist.ravel()
+    R = len(hist)
+    # sizes[row, c]: how many elements occur c times in the row
+    sizes = _row_histograms(hist, int(hist.max(initial=0)) + 1)
+    rare = np.where(sizes > 0, sizes, n + 1).argmin(axis=1)
+    cr, c = np.nonzero(hist == rare[:, None])
+    t_star = c[np.searchsorted(cr, np.arange(R), side="right") - 1]
+    # y * alpha(t*) = c, one row per c and one column per alpha; keep the y
+    # as frequent as the identity, its image
+    y = mul[(c * n)[:, None] +
+            T.inv[rows[g.aut_rows * n + t_star[cr][:, None]]]]
+    i, a = np.nonzero(counts[(cr * n)[:, None] + y] == hist[cr, :1])
+    r, y = cr[i], y[i, a]
+    # support of each row, padded by repeating its last element
+    sr, st = np.nonzero(hist)
+    first = np.searchsorted(sr, np.arange(R))
+    last = np.searchsorted(sr, np.arange(R), side="right") - 1
+    width = int((last - first).max(initial=-1)) + 1
+    support = st[np.minimum(first[:, None] + np.arange(width), last[:, None])]
+    j = 0
+    while len(r) and j < width:
+        stop = j + max(1, SOLVER_CHUNK_PAIRS // len(r))
+        t = support[r, j:stop]
+        image = mul[(y * n)[:, None] + rows[(g.aut_rows[a] * n)[:, None] + t]]
+        row = (r * n)[:, None]
+        keep = (counts[row + image] == counts[row + t]).all(axis=1)
+        r, a, y = r[keep], a[keep], y[keep]
+        j = stop
+    return r, a, y
+
+
+def _histogram_pairs(g, X, ys):
+    """Flat indices (alpha index * n_y + y index) of the pairs (alpha, y)
+    with y a column of ``ys`` that pass the row-histogram test on every row
+    of X: if f(x) = y * alpha(x) permutes the column multiset, then
+    t -> y_r * alpha(t) preserves the histogram of row r.  A row with one
+    count class constrains nothing and is skipped."""
+    n_a, n = len(g.aut_rows), g.T.order
+    hist = _row_histograms(X, n)
+    informative = np.flatnonzero((hist != hist[:, :1]).any(axis=1))
+    allowed = np.zeros((len(informative), n_a, n), dtype=bool)
+    allowed[_histogram_survivors(g, hist[informative])] = True
+    # only the alphas with a survivor in every row are read per column
+    alive = np.flatnonzero(allowed.any(axis=2).all(axis=0))
+    mask = np.ones((len(alive), ys.shape[1]), dtype=bool)
+    for i, r in enumerate(informative):
+        mask &= allowed[i][alive][:, ys[r]]
+    ia, iy = np.nonzero(mask)
+    return alive[ia] * ys.shape[1] + iy
+
+
+def _surviving_pairs(g, pairs, ys, cols, col_counts, target, target_counts,
+                     dtype):
+    """Yield, chunk by chunk, the pairs (alpha row, y index) among the flat
+    indices ``pairs`` whose map x -> y * alpha(x) sends every column of
+    ``cols`` to a code of ``target`` with the same count.  Columns are
+    tested in blocks sized so that survivors x block stays near
+    ``SOLVER_CHUNK_PAIRS``."""
     T, n = g.T, g.T.order
     rows, mul = T.aut.rows, T.mul
     n_y, n_cols = ys.shape[1], cols.shape[1]
-    total = len(g.aut_rows) * n_y
-    for start in range(0, total, SOLVER_CHUNK_PAIRS):
-        p = np.arange(start, min(start + SOLVER_CHUNK_PAIRS, total))
+    for start in range(0, len(pairs), SOLVER_CHUNK_PAIRS):
+        p = pairs[start:start + SOLVER_CHUNK_PAIRS]
         a, y = g.aut_rows[p // n_y], ys[:, p % n_y]
         j = 0
         while len(a) and j < n_cols:
@@ -173,10 +250,13 @@ def _solve_symbolic(g: DiagTypeGroup, tuples, mode: str, node_budget: int):
     Read the m x k tuple matrix as k columns x_j in T^m, x_0 the identity.
     A pair (alpha, pi) fixes D and the points iff x_{i pi} = y * alpha(x_i)
     for every i, where y = x_{0 pi}: the map f(x) = y * alpha(x) permutes
-    the column multiset and pi matches it.  For each alpha in the out part
-    and each column y as frequent as x_0, f is tested on the distinct
-    columns (or, for a set of distinct columns filling more than half of
-    T^m, on its complement), all pairs at once in chunks.
+    the column multiset and pi matches it.  Then t -> y_r * alpha(t)
+    preserves the histogram of every row r, so the pairs (alpha, y), alpha
+    in the out part and y a column as frequent as x_0, are first narrowed
+    to those passing that row test on every row (``_histogram_pairs``).
+    The exact test runs f for the remaining pairs on the distinct columns
+    (or, for a set of distinct columns filling more than half of T^m, on
+    its complement), all pairs at once in chunks.
 
     ``mode="witness"`` returns [one nonidentity element] or []: a repeated
     column gives a transposition (Sym), a 3-cycle or a double transposition
@@ -206,15 +286,17 @@ def _solve_symbolic(g: DiagTypeGroup, tuples, mode: str, node_budget: int):
         return [(ident, Perm.from_cycles([c.tolist() for c in cycles], k))]
 
     ys = X[:, first[counts == counts[0]]]
+    pairs = _histogram_pairs(g, X, ys)
     if len(uniq) == k and n ** m < 2 * k:
         # f permutes the columns iff it permutes the smaller complement
         comp = np.setdiff1d(np.arange(n ** m), uniq)
         cols = np.stack([comp // n ** (m - 1 - r) % n for r in range(m)])
         ones = np.ones(len(comp), dtype=np.int64)
-        survivors = _surviving_pairs(g, ys, cols, ones, comp, ones, dtype)
+        survivors = _surviving_pairs(g, pairs, ys, cols, ones, comp, ones,
+                                     dtype)
     else:
-        survivors = _surviving_pairs(g, ys, X[:, first[1:]], counts[1:], uniq,
-                                     counts, dtype)
+        survivors = _surviving_pairs(g, pairs, ys, X[:, first[1:]],
+                                     counts[1:], uniq, counts, dtype)
     order = np.argsort(codes, kind="stable")
 
     def matching(a, yi):
@@ -425,7 +507,7 @@ def digit_base_rows(g: DiagTypeGroup):
     zi = T.third_order_element()
     # enumeration t_0 = 1, t_1 = x, t_2 = y, t_3 = z, rest by index
     rest = [t for t in range(1, nT) if t not in (xi, yi, zi)]
-    enum = [0, xi, yi, zi, *rest]
+    enum = np.array([0, xi, yi, zi, *rest])
     m = min(nT - 1, k - 2)
     if k > nT:
         r = 1
@@ -434,15 +516,10 @@ def digit_base_rows(g: DiagTypeGroup):
     else:
         r = 1
     rows = np.zeros((r + 2, k), dtype=np.int64)
-    for j in range(1, m + 1):
-        rows[1][j - 1] = enum[j]
-    rows[2][0] = xi
-    rows[2][1] = zi
-    for j in range(m + 1, k + 1):
-        val = j - m - 1
-        for i in range(3, r + 3):
-            rows[i - 1][j - 1] = enum[val % nT]
-            val //= nT
+    rows[1, :m] = enum[1:m + 1]
+    rows[2, :2] = xi, zi
+    # column j >= m holds j - m, least significant digit in row 2
+    rows[2:, m:] = enum[np.arange(k - m) // nT ** np.arange(r)[:, None] % nT]
     return rows
 
 

@@ -354,16 +354,18 @@ class AutTable:
 
     @cached_property
     def orders(self) -> np.ndarray:
-        """orders[r] is the order of the automorphism in row r: the rows
-        not yet at the identity are composed with themselves once more per
-        step."""
+        """orders[r] is the order of the automorphism in row r.  An
+        automorphism is known by its images of the two generators of T, so
+        only those images are powered: the rows not yet back at the
+        generators are applied to their images once more per step."""
+        gens = np.asarray(self.T.gen_ids)
         orders = np.zeros(self.n_aut, dtype=np.int64)
-        open_ids, power, step = np.arange(self.n_aut), self.rows, 1
+        open_ids, images, step = np.arange(self.n_aut), self.rows[:, gens], 1
         while open_ids.size:
-            done = np.all(power == self.rows[self.identity_row], axis=1)
+            done = np.all(images == gens, axis=1)
             orders[open_ids[done]] = step
-            open_ids, power = open_ids[~done], power[~done]
-            power = np.take_along_axis(self.rows[open_ids], power, axis=1)
+            open_ids, images = open_ids[~done], images[~done]
+            images = np.take_along_axis(self.rows[open_ids], images, axis=1)
             step += 1
         return orders
 

@@ -180,9 +180,8 @@ class OmegaPoint:
 
     @classmethod
     def from_tuple(cls, T: SimpleGroup, ids) -> "OmegaPoint":
-        ids = [int(v) for v in ids]
-        t0inv = int(T.inv[ids[0]])
-        return cls(tuple(int(T.mul[t0inv, t]) for t in ids))
+        ids = np.asarray(ids, dtype=np.int64)
+        return cls(tuple(T.mul[T.inv[ids[0]], ids].tolist()))
 
     @classmethod
     def diagonal(cls, k: int) -> "OmegaPoint":
@@ -199,7 +198,7 @@ class OmegaPoint:
         return np.asarray(self.tuple_ids, dtype=np.int32)
 
     def serialize(self) -> str:
-        return " ".join(str(v) for v in self.tuple_ids)
+        return " ".join(map(str, self.tuple_ids))
 
     @classmethod
     def parse(cls, text: str, T: SimpleGroup) -> "OmegaPoint":
@@ -449,23 +448,26 @@ def _orbit_rep_rows(g: DiagTypeGroup, tuples):
     generator by generator, the smaller of a point's label and its image's.
     G_D is finite, so forward images reach the whole orbit: labels stay in
     their orbit, never rise, and stop changing once every point carries its
-    orbit's first index.
+    orbit's first index.  Indices below 2^31 are held as int32, half the
+    memory of int64.
     """
     T = g.T
+    dtype = np.int32 if g.degree < 2**31 else np.int64
     images = []
     for a, perm in gd_generators(g):
         alpha, pinv = T.aut.rows[a], perm.inverse().images
         t0inv = T.inv[tuples[:, pinv[0]]]
-        image = np.zeros(g.degree, dtype=np.int64)
+        image = np.zeros(g.degree, dtype=dtype)
         for col in pinv:
-            image = image * T.order + alpha[T.mul[t0inv, tuples[:, col]]]
+            image *= T.order
+            image += alpha[T.mul[t0inv, tuples[:, col]]]
         images.append(image)
-    label = np.arange(g.degree)
+    label = np.arange(g.degree, dtype=dtype)
     while True:
         new = label[label]
         for image in images:
-            new = np.minimum(new, new[image])
+            np.minimum(new, new[image], out=new)
         if np.array_equal(new, label):
             break
         label = new
-    return np.flatnonzero(label == np.arange(g.degree))
+    return np.flatnonzero(label == np.arange(g.degree, dtype=dtype))

@@ -22,7 +22,7 @@ from math import gcd
 
 import numpy as np
 
-from . import _accel
+from . import _accel, baseengine
 from .diag import DiagTypeGroup, OmegaPoint, omega_tuples
 from .errors import BudgetExceededError, PreconditionError
 from .perm import Perm, _is_prime
@@ -137,17 +137,39 @@ def monte_carlo_nonbase(g: DiagTypeGroup, samples: int,
 
 def _detect_nonbase(g: DiagTypeGroup, tuples):
     if g.top.is_symbolic:
-        from .baseengine import _solve_symbolic
-        out = np.zeros(len(tuples), dtype=np.uint8)
-        for j, t in enumerate(tuples):
-            found = _solve_symbolic(g, t.reshape(1, -1), mode="witness",
-                                    node_budget=10**6)
-            out[j] = 1 if found else 0
-        return out
+        return _detect_symbolic(g, tuples)
     cand_a, cand_p, _tags = prime_order_candidates(g)
     return _accel.detect_per_tuple(
         g.T.aut.rows, g.top.table.arrays(), cand_a, cand_p,
         np.ascontiguousarray(tuples), g.T.mul, g.T.inv)
+
+
+def _detect_symbolic(g: DiagTypeGroup, tuples):
+    """Non-base verdicts of single points for a symbolic top, in blocks of
+    samples.  For one point the columns are the entries, so the column-set
+    test is the row-histogram test: a repeated entry is a hit for Sym, a
+    triple or two pairs for Alt; otherwise a hit needs a nonidentity
+    (alpha, y) preserving the histogram, which settles Sym, and only Alt
+    samples with such a survivor go to the solver for the parity of pi."""
+    alt = g.top.symbolic == "alt"
+    ident = g.T.aut.identity_row
+    block = max(1, baseengine.SOLVER_CHUNK_PAIRS // len(g.aut_rows))
+    out = np.zeros(len(tuples), dtype=np.uint8)
+    for start in range(0, len(tuples), block):
+        X = tuples[start:start + block]
+        hist = baseengine._row_histograms(X, g.T.order)
+        repeated = (hist >= 2).sum(axis=1)
+        hit = (hist.max(axis=1) >= 3) | (repeated >= 2) if alt else \
+            repeated >= 1
+        open_rows = np.flatnonzero(~hit)
+        r, a, y = baseengine._histogram_survivors(g, hist[open_rows])
+        moved = (g.aut_rows[a] != ident) | (y != 0)
+        for s in np.unique(open_rows[r[moved]]).tolist():
+            hit[s] = not alt or bool(baseengine._solve_symbolic(
+                g, X[s:s + 1], mode="witness",
+                node_budget=baseengine.SOLVER_NODE_BUDGET))
+        out[start:start + len(X)] = hit
+    return out
 
 
 # ---------------------------------------------------------------------------

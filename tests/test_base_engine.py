@@ -266,6 +266,61 @@ class TestColumnSetSolver:
         pts = construct_digit_base(g)
         assert is_base(g, pts[1:]).verdict
 
+    def test_prefilter_changes_no_result(self, monkeypatch):
+        # the same battery with the row-histogram prefilter and with every
+        # pair handed to the exact test: witnesses, stabilizer lists (in
+        # order) and budget refusals must all agree
+        from diagbase.catalog import get_group
+        rng = np.random.default_rng(707)
+        cases = []
+        for it in range(160):
+            T = get_group(("A5", "L2(7)")[it % 2])
+            k = int(rng.choice([3, 5, 8, 13, 31, 45, 59, 61, 90, 200]))
+            g = build_group(T, k, ("inner", "full")[it // 2 % 2],
+                            ("sym", "alt")[it // 4 % 2])
+            m = int(rng.integers(1, 4))
+            X = rng.integers(0, T.order, (m, k))
+            if it % 3 == 1:                  # few distinct entries
+                X = rng.choice(rng.choice(T.order, 3, replace=False), (m, k))
+            elif it % 3 == 2 and k < T.order:  # distinct: complement path
+                X = rng.permutation(T.order)[None, :k]
+            elif k > 30 and len(g.out_labels) > 1:   # planted fixer
+                _, pts = planted_points(g, rng, 2)
+                X = np.array([p.tuple_ids for p in pts])
+            X[:, 0] = 0
+            cases.append((g, X))
+
+        def results():
+            out = []
+            for g, X in cases:
+                out.append(baseengine._solve_symbolic(g, X, "witness", 0))
+                try:
+                    out.append(baseengine._solve_symbolic(g, X, "all", 500))
+                except BudgetExceededError as exc:
+                    out.append(str(exc))
+            return [[(a, p._key) for a, p in r] if isinstance(r, list)
+                    else r for r in out]
+        with_prefilter = results()
+        monkeypatch.setattr(baseengine, "_histogram_pairs",
+                            lambda g, X, ys: np.arange(len(g.aut_rows) *
+                                                       ys.shape[1]))
+        assert results() == with_prefilter
+        assert sum(len(r) == 1 for r in with_prefilter[::2]) > 10
+
+    def test_prefilter_leaves_few_pairs_on_digit_base(self, A5, monkeypatch):
+        # 120 alphas x 5000 equally frequent columns = 600,000 pairs
+        g = build_group(A5, 5000, "full", "sym")
+        pts = construct_digit_base(g)
+        seen = []
+        surviving = baseengine._surviving_pairs
+
+        def spy(g, pairs, *args):
+            seen.append(len(pairs))
+            return surviving(g, pairs, *args)
+        monkeypatch.setattr(baseengine, "_surviving_pairs", spy)
+        assert is_base(g, pts[1:]).verdict
+        assert len(seen) == 1 and 1 <= seen[0] <= 4
+
     def test_all_mode_budget_checked_before_enumerating(self, A5,
                                                         monkeypatch):
         # 11 equal columns allow 11! permutations per surviving f

@@ -3,16 +3,49 @@ from math import sqrt
 import numpy as np
 import pytest
 
+from diagbase import baseengine
+from diagbase.baseengine import (SOLVER_NODE_BUDGET, _solve_symbolic,
+                                 pointwise_stabilizer)
+from diagbase.catalog import get_group
 from diagbase.diag import OmegaPoint, build_group
 from diagbase.errors import BudgetExceededError, PreconditionError
 from diagbase.perm import Perm, symmetric_table, cyclic_table
-from diagbase.prob import (RowCodedGroup, centralizer_order_formula,
+from diagbase.prob import (RowCodedGroup, _detect_nonbase,
+                           centralizer_order_formula,
                            class_count_inequality_check,
                            class_intersection_formula,
                            exact_nonbase_pair_proportion,
                            fixing_prime_elements, monte_carlo_nonbase,
                            prime_order_candidates, q2_bound_by_classes,
                            q2_bound_exact, r_split_exact)
+
+
+def _symbolic_samples(T, k, samples, seed):
+    """Canonical single points of three kinds: random; on a small alphabet,
+    so that repeats and the repeat rules occur; and, where T has an element
+    g of order dividing k, k distinct entries forming right cosets of <g>,
+    which x -> g x preserves (a surviving map with the identity alpha)."""
+    rng = np.random.default_rng(seed)
+    tuples = rng.integers(0, T.order, (samples, k), dtype=np.int32)
+    alphabet = rng.choice(T.order, k + 2, replace=False)
+    tuples[::3] = rng.choice(alphabet, (len(tuples[::3]), k))
+    tuples[:, 1:] = T.mul[T.inv[tuples[:, :1]], tuples[:, 1:]]
+    tuples[:, 0] = 0
+    orders = [o for o in (7, 5, 4, 3, 2)
+              if k % o == 0 and (T.order_of == o).any()]
+    if orders:
+        g = int(rng.choice(np.flatnonzero(T.order_of == orders[0])))
+        cyclic = [0]
+        while len(cyclic) < orders[0]:
+            cyclic.append(int(T.mul[cyclic[-1], g]))
+        for row in tuples[1::3]:
+            entries = list(cyclic)
+            while len(entries) < k:
+                coset = T.mul[cyclic, int(rng.integers(T.order))].tolist()
+                if set(entries).isdisjoint(coset):
+                    entries += coset
+            row[1:] = rng.permutation(entries[1:])
+    return tuples
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +166,59 @@ class TestMonteCarlo:
     def test_symbolic_hits_pinned_l27(self, L27):
         g = build_group(L27, 9, "full", "alt")
         assert monte_carlo_nonbase(g, 500, seed=4242)["hits"] == 5
+
+    @pytest.mark.parametrize("name", ["A5", "L2(7)"])
+    @pytest.mark.parametrize("top", ["sym", "alt"])
+    def test_batched_symbolic_matches_per_sample_solver(self, name, top):
+        T = get_group(name)
+        for k in (3, 4, 5, 7, 10, 14, 20):
+            g = build_group(T, k, "full", top)
+            for seed in (1, 2, 3):
+                tuples = _symbolic_samples(T, k, 40, seed)
+                want = [1 if _solve_symbolic(
+                    g, t[None], "witness", SOLVER_NODE_BUDGET) else 0
+                    for t in tuples]
+                assert _detect_nonbase(g, tuples).tolist() == want
+
+    @pytest.mark.parametrize("name", ["A5", "L2(7)"])
+    def test_batched_symbolic_calls_solver_only_for_alt_survivors(
+            self, name, monkeypatch):
+        # a survivor is a nonidentity f(x) = y alpha(x) preserving the
+        # entries: read off the Sym-top stabilizer as an element whose
+        # alpha is not the identity or which moves the identity entry
+        T = get_group(name)
+        ident = T.aut.identity_row
+        cases = []
+        for k in (3, 4, 5, 6):
+            tuples = _symbolic_samples(T, k, 60, k)
+            g_sym = build_group(T, k, "full", "sym")
+            want = []
+            for t in tuples:
+                counts = np.bincount(t)
+                if counts.max() > 2 or (counts == 2).sum() > 1:
+                    continue
+                stab = pointwise_stabilizer(g_sym, [OmegaPoint(tuple(
+                    t.tolist()))])
+                if any(a != ident or t[p.images[0]] != 0 for a, p in stab):
+                    want.append(tuple(t.tolist()))
+            cases.append((g_sym, build_group(T, k, "full", "alt"), tuples,
+                          want))
+        assert sum(len(want) for *_, want in cases) > 0
+
+        calls = []
+        solve = baseengine._solve_symbolic
+
+        def spy(g, tuples, mode, node_budget):
+            assert mode == "witness" and node_budget == SOLVER_NODE_BUDGET
+            calls.append(tuple(tuples[0].tolist()))
+            return solve(g, tuples, mode, node_budget)
+        monkeypatch.setattr(baseengine, "_solve_symbolic", spy)
+        for g_sym, g_alt, tuples, want in cases:
+            _detect_nonbase(g_sym, tuples)
+            assert calls == []
+            _detect_nonbase(g_alt, tuples)
+            assert calls == want
+            calls.clear()
 
     def test_large_k_cyclic_small_fraction(self, A5):
         g = build_group(A5, 37, "full", "cyclic")
