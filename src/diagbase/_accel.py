@@ -16,8 +16,9 @@ one broadcast block per chunk of tuples, candidates x chunk rows, and
 ``np.nonzero`` of that block gives the surviving (candidate, tuple) pairs.
 Its two sides depend on alpha alone and on pi alone, so each is looked up
 once per aut row or perm in use and spread over the block by row copies.
-Coordinates 2 on are then tested one at a time on the survivors only.
-Most pairs fail at coordinate 1, so later coordinates touch few pairs.
+Coordinates 2 on are then tested one at a time on the survivors only,
+until none is left.  Most pairs fail at coordinate 1, so later coordinates
+touch few pairs.
 Chunks of about ``_CHUNK_PAIRS`` pairs keep the working arrays small
 whatever the number of tuples.  The three public scans are reductions of
 its output.
@@ -65,6 +66,8 @@ def _fixing_pairs(auts, perms, cand_a, cand_p, tuples, mul, inv):
         base = base_p[of_p[c], j]
         j += start
         for i in range(2, tuples.shape[1]):
+            if not len(c):
+                break
             keep = auts[cand_a[c], tuples[j, i]] == \
                 mul[base, tuples[j, pi[c, i]]]
             c, j, base = c[keep], j[keep], base[keep]

@@ -8,8 +8,9 @@ elements (a_1,...,a_k)pi with all a_i in a common Inn-coset whose label lies
 in O and pi in P.  The stabilized coset D is the diagonal, and a point is
 a canonical k-tuple over T with first entry the identity.  The whole point
 set is one (degree, k) int32 matrix, ``omega_tuples``, whose row order is
-the point order everywhere; the orbit representatives of G_D are read off
-it by applying each generator to every row at once.
+the point order everywhere; the orbit representatives of G_D, and the
+size of each orbit, are read off it by applying each generator to every row
+at once.
 
 The right action on canonical tuples: for w = (a_1,...,a_k)pi and a point
 with tuple t, the image point has tuple
@@ -440,7 +441,23 @@ def gd_orbit_reps(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
 
 def _orbit_rep_rows(g: DiagTypeGroup, tuples):
     """Indices into ``tuples`` (the omega_tuples matrix) of the first point
-    of each G_D orbit, ascending.
+    of each G_D orbit, ascending."""
+    return _orbit_rows_and_sizes(g, tuples)[0]
+
+
+def _orbit_rows_and_sizes(g: DiagTypeGroup, tuples):
+    """(rows, sizes): the index of the first point of each G_D orbit,
+    ascending, and the number of points in that orbit.  A label is the
+    first index of its orbit, so the labels that occur are the rows, each
+    once per point of its orbit."""
+    sizes = np.bincount(_orbit_labels(g, tuples))
+    rows = np.flatnonzero(sizes)
+    return rows, sizes[rows]
+
+
+def _orbit_labels(g: DiagTypeGroup, tuples):
+    """Per point of ``tuples``, the index of the first point of its G_D
+    orbit.
 
     Each generator acts on all points at once (act_diag on the tuple
     matrix), giving an index array of images.  Every point carries a label,
@@ -470,4 +487,4 @@ def _orbit_rep_rows(g: DiagTypeGroup, tuples):
         if np.array_equal(new, label):
             break
         label = new
-    return np.flatnonzero(label == np.arange(g.degree, dtype=dtype))
+    return label

@@ -311,7 +311,23 @@ class GroupTable:
         return sum(1 for r in part.reps if _is_prime(self.elements[r].order()))
 
     def element_orders(self) -> np.ndarray:
-        return np.array([e.order() for e in self.elements], dtype=np.int64)
+        """Order of every element, in element order: the lcm of its cycle
+        lengths, with all rows powered together.  Squaring the rows j times
+        lets each point's label, at first the point itself, become the least
+        point among its first 2^j images, so once 2^j reaches the degree it
+        names the point's cycle; a cycle's length is the number of points
+        in the row carrying its label."""
+        arr = self.arrays()
+        n, d = arr.shape
+        rows = np.arange(n)[:, None]
+        label = np.tile(np.arange(d, dtype=arr.dtype), (n, 1))
+        power, span = arr, 1
+        while span < d:
+            label = np.minimum(label, label[rows, power])
+            power, span = power[rows, power], 2 * span
+        at = label + rows * d
+        return np.lcm.reduce(np.bincount(at.ravel(), minlength=n * d)[at],
+                             axis=1)
 
     # -- actions on points --------------------------------------------------
 
@@ -346,6 +362,9 @@ class GroupTable:
             return True
         if not self.is_transitive():
             return False
+        if _is_prime(self.degree):
+            # block sizes divide the degree
+            return True
         gens = [g.images for g in self.generators]
         for a in range(1, self.degree):
             if _minimal_block_size(gens, self.degree, 0, a) != self.degree:

@@ -2,10 +2,12 @@
 
 Everything enumerable is an exact rational.  The second-moment bound on the
 proportion of non-base pairs is evaluated by double counting: summing, over
-all points, the number of prime-order diagonal-stabilizer elements fixing
-each point, divided by the degree.  The same per-point counts give the
-exact non-base proportion (the points with a nonzero count), so one scan
-yields both.  The bound decomposes over conjugacy classes into three
+the points, the number of prime-order diagonal-stabilizer elements fixing
+each point, divided by the degree.  That count is constant on each orbit of
+the diagonal stabilizer, so the scan visits one representative per orbit
+and weights its count by the orbit's size.  The same per-point counts give
+the exact non-base proportion (the points with a nonzero count), so one
+scan yields both.  The bound decomposes over conjugacy classes into three
 contributions split by the permutation part (fixed-point-free, trivial, or
 mixed), and the class data itself is computed twice: by the displayed
 product formulas and by brute-force orbit enumeration in a row-coded copy
@@ -23,7 +25,8 @@ from math import gcd
 import numpy as np
 
 from . import _accel, baseengine
-from .diag import DiagTypeGroup, OmegaPoint, omega_tuples
+from .diag import (DiagTypeGroup, OmegaPoint, _orbit_rows_and_sizes,
+                   omega_tuples)
 from .errors import BudgetExceededError, PreconditionError
 from .perm import Perm, _is_prime
 from .report import int_str
@@ -49,7 +52,8 @@ def prime_order_candidates(g: DiagTypeGroup):
             "prime-order candidate listing needs an explicit top")
     top = g.top.table
     top_orders = top.element_orders()
-    fixed_point_free = [not p.fixed_points() for p in top.elements]
+    arr = top.arrays()
+    fixed_point_free = ~(arr == np.arange(top.degree)).any(axis=1)
     orders = np.lcm.outer(g.T.aut.orders[g.aut_rows], top_orders)
     prime = np.array([_is_prime(v) for v in range(int(orders.max()) + 1)])
     ia, pid = np.nonzero(prime[orders])        # row-major: by row, then perm
@@ -89,13 +93,23 @@ def nonbase_fraction_and_q2_bound(g: DiagTypeGroup, budget: int = 10**7):
     fixing it.  A nontrivial stabilizer always contains an element of prime
     order, so the points with a nonzero count are exactly the non-bases;
     the bound is (1/n) * the sum of the counts.
+
+    The count is constant on each G_D orbit: if h in G_D fixes the point x,
+    then for any s in G_D the conjugate s^-1 h s fixes x s, and conjugation
+    by s permutes the prime-order elements of G_D.  So the scan visits one
+    representative per orbit (``budget`` still bounds the point set the
+    orbits are read from) and weights each count by its orbit's size: the
+    fraction is the summed size of the orbits with a nonzero count over n,
+    the bound the sum of size * count over n.
     """
     cand_a, cand_p, _tags = prime_order_candidates(g)
+    tuples = omega_tuples(g, budget)
+    rows, sizes = _orbit_rows_and_sizes(g, tuples)
     counts = _accel.count_per_tuple(
         g.T.aut.rows, g.top.table.arrays(), cand_a, cand_p,
-        omega_tuples(g, budget), g.T.mul, g.T.inv)
-    return (Fraction(int(np.count_nonzero(counts)), g.degree),
-            Fraction(int(counts.sum()), g.degree))
+        tuples[rows], g.T.mul, g.T.inv)
+    return (Fraction(int(sizes[counts > 0].sum()), g.degree),
+            Fraction(int(sizes @ counts), g.degree))
 
 
 def exact_nonbase_pair_proportion(g: DiagTypeGroup,

@@ -97,6 +97,38 @@ def test_pairs_span_several_chunks(A5):
                                   fixes.all(axis=1))
 
 
+def test_chunk_dying_at_coordinate_2_then_a_fixing_chunk(A5, monkeypatch):
+    # conjugation by x fixes (1, t1, t2, t2) iff x centralizes t1 and t2;
+    # with t1, t2 of order 5 in different cyclic subgroups, the candidates
+    # x in <t1> \ {1} pass coordinate 1 of the first tuple and all fail at
+    # coordinate 2, so its chunk stops before coordinate 3, while they fix
+    # the second tuple (1, t1, t1, t1)
+    g = build_group(A5, 4, "full", "sym-table")
+    t1 = int(np.flatnonzero(A5.order_of == 5)[0])
+    powers = [t1]
+    while len(powers) < 4:
+        powers.append(int(A5.mul[powers[-1], t1]))
+    t2 = next(int(t) for t in np.flatnonzero(A5.order_of == 5)
+              if t not in powers)
+    cand_a = np.array([A5.aut.inn_of(x) for x in [t2, *powers]], np.int32)
+    cand_p = np.zeros(len(cand_a), np.int32)
+    tuples = np.array([[0, t1, t2, t2], [0, t1, t1, t1]], np.int32)
+    args = (A5.aut.rows, g.top.table.arrays().astype(np.int32), cand_a,
+            cand_p, tuples, A5.mul, A5.inv)
+    fixes = _oracle(g, args)
+    np.testing.assert_array_equal(fixes[:, 0], False)
+    np.testing.assert_array_equal(fixes[:, 1], [False, True, True, True, True])
+    # one tuple per chunk
+    monkeypatch.setattr(_accel, "_CHUNK_PAIRS", len(cand_a))
+    c, j = _accel._fixing_pairs(*args)
+    assert sorted(zip(c.tolist(), j.tolist())) == [(1, 1), (2, 1), (3, 1),
+                                                   (4, 1)]
+    np.testing.assert_array_equal(_accel.count_per_tuple(*args),
+                                  fixes.sum(axis=0))
+    np.testing.assert_array_equal(_accel.filter_candidates(*args),
+                                  fixes.all(axis=1))
+
+
 def test_no_candidates(A5):
     _, (auts, perms, cand_a, cand_p, tuples, mul, inv) = _random_inputs(A5, 9)
     args = (auts, perms, cand_a[:0], cand_p[:0], tuples, mul, inv)

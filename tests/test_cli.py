@@ -72,7 +72,10 @@ class TestCommands:
                           "--k", "2", "--out-part", "inner",
                           "--top", "trivial")
         assert code == 0
-        assert calls == [60, 168]
+        # one scan per group, over one point per G_D orbit: G_D = Inn(T)
+        # acts on the points (1, t) by conjugation, so the orbits are the
+        # 5 and 6 conjugacy classes of A5 and L2(7)
+        assert calls == [5, 6]
 
     def test_prob_mc_sweep_csv(self, capsys):
         code, out = run_cli(capsys, "prob-mc", "--group", "A5,A6", "--k", "5",

@@ -4,8 +4,9 @@ from hypothesis import strategies as st
 
 from diagbase.errors import BudgetExceededError, MembershipError, \
     PreconditionError
-from diagbase.perm import (GroupTable, Perm, alternating_table, cyclic_table,
-                           dihedral_table, element_order, symmetric_table)
+from diagbase.perm import (GroupTable, Perm, _minimal_block_size,
+                           alternating_table, cyclic_table, dihedral_table,
+                           element_order, symmetric_table)
 
 
 def perms(degree):
@@ -88,6 +89,16 @@ class TestClosure:
         with pytest.raises(BudgetExceededError):
             GroupTable.generate([Perm.parse("(1 2 3 4 5 6 7)", 7),
                                  Perm.parse("(1 2)", 7)], budget=100)
+
+    @pytest.mark.parametrize("make,k", [
+        *((make, k) for make in (symmetric_table, alternating_table,
+                                 cyclic_table, dihedral_table)
+          for k in range(2, 9)),
+        (cyclic_table, 37), (dihedral_table, 37)])
+    def test_element_orders_match_perm_order(self, make, k):
+        table = make(k)
+        assert table.element_orders().tolist() == \
+            [e.order() for e in table.elements]
 
     def test_a5_order_five_census(self, A5):
         orders = A5.table.element_orders()
@@ -207,6 +218,15 @@ class TestStructure:
     def test_primitive_prime_degree(self):
         assert cyclic_table(5).is_primitive()
         assert dihedral_table(5).is_primitive()
+
+    @pytest.mark.parametrize("k", range(2, 14))
+    @pytest.mark.parametrize("make", [cyclic_table, dihedral_table])
+    def test_primitive_agrees_with_block_test(self, make, k):
+        table = make(k)
+        gens = [g.images for g in table.generators]
+        blocks = all(_minimal_block_size(gens, k, 0, a) == k
+                     for a in range(1, k))
+        assert table.is_primitive() == (table.is_transitive() and blocks)
 
     def test_imprimitive(self):
         assert not cyclic_table(4).is_primitive()

@@ -1,13 +1,15 @@
+from fractions import Fraction
 from math import sqrt
 
 import numpy as np
 import pytest
 
-from diagbase import baseengine
+from diagbase import _accel, baseengine
 from diagbase.baseengine import (SOLVER_NODE_BUDGET, _solve_symbolic,
                                  pointwise_stabilizer)
 from diagbase.catalog import get_group
-from diagbase.diag import OmegaPoint, build_group
+from diagbase.diag import (OmegaPoint, _orbit_labels, _orbit_rep_rows,
+                           _orbit_rows_and_sizes, build_group, omega_tuples)
 from diagbase.errors import BudgetExceededError, PreconditionError
 from diagbase.perm import Perm, symmetric_table, cyclic_table
 from diagbase.prob import (RowCodedGroup, _detect_nonbase,
@@ -16,8 +18,21 @@ from diagbase.prob import (RowCodedGroup, _detect_nonbase,
                            class_intersection_formula,
                            exact_nonbase_pair_proportion,
                            fixing_prime_elements, monte_carlo_nonbase,
+                           nonbase_fraction_and_q2_bound,
                            prime_order_candidates, q2_bound_by_classes,
                            q2_bound_exact, r_split_exact)
+
+# the prob-exact shapes of the benchmark's prob-sweep, plus A5 k=4 full
+# alt-table (216,000 points)
+ORBIT_SCAN_SHAPES = [
+    ("A5", 2, "inner", "trivial"),
+    ("A6", 2, "full", "sym-table"), ("A6", 2, "inner", "trivial"),
+    ("L2(7)", 2, "inner", "trivial"),
+    ("L2(8)", 2, "full", "sym-table"),
+    ("L2(11)", 2, "full", "sym-table"),
+    ("A5", 3, "full", "sym-table"), ("L2(7)", 3, "full", "alt-table"),
+    ("A5", 4, "full", "alt-table"),
+]
 
 
 def _symbolic_samples(T, k, samples, seed):
@@ -131,6 +146,54 @@ class TestExactQuantities:
         # at k = 2 any nontrivial permutation part is fixed-point-free
         _r1, _r2, r3 = r_split_exact(w2a5)
         assert r3 == 0
+
+
+def _all_point_counts(g):
+    """Per point of omega_tuples, the prime-order elements of G_D fixing
+    it: the scan over every point, the oracle for the orbit scan."""
+    cand_a, cand_p, _ = prime_order_candidates(g)
+    return _accel.count_per_tuple(
+        g.T.aut.rows, g.top.table.arrays(), cand_a, cand_p, omega_tuples(g),
+        g.T.mul, g.T.inv)
+
+
+class TestOrbitScan:
+    @pytest.mark.parametrize("name,k,out_part,top", ORBIT_SCAN_SHAPES)
+    def test_matches_all_points_scan(self, name, k, out_part, top):
+        g = build_group(get_group(name), k, out_part, top)
+        counts = _all_point_counts(g)
+        assert nonbase_fraction_and_q2_bound(g) == (
+            Fraction(int(np.count_nonzero(counts)), g.degree),
+            Fraction(int(counts.sum()), g.degree))
+
+    # at k = 2 the orbits are the classes of T fused by the out part and
+    # inversion: A5 has 5 classes; the 9 of L2(8) fuse to 5 under Aut
+    @pytest.mark.parametrize("name,k,out_part,top,n_orbits", [
+        ("A5", 2, "inner", "trivial", 5),
+        ("L2(8)", 2, "full", "sym-table", 5),
+        ("A5", 3, "full", "sym-table", 17),
+        ("L2(7)", 3, "full", "alt-table", 43),
+    ])
+    def test_orbit_sizes_sum_to_degree(self, name, k, out_part, top,
+                                       n_orbits):
+        g = build_group(get_group(name), k, out_part, top)
+        tuples = omega_tuples(g)
+        rows, sizes = _orbit_rows_and_sizes(g, tuples)
+        np.testing.assert_array_equal(rows, _orbit_rep_rows(g, tuples))
+        assert len(rows) == n_orbits
+        assert int(sizes.sum()) == g.degree
+        # orbit-stabilizer: each size divides |G_D|
+        assert all(g.gd_order % int(s) == 0 for s in sizes)
+
+    @pytest.mark.parametrize("name,k,out_part,top", [
+        ("A5", 3, "full", "sym-table"), ("L2(7)", 3, "full", "alt-table"),
+    ])
+    def test_count_constant_on_orbits(self, name, k, out_part, top):
+        g = build_group(get_group(name), k, out_part, top)
+        counts = _all_point_counts(g)
+        label = _orbit_labels(g, omega_tuples(g))
+        assert len(np.unique(counts)) > 2
+        np.testing.assert_array_equal(counts, counts[label])
 
 
 class TestMonteCarlo:
