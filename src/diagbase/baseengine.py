@@ -8,7 +8,8 @@ loses nothing), and never touch the point set itself: a diagonal pair
     alpha(t[i]) = t[pi(0)]^-1 * t[pi(i)]   for every coordinate i,
 
 which is pure index arithmetic over the element table of T.  For explicit top
-groups the full candidate list G_D is scanned through the accelerated kernels.
+groups one scan of the candidate list G_D (``DiagTypeGroup.gd_candidates``,
+the identity first) gives both the stabilizer and a nonidentity witness.
 For symbolic Alt/Sym tops the same condition says that x -> t[0 pi] *
 alpha(x) permutes the multiset of columns of the points' tuple matrix; a
 column-set test over integer column codes checks that for every alpha and
@@ -28,9 +29,8 @@ from math import factorial, prod
 import numpy as np
 
 from . import _accel
-from .catalog import SimpleGroup
-from .diag import (DiagTypeGroup, OmegaPoint, _orbit_rep_rows, act_diag,
-                   omega_tuples, stab_of_D)
+from .diag import (DiagTypeGroup, OmegaPoint, _orbit_rows_and_sizes,
+                   act_diag, omega_tuples, stab_of_D)
 from .errors import (BudgetExceededError, PreconditionError,
                      UnsupportedEnumerationError, ValidationError)
 from .perm import Perm
@@ -50,27 +50,19 @@ SOLVER_CHUNK_PAIRS = 1 << 12
 # scan plumbing for explicit tops
 
 
-def _scan_arrays(g: DiagTypeGroup):
-    """Cached cross-product candidate arrays (aut row id, perm id) over G_D."""
-    cache = getattr(g, "_scan_cache", None)
-    if cache is None:
-        if g.top.is_symbolic:
-            raise UnsupportedEnumerationError(
-                "explicit G_D scan requested for a symbolic top")
-        n_a, n_p = len(g.aut_rows), g.top.table.order
-        cand_a = np.repeat(g.aut_rows, n_p)
-        cand_p = np.tile(np.arange(n_p, dtype=np.int32), n_a)
-        cache = {"cand_a": cand_a, "cand_p": cand_p}
-        g._scan_cache = cache
-    return cache
+def _fixing_candidates(g: DiagTypeGroup, tuples):
+    """Indices into ``g.gd_candidates`` of the elements of G_D fixing every
+    tuple, ascending; index 0, the identity, is always the first."""
+    cand_a, cand_p = g.gd_candidates
+    return np.flatnonzero(_accel.filter_candidates(
+        g.T.aut.rows, g.top.table.arrays(), cand_a, cand_p, tuples,
+        g.T.mul, g.T.inv))
 
 
-def _pairs_from_mask(g, mask, cand_a, cand_p):
-    out = []
-    for i in np.nonzero(mask)[0]:
-        perm = g.top.table.elements[int(cand_p[i])]
-        out.append((int(cand_a[i]), perm))
-    return out
+def _candidate(g: DiagTypeGroup, i):
+    """Candidate ``i`` of ``g.gd_candidates`` as an (aut row id, Perm) pair."""
+    cand_a, cand_p = g.gd_candidates
+    return int(cand_a[i]), g.top.table.elements[int(cand_p[i])]
 
 
 def pointwise_stabilizer(g: DiagTypeGroup, points,
@@ -87,11 +79,7 @@ def pointwise_stabilizer(g: DiagTypeGroup, points,
                 "stabilizer of D alone is all of G_D; not enumerable for a "
                 "symbolic top")
         return _solve_symbolic(g, tuples, mode="all", node_budget=node_budget)
-    cache = _scan_arrays(g)
-    mask = _accel.filter_candidates(
-        g.T.aut.rows, g.top.table.arrays(), cache["cand_a"],
-        cache["cand_p"], tuples, g.T.mul, g.T.inv)
-    return _pairs_from_mask(g, mask, cache["cand_a"], cache["cand_p"])
+    return [_candidate(g, i) for i in _fixing_candidates(g, tuples)]
 
 
 def stabilizer_witness(g: DiagTypeGroup, points,
@@ -104,17 +92,8 @@ def stabilizer_witness(g: DiagTypeGroup, points,
         found = _solve_symbolic(g, tuples, mode="witness",
                                 node_budget=node_budget)
         return found[0] if found else None
-    cache = _scan_arrays(g)
-    mask = _accel.filter_candidates(
-        g.T.aut.rows, g.top.table.arrays(), cache["cand_a"],
-        cache["cand_p"], tuples, g.T.mul, g.T.inv)
-    ident_row = g.T.aut.identity_row
-    for i in np.nonzero(mask)[0]:
-        a, p = int(cache["cand_a"][i]), int(cache["cand_p"][i])
-        if a == ident_row and p == 0:
-            continue
-        return (a, g.top.table.elements[p])
-    return None
+    fixing = _fixing_candidates(g, tuples)
+    return _candidate(g, fixing[1]) if len(fixing) > 1 else None
 
 
 def _first_nonidentity_gd(g: DiagTypeGroup):
@@ -217,12 +196,12 @@ def _histogram_pairs(g, X, ys):
     return alive[ia] * ys.shape[1] + iy
 
 
-def _surviving_pairs(g, pairs, ys, cols, col_counts, target, target_counts,
-                     dtype):
+def _surviving_pairs(g, pairs, ys, cols, uniq, counts, dtype):
     """Yield, chunk by chunk, the pairs (alpha row, y index) among the flat
     indices ``pairs`` whose map x -> y * alpha(x) sends every column of
-    ``cols`` to a code of ``target`` with the same count.  Columns are
-    tested in blocks sized so that survivors x block stays near
+    ``cols``, the distinct columns past the identity (codes ``uniq[1:]``),
+    to a code of ``uniq`` with the same count.  Columns are tested in
+    blocks sized so that survivors x block stays near
     ``SOLVER_CHUNK_PAIRS``."""
     T, n = g.T, g.T.order
     rows, mul = T.aut.rows, T.mul
@@ -235,9 +214,8 @@ def _surviving_pairs(g, pairs, ys, cols, col_counts, target, target_counts,
             stop = j + max(1, SOLVER_CHUNK_PAIRS // len(a))
             alpha_x = rows[a[None, :, None], cols[:, None, j:stop]]
             code = _column_codes(mul[y[:, :, None], alpha_x], n, dtype)
-            pos = np.searchsorted(target, code).clip(max=len(target) - 1)
-            ok = (target[pos] == code) & \
-                (target_counts[pos] == col_counts[j:stop])
+            pos = np.searchsorted(uniq, code).clip(max=len(uniq) - 1)
+            ok = (uniq[pos] == code) & (counts[pos] == counts[1 + j:1 + stop])
             keep = ok.all(axis=1)
             a, y, p = a[keep], y[:, keep], p[keep]
             j = stop
@@ -254,9 +232,9 @@ def _solve_symbolic(g: DiagTypeGroup, tuples, mode: str, node_budget: int):
     preserves the histogram of every row r, so the pairs (alpha, y), alpha
     in the out part and y a column as frequent as x_0, are first narrowed
     to those passing that row test on every row (``_histogram_pairs``).
-    The exact test runs f for the remaining pairs on the distinct columns
-    (or, for a set of distinct columns filling more than half of T^m, on
-    its complement), all pairs at once in chunks.
+    The exact test then maps the distinct columns past x_0 by f, for all
+    remaining pairs at once in chunks, and keeps f when every image is a
+    column as frequent as its preimage.
 
     ``mode="witness"`` returns [one nonidentity element] or []: a repeated
     column gives a transposition (Sym), a 3-cycle or a double transposition
@@ -287,16 +265,8 @@ def _solve_symbolic(g: DiagTypeGroup, tuples, mode: str, node_budget: int):
 
     ys = X[:, first[counts == counts[0]]]
     pairs = _histogram_pairs(g, X, ys)
-    if len(uniq) == k and n ** m < 2 * k:
-        # f permutes the columns iff it permutes the smaller complement
-        comp = np.setdiff1d(np.arange(n ** m), uniq)
-        cols = np.stack([comp // n ** (m - 1 - r) % n for r in range(m)])
-        ones = np.ones(len(comp), dtype=np.int64)
-        survivors = _surviving_pairs(g, pairs, ys, cols, ones, comp, ones,
-                                     dtype)
-    else:
-        survivors = _surviving_pairs(g, pairs, ys, X[:, first[1:]],
-                                     counts[1:], uniq, counts, dtype)
+    survivors = _surviving_pairs(g, pairs, ys, X[:, first[1:]], uniq, counts,
+                                 dtype)
     order = np.argsort(codes, kind="stable")
 
     def matching(a, yi):
@@ -342,30 +312,6 @@ def _solve_symbolic(g: DiagTypeGroup, tuples, mode: str, node_budget: int):
             if not alt or perm.sign() == 1:
                 results.append((a, perm))
     return results
-
-
-# ---------------------------------------------------------------------------
-# order matrices
-
-
-@dataclass
-class OrderMatrix:
-    """k x k matrix of orders of t_i^-1 t_j for a point's tuple."""
-
-    entries: np.ndarray
-
-    @property
-    def k(self):
-        return len(self.entries)
-
-    def column_one_counts(self):
-        return (self.entries == 1).sum(axis=0)
-
-
-def order_matrix(T: SimpleGroup, point: OmegaPoint) -> OrderMatrix:
-    t = point.as_array()
-    diffs = T.mul[T.inv[t][:, None], t]
-    return OrderMatrix(T.order_of[diffs])
 
 
 # ---------------------------------------------------------------------------
@@ -619,14 +565,11 @@ def minimal_base_size(g: DiagTypeGroup, budget: int = 10**7):
         return 2, pts
     tuples = omega_tuples(g, budget)
     T = g.T
-    cache = _scan_arrays(g)
     rows, perms, mul, inv = T.aut.rows, g.top.table.arrays(), T.mul, T.inv
     # row 0 is the diagonal point, the first of its own orbit
-    reps = _orbit_rep_rows(g, tuples)[1:]
-
-    ident_row = T.aut.identity_row
-    keep = ~((cache["cand_a"] == ident_row) & (cache["cand_p"] == 0))
-    base_a, base_p = cache["cand_a"][keep], cache["cand_p"][keep]
+    reps = _orbit_rows_and_sizes(g, tuples)[0][1:]
+    # candidate 0 is the identity, which fixes every point
+    base_a, base_p = (c[1:] for c in g.gd_candidates)
     filters = 0
 
     def filter_point(cand_a, cand_p, point):
@@ -679,9 +622,9 @@ def minimal_base_size(g: DiagTypeGroup, budget: int = 10**7):
 def nonbase_witness(g: DiagTypeGroup, points):
     """A nonidentity element fixing D and all points, which the
     alternating-top lower-bound hypotheses guarantee; found by the
-    stabilizer test (for symbolic tops the column-set test, whose repeated
-    columns and complement of T^l are the cases of the paper's argument)
-    and re-checked against the fixing condition.
+    stabilizer test (for symbolic tops the column-set test; the paper's
+    argument has repeated columns, or columns filling T^l but for at most
+    one) and re-checked against the fixing condition.
 
     points: the l non-anchor points.  Requires the top to contain Alt(k) and
     one of: k > |T|^l; l = 1 and k = |T|; top symmetric and k in

@@ -325,11 +325,6 @@ class AutTable:
             raise NotInnerError("automorphism is not inner")
         return t
 
-    def same_out_coset(self, a, b) -> bool:
-        ra = a if isinstance(a, (int, np.integer)) else self.row_of(a)
-        rb = b if isinstance(b, (int, np.integer)) else self.row_of(b)
-        return int(self.labels[ra]) == int(self.labels[rb])
-
     def compose_rows(self, a: int, b: int) -> int:
         """Row id of (apply a, then b)."""
         if self._comp is not None:

@@ -27,6 +27,7 @@ right-coset multiplication in W(2, A5).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 
 import numpy as np
@@ -265,6 +266,19 @@ class DiagTypeGroup:
     def diagonal_point(self) -> OmegaPoint:
         return OmegaPoint.diagonal(self.k)
 
+    @cached_property
+    def gd_candidates(self):
+        """G_D as parallel index arrays (aut row ids, perm ids into the top
+        table), aut-row-major; explicit tops only.  aut_rows[0] is the
+        identity row and elements[0] the identity, so candidate 0 is the
+        identity."""
+        if self.top.is_symbolic:
+            raise UnsupportedEnumerationError(
+                "explicit G_D scan requested for a symbolic top")
+        n_a, n_p = len(self.aut_rows), self.top.table.order
+        return (np.repeat(self.aut_rows, n_p),
+                np.tile(np.arange(n_p, dtype=np.int32), n_a))
+
     def contains_diag(self, aut_row: int, perm: Perm) -> bool:
         if int(self.T.aut.labels[aut_row]) not in self.out_labels:
             return False
@@ -379,13 +393,6 @@ def stab_of_D(g: DiagTypeGroup):
     return [(int(a), p) for a in g.aut_rows for p in g.top.table.elements]
 
 
-def top_group_of(g: DiagTypeGroup):
-    """The projection of G onto S_k: a GroupTable, or the symbolic tag."""
-    if g.top.is_symbolic:
-        return g.top.symbolic
-    return g.top.table
-
-
 def omega_tuples(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
     """The point set as one (degree, k) int32 matrix, refusing oversized
     point sets: row i is the canonical tuple of point i, a leading 0 and
@@ -436,13 +443,7 @@ def gd_orbit_reps(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
     omega_tuples order."""
     tuples = omega_tuples(g, budget)
     return [OmegaPoint(tuple(row))
-            for row in tuples[_orbit_rep_rows(g, tuples)].tolist()]
-
-
-def _orbit_rep_rows(g: DiagTypeGroup, tuples):
-    """Indices into ``tuples`` (the omega_tuples matrix) of the first point
-    of each G_D orbit, ascending."""
-    return _orbit_rows_and_sizes(g, tuples)[0]
+            for row in tuples[_orbit_rows_and_sizes(g, tuples)[0]].tolist()]
 
 
 def _orbit_rows_and_sizes(g: DiagTypeGroup, tuples):

@@ -164,19 +164,11 @@ class Perm:
     def fixed_points(self):
         return [i for i in range(self.degree) if self.images[i] == i]
 
-    def moved_count(self) -> int:
-        return int(np.count_nonzero(self.images != np.arange(self.degree)))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Perm) and self._key == other._key
 
     def __hash__(self) -> int:
         return hash(self._key)
-
-
-def element_order(p: Perm) -> int:
-    """Least n >= 1 with p^n = identity."""
-    return p.order()
 
 
 @dataclass
@@ -379,12 +371,6 @@ class GroupTable:
     def is_symmetric(self) -> bool:
         return self.order == factorial(self.degree)
 
-    def minimal_degree(self) -> int:
-        """Fewest points moved by a non-identity element."""
-        if self.order == 1:
-            raise PreconditionError("minimal degree undefined for trivial group")
-        return min(e.moved_count() for e in self.elements[1:])
-
     # -- bases and distinguishing subsets ------------------------------------
 
     def pointwise_stabilizer_elements(self, points, within=None):
@@ -519,12 +505,12 @@ def _is_prime(n: int) -> bool:
 
 def symmetric_table(k: int) -> GroupTable:
     """S_k as an explicit table."""
+    if k == 1:
+        return GroupTable.from_elements([Perm.identity(1)])
     gens = [Perm.from_cycles([[0, 1]], k)] if k == 2 else [
         Perm.from_cycles([[0, 1]], k),
         Perm.from_cycles([list(range(k))], k),
     ]
-    if k == 1:
-        return GroupTable.from_elements([Perm.identity(1)])
     return GroupTable.generate(gens)
 
 

@@ -25,8 +25,7 @@ from math import gcd
 import numpy as np
 
 from . import _accel, baseengine
-from .diag import (DiagTypeGroup, OmegaPoint, _orbit_rows_and_sizes,
-                   omega_tuples)
+from .diag import DiagTypeGroup, _orbit_rows_and_sizes, omega_tuples
 from .errors import BudgetExceededError, PreconditionError
 from .perm import Perm, _is_prime
 from .report import int_str
@@ -54,30 +53,20 @@ def prime_order_candidates(g: DiagTypeGroup):
     top_orders = top.element_orders()
     arr = top.arrays()
     fixed_point_free = ~(arr == np.arange(top.degree)).any(axis=1)
-    orders = np.lcm.outer(g.T.aut.orders[g.aut_rows], top_orders)
-    prime = np.array([_is_prime(v) for v in range(int(orders.max()) + 1)])
-    ia, pid = np.nonzero(prime[orders])        # row-major: by row, then perm
+    # the lcm over the distinct orders only, read back per (row, perm)
+    a_orders, a_of = np.unique(g.T.aut.orders[g.aut_rows],
+                               return_inverse=True)
+    p_orders, p_of = np.unique(top_orders, return_inverse=True)
+    lcm = np.lcm.outer(a_orders, p_orders)
+    prime = np.array([_is_prime(v) for v in lcm.ravel().tolist()]) \
+        .reshape(lcm.shape)
+    ia, pid = np.nonzero(prime[a_of[:, None], p_of])  # by row, then perm
     tag_of_perm = np.where(top_orders == 1, 2,
                            np.where(fixed_point_free, 1, 3))
     cache = (g.aut_rows[ia].astype(np.int32), pid.astype(np.int32),
              tag_of_perm[pid].astype(np.int8))
     g._prime_cache = cache
     return cache
-
-
-def fixing_prime_elements(g: DiagTypeGroup, point: OmegaPoint):
-    """Prime-order diagonal elements fixing the point, with R-tags."""
-    cand_a, cand_p, tags = prime_order_candidates(g)
-    tuples = _accel.as_tuple_matrix([point.as_array()], g.k)
-    mask = _accel.filter_candidates(
-        g.T.aut.rows, g.top.table.arrays(), cand_a, cand_p,
-        tuples, g.T.mul, g.T.inv).astype(bool)
-    out = []
-    for i in np.nonzero(mask)[0]:
-        out.append((int(cand_a[i]),
-                    g.top.table.elements[int(cand_p[i])],
-                    int(tags[i])))
-    return out
 
 
 # ---------------------------------------------------------------------------

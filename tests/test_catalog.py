@@ -131,13 +131,6 @@ class TestAutTable:
         with pytest.raises(NotInnerError):
             aut.recover_conjugator(outer)
 
-    def test_same_out_coset(self, A5):
-        aut = A5.aut
-        outer = aut.label_reps[1]
-        assert aut.same_out_coset(outer, outer)
-        assert aut.same_out_coset(aut.inn_of(0), aut.inn_of(7))
-        assert not aut.same_out_coset(aut.inn_of(0), outer)
-
     def test_label_group_structure(self, A6):
         lm = A6.aut.label_mul
         assert A6.aut.out_order == 4

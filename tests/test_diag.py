@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from diagbase.diag import (OmegaPoint, WElement, act, act_diag,
                            build_group, gd_orbit_reps, omega_iter,
-                           omega_tuples, stab_of_D, top_group_of, w_identity,
+                           omega_tuples, stab_of_D, w_identity,
                            w_inverse, w_multiply)
 from diagbase.errors import (BudgetExceededError, InvalidTopError,
                              PreconditionError, UnsupportedEnumerationError)
-from diagbase.perm import Perm, symmetric_table
+from diagbase.perm import Perm
 
 
 class TestBuild:
@@ -57,13 +57,6 @@ class TestBuild:
     def test_top_from_generator_string(self, A5):
         g = build_group(A5, 5, "full", "gens:(1 2 3 4 5)|(2 5)(3 4)")
         assert g.top.table.order == 10  # dihedral of degree 5
-
-    def test_top_group_of_roundtrip(self, A5):
-        table = symmetric_table(2)
-        g = build_group(A5, 2, "full", table)
-        assert top_group_of(g) is table
-        sym = build_group(A5, 5, "full", "sym")
-        assert top_group_of(sym) == "sym"
 
 
 class TestOmegaPoint:

@@ -2,11 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagbase.errors import BudgetExceededError, MembershipError, \
-    PreconditionError
+from diagbase.errors import BudgetExceededError, MembershipError
 from diagbase.perm import (GroupTable, Perm, _minimal_block_size,
                            alternating_table, cyclic_table, dihedral_table,
-                           element_order, symmetric_table)
+                           symmetric_table)
 
 
 def perms(degree):
@@ -17,10 +16,10 @@ def perms(degree):
 
 class TestPermArithmetic:
     def test_identity_order(self):
-        assert element_order(Perm.identity(5)) == 1
+        assert Perm.identity(5).order() == 1
 
     def test_cycle_order(self):
-        assert element_order(Perm.from_cycles([[0, 1, 2, 3, 4]], 5)) == 5
+        assert Perm.from_cycles([[0, 1, 2, 3, 4]], 5).order() == 5
 
     def test_compose_then_invert(self):
         p = Perm.parse("(1 2 3)(4 5)", 6)
@@ -94,7 +93,7 @@ class TestClosure:
         *((make, k) for make in (symmetric_table, alternating_table,
                                  cyclic_table, dihedral_table)
           for k in range(2, 9)),
-        (cyclic_table, 37), (dihedral_table, 37)])
+        (cyclic_table, 37), (dihedral_table, 37), (symmetric_table, 1)])
     def test_element_orders_match_perm_order(self, make, k):
         table = make(k)
         assert table.element_orders().tolist() == \
@@ -173,22 +172,6 @@ class TestMinimalBase:
         from itertools import combinations
         for smaller in combinations(range(5), size - 1):
             assert len(g.pointwise_stabilizer_elements(smaller)) > 1
-
-
-class TestMinimalDegree:
-    def test_symmetric(self):
-        assert symmetric_table(4).minimal_degree() == 2
-
-    def test_alternating(self):
-        assert alternating_table(5).minimal_degree() == 3
-
-    def test_regular_prime_cycle(self):
-        assert cyclic_table(37).minimal_degree() == 37
-
-    def test_trivial_errors(self):
-        g = GroupTable.from_elements([Perm.identity(3)])
-        with pytest.raises(PreconditionError):
-            g.minimal_degree()
 
 
 class TestDistinguishingSubset:

@@ -8,16 +8,15 @@ from diagbase import _accel, baseengine
 from diagbase.baseengine import (SOLVER_NODE_BUDGET, _solve_symbolic,
                                  pointwise_stabilizer)
 from diagbase.catalog import get_group
-from diagbase.diag import (OmegaPoint, _orbit_labels, _orbit_rep_rows,
-                           _orbit_rows_and_sizes, build_group, omega_tuples)
+from diagbase.diag import (OmegaPoint, _orbit_labels, _orbit_rows_and_sizes,
+                           build_group, gd_orbit_reps, omega_tuples)
 from diagbase.errors import BudgetExceededError, PreconditionError
 from diagbase.perm import Perm, symmetric_table, cyclic_table
 from diagbase.prob import (RowCodedGroup, _detect_nonbase,
                            centralizer_order_formula,
                            class_count_inequality_check,
                            class_intersection_formula,
-                           exact_nonbase_pair_proportion,
-                           fixing_prime_elements, monte_carlo_nonbase,
+                           exact_nonbase_pair_proportion, monte_carlo_nonbase,
                            nonbase_fraction_and_q2_bound,
                            prime_order_candidates, q2_bound_by_classes,
                            q2_bound_exact, r_split_exact)
@@ -74,32 +73,22 @@ def inn2a5(A5):
 
 
 class TestFixingElements:
-    def test_diagonal_point_gets_all(self, w2a5):
-        fixers = fixing_prime_elements(w2a5, OmegaPoint.diagonal(2))
-        cand_a, cand_p, _ = prime_order_candidates(w2a5)
-        assert len(fixers) == len(cand_a)
-
-    def test_tags_partition(self, w2a5):
-        fixers = fixing_prime_elements(w2a5, OmegaPoint.diagonal(2))
-        for a, p, tag in fixers:
-            if p.is_identity():
-                assert tag == 2
-            elif not p.fixed_points():
-                assert tag == 1
-            else:
-                assert tag == 3
-
-    def test_centralizer_direction(self, A5, w2a5):
-        # the centralizer of an order-5 element survives in the stabilizer,
-        # tagged as trivial-permutation-part
-        x = int(np.where(A5.order_of == 5)[0][0])
-        om = OmegaPoint.from_tuple(A5, [x, 0])
-        fixers = fixing_prime_elements(w2a5, om)
-        inner_trivial = {a for a, p, tag in fixers if tag == 2
-                         and a < A5.order}
-        cx = {t for t in range(1, A5.order)
-              if A5.mul[t, x] == A5.mul[x, t]}
-        assert cx <= inner_trivial
+    def test_tags_partition(self, A5, w2a5):
+        # the R-tag of each prime-order candidate is read off its
+        # permutation part; k = 3 adds the nontrivial ones with a fixed point
+        seen = set()
+        for g in (w2a5, build_group(A5, 3, "full", "sym-table")):
+            _cand_a, cand_p, tags = prime_order_candidates(g)
+            for pid, tag in zip(cand_p.tolist(), tags.tolist()):
+                p = g.top.table.elements[pid]
+                if p.is_identity():
+                    assert tag == 2
+                elif not p.fixed_points():
+                    assert tag == 1
+                else:
+                    assert tag == 3
+                seen.add(tag)
+        assert seen == {1, 2, 3}
 
     def test_cycle_statistics(self, A5):
         # p * (number of nontrivial cycles) + fixed points = k for each
@@ -179,7 +168,8 @@ class TestOrbitScan:
         g = build_group(get_group(name), k, out_part, top)
         tuples = omega_tuples(g)
         rows, sizes = _orbit_rows_and_sizes(g, tuples)
-        np.testing.assert_array_equal(rows, _orbit_rep_rows(g, tuples))
+        assert [p.tuple_ids for p in gd_orbit_reps(g)] == \
+            [tuple(row) for row in tuples[rows].tolist()]
         assert len(rows) == n_orbits
         assert int(sizes.sum()) == g.degree
         # orbit-stabilizer: each size divides |G_D|
