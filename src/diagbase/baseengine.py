@@ -82,15 +82,13 @@ def pointwise_stabilizer(g: DiagTypeGroup, points,
     return [_candidate(g, i) for i in _fixing_candidates(g, tuples)]
 
 
-def stabilizer_witness(g: DiagTypeGroup, points,
-                       node_budget: int = SOLVER_NODE_BUDGET):
+def stabilizer_witness(g: DiagTypeGroup, points):
     """A nonidentity element of G_D fixing every point, or None."""
     tuples = _accel.as_tuple_matrix([p.as_array() for p in points], g.k)
     if g.top.is_symbolic:
         if len(points) == 0:
             return _first_nonidentity_gd(g)
-        found = _solve_symbolic(g, tuples, mode="witness",
-                                node_budget=node_budget)
+        found = _solve_symbolic(g, tuples, mode="witness")
         return found[0] if found else None
     fixing = _fixing_candidates(g, tuples)
     return _candidate(g, fixing[1]) if len(fixing) > 1 else None
@@ -222,7 +220,8 @@ def _surviving_pairs(g, pairs, ys, cols, uniq, counts, dtype):
         yield a, p % n_y
 
 
-def _solve_symbolic(g: DiagTypeGroup, tuples, mode: str, node_budget: int):
+def _solve_symbolic(g: DiagTypeGroup, tuples, mode: str,
+                    node_budget: int = SOLVER_NODE_BUDGET):
     """Diagonal stabilizer elements of the points for a symbolic top.
 
     Read the m x k tuple matrix as k columns x_j in T^m, x_0 the identity.
@@ -339,12 +338,11 @@ class BaseCertificate:
         }
 
 
-def is_base(g: DiagTypeGroup, points,
-            node_budget: int = SOLVER_NODE_BUDGET) -> BaseCertificate:
+def is_base(g: DiagTypeGroup, points) -> BaseCertificate:
     """Whether {D} + points has trivial pointwise stabilizer in G."""
     pts = [p for p in points if not p.is_diagonal()]
     method = "constraint-solver" if g.top.is_symbolic else "enumeration"
-    witness = stabilizer_witness(g, pts, node_budget=node_budget)
+    witness = stabilizer_witness(g, pts)
     return BaseCertificate(points=[g.diagonal_point(), *pts],
                            verdict=witness is None,
                            method=method, witness=witness)

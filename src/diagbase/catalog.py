@@ -7,8 +7,9 @@ verified here: the element list and multiplication table of T, the full
 automorphism group as index bijections of T, inner/outer coset labels, and
 the catalog invariants (simplicity, generation, the |Out|^3 < |T| bound,
 prime divisors, minimal-index consistency).  Only the closure of the
-generators of T uses permutation objects; the group theory after it runs on
-integer tables: ``mul`` follows from the closure's derivation words, an
+generators of T (``GroupTable.generate``) uses permutation objects; the
+group theory after it runs on integer tables: ``mul`` follows from the
+closure's derivations and its element array, an
 automorphism is keyed by its images of the two generators, subgroup
 closures (simplicity, generating pairs) are breadth-first walks over
 ``mul``, and Aut(T) element orders are powers of the Aut rows.
@@ -29,7 +30,7 @@ from math import factorial
 
 import numpy as np
 
-from .errors import NotInnerError, ValidationError
+from .errors import BudgetExceededError, NotInnerError, ValidationError
 from .perm import GroupTable, Perm
 
 ELEMENT_BUDGET = 2520  # largest |T| the catalog materializes
@@ -169,31 +170,6 @@ def _closure_ids(mul, gen_ids):
     return np.flatnonzero(seen)
 
 
-def _closure_with_derivations(gens, budget):
-    """BFS closure recording, per element, (parent index, generator index),
-    and ``right[gi, i]``, the index of element i times generator gi."""
-    ident = Perm.identity(gens[0].degree)
-    elements = [ident]
-    index = {ident._key: 0}
-    deriv = [(-1, -1)]
-    right = [[] for _ in gens]
-    head = 0
-    while head < len(elements):
-        e = elements[head]
-        for gi, g in enumerate(gens):
-            f = e * g
-            if f._key not in index:
-                if len(elements) >= budget:
-                    raise ValidationError(
-                        f"closure exceeded element budget {budget}")
-                index[f._key] = len(elements)
-                elements.append(f)
-                deriv.append((head, gi))
-            right[gi].append(index[f._key])
-        head += 1
-    return elements, deriv, np.array(right, dtype=np.int32)
-
-
 class AutTable:
     """Aut(T) as bijections of the element index of T."""
 
@@ -265,7 +241,7 @@ class AutTable:
                     spec=T.name, field="aut_generator")
             img_ids.append(T.table.index[im._key])
         f = np.zeros(T.order, dtype=np.int32)
-        for i, (parent, gi) in enumerate(T.deriv):
+        for i, (parent, gi) in enumerate(T.table.deriv):
             if parent >= 0:
                 f[i] = T.mul[f[parent], img_ids[gi]]
         if len(np.unique(f)) != T.order:
@@ -390,36 +366,40 @@ class AutTable:
 class SimpleGroup:
     """A catalog group T, fully materialized."""
 
-    def __init__(self, record: CatalogRecord, validate: bool = True):
+    def __init__(self, record: CatalogRecord):
         self.record = record
         self.name = record.name
         self.natural_degree = record.natural_degree
         self.min_index = record.min_index
         gens = record.generators
-        elements, deriv, right = _closure_with_derivations(
-            gens, ELEMENT_BUDGET)
-        self.table = GroupTable.from_elements(elements, gens)
-        self.deriv = deriv
-        self.order = len(elements)
+        try:
+            self.table = GroupTable.generate(gens, ELEMENT_BUDGET)
+        except BudgetExceededError:
+            raise ValidationError(
+                f"closure exceeded element budget {ELEMENT_BUDGET}",
+                spec=self.name) from None
+        self.order = self.table.order
         self.gen_ids = [self.table.position(g) for g in gens]
-        self._build_tables(right)
+        self._build_tables()
         self.aut = AutTable(self)
         self.out_order = self.aut.out_order
         self.min_index_status = "literature"
-        if validate:
-            self.validate()
+        self.validate()
 
-    def _build_tables(self, right):
+    def _build_tables(self):
+        # right[gi, i] = index of element i times generator gi
+        arr = self.table.arrays()
+        right = [self.table.positions(g.images[arr])
+                 for g in self.table.generators]
         # mul[i, j] = index of (apply element i, then element j); with
         # e_j = e_parent * g, column j is column parent times g
         cols = np.empty((self.order, self.order), dtype=np.int32)
         cols[0] = np.arange(self.order)
-        for j, (parent, gi) in enumerate(self.deriv[1:], start=1):
+        for j, (parent, gi) in enumerate(self.table.deriv[1:], start=1):
             cols[j] = right[gi][cols[parent]]
         self.mul = np.ascontiguousarray(cols.T)
         self.inv = np.nonzero(self.mul == 0)[1].astype(np.int32)
-        self.order_of = np.array([e.order() for e in self.table.elements],
-                                 dtype=np.int64)
+        self.order_of = self.table.element_orders()
 
     # -- validated invariants -------------------------------------------------
 
@@ -558,15 +538,14 @@ def _default_records() -> dict:
     return {rec.name: rec for rec in parse_catalog(default_catalog_text())}
 
 
-def load_catalog(source: str | None = None, validate: bool = True):
+def load_catalog(source: str | None = None):
     """Every catalog group, built and validated.
 
     The default catalog comes from the ``get_group`` cache; an explicit
     ``source`` text is parsed and built afresh."""
     if source is None:
         return [get_group(name) for name in catalog_names()]
-    return [SimpleGroup(rec, validate=validate)
-            for rec in parse_catalog(source)]
+    return [SimpleGroup(rec) for rec in parse_catalog(source)]
 
 
 @lru_cache(maxsize=None)

@@ -76,7 +76,6 @@ def build_parser():
     p = sub.add_parser("base-construct",
                        help="run the applicable explicit base construction")
     _group_flags(p)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     _output_flags(p)
 
     p = sub.add_parser("base-min", help="exact minimal base size")

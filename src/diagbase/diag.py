@@ -32,14 +32,17 @@ from math import factorial
 
 import numpy as np
 
-from .catalog import SimpleGroup
+from .catalog import SimpleGroup, _closure_ids
 from .errors import (BudgetExceededError, InvalidTopError, PreconditionError,
                      UnsupportedEnumerationError)
 from .perm import (GroupTable, Perm, alternating_table, cyclic_table,
-                   dihedral_table, symmetric_table)
+                   dihedral_table, orbit_labels, symmetric_table)
 from .report import int_str
 
 OMEGA_BUDGET = 10**7
+# largest k of a sym-table/alt-table top; a gens: top may have at most
+# TOP_TABLE_MAX_K! elements, the order of that largest table
+TOP_TABLE_MAX_K = 8
 
 
 class TopGroup:
@@ -114,7 +117,7 @@ def make_top(spec, k: int) -> TopGroup:
     if name in ("sym", "alt"):
         return TopGroup(k, symbolic=name)
     if name in ("sym-table", "alt-table"):
-        if k > 8:
+        if k > TOP_TABLE_MAX_K:
             raise PreconditionError(
                 f"explicit {name} table unreasonable for k={k}; use the "
                 f"symbolic form")
@@ -131,7 +134,8 @@ def make_top(spec, k: int) -> TopGroup:
                     for part in spec.strip()[5:].split("|")]
         except ValueError as exc:
             raise PreconditionError(f"bad top generator: {exc}") from None
-        return TopGroup(k, table=GroupTable.generate(gens))
+        return TopGroup(k, table=GroupTable.generate(
+            gens, factorial(TOP_TABLE_MAX_K)))
     raise PreconditionError(f"unknown top descriptor {spec!r}")
 
 
@@ -160,17 +164,7 @@ def resolve_out_part(T: SimpleGroup, spec) -> tuple:
                 seeds.add(int(aut.labels[row]))
     else:
         seeds = set(int(v) for v in spec)
-    # close under the label group operations
-    labels = {0} | seeds
-    frontier = list(labels)
-    while frontier:
-        a = frontier.pop()
-        for b in list(labels):
-            for c in (int(aut.label_mul[a, b]), int(aut.label_mul[b, a])):
-                if c not in labels:
-                    labels.add(c)
-                    frontier.append(c)
-    return tuple(sorted(labels))
+    return tuple(_closure_ids(aut.label_mul, list(seeds)).tolist())
 
 
 @dataclass(frozen=True)
@@ -413,29 +407,17 @@ def omega_iter(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
 
 
 def gd_generators(g: DiagTypeGroup):
-    """A small generating set of G_D as (aut row, Perm) pairs."""
-    T = g.T
-    aut = T.aut
-    pairs = []
-    ident_k = Perm.identity(g.k)
-    for gid in T.gen_ids:
-        pairs.append((aut.inn_of(gid), ident_k))
-    for lab in g.out_labels:
-        if lab:
-            pairs.append((int(aut.label_reps[lab]), ident_k))
+    """A small generating set of G_D as (aut row, Perm) pairs; explicit
+    tops only."""
     if g.top.is_symbolic:
-        k = g.k
-        three = Perm.from_cycles([[0, 1, 2]], k)
-        cyc = Perm.from_cycles([list(range(k))], k) if k % 2 else \
-            Perm.from_cycles([list(range(1, k))], k)
-        tops = [three, cyc]
-        if g.top.symbolic == "sym":
-            tops.append(Perm.from_cycles([[0, 1]], k))
-    else:
-        tops = g.top.table.generators
-    for p in tops:
-        pairs.append((aut.identity_row, p))
-    return pairs
+        raise UnsupportedEnumerationError(
+            "G_D generators requested for a symbolic top")
+    aut = g.T.aut
+    ident_k = Perm.identity(g.k)
+    pairs = [(aut.inn_of(gid), ident_k) for gid in g.T.gen_ids]
+    pairs += [(int(aut.label_reps[lab]), ident_k) for lab in g.out_labels
+              if lab]
+    return pairs + [(aut.identity_row, p) for p in g.top.table.generators]
 
 
 def gd_orbit_reps(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
@@ -458,16 +440,9 @@ def _orbit_rows_and_sizes(g: DiagTypeGroup, tuples):
 
 def _orbit_labels(g: DiagTypeGroup, tuples):
     """Per point of ``tuples``, the index of the first point of its G_D
-    orbit.
-
-    Each generator acts on all points at once (act_diag on the tuple
-    matrix), giving an index array of images.  Every point carries a label,
-    at first its own index; a pass takes each label's own label and then,
-    generator by generator, the smaller of a point's label and its image's.
-    G_D is finite, so forward images reach the whole orbit: labels stay in
-    their orbit, never rise, and stop changing once every point carries its
-    orbit's first index.  Indices below 2^31 are held as int32, half the
-    memory of int64.
+    orbit: ``orbit_labels`` of the generators, each acting on all points at
+    once (act_diag on the tuple matrix) as an index array of images.
+    Indices below 2^31 are held as int32, half the memory of int64.
     """
     T = g.T
     dtype = np.int32 if g.degree < 2**31 else np.int64
@@ -480,12 +455,4 @@ def _orbit_labels(g: DiagTypeGroup, tuples):
             image *= T.order
             image += alpha[T.mul[t0inv, tuples[:, col]]]
         images.append(image)
-    label = np.arange(g.degree, dtype=dtype)
-    while True:
-        new = label[label]
-        for image in images:
-            np.minimum(new, new[image], out=new)
-        if np.array_equal(new, label):
-            break
-        label = new
-    return label
+    return orbit_labels(images)

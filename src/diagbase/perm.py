@@ -6,9 +6,11 @@ convention used everywhere in this package.  External (serialized) cycle
 notation is 1-based; the identity prints as ``()``.
 
 A :class:`GroupTable` is a fully enumerated permutation group.  Everything
-here is exhaustive by design: closure is breadth-first, conjugacy classes are
-conjugation orbits, centralizers are scans, and minimal bases come from
-backtracking.  Groups too large to enumerate must never reach this module.
+here is exhaustive by design: closure is breadth-first, and every other fact
+is a reduction over the (order, degree) element array: conjugacy classes are
+orbit labels of conjugation, orbits on points are column minima, centralizers
+are one comparison, and minimal bases come from backtracking.  Groups too
+large to enumerate must never reach this module.
 """
 
 from __future__ import annotations
@@ -24,6 +26,11 @@ import numpy as np
 from .errors import BudgetExceededError, MembershipError, PreconditionError
 
 DEFAULT_CLOSURE_BUDGET = 10**7
+# distinguishing_subset: every subset up to this degree, seeded random
+# subsets beyond it
+DISTINGUISHING_FULL_SEARCH_DEGREE = 24
+DISTINGUISHING_SAMPLES = 10**5
+DISTINGUISHING_SEED = 0x5EED
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -95,8 +102,8 @@ class Perm:
             cycles.append([e - 1 for e in entries])
         return cls.from_cycles(cycles, degree)
 
-    def cycles(self, include_fixed: bool = False):
-        """Cycle decomposition as lists of 0-based points."""
+    def cycles(self):
+        """Nontrivial cycles as lists of 0-based points."""
         seen = np.zeros(self.degree, dtype=bool)
         out = []
         for start in range(self.degree):
@@ -109,7 +116,7 @@ class Perm:
                 cyc.append(j)
                 seen[j] = True
                 j = int(self.images[j])
-            if len(cyc) > 1 or include_fixed:
+            if len(cyc) > 1:
                 out.append(cyc)
         return out
 
@@ -183,16 +190,41 @@ class ClassPartition:
         return len(self.reps)
 
 
+def orbit_labels(images) -> np.ndarray:
+    """Per point, the least point of its orbit under the maps ``images``
+    (index arrays of one length, each a permutation of the points).
+
+    Every point carries a label, at first itself; a pass takes each label's
+    own label and then, map by map, the smaller of a point's label and its
+    image's.  The maps generate a finite group, so forward images reach the
+    whole orbit: labels stay in their orbit, never rise, and stop changing
+    once every point carries its orbit's least point.  Labels have the
+    dtype of the maps.
+    """
+    label = np.arange(len(images[0]), dtype=images[0].dtype)
+    while True:
+        new = label[label]
+        for image in images:
+            np.minimum(new, new[image], out=new)
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
 class GroupTable:
     """A fully enumerated permutation group.
 
     ``elements[0]`` is always the identity; ``index`` maps an image-array key
-    to its position.  Instances are immutable once built and safe to share.
+    to its position.  A table built by ``generate`` also records, in
+    ``deriv[i]``, the (parent position, generator index) that element i was
+    first reached by (``(-1, -1)`` for the identity); other tables have
+    ``deriv`` None.  Instances are immutable once built and safe to share.
     """
 
-    def __init__(self, elements, generators):
+    def __init__(self, elements, generators, deriv=None):
         self.elements = elements
         self.generators = generators
+        self.deriv = deriv
         self.index = {e._key: i for i, e in enumerate(elements)}
         self.degree = elements[0].degree
         self._arrays = None
@@ -200,7 +232,9 @@ class GroupTable:
 
     @classmethod
     def generate(cls, gens, budget: int = DEFAULT_CLOSURE_BUDGET) -> "GroupTable":
-        """Breadth-first closure of the generated group."""
+        """Breadth-first closure of the generated group: elements in order
+        of discovery, each element times each generator in turn.  More than
+        ``budget`` elements raise BudgetExceededError."""
         gens = list(gens)
         if not gens:
             raise PreconditionError("need at least one generator")
@@ -208,23 +242,19 @@ class GroupTable:
         if any(g.degree != degree for g in gens):
             raise PreconditionError("generators must share a degree")
         ident = Perm.identity(degree)
-        elements = [ident]
+        elements, deriv = [ident], [(-1, -1)]
         index = {ident._key: 0}
-        frontier = [ident]
-        while frontier:
-            new = []
-            for e in frontier:
-                for g in gens:
-                    f = e * g
-                    if f._key not in index:
-                        if len(elements) >= budget:
-                            raise BudgetExceededError(
-                                f"group closure exceeded budget {budget}")
-                        index[f._key] = len(elements)
-                        elements.append(f)
-                        new.append(f)
-            frontier = new
-        return cls(elements, gens)
+        for head, e in enumerate(elements):     # grows while it is walked
+            for gi, g in enumerate(gens):
+                f = e * g
+                if f._key not in index:
+                    if len(elements) >= budget:
+                        raise BudgetExceededError(
+                            f"group closure exceeded budget {budget}")
+                    index[f._key] = len(elements)
+                    elements.append(f)
+                    deriv.append((head, gi))
+        return cls(elements, gens, deriv)
 
     @classmethod
     def from_elements(cls, elements, generators=None) -> "GroupTable":
@@ -255,6 +285,12 @@ class GroupTable:
         except KeyError:
             raise MembershipError("element not in group table") from None
 
+    def positions(self, images) -> np.ndarray:
+        """Positions of the elements given as the rows of an int32 image
+        array."""
+        return np.fromiter((self.index[row.tobytes()] for row in images),
+                           dtype=np.int64, count=len(images))
+
     def is_subgroup_of(self, other: "GroupTable") -> bool:
         return self.degree == other.degree and all(
             e._key in other.index for e in self.elements)
@@ -262,40 +298,27 @@ class GroupTable:
     # -- conjugacy machinery ------------------------------------------------
 
     def conjugacy_classes(self) -> ClassPartition:
-        """Orbits of the conjugation action, via BFS per unassigned element."""
-        if self._classes is not None:
-            return self._classes
-        n = self.order
-        class_of = np.full(n, -1, dtype=np.int64)
-        reps, sizes = [], []
-        gen_pairs = [(g, g.inverse()) for g in self.generators]
-        for start in range(n):
-            if class_of[start] >= 0:
-                continue
-            cid = len(reps)
-            reps.append(start)
-            class_of[start] = cid
-            queue = [self.elements[start]]
-            count = 1
-            while queue:
-                x = queue.pop()
-                for g, ginv in gen_pairs:
-                    y = ginv * x * g
-                    pos = self.index[y._key]
-                    if class_of[pos] < 0:
-                        class_of[pos] = cid
-                        count += 1
-                        queue.append(y)
-            sizes.append(count)
-        self._classes = ClassPartition(reps, class_of, sizes)
+        """Orbits of conjugation by the generators on element positions,
+        ordered by their least position, which is each class's rep."""
+        if self._classes is None:
+            arr = self.arrays()
+            # g^-1 x g for every x at once: apply g^-1, then x, then g
+            images = [self.positions(g.images[arr[:, g.inverse().images]])
+                      for g in self.generators]
+            reps, class_of, sizes = np.unique(
+                orbit_labels(images), return_inverse=True, return_counts=True)
+            self._classes = ClassPartition(reps.tolist(), class_of,
+                                           sizes.tolist())
         return self._classes
 
     def centralizer(self, x: Perm) -> "GroupTable":
-        """All y in the group with xy = yx."""
+        """All y in the group with xy = yx: the rows y with y[x] = x[y]."""
         if x._key not in self.index:
             raise MembershipError("centralizer: element not in group")
-        members = [y for y in self.elements if (x * y)._key == (y * x)._key]
-        return GroupTable.from_elements(members)
+        arr = self.arrays()
+        members = np.flatnonzero((arr[:, x.images] == x.images[arr])
+                                 .all(axis=1))
+        return GroupTable.from_elements([self.elements[i] for i in members])
 
     def prime_order_class_count(self) -> int:
         """f_p: number of conjugacy classes of prime-order elements."""
@@ -324,29 +347,14 @@ class GroupTable:
     # -- actions on points --------------------------------------------------
 
     def orbits(self):
-        """Orbits on {0..degree-1} as sorted lists."""
-        seen = np.zeros(self.degree, dtype=bool)
-        out = []
-        arr = self.arrays()
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            orbit = {start}
-            queue = [start]
-            seen[start] = True
-            while queue:
-                p = queue.pop()
-                for q in arr[:, p]:
-                    q = int(q)
-                    if not seen[q]:
-                        seen[q] = True
-                        orbit.add(q)
-                        queue.append(q)
-            out.append(sorted(orbit))
-        return out
+        """Orbits on {0..degree-1} as sorted lists, by least point.  The
+        orbit of p is the column ``arrays()[:, p]``, so its minimum labels
+        the orbit."""
+        label = self.arrays().min(axis=0)
+        return [np.flatnonzero(label == p).tolist() for p in np.unique(label)]
 
     def is_transitive(self) -> bool:
-        return len(self.orbits()) == 1
+        return bool((self.arrays().min(axis=0) == 0).all())
 
     def is_primitive(self) -> bool:
         """Transitive with no nontrivial block system (Atkinson's test)."""
@@ -373,14 +381,11 @@ class GroupTable:
 
     # -- bases and distinguishing subsets ------------------------------------
 
-    def pointwise_stabilizer_elements(self, points, within=None):
+    def pointwise_stabilizer_elements(self, points):
         """Positions of elements fixing every point; scan of the full table."""
-        arr = self.arrays()
         pts = list(points)
-        pool = range(self.order) if within is None else within
-        if not pts:
-            return list(pool)
-        return [i for i in pool if all(arr[i, p] == p for p in pts)]
+        return np.flatnonzero((self.arrays()[:, pts] == pts).all(axis=1)) \
+            .tolist()
 
     def minimal_base(self):
         """Exact minimal base via iterative-deepening backtracking.
@@ -392,70 +397,57 @@ class GroupTable:
         if self.order == 1:
             return 0, []
         arr = self.arrays()
-        all_positions = list(range(self.order))
 
-        def orbit_reps_desc(stab_positions):
-            sub = arr[stab_positions]
-            seen = np.zeros(self.degree, dtype=bool)
-            orbits = []
-            for start in range(self.degree):
-                if seen[start]:
-                    continue
-                orbit = np.unique(sub[:, start])
-                seen[orbit] = True
-                orbits.append((int(orbit.size), start))
-            # drop fixed points: they never cut the stabilizer down
-            orbits = [(s, p) for s, p in orbits if s > 1]
-            orbits.sort(key=lambda t: (-t[0], t[1]))
-            return orbits
+        def orbit_reps_desc(stab):
+            # each orbit's least point (its column minimum) stands for it;
+            # fixed points never cut the stabilizer down
+            sizes = np.bincount(arr[stab].min(axis=0), minlength=self.degree)
+            reps = np.flatnonzero(sizes > 1)
+            return reps[np.argsort(-sizes[reps], kind="stable")].tolist()
 
-        def dfs(stab_positions, depth, chosen):
-            if len(stab_positions) == 1:
+        def dfs(stab, depth, chosen):
+            if len(stab) == 1:
                 return list(chosen)
             if depth == 0:
                 return None
-            for _, p in orbit_reps_desc(stab_positions):
-                nxt = [i for i in stab_positions if arr[i, p] == p]
-                found = dfs(nxt, depth - 1, chosen + [p])
+            for p in orbit_reps_desc(stab):
+                found = dfs(stab[arr[stab, p] == p], depth - 1, chosen + [p])
                 if found is not None:
                     return found
             return None
 
         for size in range(1, self.degree + 1):
-            base = dfs(all_positions, size, [])
+            base = dfs(np.arange(self.order), size, [])
             if base is not None:
                 return len(base), base
         raise PreconditionError("group is not faithful on its domain")
 
     def setwise_stabilizer_is_trivial(self, subset) -> bool:
-        target = frozenset(subset)
-        arr = self.arrays()
-        idx = np.fromiter(target, dtype=np.int64)
-        for i in range(1, self.order):
-            if frozenset(int(v) for v in arr[i, idx]) == target:
-                return False
-        return True
+        """Whether the identity is the only element mapping ``subset`` into
+        (hence onto) itself."""
+        idx = np.fromiter(set(subset), dtype=np.int64)
+        return int(np.isin(self.arrays()[:, idx], idx).all(axis=1).sum()) == 1
 
-    def distinguishing_subset(self, exhaustive_limit: int = 24,
-                              random_tries: int = 10**5, seed: int = 0x5EED):
+    def distinguishing_subset(self):
         """A proper subset with trivial setwise stabilizer and |D| >= |complement|.
 
         Exhaustive (lexicographic within ascending size, sizes from ceil(k/2))
-        for degree <= exhaustive_limit; seeded random sampling beyond.
+        up to degree DISTINGUISHING_FULL_SEARCH_DEGREE; beyond it,
+        DISTINGUISHING_SAMPLES random subsets from DISTINGUISHING_SEED.
         Returns (subset or None, exhaustive_flag).
         """
         if not self.is_transitive():
             raise PreconditionError("distinguishing subset needs a transitive group")
         k = self.degree
         lo = (k + 1) // 2
-        if k <= exhaustive_limit:
+        if k <= DISTINGUISHING_FULL_SEARCH_DEGREE:
             for size in range(lo, k):
                 for combo in combinations(range(k), size):
                     if self.setwise_stabilizer_is_trivial(combo):
                         return frozenset(combo), True
             return None, True
-        rng = np.random.default_rng(seed)
-        for _ in range(random_tries):
+        rng = np.random.default_rng(DISTINGUISHING_SEED)
+        for _ in range(DISTINGUISHING_SAMPLES):
             size = int(rng.integers(lo, k))
             combo = rng.choice(k, size=size, replace=False)
             if self.setwise_stabilizer_is_trivial(combo.tolist()):

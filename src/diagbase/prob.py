@@ -169,20 +169,13 @@ def _detect_symbolic(g: DiagTypeGroup, tuples):
         moved = (g.aut_rows[a] != ident) | (y != 0)
         for s in np.unique(open_rows[r[moved]]).tolist():
             hit[s] = not alt or bool(baseengine._solve_symbolic(
-                g, X[s:s + 1], mode="witness",
-                node_budget=baseengine.SOLVER_NODE_BUDGET))
+                g, X[s:s + 1], mode="witness"))
         out[start:start + len(X)] = hit
     return out
 
 
 # ---------------------------------------------------------------------------
 # class and centralizer formulas (full outer part)
-
-
-def _perm_centralizer_order(g, perm: Perm) -> int:
-    table = g.top.table
-    return sum(1 for q in table.elements
-               if (perm * q)._key == (q * perm)._key)
 
 
 def _out_centralizer_order(g, aut_row: int) -> int:
@@ -227,7 +220,7 @@ def centralizer_order_formula(g: DiagTypeGroup, aut_row: int,
         raise PreconditionError("element order is composite")
     p = order
     f = len(perm.fixed_points())
-    cp = _perm_centralizer_order(g, perm)
+    cp = g.top.table.centralizer(perm).order
     if f == 0:
         return cp * _out_centralizer_order(g, aut_row) * T.order ** (g.k // p)
     c_x, c_inn = _relative_aut_centralizers(g, aut_row)
@@ -244,7 +237,7 @@ def class_intersection_formula(g: DiagTypeGroup, aut_row: int,
             "fixed point")
     c_x, _ = _relative_aut_centralizers(g, aut_row)
     alpha_class = len(g.aut_rows) // c_x
-    pi_class = g.top.order // _perm_centralizer_order(g, perm)
+    pi_class = g.top.order // g.top.table.centralizer(perm).order
     return alpha_class * pi_class
 
 

@@ -158,10 +158,24 @@ class TestExitCodes:
         assert code == 5
 
     def test_budget_exceeded(self, capsys):
-        code, _ = run_cli(capsys, "base-min", "--group", "A5", "--k", "2",
-                          "--out-part", "inner", "--top", "trivial",
-                          "--budget", "10")
-        assert code == 4
+        for argv in [
+                ["base-min", "--group", "A5", "--k", "2", "--out-part",
+                 "inner", "--top", "trivial", "--budget", "10"],
+                # S9 is one element past the 8! cap on gens: closures
+                ["base-verify", "--group", "A5", "--k", "9", "--top",
+                 "gens:(1 2)|(1 2 3 4 5 6 7 8 9)", "--points",
+                 "0 1 2 3 4 5 6 7 8"]]:
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code == 4, argv
+            assert "budget exceeded" in err and "Traceback" not in err
+
+    def test_base_construct_takes_no_budget(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["base-construct", "--group", "A5", "--k", "5", "--top",
+                  "sym", "--budget", "10"])
+        capsys.readouterr()
+        assert exc.value.code == 2
 
     def test_class_walk_budget_exceeded(self, capsys):
         # the 3,600-point scan fits the budget, the 22,031 class members
@@ -266,8 +280,7 @@ def _argv(draw):
                  "--out-part", draw(st.sampled_from(["inner", "full", "g1",
                                                      "g9", "gx", ""])),
                  "--top", draw(_TOPS)]
-    if command in ("base-construct", "base-min", "prob-exact") and \
-            draw(st.booleans()):
+    if command in ("base-min", "prob-exact") and draw(st.booleans()):
         argv += ["--budget", draw(_NUMBERS)]
     if command == "prob-mc":
         argv += ["--samples", draw(_NUMBERS)]

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diagbase.catalog import catalog_names, get_group
 from diagbase.diag import (OmegaPoint, WElement, act, act_diag,
-                           build_group, gd_orbit_reps, omega_iter,
-                           omega_tuples, stab_of_D, w_identity,
-                           w_inverse, w_multiply)
+                           build_group, gd_generators, gd_orbit_reps,
+                           omega_iter, omega_tuples, resolve_out_part,
+                           stab_of_D, w_identity, w_inverse, w_multiply)
 from diagbase.errors import (BudgetExceededError, InvalidTopError,
                              PreconditionError, UnsupportedEnumerationError)
 from diagbase.perm import Perm
@@ -53,6 +54,18 @@ class TestBuild:
         assert set(single.out_labels) != set(other.out_labels)
         both = build_group(A6, 2, "g1,g2", "sym-table")
         assert len(both.out_labels) == 4
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_out_part_closes_every_label_subset(self, name):
+        T = get_group(name)
+        aut, n_out = T.aut, T.aut.out_order
+        for mask in range(2 ** n_out):
+            seeds = {lab for lab in range(n_out) if mask >> lab & 1}
+            got = resolve_out_part(T, seeds)
+            assert got == tuple(sorted(got)) and 0 in got
+            assert seeds <= set(got)
+            assert {int(aut.label_mul[a, b]) for a in got for b in got} \
+                <= set(got)
 
     def test_top_from_generator_string(self, A5):
         g = build_group(A5, 5, "full", "gens:(1 2 3 4 5)|(2 5)(3 4)")
@@ -211,6 +224,13 @@ class TestStabOfD:
     def test_symbolic_errors(self, A5):
         with pytest.raises(UnsupportedEnumerationError):
             stab_of_D(build_group(A5, 5, "full", "sym"))
+        # 3,600 points, well within the point budget
+        for top in ("sym", "alt"):
+            g = build_group(A5, 3, "full", top)
+            with pytest.raises(UnsupportedEnumerationError):
+                gd_generators(g)
+            with pytest.raises(UnsupportedEnumerationError):
+                gd_orbit_reps(g)
 
     def test_projection_matches_top(self, A5):
         g = build_group(A5, 2, "full", "sym-table")
@@ -294,7 +314,6 @@ class TestOrbitReps:
     def check_reps(T, g):
         """Walk every orbit with act_diag; reps must partition the point
         set, each being its orbit's first point in omega order."""
-        from diagbase.diag import gd_generators
         reps = gd_orbit_reps(g)
         assert reps[0].is_diagonal()
         gens = gd_generators(g)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diagbase.catalog import get_group
 from diagbase.errors import BudgetExceededError, MembershipError
 from diagbase.perm import (GroupTable, Perm, _minimal_block_size,
                            alternating_table, cyclic_table, dihedral_table,
@@ -77,6 +78,12 @@ class TestClosure:
                                  Perm.parse("(1 2 3)", 5),
                                  Perm.parse("(1 2)", 5)])
         assert g.order == 120
+        # every element is its recorded parent times its generator, and
+        # parents come first: the breadth-first derivations
+        assert g.deriv[0] == (-1, -1)
+        for i, (parent, gi) in enumerate(g.deriv[1:], start=1):
+            assert parent < i
+            assert g.elements[parent] * g.generators[gi] == g.elements[i]
 
     def test_idempotent(self):
         g = GroupTable.generate([Perm.parse("(1 2 3 4)", 4)])
@@ -106,7 +113,27 @@ class TestClosure:
 
 # -- conjugacy machinery -------------------------------------------------------
 
+def _brute_force_classes(table):
+    """(reps, class_of, sizes) from {g^-1 x g : g in G} per element, the
+    classes ordered by least position."""
+    conj = [{table.position(g.inverse() * x * g) for g in table.elements}
+            for x in table.elements]
+    reps = sorted({min(c) for c in conj})
+    cid = {r: i for i, r in enumerate(reps)}
+    return reps, [cid[min(c)] for c in conj], [len(conj[r]) for r in reps]
+
+
 class TestClasses:
+    @pytest.mark.parametrize("make", [
+        lambda: symmetric_table(5), lambda: dihedral_table(8),
+        lambda: get_group("A5").aut.group_table()],
+        ids=["S5", "D8", "Aut(A5)"])
+    def test_classes_match_brute_force(self, make):
+        table = make()
+        part = table.conjugacy_classes()
+        assert (part.reps, part.class_of.tolist(), part.sizes) == \
+            _brute_force_classes(table)
+
     def test_trivial_group(self):
         g = GroupTable.from_elements([Perm.identity(2)])
         assert len(g.conjugacy_classes()) == 1
@@ -210,6 +237,13 @@ class TestStructure:
         blocks = all(_minimal_block_size(gens, k, 0, a) == k
                      for a in range(1, k))
         assert table.is_primitive() == (table.is_transitive() and blocks)
+
+    def test_intransitive_orbits(self):
+        table = GroupTable.generate([Perm.parse("(1 2)(3 4 5)", 6)])
+        assert table.orbits() == [[0, 1], [2, 3, 4], [5]]
+        assert not table.is_transitive()
+        assert not table.is_primitive()
+        assert cyclic_table(6).orbits() == [list(range(6))]
 
     def test_imprimitive(self):
         assert not cyclic_table(4).is_primitive()

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from diagbase import _accel, baseengine
-from diagbase.baseengine import (SOLVER_NODE_BUDGET, _solve_symbolic,
-                                 pointwise_stabilizer)
+from diagbase.baseengine import _solve_symbolic, pointwise_stabilizer
 from diagbase.catalog import get_group
 from diagbase.diag import (OmegaPoint, _orbit_labels, _orbit_rows_and_sizes,
                            build_group, gd_orbit_reps, omega_tuples)
@@ -229,7 +228,7 @@ class TestMonteCarlo:
             for seed in (1, 2, 3):
                 tuples = _symbolic_samples(T, k, 40, seed)
                 want = [1 if _solve_symbolic(
-                    g, t[None], "witness", SOLVER_NODE_BUDGET) else 0
+                    g, t[None], "witness") else 0
                     for t in tuples]
                 assert _detect_nonbase(g, tuples).tolist() == want
 
@@ -261,10 +260,11 @@ class TestMonteCarlo:
         calls = []
         solve = baseengine._solve_symbolic
 
-        def spy(g, tuples, mode, node_budget):
-            assert mode == "witness" and node_budget == SOLVER_NODE_BUDGET
+        def spy(g, tuples, mode, **kwargs):
+            # witness mode, which reads no node budget, so none is passed
+            assert mode == "witness" and not kwargs
             calls.append(tuple(tuples[0].tolist()))
-            return solve(g, tuples, mode, node_budget)
+            return solve(g, tuples, mode)
         monkeypatch.setattr(baseengine, "_solve_symbolic", spy)
         for g_sym, g_alt, tuples, want in cases:
             _detect_nonbase(g_sym, tuples)
