@@ -54,7 +54,7 @@ def _fixing_pairs(auts, perms, cand_a, cand_p, tuples, mul, inv):
     # flat indices into the tables read faster than 2-d fancy indexing
     auts_flat, at_a = auts.ravel(), (rows_a * auts.shape[1])[:, None]
     mul_flat, n_t = mul.ravel(), mul.shape[1]
-    perms_p, pi = perms[rows_p], perms[cand_p]
+    perms_p = perms[rows_p]
     step = max(1, _CHUNK_PAIRS // max(n, 1))
     found = [(np.zeros(0, np.intp),) * 2]
     for start in range(0, m, step):
@@ -69,7 +69,7 @@ def _fixing_pairs(auts, perms, cand_a, cand_p, tuples, mul, inv):
             if not len(c):
                 break
             keep = auts[cand_a[c], tuples[j, i]] == \
-                mul[base, tuples[j, pi[c, i]]]
+                mul[base, tuples[j, perms[cand_p[c], i]]]
             c, j, base = c[keep], j[keep], base[keep]
         found.append((c, j))
     c, j = zip(*found)

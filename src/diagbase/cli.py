@@ -23,7 +23,7 @@ from .catalog import catalog_names, get_group
 from .diag import OmegaPoint, build_group
 from .errors import (BudgetExceededError, PreconditionError, ValidationError)
 from .prob import (ProbReport, monte_carlo_nonbase,
-                   nonbase_fraction_and_q2_bound, r_split_exact)
+                   nonbase_fraction_and_q2_bound, r_split_formula)
 from .suite import format_table, run_suite
 
 EXIT_VALIDATION = 3
@@ -95,11 +95,11 @@ def build_parser():
                        help="exact non-base pair proportion and bound")
     _group_flags(p, multi=True)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="most points scanned, and most class members "
-                        "walked by --r-split")
+                   help="most points scanned")
     p.add_argument("--r-split", action="store_true",
-                   help="also compute the per-class split (walks the "
-                        "prime-order conjugacy classes of the whole group)")
+                   help="also split the bound by permutation part "
+                        "(fixed-point-free / trivial / mixed), from the "
+                        "class and centralizer formulas")
     _output_flags(p)
 
     p = sub.add_parser("prob-mc", help="Monte-Carlo non-base fraction")
@@ -204,12 +204,10 @@ def cmd_prob_exact(args):
     for name in args.group.split(","):
         g = _build_from_args(args, name.strip())
         rep = ProbReport(group=g.describe(), n=g.degree)
-        # the class walk first, so that a group too large to code exits 5
-        # whatever the size of its point set
-        if args.r_split:
-            rep.r_split = r_split_exact(g, budget=args.budget)
         rep.exact_nonbase_pair_fraction, rep.q2_bound = \
             nonbase_fraction_and_q2_bound(g, budget=args.budget)
+        if args.r_split:
+            rep.r_split = r_split_formula(g)
         payload.append(rep.describe())
     return payload
 

@@ -10,8 +10,9 @@ the exact non-base proportion (the points with a nonzero count), so one
 scan yields both.  The bound decomposes over conjugacy classes into three
 contributions split by the permutation part (fixed-point-free, trivial, or
 mixed), and the class data itself is computed twice: by the displayed
-product formulas and by brute-force orbit enumeration in a row-coded copy
-of the full group.  That enumeration packs each element into one int64
+product formulas, which give the split at any k without building an
+element, and by brute-force orbit enumeration in a row-coded copy of the
+full group, the oracle.  That enumeration packs each element into one int64
 code and walks each conjugacy class level by level, conjugating the whole
 frontier by every generator at once.
 """
@@ -178,11 +179,27 @@ def _detect_symbolic(g: DiagTypeGroup, tuples):
 # class and centralizer formulas (full outer part)
 
 
-def _out_centralizer_order(g, aut_row: int) -> int:
+def _out_centralizer_order(g, label: int) -> int:
+    lm = g.T.aut.label_mul
+    return sum(1 for b in g.out_labels if lm[label, b] == lm[b, label])
+
+
+def _fpf_diagonal_count(g, label: int, p: int) -> int:
+    """N = #{beta in X : beta^p = 1, label of beta in label^O}.
+
+    For a fixed-point-free pi of prime order p and alpha^p = 1 with the
+    given label, every cycle product of (beta,...,beta)pi' is beta^p = 1,
+    so these elements, pi' running over pi^P, are all conjugate to
+    (alpha,...,alpha)pi under Inn(T)^k, the diagonal X and P; and every
+    diagonal conjugate has this form.  So |x^G intersect G_D| = |pi^P| * N.
+    """
     aut = g.T.aut
-    lab = int(aut.labels[aut_row])
+    out = np.asarray(g.out_labels)
     lm = aut.label_mul
-    return sum(1 for b in g.out_labels if lm[lab, b] == lm[b, lab])
+    label_class = lm[lm[out, label], aut.label_inv[out]]
+    rows = g.aut_rows
+    return int(np.count_nonzero((p % aut.orders[rows] == 0)
+                                & np.isin(aut.labels[rows], label_class)))
 
 
 def _relative_aut_centralizers(g, aut_row: int):
@@ -222,23 +239,73 @@ def centralizer_order_formula(g: DiagTypeGroup, aut_row: int,
     f = len(perm.fixed_points())
     cp = g.top.table.centralizer(perm).order
     if f == 0:
-        return cp * _out_centralizer_order(g, aut_row) * T.order ** (g.k // p)
+        return (cp * _out_centralizer_order(g, int(T.aut.labels[aut_row]))
+                * T.order ** (g.k // p))
     c_x, c_inn = _relative_aut_centralizers(g, aut_row)
     return cp * c_x * c_inn ** (f - 1) * T.order ** ((g.k - f) // p)
 
 
 def class_intersection_formula(g: DiagTypeGroup, aut_row: int,
                                perm: Perm) -> int:
-    """|x^G intersect G_D| = |alpha^X| * |pi^P| (pi must fix a point);
-    X is the out-part preimage in Aut(T)."""
-    if not perm.fixed_points():
-        raise PreconditionError(
-            "intersection formula requires a permutation part with a "
-            "fixed point")
-    c_x, _ = _relative_aut_centralizers(g, aut_row)
-    alpha_class = len(g.aut_rows) // c_x
+    """|x^G intersect G_D| for a diagonal x = (alpha,...,alpha)pi, with X
+    the out-part preimage in Aut(T):
+        pi with a fixed point:   |alpha^X| * |pi^P|
+        pi fixed-point-free:     |pi^P| * N(alpha)
+    where, for x of prime order p, N(alpha) counts the beta in X with
+    beta^p = 1 whose label is O-conjugate to alpha's
+    (``_fpf_diagonal_count``).  A fixed-point-free pi needs x of prime
+    order."""
     pi_class = g.top.order // g.top.table.centralizer(perm).order
-    return alpha_class * pi_class
+    if not perm.fixed_points():
+        p = perm.order()
+        if p % int(g.T.aut.orders[aut_row]) or not _is_prime(p):
+            raise PreconditionError(
+                "intersection formula for a fixed-point-free permutation "
+                "part requires an element of prime order")
+        return pi_class * _fpf_diagonal_count(
+            g, int(g.T.aut.labels[aut_row]), p)
+    c_x, _ = _relative_aut_centralizers(g, aut_row)
+    return len(g.aut_rows) // c_x * pi_class
+
+
+def r_split_formula(g: DiagTypeGroup):
+    """The three contributions to the second-moment bound (fpf / trivial /
+    mixed permutation part, as in ``r_split_exact``), each an exact
+    rational, from the product formulas: no group element is built.
+
+    The bound is the sum over the prime-order h = (alpha,...,alpha)pi of
+    G_D of |h^G intersect G_D| * |C_G(h)| / |G|, with
+    |G| = |T|^(k-1) |X| |P|.  With f the fixed points of pi and p = |h|,
+    the product of ``class_intersection_formula`` and
+    ``centralizer_order_formula`` over |G| is
+        pi with a fixed point:   |C_Inn(alpha)|^(f-1) |T|^((k-f)/p)
+                                 / |T|^(k-1)
+        pi fixed-point-free:     N(alpha) |C_O(label)| |T|^(k/p)
+                                 / (|X| |T|^(k-1))
+    T has trivial centre, so |C_Inn(alpha)| is the number of elements of T
+    that alpha fixes.  Candidates with equal (tag, f, p, |C_Inn(alpha)| or
+    label) have equal terms, so the exact arithmetic runs once per such
+    key.  Explicit tops only."""
+    cand_a, cand_p, tags = prime_order_candidates(g)
+    aut, n, k = g.T.aut, g.T.order, g.k
+    top = g.top.table
+    fixed = (top.arrays() == np.arange(k)).sum(axis=1)[cand_p]
+    order = np.maximum(aut.orders[cand_a], top.element_orders()[cand_p])
+    rows, of = np.unique(cand_a, return_inverse=True)
+    c_inn = (aut.rows[rows] == np.arange(n)).sum(axis=1)[of]
+    value = np.where(tags == 1, aut.labels[cand_a], c_inn)
+    keys, counts = np.unique(np.stack([tags, fixed, order, value], axis=1),
+                             axis=0, return_counts=True)
+    num = {1: 0, 2: 0, 3: 0}
+    for (tag, f, p, v), c in zip(keys.tolist(), counts.tolist()):
+        if tag == 1:
+            num[1] += (c * _fpf_diagonal_count(g, v, p)
+                       * _out_centralizer_order(g, v) * n ** (k // p))
+        else:
+            num[tag] += c * v ** (f - 1) * n ** ((k - f) // p)
+    den = n ** (k - 1)
+    return (Fraction(num[1], len(g.aut_rows) * den),
+            Fraction(num[2], den), Fraction(num[3], den))
 
 
 def class_count_inequality_check(pairs):

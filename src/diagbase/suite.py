@@ -22,7 +22,8 @@ from .catalog import get_group, load_catalog
 from .diag import OmegaPoint, build_group
 from .prob import (RowCodedGroup, centralizer_order_formula,
                    class_count_inequality_check, class_intersection_formula,
-                   monte_carlo_nonbase, nonbase_fraction_and_q2_bound)
+                   monte_carlo_nonbase, nonbase_fraction_and_q2_bound,
+                   r_split_formula)
 
 MC_SAMPLES = 10**4
 
@@ -156,7 +157,7 @@ def criterion_6():
                  ("Inn(A5)^3:S3", build_group(T, 3, "inner", "sym-table"))]
     for label, g in instances:
         rc = RowCodedGroup(g)
-        checked = inter_checked = 0
+        checked = 0
         ok = True
         for cls in rc.class_data():
             c_brute = rc.order // cls["size"]
@@ -165,16 +166,14 @@ def criterion_6():
                 perm = g.top.table.elements[m[1]]
                 ok &= centralizer_order_formula(g, a, perm) == c_brute
                 checked += 1
-                if perm.fixed_points():
-                    ok &= class_intersection_formula(g, a, perm) == \
-                        len(cls["diag_members"])
-                    inter_checked += 1
+                ok &= class_intersection_formula(g, a, perm) == \
+                    len(cls["diag_members"])
         # independent cross-check of orbit-stabilizer on one representative
         cls = rc.class_data()[0]
         ok &= rc.centralizer_count(cls["rep"]) == rc.order // cls["size"]
         passed &= ok
-        details.append(f"{label}: {checked} centralizer and {inter_checked} "
-                       f"intersection checks, all equal: {ok}")
+        details.append(f"{label}: {checked} centralizer and intersection "
+                       f"checks, all equal: {ok}")
     return passed, details
 
 
@@ -233,11 +232,24 @@ def criterion_8():
         details.append(f"  {label}: MC {mc['fraction']:.4f} vs exact "
                        f"{p:.4f} within 3 sigma: {ok}")
 
+    # the bound from the class formulas alone: below 1 at k = 5 certifies
+    # b = 2 without enumerating a point, and it falls with k
     trend = []
     for name in ("A5", "A6", "L2(7)", "L2(8)", "L2(11)"):
-        g = build_group(get_group(name), 5, "full", "cyclic")
+        T = get_group(name)
+        g = build_group(T, 5, "full", "cyclic")
+        q5 = sum(r_split_formula(g))
+        q7 = sum(r_split_formula(build_group(T, 7, "full", "cyclic")))
         mc = monte_carlo_nonbase(g, MC_SAMPLES, seed=0x5EED)
+        # the estimate is of the non-base fraction, which the bound caps
+        q = float(q5)
+        ok = q5 < 1 and q7 < q5 and \
+            mc["fraction"] <= q + 3 * sqrt(q * (1 - q) / MC_SAMPLES)
+        passed &= ok
         trend.append((name, mc["fraction"]))
+        details.append(f"  {name} cyclic top: bound {q:.2e} at k=5 < 1, "
+                       f"{float(q7):.2e} at k=7 < k=5, MC {mc['fraction']:.4f}"
+                       f" <= bound + 3 sigma: {ok}")
     details.append("nonbase-fraction trend at k=5, cyclic top: " +
                    ", ".join(f"{n}={f:.4f}" for n, f in trend))
     return passed, details

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import sys
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -10,7 +11,10 @@ from hypothesis import strategies as st
 
 from diagbase import _accel, cli
 from diagbase import report as report_mod
+from diagbase.catalog import get_group
 from diagbase.cli import main
+from diagbase.diag import build_group
+from diagbase.prob import r_split_exact
 
 
 def run_cli(capsys, *argv):
@@ -43,6 +47,16 @@ class TestCommands:
         rep = json.loads(out)
         assert rep["payload"]["certificate"]["verdict"] is False
         assert rep["payload"]["certificate"]["witness"] is not None
+
+    def test_base_verify_s8_top(self, capsys):
+        # 120 x 40,320 G_D candidates against one point: the scan kernel
+        # reads the permutation parts of coordinate-1 survivors only
+        code, out = run_cli(capsys, "base-verify", "--group", "A5", "--k",
+                            "8", "--top", "gens:(1 2)|(1 2 3 4 5 6 7 8)",
+                            "--points", "0 1 2 3 4 5 6 7")
+        assert code == 0
+        cert = json.loads(out)["payload"]["certificate"]
+        assert cert["verdict"] is True and cert["witness"] is None
 
     def test_catalog_validate_single(self, capsys):
         code, out = run_cli(capsys, "catalog-validate", "--group", "A5")
@@ -178,23 +192,29 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     def test_class_walk_budget_exceeded(self, capsys):
-        # the 3,600-point scan fits the budget, the 22,031 class members
-        # walked by --r-split do not
+        # --r-split reads the class formulas, so only the 3,600-point scan
+        # counts against the budget, not the 22,031 members a class walk
+        # would visit (test_prob.py pins that walk's budget)
         argv = ["prob-exact", "--group", "A5", "--k", "3", "--out-part",
-                "inner", "--top", "alt-table", "--budget", "5000"]
-        assert run_cli(capsys, *argv)[0] == 0
-        code = main(argv + ["--r-split"])
-        err = capsys.readouterr().err
-        assert code == 4
-        assert "class walk" in err and "Traceback" not in err
+                "inner", "--top", "alt-table", "--budget", "5000",
+                "--r-split"]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        g = build_group(get_group("A5"), 3, "inner", "alt-table")
+        want = r_split_exact(g, budget=22031)
+        split = json.loads(out)["payload"][0]["r_split"]
+        assert [Fraction(int(r["num"]), int(r["den"])) for r in split] == \
+            list(want)
 
     def test_class_walk_codes_too_wide(self, capsys):
-        # 120^11 * 11 element codes of A5 at k = 11 exceed int64
+        # 120^11 * 11 element codes of A5 at k = 11 would not fit int64
+        # (test_prob.py pins that refusal of the class walk); the formulas
+        # build no codes, and the 60^10 points exceed the scan budget
         code = main(["prob-exact", "--group", "A5", "--k", "11",
                      "--top", "cyclic", "--r-split"])
         err = capsys.readouterr().err
-        assert code == 5
-        assert "int64" in err and "Traceback" not in err
+        assert code == 4
+        assert "budget exceeded" in err and "Traceback" not in err
 
     def test_unknown_group_validation(self, capsys):
         code, _ = run_cli(capsys, "base-min", "--group", "M11", "--k", "2",
@@ -254,8 +274,7 @@ class TestLargeIntegers:
         assert len(group["degree"]) > 4300
 
 
-# the CLI grammar, with malformed values mixed in; --r-split is never drawn
-# because it enumerates the whole group
+# the CLI grammar, with malformed values mixed in
 _NUMBERS = st.sampled_from(["-1", "0", "1", "50"])
 _TOPS = st.sampled_from(["trivial", "sym", "alt", "sym-table", "alt-table",
                          "cyclic", "dihedral", "gens:(0 1 2)",
@@ -282,6 +301,8 @@ def _argv(draw):
                  "--top", draw(_TOPS)]
     if command in ("base-min", "prob-exact") and draw(st.booleans()):
         argv += ["--budget", draw(_NUMBERS)]
+    if command == "prob-exact" and draw(st.booleans()):
+        argv.append("--r-split")
     if command == "prob-mc":
         argv += ["--samples", draw(_NUMBERS)]
     if command == "base-verify":

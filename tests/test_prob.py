@@ -18,7 +18,7 @@ from diagbase.prob import (RowCodedGroup, _detect_nonbase,
                            exact_nonbase_pair_proportion, monte_carlo_nonbase,
                            nonbase_fraction_and_q2_bound,
                            prime_order_candidates, q2_bound_by_classes,
-                           q2_bound_exact, r_split_exact)
+                           q2_bound_exact, r_split_exact, r_split_formula)
 
 # the prob-exact shapes of the benchmark's prob-sweep, plus A5 k=4 full
 # alt-table (216,000 points)
@@ -134,6 +134,38 @@ class TestExactQuantities:
         # at k = 2 any nontrivial permutation part is fixed-point-free
         _r1, _r2, r3 = r_split_exact(w2a5)
         assert r3 == 0
+
+
+class TestSplitFormula:
+    # the --r-split shapes of the benchmark's prob-sweep, W(2,A5),
+    # Inn(A5)^3:S3 and A5 k=3 full sym-table
+    @pytest.mark.parametrize("name,k,out_part,top", [
+        ("A5", 2, "full", "sym-table"), ("L2(7)", 2, "full", "sym-table"),
+        ("A5", 3, "inner", "alt-table"), ("A5", 3, "inner", "sym-table"),
+        ("A5", 3, "full", "sym-table"),
+    ])
+    def test_matches_class_walk(self, name, k, out_part, top):
+        g = build_group(get_group(name), k, out_part, top)
+        assert r_split_formula(g) == r_split_exact(g)
+
+    @pytest.mark.parametrize("name,k,out_part,top", ORBIT_SCAN_SHAPES)
+    def test_sums_to_scanned_bound(self, name, k, out_part, top):
+        g = build_group(get_group(name), k, out_part, top)
+        assert sum(r_split_formula(g)) == q2_bound_exact(g)
+
+    def test_past_the_point_budget(self, A5):
+        # 12,960,000 points, past the scan's 10^7 default budget
+        g = build_group(A5, 5, "full", "cyclic")
+        with pytest.raises(BudgetExceededError):
+            q2_bound_exact(g)
+        r1, r2, r3 = r_split_formula(g)
+        assert r3 == 0      # a 5-cycle or the identity: no mixed part
+        assert r1 + r2 == Fraction(449, 162000)
+
+    @pytest.mark.parametrize("top", ["sym", "alt"])
+    def test_symbolic_top_rejected(self, A5, top):
+        with pytest.raises(PreconditionError):
+            r_split_formula(build_group(A5, 5, "full", top))
 
 
 def _all_point_counts(g):
@@ -306,10 +338,14 @@ class TestFormulas:
                                        Perm.identity(2))
         assert c == 1
 
-    def test_intersection_requires_fixed_point(self, A5, w2a5):
+    def test_intersection_fixed_point_free(self, A5, w2a5):
+        # (1,1)(1 2) meets G_D in (b,b)(1 2) for the 16 b of A5 with
+        # b^2 = 1; an alpha of order 3 or 5 makes the order composite
+        assert class_intersection_formula(
+            w2a5, A5.aut.identity_row, Perm.parse("(1 2)", 2)) == 16
+        three = int(np.flatnonzero(A5.aut.orders == 3)[0])
         with pytest.raises(PreconditionError):
-            class_intersection_formula(w2a5, A5.aut.identity_row,
-                                       Perm.parse("(1 2)", 2))
+            class_intersection_formula(w2a5, three, Perm.parse("(1 2)", 2))
 
     def test_intersection_transposition_k3(self, A5):
         g = build_group(A5, 3, "full", "sym-table")
@@ -338,9 +374,25 @@ class TestFormulas:
             for m in cls["diag_members"]:
                 perm = w2a5.top.table.elements[m[1]]
                 assert centralizer_order_formula(w2a5, m[0][0], perm) == want
-                if perm.fixed_points():
-                    assert class_intersection_formula(
-                        w2a5, m[0][0], perm) == len(cls["diag_members"])
+                assert class_intersection_formula(
+                    w2a5, m[0][0], perm) == len(cls["diag_members"])
+
+    @pytest.mark.parametrize("name,k,out_part,top", [
+        ("A5", 3, "inner", "alt-table"), ("L2(7)", 2, "full", "sym-table"),
+        ("A6", 2, "full", "sym-table"),
+    ])
+    def test_fixed_point_free_intersection_matches_walk(
+            self, name, k, out_part, top):
+        g = build_group(get_group(name), k, out_part, top)
+        fpf = 0
+        for cls in RowCodedGroup(g).class_data():
+            a, pid = cls["rep"][0][0], cls["rep"][1]
+            perm = g.top.table.elements[pid]
+            if not perm.fixed_points():
+                assert class_intersection_formula(g, a, perm) == \
+                    len(cls["diag_members"])
+                fpf += 1
+        assert fpf > 0
 
 
 class TestClassCountInequality:
