@@ -56,7 +56,7 @@ def _fixing_candidates(g: DiagTypeGroup, tuples):
     cand_a, cand_p = g.gd_candidates
     return np.flatnonzero(_accel.filter_candidates(
         g.T.aut.rows, g.top.table.arrays(), cand_a, cand_p, tuples,
-        g.T.mul, g.T.inv))
+        g.T.mul, g.T.inv, g.T.order_of))
 
 
 def _candidate(g: DiagTypeGroup, i):
@@ -577,8 +577,8 @@ def minimal_base_size(g: DiagTypeGroup, budget: int = 10**7):
             raise BudgetExceededError(
                 f"minimal base search exceeds {MIN_BASE_FILTER_BUDGET} "
                 f"point filters")
-        mask = _accel.filter_candidates(rows, perms, cand_a, cand_p,
-                                        point, mul, inv).astype(bool)
+        mask = _accel.filter_candidates(rows, perms, cand_a, cand_p, point,
+                                        mul, inv, T.order_of).astype(bool)
         return cand_a[mask], cand_p[mask]
 
     def extend(cand_a, cand_p, start, depth):
@@ -588,7 +588,8 @@ def minimal_base_size(g: DiagTypeGroup, budget: int = 10**7):
             return []
         if depth == 1:
             detected = _accel.detect_per_tuple(rows, perms, cand_a, cand_p,
-                                               tuples[start:], mul, inv)
+                                               tuples[start:], mul, inv,
+                                               T.order_of)
             free = np.flatnonzero(detected == 0)
             return [start + int(free[0])] if len(free) else None
         for j in range(start, g.degree):

@@ -341,9 +341,8 @@ class AutTable:
         return orders
 
     def rows_with_labels(self, labels) -> np.ndarray:
-        labels = set(int(v) for v in labels)
-        return np.array([r for r in range(self.n_aut)
-                         if int(self.labels[r]) in labels], dtype=np.int32)
+        return np.flatnonzero(np.isin(self.labels, list(labels))) \
+            .astype(np.int32)
 
     def group_table(self) -> GroupTable:
         """Aut(T) wrapped as a GroupTable on |T| points."""

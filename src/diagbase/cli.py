@@ -129,9 +129,9 @@ def _emit(args, command, config, payload, elapsed):
 
 
 def _build_from_args(args, name=None):
-    for attr in ("budget", "samples"):
-        if getattr(args, attr, 1) < 1:
-            raise PreconditionError(f"--{attr} must be positive")
+    for attr, least in (("budget", 1), ("samples", 1), ("seed", 0)):
+        if getattr(args, attr, least) < least:
+            raise PreconditionError(f"--{attr} must be at least {least}")
     T = get_group(name or args.group)
     return build_group(T, args.k, args.out_part, args.top)
 

@@ -97,7 +97,7 @@ def nonbase_fraction_and_q2_bound(g: DiagTypeGroup, budget: int = 10**7):
     rows, sizes = _orbit_rows_and_sizes(g, tuples)
     counts = _accel.count_per_tuple(
         g.T.aut.rows, g.top.table.arrays(), cand_a, cand_p,
-        tuples[rows], g.T.mul, g.T.inv)
+        tuples[rows], g.T.mul, g.T.inv, g.T.order_of)
     return (Fraction(int(sizes[counts > 0].sum()), g.degree),
             Fraction(int(sizes @ counts), g.degree))
 
@@ -145,7 +145,7 @@ def _detect_nonbase(g: DiagTypeGroup, tuples):
     cand_a, cand_p, _tags = prime_order_candidates(g)
     return _accel.detect_per_tuple(
         g.T.aut.rows, g.top.table.arrays(), cand_a, cand_p,
-        np.ascontiguousarray(tuples), g.T.mul, g.T.inv)
+        np.ascontiguousarray(tuples), g.T.mul, g.T.inv, g.T.order_of)
 
 
 def _detect_symbolic(g: DiagTypeGroup, tuples):
@@ -538,7 +538,7 @@ def q2_bound_by_classes(g: DiagTypeGroup, budget: int = 10**7) -> Fraction:
             g.T.aut.rows, g.top.table.arrays(),
             np.array([a], dtype=np.int32),
             np.array([g.top.table.position(perm)], dtype=np.int32),
-            tuples, g.T.mul, g.T.inv).sum())
+            tuples, g.T.mul, g.T.inv, g.T.order_of).sum())
         total += cls["size"] * Fraction(fix, g.degree) ** 2
     return total
 

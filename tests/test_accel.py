@@ -25,12 +25,13 @@ def _random_inputs(T, seed, n_cand=200, n_tuples=40, k=3):
                                               replace=False)])
     tuples = np.zeros((n_tuples, k), dtype=np.int32)
     tuples[:, 1:] = rng.choice(entries, (n_tuples, k - 1))
-    return g, (T.aut.rows, perms, cand_a, cand_p, tuples, T.mul, T.inv)
+    return g, (T.aut.rows, perms, cand_a, cand_p, tuples, T.mul, T.inv,
+               T.order_of)
 
 
 def _oracle(g, args):
     """fixes[c, j]: candidate c fixes tuple j, by element_fixes_points."""
-    _, _, cand_a, cand_p, tuples, _, _ = args
+    _, _, cand_a, cand_p, tuples, _, _, _ = args
     points = [OmegaPoint(tuple(int(v) for v in t)) for t in tuples]
     return np.array([[element_fixes_points(g, int(a),
                                            g.top.table.elements[int(p)], [pt])
@@ -114,7 +115,7 @@ def test_chunk_dying_at_coordinate_2_then_a_fixing_chunk(A5, monkeypatch):
     cand_p = np.zeros(len(cand_a), np.int32)
     tuples = np.array([[0, t1, t2, t2], [0, t1, t1, t1]], np.int32)
     args = (A5.aut.rows, g.top.table.arrays().astype(np.int32), cand_a,
-            cand_p, tuples, A5.mul, A5.inv)
+            cand_p, tuples, A5.mul, A5.inv, A5.order_of)
     fixes = _oracle(g, args)
     np.testing.assert_array_equal(fixes[:, 0], False)
     np.testing.assert_array_equal(fixes[:, 1], [False, True, True, True, True])
@@ -129,9 +130,76 @@ def test_chunk_dying_at_coordinate_2_then_a_fixing_chunk(A5, monkeypatch):
                                   fixes.all(axis=1))
 
 
+def _spy_order_test(monkeypatch):
+    """Make every call with a moved perm run the element-order test, and
+    collect the masks it returns."""
+    masks, test = [], _accel._order_passes
+
+    def spy(*args):
+        masks.append(test(*args))
+        return masks[-1]
+    monkeypatch.setattr(_accel, "_CHUNK_PAIRS", 16)
+    monkeypatch.setattr(_accel, "_order_passes", spy)
+    return masks
+
+
+@pytest.mark.parametrize("k,n_cand", [(3, None), (4, 300)])
+@pytest.mark.parametrize("seed", [6, 11])
+def test_order_test_matches_oracle(T, seed, k, n_cand, monkeypatch):
+    g, args = _random_inputs(T, seed, n_cand=n_cand, n_tuples=12, k=k)
+    fixes = _oracle(g, args)
+    assert fixes[args[3] != 0].any()
+    masks = _spy_order_test(monkeypatch)
+    np.testing.assert_array_equal(_accel.filter_candidates(*args),
+                                  fixes.all(axis=1))
+    np.testing.assert_array_equal(_accel.detect_per_tuple(*args),
+                                  fixes.any(axis=0))
+    np.testing.assert_array_equal(_accel.count_per_tuple(*args),
+                                  fixes.sum(axis=0))
+    # the test ran on every call and dropped some perms
+    assert len(masks) == 3 and not masks[0].all()
+
+
+def test_order_test_keeps_exactly_the_fixing_pairs(A5, monkeypatch):
+    # with pi = (1 2) at k = 3, (alpha, pi) fixes (1, x, y) iff alpha swaps
+    # x and y; pi passes the order test on (1, x, y) iff |x| = |y|
+    g = build_group(A5, 3, "full", "sym-table")
+    perms = g.top.table.arrays().astype(np.int32)
+    swap = next(r for r, p in enumerate(perms) if list(p) == [0, 2, 1])
+    rows, fives = A5.aut.rows, np.flatnonzero(A5.order_of == 5)
+    x = int(fives[0])
+    lone = next(int(y) for y in fives if y != x and
+                not np.any((rows[:, x] == y) & (rows[:, y] == x)))
+    three = int(np.flatnonzero(A5.order_of == 3)[0])
+    # the perm passes on tuples 0 and 1, but only tuple 1 is fixed by a
+    # moved-perm candidate; it fails on tuple 2
+    tuples = np.array([[0, x, lone], [0, x, A5.inv[x]], [0, x, three]],
+                      np.int32)
+    cand_a = np.repeat(np.arange(A5.aut.n_aut, dtype=np.int32), 2)
+    cand_p = np.tile(np.array([0, swap], np.int32), A5.aut.n_aut)
+    args = (rows, perms, cand_a, cand_p, tuples, A5.mul, A5.inv, A5.order_of)
+    fixes = _oracle(g, args)
+    moved = cand_p == swap
+    assert not fixes[moved, 0].any() and fixes[moved, 1].any()
+    masks = _spy_order_test(monkeypatch)
+    for picked in ([0, 1, 2], [0, 2], [2]):
+        sub = args[:4] + (tuples[picked],) + args[5:]
+        c, j = _accel._fixing_pairs(*sub)
+        assert sorted(zip(c.tolist(), j.tolist())) == \
+            sorted(zip(*np.nonzero(fixes[:, picked])))
+        assert masks[-1][0] and masks[-1][swap] == (picked != [2])
+    # on tuple 2 alone every moved-perm candidate is dropped, while the
+    # identity-perm candidates that fix it are all reported
+    assert fixes[~moved, 2].any()
+    np.testing.assert_array_equal(
+        _accel.count_per_tuple(*args[:4], tuples[[2]], *args[5:]),
+        [fixes[~moved, 2].sum()])
+
+
 def test_no_candidates(A5):
-    _, (auts, perms, cand_a, cand_p, tuples, mul, inv) = _random_inputs(A5, 9)
-    args = (auts, perms, cand_a[:0], cand_p[:0], tuples, mul, inv)
+    _, (auts, perms, cand_a, cand_p, tuples, mul, inv, orders) = \
+        _random_inputs(A5, 9)
+    args = (auts, perms, cand_a[:0], cand_p[:0], tuples, mul, inv, orders)
     assert _accel.filter_candidates(*args).shape == (0,)
     np.testing.assert_array_equal(_accel.detect_per_tuple(*args),
                                   np.zeros(len(tuples), np.uint8))
@@ -140,8 +208,9 @@ def test_no_candidates(A5):
 
 
 def test_no_tuples(A5):
-    _, (auts, perms, cand_a, cand_p, tuples, mul, inv) = _random_inputs(A5, 10)
-    args = (auts, perms, cand_a, cand_p, tuples[:0], mul, inv)
+    _, (auts, perms, cand_a, cand_p, tuples, mul, inv, orders) = \
+        _random_inputs(A5, 10)
+    args = (auts, perms, cand_a, cand_p, tuples[:0], mul, inv, orders)
     # every candidate fixes all of no tuples
     np.testing.assert_array_equal(_accel.filter_candidates(*args),
                                   np.ones(len(cand_a), np.uint8))

@@ -234,6 +234,17 @@ class TestValidationOnTables:
         assert np.array_equal(aut.orders,
                               aut.group_table().element_orders())
 
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_rows_with_labels_is_label_membership(self, name):
+        aut = get_group(name).aut
+        # every subset of outer labels, so every out part among them
+        for mask in range(1 << aut.out_order):
+            labels = {x for x in range(aut.out_order) if mask >> x & 1}
+            got = aut.rows_with_labels(labels)
+            assert got.dtype == np.int32
+            assert got.tolist() == [r for r in range(aut.n_aut)
+                                    if int(aut.labels[r]) in labels]
+
     @pytest.mark.parametrize("name", ["A5", "L2(7)"])
     def test_composition_table_composes_rows(self, name):
         aut = get_group(name).aut

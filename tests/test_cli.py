@@ -166,6 +166,13 @@ class TestExitCodes:
         assert code == 5
         assert "precondition error" in err and "Traceback" not in err
 
+    def test_negative_seed_precondition(self, capsys):
+        code = main(["prob-mc", "--group", "A5", "--k", "2", "--top",
+                     "sym-table", "--seed", "-1"])
+        err = capsys.readouterr().err
+        assert code == 5
+        assert "--seed" in err and "Traceback" not in err
+
     def test_invalid_top_precondition(self, capsys):
         code, _ = run_cli(capsys, "base-min", "--group", "A5", "--k", "4",
                           "--top", "cyclic")

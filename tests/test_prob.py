@@ -174,7 +174,7 @@ def _all_point_counts(g):
     cand_a, cand_p, _ = prime_order_candidates(g)
     return _accel.count_per_tuple(
         g.T.aut.rows, g.top.table.arrays(), cand_a, cand_p, omega_tuples(g),
-        g.T.mul, g.T.inv)
+        g.T.mul, g.T.inv, g.T.order_of)
 
 
 class TestOrbitScan:
