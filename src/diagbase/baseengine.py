@@ -29,8 +29,8 @@ from math import factorial, prod
 import numpy as np
 
 from . import _accel
-from .diag import (DiagTypeGroup, OmegaPoint, _orbit_rows_and_sizes,
-                   act_diag, omega_tuples, stab_of_D)
+from .diag import (DiagTypeGroup, OmegaPoint, act_diag, gd_orbits,
+                   omega_tuples, stab_of_D)
 from .errors import (BudgetExceededError, PreconditionError,
                      UnsupportedEnumerationError, ValidationError)
 from .perm import Perm
@@ -102,11 +102,8 @@ def _first_nonidentity_gd(g: DiagTypeGroup):
 def pointwise_stabilizer_by_action(g: DiagTypeGroup, points):
     """Oracle twin of pointwise_stabilizer: scan G_D applying the group
     action to every point (explicit tops only)."""
-    out = []
-    for a, p in stab_of_D(g):
-        if all(act_diag(g.T, pt, a, p) == pt for pt in points):
-            out.append((a, p))
-    return out
+    return [(a, p) for a, p in stab_of_D(g)
+            if all(act_diag(g.T, pt, a, p) == pt for pt in points)]
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +561,16 @@ def minimal_base_size(g: DiagTypeGroup, budget: int = 10**7):
     tuples = omega_tuples(g, budget)
     T = g.T
     rows, perms, mul, inv = T.aut.rows, g.top.table.arrays(), T.mul, T.inv
-    # row 0 is the diagonal point, the first of its own orbit
-    reps = _orbit_rows_and_sizes(g, tuples)[0][1:]
+    # row 0, D, is its own orbit's first; the rest are read as needed
+    orbits, seen = gd_orbits(g, tuples), []
+    next(orbits)
+
+    def reps():
+        yield from seen
+        for row, _size in orbits:
+            seen.append(row)
+            yield row
+
     # candidate 0 is the identity, which fixes every point
     base_a, base_p = (c[1:] for c in g.gd_candidates)
     filters = 0
@@ -600,7 +605,7 @@ def minimal_base_size(g: DiagTypeGroup, budget: int = 10**7):
         return None
 
     for size in range(2, g.degree + 2):
-        for rep in reps:
+        for rep in reps():
             cand_a, cand_p = filter_point(base_a, base_p,
                                           tuples[rep:rep + 1])
             if size == 2:

@@ -116,14 +116,17 @@ def build_parser():
     return parser
 
 
-def _emit(args, command, config, payload, elapsed):
+def _emit(args, payload, elapsed):
     rep = report_mod.make_report(
-        command, config, payload,
+        args.command, _config_echo(args), payload,
         timing_seconds=round(elapsed, 3) if args.timing else None)
     text = report_mod.render(rep, args.format)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise PreconditionError(f"cannot write --output: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -132,8 +135,19 @@ def _build_from_args(args, name=None):
     for attr, least in (("budget", 1), ("samples", 1), ("seed", 0)):
         if getattr(args, attr, least) < least:
             raise PreconditionError(f"--{attr} must be at least {least}")
-    T = get_group(name or args.group)
+    T = get_group(args.group if name is None else name)
     return build_group(T, args.k, args.out_part, args.top)
+
+
+def _prob_reports(args):
+    """(group, blank ProbReport) per entry of the --group comma list."""
+    names = [name.strip() for name in args.group.split(",")]
+    if not all(names):
+        raise PreconditionError(
+            f"empty entry in --group list {args.group!r}")
+    for name in names:
+        g = _build_from_args(args, name)
+        yield g, ProbReport(group=g.describe(), n=g.degree)
 
 
 def _config_echo(args):
@@ -201,9 +215,7 @@ def cmd_base_verify(args):
 
 def cmd_prob_exact(args):
     payload = []
-    for name in args.group.split(","):
-        g = _build_from_args(args, name.strip())
-        rep = ProbReport(group=g.describe(), n=g.degree)
+    for g, rep in _prob_reports(args):
         rep.exact_nonbase_pair_fraction, rep.q2_bound = \
             nonbase_fraction_and_q2_bound(g, budget=args.budget)
         if args.r_split:
@@ -214,9 +226,7 @@ def cmd_prob_exact(args):
 
 def cmd_prob_mc(args):
     payload = []
-    for name in args.group.split(","):
-        g = _build_from_args(args, name.strip())
-        rep = ProbReport(group=g.describe(), n=g.degree)
+    for g, rep in _prob_reports(args):
         rep.mc_estimate = monte_carlo_nonbase(
             g, args.samples, seed=args.seed)
         payload.append(rep.describe())
@@ -249,8 +259,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     start = time.perf_counter()
+    suite = args.command == "paper-suite"
     try:
         payload = COMMANDS[args.command](args)
+        if suite and args.format == "text" and not args.output:
+            print(format_table(payload))
+        else:
+            _emit(args, payload, time.perf_counter() - start)
     except ValidationError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -260,12 +275,6 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    suite = args.command == "paper-suite"
-    if suite and args.format == "text" and not args.output:
-        print(format_table(payload))
-    else:
-        _emit(args, args.command, _config_echo(args), payload,
-              time.perf_counter() - start)
     return 1 if suite and not all(r["passed"] for r in payload) else 0
 
 

@@ -8,9 +8,8 @@ elements (a_1,...,a_k)pi with all a_i in a common Inn-coset whose label lies
 in O and pi in P.  The stabilized coset D is the diagonal, and a point is
 a canonical k-tuple over T with first entry the identity.  The whole point
 set is one (degree, k) int32 matrix, ``omega_tuples``, whose row order is
-the point order everywhere; the orbit representatives of G_D, and the
-size of each orbit, are read off it by applying each generator to every row
-at once.
+the point order everywhere; the orbits of G_D are read off it one
+representative at a time, each mapped through all of G_D at once.
 
 The right action on canonical tuples: for w = (a_1,...,a_k)pi and a point
 with tuple t, the image point has tuple
@@ -36,7 +35,7 @@ from .catalog import SimpleGroup, _closure_ids
 from .errors import (BudgetExceededError, InvalidTopError, PreconditionError,
                      UnsupportedEnumerationError)
 from .perm import (GroupTable, Perm, alternating_table, cyclic_table,
-                   dihedral_table, orbit_labels, symmetric_table)
+                   dihedral_table, symmetric_table)
 from .report import int_str
 
 OMEGA_BUDGET = 10**7
@@ -406,53 +405,40 @@ def omega_iter(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
         yield OmegaPoint(tuple(row))
 
 
-def gd_generators(g: DiagTypeGroup):
-    """A small generating set of G_D as (aut row, Perm) pairs; explicit
-    tops only."""
+def gd_orbits(g: DiagTypeGroup, tuples):
+    """Yield (row, size) per G_D orbit on the rows of ``omega_tuples``: the
+    index of its first point, ascending, and its number of points.
+
+    Lazily: a step maps the next unseen row through all of G_D in one block
+    (act_diag on every (alpha, pi) pair; the table's perms index the tuple,
+    as a set the inverses act_diag takes) and marks the images seen, so a
+    caller that stops early touches no later orbit.  The size is |G_D| over
+    the number of images equal to the row (orbit-stabilizer).
+    """
     if g.top.is_symbolic:
         raise UnsupportedEnumerationError(
-            "G_D generators requested for a symbolic top")
-    aut = g.T.aut
-    ident_k = Perm.identity(g.k)
-    pairs = [(aut.inn_of(gid), ident_k) for gid in g.T.gen_ids]
-    pairs += [(int(aut.label_reps[lab]), ident_k) for lab in g.out_labels
-              if lab]
-    return pairs + [(aut.identity_row, p) for p in g.top.table.generators]
+            "G_D orbits requested for a symbolic top")
+    T = g.T
+    perms = g.top.table.arrays()
+    auts_flat = T.aut.rows.ravel()
+    at_a = (g.aut_rows.astype(np.intp) * T.order)[:, None, None]
+    unseen = np.ones(len(tuples) + 1, dtype=bool)  # the last: a sentinel
+    j = 0
+    while j < len(tuples):
+        moved = tuples[j][perms]
+        images = auts_flat[at_a + T.mul[T.inv[moved[:, :1]], moved[:, 1:]]]
+        codes = images[..., 0].astype(np.intp)
+        for col in range(1, g.k - 1):
+            codes *= T.order
+            codes += images[..., col]
+        unseen[codes] = False
+        yield j, codes.size // int(np.count_nonzero(codes == j))
+        j += int(np.argmax(unseen[j:]))
 
 
 def gd_orbit_reps(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
     """One representative per orbit of G_D on the point set, the first in
     omega_tuples order."""
     tuples = omega_tuples(g, budget)
-    return [OmegaPoint(tuple(row))
-            for row in tuples[_orbit_rows_and_sizes(g, tuples)[0]].tolist()]
-
-
-def _orbit_rows_and_sizes(g: DiagTypeGroup, tuples):
-    """(rows, sizes): the index of the first point of each G_D orbit,
-    ascending, and the number of points in that orbit.  A label is the
-    first index of its orbit, so the labels that occur are the rows, each
-    once per point of its orbit."""
-    sizes = np.bincount(_orbit_labels(g, tuples))
-    rows = np.flatnonzero(sizes)
-    return rows, sizes[rows]
-
-
-def _orbit_labels(g: DiagTypeGroup, tuples):
-    """Per point of ``tuples``, the index of the first point of its G_D
-    orbit: ``orbit_labels`` of the generators, each acting on all points at
-    once (act_diag on the tuple matrix) as an index array of images.
-    Indices below 2^31 are held as int32, half the memory of int64.
-    """
-    T = g.T
-    dtype = np.int32 if g.degree < 2**31 else np.int64
-    images = []
-    for a, perm in gd_generators(g):
-        alpha, pinv = T.aut.rows[a], perm.inverse().images
-        t0inv = T.inv[tuples[:, pinv[0]]]
-        image = np.zeros(g.degree, dtype=dtype)
-        for col in pinv:
-            image *= T.order
-            image += alpha[T.mul[t0inv, tuples[:, col]]]
-        images.append(image)
-    return orbit_labels(images)
+    return [OmegaPoint(tuple(tuples[row].tolist()))
+            for row, _size in gd_orbits(g, tuples)]

@@ -26,7 +26,7 @@ from math import gcd
 import numpy as np
 
 from . import _accel, baseengine
-from .diag import DiagTypeGroup, _orbit_rows_and_sizes, omega_tuples
+from .diag import DiagTypeGroup, gd_orbits, omega_tuples
 from .errors import BudgetExceededError, PreconditionError
 from .perm import Perm, _is_prime
 from .report import int_str
@@ -94,7 +94,7 @@ def nonbase_fraction_and_q2_bound(g: DiagTypeGroup, budget: int = 10**7):
     """
     cand_a, cand_p, _tags = prime_order_candidates(g)
     tuples = omega_tuples(g, budget)
-    rows, sizes = _orbit_rows_and_sizes(g, tuples)
+    rows, sizes = np.array(list(gd_orbits(g, tuples))).T
     counts = _accel.count_per_tuple(
         g.T.aut.rows, g.top.table.arrays(), cand_a, cand_p,
         tuples[rows], g.T.mul, g.T.inv, g.T.order_of)

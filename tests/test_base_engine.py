@@ -515,6 +515,14 @@ class TestMinimalBaseSize:
         assert size == len(base)
         assert [p.serialize() for p in pts] == base
 
+    def test_l27_k4_sym_table(self, L27):
+        # 4,741,632 points: the search reads G_D orbits only until a
+        # representative completes a base with D
+        g = build_group(L27, 4, "full", "sym-table")
+        size, pts = minimal_base_size(g)
+        assert size == 2
+        assert is_base(g, pts[1:]).verdict
+
     def test_filter_budget(self, A5, monkeypatch, capsys):
         # b = 4, so the search runs past the two-point stage
         g = build_group(A5, 2, "full", "sym-table")

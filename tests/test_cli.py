@@ -173,6 +173,25 @@ class TestExitCodes:
         assert code == 5
         assert "--seed" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["prob-exact", "prob-mc"])
+    @pytest.mark.parametrize("groups", ["A5,", "A5,,A6"])
+    def test_empty_group_list_entry(self, capsys, command, groups):
+        code = main([command, "--group", groups, "--k", "2", "--top",
+                     "trivial"])
+        captured = capsys.readouterr()
+        assert code == 5 and captured.out == ""
+        assert f"empty entry in --group list {groups!r}" in captured.err
+
+    @pytest.mark.parametrize("target", ["missing/report.json", "."])
+    def test_unwritable_output(self, capsys, tmp_path, target):
+        code = main(["base-verify", "--group", "A5", "--k", "2", "--top",
+                     "sym-table", "--points", "0 1",
+                     "--output", str(tmp_path / target)])
+        err = capsys.readouterr().err
+        assert code == 5
+        assert "precondition error: cannot write --output" in err
+        assert "Traceback" not in err
+
     def test_invalid_top_precondition(self, capsys):
         code, _ = run_cli(capsys, "base-min", "--group", "A5", "--k", "4",
                           "--top", "cyclic")

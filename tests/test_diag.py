@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagbase.catalog import catalog_names, get_group
+from diagbase.baseengine import pointwise_stabilizer_by_action
 from diagbase.diag import (OmegaPoint, WElement, act, act_diag,
-                           build_group, gd_generators, gd_orbit_reps,
+                           build_group, gd_orbit_reps, gd_orbits,
                            omega_iter, omega_tuples, resolve_out_part,
                            stab_of_D, w_identity, w_inverse, w_multiply)
 from diagbase.errors import (BudgetExceededError, InvalidTopError,
@@ -228,7 +229,7 @@ class TestStabOfD:
         for top in ("sym", "alt"):
             g = build_group(A5, 3, "full", top)
             with pytest.raises(UnsupportedEnumerationError):
-                gd_generators(g)
+                next(gd_orbits(g, omega_tuples(g)))
             with pytest.raises(UnsupportedEnumerationError):
                 gd_orbit_reps(g)
 
@@ -311,36 +312,49 @@ class TestExplicitCosetOracle:
 
 class TestOrbitReps:
     @staticmethod
-    def check_reps(T, g):
-        """Walk every orbit with act_diag; reps must partition the point
-        set, each being its orbit's first point in omega order."""
-        reps = gd_orbit_reps(g)
-        assert reps[0].is_diagonal()
-        gens = gd_generators(g)
-        covered = set()
-        for rep in reps:
-            orbit = {rep.tuple_ids}
-            frontier = [rep]
-            while frontier:
-                p = frontier.pop()
-                for a, perm in gens:
-                    q = act_diag(T, p, a, perm)
-                    if q.tuple_ids not in orbit:
-                        orbit.add(q.tuple_ids)
-                        frontier.append(q)
-            assert covered.isdisjoint(orbit)
-            assert rep.tuple_ids == min(orbit)
-            covered |= orbit
-        assert len(covered) == g.degree
+    def check_reps(orbits_by_action, T, shape):
+        """gd_orbits and gd_orbit_reps against the orbits walked with
+        act_diag: each orbit's first point in omega order, its size, and
+        the orbits in the order of those points."""
+        g = build_group(T, *shape)
+        orbits = orbits_by_action(T.name, *shape)
+        tuples = omega_tuples(g)
+        found = list(gd_orbits(g, tuples))
+        assert [tuple(tuples[row]) for row, _ in found] == \
+            [min(orbit) for orbit in orbits]
+        assert [size for _, size in found] == [len(o) for o in orbits]
+        assert [p.tuple_ids for p in gd_orbit_reps(g)] == \
+            [min(orbit) for orbit in orbits]
+        assert sum(len(o) for o in orbits) == g.degree
 
-    def test_reps_partition_point_set(self, A5):
-        self.check_reps(A5, build_group(A5, 2, "full", "sym-table"))
+    def test_reps_partition_point_set(self, orbits_by_action, A5):
+        self.check_reps(orbits_by_action, A5, (2, "full", "sym-table"))
 
     @pytest.mark.parametrize("out,top", [("inner", "cyclic"),
                                          ("full", "sym-table")])
-    def test_reps_partition_point_set_k3(self, A5, out, top):
-        self.check_reps(A5, build_group(A5, 3, out, top))
+    def test_reps_partition_point_set_k3(self, orbits_by_action, A5, out,
+                                         top):
+        self.check_reps(orbits_by_action, A5, (3, out, top))
 
-    def test_reps_partition_point_set_l27_k3(self, L27):
+    def test_reps_partition_point_set_l27_k3(self, orbits_by_action, L27):
         # 28,224 points in several orbits
-        self.check_reps(L27, build_group(L27, 3, "full", "alt-table"))
+        self.check_reps(orbits_by_action, L27, (3, "full", "alt-table"))
+
+    @pytest.mark.parametrize("name,k,top", [("A5", 2, "sym-table"),
+                                            ("A5", 3, "sym-table"),
+                                            ("L2(7)", 3, "alt-table")])
+    def test_sizes_by_orbit_stabilizer(self, name, k, top):
+        g = build_group(get_group(name), k, "full", top)
+        tuples = omega_tuples(g)
+        for row, size in gd_orbits(g, tuples):
+            rep = OmegaPoint(tuple(tuples[row].tolist()))
+            assert size == \
+                g.gd_order // len(pointwise_stabilizer_by_action(g, [rep]))
+
+    def test_partial_read_is_prefix(self, L27):
+        g = build_group(L27, 3, "full", "sym-table")
+        tuples = omega_tuples(g)
+        full = list(gd_orbits(g, tuples))
+        assert len(full) == 36
+        for n in (1, 3, 20):
+            assert list(islice(gd_orbits(g, tuples), n)) == full[:n]
