@@ -341,8 +341,9 @@ class AutTable:
         return orders
 
     def rows_with_labels(self, labels) -> np.ndarray:
-        return np.flatnonzero(np.isin(self.labels, list(labels))) \
-            .astype(np.int32)
+        wanted = np.zeros(self.out_order, dtype=bool)
+        wanted[list(labels)] = True
+        return np.flatnonzero(wanted[self.labels]).astype(np.int32)
 
     def group_table(self) -> GroupTable:
         """Aut(T) wrapped as a GroupTable on |T| points."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial
+from math import factorial, isqrt
 
 import numpy as np
 
@@ -39,9 +39,10 @@ from .perm import (GroupTable, Perm, alternating_table, cyclic_table,
 from .report import int_str
 
 OMEGA_BUDGET = 10**7
-# largest k of a sym-table/alt-table top; a gens: top may have at most
-# TOP_TABLE_MAX_K! elements, the order of that largest table
+# largest k of a sym-table/alt-table top; every explicit top table may have
+# at most as many entries (order x k) as that largest table
 TOP_TABLE_MAX_K = 8
+TOP_TABLE_MAX_ENTRIES = factorial(TOP_TABLE_MAX_K) * TOP_TABLE_MAX_K
 
 
 class TopGroup:
@@ -104,7 +105,9 @@ def make_top(spec, k: int) -> TopGroup:
 
     Accepted: ``trivial``, ``sym``/``alt`` (symbolic), ``sym-table`` /
     ``alt-table`` (explicit; small k only), ``cyclic``, ``dihedral``, or
-    ``gens:<cycles>|<cycles>|...``.
+    ``gens:<cycles>|<cycles>|...``.  ``cyclic``/``dihedral`` at a composite
+    k (up to 10^12) raise InvalidTopError; those and ``gens:`` past
+    TOP_TABLE_MAX_ENTRIES entries (order x k) raise BudgetExceededError.
     """
     if isinstance(spec, TopGroup):
         return spec
@@ -123,10 +126,18 @@ def make_top(spec, k: int) -> TopGroup:
         table = symmetric_table(k) if name == "sym-table" else \
             alternating_table(k)
         return TopGroup(k, table=table)
-    if name == "cyclic":
-        return TopGroup(k, table=cyclic_table(k))
-    if name == "dihedral":
-        return TopGroup(k, table=dihedral_table(k))
+    if name in ("cyclic", "dihedral"):
+        # primitive iff k is prime (residues mod a divisor of k form blocks);
+        # factors past 10^6 go unsought, as such a k is over budget anyway
+        if any(k % d == 0 for d in range(2, min(isqrt(k), 10**6) + 1)):
+            raise InvalidTopError("top group is not primitive on k points")
+        order = k if name == "cyclic" else 2 * k
+        if order * k > TOP_TABLE_MAX_ENTRIES:
+            raise BudgetExceededError(
+                f"{name} top table of {order} x {k} entries exceeds "
+                f"{TOP_TABLE_MAX_ENTRIES}")
+        table = cyclic_table(k) if name == "cyclic" else dihedral_table(k)
+        return TopGroup(k, table=table)
     if name.startswith("gens:"):
         try:
             gens = [Perm.parse(part, k)
@@ -134,7 +145,7 @@ def make_top(spec, k: int) -> TopGroup:
         except ValueError as exc:
             raise PreconditionError(f"bad top generator: {exc}") from None
         return TopGroup(k, table=GroupTable.generate(
-            gens, factorial(TOP_TABLE_MAX_K)))
+            gens, TOP_TABLE_MAX_ENTRIES // k))
     raise PreconditionError(f"unknown top descriptor {spec!r}")
 
 

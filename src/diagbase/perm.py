@@ -9,8 +9,9 @@ A :class:`GroupTable` is a fully enumerated permutation group.  Everything
 here is exhaustive by design: closure is breadth-first, and every other fact
 is a reduction over the (order, degree) element array: conjugacy classes are
 orbit labels of conjugation, orbits on points are column minima, centralizers
-are one comparison, and minimal bases come from backtracking.  Groups too
-large to enumerate must never reach this module.
+are one comparison, and minimal bases come from backtracking.  Cyclic and
+dihedral tables skip the closure: their rows and orders are closed-form.
+Groups too large to enumerate must never reach this module.
 """
 
 from __future__ import annotations
@@ -215,19 +216,22 @@ class GroupTable:
     """A fully enumerated permutation group.
 
     ``elements[0]`` is always the identity; ``index`` maps an image-array key
-    to its position.  A table built by ``generate`` also records, in
-    ``deriv[i]``, the (parent position, generator index) that element i was
-    first reached by (``(-1, -1)`` for the identity); other tables have
-    ``deriv`` None.  Instances are immutable once built and safe to share.
+    to its position.  A table built by ``generate`` (or ``cyclic_table``,
+    ``dihedral_table``) also records, in ``deriv[i]``, the (parent position,
+    generator index) that element i was first reached by (``(-1, -1)`` for
+    the identity); other tables have ``deriv`` None.  ``arrays``/``orders``
+    preset those caches.  Instances are immutable once built and shareable.
     """
 
-    def __init__(self, elements, generators, deriv=None):
+    def __init__(self, elements, generators, deriv=None, *, arrays=None,
+                 orders=None):
         self.elements = elements
         self.generators = generators
         self.deriv = deriv
         self.index = {e._key: i for i, e in enumerate(elements)}
         self.degree = elements[0].degree
-        self._arrays = None
+        self._arrays = arrays
+        self._orders = orders
         self._classes = None
 
     @classmethod
@@ -331,18 +335,20 @@ class GroupTable:
         lets each point's label, at first the point itself, become the least
         point among its first 2^j images, so once 2^j reaches the degree it
         names the point's cycle; a cycle's length is the number of points
-        in the row carrying its label."""
-        arr = self.arrays()
-        n, d = arr.shape
-        rows = np.arange(n)[:, None]
-        label = np.tile(np.arange(d, dtype=arr.dtype), (n, 1))
-        power, span = arr, 1
-        while span < d:
-            label = np.minimum(label, label[rows, power])
-            power, span = power[rows, power], 2 * span
-        at = label + rows * d
-        return np.lcm.reduce(np.bincount(at.ravel(), minlength=n * d)[at],
-                             axis=1)
+        in the row carrying its label.  Cached, like ``arrays()``."""
+        if self._orders is None:
+            arr = self.arrays()
+            n, d = arr.shape
+            rows = np.arange(n)[:, None]
+            label = np.tile(np.arange(d, dtype=arr.dtype), (n, 1))
+            power, span = arr, 1
+            while span < d:
+                label = np.minimum(label, label[rows, power])
+                power, span = power[rows, power], 2 * span
+            at = label + rows * d
+            self._orders = np.lcm.reduce(
+                np.bincount(at.ravel(), minlength=n * d)[at], axis=1)
+        return self._orders
 
     # -- actions on points --------------------------------------------------
 
@@ -521,11 +527,29 @@ def alternating_table(k: int) -> GroupTable:
 
 def cyclic_table(k: int) -> GroupTable:
     """C_k generated by a k-cycle."""
-    return GroupTable.generate([Perm.from_cycles([list(range(k))], k)])
+    return dihedral_table(k, reflections=False)
 
 
-def dihedral_table(k: int) -> GroupTable:
-    """D_k (order 2k) on k points: k-cycle plus a reflection."""
-    reflection = Perm([(-i) % k for i in range(k)])
-    return GroupTable.generate(
-        [Perm.from_cycles([list(range(k))], k), reflection])
+def dihedral_table(k: int, reflections: bool = True) -> GroupTable:
+    """D_k (order 2k) on k points, generated by x -> x + 1 and x -> -x
+    (mod k); C_k, from the first alone, without ``reflections``.
+
+    Its maps are x -> s*x + r, s = +-1, listed as ``GroupTable.generate``
+    lists them for those generators, with no Perm product: (s, r) times
+    them is (s, r + 1) and (-s, -r), so closing the pairs breadth-first
+    gives the closure's order; at k <= 2, -x = x, so s stays 1.  A
+    rotation has order k / gcd(r, k), a reflection order 2."""
+    pairs, deriv = [(1, 0)], {(1, 0): (-1, -1)}
+    for head, (s, r) in enumerate(pairs):     # grows while it is walked
+        steps = [(s, (r + 1) % k), (-s if k > 2 else 1, -r % k)]
+        for gi, pair in enumerate(steps[:1 + reflections]):
+            if pair not in deriv:
+                deriv[pair] = (head, gi)
+                pairs.append(pair)
+    s, r = np.array(pairs).T
+    arr = ((s[:, None] * np.arange(k) + r[:, None]) % k).astype(np.int32)
+    arr.setflags(write=False)
+    gens = [Perm((np.arange(k) + 1) % k), Perm(-np.arange(k) % k)]
+    return GroupTable([Perm._unchecked(row) for row in arr],
+                      gens[:1 + reflections], list(deriv.values()), arrays=arr,
+                      orders=np.where(s < 0, 2, k // np.gcd(r, k)))

@@ -43,6 +43,10 @@ def prime_order_candidates(g: DiagTypeGroup):
 
     Tags: 1 = permutation part fixed-point-free, 2 = trivial permutation
     part, 3 = nontrivial with a fixed point.  Explicit tops only.
+
+    Perm-major: per perm order class, ascending, each perm of the class
+    with every out-part aut row whose order has a prime lcm with the
+    class's.  Every consumer sums over the candidates or takes their set.
     """
     cache = getattr(g, "_prime_cache", None)
     if cache is not None:
@@ -52,20 +56,20 @@ def prime_order_candidates(g: DiagTypeGroup):
             "prime-order candidate listing needs an explicit top")
     top = g.top.table
     top_orders = top.element_orders()
-    arr = top.arrays()
-    fixed_point_free = ~(arr == np.arange(top.degree)).any(axis=1)
-    # the lcm over the distinct orders only, read back per (row, perm)
+    fixed_point_free = ~(top.arrays() == np.arange(top.degree)).any(axis=1)
+    tag_of_perm = np.where(top_orders == 1, 2,
+                           np.where(fixed_point_free, 1, 3)).astype(np.int8)
     a_orders, a_of = np.unique(g.T.aut.orders[g.aut_rows],
                                return_inverse=True)
-    p_orders, p_of = np.unique(top_orders, return_inverse=True)
-    lcm = np.lcm.outer(a_orders, p_orders)
-    prime = np.array([_is_prime(v) for v in lcm.ravel().tolist()]) \
-        .reshape(lcm.shape)
-    ia, pid = np.nonzero(prime[a_of[:, None], p_of])  # by row, then perm
-    tag_of_perm = np.where(top_orders == 1, 2,
-                           np.where(fixed_point_free, 1, 3))
-    cache = (g.aut_rows[ia].astype(np.int32), pid.astype(np.int32),
-             tag_of_perm[pid].astype(np.int8))
+    cand_a, cand_p = [], []
+    for q in np.unique(top_orders).tolist():
+        prime = np.array([_is_prime(v) for v in np.lcm(a_orders, q).tolist()])
+        rows = g.aut_rows[prime[a_of]]
+        pids = np.flatnonzero(top_orders == q).astype(np.int32)
+        cand_a.append(np.tile(rows, len(pids)))
+        cand_p.append(np.repeat(pids, len(rows)))
+    cand_a, cand_p = np.concatenate(cand_a), np.concatenate(cand_p)
+    cache = (cand_a, cand_p, tag_of_perm[cand_p])
     g._prime_cache = cache
     return cache
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import jsonschema
@@ -201,7 +202,8 @@ class TestExitCodes:
         for argv in [
                 ["base-min", "--group", "A5", "--k", "2", "--out-part",
                  "inner", "--top", "trivial", "--budget", "10"],
-                # S9 is one element past the 8! cap on gens: closures
+                # S9's 9! x 9 entries are past the 8! x 8 cap on explicit
+                # top tables
                 ["base-verify", "--group", "A5", "--k", "9", "--top",
                  "gens:(1 2)|(1 2 3 4 5 6 7 8 9)", "--points",
                  "0 1 2 3 4 5 6 7 8"]]:
@@ -209,6 +211,28 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert code == 4, argv
             assert "budget exceeded" in err and "Traceback" not in err
+
+    def test_oversized_cyclic_dihedral_tops(self, capsys):
+        # C_k and D_k are primitive only at a prime k, so a composite k is
+        # refused before any k-point table is built; a prime k past the
+        # entry cap on explicit top tables is refused as over budget
+        argv = ["prob-mc", "--group", "A5", "--out-part", "full",
+                "--samples", "10", "--k"]
+        get_group("A5")    # the catalog build is not the top's
+        tracemalloc.start()
+        code = main(argv + [str(10**6), "--top", "cyclic"])
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 5 and "not primitive" in err
+        assert peak < 2**20    # a 10^6-entry int32 row alone is 4 MB
+        # primes: 20011, and one past 10^12, whose factor search stops at
+        # 10^6 instead of running to its square root
+        for k in (20011, 10**18 + 3):
+            assert main(argv + [str(k), "--top", "dihedral"]) == 4
+            assert "budget exceeded" in capsys.readouterr().err
+        assert main(argv + ["37", "--top", "dihedral"]) == 0
+        capsys.readouterr()
 
     def test_base_construct_takes_no_budget(self, capsys):
         with pytest.raises(SystemExit) as exc:

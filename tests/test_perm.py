@@ -106,6 +106,27 @@ class TestClosure:
         assert table.element_orders().tolist() == \
             [e.order() for e in table.elements]
 
+    def test_element_orders_cached(self):
+        for table in (symmetric_table(5), GroupTable.generate(
+                [Perm.parse("(1 2 3)(4 5)", 5)])):
+            assert table.element_orders() is table.element_orders()
+
+    @pytest.mark.parametrize("k", range(1, 41))
+    def test_closed_form_tables_match_closure(self, k):
+        # the closed-form cyclic and dihedral tables equal the closure of
+        # the same generators: rows, generators, derivations and orders
+        cycle = Perm.from_cycles([list(range(k))], k)
+        reflection = Perm([(-i) % k for i in range(k)])
+        for table, gens in ((cyclic_table(k), [cycle]),
+                            (dihedral_table(k), [cycle, reflection])):
+            closed = GroupTable.generate(gens)
+            assert table.elements == closed.elements
+            assert table.generators == closed.generators
+            assert table.deriv == closed.deriv
+            assert table.arrays().tolist() == closed.arrays().tolist()
+            assert table.element_orders().tolist() == \
+                closed.element_orders().tolist()
+
     def test_a5_order_five_census(self, A5):
         orders = A5.table.element_orders()
         assert int((orders == 5).sum()) == 24

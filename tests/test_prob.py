@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import sqrt
+from math import lcm, sqrt
 
 import numpy as np
 import pytest
@@ -103,6 +103,34 @@ class TestFixingElements:
             f = len(perm.fixed_points())
             c = sum(1 for cyc in perm.cycles() if len(cyc) > 1)
             assert p * c + f == 3 or (o_p == 1 and f == 3)
+
+
+def _is_prime_by_division(n):
+    return n > 1 and all(n % d for d in range(2, n))
+
+
+@pytest.mark.parametrize("name,k,out,top", [
+    ("A5", 2, "inner", "sym-table"), ("A5", 2, "full", "sym-table"),
+    ("A5", 3, "full", "sym-table"), ("L2(7)", 3, "full", "alt-table"),
+    ("A6", 5, "full", "cyclic"), ("A5", 37, "full", "dihedral")])
+def test_prime_order_candidates_match_brute_force(name, k, out, top):
+    # the candidates are the elements of G_D whose order, the lcm of the
+    # aut part's and the perm part's, is prime; each listed once, tagged by
+    # the perm's fixed points
+    g = build_group(get_group(name), k, out, top)
+    aut_orders = g.T.aut.group_table().element_orders().tolist()
+    perms = g.top.table.elements
+    perm_orders = [p.order() for p in perms]
+    want = set()
+    for a, pid in zip(*(x.tolist() for x in g.gd_candidates)):
+        if _is_prime_by_division(lcm(aut_orders[a], perm_orders[pid])):
+            perm = perms[pid]
+            tag = 2 if perm.is_identity() else \
+                3 if perm.fixed_points() else 1
+            want.add((a, pid, tag))
+    got = list(zip(*(x.tolist() for x in prime_order_candidates(g))))
+    assert len(got) == len(set(got))
+    assert set(got) == want
 
 
 class TestExactQuantities:
