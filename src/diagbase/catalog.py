@@ -9,10 +9,14 @@ the catalog invariants (simplicity, generation, the |Out|^3 < |T| bound,
 prime divisors, minimal-index consistency).  Only the closure of the
 generators of T (``GroupTable.generate``) uses permutation objects; the
 group theory after it runs on integer tables: ``mul`` follows from the
-closure's derivations and its element array, an
-automorphism is keyed by its images of the two generators, subgroup
-closures (simplicity, generating pairs) are breadth-first walks over
-``mul``, and Aut(T) element orders are powers of the Aut rows.
+closure's derivations and its element array, one breadth-first level at a
+time.  An automorphism is known by the code of its images of the two
+generators of T, so Aut(T) is closed on codes first: the code of (row,
+then generator) is the generator read at the row's two images, and whole
+rows are built only for the automorphisms found, from their derivations,
+once the closure is done.  Inn-coset labels are read off codes as well.
+Subgroup closures (simplicity, generating pairs) are breadth-first walks
+over ``mul``, and Aut(T) element orders are powers of the Aut rows.
 
 Automorphisms are stored as rows over the element index of T, so applying
 one is a single array lookup.  Composition is left-to-right throughout:
@@ -158,16 +162,35 @@ def _finish_record(name, fields):
 
 def _closure_ids(mul, gen_ids):
     """Element ids of the subgroup generated by gen_ids (breadth-first over
-    the multiplication table, one whole frontier per step)."""
-    gens = np.unique(np.asarray(gen_ids, dtype=np.int64))
+    the multiplication table, one whole frontier per step, until no new id
+    is reached or every id is).
+
+    Reached ids are marked on a boolean mask rather than listed with a
+    plain ``np.unique``: besides sorting every step, numpy 2 runs
+    ``np.ma.is_masked`` inside a plain ``np.unique``, and that imports all
+    of ``numpy.ma`` (up to 15 ms) on first use."""
+    gens = np.asarray(gen_ids, dtype=np.intp)
     seen = np.zeros(mul.shape[0], dtype=bool)
     seen[0] = True
-    frontier = np.zeros(1, dtype=np.int64)
-    while frontier.size:
-        reached = np.unique(mul[frontier[:, None], gens])
-        frontier = reached[~seen[reached]]
+    frontier, found = np.zeros(1, dtype=np.intp), 1
+    while frontier.size and found < len(seen):
+        reached = np.zeros_like(seen)
+        reached[mul.ravel()[(frontier * mul.shape[1])[:, None] + gens]] = True
+        frontier = np.flatnonzero(reached & ~seen)
         seen[frontier] = True
+        found += frontier.size
     return np.flatnonzero(seen)
+
+
+def _levels(parents):
+    """Slices of one breadth-first closure level each, after the identity.
+    A closure lists every element after its parent, and parents in
+    nondecreasing order, so the children of the level [lo, hi) are the
+    elements from hi up to the first one whose parent is hi or later."""
+    lo, hi = 0, 1
+    while hi < len(parents):
+        lo, hi = hi, int(np.searchsorted(parents, hi))
+        yield slice(lo, hi)
 
 
 class AutTable:
@@ -177,27 +200,48 @@ class AutTable:
         self.T = T = group
         n = T.order
         mul, inv = T.mul, T.inv
+        g1, g2 = T.gen_ids
         # an automorphism is known by its images of the two generators of T:
         # _row_of_code[img(g1) * n + img(g2)] is its row, -1 if none yet
         self._row_of_code = np.full(n * n, -1, dtype=np.int32)
         self.n_aut = 0
-        # inner automorphisms: phi_t[x] = t^-1 x t, one row per t
-        left = mul[inv]                       # left[t, x] = t^-1 * x
-        rows = mul[left, np.arange(n, dtype=np.int32)[:, None]]
-        if len(self._add_new(rows)) != n:
+        # the closure runs on codes and lists each new row's derivation,
+        # (first row, parent rows, generators), for materializing at the end
+        parents, gis = T.deriv
+        steps = [(level.start, parents[level], gis[level])
+                 for level in _levels(parents)]
+        # inner automorphisms phi_t[x] = t^-1 x t, one row per t in element
+        # order: with e_j = e_parent * g, phi_j is phi_parent, then phi_g
+        ts = np.arange(n)
+        inner_codes = mul[mul[inv, g1], ts] * n + mul[mul[inv, g2], ts]
+        if len(self._add_new(inner_codes)) != n:
             raise ValidationError("inner automorphisms not distinct; "
                                   "center is nontrivial", spec=T.name)
         outer = np.array([self._resolve_aut_images(images)
                           for images in T.record.aut_generators])
-        gens = np.concatenate([rows[T.gen_ids], outer])
-        frontier = self._add_new(outer)
-        blocks = [rows, frontier]
-        while len(frontier):
-            # apply a frontier row, then a generator; a-major order
-            frontier = self._add_new(
-                gens[:, frontier].transpose(1, 0, 2).reshape(-1, n))
-            blocks.append(frontier)
-        self.rows = np.ascontiguousarray(np.concatenate(blocks))
+        # generators of Aut(T): phi_g for the generators g of T, then outer
+        gen_ids = np.array(T.gen_ids)
+        gens = np.concatenate([mul[mul[inv[gen_ids]], gen_ids[:, None]],
+                               outer])
+        outer = outer[self._add_new(self._codes(outer))]
+        # the rows found last start at row `frontier`; `images` holds their
+        # images of g1, g2
+        frontier, images = n, outer[:, [g1, g2]]
+        while len(images):
+            # apply a frontier row, then a generator, in a-major order; the
+            # code of that product is the generator at the row's images of
+            # g1, g2, so only the new automorphisms get a derivation
+            codes = gens[:, images[:, 0]] * n + gens[:, images[:, 1]]
+            start = self.n_aut
+            a, g = np.divmod(self._add_new(codes.T.ravel()), len(gens))
+            steps.append((start, frontier + a, g))
+            frontier, images = start, gens[g[:, None], images[a]]
+        self.rows = rows = np.empty((self.n_aut, n), dtype=np.int32)
+        rows[0] = ts
+        rows[n:n + len(outer)] = outer
+        for start, parent, g in steps:
+            rows[start:start + len(g)] = \
+                gens.ravel()[(g * n)[:, None] + rows[parent]]
         if self.n_aut % n:
             raise ValidationError(
                 f"|Aut| = {self.n_aut} is not a multiple of |T| = {n}",
@@ -220,18 +264,19 @@ class AutTable:
         """Row ids of automorphisms given as image arrays (last axis)."""
         return self._row_of_code[self._codes(images)]
 
-    def _add_new(self, candidates):
-        """Number the candidates not in the table yet, in order of first
-        occurrence, after the rows already there; returns those rows."""
-        codes = self._codes(candidates)
-        first = np.sort(np.unique(codes, return_index=True)[1])
-        first = first[self._row_of_code[codes[first]] < 0]
+    def _add_new(self, codes):
+        """Number the codes not in the table yet, in order of first
+        occurrence, after the rows already there; returns their positions
+        in ``codes``."""
+        fresh = np.flatnonzero(self._row_of_code[codes] < 0)
+        first = fresh[np.sort(np.unique(codes[fresh], return_index=True)[1])]
         self._row_of_code[codes[first]] = self.n_aut + np.arange(len(first))
         self.n_aut += len(first)
-        return candidates[first]
+        return first
 
     def _resolve_aut_images(self, images):
-        """Bijection of T induced by generator images, via derivation words."""
+        """Bijection of T induced by generator images, via derivation words,
+        one breadth-first level at a time."""
         T = self.T
         img_ids = []
         for im in images:
@@ -240,11 +285,12 @@ class AutTable:
                     "aut_generator image is not an element of the group",
                     spec=T.name, field="aut_generator")
             img_ids.append(T.table.index[im._key])
+        img_ids = np.array(img_ids)
+        parents, gis = T.deriv
         f = np.zeros(T.order, dtype=np.int32)
-        for i, (parent, gi) in enumerate(T.table.deriv):
-            if parent >= 0:
-                f[i] = T.mul[f[parent], img_ids[gi]]
-        if len(np.unique(f)) != T.order:
+        for level in _levels(parents):
+            f[level] = T.mul[f[parents[level]], img_ids[gis[level]]]
+        if not np.all(np.bincount(f, minlength=T.order) == 1):
             raise ValidationError(
                 "aut_generator images do not induce a bijection",
                 spec=T.name, field="aut_generator")
@@ -254,16 +300,19 @@ class AutTable:
                     "aut_generator images do not normalize the group "
                     "structure (homomorphism law fails)",
                     spec=T.name, field="aut_generator")
-        return np.ascontiguousarray(f)
+        return f
 
     def _assign_labels(self):
-        n = self.T.order
+        n, (g1, g2) = self.T.order, self.T.gen_ids
+        # the Inn-coset of row r: apply phi_t, then r, for every t; the
+        # codes of those rows read r at the images of g1, g2 under phi_t
+        at1, at2 = self.rows[:n, g1], self.rows[:n, g2]
         labels = np.full(self.n_aut, -1, dtype=np.int32)
         reps = []
         for r in range(self.n_aut):
             if labels[r] < 0:
-                # the Inn-coset of r: apply phi_t, then r, for every t
-                labels[self._lookup(self.rows[r][self.rows[:n]])] = len(reps)
+                row = self.rows[r]
+                labels[self._row_of_code[row[at1] * n + row[at2]]] = len(reps)
                 reps.append(r)
         self.labels = labels
         self.label_reps = reps
@@ -274,8 +323,9 @@ class AutTable:
                 spec=self.T.name)
         # multiplication table of the (small) outer label group
         rep_rows = self.rows[reps]
-        # [b, a]: apply rep a, then rep b
-        self.label_mul = labels[self._lookup(rep_rows[:, rep_rows])].T
+        # [b, a]: code of (apply rep a, then rep b)
+        codes = rep_rows[:, rep_rows[:, g1]] * n + rep_rows[:, rep_rows[:, g2]]
+        self.label_mul = labels[self._row_of_code[codes]].T
         self.label_inv = np.argmin(self.label_mul, axis=1).astype(np.int32)
 
     # -- queries -------------------------------------------------------------
@@ -387,18 +437,24 @@ class SimpleGroup:
         self.validate()
 
     def _build_tables(self):
-        # right[gi, i] = index of element i times generator gi
+        # left[gi, j] = index of generator gi times element j
         arr = self.table.arrays()
-        right = [self.table.positions(g.images[arr])
-                 for g in self.table.generators]
+        left = np.stack([self.table.positions(arr[:, g.images])
+                         for g in self.table.generators])
+        # the closure's derivations: e_i = e_parents[i] * generator gis[i]
+        parents, gis = np.array(self.table.deriv, dtype=np.intp).T
+        self.deriv = parents.copy(), gis.copy()
         # mul[i, j] = index of (apply element i, then element j); with
-        # e_j = e_parent * g, column j is column parent times g
-        cols = np.empty((self.order, self.order), dtype=np.int32)
-        cols[0] = np.arange(self.order)
-        for j, (parent, gi) in enumerate(self.table.deriv[1:], start=1):
-            cols[j] = right[gi][cols[parent]]
-        self.mul = np.ascontiguousarray(cols.T)
-        self.inv = np.nonzero(self.mul == 0)[1].astype(np.int32)
+        # e_i = e_parent * g, row i is row parent read at g * e_j, filled
+        # one closure level at a time
+        n = self.order
+        self.mul = mul = np.empty((n, n), dtype=np.int32)
+        mul[0] = np.arange(n)
+        for level in _levels(parents):
+            mul[level] = mul.ravel()[(parents[level] * n)[:, None]
+                                     + left[gis[level]]]
+        # a row of mul is a permutation of the ids, so 0 is its minimum
+        self.inv = np.argmin(self.mul, axis=1).astype(np.int32)
         self.order_of = self.table.element_orders()
 
     # -- validated invariants -------------------------------------------------
@@ -422,7 +478,8 @@ class SimpleGroup:
         for x in range(1, self.order):
             if classified[x]:
                 continue
-            cls = np.unique(inner[:, x])
+            cls = np.flatnonzero(np.bincount(inner[:, x],
+                                             minlength=self.order))
             classified[cls] = True
             if len(_closure_ids(self.mul, cls)) != self.order:
                 raise ValidationError(

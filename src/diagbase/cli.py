@@ -24,7 +24,7 @@ from .diag import OmegaPoint, build_group
 from .errors import (BudgetExceededError, PreconditionError, ValidationError)
 from .prob import (ProbReport, monte_carlo_nonbase,
                    nonbase_fraction_and_q2_bound, r_split_formula)
-from .suite import format_table, run_suite
+from .suite import ALL_CRITERIA, format_table, run_suite
 
 EXIT_VALIDATION = 3
 EXIT_BUDGET = 4
@@ -241,6 +241,12 @@ def cmd_paper_suite(args):
         except ValueError:
             raise PreconditionError(
                 f"--criteria takes integer ids: {args.criteria!r}") from None
+        known = [fn.criterion_id for fn in ALL_CRITERIA]
+        unknown = sorted(ids.difference(known))
+        if unknown:
+            raise PreconditionError(
+                f"--criteria: no criterion {', '.join(map(str, unknown))}; "
+                f"the ids are {', '.join(map(str, known))}")
     return run_suite(ids)
 
 

@@ -357,7 +357,8 @@ class GroupTable:
         orbit of p is the column ``arrays()[:, p]``, so its minimum labels
         the orbit."""
         label = self.arrays().min(axis=0)
-        return [np.flatnonzero(label == p).tolist() for p in np.unique(label)]
+        return [np.flatnonzero(label == p).tolist()
+                for p in np.flatnonzero(label == np.arange(self.degree))]
 
     def is_transitive(self) -> bool:
         return bool((self.arrays().min(axis=0) == 0).all())
@@ -431,8 +432,10 @@ class GroupTable:
     def setwise_stabilizer_is_trivial(self, subset) -> bool:
         """Whether the identity is the only element mapping ``subset`` into
         (hence onto) itself."""
-        idx = np.fromiter(set(subset), dtype=np.int64)
-        return int(np.isin(self.arrays()[:, idx], idx).all(axis=1).sum()) == 1
+        inside = np.zeros(self.degree, dtype=bool)
+        inside[list(subset)] = True
+        images = self.arrays()[:, np.flatnonzero(inside)]
+        return int(inside[images].all(axis=1).sum()) == 1
 
     def distinguishing_subset(self):
         """A proper subset with trivial setwise stabilizer and |D| >= |complement|.

@@ -62,7 +62,7 @@ def prime_order_candidates(g: DiagTypeGroup):
     a_orders, a_of = np.unique(g.T.aut.orders[g.aut_rows],
                                return_inverse=True)
     cand_a, cand_p = [], []
-    for q in np.unique(top_orders).tolist():
+    for q in np.flatnonzero(np.bincount(top_orders)).tolist():
         prime = np.array([_is_prime(v) for v in np.lcm(a_orders, q).tolist()])
         rows = g.aut_rows[prime[a_of]]
         pids = np.flatnonzero(top_orders == q).astype(np.int32)
@@ -172,7 +172,9 @@ def _detect_symbolic(g: DiagTypeGroup, tuples):
         open_rows = np.flatnonzero(~hit)
         r, a, y = baseengine._histogram_survivors(g, hist[open_rows])
         moved = (g.aut_rows[a] != ident) | (y != 0)
-        for s in np.unique(open_rows[r[moved]]).tolist():
+        survives = np.zeros(len(open_rows), dtype=bool)
+        survives[r[moved]] = True
+        for s in open_rows[survives].tolist():
             hit[s] = not alt or bool(baseengine._solve_symbolic(
                 g, X[s:s + 1], mode="witness"))
         out[start:start + len(X)] = hit
@@ -200,10 +202,11 @@ def _fpf_diagonal_count(g, label: int, p: int) -> int:
     aut = g.T.aut
     out = np.asarray(g.out_labels)
     lm = aut.label_mul
-    label_class = lm[lm[out, label], aut.label_inv[out]]
+    in_class = np.zeros(aut.out_order, dtype=bool)
+    in_class[lm[lm[out, label], aut.label_inv[out]]] = True
     rows = g.aut_rows
     return int(np.count_nonzero((p % aut.orders[rows] == 0)
-                                & np.isin(aut.labels[rows], label_class)))
+                                & in_class[aut.labels[rows]]))
 
 
 def _relative_aut_centralizers(g, aut_row: int):
@@ -504,7 +507,10 @@ class RowCodedGroup:
             walked += len(members)
             rows, pids = self._decode(members)
             on_diag = np.all(rows == rows[:, :1], axis=1)
-            assigned |= np.isin(diag, members[on_diag])
+            # members is sorted, so a binary search finds diag among them
+            found = members[on_diag]
+            at = np.minimum(np.searchsorted(found, diag), len(found) - 1)
+            assigned |= found[at] == diag
             classes.append({
                 "rep": ((int(cand_a[i]),) * self.g.k, int(cand_p[i])),
                 "size": len(members),

@@ -198,6 +198,26 @@ class TestValidationOnTables:
             load_catalog(text)
         assert "not simple" in str(err.value)
 
+    def test_non_bijective_aut_generator_rejected(self):
+        # both generators sent to the 5-cycle: the map lands in <(1 2 3 4 5)>
+        text = A5_RECORD.format(name="A5", pair="(1 2 3 4 5) | (1 2 3)") \
+            .replace("(1 2 3 5 4) | (1 2 3)", "(1 2 3 4 5) | (1 2 3 4 5)")
+        with pytest.raises(ValidationError) as err:
+            load_catalog(text)
+        assert "do not induce a bijection" in str(err.value)
+
+    def test_nontrivial_center_rejected(self):
+        # A5 x C2: the central involution conjugates trivially
+        text = ("group A5xC2\n  natural_degree: 7\n"
+                "  generators: (1 2 3 4 5)(6 7) | (1 2 3)\n"
+                "  aut_generator: (1 2 3 4 5)(6 7) | (1 2 3)\n"
+                "  gen_pair_distinct_orders: (1 2 3 4 5)(6 7) | (1 2 3)\n"
+                "  involution_pair: (1 2 3) | (6 7)\n"
+                "  min_index: 7\nend\n")
+        with pytest.raises(ValidationError) as err:
+            load_catalog(text)
+        assert "center is nontrivial" in str(err.value)
+
     def test_pair_generating_proper_subgroup_rejected(self):
         text = A5_RECORD.format(name="A5sub", pair="(1 2 3) | (1 2)(4 5)")
         with pytest.raises(ValidationError) as err:
@@ -213,7 +233,9 @@ class TestValidationOnTables:
 
     @pytest.mark.parametrize("gens", [["(1 2 3)", "(1 2)(4 5)"],
                                       ["(1 2 3 4 5)"],
-                                      ["(1 2 3)", "(3 4 5)"]])
+                                      ["(1 2 3)", "(3 4 5)"],
+                                      ["(1 2 3)", "()", "(1 2 3)",
+                                       "(3 4 5)", "()"]])
     def test_table_closure_matches_perm_closure(self, A5, gens):
         perms = [Perm.parse(c, 5) for c in gens]
         want = GroupTable.generate(perms)
@@ -270,3 +292,103 @@ class TestValidationOnTables:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
+
+    def test_setup_and_prob_mc_never_import_numpy_ma(self):
+        # numpy 2 imports numpy.ma inside the first plain np.unique(x); a
+        # fresh process, since other tests may have imported it already.
+        # Exit 3: a bare ``import numpy`` loads numpy.ma (numpy 1.x).
+        code = ("import contextlib, io, sys\n"
+                "import numpy\n"
+                "if 'numpy.ma' in sys.modules:\n"
+                "    sys.exit(3)\n"
+                "from diagbase.catalog import load_catalog\n"
+                "from diagbase.cli import main\n"
+                "load_catalog()\n"
+                "assert 'numpy.ma' not in sys.modules, 'set-up'\n"
+                "for k, top in (('5', 'dihedral'), ('6', 'alt')):\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        code = main(['prob-mc', '--group', 'A5', '--k', k,\n"
+                "                     '--out-part', 'full', '--top', top,\n"
+                "                     '--samples', '200', '--seed', '7'])\n"
+                "    assert code == 0, code\n"
+                "    assert 'numpy.ma' not in sys.modules, top\n")
+        src = os.path.dirname(os.path.dirname(diagbase.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        if proc.returncode == 3:
+            pytest.skip("a bare import numpy already loads numpy.ma")
+        assert proc.returncode == 0, proc.stderr
+
+
+def _reference_tables(T):
+    """mul, inv and element orders of T straight from its permutations."""
+    table = T.table
+    arr = table.arrays()
+    # row i: e_i * e_j = apply e_i, then e_j, for every j
+    mul = np.stack([table.positions(arr[:, row]) for row in arr])
+    inv = table.positions(np.argsort(arr, axis=1).astype(np.int32))
+    orders = [e.order() for e in table.elements]
+    return mul, inv, orders
+
+
+def _reference_aut(T, mul, inv):
+    """Aut(T) closed on whole candidate rows, and its Inn-cosets labelled
+    with full n x n gathers: the slow build, kept as an oracle."""
+    n, (g1, g2) = T.order, T.gen_ids
+    row_of_code = np.full(n * n, -1, dtype=np.int32)
+    blocks = []
+
+    def codes(images):
+        return images[..., g1] * n + images[..., g2]
+
+    def add_new(candidates):
+        c = codes(candidates)
+        first = np.sort(np.unique(c, return_index=True)[1])
+        first = first[row_of_code[c[first]] < 0]
+        row_of_code[c[first]] = sum(map(len, blocks)) + np.arange(len(first))
+        blocks.append(candidates[first])
+        return blocks[-1]
+
+    # phi_t[x] = t^-1 x t
+    inner = mul[mul[inv], np.arange(n)[:, None]].astype(np.int32)
+    assert len(add_new(inner)) == n
+    outer = []
+    for images in T.record.aut_generators:
+        ids = [T.table.position(p) for p in images]
+        f = np.zeros(n, dtype=np.int32)
+        for i, (parent, gi) in enumerate(T.table.deriv):
+            if parent >= 0:
+                f[i] = mul[f[parent], ids[gi]]
+        outer.append(f)
+    outer = np.array(outer)
+    gens = np.concatenate([inner[T.gen_ids], outer])
+    frontier = add_new(outer)
+    while len(frontier):
+        # every frontier row, then every generator, as whole rows
+        frontier = add_new(gens[:, frontier].transpose(1, 0, 2)
+                           .reshape(-1, n))
+    rows = np.concatenate(blocks)
+    labels = np.full(len(rows), -1, dtype=np.int32)
+    reps = []
+    for r in range(len(rows)):
+        if labels[r] < 0:
+            labels[row_of_code[codes(rows[r][rows[:n]])]] = len(reps)
+            reps.append(r)
+    rep_rows = rows[reps]
+    label_mul = labels[row_of_code[codes(rep_rows[:, rep_rows])]].T
+    return {"rows": rows, "_row_of_code": row_of_code, "labels": labels,
+            "label_reps": np.array(reps), "label_mul": label_mul,
+            "label_inv": np.argmin(label_mul, axis=1).astype(np.int32)}
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_catalog_build_matches_reference(name):
+    T = get_group(name)
+    mul, inv, orders = _reference_tables(T)
+    assert np.array_equal(T.mul, mul) and T.mul.dtype == np.int32
+    assert np.array_equal(T.inv, inv) and T.inv.dtype == np.int32
+    assert T.order_of.tolist() == orders
+    for attr, want in _reference_aut(T, mul, inv).items():
+        got = np.asarray(getattr(T.aut, attr))
+        assert got.dtype == want.dtype and np.array_equal(got, want), attr

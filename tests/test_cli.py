@@ -160,12 +160,20 @@ class TestExitCodes:
         ("base-min", "--group", "A5", "--k", "2", "--out-part", "gx",
          "--top", "sym-table"),
         ("paper-suite", "--criteria", "x"),
+        ("paper-suite", "--criteria", "99"),
     ])
     def test_malformed_numbers_are_preconditions(self, capsys, argv):
         code = main(list(argv))
         err = capsys.readouterr().err
         assert code == 5
         assert "precondition error" in err and "Traceback" not in err
+
+    def test_unknown_criteria_id_names_the_ids(self, capsys):
+        code = main(["paper-suite", "--criteria", "2,99"])
+        captured = capsys.readouterr()
+        assert code == 5 and captured.out == ""
+        assert "no criterion 99; the ids are 1, 2, 3, 4, 5, 6, 7, 8, 9" \
+            in captured.err
 
     def test_negative_seed_precondition(self, capsys):
         code = main(["prob-mc", "--group", "A5", "--k", "2", "--top",
