@@ -21,17 +21,29 @@ permuting coordinates by pi, and renormalizing the first coordinate to the
 identity.  The diagonal fast path reduces to pure index arithmetic in T.
 The convention is pinned by the explicit-coset oracle test against literal
 right-coset multiplication in W(2, A5).
+
+``build_group`` is memoized per process.  The key is (T by identity, k,
+the resolved out-label tuple, the normalized top spec), so every caller of
+one spec shares one validated group and with it the top table, the G_D
+candidate arrays, the prime-order candidates and the ``describe()`` digits,
+each built once.  A group weighs |G_D| for an explicit top and the digit
+count of its degree and order for a symbolic one; least-recently-used
+groups are dropped once the summed weight passes ``GROUP_MEMO_CAP``, and a
+group heavier than the cap is built but not kept.  Failing specs are never
+kept.  Shared groups are never changed after they are built, so reports are
+the same as from a fresh build.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial, isqrt
 
 import numpy as np
 
-from .catalog import SimpleGroup, _closure_ids
+from .catalog import ELEMENT_BUDGET, SimpleGroup, _closure_ids
 from .errors import (BudgetExceededError, InvalidTopError, PreconditionError,
                      UnsupportedEnumerationError)
 from .perm import (GroupTable, Perm, alternating_table, cyclic_table,
@@ -43,6 +55,8 @@ OMEGA_BUDGET = 10**7
 # at most as many entries (order x k) as that largest table
 TOP_TABLE_MAX_K = 8
 TOP_TABLE_MAX_ENTRIES = factorial(TOP_TABLE_MAX_K) * TOP_TABLE_MAX_K
+# decimal text of every element id, for OmegaPoint.serialize
+_ID_STR = tuple(map(str, range(ELEMENT_BUDGET)))
 
 
 class TopGroup:
@@ -204,7 +218,7 @@ class OmegaPoint:
         return np.asarray(self.tuple_ids, dtype=np.int32)
 
     def serialize(self) -> str:
-        return " ".join(map(str, self.tuple_ids))
+        return " ".join([_ID_STR[v] for v in self.tuple_ids])
 
     @classmethod
     def parse(cls, text: str, T: SimpleGroup) -> "OmegaPoint":
@@ -238,7 +252,12 @@ class WElement:
 
 
 class DiagTypeGroup:
-    """A diagonal-type group determined by (T, k, out labels, top)."""
+    """A diagonal-type group determined by (T, k, out labels, top).
+
+    ``build_group`` shares one instance between all callers of the same
+    spec, so everything here is computed once and never changed after: its
+    index arrays are read-only, and ``prime_candidates`` is the slot that
+    ``prob.prime_order_candidates`` fills on first use."""
 
     def __init__(self, T: SimpleGroup, k: int, out_labels: tuple,
                  top: TopGroup):
@@ -246,19 +265,25 @@ class DiagTypeGroup:
         self.k = k
         self.out_labels = out_labels
         self.top = top
-        self.aut_rows = T.aut.rows_with_labels(out_labels)
+        self.aut_rows = _read_only(T.aut.rows_with_labels(out_labels))
         self.degree = T.order ** (k - 1)
         self.gd_order = T.order * len(out_labels) * top.order
         self.order = self.degree * self.gd_order
+        self.prime_candidates = None
+
+    @cached_property
+    def _digits(self) -> tuple:
+        return int_str(self.degree), int_str(self.order)
 
     def describe(self) -> dict:
+        degree, order = self._digits
         return {
             "group": self.T.name,
             "k": self.k,
             "out_labels": list(self.out_labels),
             "top": self.top.describe(),
-            "degree": int_str(self.degree),
-            "order": int_str(self.order),
+            "degree": degree,
+            "order": order,
         }
 
     def __repr__(self):
@@ -280,8 +305,8 @@ class DiagTypeGroup:
             raise UnsupportedEnumerationError(
                 "explicit G_D scan requested for a symbolic top")
         n_a, n_p = len(self.aut_rows), self.top.table.order
-        return (np.repeat(self.aut_rows, n_p),
-                np.tile(np.arange(n_p, dtype=np.int32), n_a))
+        return (_read_only(np.repeat(self.aut_rows, n_p)),
+                _read_only(np.tile(np.arange(n_p, dtype=np.int32), n_a)))
 
     def contains_diag(self, aut_row: int, perm: Perm) -> bool:
         if int(self.T.aut.labels[aut_row]) not in self.out_labels:
@@ -291,6 +316,80 @@ class DiagTypeGroup:
         return perm in self.top.table
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+# Retention cap of the build_group memo, in weight units (group_weight).
+# The distinct specs of one seed of each benchmark workload weigh 14,544
+# (base-search, 12 specs), 299,880 (prob-sweep, 22 specs; A6 k=37 dihedral
+# alone 106,560) and 186,604 (symbolic-sweep, 62 specs), so each workload's
+# groups all stay.  Retained bytes per unit (tracemalloc, candidate arrays
+# and top table filled): 16 for A5 k=7 inner sym-table (302,400 units,
+# 4.6 MB), 9 for A6 k=37 dihedral, 1.7 for A5 k=5000 sym; so a full memo
+# holds at most about 8 MB.  A5 sym-table at k=8 (4,838,400) is never held.
+GROUP_MEMO_CAP = 2**19
+
+
+def group_weight(g: DiagTypeGroup) -> int:
+    """What the memo counts a group as: |G_D| for an explicit top, which
+    bounds its candidate arrays, and for a symbolic top the number of
+    decimal digits of its degree and order (log10 2 = 0.30103), which
+    bound its ``describe()`` strings."""
+    if g.top.is_symbolic:
+        bits = g.degree.bit_length() + g.order.bit_length()
+        return bits * 30103 // 100000 + 2
+    return len(g.aut_rows) * g.top.table.order
+
+
+class GroupMemo:
+    """Least-recently-used map of built groups whose summed weight stays
+    at most ``cap``; a group heavier than the cap is never retained."""
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.weight = 0
+        self._entries = OrderedDict()    # key -> (group, weight)
+
+    def __len__(self):
+        return len(self._entries)
+
+    def get(self, key):
+        hit = self._entries.get(key)
+        if hit is None:
+            return None
+        self._entries.move_to_end(key)
+        return hit[0]
+
+    def put(self, key, g: DiagTypeGroup):
+        weight = group_weight(g)
+        if weight > self.cap:
+            return
+        self._entries[key] = (g, weight)
+        self.weight += weight
+        while self.weight > self.cap:
+            _key, (_g, old) = self._entries.popitem(last=False)
+            self.weight -= old
+
+    def clear(self):
+        self._entries.clear()
+        self.weight = 0
+
+
+_GROUP_MEMO = GroupMemo(GROUP_MEMO_CAP)
+
+
+def _top_key(top):
+    """A top spec as a memo key: descriptor strings as ``make_top`` reads
+    them, any other object (a TopGroup or GroupTable) by identity."""
+    if isinstance(top, str):
+        name = top.strip().lower()
+        return ("gens", top.strip()[5:]) if name.startswith("gens:") \
+            else name
+    return ("object", id(top))
+
+
 def build_group(T: SimpleGroup, k: int, out_part="full",
                 top="sym") -> DiagTypeGroup:
     """Construct and validate a diagonal-type group.
@@ -298,11 +397,24 @@ def build_group(T: SimpleGroup, k: int, out_part="full",
     The top must be primitive on k points, or trivial with k = 2; anything
     else raises InvalidTopError.  Groups not expressible by (out part, top)
     pairs are outside this artifact's scope by design.
+
+    Memoized per process (``_GROUP_MEMO``): the same (T by identity, k,
+    resolved out labels, top spec) returns the same instance.  A failing
+    spec is never retained and raises on every call.  Keys by identity are
+    safe, since a retained group holds its T and its top.
     """
     if k < 2:
         raise PreconditionError("diagonal type needs k >= 2")
+    try:
+        labels = resolve_out_part(T, out_part)
+    except Exception:
+        make_top(top, k)    # a bad top is reported before a bad out part
+        raise
+    key = (id(T), k, labels, _top_key(top))
+    g = _GROUP_MEMO.get(key)
+    if g is not None:
+        return g
     top = make_top(top, k)
-    labels = resolve_out_part(T, out_part)
     if top.is_trivial():
         if k != 2:
             raise InvalidTopError("trivial top group only allowed at k = 2")
@@ -312,7 +424,9 @@ def build_group(T: SimpleGroup, k: int, out_part="full",
     else:
         if k < 3:
             raise InvalidTopError("symbolic tops need k >= 3")
-    return DiagTypeGroup(T, k, labels, top)
+    g = DiagTypeGroup(T, k, labels, top)
+    _GROUP_MEMO.put(key, g)
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from math import gcd
 import numpy as np
 
 from . import _accel, baseengine
-from .diag import DiagTypeGroup, gd_orbits, omega_tuples
+from .diag import DiagTypeGroup, _read_only, gd_orbits, omega_tuples
 from .errors import BudgetExceededError, PreconditionError
 from .perm import Perm, _is_prime
 from .report import int_str
@@ -47,10 +47,14 @@ def prime_order_candidates(g: DiagTypeGroup):
     Perm-major: per perm order class, ascending, each perm of the class
     with every out-part aut row whose order has a prime lcm with the
     class's.  Every consumer sums over the candidates or takes their set.
+    Listed once per group, into its ``prime_candidates`` slot.
     """
-    cache = getattr(g, "_prime_cache", None)
-    if cache is not None:
-        return cache
+    if g.prime_candidates is None:
+        g.prime_candidates = _prime_order_candidates(g)
+    return g.prime_candidates
+
+
+def _prime_order_candidates(g: DiagTypeGroup):
     if g.top.is_symbolic:
         raise PreconditionError(
             "prime-order candidate listing needs an explicit top")
@@ -69,9 +73,7 @@ def prime_order_candidates(g: DiagTypeGroup):
         cand_a.append(np.tile(rows, len(pids)))
         cand_p.append(np.repeat(pids, len(rows)))
     cand_a, cand_p = np.concatenate(cand_a), np.concatenate(cand_p)
-    cache = (cand_a, cand_p, tag_of_perm[cand_p])
-    g._prime_cache = cache
-    return cache
+    return tuple(_read_only(c) for c in (cand_a, cand_p, tag_of_perm[cand_p]))
 
 
 # ---------------------------------------------------------------------------

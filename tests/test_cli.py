@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagbase import _accel, cli
+from diagbase import _accel, cli, diag
 from diagbase import report as report_mod
 from diagbase.catalog import get_group
 from diagbase.cli import main
@@ -122,6 +123,46 @@ class TestDeterminism:
         assert json.loads(out)["timing_seconds"] is None
         _, out = run_cli(capsys, *args, "--timing")
         assert json.loads(out)["timing_seconds"] is not None
+
+    # one argv per command, and a failing spec; the ops share groups
+    # through the build_group memo when run in one process
+    REPEATED = [
+        ["catalog-validate", "--group", "A5"],
+        ["base-construct", "--group", "A5", "--k", "3601", "--top", "sym"],
+        ["base-min", "--group", "L2(7)", "--k", "3", "--top", "alt-table"],
+        ["base-verify", "--group", "A5", "--k", "3", "--top", "sym-table",
+         "--points", "0 1 2; 0 7 30"],
+        ["prob-exact", "--group", "A5,L2(7)", "--k", "3", "--top",
+         "sym-table", "--r-split"],
+        ["prob-mc", "--group", "A5,A6", "--k", "5", "--top", "dihedral",
+         "--samples", "200", "--seed", "3"],
+        ["prob-mc", "--group", "A5", "--k", "8", "--top", "alt",
+         "--samples", "200", "--seed", "3"],
+        ["prob-mc", "--group", "A5", "--k", "9", "--top", "cyclic"],
+        ["paper-suite", "--criteria", "1,4"],
+    ]
+
+    def _run_each(self, capsys, cold=False):
+        results = []
+        for argv in self.REPEATED:
+            if cold:
+                diag._GROUP_MEMO.clear()
+            code = main(list(argv))
+            out, err = capsys.readouterr()
+            # a criterion's wall time is the only field that may differ
+            out = re.sub(r'"elapsed_seconds": [0-9.e-]+', "", out)
+            results.append((code, out, err))
+        return results
+
+    def test_repeated_commands_in_one_process(self, capsys, monkeypatch):
+        monkeypatch.setattr(diag, "_GROUP_MEMO",
+                            diag.GroupMemo(diag.GROUP_MEMO_CAP))
+        first = self._run_each(capsys)
+        assert [code for code, _, _ in first] == [0] * 7 + [5, 0]
+        assert "not primitive" in first[7][2]
+        assert len(diag._GROUP_MEMO) > 0
+        assert self._run_each(capsys) == first
+        assert self._run_each(capsys, cold=True) == first
 
 
 class TestSchema:

@@ -1,16 +1,22 @@
 from itertools import islice, product
+from math import factorial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagbase.catalog import catalog_names, get_group
+from diagbase import diag
+from diagbase.catalog import (ELEMENT_BUDGET, catalog_names,
+                              default_catalog_text, get_group, load_catalog)
 from diagbase.baseengine import pointwise_stabilizer_by_action
-from diagbase.diag import (OmegaPoint, WElement, act, act_diag,
-                           build_group, gd_orbit_reps, gd_orbits,
+from diagbase.diag import (GROUP_MEMO_CAP, DiagTypeGroup, GroupMemo,
+                           OmegaPoint, WElement, act, act_diag, build_group,
+                           gd_orbit_reps, gd_orbits, group_weight, make_top,
                            omega_iter, omega_tuples, resolve_out_part,
                            stab_of_D, w_identity, w_inverse, w_multiply)
+from diagbase.prob import prime_order_candidates
+from diagbase.report import int_str
 from diagbase.errors import (BudgetExceededError, InvalidTopError,
                              PreconditionError, UnsupportedEnumerationError)
 from diagbase.perm import Perm
@@ -73,6 +79,112 @@ class TestBuild:
         assert g.top.table.order == 10  # dihedral of degree 5
 
 
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty build_group memo for one test, with the cap settable."""
+    fresh = GroupMemo(GROUP_MEMO_CAP)
+    monkeypatch.setattr(diag, "_GROUP_MEMO", fresh)
+    return fresh
+
+
+def _catalog_record(name):
+    text = default_catalog_text()
+    start = text.index(f"group {name}\n")
+    return text[start:text.index("\nend\n", start) + 5]
+
+
+class TestGroupMemo:
+    def test_same_spec_same_object(self, A5, memo):
+        g = build_group(A5, 5, "full", "cyclic")
+        assert build_group(A5, 5, " Full", "Cyclic ") is g
+        # a label list resolves to the same out labels as "full"
+        assert build_group(A5, 5, [1], "cyclic") is g
+        assert len(memo) == 1 and memo.weight == 120 * 5
+
+    def test_different_specs_different_objects(self, A5, A6, memo):
+        [A5_again] = load_catalog(_catalog_record("A5"))
+        assert A5_again.name == A5.name and A5_again is not A5
+        groups = [build_group(A5, 5, "full", "cyclic"),
+                  build_group(A6, 5, "full", "cyclic"),
+                  build_group(A5, 7, "full", "cyclic"),
+                  build_group(A5, 5, "inner", "cyclic"),
+                  build_group(A5, 5, "full", "dihedral"),
+                  build_group(A5, 5, "full", "sym"),
+                  build_group(A5_again, 5, "full", "cyclic")]
+        assert len({id(g) for g in groups}) == len(groups) == len(memo)
+        assert groups[-1].T is A5_again
+        # a TopGroup object is its own spec
+        top = make_top("cyclic", 5)
+        assert build_group(A5, 5, "full", top).top is top
+        assert build_group(A5, 5, "full", top) is not groups[0]
+
+    def test_failing_spec_raises_on_every_call(self, A5, memo):
+        for _ in range(2):
+            with pytest.raises(InvalidTopError):
+                build_group(A5, 4, "full", "cyclic")
+            with pytest.raises(BudgetExceededError):
+                build_group(A5, 20011, "full", "dihedral")
+            with pytest.raises(InvalidTopError):
+                build_group(A5, 3, "full", "trivial")
+        assert len(memo) == 0
+
+    def test_bad_top_reported_before_bad_out_part(self, A5, memo):
+        with pytest.raises(InvalidTopError):
+            build_group(A5, 4, "bogus", "cyclic")
+        with pytest.raises(PreconditionError, match="out-part"):
+            build_group(A5, 5, "bogus", "cyclic")
+
+    def test_group_over_the_cap_is_returned_not_retained(self, A5, memo):
+        assert 60 * factorial(8) > GROUP_MEMO_CAP    # A5 sym-table, k = 8
+        memo.cap = 100
+        small = build_group(A5, 2, "inner", "trivial")    # weight 60
+        g = build_group(A5, 2, "full", "sym-table")    # weight 120 x 2
+        assert g.gd_order == 240
+        assert build_group(A5, 2, "full", "sym-table") is not g
+        # nor does it push out what is retained
+        assert build_group(A5, 2, "inner", "trivial") is small
+        assert len(memo) == 1 and memo.weight == 60
+
+    def test_eviction_is_least_recently_used_by_weight(self, A5, memo):
+        memo.cap = 1000
+        specs = {"a": (2, "inner", "trivial"),    # weight 60
+                 "b": (2, "full", "trivial"),     # 120
+                 "c": (3, "full", "cyclic"),      # 360
+                 "d": (3, "full", "sym-table")}   # 720
+        built = {name: build_group(A5, *specs[name]) for name in "abc"}
+        assert [group_weight(built[n]) for n in "abc"] == [60, 120, 360]
+        assert build_group(A5, *specs["a"]) is built["a"]    # a is recent
+        built["d"] = build_group(A5, *specs["d"])
+        # 1260 > 1000: b, then c, the least recently used, go
+        assert len(memo) == 2 and memo.weight == 780
+        assert build_group(A5, *specs["a"]) is built["a"]
+        assert build_group(A5, *specs["d"]) is built["d"]
+        assert build_group(A5, *specs["c"]) is not built["c"]
+
+    def test_symbolic_weight_is_the_digit_count(self, A5, memo):
+        for k in (3, 60, 5000):
+            g = build_group(A5, k, "full", "alt")
+            digits = len(int_str(g.degree)) + len(int_str(g.order))
+            assert abs(group_weight(g) - digits) <= 2
+
+    def test_describe_returns_a_fresh_dict(self, A5, memo):
+        g = build_group(A5, 3000, "full", "sym")
+        want = DiagTypeGroup(A5, 3000, g.out_labels, g.top).describe()
+        first = g.describe()
+        assert first == want
+        first["degree"] = "0"
+        first["out_labels"].append(7)
+        assert build_group(A5, 3000, "full", "sym").describe() == want
+
+    def test_shared_arrays_are_read_only(self, A5, memo):
+        g = build_group(A5, 5, "full", "cyclic")
+        for arr in (g.aut_rows, *g.gd_candidates,
+                    *prime_order_candidates(g)):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        assert prime_order_candidates(g) is g.prime_candidates
+
+
 class TestOmegaPoint:
     def test_canonicalization(self, A5):
         p = OmegaPoint.from_tuple(A5, [3, 3])
@@ -101,6 +213,10 @@ class TestOmegaPoint:
     def test_serialize_roundtrip(self, A5):
         p = OmegaPoint.from_tuple(A5, [0, 17, 42])
         assert OmegaPoint.parse(p.serialize(), A5) == p
+
+    def test_serialize_every_element_id(self):
+        ids = tuple(range(ELEMENT_BUDGET))
+        assert OmegaPoint(ids).serialize() == " ".join(map(str, ids))
 
     def test_parse_rejects_noncanonical(self, A5):
         with pytest.raises(PreconditionError):
