@@ -62,7 +62,7 @@ def _fixing_candidates(g: DiagTypeGroup, tuples):
 def _candidate(g: DiagTypeGroup, i):
     """Candidate ``i`` of ``g.gd_candidates`` as an (aut row id, Perm) pair."""
     cand_a, cand_p = g.gd_candidates
-    return int(cand_a[i]), g.top.table.elements[int(cand_p[i])]
+    return int(cand_a[i]), g.top.table.element(int(cand_p[i]))
 
 
 def pointwise_stabilizer(g: DiagTypeGroup, points,

@@ -6,17 +6,18 @@ the minimal index of a proper subgroup.  Everything else is computed and
 verified here: the element list and multiplication table of T, the full
 automorphism group as index bijections of T, inner/outer coset labels, and
 the catalog invariants (simplicity, generation, the |Out|^3 < |T| bound,
-prime divisors, minimal-index consistency).  Only the closure of the
-generators of T (``GroupTable.generate``) uses permutation objects; the
-group theory after it runs on integer tables: ``mul`` follows from the
-closure's derivations and its element array, one breadth-first level at a
-time.  An automorphism is known by the code of its images of the two
-generators of T, so Aut(T) is closed on codes first: the code of (row,
-then generator) is the generator read at the row's two images, and whole
-rows are built only for the automorphisms found, from their derivations,
-once the closure is done.  Inn-coset labels are read off codes as well.
-Subgroup closures (simplicity, generating pairs) are breadth-first walks
-over ``mul``, and Aut(T) element orders are powers of the Aut rows.
+prime divisors, minimal-index consistency).  Permutation objects appear
+only where the record is read: the closure of the generators of T
+(``GroupTable.generate``) runs on rows, and the group theory after it on
+integer tables: ``mul`` follows from the closure's derivations and its
+element array, one breadth-first level at a time.  An automorphism is known
+by the code of its images of the two generators of T, so Aut(T) is closed
+on codes first: the code of (row, then generator) is the generator read at
+the row's two images, and whole rows are built only for the automorphisms
+found, from their derivations, once the closure is done.  Inn-coset labels
+are read off codes as well.  Subgroup closures (simplicity, generating
+pairs) are breadth-first walks over ``mul``, and Aut(T) element orders are
+powers of the Aut rows.
 
 Automorphisms are stored as rows over the element index of T, so applying
 one is a single array lookup.  Composition is left-to-right throughout:
@@ -34,7 +35,8 @@ from math import factorial
 
 import numpy as np
 
-from .errors import BudgetExceededError, NotInnerError, ValidationError
+from .errors import (BudgetExceededError, MembershipError, NotInnerError,
+                     ValidationError)
 from .perm import GroupTable, Perm
 
 ELEMENT_BUDGET = 2520  # largest |T| the catalog materializes
@@ -207,7 +209,7 @@ class AutTable:
         self.n_aut = 0
         # the closure runs on codes and lists each new row's derivation,
         # (first row, parent rows, generators), for materializing at the end
-        parents, gis = T.deriv
+        parents, gis = T.table.deriv
         steps = [(level.start, parents[level], gis[level])
                  for level in _levels(parents)]
         # inner automorphisms phi_t[x] = t^-1 x t, one row per t in element
@@ -278,15 +280,13 @@ class AutTable:
         """Bijection of T induced by generator images, via derivation words,
         one breadth-first level at a time."""
         T = self.T
-        img_ids = []
-        for im in images:
-            if im._key not in T.table.index:
-                raise ValidationError(
-                    "aut_generator image is not an element of the group",
-                    spec=T.name, field="aut_generator")
-            img_ids.append(T.table.index[im._key])
-        img_ids = np.array(img_ids)
-        parents, gis = T.deriv
+        try:
+            img_ids = np.array([T.table.position(im) for im in images])
+        except MembershipError:
+            raise ValidationError(
+                "aut_generator image is not an element of the group",
+                spec=T.name, field="aut_generator") from None
+        parents, gis = T.table.deriv
         f = np.zeros(T.order, dtype=np.int32)
         for level in _levels(parents):
             f[level] = T.mul[f[parents[level]], img_ids[gis[level]]]
@@ -396,21 +396,18 @@ class AutTable:
         return np.flatnonzero(wanted[self.labels]).astype(np.int32)
 
     def group_table(self) -> GroupTable:
-        """Aut(T) wrapped as a GroupTable on |T| points."""
+        """Aut(T) wrapped as a GroupTable on |T| points, generated by the
+        phi_g of the generators g of T and the outer label reps."""
         if self._group is None:
-            elements = [Perm(r) for r in self.rows]
-            gens = [Perm(self.rows[self.label_reps[lab]])
-                    for lab in range(self.out_order) if lab] or []
-            gens = [elements[self.inn_of(g)] for g in self.T.gen_ids] + gens
-            self._group = GroupTable.from_elements(elements, gens)
+            gens = self.inn_row_of[self.T.gen_ids].tolist() + \
+                self.label_reps[1:]
+            self._group = GroupTable(self.rows, self.rows[gens])
         return self._group
 
     def inn_group_table(self) -> GroupTable:
         """Inn(T) as a subgroup of the Aut table (same |T|-point domain)."""
-        full = self.group_table()
-        elements = full.elements[:self.T.order]
-        gens = [full.elements[self.inn_of(g)] for g in self.T.gen_ids]
-        return GroupTable.from_elements(elements, gens)
+        return GroupTable(self.rows[:self.T.order],
+                          self.rows[self.inn_row_of[self.T.gen_ids]])
 
 
 class SimpleGroup:
@@ -439,11 +436,10 @@ class SimpleGroup:
     def _build_tables(self):
         # left[gi, j] = index of generator gi times element j
         arr = self.table.arrays()
-        left = np.stack([self.table.positions(arr[:, g.images])
-                         for g in self.table.generators])
+        left = np.stack([self.table.positions(arr[:, g])
+                         for g in self.table.gen_rows])
         # the closure's derivations: e_i = e_parents[i] * generator gis[i]
-        parents, gis = np.array(self.table.deriv, dtype=np.intp).T
-        self.deriv = parents.copy(), gis.copy()
+        parents, gis = self.table.deriv
         # mul[i, j] = index of (apply element i, then element j); with
         # e_i = e_parent * g, row i is row parent read at g * e_j, filled
         # one closure level at a time
@@ -487,24 +483,26 @@ class SimpleGroup:
                     "group is not simple", spec=self.name)
 
     def _generating_pair_ids(self, field_name):
-        ids = []
-        for p in getattr(self.record, field_name):
-            if p._key not in self.table.index:
-                raise ValidationError("pair element is not in the group",
-                                      spec=self.name, field=field_name)
-            ids.append(self.table.index[p._key])
+        try:
+            ids = tuple(self.table.position(p)
+                        for p in getattr(self.record, field_name))
+        except MembershipError:
+            raise ValidationError("pair element is not in the group",
+                                  spec=self.name, field=field_name) from None
         if len(_closure_ids(self.mul, ids)) != self.order:
             raise ValidationError("pair does not generate the group",
                                   spec=self.name, field=field_name)
         return ids
 
     def _check_pairs(self):
-        x, y = self._generating_pair_ids("gen_pair_distinct_orders")
+        self._distinct_order_ids = x, y = \
+            self._generating_pair_ids("gen_pair_distinct_orders")
         if self.order_of[x] == self.order_of[y]:
             raise ValidationError("gen_pair_distinct_orders have equal orders",
                                   spec=self.name,
                                   field="gen_pair_distinct_orders")
-        _, y = self._generating_pair_ids("involution_pair")
+        self._involution_ids = _, y = \
+            self._generating_pair_ids("involution_pair")
         if self.order_of[y] != 2:
             raise ValidationError("second element of involution_pair is not "
                                   "an involution", spec=self.name,
@@ -552,12 +550,10 @@ class SimpleGroup:
     # -- convenience ----------------------------------------------------------
 
     def distinct_order_pair_ids(self):
-        x, y = self.record.gen_pair_distinct_orders
-        return self.table.position(x), self.table.position(y)
+        return self._distinct_order_ids
 
     def involution_pair_ids(self):
-        x, y = self.record.involution_pair
-        return self.table.position(x), self.table.position(y)
+        return self._involution_ids
 
     def third_order_element(self):
         """Smallest-index nontrivial element whose order differs from both

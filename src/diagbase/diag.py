@@ -129,7 +129,7 @@ def make_top(spec, k: int) -> TopGroup:
         return TopGroup(k, table=spec)
     name = spec.strip().lower()
     if name == "trivial":
-        return TopGroup(k, table=GroupTable.from_elements([Perm.identity(k)]))
+        return TopGroup(k, table=GroupTable.generate([Perm.identity(k)]))
     if name in ("sym", "alt"):
         return TopGroup(k, symbolic=name)
     if name in ("sym-table", "alt-table"):
@@ -503,12 +503,13 @@ def w_identity(T: SimpleGroup, k: int) -> WElement:
 
 
 def stab_of_D(g: DiagTypeGroup):
-    """All (aut row, pi) pairs of the point stabilizer G_D, explicit tops only."""
+    """All (aut row, pi) pairs of the point stabilizer G_D, aut-row-major,
+    made one at a time; explicit tops only."""
     if g.top.is_symbolic:
         raise UnsupportedEnumerationError(
             "symbolic top groups cannot be enumerated explicitly; route the "
             "computation through the column-set test instead")
-    return [(int(a), p) for a in g.aut_rows for p in g.top.table.elements]
+    return ((int(a), p) for a in g.aut_rows for p in g.top.table)
 
 
 def omega_tuples(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):

@@ -5,13 +5,14 @@ left-to-right (``p * q`` applies ``p`` first), matching the right-action
 convention used everywhere in this package.  External (serialized) cycle
 notation is 1-based; the identity prints as ``()``.
 
-A :class:`GroupTable` is a fully enumerated permutation group.  Everything
-here is exhaustive by design: closure is breadth-first, and every other fact
-is a reduction over the (order, degree) element array: conjugacy classes are
-orbit labels of conjugation, orbits on points are column minima, centralizers
-are one comparison, and minimal bases come from backtracking.  Cyclic and
-dihedral tables skip the closure: their rows and orders are closed-form.
-Groups too large to enumerate must never reach this module.
+A :class:`GroupTable` is a fully enumerated permutation group, held as its
+(order, degree) element array.  Everything here is exhaustive by design:
+closure is breadth-first on rows, and every other fact is a reduction over
+the element array: conjugacy classes are orbit labels of conjugation, orbits
+on points are column minima, centralizers are one comparison, and minimal
+bases come from backtracking.  Cyclic and dihedral tables skip the closure:
+their rows and orders are closed-form.  Groups too large to enumerate must
+never reach this module; ``Perm`` objects are made from rows only on request.
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ class Perm:
 
     @classmethod
     def _unchecked(cls, arr: np.ndarray) -> "Perm":
-        """Wrap a fresh int32 image array already known to be a bijection."""
+        """Wrap an int32 image array already known to be a bijection, such
+        as a row of a GroupTable; nothing may write to it afterwards."""
         p = object.__new__(cls)
         arr.setflags(write=False)
         p.images = arr
@@ -213,91 +215,111 @@ def orbit_labels(images) -> np.ndarray:
 
 
 class GroupTable:
-    """A fully enumerated permutation group.
-
-    ``elements[0]`` is always the identity; ``index`` maps an image-array key
-    to its position.  A table built by ``generate`` (or ``cyclic_table``,
-    ``dihedral_table``) also records, in ``deriv[i]``, the (parent position,
-    generator index) that element i was first reached by (``(-1, -1)`` for
-    the identity); other tables have ``deriv`` None.  ``arrays``/``orders``
-    preset those caches.  Instances are immutable once built and shareable.
+    """A fully enumerated permutation group: ``arrays()``, the (order,
+    degree) int32 element array with the identity first, and ``gen_rows``,
+    the generators' rows.  ``position``, ``positions`` and ``in`` search
+    one sorted index of exact row keys (``_row_keys``).  A table built by
+    ``generate``, ``cyclic_table`` or ``dihedral_table`` also records ``deriv =
+    (parents, gis)``: element i is element ``parents[i]`` times generator
+    ``gis[i]`` (-1 for the identity); other tables have ``deriv`` None.
+    ``orders`` presets ``element_orders()``.  Immutable once built.
     """
 
-    def __init__(self, elements, generators, deriv=None, *, arrays=None,
-                 orders=None):
-        self.elements = elements
-        self.generators = generators
+    def __init__(self, rows, gen_rows, deriv=None, *, orders=None):
+        self._rows = rows
+        self.gen_rows = gen_rows
         self.deriv = deriv
-        self.index = {e._key: i for i, e in enumerate(elements)}
-        self.degree = elements[0].degree
-        self._arrays = arrays
+        self.degree = self._rows.shape[1]
         self._orders = orders
         self._classes = None
+        self._keys = self._at = None
 
     @classmethod
     def generate(cls, gens, budget: int = DEFAULT_CLOSURE_BUDGET) -> "GroupTable":
-        """Breadth-first closure of the generated group: elements in order
-        of discovery, each element times each generator in turn.  More than
-        ``budget`` elements raise BudgetExceededError."""
+        """Breadth-first closure of the generated group, one level at a
+        time: each element of the level times each generator in turn
+        (element-major), the first occurrence of each new row kept, in that
+        order.  More than ``budget`` elements raise BudgetExceededError."""
         gens = list(gens)
         if not gens:
             raise PreconditionError("need at least one generator")
         degree = gens[0].degree
         if any(g.degree != degree for g in gens):
             raise PreconditionError("generators must share a degree")
-        ident = Perm.identity(degree)
-        elements, deriv = [ident], [(-1, -1)]
-        index = {ident._key: 0}
-        for head, e in enumerate(elements):     # grows while it is walked
-            for gi, g in enumerate(gens):
-                f = e * g
-                if f._key not in index:
-                    if len(elements) >= budget:
-                        raise BudgetExceededError(
-                            f"group closure exceeded budget {budget}")
-                    index[f._key] = len(elements)
-                    elements.append(f)
-                    deriv.append((head, gi))
-        return cls(elements, gens, deriv)
-
-    @classmethod
-    def from_elements(cls, elements, generators=None) -> "GroupTable":
-        """Wrap an already-closed element list (identity must be first)."""
-        if not elements[0].is_identity():
-            elements = sorted(elements, key=lambda e: not e.is_identity())
-        return cls(list(elements), list(generators or elements))
+        gen_rows = np.stack([g.images for g in gens])
+        level = np.arange(degree, dtype=np.int32)[None]
+        rows, deriv = [level], [np.full((1, 2), -1)]
+        keys = _row_keys(level)     # the rows so far, sorted
+        while len(level):
+            order = len(keys)
+            # level[h] times generator gi is gen_rows[gi] read at level[h]
+            cand = gen_rows[:, level].swapaxes(0, 1).reshape(-1, degree)
+            # each distinct candidate key, in key order, at its first
+            # occurrence
+            ck, first = np.unique(_row_keys(cand), return_index=True)
+            where = np.searchsorted(keys, ck)
+            new = keys[np.minimum(where, order - 1)] != ck
+            if order + np.count_nonzero(new) > budget:
+                raise BudgetExceededError(
+                    f"group closure exceeded budget {budget}")
+            found = np.sort(first[new])
+            keys = np.insert(keys, where[new], ck[new])
+            deriv.append(np.stack(np.divmod(found, len(gens)), axis=1)
+                         + [order - len(level), 0])
+            level = cand[found]
+            rows.append(level)
+        return cls(np.concatenate(rows), gen_rows,
+                   tuple(np.concatenate(deriv, dtype=np.int32).T))
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self._rows)
+
+    @property
+    def generators(self) -> list:
+        return [Perm._unchecked(row) for row in self.gen_rows]
 
     def arrays(self) -> np.ndarray:
         """All elements as one (order, degree) int32 array."""
-        if self._arrays is None:
-            self._arrays = np.stack([e.images for e in self.elements])
-        return self._arrays
+        return self._rows
 
-    def __contains__(self, p: Perm) -> bool:
-        return p._key in self.index
+    def element(self, i: int) -> Perm:
+        return Perm._unchecked(self._rows[i])
 
     def __iter__(self):
-        return iter(self.elements)
+        return map(Perm._unchecked, self._rows)
+
+    def _find(self, images):
+        """For each row of ``images``, a position in the table and whether
+        the row is there at all (if not, the position is meaningless)."""
+        if self._keys is None:
+            keys = _row_keys(self._rows)
+            self._at = np.argsort(keys, kind="stable").astype(np.int32)
+            self._keys = keys[self._at]
+        probe = _row_keys(images)
+        i = np.minimum(np.searchsorted(self._keys, probe), self.order - 1)
+        return self._at[i], self._keys[i] == probe
+
+    def __contains__(self, p: Perm) -> bool:
+        return p.degree == self.degree and bool(self._find(p.images[None])[1])
 
     def position(self, p: Perm) -> int:
-        try:
-            return self.index[p._key]
-        except KeyError:
-            raise MembershipError("element not in group table") from None
+        return int(self.positions(p.images[None])[0])
 
     def positions(self, images) -> np.ndarray:
         """Positions of the elements given as the rows of an int32 image
-        array."""
-        return np.fromiter((self.index[row.tobytes()] for row in images),
-                           dtype=np.int64, count=len(images))
+        array; MembershipError if a row is not one of them."""
+        if np.shape(images)[-1] != self.degree:
+            raise MembershipError("element of the wrong degree for the "
+                                  "group table")
+        at, found = self._find(images)
+        if not found.all():
+            raise MembershipError("element not in group table")
+        return at
 
     def is_subgroup_of(self, other: "GroupTable") -> bool:
-        return self.degree == other.degree and all(
-            e._key in other.index for e in self.elements)
+        return self.degree == other.degree and \
+            bool(other._find(self._rows)[1].all())
 
     # -- conjugacy machinery ------------------------------------------------
 
@@ -305,10 +327,10 @@ class GroupTable:
         """Orbits of conjugation by the generators on element positions,
         ordered by their least position, which is each class's rep."""
         if self._classes is None:
-            arr = self.arrays()
+            arr = self._rows
             # g^-1 x g for every x at once: apply g^-1, then x, then g
-            images = [self.positions(g.images[arr[:, g.inverse().images]])
-                      for g in self.generators]
+            images = [self.positions(g[arr[:, np.argsort(g)]])
+                      for g in self.gen_rows]
             reps, class_of, sizes = np.unique(
                 orbit_labels(images), return_inverse=True, return_counts=True)
             self._classes = ClassPartition(reps.tolist(), class_of,
@@ -317,17 +339,16 @@ class GroupTable:
 
     def centralizer(self, x: Perm) -> "GroupTable":
         """All y in the group with xy = yx: the rows y with y[x] = x[y]."""
-        if x._key not in self.index:
-            raise MembershipError("centralizer: element not in group")
-        arr = self.arrays()
-        members = np.flatnonzero((arr[:, x.images] == x.images[arr])
-                                 .all(axis=1))
-        return GroupTable.from_elements([self.elements[i] for i in members])
+        self.position(x)    # MembershipError unless x is in the group
+        arr = self._rows
+        members = arr[(arr[:, x.images] == x.images[arr]).all(axis=1)]
+        return GroupTable(members, members)
 
     def prime_order_class_count(self) -> int:
         """f_p: number of conjugacy classes of prime-order elements."""
-        part = self.conjugacy_classes()
-        return sum(1 for r in part.reps if _is_prime(self.elements[r].order()))
+        orders = self.element_orders()
+        return sum(1 for r in self.conjugacy_classes().reps
+                   if _is_prime(int(orders[r])))
 
     def element_orders(self) -> np.ndarray:
         """Order of every element, in element order: the lcm of its cycle
@@ -372,11 +393,8 @@ class GroupTable:
         if _is_prime(self.degree):
             # block sizes divide the degree
             return True
-        gens = [g.images for g in self.generators]
-        for a in range(1, self.degree):
-            if _minimal_block_size(gens, self.degree, 0, a) != self.degree:
-                return False
-        return True
+        return all(_minimal_block_size(self.gen_rows, self.degree, 0, a)
+                   == self.degree for a in range(1, self.degree))
 
     def contains_alternating(self) -> bool:
         """Whether A_degree <= group (order test; index-2 subgroup is unique)."""
@@ -507,7 +525,7 @@ def _is_prime(n: int) -> bool:
 def symmetric_table(k: int) -> GroupTable:
     """S_k as an explicit table."""
     if k == 1:
-        return GroupTable.from_elements([Perm.identity(1)])
+        return GroupTable.generate([Perm.identity(1)])
     gens = [Perm.from_cycles([[0, 1]], k)] if k == 2 else [
         Perm.from_cycles([[0, 1]], k),
         Perm.from_cycles([list(range(k))], k),
@@ -518,7 +536,7 @@ def symmetric_table(k: int) -> GroupTable:
 def alternating_table(k: int) -> GroupTable:
     """A_k as an explicit table."""
     if k <= 2:
-        return GroupTable.from_elements([Perm.identity(max(k, 1))])
+        return GroupTable.generate([Perm.identity(max(k, 1))])
     if k == 3:
         gens = [Perm.from_cycles([[0, 1, 2]], 3)]
     else:
@@ -538,7 +556,7 @@ def dihedral_table(k: int, reflections: bool = True) -> GroupTable:
     (mod k); C_k, from the first alone, without ``reflections``.
 
     Its maps are x -> s*x + r, s = +-1, listed as ``GroupTable.generate``
-    lists them for those generators, with no Perm product: (s, r) times
+    lists them for those generators, with no row product: (s, r) times
     them is (s, r + 1) and (-s, -r), so closing the pairs breadth-first
     gives the closure's order; at k <= 2, -x = x, so s stays 1.  A
     rotation has order k / gcd(r, k), a reflection order 2."""
@@ -550,9 +568,17 @@ def dihedral_table(k: int, reflections: bool = True) -> GroupTable:
                 deriv[pair] = (head, gi)
                 pairs.append(pair)
     s, r = np.array(pairs).T
-    arr = ((s[:, None] * np.arange(k) + r[:, None]) % k).astype(np.int32)
-    arr.setflags(write=False)
-    gens = [Perm((np.arange(k) + 1) % k), Perm(-np.arange(k) % k)]
-    return GroupTable([Perm._unchecked(row) for row in arr],
-                      gens[:1 + reflections], list(deriv.values()), arrays=arr,
+    points = np.arange(k)
+    rows = ((s[:, None] * points + r[:, None]) % k).astype(np.int32)
+    gen_rows = np.array([(points + 1) % k, -points % k], dtype=np.int32)
+    return GroupTable(rows, gen_rows[:1 + reflections],
+                      tuple(np.array(list(deriv.values()), dtype=np.int32).T),
                       orders=np.where(s < 0, 2, k // np.gcd(r, k)))
+
+
+def _row_keys(rows) -> np.ndarray:
+    """Each row of a 2-D array, as int32, as one opaque bytes value: equal
+    keys are equal rows at every degree, and keys sort and search like any
+    array.  A view when the rows are C-contiguous int32 already."""
+    rows = np.ascontiguousarray(rows, dtype=np.int32)
+    return rows.view(np.dtype((np.void, 4 * rows.shape[1])))[:, 0]

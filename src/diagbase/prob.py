@@ -358,12 +358,12 @@ class RowCodedGroup:
             dtype=np.int32)
         table = g.top.table
         self.n_top = table.order
-        self.top_arr = table.arrays()
-        self.tmul = np.array(
-            [[table.position(p * q) for q in table.elements]
-             for p in table.elements], dtype=np.int32)
-        self.tinv = np.array([table.position(p.inverse())
-                              for p in table.elements], dtype=np.int32)
+        self.top_arr = arr = table.arrays()
+        # p * q applies p, then q: row q read at row p, for every pair
+        self.tmul = table.positions(
+            arr[np.arange(self.n_top)[:, None], arr[:, None]]
+            .reshape(-1, table.degree)).reshape(self.n_top, self.n_top)
+        self.tinv = table.positions(np.argsort(arr, axis=1))
         self.order = (self.T.order ** (g.k - 1)) * g.gd_order
 
     def multiply(self, x, y):
@@ -394,8 +394,9 @@ class RowCodedGroup:
             if lab:
                 r = int(T.aut.label_reps[lab])
                 gens.append((tuple([r] * k), 0))
-        for p in self.g.top.table.generators:
-            gens.append((ident, self.g.top.table.position(p)))
+        table = self.g.top.table
+        for pid in table.positions(table.gen_rows).tolist():
+            gens.append((ident, pid))
         return gens
 
     # -- enumeration (vectorized) -------------------------------------------
@@ -544,12 +545,11 @@ def q2_bound_by_classes(g: DiagTypeGroup, budget: int = 10**7) -> Fraction:
     tuples = omega_tuples(g, budget)
     total = Fraction(0)
     for cls in rc.class_data():
-        a = cls["rep"][0][0]
-        perm = g.top.table.elements[cls["rep"][1]]
+        rows, pid = cls["rep"]
         fix = int(_accel.count_per_tuple(
             g.T.aut.rows, g.top.table.arrays(),
-            np.array([a], dtype=np.int32),
-            np.array([g.top.table.position(perm)], dtype=np.int32),
+            np.array(rows[:1], dtype=np.int32),
+            np.array([pid], dtype=np.int32),
             tuples, g.T.mul, g.T.inv, g.T.order_of).sum())
         total += cls["size"] * Fraction(fix, g.degree) ** 2
     return total

@@ -163,7 +163,7 @@ def criterion_6():
             c_brute = rc.order // cls["size"]
             for m in cls["diag_members"]:
                 a = m[0][0]
-                perm = g.top.table.elements[m[1]]
+                perm = g.top.table.element(m[1])
                 ok &= centralizer_order_formula(g, a, perm) == c_brute
                 checked += 1
                 ok &= class_intersection_formula(g, a, perm) == \

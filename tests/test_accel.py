@@ -34,7 +34,7 @@ def _oracle(g, args):
     _, _, cand_a, cand_p, tuples, _, _, _ = args
     points = [OmegaPoint(tuple(int(v) for v in t)) for t in tuples]
     return np.array([[element_fixes_points(g, int(a),
-                                           g.top.table.elements[int(p)], [pt])
+                                           g.top.table.element(int(p)), [pt])
                       for pt in points]
                      for a, p in zip(cand_a, cand_p)], dtype=bool)
 

@@ -71,7 +71,7 @@ class TestBuild:
         rng = np.random.default_rng(0)
         for _ in range(50):
             i, j = rng.integers(0, n, 2)
-            p = A5.table.elements[i] * A5.table.elements[j]
+            p = A5.table.element(i) * A5.table.element(j)
             assert A5.table.position(p) == A5.mul[i, j]
         assert all(A5.mul[i, A5.inv[i]] == 0 for i in range(n))
 
@@ -328,7 +328,7 @@ def _reference_tables(T):
     # row i: e_i * e_j = apply e_i, then e_j, for every j
     mul = np.stack([table.positions(arr[:, row]) for row in arr])
     inv = table.positions(np.argsort(arr, axis=1).astype(np.int32))
-    orders = [e.order() for e in table.elements]
+    orders = [e.order() for e in table]
     return mul, inv, orders
 
 
@@ -357,7 +357,7 @@ def _reference_aut(T, mul, inv):
     for images in T.record.aut_generators:
         ids = [T.table.position(p) for p in images]
         f = np.zeros(n, dtype=np.int32)
-        for i, (parent, gi) in enumerate(T.table.deriv):
+        for i, (parent, gi) in enumerate(zip(*T.table.deriv)):
             if parent >= 0:
                 f[i] = mul[f[parent], ids[gi]]
         outer.append(f)

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagbase.catalog import get_group
+from diagbase.catalog import catalog_names, get_group
 from diagbase.errors import BudgetExceededError, MembershipError
 from diagbase.perm import (GroupTable, Perm, _minimal_block_size,
                            alternating_table, cyclic_table, dihedral_table,
@@ -64,6 +66,37 @@ class TestPermArithmetic:
 
 # -- closure ------------------------------------------------------------------
 
+def _perm_closure(gens, budget=10**7):
+    """The Perm-object closure, kept as the oracle of the array closure:
+    breadth-first, each element times each generator in turn, new
+    elements appended as found.  Returns (elements, deriv pairs)."""
+    ident = Perm.identity(gens[0].degree)
+    elements, deriv, index = [ident], [(-1, -1)], {ident}
+    for head, e in enumerate(elements):     # grows while it is walked
+        for gi, g in enumerate(gens):
+            f = e * g
+            if f not in index:
+                if len(elements) >= budget:
+                    raise BudgetExceededError(
+                        f"group closure exceeded budget {budget}")
+                index.add(f)
+                elements.append(f)
+                deriv.append((head, gi))
+    return elements, deriv
+
+
+def _assert_matches_oracle(table, gens):
+    elements, deriv = _perm_closure(gens)
+    assert table.arrays().tolist() == [e.images.tolist() for e in elements]
+    assert list(zip(*(d.tolist() for d in table.deriv))) == deriv
+    assert table.generators == list(gens)
+
+
+# the generators of D37 as a gens: top: a 37-cycle and a reflection
+D37_SPEC = "(" + " ".join(map(str, range(1, 38))) + ")|" + "".join(
+    f"({i} {39 - i})" for i in range(2, 20))
+
+
 class TestClosure:
     def test_trivial(self):
         assert GroupTable.generate([Perm.identity(3)]).order == 1
@@ -80,21 +113,82 @@ class TestClosure:
         assert g.order == 120
         # every element is its recorded parent times its generator, and
         # parents come first: the breadth-first derivations
-        assert g.deriv[0] == (-1, -1)
-        for i, (parent, gi) in enumerate(g.deriv[1:], start=1):
+        parents, gis = (d.tolist() for d in g.deriv)
+        assert (parents[0], gis[0]) == (-1, -1)
+        for i, (parent, gi) in enumerate(zip(parents[1:], gis[1:]), start=1):
             assert parent < i
-            assert g.elements[parent] * g.generators[gi] == g.elements[i]
+            assert g.element(parent) * g.generators[gi] == g.element(i)
 
     def test_idempotent(self):
         g = GroupTable.generate([Perm.parse("(1 2 3 4)", 4)])
-        again = GroupTable.generate(g.elements)
-        assert {e._key for e in again.elements} == \
-            {e._key for e in g.elements}
+        again = GroupTable.generate(list(g))
+        assert {e._key for e in again} == {e._key for e in g}
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             GroupTable.generate([Perm.parse("(1 2 3 4 5 6 7)", 7),
                                  Perm.parse("(1 2)", 7)], budget=100)
+
+    @pytest.mark.parametrize("budget", [1, 2, 59, 60, 61])
+    def test_budget_matches_oracle(self, budget):
+        # both closures refuse exactly the groups of more than budget
+        # elements
+        gens = [Perm.parse("(1 2 3 4 5)", 5), Perm.parse("(1 2 3)", 5)]
+        for closure in (GroupTable.generate, _perm_closure):
+            if budget < 60:
+                with pytest.raises(BudgetExceededError,
+                                   match=f"budget {budget}$"):
+                    closure(gens, budget)
+            else:
+                closure(gens, budget)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("make", [symmetric_table, alternating_table])
+    def test_sym_alt_tables_match_oracle(self, make, k):
+        table = make(k)
+        _assert_matches_oracle(table, table.generators)
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_closures_match_oracle(self, name):
+        T = get_group(name)
+        _assert_matches_oracle(T.table, T.record.generators)
+
+    def test_degree_37_closure_matches_oracle(self):
+        # row keys stay exact past degree 15, where an int64 code of a
+        # whole row would overflow
+        gens = [Perm.parse(part, 37) for part in D37_SPEC.split("|")]
+        table = GroupTable.generate(gens, 1000)
+        assert table.order == 74
+        _assert_matches_oracle(table, gens)
+        assert table.arrays().tolist() == dihedral_table(37).arrays().tolist()
+
+    def test_membership(self, A5):
+        table = A5.table
+        for p in (Perm.parse("(1 2)", 5), Perm.identity(6),
+                  Perm.parse("(1 2 3)", 6)):
+            assert p not in table
+            with pytest.raises(MembershipError):
+                table.position(p)
+        with pytest.raises(MembershipError):
+            table.positions(table.arrays()[:, :4])
+        for i, p in enumerate(table):
+            assert p in table and table.position(p) == i
+        assert table.positions(table.arrays()[::-1]).tolist() == \
+            list(range(table.order - 1, -1, -1))
+
+    def test_symmetric_8_retains_under_4mb(self):
+        # the element array, the derivations and, once a position is asked
+        # for, the sorted row keys; no Perm per element: about 2.9 MB
+        symmetric_table(3).position(Perm.identity(3))
+        tracemalloc.start()
+        try:
+            table = symmetric_table(8)
+            table.position(Perm.identity(8))
+            retained, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.order == 40320
+        assert retained < 4 * 2**20
 
     @pytest.mark.parametrize("make,k", [
         *((make, k) for make in (symmetric_table, alternating_table,
@@ -103,8 +197,7 @@ class TestClosure:
         (cyclic_table, 37), (dihedral_table, 37), (symmetric_table, 1)])
     def test_element_orders_match_perm_order(self, make, k):
         table = make(k)
-        assert table.element_orders().tolist() == \
-            [e.order() for e in table.elements]
+        assert table.element_orders().tolist() == [e.order() for e in table]
 
     def test_element_orders_cached(self):
         for table in (symmetric_table(5), GroupTable.generate(
@@ -114,16 +207,15 @@ class TestClosure:
     @pytest.mark.parametrize("k", range(1, 41))
     def test_closed_form_tables_match_closure(self, k):
         # the closed-form cyclic and dihedral tables equal the closure of
-        # the same generators: rows, generators, derivations and orders
+        # the same generators, and both the Perm oracle: rows, generators,
+        # derivations and orders
         cycle = Perm.from_cycles([list(range(k))], k)
         reflection = Perm([(-i) % k for i in range(k)])
         for table, gens in ((cyclic_table(k), [cycle]),
                             (dihedral_table(k), [cycle, reflection])):
             closed = GroupTable.generate(gens)
-            assert table.elements == closed.elements
-            assert table.generators == closed.generators
-            assert table.deriv == closed.deriv
-            assert table.arrays().tolist() == closed.arrays().tolist()
+            _assert_matches_oracle(table, gens)
+            _assert_matches_oracle(closed, gens)
             assert table.element_orders().tolist() == \
                 closed.element_orders().tolist()
 
@@ -137,8 +229,8 @@ class TestClosure:
 def _brute_force_classes(table):
     """(reps, class_of, sizes) from {g^-1 x g : g in G} per element, the
     classes ordered by least position."""
-    conj = [{table.position(g.inverse() * x * g) for g in table.elements}
-            for x in table.elements]
+    conj = [{table.position(g.inverse() * x * g) for g in table}
+            for x in table]
     reps = sorted({min(c) for c in conj})
     cid = {r: i for i, r in enumerate(reps)}
     return reps, [cid[min(c)] for c in conj], [len(conj[r]) for r in reps]
@@ -156,7 +248,7 @@ class TestClasses:
             _brute_force_classes(table)
 
     def test_trivial_group(self):
-        g = GroupTable.from_elements([Perm.identity(2)])
+        g = GroupTable.generate([Perm.identity(2)])
         assert len(g.conjugacy_classes()) == 1
 
     def test_a5_classes(self, A5):
@@ -172,7 +264,7 @@ class TestClasses:
         g = A5.table
         part = g.conjugacy_classes()
         for rep, size in zip(part.reps, part.sizes):
-            cent = g.centralizer(g.elements[rep])
+            cent = g.centralizer(g.element(rep))
             assert size * cent.order == g.order
 
     def test_centralizer_of_identity(self, A5):
@@ -186,7 +278,7 @@ class TestClasses:
             A5.table.centralizer(Perm.parse("(1 2)", 5))
 
     def test_fp_trivial(self):
-        g = GroupTable.from_elements([Perm.identity(2)])
+        g = GroupTable.generate([Perm.identity(2)])
         assert g.prime_order_class_count() == 0
 
     @pytest.mark.parametrize("m", [5, 6, 7])

@@ -79,7 +79,7 @@ class TestFixingElements:
         for g in (w2a5, build_group(A5, 3, "full", "sym-table")):
             _cand_a, cand_p, tags = prime_order_candidates(g)
             for pid, tag in zip(cand_p.tolist(), tags.tolist()):
-                p = g.top.table.elements[pid]
+                p = g.top.table.element(pid)
                 if p.is_identity():
                     assert tag == 2
                 elif not p.fixed_points():
@@ -96,7 +96,7 @@ class TestFixingElements:
         cand_a, cand_p, tags = prime_order_candidates(g)
         aut_orders = g.T.aut.group_table().element_orders()
         for a, pid in zip(cand_a[:200], cand_p[:200]):
-            perm = g.top.table.elements[int(pid)]
+            perm = g.top.table.element(int(pid))
             o_a = int(aut_orders[int(a)])
             o_p = perm.order()
             p = max(o_a, o_p)
@@ -119,7 +119,7 @@ def test_prime_order_candidates_match_brute_force(name, k, out, top):
     # the perm's fixed points
     g = build_group(get_group(name), k, out, top)
     aut_orders = g.T.aut.group_table().element_orders().tolist()
-    perms = g.top.table.elements
+    perms = list(g.top.table)
     perm_orders = [p.order() for p in perms]
     want = set()
     for a, pid in zip(*(x.tolist() for x in g.gd_candidates)):
@@ -404,7 +404,7 @@ class TestFormulas:
         for cls in rc.class_data():
             want = rc.order // cls["size"]
             for m in cls["diag_members"]:
-                perm = w2a5.top.table.elements[m[1]]
+                perm = w2a5.top.table.element(m[1])
                 assert centralizer_order_formula(w2a5, m[0][0], perm) == want
                 assert class_intersection_formula(
                     w2a5, m[0][0], perm) == len(cls["diag_members"])
@@ -419,7 +419,7 @@ class TestFormulas:
         fpf = 0
         for cls in RowCodedGroup(g).class_data():
             a, pid = cls["rep"][0][0], cls["rep"][1]
-            perm = g.top.table.elements[pid]
+            perm = g.top.table.element(pid)
             if not perm.fixed_points():
                 assert class_intersection_formula(g, a, perm) == \
                     len(cls["diag_members"])
