@@ -15,9 +15,12 @@ alpha(x) permutes the multiset of columns of the points' tuple matrix; a
 column-set test over integer column codes checks that for every alpha and
 every admissible image of the identity column at once, and the permutation
 part is read off by matching equal columns.  A row-histogram prefilter runs
-first: such a map preserves the histogram over T of every row, which pins
-each row's entry of the image of the identity column to a few candidates
-per alpha, so only the pairs allowed by every row reach the column test.
+first: such a map preserves every row's histogram over T, so the images of
+the identity and of one rarest element of a row pin alpha's image there,
+and only the pairs allowed by every row reach the column test (none but
+the identity pair ends a witness search).  Monte Carlo runs the prefilter
+on the samples without repeated entries, in blocks sized by the k^2 pin
+pairs a sample can have.
 """
 
 from __future__ import annotations
@@ -40,9 +43,10 @@ SOLVER_NODE_BUDGET = 10**6
 # most one-point candidate filters in one minimal_base_size search
 MIN_BASE_FILTER_BUDGET = 10**5
 # pairs (alpha, y) per chunk of the column-set test, and the target size of
-# survivors x columns per block.  On a 2-CPU VM (perfbench symbolic-sweep,
-# seeds 811-813) 2^10..2^12 ran equally fast at 43.2-43.6 MB peak RSS;
-# 2^14 was about 10% slower at 45.1-45.3 MB, 2^16 25% slower at 51.7 MB.
+# survivors x columns per block.  On a 2-CPU VM (the symbolic-sweep op lists
+# of seeds 811-813 run in one process, two-image pin) 2^12..2^14 ran equally
+# fast at 40.0-40.6 MB peak RSS; 2^10 was about 25% slower, 2^16 about 20%
+# slower at 42 MB.
 SOLVER_CHUNK_PAIRS = 1 << 12
 
 
@@ -87,16 +91,12 @@ def stabilizer_witness(g: DiagTypeGroup, points):
     tuples = _accel.as_tuple_matrix([p.as_array() for p in points], g.k)
     if g.top.is_symbolic:
         if len(points) == 0:
-            return _first_nonidentity_gd(g)
+            # any nontrivial inner diagonal pair lies in every diagonal-type G
+            return (g.T.aut.inn_of(1), Perm.identity(g.k))
         found = _solve_symbolic(g, tuples, mode="witness")
         return found[0] if found else None
     fixing = _fixing_candidates(g, tuples)
     return _candidate(g, fixing[1]) if len(fixing) > 1 else None
-
-
-def _first_nonidentity_gd(g: DiagTypeGroup):
-    # any nontrivial inner diagonal pair lies in every diagonal-type G
-    return (g.T.aut.inn_of(1), Perm.identity(g.k))
 
 
 def pointwise_stabilizer_by_action(g: DiagTypeGroup, points):
@@ -125,20 +125,26 @@ def _row_histograms(X, n):
     return np.bincount(flat.ravel(), minlength=R * n).reshape(R, n)
 
 
+def _runs(lengths):
+    """(run, offset) of every slot of consecutive runs of these lengths."""
+    run = np.repeat(np.arange(len(lengths)), lengths)
+    return run, np.arange(len(run)) - (np.cumsum(lengths) - lengths)[run]
+
+
 def _histogram_survivors(g, hist):
     """Row-histogram test: the triples (row, alpha index into g.aut_rows,
     y in T) for which t -> y * alpha(t) preserves the histogram ``hist[row]``
     of a row over T.
 
-    Such a map sends each count class onto itself, so with C the rarest
-    class of a row and t* its last element, y * alpha(t*) lies in C: the
-    candidates are y = c * alpha(t*)^-1 for c in C, kept only if y, the
-    image of the identity, is as frequent as the identity.  They are tested
-    on the support of the row, a block of support elements at a time sized
-    so that candidates x block stays near ``SOLVER_CHUNK_PAIRS``, and only
-    the survivors go on.
+    Such a map sends each count class onto itself: y, the image of the
+    identity, lies in Y, the class of the identity, and with C the rarest
+    class and t* its last element, y * alpha(t*) lies in C.  Each (y, c) in
+    Y x C pins alpha(t*) = y^-1 c, one run of ``AutTable.image_index``.
+    The rest of the support is tested a block at a time, sized so that
+    candidates x block stays near ``SOLVER_CHUNK_PAIRS``.
     """
     T, n = g.T, g.T.order
+    order, bounds = T.aut.image_index(g.out_labels)
     # flat tables: entry [i, j] of an n-column table sits at i * n + j
     rows, mul, counts = T.aut.rows.ravel(), T.mul.ravel(), hist.ravel()
     R = len(hist)
@@ -147,19 +153,22 @@ def _histogram_survivors(g, hist):
     rare = np.where(sizes > 0, sizes, n + 1).argmin(axis=1)
     cr, c = np.nonzero(hist == rare[:, None])
     t_star = c[np.searchsorted(cr, np.arange(R), side="right") - 1]
-    # y * alpha(t*) = c, one row per c and one column per alpha; keep the y
-    # as frequent as the identity, its image
-    y = mul[(c * n)[:, None] +
-            T.inv[rows[g.aut_rows * n + t_star[cr][:, None]]]]
-    i, a = np.nonzero(counts[(cr * n)[:, None] + y] == hist[cr, :1])
-    r, y = cr[i], y[i, a]
-    # support of each row, padded by repeating its last element
-    sr, st = np.nonzero(hist)
-    first = np.searchsorted(sr, np.arange(R))
-    last = np.searchsorted(sr, np.arange(R), side="right") - 1
-    width = int((last - first).max(initial=-1)) + 1
-    support = st[np.minimum(first[:, None] + np.arange(width), last[:, None])]
-    j = 0
+    # every y as frequent as the identity, paired with every c of its row
+    yr, y = np.nonzero(hist == hist[:, :1])
+    n_c = np.bincount(cr, minlength=R)
+    i, j = _runs(n_c[yr])
+    r, y, c = yr[i], y[i], c[(np.cumsum(n_c) - n_c)[yr[i]] + j]
+    # alpha(t*) = y^-1 c: the alphas at run (t*, y^-1 c) of the index
+    t, u = t_star[r], T.mul[T.inv[y], c]
+    start = bounds[t, u]
+    i, j = _runs(bounds[t, u + 1] - start)
+    r, a, y = r[i], order[t[i], start[i] + j], y[i]
+    # support past the identity, padded with it: every candidate maps it
+    sr, st = np.nonzero(hist[:, 1:])
+    rank = np.arange(len(sr)) - np.searchsorted(sr, sr)
+    support = np.zeros((R, int(rank.max(initial=-1)) + 1), dtype=np.intp)
+    support[sr, rank] = st + 1
+    j, width = 0, support.shape[1]
     while len(r) and j < width:
         stop = j + max(1, SOLVER_CHUNK_PAIRS // len(r))
         t = support[r, j:stop]
@@ -250,7 +259,9 @@ def _solve_symbolic(g: DiagTypeGroup, tuples, mode: str,
     codes = _column_codes(X, n, dtype)
     uniq, first, inverse, counts = np.unique(
         codes, return_index=True, return_inverse=True, return_counts=True)
-    repeated = [np.nonzero(inverse == c)[0] for c in np.nonzero(counts > 1)[0]]
+    # classes of equal columns; a witness reads the first two at most
+    classes = np.nonzero(counts > 1)[0][:2 if mode == "witness" else None]
+    repeated = [np.nonzero(inverse == c)[0] for c in classes]
     # equal columns swap freely: a transposition for Sym; for Alt a 3-cycle
     # on a triple or a double transposition on two pairs
     if mode == "witness" and repeated and (
@@ -261,6 +272,10 @@ def _solve_symbolic(g: DiagTypeGroup, tuples, mode: str,
 
     ys = X[:, first[counts == counts[0]]]
     pairs = _histogram_pairs(g, X, ys)
+    if mode == "witness":       # flat index 0, the identity pair, fixes all
+        pairs = pairs[pairs > 0]
+        if not len(pairs):
+            return []
     survivors = _surviving_pairs(g, pairs, ys, X[:, first[1:]], uniq, counts,
                                  dtype)
     order = np.argsort(codes, kind="stable")
@@ -279,8 +294,6 @@ def _solve_symbolic(g: DiagTypeGroup, tuples, mode: str,
             swap_pair[repeated[0]] = repeated[0][::-1]
         for a_s, y_s in survivors:
             for a, yi in zip(a_s.tolist(), y_s.tolist()):
-                if a == ident and yi == 0:
-                    continue
                 perm = Perm(matching(a, yi))
                 if alt and perm.sign() != 1:
                     if not repeated:
@@ -450,12 +463,7 @@ def digit_base_rows(g: DiagTypeGroup):
     rest = [t for t in range(1, nT) if t not in (xi, yi, zi)]
     enum = np.array([0, xi, yi, zi, *rest])
     m = min(nT - 1, k - 2)
-    if k > nT:
-        r = 1
-        while nT ** r < k - nT + 1:
-            r += 1
-    else:
-        r = 1
+    r = max(1, ceil_log(nT, k - nT + 1))
     rows = np.zeros((r + 2, k), dtype=np.int64)
     rows[1, :m] = enum[1:m + 1]
     rows[2, :2] = xi, zi

@@ -257,6 +257,7 @@ class AutTable:
         self._assign_labels()
         self._group = None
         self._comp = None
+        self._image_index = {}
 
     def _codes(self, images):
         g1, g2 = self.T.gen_ids
@@ -394,6 +395,21 @@ class AutTable:
         wanted = np.zeros(self.out_order, dtype=bool)
         wanted[list(labels)] = True
         return np.flatnonzero(wanted[self.labels]).astype(np.int32)
+
+    def image_index(self, labels: tuple):
+        """``order[t]``: the indices into ``rows_with_labels(labels)`` sorted
+        by alpha(t), those with alpha(t) = u from ``bounds[t, u]`` up to
+        ``bounds[t, u + 1]``.  Built on first use, once per label tuple."""
+        if labels not in self._image_index:
+            n = self.T.order
+            img = self.rows[self.rows_with_labels(labels)].T.astype(
+                np.int16, order="C")
+            hist = np.bincount((img + n * np.arange(n)[:, None]).ravel(),
+                               minlength=n * n).reshape(n, n)
+            self._image_index[labels] = (
+                np.argsort(img, axis=1, kind="stable").astype(np.int16),
+                np.pad(hist.cumsum(axis=1, dtype=np.int16), ((0, 0), (1, 0))))
+        return self._image_index[labels]
 
     def group_table(self) -> GroupTable:
         """Aut(T) wrapped as a GroupTable on |T| points, generated by the

@@ -61,6 +61,7 @@ def _output_flags(p):
 
 @functools.cache
 def build_parser():
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="diagbase",
         description="base sizes and base probabilities of diagonal-type "
@@ -113,7 +114,20 @@ def build_parser():
     p.add_argument("--criteria", default=None,
                    help="comma list of criterion ids (default: all)")
     _output_flags(p)
-    return parser
+    return parser, sub.choices
+
+
+def parse_args(argv):
+    """The two-level parse of ``argv``, without argparse's top-level pass
+    when argv[0] names a subcommand: its parser reads the rest alone."""
+    parser, commands = build_parser()
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extra = commands[argv[0]].parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def _emit(args, payload, elapsed):
@@ -262,8 +276,7 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     start = time.perf_counter()
     suite = args.command == "paper-suite"
     try:

@@ -32,6 +32,8 @@ from .perm import Perm, _is_prime
 from .report import int_str
 
 DEFAULT_SEED = 0x5EED
+# most top products (order^2 x degree): sym-table k=6 fits, k=7 (711 MB) not
+ROW_CODED_TOP_MAX_ENTRIES = 4 * 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -155,31 +157,27 @@ def _detect_nonbase(g: DiagTypeGroup, tuples):
 
 
 def _detect_symbolic(g: DiagTypeGroup, tuples):
-    """Non-base verdicts of single points for a symbolic top, in blocks of
-    samples.  For one point the columns are the entries, so the column-set
-    test is the row-histogram test: a repeated entry is a hit for Sym, a
-    triple or two pairs for Alt; otherwise a hit needs a nonidentity
-    (alpha, y) preserving the histogram, which settles Sym, and only Alt
-    samples with such a survivor go to the solver for the parity of pi."""
+    """Non-base verdicts of single points for a symbolic top.  For one
+    point the columns are the entries, so the column-set test is the
+    row-histogram test: a repeated entry is a hit for Sym, a triple or two
+    pairs for Alt; the other samples, in blocks, are hits if a nonidentity
+    (alpha, y) preserves the histogram, which settles Sym, and only such
+    Alt samples go to the solver for the parity of pi."""
     alt = g.top.symbolic == "alt"
-    ident = g.T.aut.identity_row
-    block = max(1, baseengine.SOLVER_CHUNK_PAIRS // len(g.aut_rows))
-    out = np.zeros(len(tuples), dtype=np.uint8)
-    for start in range(0, len(tuples), block):
-        X = tuples[start:start + block]
-        hist = baseengine._row_histograms(X, g.T.order)
-        repeated = (hist >= 2).sum(axis=1)
-        hit = (hist.max(axis=1) >= 3) | (repeated >= 2) if alt else \
-            repeated >= 1
-        open_rows = np.flatnonzero(~hit)
-        r, a, y = baseengine._histogram_survivors(g, hist[open_rows])
-        moved = (g.aut_rows[a] != ident) | (y != 0)
-        survives = np.zeros(len(open_rows), dtype=bool)
-        survives[r[moved]] = True
-        for s in open_rows[survives].tolist():
-            hit[s] = not alt or bool(baseengine._solve_symbolic(
-                g, X[s:s + 1], mode="witness"))
-        out[start:start + len(X)] = hit
+    ordered = np.sort(tuples, axis=1)
+    repeats = (ordered[:, 1:] == ordered[:, :-1]).sum(axis=1)
+    out = (repeats >= (2 if alt else 1)).astype(np.uint8)
+    open_rows = np.flatnonzero(out == 0)
+    # k^2 pin pairs (y, c) at most per sample, as |Y|, |C| <= k
+    block = max(1, baseengine.SOLVER_CHUNK_PAIRS // g.k ** 2)
+    for start in range(0, len(open_rows), block):
+        rows = open_rows[start:start + block]
+        r, a, y = baseengine._histogram_survivors(
+            g, baseengine._row_histograms(tuples[rows], g.T.order))
+        moved = r[(a != 0) | (y != 0)]      # aut_rows[0] is the identity
+        for s in rows[np.bincount(moved, minlength=len(rows)) > 0].tolist():
+            out[s] = not alt or bool(baseengine._solve_symbolic(
+                g, tuples[s:s + 1], mode="witness"))
     return out
 
 
@@ -350,13 +348,17 @@ class RowCodedGroup:
     def __init__(self, g: DiagTypeGroup):
         if g.top.is_symbolic:
             raise PreconditionError("row-coded enumeration needs an explicit top")
+        table = g.top.table
+        if table.order ** 2 * table.degree > ROW_CODED_TOP_MAX_ENTRIES:
+            raise BudgetExceededError(
+                f"top product table of {table.order}^2 x {table.degree} "
+                f"entries exceeds {ROW_CODED_TOP_MAX_ENTRIES}")
         self.g = g
         self.T = g.T
         self.comp = self.T.aut.composition_table()
         self.inv_row = np.array(
             [self.T.aut.invert_row(r) for r in range(self.T.aut.n_aut)],
             dtype=np.int32)
-        table = g.top.table
         self.n_top = table.order
         self.top_arr = arr = table.arrays()
         # p * q applies p, then q: row q read at row p, for every pair

@@ -272,6 +272,45 @@ class TestColumnSetSolver:
         pts = construct_digit_base(g)
         assert is_base(g, pts[1:]).verdict
 
+    @pytest.mark.parametrize("name", ["A5", "L2(7)"])
+    @pytest.mark.parametrize("out_part", ["inner", "full"])
+    def test_histogram_survivors_match_brute_force(self, name, out_part):
+        # rows of four kinds, plus rows preserved by a random map
+        # t -> y alpha(t); every (alpha, y) is tried on every row
+        T = get_group(name)
+        n, mul = T.order, T.mul
+        g = build_group(T, 5, out_part, "sym")
+        maps = T.aut.rows[g.aut_rows]
+        rng = np.random.default_rng(len(name) + len(out_part))
+        X = [rng.integers(0, n, int(rng.integers(1, 40)))     # random
+             for _ in range(4)]
+        X += [rng.choice(rng.choice(n, 3, replace=False),     # small alphabet
+                         int(rng.integers(2, 12))) for _ in range(4)]
+        X += [rng.permutation(n)[:k] for k in (n // 2, n - 2, n - 1)]  # dense
+        X += [np.repeat(np.arange(n), 2)]                    # uniform
+        hist = np.array([np.bincount(x, minlength=n) for x in X])
+        for _ in range(4):                 # unions of orbits of a map
+            f = mul[rng.integers(n), maps[rng.integers(len(maps))]]
+            row = np.zeros(n, dtype=int)
+            for count in rng.integers(1, 4, 3).tolist():
+                if row.all():
+                    break
+                t = int(rng.choice(np.flatnonzero(row == 0)))
+                while row[t] == 0:
+                    row[t], t = count, f[t]
+            hist = np.vstack([hist, row])
+        want = set()
+        for y in range(n):
+            ok = (hist[:, mul[y][maps]] == hist[:, None, :]).all(axis=2)
+            want |= {(r, a, y) for r, a in zip(*np.nonzero(ok))}
+        r, a, y = baseengine._histogram_survivors(g, hist)
+        got = list(zip(r.tolist(), a.tolist(), y.tolist()))
+        assert len(got) == len(set(got)) and set(got) == want
+        # every row keeps the identity; the planted rows keep more
+        assert {(r, 0, 0) for r in range(len(hist))} < want
+        assert all(sum(t[0] == r for t in want) > 1
+                   for r in range(len(hist) - 4, len(hist)))
+
     def test_prefilter_changes_no_result(self, monkeypatch):
         # the same battery with the row-histogram prefilter and with every
         # pair handed to the exact test: witnesses, stabilizer lists (in
@@ -318,12 +357,13 @@ class TestColumnSetSolver:
         g = build_group(A5, 5000, "full", "sym")
         pts = construct_digit_base(g)
         seen = []
-        surviving = baseengine._surviving_pairs
+        histogram_pairs = baseengine._histogram_pairs
 
-        def spy(g, pairs, *args):
+        def spy(g, X, ys):
+            pairs = histogram_pairs(g, X, ys)
             seen.append(len(pairs))
-            return surviving(g, pairs, *args)
-        monkeypatch.setattr(baseengine, "_surviving_pairs", spy)
+            return pairs
+        monkeypatch.setattr(baseengine, "_histogram_pairs", spy)
         assert is_base(g, pts[1:]).verdict
         assert len(seen) == 1 and 1 <= seen[0] <= 4
 

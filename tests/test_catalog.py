@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+from collections import Counter
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -274,6 +276,23 @@ class TestValidationOnTables:
         # [a, b, x] = x under (apply a, then b)
         want = rows[:, rows].transpose(1, 0, 2)
         assert np.array_equal(rows[aut.composition_table()], want)
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_image_index_matches_direct_scan(self, name):
+        aut = get_group(name).aut
+        for labels in ((0,), tuple(range(aut.out_order))):   # inner, full
+            order, bounds = aut.image_index(labels)
+            assert aut.image_index(labels)[0] is order      # built once
+            rows = aut.rows[aut.rows_with_labels(labels)]
+            for t in range(aut.T.order):
+                images = rows[:, t].tolist()
+                # a stable sort of the rows by image; run u starts after
+                # the rows with a smaller image
+                assert order[t].tolist() == sorted(range(len(images)),
+                                                   key=images.__getitem__)
+                count = Counter(images)
+                assert bounds[t].tolist() == list(accumulate(
+                    (count[u] for u in range(aut.T.order)), initial=0))
 
     def test_prob_path_builds_no_perm_aut_table(self):
         # a fresh process: other tests build Aut(T) as a GroupTable on

@@ -1,10 +1,12 @@
 import contextlib
+import importlib.util
 import io
 import json
 import re
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -424,3 +426,36 @@ def test_cli_fuzz_exits_with_documented_code(argv):
             code = exc.code
     assert code in (0, 2, 3, 4, 5), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def _workload_argvs():
+    """Every distinct argv of the benchmark's seed-1 op lists."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    argvs = {tuple(op["argv"]) for name in workloads.WORKLOADS
+             for op in workloads.build_ops(name, 1, 24)}
+    return sorted(argvs)
+
+
+@pytest.mark.parametrize("argvs", [
+    _workload_argvs(),
+    [["bogus"], ["base-construct", "--k", "5"],
+     ["base-min", "--group", "A5", "--k", "x"], ["base-verify", "-h"],
+     [], ["-h"], ["prob-mc", "--group", "A5", "--k", "6", "--zzz", "1"],
+     ["prob-mc", "--group", "A5", "--k", "6", "--samples", "--seed", "1"]],
+], ids=["workloads", "usage-errors"])
+def test_direct_parse_matches_two_level_parse(capsys, argvs):
+    # the namespace (or exit code), stdout and stderr of cli.parse_args
+    # equal those of the top-level parser's own two-level parse
+    two_level = cli.build_parser()[0].parse_args
+    for argv in argvs:
+        seen = []
+        for parse in (cli.parse_args, two_level):
+            try:
+                result = parse(list(argv))
+            except SystemExit as exc:
+                result = exc.code
+            seen.append((result, *capsys.readouterr()))
+        assert seen[0] == seen[1], argv

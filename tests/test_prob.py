@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import lcm, sqrt
 
@@ -286,15 +287,18 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("name", ["A5", "L2(7)"])
     @pytest.mark.parametrize("top", ["sym", "alt"])
     def test_batched_symbolic_matches_per_sample_solver(self, name, top):
+        # both out parts; dense k, where blocks of samples are smallest
         T = get_group(name)
-        for k in (3, 4, 5, 7, 10, 14, 20):
-            g = build_group(T, k, "full", top)
-            for seed in (1, 2, 3):
-                tuples = _symbolic_samples(T, k, 40, seed)
-                want = [1 if _solve_symbolic(
-                    g, t[None], "witness") else 0
-                    for t in tuples]
-                assert _detect_nonbase(g, tuples).tolist() == want
+        ks = (3, 4, 5, 7, 10, 14, 20) + {"A5": (40, 57), "L2(7)": (150,)}[name]
+        for out_part in ("full", "inner"):
+            for k in ks:
+                g = build_group(T, k, out_part, top)
+                for seed in (1, 2, 3):
+                    tuples = _symbolic_samples(T, k, 40, seed)
+                    want = [1 if _solve_symbolic(
+                        g, t[None], "witness") else 0
+                        for t in tuples]
+                    assert _detect_nonbase(g, tuples).tolist() == want
 
     @pytest.mark.parametrize("name", ["A5", "L2(7)"])
     def test_batched_symbolic_calls_solver_only_for_alt_survivors(
@@ -505,6 +509,18 @@ class TestRowCodedGroup:
         assert sum(r_split_exact(g, budget=22031)) == q2_bound_exact(g)
         with pytest.raises(BudgetExceededError):
             r_split_exact(g, budget=22030)
+
+    def test_top_product_table_refused_before_building(self, A5):
+        # 5040^2 x 7 composed top rows would take 711 MB
+        g = build_group(A5, 7, "full", "sym-table")
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="5040"):
+                r_split_exact(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
     def test_codes_must_fit_int64(self, A5):
         # 120^11 * 11 aut-row and perm codes exceed 2^63
