@@ -612,19 +612,22 @@ def minimal_base_size(g: DiagTypeGroup, budget: int = 10**7):
                 return [j, *found]
         return None
 
-    for size in range(2, g.degree + 2):
-        for rep in reps():
-            cand_a, cand_p = filter_point(base_a, base_p,
-                                          tuples[rep:rep + 1])
-            if size == 2:
-                found = [] if len(cand_a) == 0 else None
-            else:
-                found = extend(cand_a, cand_p, 1, size - 2)
-            if found is not None:
-                return size, [g.diagonal_point()] + \
-                    [OmegaPoint(tuple(tuples[j].tolist()))
-                     for j in (rep, *found)]
-    raise PreconditionError("no base found; group not faithful?")
+    try:
+        for size in range(2, g.degree + 2):
+            for rep in reps():
+                cand_a, cand_p = filter_point(base_a, base_p,
+                                              tuples[rep:rep + 1])
+                if size == 2:
+                    found = [] if len(cand_a) == 0 else None
+                else:
+                    found = extend(cand_a, cand_p, 1, size - 2)
+                if found is not None:
+                    return size, [g.diagonal_point()] + \
+                        [OmegaPoint(tuple(tuples[j].tolist()))
+                         for j in (rep, *found)]
+        raise PreconditionError("no base found; group not faithful?")
+    finally:
+        del extend  # it refers to itself, a cycle that holds tuples until gc
 
 
 # ---------------------------------------------------------------------------

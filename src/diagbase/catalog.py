@@ -17,7 +17,7 @@ the row's two images, and whole rows are built only for the automorphisms
 found, from their derivations, once the closure is done.  Inn-coset labels
 are read off codes as well.  Subgroup closures (simplicity, generating
 pairs) are breadth-first walks over ``mul``, and Aut(T) element orders are
-powers of the Aut rows.
+read off powers of the generator images alone, two entries per row a step.
 
 Automorphisms are stored as rows over the element index of T, so applying
 one is a single array lookup.  Composition is left-to-right throughout:
@@ -378,8 +378,8 @@ class AutTable:
     def orders(self) -> np.ndarray:
         """orders[r] is the order of the automorphism in row r.  An
         automorphism is known by its images of the two generators of T, so
-        only those images are powered: the rows not yet back at the
-        generators are applied to their images once more per step."""
+        only those images are powered: each step reads two entries (at the
+        current images) of each row not yet back at the generators."""
         gens = np.asarray(self.T.gen_ids)
         orders = np.zeros(self.n_aut, dtype=np.int64)
         open_ids, images, step = np.arange(self.n_aut), self.rows[:, gens], 1
@@ -387,7 +387,7 @@ class AutTable:
             done = np.all(images == gens, axis=1)
             orders[open_ids[done]] = step
             open_ids, images = open_ids[~done], images[~done]
-            images = np.take_along_axis(self.rows[open_ids], images, axis=1)
+            images = self.rows[open_ids[:, None], images]
             step += 1
         return orders
 

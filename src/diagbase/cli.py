@@ -249,7 +249,7 @@ def cmd_prob_mc(args):
 
 def cmd_paper_suite(args):
     ids = None
-    if args.criteria:
+    if args.criteria is not None:
         try:
             ids = {int(v) for v in args.criteria.split(",")}
         except ValueError:

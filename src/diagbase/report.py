@@ -4,7 +4,8 @@ Every report carries the schema version and a full echo of the resolved
 configuration.  Rationals are serialized as numerator/denominator string
 pairs so nothing is rounded.  Wall-clock timing is an opt-in field (null by
 default) so that repeated runs with identical configuration produce
-byte-identical output.
+byte-identical output.  JSON comes from a small writer, not ``json.dumps``
+(in CPython 3.11 any ``indent`` turns off its C encoder), with the same text.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ import io
 import json
 from fractions import Fraction
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _quote
 
 SCHEMA_VERSION = "1.0"
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def int_str(value: int) -> str:
@@ -65,8 +68,47 @@ def make_report(command: str, config: dict, payload,
     }
 
 
+def _scalar(value) -> str:
+    """The JSON token of a non-container value, as ``json`` writes it."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or value is True or value is False:
+        return {None: "null", True: "true", False: "false"}[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _FLOAT_WORDS.get(text, text)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _write(value, indent: str, out: list) -> None:
+    inner = indent + "  "
+    if isinstance(value, dict):
+        sep = "{\n" + inner
+        for key in sorted(value):
+            out += (sep, _quote(key if isinstance(key, str) else _scalar(key)),
+                    ": ")
+            _write(value[key], inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]" if value else "[]")
+    else:
+        out.append(_scalar(value))
+
+
 def to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(report, indent=2, sort_keys=True)`` plus a newline."""
+    out = []
+    _write(report, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _flatten(prefix, value, row):

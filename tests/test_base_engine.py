@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -492,6 +494,18 @@ class TestMinimalBaseSize:
     def test_w2a5(self, A5):
         size, pts = minimal_base_size(build_group(A5, 2, "full", "sym-table"))
         assert size == 4
+
+    def test_search_leaves_no_reference_cycle(self, A5):
+        # a cycle would keep the point-set tuple matrix alive until the
+        # cyclic collector runs
+        g = build_group(A5, 2, "full", "sym-table")
+        gc.collect()
+        gc.disable()
+        try:
+            assert minimal_base_size(g)[0] == 4
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_inner_k2(self, A5):
         size, pts = minimal_base_size(

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -20,6 +21,18 @@ A5_RECORD = ("group {name}\n  natural_degree: 5\n"
              "  gen_pair_distinct_orders: {pair}\n"
              "  involution_pair: (1 2 3 4 5) | (2 4)(3 5)\n"
              "  min_index: 5\nend\n")
+
+
+def _perm_order(row):
+    """Order of the permutation x -> row[x]: the lcm of its cycle lengths."""
+    seen, order = [False] * len(row), 1
+    for start in range(len(row)):
+        length, x = 0, start
+        while not seen[x]:
+            seen[x], x, length = True, row[x], length + 1
+        if length:
+            order = math.lcm(order, length)
+    return order
 
 
 class TestParsing:
@@ -257,6 +270,16 @@ class TestValidationOnTables:
         aut = get_group(name).aut
         assert np.array_equal(aut.orders,
                               aut.group_table().element_orders())
+
+    @pytest.mark.parametrize("name", catalog_names() + ["from source"])
+    def test_aut_orders_match_cycle_lengths(self, name):
+        if name == "from source":
+            (T,) = load_catalog(source=A5_RECORD.format(
+                name="A5", pair="(1 2 3 4 5) | (1 2 3)"))
+        else:
+            T = get_group(name)
+        want = [_perm_order(row) for row in T.aut.rows.tolist()]
+        assert T.aut.orders.tolist() == want
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_rows_with_labels_is_label_membership(self, name):

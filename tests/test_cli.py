@@ -203,6 +203,7 @@ class TestExitCodes:
         ("base-min", "--group", "A5", "--k", "2", "--out-part", "gx",
          "--top", "sym-table"),
         ("paper-suite", "--criteria", "x"),
+        ("paper-suite", "--criteria", ""),
         ("paper-suite", "--criteria", "99"),
     ])
     def test_malformed_numbers_are_preconditions(self, capsys, argv):
@@ -373,6 +374,42 @@ class TestLargeIntegers:
         k = rep["config"]["k"]
         assert group["degree"] == report_mod.int_str(60 ** (k - 1))
         assert len(group["degree"]) > 4300
+
+
+def _dumps(value):
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+_JSON_TEXT = (st.text(st.characters(exclude_categories=()))
+              | st.text('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600 a'))
+_JSON_VALUES = st.recursive(
+    _JSON_TEXT | st.booleans() | st.none()
+    | st.integers() | st.integers(-10 ** 60, 10 ** 60)
+    | st.floats() | st.sampled_from([float("nan"), float("inf"),
+                                     float("-inf"), -0.0, 5e-324, 2e-310]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=24)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_JSON_VALUES)
+    def test_to_json_equals_json_dumps(self, value):
+        assert report_mod.to_json(value) == _dumps(value)
+        assert report_mod.to_json({"payload": value}) == \
+            _dumps({"payload": value})
+
+    @pytest.mark.parametrize("timing", [None, 0.0, 1.25, 1e-07, 12345.678])
+    def test_report_with_digit_strings_and_timing(self, timing):
+        payload = {"degree": report_mod.int_str(60 ** 4999),
+                   "order": Fraction(-(7 ** 6000), 3),
+                   "ratios": [Fraction(1, 2), Fraction(10 ** 4400 + 1, 9)],
+                   "empty": {}, "none": [], "name": "L2(11) \u00d7 \"k\""}
+        rep = report_mod.make_report("base-construct", {"k": 5000}, payload,
+                                     timing_seconds=timing)
+        assert rep["payload"]["order"]["num"].startswith("-")
+        assert report_mod.to_json(rep) == _dumps(rep)
 
 
 # the CLI grammar, with malformed values mixed in
