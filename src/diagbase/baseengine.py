@@ -32,8 +32,8 @@ from math import factorial, prod
 import numpy as np
 
 from . import _accel
-from .diag import (DiagTypeGroup, OmegaPoint, act_diag, gd_orbits,
-                   omega_tuples, stab_of_D)
+from .diag import (OMEGA_BUDGET, DiagTypeGroup, OmegaPoint, act_diag,
+                   gd_orbits, omega_tuples, stab_of_D)
 from .errors import (BudgetExceededError, PreconditionError,
                      UnsupportedEnumerationError, ValidationError)
 from .perm import Perm
@@ -323,6 +323,31 @@ def _solve_symbolic(g: DiagTypeGroup, tuples, mode: str,
     return results
 
 
+def detect_symbolic(g: DiagTypeGroup, tuples):
+    """Non-base verdicts of single points for a symbolic top.  For one
+    point the columns are the entries, so the column-set test is the
+    row-histogram test: a repeated entry is a hit for Sym, a triple or two
+    pairs for Alt; the other samples, in blocks, survive if a nonidentity
+    (alpha, y) preserves their histogram.  Survivors are hits for Sym, and
+    for Alt go to the solver for the parity of pi."""
+    alt = g.top.symbolic == "alt"
+    ordered = np.sort(tuples, axis=1)
+    repeats = (ordered[:, 1:] == ordered[:, :-1]).sum(axis=1)
+    out = (repeats >= (2 if alt else 1)).astype(np.uint8)
+    open_rows = np.flatnonzero(out == 0)
+    # k^2 pin pairs (y, c) at most per sample, as |Y|, |C| <= k
+    block = max(1, SOLVER_CHUNK_PAIRS // g.k ** 2)
+    for start in range(0, len(open_rows), block):
+        rows = open_rows[start:start + block]
+        r, a, y = _histogram_survivors(
+            g, _row_histograms(tuples[rows], g.T.order))
+        moved = r[(a != 0) | (y != 0)]      # aut_rows[0] is the identity
+        for s in rows[np.bincount(moved, minlength=len(rows)) > 0].tolist():
+            out[s] = not alt or bool(_solve_symbolic(g, tuples[s:s + 1],
+                                                     mode="witness"))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # base certificates
 
@@ -491,7 +516,7 @@ def construct_distinguishing_base(g: DiagTypeGroup):
     if g.top.is_symbolic or g.top.contains_alternating():
         return None
     table = g.top.table
-    delta, _exhaustive = table.distinguishing_subset()
+    delta = table.distinguishing_subset()
     if delta is None:
         return None
     k = g.k
@@ -546,7 +571,7 @@ def construct_auto(g: DiagTypeGroup):
     return "digit", construct_digit_base(g)
 
 
-def minimal_base_size(g: DiagTypeGroup, budget: int = 10**7):
+def minimal_base_size(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
     """Exact b(G) with a witness base, for explicit tops.
 
     A verified two-point construction settles the answer outright (no base
@@ -723,14 +748,9 @@ def alt_formula_bounds(g: DiagTypeGroup):
             clauses.append(f"a=1 window at l={l}")
             break
         l += 1
-    # lower pins
     lower = None
-    l = 1
-    while T.order ** l < k:
-        lower = max(lower or 0, l + 2)
-        l += 1
     if k == T.order:
-        lower = max(lower or 0, 3)
+        lower = 3
         clauses.append("k = |T|")
     if g.top.is_symmetric():
         l = 1

@@ -249,10 +249,6 @@ class AutTable:
                 f"|Aut| = {self.n_aut} is not a multiple of |T| = {n}",
                 spec=T.name)
         self.out_order = self.n_aut // n
-        # t -> row of phi_t; rows were seeded with Inn in element order
-        self.inn_row_of = np.arange(n, dtype=np.int32)
-        self.conjugator_of_row = np.full(self.n_aut, -1, dtype=np.int32)
-        self.conjugator_of_row[:n] = np.arange(n, dtype=np.int32)
         self.identity_row = 0  # phi of the identity element
         self._assign_labels()
         self._group = None
@@ -332,8 +328,8 @@ class AutTable:
     # -- queries -------------------------------------------------------------
 
     def inn_of(self, t: int) -> int:
-        """Row index of phi_t."""
-        return int(self.inn_row_of[t])
+        """Row index of phi_t: the rows start with Inn in element order."""
+        return int(t)
 
     def row_of(self, bijection) -> int:
         arr = np.asarray(bijection, dtype=np.int32)
@@ -347,15 +343,12 @@ class AutTable:
     def recover_conjugator(self, a) -> int:
         """The unique t with a = phi_t; NotInnerError if a is outer."""
         r = a if isinstance(a, (int, np.integer)) else self.row_of(a)
-        t = int(self.conjugator_of_row[r])
-        if t < 0:
+        if not 0 <= r < self.T.order:
             raise NotInnerError("automorphism is not inner")
-        return t
+        return int(r)
 
     def compose_rows(self, a: int, b: int) -> int:
         """Row id of (apply a, then b)."""
-        if self._comp is not None:
-            return int(self._comp[a, b])
         return int(self._lookup(self.rows[b][self.rows[a]]))
 
     def invert_row(self, a: int) -> int:
@@ -415,15 +408,14 @@ class AutTable:
         """Aut(T) wrapped as a GroupTable on |T| points, generated by the
         phi_g of the generators g of T and the outer label reps."""
         if self._group is None:
-            gens = self.inn_row_of[self.T.gen_ids].tolist() + \
-                self.label_reps[1:]
+            gens = list(self.T.gen_ids) + self.label_reps[1:]
             self._group = GroupTable(self.rows, self.rows[gens])
         return self._group
 
     def inn_group_table(self) -> GroupTable:
         """Inn(T) as a subgroup of the Aut table (same |T|-point domain)."""
         return GroupTable(self.rows[:self.T.order],
-                          self.rows[self.inn_row_of[self.T.gen_ids]])
+                          self.rows[self.T.gen_ids])
 
 
 class SimpleGroup:

@@ -20,9 +20,9 @@ from . import report as report_mod
 from .baseengine import (construct_auto, is_base, minimal_base_size,
                          pyber_check)
 from .catalog import catalog_names, get_group
-from .diag import OmegaPoint, build_group
+from .diag import OMEGA_BUDGET, OmegaPoint, build_group
 from .errors import (BudgetExceededError, PreconditionError, ValidationError)
-from .prob import (ProbReport, monte_carlo_nonbase,
+from .prob import (DEFAULT_SEED, ProbReport, monte_carlo_nonbase,
                    nonbase_fraction_and_q2_bound, r_split_formula)
 from .suite import ALL_CRITERIA, format_table, run_suite
 
@@ -30,9 +30,7 @@ EXIT_VALIDATION = 3
 EXIT_BUDGET = 4
 EXIT_PRECONDITION = 5
 
-DEFAULT_BUDGET = 10**7
 DEFAULT_SAMPLES = 10**4
-DEFAULT_SEED = 0x5EED
 
 
 def _group_flags(p, multi=False):
@@ -81,7 +79,7 @@ def build_parser():
 
     p = sub.add_parser("base-min", help="exact minimal base size")
     _group_flags(p)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=OMEGA_BUDGET)
     _output_flags(p)
 
     p = sub.add_parser("base-verify",
@@ -95,7 +93,7 @@ def build_parser():
     p = sub.add_parser("prob-exact",
                        help="exact non-base pair proportion and bound")
     _group_flags(p, multi=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=int, default=OMEGA_BUDGET,
                    help="most points scanned")
     p.add_argument("--r-split", action="store_true",
                    help="also split the bound by permutation part "

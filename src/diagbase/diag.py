@@ -98,11 +98,6 @@ class TopGroup:
             return self.symbolic == "sym"
         return self.table.is_symmetric()
 
-    def accepts_parity(self, sign: int) -> bool:
-        if self.symbolic == "alt":
-            return sign == 1
-        return True
-
     def describe(self) -> str:
         if self.is_symbolic:
             return f"{self.symbolic.capitalize()}({self.k})"
@@ -312,7 +307,7 @@ class DiagTypeGroup:
         if int(self.T.aut.labels[aut_row]) not in self.out_labels:
             return False
         if self.top.is_symbolic:
-            return self.top.accepts_parity(perm.sign())
+            return self.top.symbolic == "sym" or perm.sign() == 1
         return perm in self.top.table
 
 

@@ -146,21 +146,6 @@ class Perm:
         inv[self.images] = np.arange(self.degree, dtype=np.int32)
         return Perm._unchecked(inv)
 
-    def __pow__(self, n: int) -> "Perm":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = Perm.identity(self.degree)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __call__(self, point: int) -> int:
-        return int(self.images[point])
-
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.images, np.arange(self.degree)))
 
@@ -373,14 +358,6 @@ class GroupTable:
 
     # -- actions on points --------------------------------------------------
 
-    def orbits(self):
-        """Orbits on {0..degree-1} as sorted lists, by least point.  The
-        orbit of p is the column ``arrays()[:, p]``, so its minimum labels
-        the orbit."""
-        label = self.arrays().min(axis=0)
-        return [np.flatnonzero(label == p).tolist()
-                for p in np.flatnonzero(label == np.arange(self.degree))]
-
     def is_transitive(self) -> bool:
         return bool((self.arrays().min(axis=0) == 0).all())
 
@@ -405,12 +382,6 @@ class GroupTable:
         return self.order == factorial(self.degree)
 
     # -- bases and distinguishing subsets ------------------------------------
-
-    def pointwise_stabilizer_elements(self, points):
-        """Positions of elements fixing every point; scan of the full table."""
-        pts = list(points)
-        return np.flatnonzero((self.arrays()[:, pts] == pts).all(axis=1)) \
-            .tolist()
 
     def minimal_base(self):
         """Exact minimal base via iterative-deepening backtracking.
@@ -461,7 +432,7 @@ class GroupTable:
         Exhaustive (lexicographic within ascending size, sizes from ceil(k/2))
         up to degree DISTINGUISHING_FULL_SEARCH_DEGREE; beyond it,
         DISTINGUISHING_SAMPLES random subsets from DISTINGUISHING_SEED.
-        Returns (subset or None, exhaustive_flag).
+        Returns the subset, or None if none was found.
         """
         if not self.is_transitive():
             raise PreconditionError("distinguishing subset needs a transitive group")
@@ -471,15 +442,15 @@ class GroupTable:
             for size in range(lo, k):
                 for combo in combinations(range(k), size):
                     if self.setwise_stabilizer_is_trivial(combo):
-                        return frozenset(combo), True
-            return None, True
+                        return frozenset(combo)
+            return None
         rng = np.random.default_rng(DISTINGUISHING_SEED)
         for _ in range(DISTINGUISHING_SAMPLES):
             size = int(rng.integers(lo, k))
             combo = rng.choice(k, size=size, replace=False)
             if self.setwise_stabilizer_is_trivial(combo.tolist()):
-                return frozenset(int(v) for v in combo), False
-        return None, False
+                return frozenset(int(v) for v in combo)
+        return None
 
 
 def _minimal_block_size(gen_arrays, degree, a, b) -> int:

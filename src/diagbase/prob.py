@@ -25,8 +25,10 @@ from math import gcd
 
 import numpy as np
 
-from . import _accel, baseengine
-from .diag import DiagTypeGroup, _read_only, gd_orbits, omega_tuples
+from . import _accel
+from .baseengine import detect_symbolic
+from .diag import (OMEGA_BUDGET, DiagTypeGroup, _read_only, gd_orbits,
+                   omega_tuples)
 from .errors import BudgetExceededError, PreconditionError
 from .perm import Perm, _is_prime
 from .report import int_str
@@ -82,7 +84,8 @@ def _prime_order_candidates(g: DiagTypeGroup):
 # exact bounds over the whole point set
 
 
-def nonbase_fraction_and_q2_bound(g: DiagTypeGroup, budget: int = 10**7):
+def nonbase_fraction_and_q2_bound(g: DiagTypeGroup,
+                                  budget: int = OMEGA_BUDGET):
     """The exact proportion of ordered point pairs that are not bases and
     the second-moment bound at b = 2, both exact rationals, from one scan.
 
@@ -111,12 +114,12 @@ def nonbase_fraction_and_q2_bound(g: DiagTypeGroup, budget: int = 10**7):
 
 
 def exact_nonbase_pair_proportion(g: DiagTypeGroup,
-                                  budget: int = 10**7) -> Fraction:
+                                  budget: int = OMEGA_BUDGET) -> Fraction:
     """Exact proportion of ordered point pairs that are not bases."""
     return nonbase_fraction_and_q2_bound(g, budget)[0]
 
 
-def q2_bound_exact(g: DiagTypeGroup, budget: int = 10**7) -> Fraction:
+def q2_bound_exact(g: DiagTypeGroup, budget: int = OMEGA_BUDGET) -> Fraction:
     """The second-moment bound at b = 2, as an exact rational."""
     return nonbase_fraction_and_q2_bound(g, budget)[1]
 
@@ -149,36 +152,11 @@ def monte_carlo_nonbase(g: DiagTypeGroup, samples: int,
 
 def _detect_nonbase(g: DiagTypeGroup, tuples):
     if g.top.is_symbolic:
-        return _detect_symbolic(g, tuples)
+        return detect_symbolic(g, tuples)
     cand_a, cand_p, _tags = prime_order_candidates(g)
     return _accel.detect_per_tuple(
         g.T.aut.rows, g.top.table.arrays(), cand_a, cand_p,
         np.ascontiguousarray(tuples), g.T.mul, g.T.inv, g.T.order_of)
-
-
-def _detect_symbolic(g: DiagTypeGroup, tuples):
-    """Non-base verdicts of single points for a symbolic top.  For one
-    point the columns are the entries, so the column-set test is the
-    row-histogram test: a repeated entry is a hit for Sym, a triple or two
-    pairs for Alt; the other samples, in blocks, are hits if a nonidentity
-    (alpha, y) preserves the histogram, which settles Sym, and only such
-    Alt samples go to the solver for the parity of pi."""
-    alt = g.top.symbolic == "alt"
-    ordered = np.sort(tuples, axis=1)
-    repeats = (ordered[:, 1:] == ordered[:, :-1]).sum(axis=1)
-    out = (repeats >= (2 if alt else 1)).astype(np.uint8)
-    open_rows = np.flatnonzero(out == 0)
-    # k^2 pin pairs (y, c) at most per sample, as |Y|, |C| <= k
-    block = max(1, baseengine.SOLVER_CHUNK_PAIRS // g.k ** 2)
-    for start in range(0, len(open_rows), block):
-        rows = open_rows[start:start + block]
-        r, a, y = baseengine._histogram_survivors(
-            g, baseengine._row_histograms(tuples[rows], g.T.order))
-        moved = r[(a != 0) | (y != 0)]      # aut_rows[0] is the identity
-        for s in rows[np.bincount(moved, minlength=len(rows)) > 0].tolist():
-            out[s] = not alt or bool(baseengine._solve_symbolic(
-                g, tuples[s:s + 1], mode="witness"))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +317,9 @@ def class_count_inequality_check(pairs):
 class RowCodedGroup:
     """G = A_O(k,T) x| P materialized as (k aut-row ids, perm id) codes.
 
-    Supports product and inverse through the automorphism composition
-    table, and conjugation of whole arrays of elements; used as the
-    independent oracle for the class and centralizer formulas.  Sized for
-    full enumeration (millions of codes).
+    Conjugates whole arrays of elements through the automorphism
+    composition table; used as the independent oracle for the class and
+    centralizer formulas.  Sized for full enumeration (millions of codes).
     """
 
     def __init__(self, g: DiagTypeGroup):
@@ -356,50 +333,33 @@ class RowCodedGroup:
         self.g = g
         self.T = g.T
         self.comp = self.T.aut.composition_table()
-        self.inv_row = np.array(
-            [self.T.aut.invert_row(r) for r in range(self.T.aut.n_aut)],
-            dtype=np.int32)
         self.n_top = table.order
         self.top_arr = arr = table.arrays()
         # p * q applies p, then q: row q read at row p, for every pair
         self.tmul = table.positions(
             arr[np.arange(self.n_top)[:, None], arr[:, None]]
             .reshape(-1, table.degree)).reshape(self.n_top, self.n_top)
-        self.tinv = table.positions(np.argsort(arr, axis=1))
         self.order = (self.T.order ** (g.k - 1)) * g.gd_order
 
-    def multiply(self, x, y):
-        xr, xp = x
-        yr, yp = y
-        pi = self.top_arr[xp]
-        rows = tuple(int(self.comp[xr[i], yr[pi[i]]]) for i in range(self.g.k))
-        return rows, int(self.tmul[xp, yp])
-
-    def inverse(self, x):
-        xr, xp = x
-        pinv = int(self.tinv[xp])
-        qi = self.top_arr[pinv]
-        rows = tuple(int(self.inv_row[xr[qi[i]]]) for i in range(self.g.k))
-        return rows, pinv
-
     def generators(self):
-        T, k = self.T, self.g.k
-        gens = []
-        ident = tuple([int(T.aut.identity_row)] * k)
-        for gid in T.gen_ids:
-            r = int(T.aut.inn_of(gid))
+        """Yield (s, s^-1) for each generator s of G: phi_g, then
+        phi_{g^-1}, at one coordinate for each generator g of T; a label rep
+        on every coordinate, then its inverse row; a top generator, then its
+        inverse perm."""
+        aut, k = self.T.aut, self.g.k
+        ident = (aut.identity_row,) * k
+        for gid in self.T.gen_ids:
+            pair = aut.inn_of(gid), aut.inn_of(self.T.inv[gid])
             for pos in range(k):
-                rows = list(ident)
-                rows[pos] = r
-                gens.append((tuple(rows), 0))
-        for lab in self.g.out_labels:
-            if lab:
-                r = int(T.aut.label_reps[lab])
-                gens.append((tuple([r] * k), 0))
+                yield tuple((ident[:pos] + (r,) + ident[pos + 1:], 0)
+                            for r in pair)
+        for r in (aut.label_reps[lab] for lab in self.g.out_labels if lab):
+            yield ((r,) * k, 0), ((aut.invert_row(r),) * k, 0)
         table = self.g.top.table
-        for pid in table.positions(table.gen_rows).tolist():
-            gens.append((ident, pid))
-        return gens
+        inverses = table.positions(np.argsort(table.gen_rows, axis=1))
+        for pid, pinv in zip(table.positions(table.gen_rows).tolist(),
+                             inverses.tolist()):
+            yield (ident, pid), (ident, pinv)
 
     # -- enumeration (vectorized) -------------------------------------------
 
@@ -457,8 +417,8 @@ class RowCodedGroup:
         return rows, pids
 
     def _conjugates(self, rows, pids, s, s_inv):
-        """s^-1 x s for every element x = (rows[j], pids[j]): the two
-        products of ``multiply``, applied to whole arrays."""
+        """s^-1 x s for every element x = (rows[j], pids[j]), by the product
+        (a, pi)(b, sigma) = ((a_i b_{i pi}), pi sigma) on whole arrays."""
         (sr, sp), (ir, ip) = s, s_inv
         u = self.comp[np.asarray(ir), rows[:, self.top_arr[ip]]]
         up = self.tmul[ip, pids]
@@ -485,7 +445,7 @@ class RowCodedGroup:
         if self.T.aut.n_aut ** self.g.k * self.n_top > np.iinfo(np.int64).max:
             raise PreconditionError(
                 "class walk codes would not fit in int64")
-        gens = [(s, self.inverse(s)) for s in self.generators()]
+        gens = list(self.generators())
         cand_a, cand_p, tags = prime_order_candidates(self.g)
         diag = self._encode(np.repeat(cand_a[:, None], self.g.k, axis=1),
                             cand_p)
@@ -540,7 +500,8 @@ def r_split_exact(g: DiagTypeGroup, budget: int = 10**7):
     return split[1], split[2], split[3]
 
 
-def q2_bound_by_classes(g: DiagTypeGroup, budget: int = 10**7) -> Fraction:
+def q2_bound_by_classes(g: DiagTypeGroup,
+                        budget: int = OMEGA_BUDGET) -> Fraction:
     """Per-class evaluation of the bound: sum |x^G| (fix(x)/n)^2 over
     prime-order classes (those missing every point stabilizer contribute 0)."""
     rc = RowCodedGroup(g)

@@ -158,7 +158,7 @@ def brute_force_stabilizer(g, column):
             if set(fx.tolist()) != S:
                 continue
             pi = Perm([column.tolist().index(v) for v in fx.tolist()])
-            if g.top.accepts_parity(pi.sign()):
+            if g.contains_diag(int(a), pi):
                 out.add((int(a), pi._key))
     return out
 
@@ -463,7 +463,7 @@ class TestConstructions:
     def test_distinguishing_column_counts_separate(self, A5):
         # the count of unit entries per column separates the complement
         g = build_group(A5, 37, "full", "cyclic")
-        delta, _ = g.top.table.distinguishing_subset()
+        delta = g.top.table.distinguishing_subset()
         pts = construct_distinguishing_base(g)
         t = pts[1].as_array()
         # unit entries of column j of the order matrix (t_i^-1 t_j): t_i = t_j

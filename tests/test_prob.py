@@ -462,16 +462,22 @@ class TestRowCodedGroup:
         rows, pids = rc.enumerate_arrays()
         assert len(rows) == 14400
 
-    def test_group_axioms_on_samples(self, A5, w2a5):
-        rc = RowCodedGroup(w2a5)
-        rng = np.random.default_rng(9)
-        rows, pids = rc.enumerate_arrays()
-        for _ in range(50):
-            i, j = rng.integers(0, len(rows), 2)
-            x = (tuple(int(v) for v in rows[i]), int(pids[i]))
-            y = (tuple(int(v) for v in rows[j]), int(pids[j]))
-            xy = rc.multiply(x, y)
-            assert rc.multiply(xy, rc.inverse(y)) == x
+    @pytest.mark.parametrize("k,out_part", [(2, "full"), (3, "inner")])
+    def test_generator_inverses_undo_conjugation(self, A5, k, out_part):
+        # W(2, A5) and Inn(A5)^3:S3: s^-1 x s, then conjugated by the s^-1
+        # that generators() pairs with s, is x again
+        rc = RowCodedGroup(build_group(A5, k, out_part, "sym-table"))
+        moved = False
+        for cls in rc.class_data():
+            rows = np.array([r for r, _p in cls["diag_members"]])
+            pids = np.array([p for _r, p in cls["diag_members"]])
+            for s, s_inv in rc.generators():
+                there = rc._conjugates(rows, pids, s, s_inv)
+                back = rc._conjugates(*there, s_inv, s)
+                assert np.array_equal(back[0], rows)
+                assert np.array_equal(back[1], pids)
+                moved |= not np.array_equal(there[0], rows)
+        assert moved
 
     def test_conjugation_preserves_diagonality_count(self, w2a5):
         rc = RowCodedGroup(w2a5)
