@@ -40,7 +40,9 @@ from .perm import Perm
 
 # most stabilizer elements listed for a symbolic top (mode="all")
 SOLVER_NODE_BUDGET = 10**6
-# most one-point candidate filters in one minimal_base_size search
+# most filters in one minimal_base_size search: a filter is one scan of
+# the surviving candidates against one further point, or one orbit
+# representative's stabilizer read off the G_D orbit walk
 MIN_BASE_FILTER_BUDGET = 10**5
 # pairs (alpha, y) per chunk of the column-set test, and the target size of
 # survivors x columns per block.  On a 2-CPU VM (the symbolic-sweep op lists
@@ -578,10 +580,13 @@ def minimal_base_size(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
     of size 1 exists: the stabilizer of D alone is all of G_D).  Otherwise
     the point set must be enumerable: search over subsets containing D, the
     first non-anchor point ranging over orbit representatives of G_D, later
-    points over the whole point set in ascending order; surviving stabilizer
-    candidates are filtered down one point at a time and the last level is
-    tested in bulk.  More than ``MIN_BASE_FILTER_BUDGET`` one-point filters
-    raise BudgetExceededError.
+    points over the whole point set in ascending order.  Each
+    representative's stabilizer is read off the orbit walk (``gd_orbits``);
+    a size-2 base is the first representative whose stabilizer is the
+    identity alone, and for larger sizes the nonidentity part of that
+    stabilizer is filtered down one further point at a time, the last level
+    tested in bulk.  More than ``MIN_BASE_FILTER_BUDGET`` filters raise
+    BudgetExceededError.
     """
     if g.top.is_symbolic:
         raise PreconditionError("minimal_base_size needs an explicit top")
@@ -600,21 +605,23 @@ def minimal_base_size(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
 
     def reps():
         yield from seen
-        for row, _size in orbits:
-            seen.append(row)
-            yield row
+        for orbit in orbits:
+            seen.append(orbit)
+            yield orbit
 
-    # candidate 0 is the identity, which fixes every point
-    base_a, base_p = (c[1:] for c in g.gd_candidates)
+    all_a, all_p = g.gd_candidates
     filters = 0
 
-    def filter_point(cand_a, cand_p, point):
+    def count_filter():
         nonlocal filters
         filters += 1
         if filters > MIN_BASE_FILTER_BUDGET:
             raise BudgetExceededError(
                 f"minimal base search exceeds {MIN_BASE_FILTER_BUDGET} "
                 f"point filters")
+
+    def filter_point(cand_a, cand_p, point):
+        count_filter()
         mask = _accel.filter_candidates(rows, perms, cand_a, cand_p, point,
                                         mul, inv, T.order_of).astype(bool)
         return cand_a[mask], cand_p[mask]
@@ -639,13 +646,13 @@ def minimal_base_size(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
 
     try:
         for size in range(2, g.degree + 2):
-            for rep in reps():
-                cand_a, cand_p = filter_point(base_a, base_p,
-                                              tuples[rep:rep + 1])
+            for rep, stab in reps():
+                count_filter()    # the stabilizer of rep, off the walk
                 if size == 2:
-                    found = [] if len(cand_a) == 0 else None
+                    found = [] if len(stab) == 1 else None
                 else:
-                    found = extend(cand_a, cand_p, 1, size - 2)
+                    found = extend(all_a[stab[1:]], all_p[stab[1:]], 1,
+                                   size - 2)
                 if found is not None:
                     return size, [g.diagonal_point()] + \
                         [OmegaPoint(tuple(tuples[j].tolist()))

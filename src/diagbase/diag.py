@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial, isqrt
+from math import factorial, isqrt, lgamma, log, log10
 
 import numpy as np
 
@@ -261,10 +261,22 @@ class DiagTypeGroup:
         self.out_labels = out_labels
         self.top = top
         self.aut_rows = _read_only(T.aut.rows_with_labels(out_labels))
-        self.degree = T.order ** (k - 1)
-        self.gd_order = T.order * len(out_labels) * top.order
-        self.order = self.degree * self.gd_order
         self.prime_candidates = None
+
+    # the orders are worked out on first use: at a huge k a symbolic top's
+    # |T|^(k-1) and k! take minutes, and some commands refuse it unread
+
+    @cached_property
+    def degree(self) -> int:
+        return self.T.order ** (self.k - 1)
+
+    @cached_property
+    def gd_order(self) -> int:
+        return self.T.order * len(self.out_labels) * self.top.order
+
+    @cached_property
+    def order(self) -> int:
+        return self.degree * self.gd_order
 
     @cached_property
     def _digits(self) -> tuple:
@@ -319,7 +331,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 # Retention cap of the build_group memo, in weight units (group_weight).
 # The distinct specs of one seed of each benchmark workload weigh 14,544
 # (base-search, 12 specs), 299,880 (prob-sweep, 22 specs; A6 k=37 dihedral
-# alone 106,560) and 186,604 (symbolic-sweep, 62 specs), so each workload's
+# alone 106,560) and 186,590 (symbolic-sweep, 62 specs), so each workload's
 # groups all stay.  Retained bytes per unit (tracemalloc, candidate arrays
 # and top table filled): 16 for A5 k=7 inner sym-table (302,400 units,
 # 4.6 MB), 9 for A6 k=37 dihedral, 1.7 for A5 k=5000 sym; so a full memo
@@ -330,11 +342,15 @@ GROUP_MEMO_CAP = 2**19
 def group_weight(g: DiagTypeGroup) -> int:
     """What the memo counts a group as: |G_D| for an explicit top, which
     bounds its candidate arrays, and for a symbolic top the number of
-    decimal digits of its degree and order (log10 2 = 0.30103), which
-    bound its ``describe()`` strings."""
+    decimal digits of its degree and order, which bound its ``describe()``
+    strings.  The digits are counted (to within one) from logarithms, as
+    the orders themselves may be too large to work out."""
     if g.top.is_symbolic:
-        bits = g.degree.bit_length() + g.order.bit_length()
-        return bits * 30103 // 100000 + 2
+        log_degree = (g.k - 1) * log10(g.T.order)
+        log_top = (lgamma(g.k + 1) - log(2) * (g.top.symbolic == "alt")) \
+            / log(10)
+        log_gd = log10(g.T.order * len(g.out_labels)) + log_top
+        return int(2 * log_degree + log_gd) + 2
     return len(g.aut_rows) * g.top.table.order
 
 
@@ -527,20 +543,23 @@ def omega_iter(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
 
 
 def gd_orbits(g: DiagTypeGroup, tuples):
-    """Yield (row, size) per G_D orbit on the rows of ``omega_tuples``: the
-    index of its first point, ascending, and its number of points.
+    """Yield (row, stab) per G_D orbit on the rows of ``omega_tuples``: the
+    index of its first point, ascending, and the stabilizer of that point
+    in G_D as indices into ``g.gd_candidates``, ascending (the identity,
+    index 0, first).  The orbit has ``g.gd_order // len(stab)`` points
+    (orbit-stabilizer).
 
     Lazily: a step maps the next unseen row through all of G_D in one block
-    (act_diag on every (alpha, pi) pair; the table's perms index the tuple,
-    as a set the inverses act_diag takes) and marks the images seen, so a
-    caller that stops early touches no later orbit.  The size is |G_D| over
-    the number of images equal to the row (orbit-stabilizer).
+    and marks the images seen, so a caller that stops early touches no
+    later orbit.  The block is act_diag on every candidate (alpha, pi),
+    which indexes the tuple by pi^-1; the candidates whose image is the
+    row itself are its stabilizer, the set the scan kernel finds fixing it.
     """
     if g.top.is_symbolic:
         raise UnsupportedEnumerationError(
             "G_D orbits requested for a symbolic top")
     T = g.T
-    perms = g.top.table.arrays()
+    perms = np.argsort(g.top.table.arrays(), axis=1)    # the inverses
     auts_flat = T.aut.rows.ravel()
     at_a = (g.aut_rows.astype(np.intp) * T.order)[:, None, None]
     unseen = np.ones(len(tuples) + 1, dtype=bool)  # the last: a sentinel
@@ -553,7 +572,7 @@ def gd_orbits(g: DiagTypeGroup, tuples):
             codes *= T.order
             codes += images[..., col]
         unseen[codes] = False
-        yield j, codes.size // int(np.count_nonzero(codes == j))
+        yield j, np.flatnonzero(codes == j)
         j += int(np.argmax(unseen[j:]))
 
 
@@ -562,4 +581,4 @@ def gd_orbit_reps(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
     omega_tuples order."""
     tuples = omega_tuples(g, budget)
     return [OmegaPoint(tuple(tuples[row].tolist()))
-            for row, _size in gd_orbits(g, tuples)]
+            for row, _stab in gd_orbits(g, tuples)]

@@ -101,14 +101,18 @@ def nonbase_fraction_and_q2_bound(g: DiagTypeGroup,
     representative per orbit (``budget`` still bounds the point set the
     orbits are read from) and weights each count by its orbit's size: the
     fraction is the summed size of the orbits with a nonzero count over n,
-    the bound the sum of size * count over n.
+    the bound the sum of size * count over n.  The orbit walk yields each
+    representative's stabilizer, so its count is the number of prime-order
+    candidates in it.
     """
     cand_a, cand_p, _tags = prime_order_candidates(g)
+    prime = np.zeros(g.gd_order, dtype=bool)    # over gd_candidates
+    prime[np.searchsorted(g.aut_rows, cand_a) * g.top.table.order
+          + cand_p] = True
     tuples = omega_tuples(g, budget)
-    rows, sizes = np.array(list(gd_orbits(g, tuples))).T
-    counts = _accel.count_per_tuple(
-        g.T.aut.rows, g.top.table.arrays(), cand_a, cand_p,
-        tuples[rows], g.T.mul, g.T.inv, g.T.order_of)
+    sizes, counts = np.array(
+        [(g.gd_order // len(stab), np.count_nonzero(prime[stab]))
+         for _row, stab in gd_orbits(g, tuples)], dtype=np.int64).T
     return (Fraction(int(sizes[counts > 0].sum()), g.degree),
             Fraction(int(sizes @ counts), g.degree))
 

@@ -569,6 +569,30 @@ class TestMinimalBaseSize:
         assert size == len(base)
         assert [p.serialize() for p in pts] == base
 
+    @pytest.mark.parametrize("shape,size,base", [
+        (("A5", 2, "inner", "sym-table"), 3, ["0 0", "0 2", "0 27"]),
+        (("A5", 2, "full", "sym-table"), 4, ["0 0", "0 1", "0 2", "0 4"]),
+        (("A6", 2, "inner", "sym-table"), 3, ["0 0", "0 1", "0 24"]),
+        (("A6", 2, "full", "sym-table"), 4, ["0 0", "0 1", "0 2", "0 4"]),
+        (("L2(7)", 2, "inner", "sym-table"), 3, ["0 0", "0 1", "0 2"]),
+        (("L2(7)", 2, "full", "sym-table"), 3, ["0 0", "0 1", "0 112"]),
+        (("A5", 3, "full", "alt-table"), 2, ["0 0 0", "0 4 14"]),
+        (("A5", 3, "full", "sym-table"), 2, ["0 0 0", "0 1 12"]),
+        (("A5", 4, "full", "alt-table"), 2, ["0 0 0 0", "0 26 14 14"]),
+        (("L2(7)", 3, "full", "alt-table"), 2, ["0 0 0", "0 18 30"]),
+        (("L2(7)", 3, "full", "sym-table"), 2, ["0 0 0", "0 1 2"]),
+        (("L2(7)", 4, "full", "alt-table"), 2, ["0 0 0 0", "0 18 30 30"]),
+        (("A6", 3, "full", "sym-table"), 2, ["0 0 0", "0 1 4"]),
+        (("A5", 4, "full", "sym-table"), 2, ["0 0 0 0", "0 1 2 3"]),
+        (("L2(7)", 4, "full", "sym-table"), 2, ["0 0 0 0", "0 1 2 3"]),
+    ])
+    def test_witness_bases_pinned(self, shape, size, base):
+        # every base-min shape of the benchmark and the large-point
+        # searches: the size and the witness base the search returns
+        g = build_group(get_group(shape[0]), *shape[1:])
+        found, pts = minimal_base_size(g)
+        assert (found, [p.serialize() for p in pts]) == (size, base)
+
     def test_l27_k4_sym_table(self, L27):
         # 4,741,632 points: the search reads G_D orbits only until a
         # representative completes a base with D

@@ -4,6 +4,7 @@ import io
 import json
 import re
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagbase import _accel, cli, diag
+from diagbase import _accel, cli, diag, prob
 from diagbase import report as report_mod
 from diagbase.catalog import get_group
 from diagbase.cli import main
@@ -78,22 +79,31 @@ class TestCommands:
             "num": "1", "den": "1"}
 
     def test_prob_exact_scans_once_per_group(self, capsys, monkeypatch):
-        calls = []
-        scan = _accel._fixing_pairs
+        walks, kernel_calls = [], []
+        walk, scan = prob.gd_orbits, _accel._fixing_pairs
 
-        def counting(*args):
-            calls.append(len(args[4]))
+        def counting_walk(g, tuples):
+            walks.append(0)
+            for orbit in walk(g, tuples):
+                walks[-1] += 1
+                yield orbit
+
+        def counting_scan(*args):
+            kernel_calls.append(len(args[4]))
             return scan(*args)
 
-        monkeypatch.setattr(_accel, "_fixing_pairs", counting)
+        monkeypatch.setattr(prob, "gd_orbits", counting_walk)
+        monkeypatch.setattr(_accel, "_fixing_pairs", counting_scan)
         code, _ = run_cli(capsys, "prob-exact", "--group", "A5,L2(7)",
                           "--k", "2", "--out-part", "inner",
                           "--top", "trivial")
         assert code == 0
-        # one scan per group, over one point per G_D orbit: G_D = Inn(T)
-        # acts on the points (1, t) by conjugation, so the orbits are the
-        # 5 and 6 conjugacy classes of A5 and L2(7)
-        assert calls == [5, 6]
+        # one orbit walk per group, reading one point per G_D orbit: G_D =
+        # Inn(T) acts on the points (1, t) by conjugation, so the orbits are
+        # the 5 and 6 conjugacy classes of A5 and L2(7).  The counts come
+        # from the stabilizers the walk yields, with no kernel scan.
+        assert walks == [5, 6]
+        assert kernel_calls == []
 
     def test_prob_mc_sweep_csv(self, capsys):
         code, out = run_cli(capsys, "prob-mc", "--group", "A5,A6", "--k", "5",
@@ -286,6 +296,23 @@ class TestExitCodes:
         assert main(argv + ["37", "--top", "dihedral"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("out,top,message", [
+        ("full", "sym", "minimal_base_size needs an explicit top"),
+        ("bogus", "sym", "unknown out-part descriptor"),
+        ("bogus", "cyclic", "not primitive"),
+    ], ids=["sym", "bad-out-part", "bad-top"])
+    def test_symbolic_top_refused_at_huge_k(self, capsys, out, top, message):
+        # |T|^(k-1) and k! at k = 10^7 would take minutes; none is worked
+        # out before the refusal, and a bad top still comes first
+        get_group("A5")
+        start = time.perf_counter()
+        code = main(["base-min", "--group", "A5", "--k", str(10**7),
+                     "--out-part", out, "--top", top])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 5 and message in err
+        assert elapsed < 1
+
     def test_base_construct_takes_no_budget(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["base-construct", "--group", "A5", "--k", "5", "--top",
@@ -348,7 +375,8 @@ class TestExitCodes:
 class TestLargeIntegers:
     def test_int_str_matches_str_without_limit(self):
         values = [0, 7, -12, 10 ** 4299, 10 ** 4300, 60 ** 4999,
-                  -(60 ** 4999), 10 ** 9000 + 7, 2 ** 40000 - 1]
+                  -(60 ** 4999), 10 ** 9000 + 7, 2 ** 40000 - 1,
+                  10 ** 100000, 10 ** 100000 - 1, -(10 ** 100000 - 1)]
         limit = sys.get_int_max_str_digits()
         try:
             sys.set_int_max_str_digits(0)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from diagbase import diag
 from diagbase.catalog import (ELEMENT_BUDGET, catalog_names,
                               default_catalog_text, get_group, load_catalog)
-from diagbase.baseengine import pointwise_stabilizer_by_action
+from diagbase.baseengine import (_fixing_candidates,
+                                 pointwise_stabilizer_by_action)
 from diagbase.diag import (GROUP_MEMO_CAP, DiagTypeGroup, GroupMemo,
                            OmegaPoint, WElement, act, act_diag, build_group,
                            gd_orbit_reps, gd_orbits, group_weight, make_top,
@@ -439,7 +440,8 @@ class TestOrbitReps:
         found = list(gd_orbits(g, tuples))
         assert [tuple(tuples[row]) for row, _ in found] == \
             [min(orbit) for orbit in orbits]
-        assert [size for _, size in found] == [len(o) for o in orbits]
+        assert [g.gd_order // len(stab) for _, stab in found] == \
+            [len(o) for o in orbits]
         assert [p.tuple_ids for p in gd_orbit_reps(g)] == \
             [min(orbit) for orbit in orbits]
         assert sum(len(o) for o in orbits) == g.degree
@@ -463,15 +465,39 @@ class TestOrbitReps:
     def test_sizes_by_orbit_stabilizer(self, name, k, top):
         g = build_group(get_group(name), k, "full", top)
         tuples = omega_tuples(g)
-        for row, size in gd_orbits(g, tuples):
+        for row, stab in gd_orbits(g, tuples):
             rep = OmegaPoint(tuple(tuples[row].tolist()))
-            assert size == \
+            assert g.gd_order // len(stab) == \
                 g.gd_order // len(pointwise_stabilizer_by_action(g, [rep]))
 
     def test_partial_read_is_prefix(self, L27):
         g = build_group(L27, 3, "full", "sym-table")
         tuples = omega_tuples(g)
-        full = list(gd_orbits(g, tuples))
+        full = [(row, stab.tolist()) for row, stab in gd_orbits(g, tuples)]
         assert len(full) == 36
         for n in (1, 3, 20):
-            assert list(islice(gd_orbits(g, tuples), n)) == full[:n]
+            assert [(row, stab.tolist()) for row, stab
+                    in islice(gd_orbits(g, tuples), n)] == full[:n]
+
+    @pytest.mark.parametrize("name,k,out,top", [
+        ("A5", 2, "full", "sym-table"), ("A5", 3, "full", "sym-table"),
+        ("A5", 4, "full", "alt-table"), ("L2(7)", 3, "full", "alt-table"),
+        ("A5", 3, "inner", "cyclic"), ("A5", 3, "full", "dihedral"),
+    ])
+    def test_stabilizers_match_the_scan_and_the_action(self, name, k, out,
+                                                       top):
+        # the walk indexes each tuple by the inverse of each top perm; at
+        # k = 2 every perm is its own inverse, so the k = 3 and 4 shapes
+        # check that the stabilizer is read with the right perms
+        g = build_group(get_group(name), k, out, top)
+        tuples = omega_tuples(g)
+        aut_index = {int(a): i for i, a in enumerate(g.aut_rows)}
+        table = g.top.table
+        for row, stab in gd_orbits(g, tuples):
+            assert stab.tolist() == \
+                _fixing_candidates(g, tuples[row:row + 1]).tolist()
+            rep = OmegaPoint(tuple(tuples[row].tolist()))
+            by_action = sorted(aut_index[a] * table.order + table.position(p)
+                               for a, p in
+                               pointwise_stabilizer_by_action(g, [rep]))
+            assert stab.tolist() == by_action
