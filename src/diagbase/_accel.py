@@ -128,11 +128,3 @@ def count_per_tuple(auts, perms, cand_a, cand_p, tuples, mul, inv, orders):
     _, j = _fixing_pairs(auts, perms, cand_a, cand_p, tuples, mul, inv,
                          orders)
     return np.bincount(j, minlength=len(tuples)).astype(np.int64)
-
-
-def as_tuple_matrix(tuples, k):
-    """Stack point tuples into a contiguous (n, k) int32 matrix."""
-    arr = np.asarray(list(tuples), dtype=np.int32)
-    if arr.size == 0:
-        arr = arr.reshape(0, k)
-    return np.ascontiguousarray(arr)

@@ -8,8 +8,8 @@ loses nothing), and never touch the point set itself: a diagonal pair
     alpha(t[i]) = t[pi(0)]^-1 * t[pi(i)]   for every coordinate i,
 
 which is pure index arithmetic over the element table of T.  For explicit top
-groups one scan of the candidate list G_D (``DiagTypeGroup.gd_candidates``,
-the identity first) gives both the stabilizer and a nonidentity witness.
+groups one pass over G_D, never listed (``_fixing_candidates``), gives both
+the stabilizer and a nonidentity witness.
 For symbolic Alt/Sym tops the same condition says that x -> t[0 pi] *
 alpha(x) permutes the multiset of columns of the points' tuple matrix; a
 column-set test over integer column codes checks that for every alpha and
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _accel
 from .diag import (OMEGA_BUDGET, DiagTypeGroup, OmegaPoint, act_diag,
-                   gd_orbits, omega_tuples, stab_of_D)
+                   check_entries, gd_orbits, omega_tuples, stab_of_D)
 from .errors import (BudgetExceededError, PreconditionError,
                      UnsupportedEnumerationError, ValidationError)
 from .perm import Perm
@@ -56,29 +56,50 @@ SOLVER_CHUNK_PAIRS = 1 << 12
 # scan plumbing for explicit tops
 
 
-def _fixing_candidates(g: DiagTypeGroup, tuples):
-    """Indices into ``g.gd_candidates`` of the elements of G_D fixing every
-    tuple, ascending; index 0, the identity, is always the first."""
-    cand_a, cand_p = g.gd_candidates
-    return np.flatnonzero(_accel.filter_candidates(
-        g.T.aut.rows, g.top.table.arrays(), cand_a, cand_p, tuples,
-        g.T.mul, g.T.inv, g.T.order_of))
+def _fixing_candidates(g: DiagTypeGroup, tuples, among=None):
+    """Ascending G_D indices a * |P| + p (aut row ``g.aut_rows[a]``, top
+    perm p; 0 is the identity) of the elements of ``among`` (default: all
+    of G_D, never listed) that fix every tuple.  Coordinate 1 of the first
+    tuple is an outer test, aut rows against perms a block at a time; its
+    survivors are filtered a coordinate at a time."""
+    T, perms = g.T, g.top.table.arrays()
+    n_p, first = len(perms), 1
+    if among is None:
+        if not len(tuples):
+            return range(g.gd_order)    # all of G_D, unlisted
+        t = tuples[0]
+        lhs = T.aut.rows[g.aut_rows, t[1]]
+        rhs = T.mul[T.inv[t[perms[:, 0]]], t[perms[:, 1]]]
+        step = max(1, _accel._CHUNK_PAIRS // n_p)
+        among = np.concatenate([np.flatnonzero(lhs[a:a + step, None] == rhs)
+                                + a * n_p for a in range(0, len(lhs), step)])
+        first = 2
+    alpha, p = g.aut_rows[among // n_p], among % n_p
+    for t in tuples:
+        if len(among) < 2 and not among.any():
+            break           # none left, or the identity alone, which fixes all
+        for i in range(first, g.k):
+            keep = T.aut.rows[alpha, t[i]] == \
+                T.mul[T.inv[t[perms[p, 0]]], t[perms[p, i]]]
+            among, alpha, p = among[keep], alpha[keep], p[keep]
+        first = 1
+    return among
 
 
 def _candidate(g: DiagTypeGroup, i):
-    """Candidate ``i`` of ``g.gd_candidates`` as an (aut row id, Perm) pair."""
-    cand_a, cand_p = g.gd_candidates
-    return int(cand_a[i]), g.top.table.element(int(cand_p[i]))
+    """G_D index ``i`` as an (aut row id, Perm) pair."""
+    a, p = divmod(int(i), g.top.table.order)
+    return int(g.aut_rows[a]), g.top.table.element(p)
 
 
 def pointwise_stabilizer(g: DiagTypeGroup, points,
                          node_budget: int = SOLVER_NODE_BUDGET):
     """All (alpha, pi) in G_D fixing every point (D itself is implicit).
 
-    Explicit tops scan the candidate list; symbolic tops run the column-set
-    test.  Returns a list of (aut row id, Perm) pairs.
+    Explicit tops read G_D indices (``_fixing_candidates``); symbolic tops
+    run the column-set test.  Returns a list of (aut row id, Perm) pairs.
     """
-    tuples = _accel.as_tuple_matrix([p.as_array() for p in points], g.k)
+    tuples = np.array([p.tuple_ids for p in points], np.int32).reshape(-1, g.k)
     if g.top.is_symbolic:
         if len(points) == 0:
             raise UnsupportedEnumerationError(
@@ -90,7 +111,7 @@ def pointwise_stabilizer(g: DiagTypeGroup, points,
 
 def stabilizer_witness(g: DiagTypeGroup, points):
     """A nonidentity element of G_D fixing every point, or None."""
-    tuples = _accel.as_tuple_matrix([p.as_array() for p in points], g.k)
+    tuples = np.array([p.tuple_ids for p in points], np.int32).reshape(-1, g.k)
     if g.top.is_symbolic:
         if len(points) == 0:
             # any nontrivial inner diagonal pair lies in every diagonal-type G
@@ -478,7 +499,8 @@ def digit_base_rows(g: DiagTypeGroup):
 
     Row 1 is all-identity (the point D).  Row 2 lists t_1..t_m; row 3 places
     x and z and, together with any further rows, spells out j - m - 1 in base
-    |T| digits on the columns past m.
+    |T| digits on the columns past m.  More than ``ENTRY_BUDGET`` entries
+    raise BudgetExceededError.
     """
     T, k = g.T, g.k
     if k < 5:
@@ -491,6 +513,7 @@ def digit_base_rows(g: DiagTypeGroup):
     enum = np.array([0, xi, yi, zi, *rest])
     m = min(nT - 1, k - 2)
     r = max(1, ceil_log(nT, k - nT + 1))
+    check_entries(r + 2, k, "digit construction")
     rows = np.zeros((r + 2, k), dtype=np.int64)
     rows[1, :m] = enum[1:m + 1]
     rows[2, :2] = xi, zi
@@ -596,9 +619,7 @@ def minimal_base_size(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
         pts = None
     if pts is not None and len(pts) == 2 and is_base(g, pts[1:]).verdict:
         return 2, pts
-    tuples = omega_tuples(g, budget)
-    T = g.T
-    rows, perms, mul, inv = T.aut.rows, g.top.table.arrays(), T.mul, T.inv
+    tuples, T, perms = omega_tuples(g, budget), g.T, g.top.table.arrays()
     # row 0, D, is its own orbit's first; the rest are read as needed
     orbits, seen = gd_orbits(g, tuples), []
     next(orbits)
@@ -609,7 +630,6 @@ def minimal_base_size(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
             seen.append(orbit)
             yield orbit
 
-    all_a, all_p = g.gd_candidates
     filters = 0
 
     def count_filter():
@@ -620,26 +640,21 @@ def minimal_base_size(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
                 f"minimal base search exceeds {MIN_BASE_FILTER_BUDGET} "
                 f"point filters")
 
-    def filter_point(cand_a, cand_p, point):
-        count_filter()
-        mask = _accel.filter_candidates(rows, perms, cand_a, cand_p, point,
-                                        mul, inv, T.order_of).astype(bool)
-        return cand_a[mask], cand_p[mask]
-
-    def extend(cand_a, cand_p, start, depth):
+    def extend(cand, start, depth):
         """DFS over rows from ``start`` on for a point set of the given
         depth killing all candidates; returns the row list or None."""
-        if len(cand_a) == 0:
+        if len(cand) == 0:
             return []
         if depth == 1:
-            detected = _accel.detect_per_tuple(rows, perms, cand_a, cand_p,
-                                               tuples[start:], mul, inv,
-                                               T.order_of)
+            detected = _accel.detect_per_tuple(
+                T.aut.rows, perms, g.aut_rows[cand // len(perms)],
+                cand % len(perms), tuples[start:], T.mul, T.inv, T.order_of)
             free = np.flatnonzero(detected == 0)
             return [start + int(free[0])] if len(free) else None
         for j in range(start, g.degree):
-            sub_a, sub_p = filter_point(cand_a, cand_p, tuples[j:j + 1])
-            found = extend(sub_a, sub_p, j + 1, depth - 1)
+            count_filter()
+            found = extend(_fixing_candidates(g, tuples[j:j + 1], cand),
+                           j + 1, depth - 1)
             if found is not None:
                 return [j, *found]
         return None
@@ -651,8 +666,7 @@ def minimal_base_size(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
                 if size == 2:
                     found = [] if len(stab) == 1 else None
                 else:
-                    found = extend(all_a[stab[1:]], all_p[stab[1:]], 1,
-                                   size - 2)
+                    found = extend(stab[1:], 1, size - 2)
                 if found is not None:
                     return size, [g.diagonal_point()] + \
                         [OmegaPoint(tuple(tuples[j].tolist()))

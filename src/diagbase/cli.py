@@ -5,8 +5,8 @@ prob-exact, prob-mc, paper-suite.  Reports are deterministic given the same
 configuration (timing is opt-in via --timing), JSON by default; CSV is meant
 for sweep tables, plain text for eyeballing.
 
-Exit codes: 0 success, 2 usage, 3 validation failure, 4 budget exceeded,
-5 precondition violation.
+Exit codes: 0 success, 2 usage, 3 validation failure, 4 budget exceeded
+(or out of memory), 5 precondition violation.
 """
 
 from __future__ import annotations
@@ -151,15 +151,19 @@ def _build_from_args(args, name=None):
     return build_group(T, args.k, args.out_part, args.top)
 
 
-def _prob_reports(args):
-    """(group, blank ProbReport) per entry of the --group comma list."""
+def _prob_groups(args):
+    """The group of each entry of the --group comma list."""
     names = [name.strip() for name in args.group.split(",")]
     if not all(names):
         raise PreconditionError(
             f"empty entry in --group list {args.group!r}")
     for name in names:
-        g = _build_from_args(args, name)
-        yield g, ProbReport(group=g.describe(), n=g.degree)
+        yield _build_from_args(args, name)
+
+
+def _prob_report(g, **values):
+    """The report entry of one group, described once its values are in."""
+    return ProbReport(group=g.describe(), n=g.degree, **values).describe()
 
 
 def _config_echo(args):
@@ -227,22 +231,18 @@ def cmd_base_verify(args):
 
 def cmd_prob_exact(args):
     payload = []
-    for g, rep in _prob_reports(args):
-        rep.exact_nonbase_pair_fraction, rep.q2_bound = \
-            nonbase_fraction_and_q2_bound(g, budget=args.budget)
-        if args.r_split:
-            rep.r_split = r_split_formula(g)
-        payload.append(rep.describe())
+    for g in _prob_groups(args):
+        fraction, bound = nonbase_fraction_and_q2_bound(g, budget=args.budget)
+        payload.append(_prob_report(
+            g, exact_nonbase_pair_fraction=fraction, q2_bound=bound,
+            r_split=r_split_formula(g) if args.r_split else None))
     return payload
 
 
 def cmd_prob_mc(args):
-    payload = []
-    for g, rep in _prob_reports(args):
-        rep.mc_estimate = monte_carlo_nonbase(
-            g, args.samples, seed=args.seed)
-        payload.append(rep.describe())
-    return payload
+    return [_prob_report(g, mc_estimate=monte_carlo_nonbase(
+                g, args.samples, seed=args.seed))
+            for g in _prob_groups(args)]
 
 
 def cmd_paper_suite(args):
@@ -288,6 +288,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except PreconditionError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)

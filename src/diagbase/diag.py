@@ -24,8 +24,8 @@ right-coset multiplication in W(2, A5).
 
 ``build_group`` is memoized per process.  The key is (T by identity, k,
 the resolved out-label tuple, the normalized top spec), so every caller of
-one spec shares one validated group and with it the top table, the G_D
-candidate arrays, the prime-order candidates and the ``describe()`` digits,
+one spec shares one validated group and with it the top table, the
+prime-order candidates and the ``describe()`` digits,
 each built once.  A group weighs |G_D| for an explicit top and the digit
 count of its degree and order for a symbolic one; least-recently-used
 groups are dropped once the summed weight passes ``GROUP_MEMO_CAP``, and a
@@ -51,6 +51,10 @@ from .perm import (GroupTable, Perm, alternating_table, cyclic_table,
 from .report import int_str
 
 OMEGA_BUDGET = 10**7
+# most entries (rows x k) of a tuple matrix whose row count the caller
+# picks: Monte Carlo samples, construction points.  `prob-mc` on A5 k=3000
+# sym with 10^4 samples (3 x 10^7 entries) peaks at 294 MB RSS.
+ENTRY_BUDGET = 10**8
 # largest k of a sym-table/alt-table top; every explicit top table may have
 # at most as many entries (order x k) as that largest table
 TOP_TABLE_MAX_K = 8
@@ -302,19 +306,6 @@ class DiagTypeGroup:
     def diagonal_point(self) -> OmegaPoint:
         return OmegaPoint.diagonal(self.k)
 
-    @cached_property
-    def gd_candidates(self):
-        """G_D as parallel index arrays (aut row ids, perm ids into the top
-        table), aut-row-major; explicit tops only.  aut_rows[0] is the
-        identity row and elements[0] the identity, so candidate 0 is the
-        identity."""
-        if self.top.is_symbolic:
-            raise UnsupportedEnumerationError(
-                "explicit G_D scan requested for a symbolic top")
-        n_a, n_p = len(self.aut_rows), self.top.table.order
-        return (_read_only(np.repeat(self.aut_rows, n_p)),
-                _read_only(np.tile(np.arange(n_p, dtype=np.int32), n_a)))
-
     def contains_diag(self, aut_row: int, perm: Perm) -> bool:
         if int(self.T.aut.labels[aut_row]) not in self.out_labels:
             return False
@@ -332,16 +323,16 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 # The distinct specs of one seed of each benchmark workload weigh 14,544
 # (base-search, 12 specs), 299,880 (prob-sweep, 22 specs; A6 k=37 dihedral
 # alone 106,560) and 186,590 (symbolic-sweep, 62 specs), so each workload's
-# groups all stay.  Retained bytes per unit (tracemalloc, candidate arrays
-# and top table filled): 16 for A5 k=7 inner sym-table (302,400 units,
-# 4.6 MB), 9 for A6 k=37 dihedral, 1.7 for A5 k=5000 sym; so a full memo
-# holds at most about 8 MB.  A5 sym-table at k=8 (4,838,400) is never held.
+# groups all stay.  Retained bytes per unit (tracemalloc, top table and
+# prime candidates filled): 1.5 for A5 k=7 inner sym-table (302,400 units,
+# 0.45 MB), 0.7 for A6 k=37 dihedral, 1.7 for A5 k=5000 sym; so a full memo
+# holds at most about 1 MB.  A5 sym-table at k=8 (4,838,400) is never held.
 GROUP_MEMO_CAP = 2**19
 
 
 def group_weight(g: DiagTypeGroup) -> int:
     """What the memo counts a group as: |G_D| for an explicit top, which
-    bounds its candidate arrays, and for a symbolic top the number of
+    bounds its prime-order candidates, and for a symbolic top the number of
     decimal digits of its degree and order, which bound its ``describe()``
     strings.  The digits are counted (to within one) from logarithms, as
     the orders themselves may be too large to work out."""
@@ -536,6 +527,13 @@ def omega_tuples(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
     return tuples
 
 
+def check_entries(rows: int, k: int, what: str) -> None:
+    """Refuse a rows x k tuple matrix past ``ENTRY_BUDGET`` entries."""
+    if rows * k > ENTRY_BUDGET:
+        raise BudgetExceededError(
+            f"{what}: {rows} x {k} entries exceed the budget {ENTRY_BUDGET}")
+
+
 def omega_iter(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
     """All canonical tuples as points, in omega_tuples order."""
     for row in omega_tuples(g, budget).tolist():
@@ -545,9 +543,9 @@ def omega_iter(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
 def gd_orbits(g: DiagTypeGroup, tuples):
     """Yield (row, stab) per G_D orbit on the rows of ``omega_tuples``: the
     index of its first point, ascending, and the stabilizer of that point
-    in G_D as indices into ``g.gd_candidates``, ascending (the identity,
-    index 0, first).  The orbit has ``g.gd_order // len(stab)`` points
-    (orbit-stabilizer).
+    in G_D as indices a * |P| + p of the pairs (``g.aut_rows[a]``, top perm
+    p), ascending (the identity, index 0, first).  The orbit has
+    ``g.gd_order // len(stab)`` points (orbit-stabilizer).
 
     Lazily: a step maps the next unseen row through all of G_D in one block
     and marks the images seen, so a caller that stops early touches no

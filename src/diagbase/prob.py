@@ -27,8 +27,8 @@ import numpy as np
 
 from . import _accel
 from .baseengine import detect_symbolic
-from .diag import (OMEGA_BUDGET, DiagTypeGroup, _read_only, gd_orbits,
-                   omega_tuples)
+from .diag import (OMEGA_BUDGET, DiagTypeGroup, _read_only, check_entries,
+                   gd_orbits, omega_tuples)
 from .errors import BudgetExceededError, PreconditionError
 from .perm import Perm, _is_prime
 from .report import int_str
@@ -106,7 +106,7 @@ def nonbase_fraction_and_q2_bound(g: DiagTypeGroup,
     candidates in it.
     """
     cand_a, cand_p, _tags = prime_order_candidates(g)
-    prime = np.zeros(g.gd_order, dtype=bool)    # over gd_candidates
+    prime = np.zeros(g.gd_order, dtype=bool)    # over the G_D indices
     prime[np.searchsorted(g.aut_rows, cand_a) * g.top.table.order
           + cand_p] = True
     tuples = omega_tuples(g, budget)
@@ -134,10 +134,12 @@ def monte_carlo_nonbase(g: DiagTypeGroup, samples: int,
 
     Points are sampled uniformly (independent coordinates past the first);
     the per-sample test runs G_D-side only, so large point sets cost nothing.
-    The result depends only on (samples, seed).
+    The result depends only on (samples, seed).  More than
+    ``ENTRY_BUDGET`` sample entries raise BudgetExceededError.
     """
     if samples < 1:
         raise PreconditionError("need at least one sample")
+    check_entries(samples, g.k, "Monte Carlo samples")
     # drawing from the one spawned child, not from the seed itself, keeps
     # the hit counts of a given seed equal to those of earlier versions
     (stream,) = np.random.SeedSequence(seed).spawn(1)
@@ -536,7 +538,7 @@ class ProbReport:
     mc_estimate: dict | None = None
 
     def describe(self):
-        # report.encode_value writes the rationals as {"num", "den"}
+        # the report formatters write the rationals as {"num", "den"}
         return {
             "group": self.group,
             "n": int_str(self.n),

@@ -4,7 +4,8 @@ Every report carries the schema version and a full echo of the resolved
 configuration.  Rationals are serialized as numerator/denominator string
 pairs so nothing is rounded.  Wall-clock timing is an opt-in field (null by
 default) so that repeated runs with identical configuration produce
-byte-identical output.  JSON comes from a small writer, not ``json.dumps``
+byte-identical output.  Each formatter encodes the raw envelope itself;
+JSON comes from a small writer that encodes as it writes, not ``json.dumps``
 (in CPython 3.11 any ``indent`` turns off its C encoder), with the same text.
 """
 
@@ -62,8 +63,8 @@ def make_report(command: str, config: dict, payload,
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "config": encode_value(config),
-        "payload": encode_value(payload),
+        "config": config,
+        "payload": payload,
         "timing_seconds": timing_seconds,
     }
 
@@ -82,9 +83,17 @@ def _scalar(value) -> str:
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
+# the types written as they are; any other value is encoded first
+_PLAIN = {dict, list, tuple, str, int, float, bool, type(None)}
+
+
 def _write(value, indent: str, out: list) -> None:
+    kind = type(value)
+    if kind not in _PLAIN:
+        value = encode_value(value)
+        kind = type(value)
     inner = indent + "  "
-    if isinstance(value, dict):
+    if kind is dict:
         sep = "{\n" + inner
         for key in sorted(value):
             out += (sep, _quote(key if isinstance(key, str) else _scalar(key)),
@@ -92,7 +101,7 @@ def _write(value, indent: str, out: list) -> None:
             _write(value[key], inner, out)
             sep = ",\n" + inner
         out.append("\n" + indent + "}" if value else "{}")
-    elif isinstance(value, (list, tuple)):
+    elif kind is list or kind is tuple:
         sep = "[\n" + inner
         for item in value:
             out.append(sep)
@@ -104,7 +113,7 @@ def _write(value, indent: str, out: list) -> None:
 
 
 def to_json(report: dict) -> str:
-    """``json.dumps(report, indent=2, sort_keys=True)`` plus a newline."""
+    """Sorted, 2-indented ``json.dumps`` text of ``encode_value(report)``."""
     out = []
     _write(report, "", out)
     out.append("\n")
@@ -125,7 +134,7 @@ def _flatten(prefix, value, row):
 def to_csv(report: dict) -> str:
     """One row per payload entry when the payload is a list of records
     (sweep shape); a single flattened row otherwise."""
-    payload = report["payload"]
+    payload = encode_value(report["payload"])
     rows = payload if isinstance(payload, list) else [payload]
     flats = []
     for entry in rows:
@@ -146,7 +155,7 @@ def to_text(report: dict) -> str:
     if report.get("timing_seconds") is not None:
         lines.append(f"# timing: {report['timing_seconds']:.3f}s")
     flat = {}
-    _flatten("", report["payload"], flat)
+    _flatten("", encode_value(report["payload"]), flat)
     width = max((len(k) for k in flat), default=0)
     for k in sorted(flat):
         lines.append(f"{k.ljust(width)}  {flat[k]}")

@@ -1,4 +1,5 @@
 import gc
+import zlib
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from diagbase.baseengine import (alt_formula_bounds, ceil_log, construct_auto,
                                  minimal_base_size, nonbase_witness,
                                  pointwise_stabilizer,
                                  pointwise_stabilizer_by_action, pyber_check)
-from diagbase import baseengine
-from diagbase.catalog import get_group
+from diagbase import _accel, baseengine
+from diagbase.baseengine import _fixing_candidates
+from diagbase.catalog import catalog_names, get_group
 from diagbase.cli import main
 from diagbase.diag import OmegaPoint, build_group
 from diagbase.errors import BudgetExceededError, PreconditionError
@@ -22,6 +24,49 @@ from diagbase.perm import Perm, alternating_table, symmetric_table
 
 def random_point(T, k, rng):
     return OmegaPoint.from_tuple(T, [0, *rng.integers(0, T.order, k - 1)])
+
+
+# the action oracle walks G_D in Python, about 14 us an element; it runs on
+# the one-point sets of the shapes of at most this |G_D|, the scan kernel
+# on every point set
+ACTION_ORACLE_MAX_GD = 30_000
+
+
+@pytest.mark.parametrize("out", ["inner", "full"])
+@pytest.mark.parametrize("top,k", [
+    *(("sym-table", k) for k in (2, 3, 4, 5)),
+    *(("alt-table", k) for k in (3, 4, 5)),
+    *((top, k) for top in ("cyclic", "dihedral") for k in (5, 7))])
+@pytest.mark.parametrize("name", catalog_names())
+def test_fixing_candidates_match_the_kernel_and_the_action(name, top, k, out):
+    # the G_D indices a * |P| + p that fix seeded 1-3 point sets, against
+    # the scan kernel over G_D listed here and against the group action;
+    # entries from {1, x, y} give nontrivial stabilizers
+    g = build_group(get_group(name), k, out, top)
+    T, table = g.T, g.top.table
+    n_p = table.order
+    cand_a = np.repeat(g.aut_rows, n_p)
+    cand_p = np.tile(np.arange(n_p, dtype=np.int32), len(g.aut_rows))
+    aut_index = {int(a): i for i, a in enumerate(g.aut_rows)}
+    rng = np.random.default_rng(zlib.crc32(f"{name} {top} {k} {out}".encode()))
+    for n_points in (1, 2, 3):
+        pool = [0, *rng.choice(np.arange(1, T.order), 2, replace=False)]
+        tuples = np.zeros((n_points, k), dtype=np.int32)
+        tuples[:, 1:] = rng.choice(pool, (n_points, k - 1))
+        want = np.flatnonzero(_accel.filter_candidates(
+            T.aut.rows, table.arrays(), cand_a, cand_p, tuples, T.mul,
+            T.inv, T.order_of)).tolist()
+        assert _fixing_candidates(g, tuples).tolist() == want
+        first = _fixing_candidates(g, tuples[:1])
+        assert _fixing_candidates(g, tuples[1:], first).tolist() == want
+        among = np.flatnonzero(rng.random(g.gd_order) < 0.5)
+        assert _fixing_candidates(g, tuples, among).tolist() == \
+            np.intersect1d(want, among).tolist()
+        if n_points == 1 and g.gd_order <= ACTION_ORACLE_MAX_GD:
+            points = [OmegaPoint(tuple(t)) for t in tuples.tolist()]
+            assert want == sorted(
+                aut_index[a] * n_p + table.position(p)
+                for a, p in pointwise_stabilizer_by_action(g, points))
 
 
 class TestPointwiseStabilizer:

@@ -10,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -274,6 +275,35 @@ class TestExitCodes:
             assert code == 4, argv
             assert "budget exceeded" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["prob-mc", "--k", "3", "--samples", "99999999999999999999"],
+        ["prob-mc", "--k", "3", "--samples", "1000000000"],
+        ["prob-mc", "--k", "100000000", "--samples", "2"],
+        ["base-construct", "--k", "100000000"],
+    ], ids=["samples-past-int64", "samples", "k", "construction"])
+    def test_user_sized_matrices_refused(self, capsys, argv):
+        # samples x k and construction points x k are checked against
+        # ENTRY_BUDGET before the group is described or a row allocated
+        get_group("A5")
+        tracemalloc.start()
+        start = time.perf_counter()
+        code = main([*argv, "--group", "A5", "--top", "sym"])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 4 and "budget exceeded" in err
+        assert str(diag.ENTRY_BUDGET) in err
+        assert peak < 2**20 and elapsed < 1
+
+    def test_memory_error_exits_4(self, capsys, monkeypatch):
+        def out_of_memory(args):
+            raise MemoryError("Unable to allocate 4.28 GiB")
+        monkeypatch.setitem(cli.COMMANDS, "base-min", out_of_memory)
+        code = main(["base-min", "--group", "A5", "--k", "2"])
+        err = capsys.readouterr().err
+        assert code == 4 and "out of memory: Unable to allocate" in err
+
     def test_oversized_cyclic_dihedral_tops(self, capsys):
         # C_k and D_k are primitive only at a prime k, so a composite k is
         # refused before any k-point table is built; a prime k past the
@@ -420,6 +450,32 @@ _JSON_VALUES = st.recursive(
     max_leaves=24)
 
 
+class _Described:
+    def __init__(self, value):
+        self.value = value
+
+    def describe(self):
+        return self.value
+
+
+# past the 4300-digit int-to-str limit
+_BIG = st.integers(4300, 4400).map(lambda n: 10 ** n + 7)
+_REPORT_VALUES = st.recursive(
+    _JSON_TEXT | st.booleans() | st.none() | st.integers()
+    | st.floats() | st.sampled_from([float("nan"), -0.0])
+    | st.builds(Fraction, st.integers() | _BIG | _BIG.map(lambda n: -n),
+                st.integers(1, 10 ** 6) | _BIG)
+    | st.integers(-2 ** 31, 2 ** 31 - 1).map(np.int32)
+    | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
+    | st.floats().map(np.float64) | st.booleans().map(np.bool_),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=4)
+    | st.dictionaries(st.integers(), inner, max_size=4)
+    | st.builds(_Described, inner),
+    max_leaves=24)
+
+
 class TestJsonWriter:
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(_JSON_VALUES)
@@ -436,8 +492,21 @@ class TestJsonWriter:
                    "empty": {}, "none": [], "name": "L2(11) \u00d7 \"k\""}
         rep = report_mod.make_report("base-construct", {"k": 5000}, payload,
                                      timing_seconds=timing)
-        assert rep["payload"]["order"]["num"].startswith("-")
-        assert report_mod.to_json(rep) == _dumps(rep)
+        text = report_mod.to_json(rep)
+        assert json.loads(text)["payload"]["order"]["num"].startswith("-")
+        assert text == _dumps(report_mod.encode_value(rep))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(_REPORT_VALUES, _REPORT_VALUES)
+    def test_report_writers_encode_in_one_pass(self, config, payload):
+        # to_json writes the raw envelope as json.dumps writes it once
+        # encoded; CSV and text give the same text for it as for the
+        # encoded envelope
+        rep = report_mod.make_report("prob-exact", config, payload, 0.5)
+        encoded = report_mod.encode_value(rep)
+        assert report_mod.to_json(rep) == _dumps(encoded)
+        assert report_mod.to_csv(rep) == report_mod.to_csv(encoded)
+        assert report_mod.to_text(rep) == report_mod.to_text(encoded)
 
 
 # the CLI grammar, with malformed values mixed in

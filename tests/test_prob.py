@@ -123,7 +123,9 @@ def test_prime_order_candidates_match_brute_force(name, k, out, top):
     perms = list(g.top.table)
     perm_orders = [p.order() for p in perms]
     want = set()
-    for a, pid in zip(*(x.tolist() for x in g.gd_candidates)):
+    for i in range(g.gd_order):
+        row, pid = divmod(i, len(perms))
+        a = int(g.aut_rows[row])
         if _is_prime_by_division(lcm(aut_orders[a], perm_orders[pid])):
             perm = perms[pid]
             tag = 2 if perm.is_identity() else \
