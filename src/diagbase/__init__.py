@@ -9,8 +9,8 @@ from .baseengine import (BaseCertificate, alt_formula_bounds, construct_auto,
                          pointwise_stabilizer, pyber_check)
 from .catalog import (AutTable, SimpleGroup, catalog_names, get_group,
                       load_catalog, parse_catalog)
-from .diag import (DiagTypeGroup, OmegaPoint, TopGroup, WElement, act,
-                   act_diag, build_group, make_top, stab_of_D)
+from .diag import (DiagTypeGroup, OmegaPoint, TopGroup, act_diag,
+                   build_group, make_top, stab_of_D)
 from .errors import (BudgetExceededError, DiagbaseError, InvalidTopError,
                      MembershipError, NotInnerError, PreconditionError,
                      UnsupportedEnumerationError, ValidationError)

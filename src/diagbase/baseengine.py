@@ -10,24 +10,23 @@ loses nothing), and never touch the point set itself: a diagonal pair
 which is pure index arithmetic over the element table of T.  For explicit top
 groups one pass over G_D, never listed (``_fixing_candidates``), gives both
 the stabilizer and a nonidentity witness.
-For symbolic Alt/Sym tops the same condition says that x -> t[0 pi] *
+For symbolic Alt/Sym tops the stabilizer is never listed, only a
+nonidentity witness sought: the same condition says that x -> t[0 pi] *
 alpha(x) permutes the multiset of columns of the points' tuple matrix; a
 column-set test over integer column codes checks that for every alpha and
 every admissible image of the identity column at once, and the permutation
-part is read off by matching equal columns.  A row-histogram prefilter runs
-first: such a map preserves every row's histogram over T, so the images of
-the identity and of one rarest element of a row pin alpha's image there,
-and only the pairs allowed by every row reach the column test (none but
-the identity pair ends a witness search).  Monte Carlo runs the prefilter
-on the samples without repeated entries, in blocks sized by the k^2 pin
-pairs a sample can have.
+part of the first surviving map is read off by matching equal columns.  A
+row-histogram prefilter runs first: such a map preserves every row's
+histogram over T, so the images of the identity and of one rarest element
+of a row pin alpha's image there, and only the pairs allowed by every row
+reach the column test (none but the identity pair ends the search).  Monte
+Carlo runs the prefilter on the samples without repeated entries, in
+blocks sized by the k^2 pin pairs a sample can have.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
-from math import factorial, prod
 
 import numpy as np
 
@@ -38,8 +37,6 @@ from .errors import (BudgetExceededError, PreconditionError,
                      UnsupportedEnumerationError, ValidationError)
 from .perm import Perm
 
-# most stabilizer elements listed for a symbolic top (mode="all")
-SOLVER_NODE_BUDGET = 10**6
 # most filters in one minimal_base_size search: a filter is one scan of
 # the surviving candidates against one further point, or one orbit
 # representative's stabilizer read off the G_D orbit walk
@@ -92,20 +89,15 @@ def _candidate(g: DiagTypeGroup, i):
     return int(g.aut_rows[a]), g.top.table.element(p)
 
 
-def pointwise_stabilizer(g: DiagTypeGroup, points,
-                         node_budget: int = SOLVER_NODE_BUDGET):
-    """All (alpha, pi) in G_D fixing every point (D itself is implicit).
-
-    Explicit tops read G_D indices (``_fixing_candidates``); symbolic tops
-    run the column-set test.  Returns a list of (aut row id, Perm) pairs.
-    """
-    tuples = np.array([p.tuple_ids for p in points], np.int32).reshape(-1, g.k)
+def pointwise_stabilizer(g: DiagTypeGroup, points):
+    """All (alpha, pi) in G_D fixing every point (D itself is implicit), as
+    (aut row id, Perm) pairs read off G_D indices (``_fixing_candidates``);
+    explicit tops only."""
     if g.top.is_symbolic:
-        if len(points) == 0:
-            raise UnsupportedEnumerationError(
-                "stabilizer of D alone is all of G_D; not enumerable for a "
-                "symbolic top")
-        return _solve_symbolic(g, tuples, mode="all", node_budget=node_budget)
+        raise UnsupportedEnumerationError(
+            "stabilizers are listed for explicit tops only; a symbolic top "
+            "answers whether one is trivial (stabilizer_witness)")
+    tuples = np.array([p.tuple_ids for p in points], np.int32).reshape(-1, g.k)
     return [_candidate(g, i) for i in _fixing_candidates(g, tuples)]
 
 
@@ -116,8 +108,7 @@ def stabilizer_witness(g: DiagTypeGroup, points):
         if len(points) == 0:
             # any nontrivial inner diagonal pair lies in every diagonal-type G
             return (g.T.aut.inn_of(1), Perm.identity(g.k))
-        found = _solve_symbolic(g, tuples, mode="witness")
-        return found[0] if found else None
+        return _solve_symbolic(g, tuples)
     fixing = _fixing_candidates(g, tuples)
     return _candidate(g, fixing[1]) if len(fixing) > 1 else None
 
@@ -223,35 +214,47 @@ def _histogram_pairs(g, X, ys):
     return alive[ia] * ys.shape[1] + iy
 
 
-def _surviving_pairs(g, pairs, ys, cols, uniq, counts, dtype):
-    """Yield, chunk by chunk, the pairs (alpha row, y index) among the flat
-    indices ``pairs`` whose map x -> y * alpha(x) sends every column of
-    ``cols``, the distinct columns past the identity (codes ``uniq[1:]``),
-    to a code of ``uniq`` with the same count.  Columns are tested in
-    blocks sized so that survivors x block stays near
-    ``SOLVER_CHUNK_PAIRS``."""
-    T, n = g.T, g.T.order
-    rows, mul = T.aut.rows, T.mul
-    n_y, n_cols = ys.shape[1], cols.shape[1]
+def _distinct_columns(X, n):
+    """(codes, uniq, first, inverse, counts): the base-n code of each column
+    of X, exact past int64, and ``np.unique``'s view of them."""
+    dtype = np.int64 if n ** X.shape[0] < 2 ** 63 else object
+    codes = _column_codes(X, n, dtype)
+    return (codes, *np.unique(codes, return_index=True, return_inverse=True,
+                              return_counts=True))
+
+
+def _fixing_maps(g, X, columns):
+    """Yield, chunk by chunk, (alpha rows, y columns) of the maps
+    f(x) = y * alpha(x) other than the identity that permute the column
+    multiset of X, given its ``_distinct_columns``.  The pairs (alpha, y),
+    y a column as frequent as x_0, that pass the row-histogram test
+    (``_histogram_pairs``) map the distinct columns past x_0 in blocks
+    sized so that survivors x block stays near ``SOLVER_CHUNK_PAIRS``; f
+    is kept when every image is a column as frequent as its preimage."""
+    rows, mul, n = g.T.aut.rows, g.T.mul, g.T.order
+    _codes, uniq, first, _inverse, counts = columns
+    ys, cols = X[:, first[counts == counts[0]]], X[:, first[1:]]
+    pairs = _histogram_pairs(g, X, ys)
+    pairs = pairs[pairs > 0]    # flat index 0, the identity pair, fixes all
     for start in range(0, len(pairs), SOLVER_CHUNK_PAIRS):
         p = pairs[start:start + SOLVER_CHUNK_PAIRS]
-        a, y = g.aut_rows[p // n_y], ys[:, p % n_y]
+        a, y = g.aut_rows[p // ys.shape[1]], ys[:, p % ys.shape[1]]
         j = 0
-        while len(a) and j < n_cols:
+        while len(a) and j < cols.shape[1]:
             stop = j + max(1, SOLVER_CHUNK_PAIRS // len(a))
             alpha_x = rows[a[None, :, None], cols[:, None, j:stop]]
-            code = _column_codes(mul[y[:, :, None], alpha_x], n, dtype)
+            code = _column_codes(mul[y[:, :, None], alpha_x], n, uniq.dtype)
             pos = np.searchsorted(uniq, code).clip(max=len(uniq) - 1)
             ok = (uniq[pos] == code) & (counts[pos] == counts[1 + j:1 + stop])
             keep = ok.all(axis=1)
-            a, y, p = a[keep], y[:, keep], p[keep]
+            a, y = a[keep], y[:, keep]
             j = stop
-        yield a, p % n_y
+        yield a, y
 
 
-def _solve_symbolic(g: DiagTypeGroup, tuples, mode: str,
-                    node_budget: int = SOLVER_NODE_BUDGET):
-    """Diagonal stabilizer elements of the points for a symbolic top.
+def _solve_symbolic(g: DiagTypeGroup, tuples):
+    """A nonidentity diagonal stabilizer element (aut row, Perm) of the
+    points for a symbolic top, or None.
 
     Read the m x k tuple matrix as k columns x_j in T^m, x_0 the identity.
     A pair (alpha, pi) fixes D and the points iff x_{i pi} = y * alpha(x_i)
@@ -259,91 +262,48 @@ def _solve_symbolic(g: DiagTypeGroup, tuples, mode: str,
     the column multiset and pi matches it.  Then t -> y_r * alpha(t)
     preserves the histogram of every row r, so the pairs (alpha, y), alpha
     in the out part and y a column as frequent as x_0, are first narrowed
-    to those passing that row test on every row (``_histogram_pairs``).
-    The exact test then maps the distinct columns past x_0 by f, for all
-    remaining pairs at once in chunks, and keeps f when every image is a
-    column as frequent as its preimage.
+    to those passing that row test on every row.  The exact test then maps
+    the distinct columns past x_0 by f, for all remaining pairs at once in
+    chunks, and keeps f when every image is a column as frequent as its
+    preimage (``_fixing_maps``).
 
-    ``mode="witness"`` returns [one nonidentity element] or []: a repeated
-    column gives a transposition (Sym), a 3-cycle or a double transposition
-    (Alt) outright; otherwise a surviving f is matched, an odd pi fixed up
-    with the one repeated pair, or (all columns distinct) skipped for Alt.
-    ``mode="all"`` returns every element: each surviving f with one matching
-    pi composed with every permutation within the classes of equal columns,
-    even ones only for Alt; more than ``node_budget`` of them raise
-    BudgetExceededError before any is built.
+    A repeated column gives a transposition (Sym), a 3-cycle or a double
+    transposition (Alt) outright; otherwise the first surviving f is
+    matched, an odd pi fixed up with the one repeated pair, or (all columns
+    distinct) skipped for Alt.
     """
     T, k, n = g.T, g.k, g.T.order
     alt = g.top.symbolic == "alt"
-    ident = T.aut.identity_row
     X = np.asarray(tuples, dtype=np.int64)
-    m = X.shape[0]
-    dtype = np.int64 if n ** m < 2 ** 63 else object
-    codes = _column_codes(X, n, dtype)
-    uniq, first, inverse, counts = np.unique(
-        codes, return_index=True, return_inverse=True, return_counts=True)
-    # classes of equal columns; a witness reads the first two at most
-    classes = np.nonzero(counts > 1)[0][:2 if mode == "witness" else None]
-    repeated = [np.nonzero(inverse == c)[0] for c in classes]
+    columns = codes, _uniq, _first, inverse, counts = _distinct_columns(X, n)
     # equal columns swap freely: a transposition for Sym; for Alt a 3-cycle
     # on a triple or a double transposition on two pairs
-    if mode == "witness" and repeated and (
-            not alt or len(repeated) > 1 or len(repeated[0]) > 2):
+    repeated = [np.nonzero(inverse == c)[0]
+                for c in np.nonzero(counts > 1)[0][:2]]
+    if repeated and (not alt or len(repeated) > 1 or len(repeated[0]) > 2):
         cycles = [repeated[0][:3]] if alt and len(repeated[0]) > 2 else \
             [r[:2] for r in repeated[:1 + alt]]
-        return [(ident, Perm.from_cycles([c.tolist() for c in cycles], k))]
-
-    ys = X[:, first[counts == counts[0]]]
-    pairs = _histogram_pairs(g, X, ys)
-    if mode == "witness":       # flat index 0, the identity pair, fixes all
-        pairs = pairs[pairs > 0]
-        if not len(pairs):
-            return []
-    survivors = _surviving_pairs(g, pairs, ys, X[:, first[1:]], uniq, counts,
-                                 dtype)
-    order = np.argsort(codes, kind="stable")
-
-    def matching(a, yi):
-        """One pi with x_{i pi} = f(x_i): equal codes matched in order."""
-        pi = np.empty(k, dtype=np.int32)
-        img = _column_codes(T.mul[ys[:, yi, None], T.aut.rows[a][X]], n,
-                            dtype)
-        pi[np.argsort(img, kind="stable")] = order
-        return pi
-
-    if mode == "witness":
-        swap_pair = np.arange(k)        # the one repeated pair, if any
-        if repeated:
-            swap_pair[repeated[0]] = repeated[0][::-1]
-        for a_s, y_s in survivors:
-            for a, yi in zip(a_s.tolist(), y_s.tolist()):
-                perm = Perm(matching(a, yi))
-                if alt and perm.sign() != 1:
-                    if not repeated:
-                        continue
-                    perm = Perm(perm.images[swap_pair])
-                return [(a, perm)]
-        return []
-    found = [(a, yi) for a_s, y_s in survivors
-             for a, yi in zip(a_s.tolist(), y_s.tolist())]
-    total = len(found) * prod(factorial(len(r)) for r in repeated)
-    if total > node_budget:
-        raise BudgetExceededError(
-            f"{total} stabilizer elements exceed the budget of {node_budget}")
-    sigmas = []
-    for combo in product(*(permutations(r.tolist()) for r in repeated)):
-        sigma = np.arange(k)
-        for r, images in zip(repeated, combo):
-            sigma[r] = images
-        sigmas.append(sigma)
-    results = []
-    for a, yi in found:
-        pi = matching(a, yi)
-        for sigma in sigmas:
-            perm = Perm(pi[sigma])
-            if not alt or perm.sign() == 1:
-                results.append((a, perm))
-    return results
+        return (T.aut.identity_row,
+                Perm.from_cycles([c.tolist() for c in cycles], k))
+    order = None    # the columns sorted by code, once a map survives
+    for a_s, y_s in _fixing_maps(g, X, columns):
+        for a, y in zip(a_s.tolist(), y_s.T):
+            if order is None:
+                order = np.argsort(codes, kind="stable")
+            # one pi with x_{i pi} = f(x_i): equal codes matched in order
+            pi = np.empty(k, dtype=np.int32)
+            img = _column_codes(T.mul[y[:, None], T.aut.rows[a][X]], n,
+                                codes.dtype)
+            pi[np.argsort(img, kind="stable")] = order
+            perm = Perm(pi)
+            if alt and perm.sign() != 1:
+                if not repeated:
+                    continue
+                swap = np.arange(k)         # the one repeated pair, swapped
+                swap[repeated[0]] = repeated[0][::-1]
+                perm = Perm(perm.images[swap])
+            return a, perm
+    return None
 
 
 def detect_symbolic(g: DiagTypeGroup, tuples):
@@ -366,8 +326,8 @@ def detect_symbolic(g: DiagTypeGroup, tuples):
             g, _row_histograms(tuples[rows], g.T.order))
         moved = r[(a != 0) | (y != 0)]      # aut_rows[0] is the identity
         for s in rows[np.bincount(moved, minlength=len(rows)) > 0].tolist():
-            out[s] = not alt or bool(_solve_symbolic(g, tuples[s:s + 1],
-                                                     mode="witness"))
+            out[s] = not alt or _solve_symbolic(g, tuples[s:s + 1]) \
+                is not None
     return out
 
 
@@ -689,19 +649,14 @@ def nonbase_witness(g: DiagTypeGroup, points):
 
     points: the l non-anchor points.  Requires the top to contain Alt(k) and
     one of: k > |T|^l; l = 1 and k = |T|; top symmetric and k in
-    {|T|^l, |T|^l - 1}.
+    {|T|^l, |T|^l - 1}.  These hold iff ``alt_formula_bounds`` puts b(G)
+    at l + 2 or more.
     """
-    T, k = g.T, g.k
     l = len(points)
     if l == 0 or any(p.is_diagonal() for p in points):
         raise PreconditionError("need l >= 1 non-diagonal points")
-    if not g.top.contains_alternating():
-        raise PreconditionError("top group must contain Alt(k)")
-    nT = T.order
-    power = nT ** l
-    symmetric = g.top.is_symmetric()
-    if not (k > power or (l == 1 and k == nT)
-            or (symmetric and k in (power, power - 1))):
+    bounds = alt_formula_bounds(g)
+    if (bounds["exact"] or bounds["interval"][0]) < l + 2:
         raise PreconditionError(
             "hypotheses unmet: need k > |T|^l, or l=1 and k=|T|, or a "
             "symmetric top with k in {|T|^l, |T|^l - 1}")

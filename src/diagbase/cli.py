@@ -129,10 +129,13 @@ def parse_args(argv):
 
 
 def _emit(args, payload, elapsed):
-    rep = report_mod.make_report(
-        args.command, _config_echo(args), payload,
-        timing_seconds=round(elapsed, 3) if args.timing else None)
-    text = report_mod.render(rep, args.format)
+    if args.command == "paper-suite" and args.format == "text":
+        text = format_table(payload) + "\n"
+    else:
+        text = report_mod.render(report_mod.make_report(
+            args.command, _config_echo(args), payload,
+            timing_seconds=round(elapsed, 3) if args.timing else None),
+            args.format)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
@@ -279,10 +282,7 @@ def main(argv=None) -> int:
     suite = args.command == "paper-suite"
     try:
         payload = COMMANDS[args.command](args)
-        if suite and args.format == "text" and not args.output:
-            print(format_table(payload))
-        else:
-            _emit(args, payload, time.perf_counter() - start)
+        _emit(args, payload, time.perf_counter() - start)
     except ValidationError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -18,9 +18,10 @@ with tuple t, the image point has tuple
 
 computed concretely by composing each coordinate's inner map with a_i,
 permuting coordinates by pi, and renormalizing the first coordinate to the
-identity.  The diagonal fast path reduces to pure index arithmetic in T.
-The convention is pinned by the explicit-coset oracle test against literal
-right-coset multiplication in W(2, A5).
+identity.  The library acts by diagonal elements only, for which this
+reduces to pure index arithmetic in T (``act_diag``).  The convention is
+pinned against literal right-coset multiplication in W(2, A5) by the
+coset oracle that the tests keep (``tests/coset_oracle.py``).
 
 ``build_group`` is memoized per process.  The key is (T by identity, k,
 the resolved out-label tuple, the normalized top spec), so every caller of
@@ -55,6 +56,11 @@ OMEGA_BUDGET = 10**7
 # picks: Monte Carlo samples, construction points.  `prob-mc` on A5 k=3000
 # sym with 10^4 samples (3 x 10^7 entries) peaks at 294 MB RSS.
 ENTRY_BUDGET = 10**8
+# most decimal digits of a symbolic top's degree and order together
+# (``group_weight``) that ``describe()`` writes out; the conversion is
+# quadratic in the digits.  The heaviest benchmark spec, A5 k=5000 sym,
+# weighs 34,107.
+DIGIT_BUDGET = 10**5
 # largest k of a sym-table/alt-table top; every explicit top table may have
 # at most as many entries (order x k) as that largest table
 TOP_TABLE_MAX_K = 8
@@ -238,18 +244,6 @@ class OmegaPoint:
         return self.serialize()
 
 
-@dataclass(frozen=True)
-class WElement:
-    """A general element (a_1,...,a_k)pi of W(k,T): k aut rows plus a Perm."""
-
-    aut_rows: tuple
-    perm: Perm
-
-    @property
-    def k(self) -> int:
-        return len(self.aut_rows)
-
-
 class DiagTypeGroup:
     """A diagonal-type group determined by (T, k, out labels, top).
 
@@ -284,6 +278,10 @@ class DiagTypeGroup:
 
     @cached_property
     def _digits(self) -> tuple:
+        if self.top.is_symbolic and group_weight(self) > DIGIT_BUDGET:
+            raise BudgetExceededError(
+                f"degree and order of about {group_weight(self)} digits "
+                f"exceed the budget {DIGIT_BUDGET}")
         return int_str(self.degree), int_str(self.order)
 
     def describe(self) -> dict:
@@ -449,55 +447,6 @@ def act_diag(T: SimpleGroup, point: OmegaPoint, aut_row: int,
     t0inv = int(T.inv[t0])
     return OmegaPoint(tuple(
         int(alpha[T.mul[t0inv, t[int(pinv[i])]]]) for i in range(len(t))))
-
-
-def act(T: SimpleGroup, point: OmegaPoint, w: WElement) -> OmegaPoint:
-    """Image of a point under a general W element, canonicalized.
-
-    Lifts the point to its inner-tuple coset representative, multiplies in W,
-    absorbs the permutation part into the stabilized coset, reduces the
-    automorphism tuple to inner maps, and renormalizes the first coordinate.
-    """
-    aut = T.aut
-    labels = {int(aut.labels[int(r)]) for r in w.aut_rows}
-    if len(labels) != 1:
-        raise PreconditionError(
-            "W element coordinates must share one Inn-coset")
-    k = point.k
-    pinv = w.perm.inverse().images
-    # g_i = phi_{t_{i pi^-1}} . a_{i pi^-1}  (apply the inner map first)
-    g_rows = [aut.compose_rows(aut.inn_of(point.tuple_ids[int(pinv[i])]),
-                               int(w.aut_rows[int(pinv[i])]))
-              for i in range(k)]
-    # left-divide by g_1 so every coordinate becomes inner
-    g1_inv = aut.invert_row(g_rows[0])
-    ids = []
-    for i in range(k):
-        row = aut.compose_rows(g1_inv, g_rows[i])
-        ids.append(aut.recover_conjugator(row))
-    return OmegaPoint(tuple(ids))
-
-
-def w_multiply(T: SimpleGroup, v: WElement, w: WElement) -> WElement:
-    """Product in W(k,T): (a, pi)(b, sigma) = ((a_i b_{i pi}), pi sigma)."""
-    aut = T.aut
-    pi = v.perm.images
-    rows = tuple(aut.compose_rows(int(v.aut_rows[i]),
-                                  int(w.aut_rows[int(pi[i])]))
-                 for i in range(v.k))
-    return WElement(rows, v.perm * w.perm)
-
-
-def w_inverse(T: SimpleGroup, w: WElement) -> WElement:
-    aut = T.aut
-    pinv = w.perm.inverse()
-    rows = tuple(aut.invert_row(int(w.aut_rows[int(pinv.images[i])]))
-                 for i in range(w.k))
-    return WElement(rows, pinv)
-
-
-def w_identity(T: SimpleGroup, k: int) -> WElement:
-    return WElement((T.aut.identity_row,) * k, Perm.identity(k))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import gc
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,12 +19,45 @@ from diagbase.baseengine import _fixing_candidates
 from diagbase.catalog import catalog_names, get_group
 from diagbase.cli import main
 from diagbase.diag import OmegaPoint, build_group
-from diagbase.errors import BudgetExceededError, PreconditionError
+from diagbase.errors import (BudgetExceededError, PreconditionError,
+                             UnsupportedEnumerationError)
 from diagbase.perm import Perm, alternating_table, symmetric_table
 
 
 def random_point(T, k, rng):
     return OmegaPoint.from_tuple(T, [0, *rng.integers(0, T.order, k - 1)])
+
+
+def solver_maps(g, X):
+    """The maps (alpha, y) other than the identity that the symbolic-top
+    solver's column test keeps for the tuple matrix X, in its order."""
+    X = np.asarray(X, dtype=np.int64)
+    columns = baseengine._distinct_columns(X, g.T.order)
+    return [(a, tuple(y.tolist()))
+            for a_s, y_s in baseengine._fixing_maps(g, X, columns)
+            for a, y in zip(a_s.tolist(), y_s.T)]
+
+
+def check_solver(g, pts, sym_stab, stab=None):
+    """The symbolic-top solver on these points against listed stabilizers
+    of the same points.  The maps its column test keeps are exactly the
+    maps (alpha, X[:, pi(0)]) of ``sym_stab``, the stabilizer under the
+    Sym(k) top, less the identity map.  Its witness is None iff ``stab``,
+    the stabilizer in g (default ``sym_stab``), is the identity alone, and
+    otherwise a nonidentity element of ``stab``."""
+    X = np.array([p.tuple_ids for p in pts])
+    ident = (g.T.aut.identity_row, (0,) * len(X))
+    maps = solver_maps(g, X)
+    assert len(maps) == len(set(maps))
+    assert set(maps) == {(a, tuple(X[:, p.images[0]].tolist()))
+                         for a, p in sym_stab} - {ident}
+    stab = sym_stab if stab is None else stab
+    witness = is_base(g, pts).witness
+    if len(stab) == 1:
+        assert witness is None
+    else:
+        assert witness in set(stab)
+        assert not (witness[0] == ident[0] and witness[1].is_identity())
 
 
 # the action oracle walks G_D in Python, about 14 us an element; it runs on
@@ -90,49 +124,49 @@ class TestPointwiseStabilizer:
 
     def test_strategies_agree_on_k5(self, A5):
         # constraint solver vs explicit enumeration on the same group
-        from diagbase.perm import symmetric_table
         g_table = build_group(A5, 5, "full", symmetric_table(5))
         g_solver = build_group(A5, 5, "full", "sym")
         rng = np.random.default_rng(42)
         for _ in range(100):
             pts = [random_point(A5, 5, rng) for _ in range(2)]
-            enum = {(a, p._key) for a, p in pointwise_stabilizer(g_table, pts)}
-            solved = {(a, p._key)
-                      for a, p in pointwise_stabilizer(g_solver, pts)}
-            assert enum == solved
+            check_solver(g_solver, pts, pointwise_stabilizer(g_table, pts))
 
     def test_strategies_agree_on_heavy_repeats(self, A5):
-        # tuples with many equal coordinates force real branching in the
-        # solver; the stabilizers are large and must still match the scan
-        from diagbase.perm import alternating_table, symmetric_table
+        # tuples with many equal coordinates give large stabilizers; the
+        # solver's maps and witness must still match the scan
         x = int(np.where(A5.order_of == 5)[0][0])
         cases = [
             [0, x, x, x, x],
             [0, 0, x, x, x],
             [0, x, x, 0, 0],
         ]
+        g_sym_table = build_group(A5, 5, "full", symmetric_table(5))
         for tag, table in [("sym", symmetric_table(5)),
                            ("alt", alternating_table(5))]:
             g_table = build_group(A5, 5, "full", table)
             g_solver = build_group(A5, 5, "full", tag)
             for ids in cases:
                 pts = [OmegaPoint.from_tuple(A5, ids)]
-                enum = {(a, p._key)
-                        for a, p in pointwise_stabilizer(g_table, pts)}
-                solved = {(a, p._key)
-                          for a, p in pointwise_stabilizer(g_solver, pts)}
-                assert enum == solved and len(enum) > 1
+                stab = pointwise_stabilizer(g_table, pts)
+                assert len(stab) > 1
+                check_solver(g_solver, pts,
+                             pointwise_stabilizer(g_sym_table, pts), stab)
 
     def test_alt_solver_is_even_subset_of_sym(self, A5):
+        # the Alt witness is an even element of the Sym stabilizer, found
+        # iff the Alt stabilizer is more than the identity
         g_alt = build_group(A5, 5, "full", "alt")
-        g_sym = build_group(A5, 5, "full", "sym")
+        g_sym_table = build_group(A5, 5, "full", symmetric_table(5))
+        g_alt_table = build_group(A5, 5, "full", alternating_table(5))
         rng = np.random.default_rng(17)
         for _ in range(20):
             pts = [random_point(A5, 5, rng)]
-            alt = pointwise_stabilizer(g_alt, pts)
-            sym = {(a, p._key) for a, p in pointwise_stabilizer(g_sym, pts)}
-            assert all(p.sign() == 1 for _a, p in alt)
-            assert {(a, p._key) for a, p in alt} <= sym
+            sym = pointwise_stabilizer(g_sym_table, pts)
+            check_solver(g_alt, pts, sym,
+                         pointwise_stabilizer(g_alt_table, pts))
+            witness = is_base(g_alt, pts).witness
+            assert witness is None or \
+                (witness[1].sign() == 1 and witness in set(sym))
 
     def test_condition_vs_action_oracle(self, A5):
         g = build_group(A5, 3, "full", "sym-table")
@@ -185,17 +219,13 @@ class TestPointwiseStabilizer:
         assert checked > 0
 
 
-def stab_set(g, pts):
-    return {(a, p._key) for a, p in pointwise_stabilizer(g, pts)}
-
-
 def brute_force_stabilizer(g, column):
     """Every (alpha, pi) fixing D and one point whose k entries (columns,
     m = 1) are distinct: for each alpha and each y in S, f(x) = y alpha(x)
     must map S onto itself, and then pi is forced entry by entry."""
     T = g.T
     S = set(column.tolist())
-    out = set()
+    out = []
     for a in g.aut_rows:
         image = T.aut.rows[a][column]
         for y in column:
@@ -204,7 +234,7 @@ def brute_force_stabilizer(g, column):
                 continue
             pi = Perm([column.tolist().index(v) for v in fx.tolist()])
             if g.contains_diag(int(a), pi):
-                out.add((int(a), pi._key))
+                out.append((int(a), pi))
     return out
 
 
@@ -242,7 +272,8 @@ def planted_points(g, rng, m):
 
 class TestColumnSetSolver:
     """The symbolic-top solver against the table scan, a brute-force
-    oracle, planted fixers and the digit bases."""
+    oracle, planted fixers and the digit bases: the maps its column test
+    keeps, and its witness."""
 
     @pytest.mark.parametrize("name", ["A5", "L2(7)"])
     def test_matches_tables_small_alphabet(self, name):
@@ -251,6 +282,7 @@ class TestColumnSetSolver:
         rng = np.random.default_rng(2024)
         for k in (5, 6):
             for out_part in ("inner", "full"):
+                g_sym_table = build_group(T, k, out_part, symmetric_table(k))
                 for tag, table in [("sym", symmetric_table(k)),
                                    ("alt", alternating_table(k))]:
                     g_table = build_group(T, k, out_part, table)
@@ -261,8 +293,9 @@ class TestColumnSetSolver:
                         pts = [OmegaPoint.from_tuple(
                             T, rng.choice(alphabet, k))
                             for _ in range(int(rng.integers(1, 3)))]
-                        assert stab_set(g_table, pts) == \
-                            stab_set(g_solver, pts)
+                        check_solver(g_solver, pts,
+                                     pointwise_stabilizer(g_sym_table, pts),
+                                     pointwise_stabilizer(g_table, pts))
 
     def test_matches_table_past_int64_codes(self, A5):
         # 33 points: |T|^33 > 2^63, so columns need exact wide codes.
@@ -277,7 +310,22 @@ class TestColumnSetSolver:
             rows[:, 2] = rows[:, 1]
             rows[0, 1:3] = (7, 0)
             pts = [OmegaPoint(tuple(row)) for row in rows.tolist()]
-            assert stab_set(g_table, pts) == stab_set(g_solver, pts)
+            check_solver(g_solver, pts, pointwise_stabilizer(g_table, pts))
+
+    def test_column_counts_checked(self, A5):
+        # f(x) = (a x_0, x_1), a an involution, swaps the columns (1, u)
+        # and (a, u): it permutes the distinct columns and keeps both row
+        # histograms and the count of the identity column, but (1, b) is
+        # twice as frequent as (a, b), so f does not fix the points
+        a, b, c = (int(np.flatnonzero(A5.order_of == o)[0]) for o in (2, 3, 5))
+        pts = [OmegaPoint((0, a, 0, 0, a, 0, a, a)),
+               OmegaPoint((0, 0, b, b, b, c, c, c))]
+        g_table = build_group(A5, 8, "inner", symmetric_table(8))
+        g_solver = build_group(A5, 8, "inner", "sym")
+        stab = pointwise_stabilizer(g_table, pts)
+        check_solver(g_solver, pts, stab)
+        assert (A5.aut.identity_row, (a, 0)) not in solver_maps(
+            g_solver, [p.tuple_ids for p in pts])
 
     @pytest.mark.parametrize("top", ["sym", "alt"])
     def test_dense_sets_match_brute_force(self, A5, top):
@@ -286,12 +334,14 @@ class TestColumnSetSolver:
         verdicts = set()
         for k in (31, 40, 50, 56, 57, 58, 59):
             g = build_group(A5, k, "full", top)
+            g_sym = build_group(A5, k, "full", "sym")
             for _ in range(2):
                 column = np.array(
                     [0, *rng.choice(np.arange(1, 60), k - 1, replace=False)])
                 om = OmegaPoint(tuple(column.tolist()))
                 want = brute_force_stabilizer(g, column)
-                assert stab_set(g, [om]) == want
+                check_solver(g, [om], brute_force_stabilizer(g_sym, column),
+                             want)
                 assert is_base(g, [om]).verdict == (len(want) == 1)
                 verdicts.add(len(want) == 1)
         assert verdicts == {True, False}
@@ -360,8 +410,8 @@ class TestColumnSetSolver:
 
     def test_prefilter_changes_no_result(self, monkeypatch):
         # the same battery with the row-histogram prefilter and with every
-        # pair handed to the exact test: witnesses, stabilizer lists (in
-        # order) and budget refusals must all agree
+        # pair handed to the exact test: witnesses and the lists of maps
+        # the column test keeps (in order) must all agree
         from diagbase.catalog import get_group
         rng = np.random.default_rng(707)
         cases = []
@@ -383,21 +433,15 @@ class TestColumnSetSolver:
             cases.append((g, X))
 
         def results():
-            out = []
-            for g, X in cases:
-                out.append(baseengine._solve_symbolic(g, X, "witness", 0))
-                try:
-                    out.append(baseengine._solve_symbolic(g, X, "all", 500))
-                except BudgetExceededError as exc:
-                    out.append(str(exc))
-            return [[(a, p._key) for a, p in r] if isinstance(r, list)
-                    else r for r in out]
+            return [(baseengine._solve_symbolic(g, X), solver_maps(g, X))
+                    for g, X in cases]
         with_prefilter = results()
         monkeypatch.setattr(baseengine, "_histogram_pairs",
                             lambda g, X, ys: np.arange(len(g.aut_rows) *
                                                        ys.shape[1]))
         assert results() == with_prefilter
-        assert sum(len(r) == 1 for r in with_prefilter[::2]) > 10
+        assert sum(w is not None for w, _maps in with_prefilter) > 10
+        assert sum(len(maps) > 0 for _w, maps in with_prefilter) > 10
 
     def test_prefilter_leaves_few_pairs_on_digit_base(self, A5, monkeypatch):
         # 120 alphas x 5000 equally frequent columns = 600,000 pairs
@@ -414,17 +458,14 @@ class TestColumnSetSolver:
         assert is_base(g, pts[1:]).verdict
         assert len(seen) == 1 and 1 <= seen[0] <= 4
 
-    def test_all_mode_budget_checked_before_enumerating(self, A5,
-                                                        monkeypatch):
-        # 11 equal columns allow 11! permutations per surviving f
+    def test_symbolic_stabilizer_not_listed(self, A5):
+        # a symbolic top answers only whether the stabilizer is trivial
         g = build_group(A5, 12, "full", "sym")
         om = OmegaPoint.from_tuple(A5, [0] * 11 + [1])
-
-        def no_perms(*_args):
-            raise AssertionError("enumeration started")
-        monkeypatch.setattr(baseengine, "Perm", no_perms)
-        with pytest.raises(BudgetExceededError):
-            pointwise_stabilizer(g, [om])
+        for pts in ([], [om]):
+            with pytest.raises(UnsupportedEnumerationError):
+                pointwise_stabilizer(g, pts)
+        assert not is_base(g, [om]).verdict
 
 
 class TestConstructions:
@@ -734,6 +775,35 @@ class TestBounds:
         g = build_group(A5, 3601, "full", "sym")
         rep = alt_formula_bounds(g)
         assert rep["interval"] == (4, 5) and rep["exact"] == 4
+
+    def test_lower_bound_clauses_read_off_the_formula(self, monkeypatch):
+        # nonbase_witness takes its hypotheses from alt_formula_bounds; the
+        # paper's three clauses are the oracle, on stub groups of every
+        # catalog |T| with both tops, at small k and at k near |T|^1..|T|^3
+        monkeypatch.setattr(baseengine, "stabilizer_witness",
+                            lambda g, points: (0, None))
+        monkeypatch.setattr(baseengine, "element_fixes_points",
+                            lambda *args: True)
+        point = OmegaPoint((0, 1))
+        for order in sorted({get_group(n).order for n in catalog_names()}):
+            ks = set(range(3, 200))
+            for e in (1, 2, 3):
+                ks.update(range(order ** e - order - 3, order ** e + order + 4))
+            for symmetric in (True, False):
+                top = SimpleNamespace(contains_alternating=lambda: True,
+                                      is_symmetric=lambda s=symmetric: s)
+                for k in sorted(k for k in ks if k >= 3):
+                    g = SimpleNamespace(T=SimpleNamespace(order=order), k=k,
+                                        top=top)
+                    for l in range(1, 5):
+                        power = order ** l
+                        clauses = k > power or (l == 1 and k == order) or \
+                            (symmetric and k in (power, power - 1))
+                        try:
+                            held = nonbase_witness(g, [point] * l) is not None
+                        except PreconditionError:
+                            held = False
+                        assert held == clauses, (order, symmetric, k, l)
 
 
 class TestMembershipFacts:

@@ -20,6 +20,7 @@ from diagbase import report as report_mod
 from diagbase.catalog import get_group
 from diagbase.cli import main
 from diagbase.diag import build_group
+from diagbase.errors import BudgetExceededError
 from diagbase.prob import r_split_exact
 
 
@@ -120,6 +121,20 @@ class TestCommands:
         assert code == 0
         rep = json.loads(out)
         assert rep["payload"][0]["passed"] is True
+
+    def test_paper_suite_text_output_equals_stdout(self, capsys, monkeypatch,
+                                                   tmp_path):
+        # the criterion table goes to --output as it goes to stdout; wall
+        # times are zeroed so that the two runs print the same
+        run_suite = cli.run_suite
+        monkeypatch.setattr(cli, "run_suite", lambda ids: [
+            dict(r, elapsed_seconds=0.0) for r in run_suite(ids)])
+        argv = ["paper-suite", "--criteria", "7", "--format", "text"]
+        code, out = run_cli(capsys, *argv)
+        target = tmp_path / "suite.txt"
+        assert run_cli(capsys, *argv, "--output", str(target)) == (code, "")
+        assert code == 0 and out.startswith("[PASS] criterion 7: ")
+        assert target.read_text(encoding="utf-8") == out
 
 
 class TestDeterminism:
@@ -295,6 +310,34 @@ class TestExitCodes:
         assert code == 4 and "budget exceeded" in err
         assert str(diag.ENTRY_BUDGET) in err
         assert peak < 2**20 and elapsed < 1
+
+    @pytest.mark.parametrize("argv", [
+        ["base-construct", "--k", "100000"],
+        ["prob-mc", "--k", "100000", "--samples", "2"],
+    ], ids=["construction", "samples"])
+    def test_symbolic_digits_refused(self, capsys, argv):
+        # a symbolic top's degree and order past DIGIT_BUDGET digits are
+        # refused before they are written out (at k = 10^5 they have
+        # 812,204 digits, whose conversion took about 5 s)
+        start = time.perf_counter()
+        code = main([*argv, "--group", "A5", "--top", "sym"])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 4 and "budget exceeded" in err
+        assert str(diag.DIGIT_BUDGET) in err and elapsed < 2
+
+    def test_digit_budget_edge(self, A5):
+        # A5 k=13771 sym weighs 99,993 digits and is described; k=13772
+        # weighs 100,001 and is refused
+        g = build_group(A5, 13771, "full", "sym")
+        assert diag.group_weight(g) <= diag.DIGIT_BUDGET
+        rep = g.describe()
+        assert len(rep["degree"]) + len(rep["order"]) in \
+            range(diag.group_weight(g) - 1, diag.group_weight(g) + 2)
+        g = build_group(A5, 13772, "full", "sym")
+        assert diag.group_weight(g) > diag.DIGIT_BUDGET
+        with pytest.raises(BudgetExceededError):
+            g.describe()
 
     def test_memory_error_exits_4(self, capsys, monkeypatch):
         def out_of_memory(args):

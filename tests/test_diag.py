@@ -12,15 +12,16 @@ from diagbase.catalog import (ELEMENT_BUDGET, catalog_names,
 from diagbase.baseengine import (_fixing_candidates,
                                  pointwise_stabilizer_by_action)
 from diagbase.diag import (GROUP_MEMO_CAP, DiagTypeGroup, GroupMemo,
-                           OmegaPoint, WElement, act, act_diag, build_group,
-                           gd_orbit_reps, gd_orbits, group_weight, make_top,
-                           omega_iter, omega_tuples, resolve_out_part,
-                           stab_of_D, w_identity, w_inverse, w_multiply)
+                           OmegaPoint, act_diag, build_group, gd_orbit_reps,
+                           gd_orbits, group_weight, make_top, omega_iter,
+                           omega_tuples, resolve_out_part, stab_of_D)
 from diagbase.prob import prime_order_candidates
 from diagbase.report import int_str
 from diagbase.errors import (BudgetExceededError, InvalidTopError,
                              PreconditionError, UnsupportedEnumerationError)
 from diagbase.perm import Perm
+
+from coset_oracle import WElement, act, w_identity, w_inverse, w_multiply
 
 
 class TestBuild:

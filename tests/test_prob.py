@@ -298,16 +298,15 @@ class TestMonteCarlo:
                 g = build_group(T, k, out_part, top)
                 for seed in (1, 2, 3):
                     tuples = _symbolic_samples(T, k, 40, seed)
-                    want = [1 if _solve_symbolic(
-                        g, t[None], "witness") else 0
-                        for t in tuples]
+                    want = [0 if _solve_symbolic(g, t[None]) is None
+                            else 1 for t in tuples]
                     assert _detect_nonbase(g, tuples).tolist() == want
 
     @pytest.mark.parametrize("name", ["A5", "L2(7)"])
     def test_batched_symbolic_calls_solver_only_for_alt_survivors(
             self, name, monkeypatch):
         # a survivor is a nonidentity f(x) = y alpha(x) preserving the
-        # entries: read off the Sym-top stabilizer as an element whose
+        # entries: read off the Sym(k)-table stabilizer as an element whose
         # alpha is not the identity or which moves the identity entry
         T = get_group(name)
         ident = T.aut.identity_row
@@ -315,12 +314,13 @@ class TestMonteCarlo:
         for k in (3, 4, 5, 6):
             tuples = _symbolic_samples(T, k, 60, k)
             g_sym = build_group(T, k, "full", "sym")
+            g_table = build_group(T, k, "full", symmetric_table(k))
             want = []
             for t in tuples:
                 counts = np.bincount(t)
                 if counts.max() > 2 or (counts == 2).sum() > 1:
                     continue
-                stab = pointwise_stabilizer(g_sym, [OmegaPoint(tuple(
+                stab = pointwise_stabilizer(g_table, [OmegaPoint(tuple(
                     t.tolist()))])
                 if any(a != ident or t[p.images[0]] != 0 for a, p in stab):
                     want.append(tuple(t.tolist()))
@@ -331,11 +331,9 @@ class TestMonteCarlo:
         calls = []
         solve = baseengine._solve_symbolic
 
-        def spy(g, tuples, mode, **kwargs):
-            # witness mode, which reads no node budget, so none is passed
-            assert mode == "witness" and not kwargs
+        def spy(g, tuples):
             calls.append(tuple(tuples[0].tolist()))
-            return solve(g, tuples, mode)
+            return solve(g, tuples)
         monkeypatch.setattr(baseengine, "_solve_symbolic", spy)
         for g_sym, g_alt, tuples, want in cases:
             _detect_nonbase(g_sym, tuples)
