@@ -1,130 +1,135 @@
 """The diagonal-stabilizer scan: one vectorized numpy kernel.
 
-A diagonal pair ``(alpha, pi)`` fixes the point with canonical tuple ``t``
-(``t[0]`` the identity) iff for every coordinate ``i``::
-
-    alpha[t[i]] == mul[inv[t[pi[0]]], t[pi[i]]]
-
-where ``mul``/``inv`` are the multiplication and inverse tables of T.
-Candidates are given as parallel index arrays ``cand_a`` (rows into ``auts``)
-and ``cand_p`` (rows into ``perms``).
-
-``_fixing_pairs`` needs canonical tuples and k >= 2.  Coordinate 0 then
-always holds (every automorphism fixes the identity, id 0, and
-``inv[y] y`` is the identity), so it is skipped.  Coordinate 1 is tested as
-one broadcast block per chunk of tuples, candidates x chunk rows, and
-``np.nonzero`` of that block gives the surviving (candidate, tuple) pairs.
-Its two sides depend on alpha alone and on pi alone, so each is looked up
-once per aut row or perm in use and spread over the block by row copies.
-Coordinates 2 on are then tested one at a time on the survivors only,
-until none is left.  Most pairs fail at coordinate 1, so later coordinates
-touch few pairs.
-Chunks of about ``_CHUNK_PAIRS`` pairs keep the working arrays small
-whatever the number of tuples.  The three public scans are reductions of
-its output.
-
-Before that, candidates whose perm fails an element-order test on every
-tuple are dropped: automorphisms keep element order, so ``(alpha, pi)``
-fixes ``t`` only if ``orders[t[i]] == orders[mul[inv[t[pi[0]]], t[pi[i]]]]``
-for all ``i``.  The test needs pi and t alone and runs per (moved perm,
-tuple) pair; it is skipped at k = 2, where it always holds, and when the
-moved-perm candidates x tuples fit in one chunk.
+(alpha, pi) fixes the point with canonical tuple t iff ``alpha[t[i]] ==
+mul[inv[t[pi[0]]], t[pi[i]]]`` at every i (README, "The scan kernel").
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# 2-CPU VM, the 56 kernel calls of a perfbench prob-sweep op list, best of 7
-# each: 2^14 pairs per chunk 57 ms, 2^15 51, 2^16 47, 2^17 and 2^18 45 ms
-# (base-search: 40 ms at each); peak RSS flat up to 2^18, +6 MB at 2^20.
+# entries per block of candidates, tuples or pairs, bounding the arrays
 _CHUNK_PAIRS = 1 << 16
+# tables are read flat, entry [r, c] of a w-column table at r * w + c: take
+# reads many indices about twice as fast as fancy indexing
 
 
-def _distinct(index, n_rows):
-    """(rows, of): the table rows to evaluate one side of coordinate 1 on,
-    and each candidate's position among them.  That is the whole table when
-    it has no more rows than there are candidates (no sort needed), else
-    the distinct rows the candidates use."""
-    if n_rows <= len(index):
-        return np.arange(n_rows), index.astype(np.intp)
-    return np.unique(index, return_inverse=True)
+def _runs(lo, hi):
+    """Yield blocks (i, pos) of every pos in [lo[i], hi[i]), in order."""
+    n = hi - lo
+    starts = (ends := np.cumsum(n)) - n
+    cuts = [] if not len(n) or ends[-1] <= _CHUNK_PAIRS else np.searchsorted(
+        ends, np.arange(_CHUNK_PAIRS, ends[-1], _CHUNK_PAIRS), "right")
+    for s, e in zip([0, *cuts], [*cuts, len(n)]):
+        if (i := np.repeat(np.arange(s, e), n[s:e])).size:
+            yield i, (lo - starts).take(i) + np.arange(starts[s], ends[e - 1])
 
 
-def _order_passes(perms, passed, tuples, orders, mul, inv):
-    """Mask over the rows of ``perms``: the perm passes the element-order
-    test on some tuple.  Rows already ``passed`` are not tested."""
-    mul_flat, n_t = mul.ravel(), mul.shape[1]
-    step = max(1, _CHUNK_PAIRS // len(perms))
-    for start in range(0, len(tuples), step):
-        cols = np.ascontiguousarray(tuples[start:start + step].T)
-        ords, base_p = orders[cols], inv[cols[perms[:, 0]]]
-        rhs = orders[mul_flat[base_p * n_t + cols[perms[:, 1]]]]
-        p, j = np.nonzero((ords[1] == rhs) & ~passed[:, None])
-        base = base_p[p, j]
-        for i in range(2, len(cols)):
-            if not len(p):
-                break
-            keep = ords[i, j] == orders[mul[base, cols[perms[p, i], j]]]
-            p, j, base = p[keep], j[keep], base[keep]
-        passed[p] = True
-    return passed
+def _rhs(T, P, cols):
+    """mul[inv[t[pi[0]]], t[pi[1]]] per perm row pi of P, tuple column t."""
+    return T.mul.ravel().take(T.inv.take(cols.take(P[:, 0], axis=0)) *
+                              T.order + cols.take(P[:, 1], axis=0))
 
 
-def _fixing_pairs(auts, perms, cand_a, cand_p, tuples, mul, inv, orders):
-    """Index arrays ``(c, j)`` of the pairs where candidate ``c`` fixes
-    tuple ``j``; tuples canonical, k >= 2, ``perms`` row 0 the identity."""
-    m, live = len(tuples), None
-    if tuples.shape[1] > 2 and np.count_nonzero(cand_p) * m > _CHUNK_PAIRS:
-        rows, of = _distinct(cand_p, len(perms))
-        live = np.flatnonzero(_order_passes(perms[rows], rows == 0, tuples,
-                                            orders, mul, inv)[of])
-        cand_a, cand_p = cand_a[live], cand_p[live]
-    # coordinate 1 reads lhs(alpha) == rhs(pi, tuple)
-    rows_a, of_a = _distinct(cand_a, len(auts))
-    rows_p, of_p = _distinct(cand_p, len(perms))
-    # flat indices into the tables read faster than 2-d fancy indexing
-    auts_flat, at_a = auts.ravel(), (rows_a * auts.shape[1])[:, None]
-    mul_flat, n_t = mul.ravel(), mul.shape[1]
-    perms_p = perms[rows_p]
-    step = max(1, _CHUNK_PAIRS // max(len(cand_a), 1))
-    found = [(np.zeros(0, np.intp),) * 2]
-    for start in range(0, m, step):
-        cols = np.ascontiguousarray(tuples[start:start + step].T)
-        base_p = inv[cols[perms_p[:, 0]]]
-        lhs = auts_flat[at_a + cols[1]]
-        rhs = mul_flat[base_p * n_t + cols[perms_p[:, 1]]]
-        c, j = np.nonzero(lhs[of_a] == rhs[of_p])
-        base = base_p[of_p[c], j]
-        j += start
-        for i in range(2, tuples.shape[1]):
-            if not len(c):
-                break
-            keep = auts[cand_a[c], tuples[j, i]] == \
-                mul[base, tuples[j, perms[cand_p[c], i]]]
-            c, j, base = c[keep], j[keep], base[keep]
-        found.append((c, j))
-    c, j = (np.concatenate(x) for x in zip(*found))
-    return (c if live is None else live[c]), j
+def _holding(T, P, g, alpha, t, j, c, order=False):
+    """Positions i at which (alpha[i], P[g[i]]) fixes tuple t[j[i]] at every
+    coordinate from c on, or with ``order`` passes the element-order test."""
+    i, (n, k), flat = np.arange(len(j)), (T.order, t.shape[1]), t.ravel()
+    jk, gk, P = j * k, g * k, P.ravel()
+    base = T.inv.take(flat.take(jk + P.take(gk))) * n if c < k else 0
+    while c < k and len(i):
+        y = flat.take((ji := jk.take(i)) + c)
+        rhs = T.mul.ravel().take(base.take(i) + flat.take(
+            ji + P.take(gk.take(i) + c)))
+        i, c = i[T.order_of.take(y) == T.order_of.take(rhs) if order else
+                 T.aut.rows.ravel().take(alpha.take(i) * n + y) == rhs], c + 1
+    return i
 
 
-def filter_candidates(auts, perms, cand_a, cand_p, tuples, mul, inv, orders):
+def _scan(T, P, ident, a, tuples, lo=None, hi=None):
+    """Index arrays (g, pos, j): candidate (aut row a[pos], top perm P[g]),
+    lo[g] <= pos < hi[g] (all of ``a`` if no ``lo``), fixes tuple j; tuples
+    canonical, k >= 2, P's rows distinct, the identity first if ``ident``."""
+    n, m, k, G = T.order, len(tuples), tuples.shape[1], len(P)
+    rows, mul, (ptr, fixers) = T.aut.rows.ravel(), T.mul.ravel(), T.aut.fixers
+    if lo is None and (k == 2 or len(a) * G * m <= _CHUNK_PAIRS):
+        # one block: alpha(t_1) once per aut row, against every perm's rhs
+        t = np.ascontiguousarray(tuples)
+        q, j = np.divmod(np.flatnonzero(rows.take(a[:, None] * n + t[:, 1])
+                                        == _rhs(T, P, t.T)[:, None]), m)
+        g, pos = np.divmod(q, len(a))
+        ok = _holding(T, P, g, a.take(pos), t, j, 2)
+        return g.take(ok), pos.take(ok), j.take(ok)
+    if lo is None:    # every perm has all of a
+        lo, hi = np.zeros(G, np.intp), np.full(G, len(a))
+    found = [(np.zeros(0, np.intp),) * 3]
+    n_moved = int((sizes := hi - lo).sum()) - (n_id := ident and int(sizes[0]))
+    # each test pays on a large scan of perms with many aut rows; P[d0:d1]
+    # meet the tuples in blocks of candidates x tuples (README)
+    ordered = k > 2 and n_moved * m > _CHUNK_PAIRS and \
+        n_moved > 2 * (G - ident)
+    indexed = n_id * m > _CHUNK_PAIRS and n_id * n > len(fixers)
+    if indexed:    # the identity's position of each aut row, if distinct
+        at, ids = np.full(T.aut.n_aut, -1), np.arange(lo[0], hi[0])
+        at[a.take(ids)] = ids
+        indexed = (at.take(a.take(ids)) == ids).all()
+    d0, d1 = ident * indexed, ident - ident * indexed if ordered else G
+    width = int(sizes[d0:d1].sum()) + (G - ident) * (ordered or indexed)
+    for s in range(0, m, step := _CHUNK_PAIRS // max(width, 1) or 1):
+        t = np.ascontiguousarray(tuples[s:s + step])
+        cols, met = np.ascontiguousarray(t.T), []
+        for g, pos in _runs(lo[d0:d1], hi[d0:d1]):
+            u = _rhs(T, P[g[0] + d0:g[-1] + d0 + 1], cols).take(g - g[0], 0)
+            c, j = np.divmod(np.flatnonzero(rows.take(
+                a.take(pos)[:, None] * n + cols[1]) == u), len(t))
+            met.append((g.take(c) + d0, pos.take(c), j, 2))
+        x = t.ravel().take(np.arange(len(t)) * k + (f := (t != 0).argmax(
+            axis=1))) if ordered or indexed else None
+        if ordered:    # the order test, then u: each pair's rhs at x
+            g, j = np.divmod(np.flatnonzero(T.order_of.take(_rhs(
+                T, P[ident:], cols)) == T.order_of.take(cols[1])), len(t))
+            ok = _holding(T, P[ident:], g, None, t, j, 2, order=True)
+            g, j = g.take(ok) + ident, j.take(ok)
+            u = mul.take(T.inv.take(t.take(j * k + P.take(g * k))) * n +
+                         t.take(j * k + P.take(g * k + f.take(j))))
+            for i, pos in _runs(lo.take(g), hi.take(g)):
+                hit = rows.take(a.take(pos) * n + x.take(j.take(i))) == \
+                    u.take(i)
+                met.append((g.take(i[hit]), pos[hit], j.take(i[hit]), 1))
+        for j, q in _runs(ptr.take(x), ptr.take(x + 1)) if indexed else ():
+            pos = at.take(fixers.take(q))
+            met.append((0 * j[pos >= 0], pos[pos >= 0], j[pos >= 0], 1))
+        for g, pos, j, c in met:
+            ok = _holding(T, P, g, a.take(pos), t, j, c)
+            found.append((g.take(ok), pos.take(ok), j.take(ok) + s))
+    return [np.concatenate(x) for x in zip(*found)]
+
+
+def _fixing_pairs(T, perms, cand_a, cand_p, tuples):
+    """Index arrays ``(c, j)``: candidate c, aut row cand_a[c] with top perm
+    perms[cand_p[c]], fixes tuple j; perms row 0 the identity."""
+    p = cand_p.take(order := np.argsort(cand_p, kind="stable"))  # by perm
+    lo = np.flatnonzero(np.concatenate((p[:1] == p[:1], p[1:] != p[:-1])))
+    hi, ident = np.append(lo[1:], len(p)), int(len(p) > 0 and p[0] == 0)
+    _, pos, j = _scan(T, perms[p.take(lo)], ident, cand_a.take(order), tuples,
+                      lo, hi)
+    return order.take(pos), j
+
+
+def filter_candidates(T, perms, cand_a, cand_p, tuples):
     """Mask of candidates fixing every tuple."""
-    c, _ = _fixing_pairs(auts, perms, cand_a, cand_p, tuples, mul, inv,
-                         orders)
+    c, _ = _fixing_pairs(T, perms, cand_a, cand_p, tuples)
     return (np.bincount(c, minlength=len(cand_a)) == len(tuples)) \
         .astype(np.uint8)
 
 
-def detect_per_tuple(auts, perms, cand_a, cand_p, tuples, mul, inv, orders):
+def detect_per_tuple(T, perms, cand_a, cand_p, tuples):
     """Per tuple: 1 if any candidate fixes it."""
-    _, j = _fixing_pairs(auts, perms, cand_a, cand_p, tuples, mul, inv,
-                         orders)
+    _, j = _fixing_pairs(T, perms, cand_a, cand_p, tuples)
     return (np.bincount(j, minlength=len(tuples)) > 0).astype(np.uint8)
 
 
-def count_per_tuple(auts, perms, cand_a, cand_p, tuples, mul, inv, orders):
+def count_per_tuple(T, perms, cand_a, cand_p, tuples):
     """Per tuple: number of candidates fixing it."""
-    _, j = _fixing_pairs(auts, perms, cand_a, cand_p, tuples, mul, inv,
-                         orders)
+    _, j = _fixing_pairs(T, perms, cand_a, cand_p, tuples)
     return np.bincount(j, minlength=len(tuples)).astype(np.int64)

@@ -8,8 +8,8 @@ loses nothing), and never touch the point set itself: a diagonal pair
     alpha(t[i]) = t[pi(0)]^-1 * t[pi(i)]   for every coordinate i,
 
 which is pure index arithmetic over the element table of T.  For explicit top
-groups one pass over G_D, never listed (``_fixing_candidates``), gives both
-the stabilizer and a nonidentity witness.
+groups the scan kernel reads G_D, never listed, at the first point
+(``_fixing_candidates``): the stabilizer and a nonidentity witness.
 For symbolic Alt/Sym tops the stabilizer is never listed, only a
 nonidentity witness sought: the same condition says that x -> t[0 pi] *
 alpha(x) permutes the multiset of columns of the points' tuple matrix; a
@@ -56,30 +56,22 @@ SOLVER_CHUNK_PAIRS = 1 << 12
 def _fixing_candidates(g: DiagTypeGroup, tuples, among=None):
     """Ascending G_D indices a * |P| + p (aut row ``g.aut_rows[a]``, top
     perm p; 0 is the identity) of the elements of ``among`` (default: all
-    of G_D, never listed) that fix every tuple.  Coordinate 1 of the first
-    tuple is an outer test, aut rows against perms a block at a time; its
-    survivors are filtered a coordinate at a time."""
-    T, perms = g.T, g.top.table.arrays()
-    n_p, first = len(perms), 1
+    of G_D, never listed) that fix every tuple.  All of G_D meets the first
+    tuple in the scan kernel, every perm with the whole out part; the
+    survivors, or ``among``, are filtered a coordinate at a time."""
+    T, perms, n_p = g.T, g.top.table.arrays(), g.top.table.order
     if among is None:
         if not len(tuples):
             return range(g.gd_order)    # all of G_D, unlisted
-        t = tuples[0]
-        lhs = T.aut.rows[g.aut_rows, t[1]]
-        rhs = T.mul[T.inv[t[perms[:, 0]]], t[perms[:, 1]]]
-        step = max(1, _accel._CHUNK_PAIRS // n_p)
-        among = np.concatenate([np.flatnonzero(lhs[a:a + step, None] == rhs)
-                                + a * n_p for a in range(0, len(lhs), step)])
-        first = 2
-    alpha, p = g.aut_rows[among // n_p], among % n_p
+        p, pos, _ = _accel._scan(T, perms, True, g.aut_rows, tuples[:1])
+        among = np.sort(pos * n_p + p)
+        tuples = tuples[1:]
     for t in tuples:
         if len(among) < 2 and not among.any():
             break           # none left, or the identity alone, which fixes all
-        for i in range(first, g.k):
-            keep = T.aut.rows[alpha, t[i]] == \
-                T.mul[T.inv[t[perms[p, 0]]], t[perms[p, i]]]
-            among, alpha, p = among[keep], alpha[keep], p[keep]
-        first = 1
+        among = among.take(_accel._holding(
+            T, perms, among % n_p, g.aut_rows.take(among // n_p), t[None],
+            np.zeros(len(among), np.intp), 1))
     return among
 
 
@@ -607,8 +599,8 @@ def minimal_base_size(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
             return []
         if depth == 1:
             detected = _accel.detect_per_tuple(
-                T.aut.rows, perms, g.aut_rows[cand // len(perms)],
-                cand % len(perms), tuples[start:], T.mul, T.inv, T.order_of)
+                T, perms, g.aut_rows[cand // len(perms)], cand % len(perms),
+                tuples[start:])
             free = np.flatnonzero(detected == 0)
             return [start + int(free[0])] if len(free) else None
         for j in range(start, g.degree):

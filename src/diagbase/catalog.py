@@ -384,6 +384,14 @@ class AutTable:
             step += 1
         return orders
 
+    @cached_property
+    def fixers(self):
+        """(ptr, rows): rows[ptr[x]:ptr[x + 1]] fix element x, ascending."""
+        n = self.T.order
+        rows, x = np.divmod(np.flatnonzero(self.rows == np.arange(n)), n)
+        by_x = np.argsort(x, kind="stable")
+        return np.searchsorted(x[by_x], np.arange(n + 1)), rows[by_x]
+
     def rows_with_labels(self, labels) -> np.ndarray:
         wanted = np.zeros(self.out_order, dtype=bool)
         wanted[list(labels)] = True

@@ -217,7 +217,7 @@ class OmegaPoint:
         return len(self.tuple_ids)
 
     def is_diagonal(self) -> bool:
-        return all(v == 0 for v in self.tuple_ids)
+        return not any(self.tuple_ids)     # entry ids are >= 0
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.tuple_ids, dtype=np.int32)

@@ -159,10 +159,8 @@ def monte_carlo_nonbase(g: DiagTypeGroup, samples: int,
 def _detect_nonbase(g: DiagTypeGroup, tuples):
     if g.top.is_symbolic:
         return detect_symbolic(g, tuples)
-    cand_a, cand_p, _tags = prime_order_candidates(g)
-    return _accel.detect_per_tuple(
-        g.T.aut.rows, g.top.table.arrays(), cand_a, cand_p,
-        np.ascontiguousarray(tuples), g.T.mul, g.T.inv, g.T.order_of)
+    return _accel.detect_per_tuple(g.T, g.top.table.arrays(),
+                                   *prime_order_candidates(g)[:2], tuples)
 
 
 # ---------------------------------------------------------------------------
@@ -515,11 +513,8 @@ def q2_bound_by_classes(g: DiagTypeGroup,
     total = Fraction(0)
     for cls in rc.class_data():
         rows, pid = cls["rep"]
-        fix = int(_accel.count_per_tuple(
-            g.T.aut.rows, g.top.table.arrays(),
-            np.array(rows[:1], dtype=np.int32),
-            np.array([pid], dtype=np.int32),
-            tuples, g.T.mul, g.T.inv, g.T.order_of).sum())
+        fix = int(_accel.count_per_tuple(g.T, g.top.table.arrays(), np.array(
+            rows[:1], np.int32), np.array([pid], np.int32), tuples).sum())
         total += cls["size"] * Fraction(fix, g.degree) ** 2
     return total
 

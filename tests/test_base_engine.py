@@ -14,7 +14,7 @@ from diagbase.baseengine import (alt_formula_bounds, ceil_log, construct_auto,
                                  minimal_base_size, nonbase_witness,
                                  pointwise_stabilizer,
                                  pointwise_stabilizer_by_action, pyber_check)
-from diagbase import _accel, baseengine
+from diagbase import baseengine
 from diagbase.baseengine import _fixing_candidates
 from diagbase.catalog import catalog_names, get_group
 from diagbase.cli import main
@@ -22,6 +22,8 @@ from diagbase.diag import OmegaPoint, build_group
 from diagbase.errors import (BudgetExceededError, PreconditionError,
                              UnsupportedEnumerationError)
 from diagbase.perm import Perm, alternating_table, symmetric_table
+
+from scan_oracle import fixes
 
 
 def random_point(T, k, rng):
@@ -74,8 +76,8 @@ ACTION_ORACLE_MAX_GD = 30_000
 @pytest.mark.parametrize("name", catalog_names())
 def test_fixing_candidates_match_the_kernel_and_the_action(name, top, k, out):
     # the G_D indices a * |P| + p that fix seeded 1-3 point sets, against
-    # the scan kernel over G_D listed here and against the group action;
-    # entries from {1, x, y} give nontrivial stabilizers
+    # the candidate x tuple broadcast over G_D listed here and against the
+    # group action; entries from {1, x, y} give nontrivial stabilizers
     g = build_group(get_group(name), k, out, top)
     T, table = g.T, g.top.table
     n_p = table.order
@@ -87,9 +89,8 @@ def test_fixing_candidates_match_the_kernel_and_the_action(name, top, k, out):
         pool = [0, *rng.choice(np.arange(1, T.order), 2, replace=False)]
         tuples = np.zeros((n_points, k), dtype=np.int32)
         tuples[:, 1:] = rng.choice(pool, (n_points, k - 1))
-        want = np.flatnonzero(_accel.filter_candidates(
-            T.aut.rows, table.arrays(), cand_a, cand_p, tuples, T.mul,
-            T.inv, T.order_of)).tolist()
+        want = np.flatnonzero(fixes(
+            T, table.arrays(), cand_a, cand_p, tuples).all(axis=1)).tolist()
         assert _fixing_candidates(g, tuples).tolist() == want
         first = _fixing_candidates(g, tuples[:1])
         assert _fixing_candidates(g, tuples[1:], first).tolist() == want

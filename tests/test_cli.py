@@ -82,7 +82,7 @@ class TestCommands:
 
     def test_prob_exact_scans_once_per_group(self, capsys, monkeypatch):
         walks, kernel_calls = [], []
-        walk, scan = prob.gd_orbits, _accel._fixing_pairs
+        walk, scan = prob.gd_orbits, _accel._scan
 
         def counting_walk(g, tuples):
             walks.append(0)
@@ -91,11 +91,11 @@ class TestCommands:
                 yield orbit
 
         def counting_scan(*args):
-            kernel_calls.append(len(args[4]))
+            kernel_calls.append(len(args[-1]))
             return scan(*args)
 
         monkeypatch.setattr(prob, "gd_orbits", counting_walk)
-        monkeypatch.setattr(_accel, "_fixing_pairs", counting_scan)
+        monkeypatch.setattr(_accel, "_scan", counting_scan)
         code, _ = run_cli(capsys, "prob-exact", "--group", "A5,L2(7)",
                           "--k", "2", "--out-part", "inner",
                           "--top", "trivial")

@@ -203,9 +203,8 @@ def _all_point_counts(g):
     """Per point of omega_tuples, the prime-order elements of G_D fixing
     it: the scan over every point, the oracle for the orbit scan."""
     cand_a, cand_p, _ = prime_order_candidates(g)
-    return _accel.count_per_tuple(
-        g.T.aut.rows, g.top.table.arrays(), cand_a, cand_p, omega_tuples(g),
-        g.T.mul, g.T.inv, g.T.order_of)
+    return _accel.count_per_tuple(g.T, g.top.table.arrays(), cand_a, cand_p,
+                                  omega_tuples(g))
 
 
 class TestOrbitScan:
@@ -286,6 +285,26 @@ class TestMonteCarlo:
     def test_symbolic_hits_pinned_l27(self, L27):
         g = build_group(L27, 9, "full", "alt")
         assert monte_carlo_nonbase(g, 500, seed=4242)["hits"] == 5
+
+    @pytest.mark.parametrize("name,k,top,hits", [
+        ("A5", 5, "dihedral", (2, 4, 5)), ("A5", 37, "cyclic", (0, 0, 0)),
+        ("A5", 37, "dihedral", (0, 0, 0)), ("A6", 5, "cyclic", (0, 0, 0)),
+        ("A6", 37, "dihedral", (0, 0, 0)), ("L2(7)", 5, "cyclic", (0, 0, 0)),
+        ("L2(7)", 37, "dihedral", (0, 0, 0)),
+        ("L2(8)", 5, "dihedral", (0, 1, 0)),
+        ("L2(8)", 37, "cyclic", (0, 0, 0)),
+        ("L2(11)", 5, "dihedral", (0, 0, 0)),
+        ("L2(11)", 37, "cyclic", (0, 0, 0)),
+        ("A5", 2, "sym-table", (200, 200, 200)),
+        ("A5", 3, "sym-table", (153, 161, 168)),
+        ("L2(7)", 2, "sym-table", (200, 200, 200))])
+    def test_explicit_hits_pinned(self, name, k, top, hits):
+        # the explicit-top prob-mc shapes of the benchmark's prob-sweep, full
+        # out part, 200 samples, seeds 1-3, as recorded before the scan
+        # kernel tested (perm, tuple) pairs
+        g = build_group(get_group(name), k, "full", top)
+        assert tuple(monte_carlo_nonbase(g, 200, seed)["hits"]
+                     for seed in (1, 2, 3)) == hits
 
     @pytest.mark.parametrize("name", ["A5", "L2(7)"])
     @pytest.mark.parametrize("top", ["sym", "alt"])
