@@ -27,12 +27,14 @@ blocks sized by the k^2 pin pairs a sample can have.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, islice
 
 import numpy as np
 
 from . import _accel
 from .diag import (OMEGA_BUDGET, DiagTypeGroup, OmegaPoint, act_diag,
-                   check_entries, gd_orbits, omega_tuples, stab_of_D)
+                   check_entries, digit_codes, gd_orbits, omega_tuples,
+                   point_tuple, stab_of_D)
 from .errors import (BudgetExceededError, PreconditionError,
                      UnsupportedEnumerationError, ValidationError)
 from .perm import Perm
@@ -114,14 +116,6 @@ def pointwise_stabilizer_by_action(g: DiagTypeGroup, points):
 
 # ---------------------------------------------------------------------------
 # column-set test for symbolic Alt/Sym tops
-
-
-def _column_codes(digits, n, dtype):
-    """Base-n code of each column of ``digits`` (row 0 most significant)."""
-    code = np.zeros(digits.shape[1:], dtype=dtype)
-    for row in digits:
-        code = code * n + row.astype(dtype)
-    return code
 
 
 def _row_histograms(X, n):
@@ -210,7 +204,7 @@ def _distinct_columns(X, n):
     """(codes, uniq, first, inverse, counts): the base-n code of each column
     of X, exact past int64, and ``np.unique``'s view of them."""
     dtype = np.int64 if n ** X.shape[0] < 2 ** 63 else object
-    codes = _column_codes(X, n, dtype)
+    codes = digit_codes(X, n, dtype)
     return (codes, *np.unique(codes, return_index=True, return_inverse=True,
                               return_counts=True))
 
@@ -235,7 +229,7 @@ def _fixing_maps(g, X, columns):
         while len(a) and j < cols.shape[1]:
             stop = j + max(1, SOLVER_CHUNK_PAIRS // len(a))
             alpha_x = rows[a[None, :, None], cols[:, None, j:stop]]
-            code = _column_codes(mul[y[:, :, None], alpha_x], n, uniq.dtype)
+            code = digit_codes(mul[y[:, :, None], alpha_x], n, uniq.dtype)
             pos = np.searchsorted(uniq, code).clip(max=len(uniq) - 1)
             ok = (uniq[pos] == code) & (counts[pos] == counts[1 + j:1 + stop])
             keep = ok.all(axis=1)
@@ -284,8 +278,8 @@ def _solve_symbolic(g: DiagTypeGroup, tuples):
                 order = np.argsort(codes, kind="stable")
             # one pi with x_{i pi} = f(x_i): equal codes matched in order
             pi = np.empty(k, dtype=np.int32)
-            img = _column_codes(T.mul[y[:, None], T.aut.rows[a][X]], n,
-                                codes.dtype)
+            img = digit_codes(T.mul[y[:, None], T.aut.rows[a][X]], n,
+                              codes.dtype)
             pi[np.argsort(img, kind="stable")] = order
             perm = Perm(pi)
             if alt and perm.sign() != 1:
@@ -553,14 +547,14 @@ def minimal_base_size(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
 
     A verified two-point construction settles the answer outright (no base
     of size 1 exists: the stabilizer of D alone is all of G_D).  Otherwise
-    the point set must be enumerable: search over subsets containing D, the
-    first non-anchor point ranging over orbit representatives of G_D, later
-    points over the whole point set in ascending order.  Each
-    representative's stabilizer is read off the orbit walk (``gd_orbits``);
-    a size-2 base is the first representative whose stabilizer is the
-    identity alone, and for larger sizes the nonidentity part of that
-    stabilizer is filtered down one further point at a time, the last level
-    tested in bulk.  More than ``MIN_BASE_FILTER_BUDGET`` filters raise
+    search over subsets containing D, the first non-anchor point ranging
+    over orbit representatives of G_D, later points over the whole point
+    set in ascending order; the point set must be within ``budget``.  A
+    size-2 base is the first representative whose stabilizer, read off the
+    orbit walk (``gd_orbits``), is the identity alone.  Only a larger
+    search lists the point set (``omega_tuples``): it filters the
+    nonidentity part of each stabilizer one further point at a time, the
+    last level in bulk.  More than ``MIN_BASE_FILTER_BUDGET`` filters raise
     BudgetExceededError.
     """
     if g.top.is_symbolic:
@@ -571,26 +565,22 @@ def minimal_base_size(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
         pts = None
     if pts is not None and len(pts) == 2 and is_base(g, pts[1:]).verdict:
         return 2, pts
-    tuples, T, perms = omega_tuples(g, budget), g.T, g.top.table.arrays()
-    # row 0, D, is its own orbit's first; the rest are read as needed
-    orbits, seen = gd_orbits(g, tuples), []
-    next(orbits)
-
-    def reps():
-        yield from seen
-        for orbit in orbits:
-            seen.append(orbit)
-            yield orbit
-
-    filters = 0
+    filters = count(1)
 
     def count_filter():
-        nonlocal filters
-        filters += 1
-        if filters > MIN_BASE_FILTER_BUDGET:
+        if next(filters) > MIN_BASE_FILTER_BUDGET:
             raise BudgetExceededError(
                 f"minimal base search exceeds {MIN_BASE_FILTER_BUDGET} "
                 f"point filters")
+
+    # row 0, D, is its own orbit's first; the rest are read as needed
+    seen = []
+    for rep, stab in islice(gd_orbits(g, budget), 1, None):
+        count_filter()    # the stabilizer of rep, off the walk
+        if len(stab) == 1:
+            return 2, [g.diagonal_point(), OmegaPoint(point_tuple(g, rep))]
+        seen.append((rep, stab[1:]))
+    T, perms, tuples = g.T, g.top.table.arrays(), omega_tuples(g, budget)
 
     def extend(cand, start, depth):
         """DFS over rows from ``start`` on for a point set of the given
@@ -612,17 +602,13 @@ def minimal_base_size(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
         return None
 
     try:
-        for size in range(2, g.degree + 2):
-            for rep, stab in reps():
-                count_filter()    # the stabilizer of rep, off the walk
-                if size == 2:
-                    found = [] if len(stab) == 1 else None
-                else:
-                    found = extend(stab[1:], 1, size - 2)
+        for size in range(3, g.degree + 2):
+            for rep, stab in seen:
+                count_filter()
+                found = extend(stab, 1, size - 2)
                 if found is not None:
-                    return size, [g.diagonal_point()] + \
-                        [OmegaPoint(tuple(tuples[j].tolist()))
-                         for j in (rep, *found)]
+                    return size, [g.diagonal_point()] + [
+                        OmegaPoint(point_tuple(g, j)) for j in (rep, *found)]
         raise PreconditionError("no base found; group not faithful?")
     finally:
         del extend  # it refers to itself, a cycle that holds tuples until gc

@@ -79,7 +79,8 @@ def build_parser():
 
     p = sub.add_parser("base-min", help="exact minimal base size")
     _group_flags(p)
-    p.add_argument("--budget", type=int, default=OMEGA_BUDGET)
+    p.add_argument("--budget", type=int, default=OMEGA_BUDGET,
+                   help="most points in the point set, |T|^(k-1)")
     _output_flags(p)
 
     p = sub.add_parser("base-verify",
@@ -94,7 +95,7 @@ def build_parser():
                        help="exact non-base pair proportion and bound")
     _group_flags(p, multi=True)
     p.add_argument("--budget", type=int, default=OMEGA_BUDGET,
-                   help="most points scanned")
+                   help="most points in the point set, |T|^(k-1)")
     p.add_argument("--r-split", action="store_true",
                    help="also split the bound by permutation part "
                         "(fixed-point-free / trivial / mixed), from the "

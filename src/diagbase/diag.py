@@ -6,9 +6,9 @@ containing the inner label), and a top group P which is either an explicit
 permutation group on k points or the symbolic tag Alt/Sym.  G consists of the
 elements (a_1,...,a_k)pi with all a_i in a common Inn-coset whose label lies
 in O and pi in P.  The stabilized coset D is the diagonal, and a point is
-a canonical k-tuple over T with first entry the identity.  The whole point
-set is one (degree, k) int32 matrix, ``omega_tuples``, whose row order is
-the point order everywhere; the orbits of G_D are read off it one
+a canonical k-tuple over T with first entry the identity.  Point i has the
+tuple of a leading 0 and the base-|T| digits of i (``point_tuple``, with
+inverse ``digit_codes``), so the orbits of G_D are walked one decoded
 representative at a time, each mapped through all of G_D at once.
 
 The right action on canonical tuples: for w = (a_1,...,a_k)pi and a point
@@ -208,10 +208,6 @@ class OmegaPoint:
         ids = np.asarray(ids, dtype=np.int64)
         return cls(tuple(T.mul[T.inv[ids[0]], ids].tolist()))
 
-    @classmethod
-    def diagonal(cls, k: int) -> "OmegaPoint":
-        return cls((0,) * k)
-
     @property
     def k(self) -> int:
         return len(self.tuple_ids)
@@ -302,7 +298,7 @@ class DiagTypeGroup:
     # -- membership-ish helpers ------------------------------------------------
 
     def diagonal_point(self) -> OmegaPoint:
-        return OmegaPoint.diagonal(self.k)
+        return OmegaPoint((0,) * self.k)
 
     def contains_diag(self, aut_row: int, perm: Perm) -> bool:
         if int(self.T.aut.labels[aut_row]) not in self.out_labels:
@@ -463,10 +459,29 @@ def stab_of_D(g: DiagTypeGroup):
     return ((int(a), p) for a in g.aut_rows for p in g.top.table)
 
 
+def point_tuple(g: DiagTypeGroup, i: int) -> tuple:
+    """The canonical tuple of point i: a leading 0, then the base-|T|
+    digits of i, most significant first."""
+    n, ids = g.T.order, [0] * g.k
+    for col in range(g.k - 1, 0, -1):
+        i, ids[col] = divmod(i, n)
+    return tuple(ids)
+
+
+def digit_codes(digits, n: int, dtype=np.intp) -> np.ndarray:
+    """Base-n code of each column of ``digits``, row 0 most significant.
+    Over the last k - 1 entries of point tuples, with n = |T|, these are
+    the point numbers: the inverse of ``point_tuple``."""
+    code = digits[0].astype(dtype)
+    for row in digits[1:]:
+        code *= n
+        code += row
+    return code
+
+
 def omega_tuples(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
-    """The point set as one (degree, k) int32 matrix, refusing oversized
-    point sets: row i is the canonical tuple of point i, a leading 0 and
-    then the base-|T| digits of i, most significant first."""
+    """The point set as one (degree, k) int32 matrix, row i the tuple of
+    point i, refusing oversized point sets."""
     if g.degree > budget:
         raise BudgetExceededError(
             f"point set of size {g.degree} exceeds budget {budget}")
@@ -489,35 +504,35 @@ def omega_iter(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
         yield OmegaPoint(tuple(row))
 
 
-def gd_orbits(g: DiagTypeGroup, tuples):
-    """Yield (row, stab) per G_D orbit on the rows of ``omega_tuples``: the
-    index of its first point, ascending, and the stabilizer of that point
-    in G_D as indices a * |P| + p of the pairs (``g.aut_rows[a]``, top perm
-    p), ascending (the identity, index 0, first).  The orbit has
-    ``g.gd_order // len(stab)`` points (orbit-stabilizer).
+def gd_orbits(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
+    """Yield (row, stab) per G_D orbit on the point set, refusing more than
+    ``budget`` points: the number of its first point, ascending, and the
+    stabilizer of that point in G_D as indices a * |P| + p of the pairs
+    (``g.aut_rows[a]``, top perm p), ascending (the identity, index 0,
+    first).  The orbit has ``g.gd_order // len(stab)`` points.
 
-    Lazily: a step maps the next unseen row through all of G_D in one block
-    and marks the images seen, so a caller that stops early touches no
-    later orbit.  The block is act_diag on every candidate (alpha, pi),
-    which indexes the tuple by pi^-1; the candidates whose image is the
-    row itself are its stabilizer, the set the scan kernel finds fixing it.
+    Lazily: a step decodes the next unseen point, maps it through all of
+    G_D in one block (act_diag on every (alpha, pi): the tuple indexed by
+    pi^-1) and marks the images seen, so a caller that stops early touches
+    no later orbit; the walk keeps one byte per point, the unseen mask.
+    The candidates mapping the point to itself are its stabilizer.
     """
     if g.top.is_symbolic:
         raise UnsupportedEnumerationError(
             "G_D orbits requested for a symbolic top")
+    if g.degree > budget:
+        raise BudgetExceededError(
+            f"point set of size {g.degree} exceeds budget {budget}")
     T = g.T
     perms = np.argsort(g.top.table.arrays(), axis=1)    # the inverses
     auts_flat = T.aut.rows.ravel()
     at_a = (g.aut_rows.astype(np.intp) * T.order)[:, None, None]
-    unseen = np.ones(len(tuples) + 1, dtype=bool)  # the last: a sentinel
+    unseen = np.ones(g.degree + 1, dtype=bool)    # the last: a sentinel
     j = 0
-    while j < len(tuples):
-        moved = tuples[j][perms]
+    while j < g.degree:
+        moved = np.array(point_tuple(g, j), dtype=np.int32)[perms]
         images = auts_flat[at_a + T.mul[T.inv[moved[:, :1]], moved[:, 1:]]]
-        codes = images[..., 0].astype(np.intp)
-        for col in range(1, g.k - 1):
-            codes *= T.order
-            codes += images[..., col]
+        codes = digit_codes(images.transpose(2, 0, 1), T.order)
         unseen[codes] = False
         yield j, np.flatnonzero(codes == j)
         j += int(np.argmax(unseen[j:]))
@@ -525,7 +540,6 @@ def gd_orbits(g: DiagTypeGroup, tuples):
 
 def gd_orbit_reps(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
     """One representative per orbit of G_D on the point set, the first in
-    omega_tuples order."""
-    tuples = omega_tuples(g, budget)
-    return [OmegaPoint(tuple(tuples[row].tolist()))
-            for row, _stab in gd_orbits(g, tuples)]
+    point order."""
+    return [OmegaPoint(point_tuple(g, row))
+            for row, _stab in gd_orbits(g, budget)]

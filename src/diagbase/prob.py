@@ -109,10 +109,9 @@ def nonbase_fraction_and_q2_bound(g: DiagTypeGroup,
     prime = np.zeros(g.gd_order, dtype=bool)    # over the G_D indices
     prime[np.searchsorted(g.aut_rows, cand_a) * g.top.table.order
           + cand_p] = True
-    tuples = omega_tuples(g, budget)
     sizes, counts = np.array(
         [(g.gd_order // len(stab), np.count_nonzero(prime[stab]))
-         for _row, stab in gd_orbits(g, tuples)], dtype=np.int64).T
+         for _row, stab in gd_orbits(g, budget)], dtype=np.int64).T
     return (Fraction(int(sizes[counts > 0].sum()), g.degree),
             Fraction(int(sizes @ counts), g.degree))
 

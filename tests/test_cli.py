@@ -84,9 +84,9 @@ class TestCommands:
         walks, kernel_calls = [], []
         walk, scan = prob.gd_orbits, _accel._scan
 
-        def counting_walk(g, tuples):
+        def counting_walk(g, budget):
             walks.append(0)
-            for orbit in walk(g, tuples):
+            for orbit in walk(g, budget):
                 walks[-1] += 1
                 yield orbit
 

@@ -248,6 +248,33 @@ class TestOmegaPoint:
         with pytest.raises(BudgetExceededError, match="3600 exceeds"):
             omega_tuples(g, budget=3599)
         assert len(omega_tuples(g, budget=3600)) == 3600
+        with pytest.raises(BudgetExceededError, match="3600 exceeds"):
+            next(gd_orbits(g, budget=g.degree - 1))
+        with pytest.raises(BudgetExceededError, match="3600 exceeds"):
+            gd_orbit_reps(g, budget=g.degree - 1)
+        assert next(gd_orbits(g, budget=g.degree))[0] == 0
+
+    @pytest.mark.parametrize("name,k", [("A5", 2), ("A5", 4), ("L2(7)", 3)])
+    def test_point_numbering_matches_the_matrix(self, name, k):
+        g = build_group(get_group(name), k, "full", "sym-table")
+        tuples = omega_tuples(g)
+        idx = [0, 1, g.degree - 1,
+               *np.random.default_rng(k).integers(0, g.degree, 300).tolist()]
+        assert [diag.point_tuple(g, i) for i in idx] == \
+            [tuple(row) for row in tuples[idx].tolist()]
+        assert diag.digit_codes(tuples[idx, 1:].T, g.T.order).tolist() == idx
+
+    def test_point_numbering_past_int32(self, A5):
+        # 60^6 = 46,656,000,000 points: decoded one at a time, never listed
+        g = build_group(A5, 7, "full", "sym")
+        assert diag.point_tuple(g, g.degree - 1) == (0,) + (59,) * 6
+        for i in (2**31 - 1, 2**31, 2**31 + 12345, 2**35 + 7):
+            ids = diag.point_tuple(g, i)
+            assert len(ids) == 7 and ids[0] == 0
+            assert all(0 <= v < 60 for v in ids)
+            assert sum(v * 60 ** (6 - c) for c, v in enumerate(ids)) == i
+            assert int(diag.digit_codes(
+                np.array(ids[1:], dtype=np.int32), 60)) == i
 
 
 class TestAction:
@@ -347,7 +374,7 @@ class TestStabOfD:
         for top in ("sym", "alt"):
             g = build_group(A5, 3, "full", top)
             with pytest.raises(UnsupportedEnumerationError):
-                next(gd_orbits(g, omega_tuples(g)))
+                next(gd_orbits(g))
             with pytest.raises(UnsupportedEnumerationError):
                 gd_orbit_reps(g)
 
@@ -437,7 +464,7 @@ class TestOrbitReps:
         g = build_group(T, *shape)
         orbits = orbits_by_action(T.name, *shape)
         tuples = omega_tuples(g)
-        found = list(gd_orbits(g, tuples))
+        found = list(gd_orbits(g))
         assert [tuple(tuples[row]) for row, _ in found] == \
             [min(orbit) for orbit in orbits]
         assert [g.gd_order // len(stab) for _, stab in found] == \
@@ -465,19 +492,18 @@ class TestOrbitReps:
     def test_sizes_by_orbit_stabilizer(self, name, k, top):
         g = build_group(get_group(name), k, "full", top)
         tuples = omega_tuples(g)
-        for row, stab in gd_orbits(g, tuples):
+        for row, stab in gd_orbits(g):
             rep = OmegaPoint(tuple(tuples[row].tolist()))
             assert g.gd_order // len(stab) == \
                 g.gd_order // len(pointwise_stabilizer_by_action(g, [rep]))
 
     def test_partial_read_is_prefix(self, L27):
         g = build_group(L27, 3, "full", "sym-table")
-        tuples = omega_tuples(g)
-        full = [(row, stab.tolist()) for row, stab in gd_orbits(g, tuples)]
+        full = [(row, stab.tolist()) for row, stab in gd_orbits(g)]
         assert len(full) == 36
         for n in (1, 3, 20):
             assert [(row, stab.tolist()) for row, stab
-                    in islice(gd_orbits(g, tuples), n)] == full[:n]
+                    in islice(gd_orbits(g), n)] == full[:n]
 
     @pytest.mark.parametrize("name,k,out,top", [
         ("A5", 2, "full", "sym-table"), ("A5", 3, "full", "sym-table"),
@@ -493,7 +519,7 @@ class TestOrbitReps:
         tuples = omega_tuples(g)
         aut_index = {int(a): i for i, a in enumerate(g.aut_rows)}
         table = g.top.table
-        for row, stab in gd_orbits(g, tuples):
+        for row, stab in gd_orbits(g):
             assert stab.tolist() == \
                 _fixing_candidates(g, tuples[row:row + 1]).tolist()
             rep = OmegaPoint(tuple(tuples[row].tolist()))

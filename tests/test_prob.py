@@ -229,7 +229,7 @@ class TestOrbitScan:
         g = build_group(get_group(name), k, out_part, top)
         tuples = omega_tuples(g)
         rows, sizes = np.array([(row, g.gd_order // len(stab))
-                                for row, stab in gd_orbits(g, tuples)]).T
+                                for row, stab in gd_orbits(g)]).T
         assert [p.tuple_ids for p in gd_orbit_reps(g)] == \
             [tuple(row) for row in tuples[rows].tolist()]
         assert len(rows) == n_orbits
