@@ -1,7 +1,8 @@
 """The diagonal-stabilizer scan: one vectorized numpy kernel.
 
 (alpha, pi) fixes the point with canonical tuple t iff ``alpha[t[i]] ==
-mul[inv[t[pi[0]]], t[pi[i]]]`` at every i (README, "The scan kernel").
+mul[inv[t[pi[0]]], t[pi[i]]]`` at every i (README, "The scan kernel");
+a flat candidate list of up to one chunk of pairs skips the perm grouping.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def _scan(T, P, ident, a, tuples, lo=None, hi=None):
     if indexed:    # the identity's position of each aut row, if distinct
         at, ids = np.full(T.aut.n_aut, -1), np.arange(lo[0], hi[0])
         at[a.take(ids)] = ids
-        indexed = (at.take(a.take(ids)) == ids).all()
+        indexed = bool((at.take(a.take(ids)) == ids).all())
     d0, d1 = ident * indexed, ident - ident * indexed if ordered else G
     width = int(sizes[d0:d1].sum()) + (G - ident) * (ordered or indexed)
     for s in range(0, m, step := _CHUNK_PAIRS // max(width, 1) or 1):
@@ -107,7 +108,18 @@ def _scan(T, P, ident, a, tuples, lo=None, hi=None):
 
 def _fixing_pairs(T, perms, cand_a, cand_p, tuples):
     """Index arrays ``(c, j)``: candidate c, aut row cand_a[c] with top perm
-    perms[cand_p[c]], fixes tuple j; perms row 0 the identity."""
+    perms[cand_p[c]], fixes tuple j; perms row 0 the identity.  Up to one
+    chunk of pairs, one block: alpha(t_1) against each pair's rhs; past
+    it, ``_scan`` of the candidates grouped by perm."""
+    if len(cand_a) * len(tuples) <= _CHUNK_PAIRS:
+        # each perm's rhs, or each candidate's if fewer: at most one chunk
+        P, g = (perms, cand_p) if len(perms) <= len(cand_a) else \
+            (perms.take(cand_p, 0), np.arange(len(cand_p)))
+        c, j = np.divmod(np.flatnonzero(T.aut.rows.ravel().take(
+            cand_a[:, None] * T.order + tuples[:, 1]) == _rhs(
+                T, P, tuples.T).take(g, 0)), len(tuples))
+        ok = _holding(T, P, g.take(c), cand_a.take(c), tuples, j, 2)
+        return c.take(ok), j.take(ok)
     p = cand_p.take(order := np.argsort(cand_p, kind="stable"))  # by perm
     lo = np.flatnonzero(np.concatenate((p[:1] == p[:1], p[1:] != p[:-1])))
     hi, ident = np.append(lo[1:], len(p)), int(len(p) > 0 and p[0] == 0)

@@ -35,8 +35,7 @@ from math import factorial
 
 import numpy as np
 
-from .errors import (BudgetExceededError, MembershipError, NotInnerError,
-                     ValidationError)
+from .errors import BudgetExceededError, MembershipError, ValidationError
 from .perm import GroupTable, Perm
 
 ELEMENT_BUDGET = 2520  # largest |T| the catalog materializes
@@ -339,17 +338,6 @@ class AutTable:
             if r >= 0 and np.array_equal(self.rows[r], arr):
                 return r
         raise ValidationError("bijection is not an automorphism in the table")
-
-    def recover_conjugator(self, a) -> int:
-        """The unique t with a = phi_t; NotInnerError if a is outer."""
-        r = a if isinstance(a, (int, np.integer)) else self.row_of(a)
-        if not 0 <= r < self.T.order:
-            raise NotInnerError("automorphism is not inner")
-        return int(r)
-
-    def compose_rows(self, a: int, b: int) -> int:
-        """Row id of (apply a, then b)."""
-        return int(self._lookup(self.rows[b][self.rows[a]]))
 
     def invert_row(self, a: int) -> int:
         row = self.rows[a]

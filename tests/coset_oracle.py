@@ -8,10 +8,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from diagbase.catalog import SimpleGroup
 from diagbase.diag import OmegaPoint
-from diagbase.errors import PreconditionError
+from diagbase.errors import NotInnerError, PreconditionError
 from diagbase.perm import Perm
+
+
+def recover_conjugator(aut, a) -> int:
+    """The unique t with a = phi_t; NotInnerError if a is outer."""
+    r = a if isinstance(a, (int, np.integer)) else aut.row_of(a)
+    if not 0 <= r < aut.T.order:
+        raise NotInnerError("automorphism is not inner")
+    return int(r)
+
+
+def compose_rows(aut, a: int, b: int) -> int:
+    """Row id of (apply a, then b)."""
+    return aut.row_of(aut.rows[b][aut.rows[a]])
 
 
 @dataclass(frozen=True)
@@ -41,15 +56,15 @@ def act(T: SimpleGroup, point: OmegaPoint, w: WElement) -> OmegaPoint:
     k = point.k
     pinv = w.perm.inverse().images
     # g_i = phi_{t_{i pi^-1}} . a_{i pi^-1}  (apply the inner map first)
-    g_rows = [aut.compose_rows(aut.inn_of(point.tuple_ids[int(pinv[i])]),
-                               int(w.aut_rows[int(pinv[i])]))
+    g_rows = [compose_rows(aut, aut.inn_of(point.tuple_ids[int(pinv[i])]),
+                           int(w.aut_rows[int(pinv[i])]))
               for i in range(k)]
     # left-divide by g_1 so every coordinate becomes inner
     g1_inv = aut.invert_row(g_rows[0])
     ids = []
     for i in range(k):
-        row = aut.compose_rows(g1_inv, g_rows[i])
-        ids.append(aut.recover_conjugator(row))
+        row = compose_rows(aut, g1_inv, g_rows[i])
+        ids.append(recover_conjugator(aut, row))
     return OmegaPoint(tuple(ids))
 
 
@@ -57,8 +72,8 @@ def w_multiply(T: SimpleGroup, v: WElement, w: WElement) -> WElement:
     """Product in W(k,T): (a, pi)(b, sigma) = ((a_i b_{i pi}), pi sigma)."""
     aut = T.aut
     pi = v.perm.images
-    rows = tuple(aut.compose_rows(int(v.aut_rows[i]),
-                                  int(w.aut_rows[int(pi[i])]))
+    rows = tuple(compose_rows(aut, int(v.aut_rows[i]),
+                              int(w.aut_rows[int(pi[i])]))
                  for i in range(v.k))
     return WElement(rows, v.perm * w.perm)
 

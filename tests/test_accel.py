@@ -61,44 +61,83 @@ def T(request):
     return request.getfixturevalue(request.param)
 
 
+def _chunks(monkeypatch):
+    """Run the loop body at the default chunk, where these inputs are one
+    block, then at chunks so small that they go to the scan."""
+    for chunk in (_accel._CHUNK_PAIRS, 61):
+        monkeypatch.setattr(_accel, "_CHUNK_PAIRS", chunk)
+        yield
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_filter_candidates_matches_oracle(T, seed):
+def test_filter_candidates_matches_oracle(T, seed, monkeypatch):
     g, args = _random_inputs(T, seed, n_cand=None, n_tuples=2)
     want = _oracle(g, args)
     # the broadcast oracle is the fixing condition itself
     np.testing.assert_array_equal(fixes(*args), want)
-    mask = _accel.filter_candidates(*args)
-    assert mask.dtype == np.uint8
-    np.testing.assert_array_equal(mask.astype(bool), want.all(axis=1))
+    for _ in _chunks(monkeypatch):
+        mask = _accel.filter_candidates(*args)
+        assert mask.dtype == np.uint8
+        np.testing.assert_array_equal(mask.astype(bool), want.all(axis=1))
     assert 0 < mask.sum() < len(mask)
 
 
 @pytest.mark.parametrize("seed", [3, 4])
-def test_count_per_tuple_matches_oracle(T, seed):
+def test_count_per_tuple_matches_oracle(T, seed, monkeypatch):
     g, args = _random_inputs(T, seed)
     want = _oracle(g, args)
-    counts = _accel.count_per_tuple(*args)
-    assert counts.dtype == np.int64
-    np.testing.assert_array_equal(counts, want.sum(axis=0))
+    for _ in _chunks(monkeypatch):
+        counts = _accel.count_per_tuple(*args)
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, want.sum(axis=0))
     assert 0 < counts.sum() < want.size
 
 
-def test_counts_bound_detections(A5):
+def test_counts_bound_detections(A5, monkeypatch):
     _, args = _random_inputs(A5, 7)
-    counts = _accel.count_per_tuple(*args)
-    detected = _accel.detect_per_tuple(*args)
-    assert detected.dtype == np.uint8
-    np.testing.assert_array_equal(detected.astype(bool), counts > 0)
+    for _ in _chunks(monkeypatch):
+        counts = _accel.count_per_tuple(*args)
+        detected = _accel.detect_per_tuple(*args)
+        assert detected.dtype == np.uint8
+        np.testing.assert_array_equal(detected.astype(bool), counts > 0)
 
 
 @pytest.mark.parametrize("seed", [11, 12])
-def test_k2_block_pass_matches_oracle(T, seed):
+def test_k2_block_pass_matches_oracle(T, seed, monkeypatch):
     # at k = 2 coordinate 1 is the only one, both the order test's block
     # and the comparison at the first non-identity entry
     g, args = _random_inputs(T, seed, n_cand=None, n_tuples=30, k=2)
     want = _oracle(g, args)
     assert 0 < want.sum() < want.size
-    _assert_reductions(args, want)
+    for _ in _chunks(monkeypatch):
+        _assert_reductions(args, want)
+
+
+# (candidates, tuples) at exactly one chunk of pairs, one block (at k = 3
+# four candidates are fewer than the perms), and at one pair more, which
+# goes to the scan; then with no candidates or no tuples
+GATE = _accel._CHUNK_PAIRS
+GATE_SHAPES = [(GATE // 256, 256), (4, GATE // 4), (1, GATE + 1),
+               (GATE + 1, 1), (0, GATE + 1), (GATE + 1, 0)]
+
+
+@pytest.mark.parametrize("perms_of", ["identity", "moved"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_one_block_up_to_one_chunk(A5, k, perms_of, monkeypatch):
+    _, (T, perms, cand_a, cand_p, tuples) = _random_inputs(
+        A5, 13 + k, n_cand=GATE + 1, n_tuples=GATE + 1, k=k)
+    cand_p = np.zeros_like(cand_p) if perms_of == "identity" else \
+        cand_p % (len(perms) - 1) + 1
+    scans, scan = [], _accel._scan
+    monkeypatch.setattr(_accel, "_scan",
+                        lambda *a: scans.append(1) or scan(*a))
+    for n_cand, n_tuples in GATE_SHAPES:
+        args = (T, perms, cand_a[:n_cand], cand_p[:n_cand], tuples[:n_tuples])
+        want = fixes(*args)
+        assert not want.size or 0 < want.sum() < want.size
+        _assert_reductions(args, want)
+        assert len(scans) == 3 * (n_cand * n_tuples > GATE)
+        scans.clear()
 
 
 def _spy_order_test(monkeypatch, chunk=16):

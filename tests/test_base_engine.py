@@ -14,7 +14,7 @@ from diagbase.baseengine import (alt_formula_bounds, ceil_log, construct_auto,
                                  minimal_base_size, nonbase_witness,
                                  pointwise_stabilizer,
                                  pointwise_stabilizer_by_action, pyber_check)
-from diagbase import baseengine
+from diagbase import _accel, baseengine
 from diagbase.baseengine import _fixing_candidates
 from diagbase.catalog import catalog_names, get_group
 from diagbase.cli import main
@@ -102,6 +102,24 @@ def test_fixing_candidates_match_the_kernel_and_the_action(name, top, k, out):
             assert want == sorted(
                 aut_index[a] * n_p + table.position(p)
                 for a, p in pointwise_stabilizer_by_action(g, points))
+
+
+@pytest.mark.parametrize("name", ["A5", "L2(7)"])
+def test_fixing_candidates_past_one_chunk(name, monkeypatch):
+    # with chunks this small, all of G_D at one point is past one chunk:
+    # the identity perm's aut rows are read off the fixer index and the
+    # moved perms meet the order test first
+    g = build_group(get_group(name), 3, "full", "sym-table")
+    table, n_p = g.top.table, g.top.table.order
+    aut_index = {int(a): i for i, a in enumerate(g.aut_rows)}
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    monkeypatch.setattr(_accel, "_CHUNK_PAIRS", 64)
+    for t in [[0, 1, 2], [0, 0, 1], *rng.integers(0, g.T.order, (3, 3))]:
+        point = OmegaPoint.from_tuple(g.T, [int(v) for v in t])
+        want = sorted(aut_index[a] * n_p + table.position(p)
+                      for a, p in pointwise_stabilizer_by_action(g, [point]))
+        assert _fixing_candidates(
+            g, np.array([point.tuple_ids], np.int32)).tolist() == want
 
 
 class TestPointwiseStabilizer:

