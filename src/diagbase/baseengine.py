@@ -12,16 +12,13 @@ groups the scan kernel reads G_D, never listed, at the first point
 (``_fixing_candidates``): the stabilizer and a nonidentity witness.
 For symbolic Alt/Sym tops the stabilizer is never listed, only a
 nonidentity witness sought: the same condition says that x -> t[0 pi] *
-alpha(x) permutes the multiset of columns of the points' tuple matrix; a
-column-set test over integer column codes checks that for every alpha and
-every admissible image of the identity column at once, and the permutation
-part of the first surviving map is read off by matching equal columns.  A
-row-histogram prefilter runs first: such a map preserves every row's
-histogram over T, so the images of the identity and of one rarest element
-of a row pin alpha's image there, and only the pairs allowed by every row
-reach the column test (none but the identity pair ends the search).  Monte
-Carlo runs the prefilter on the samples without repeated entries, in
-blocks sized by the k^2 pin pairs a sample can have.
+alpha(x) permutes the multiset of columns of the points' tuple matrix.
+Such a map keeps each distinct column's class (its count and its entries'
+counts in their rows), so the image of one column of the smallest class
+pins alpha (``AutTable.image_index``), an exact column-set test over
+integer column codes checks the pairs left, and the permutation part of
+the first surviving map is read off by matching equal columns.  Monte
+Carlo decides single points from their row-histogram survivors alone.
 """
 
 from __future__ import annotations
@@ -44,10 +41,9 @@ from .perm import Perm
 # representative's stabilizer read off the G_D orbit walk
 MIN_BASE_FILTER_BUDGET = 10**5
 # pairs (alpha, y) per chunk of the column-set test, and the target size of
-# survivors x columns per block.  On a 2-CPU VM (the symbolic-sweep op lists
-# of seeds 811-813 run in one process, two-image pin) 2^12..2^14 ran equally
-# fast at 40.0-40.6 MB peak RSS; 2^10 was about 25% slower, 2^16 about 20%
-# slower at 42 MB.
+# every block of the symbolic tests (survivors x columns, runs, pins).  On a
+# 2-CPU VM (symbolic-sweep op lists of seeds 811-813 in one process, column-
+# class pin) 2^10..2^14 ran alike, within the host's noise, at 40-41 MB.
 SOLVER_CHUNK_PAIRS = 1 << 12
 
 
@@ -139,10 +135,8 @@ def _histogram_survivors(g, hist):
     Such a map sends each count class onto itself: y, the image of the
     identity, lies in Y, the class of the identity, and with C the rarest
     class and t* its last element, y * alpha(t*) lies in C.  Each (y, c) in
-    Y x C pins alpha(t*) = y^-1 c, one run of ``AutTable.image_index``.
-    The rest of the support is tested a block at a time, sized so that
-    candidates x block stays near ``SOLVER_CHUNK_PAIRS``.
-    """
+    Y x C pins alpha(t*) = y^-1 c, one run of ``AutTable.image_index``,
+    and the rest of the support is tested a block at a time."""
     T, n = g.T, g.T.order
     order, bounds = T.aut.image_index(g.out_labels)
     # flat tables: entry [i, j] of an n-column table sits at i * n + j
@@ -180,50 +174,73 @@ def _histogram_survivors(g, hist):
     return r, a, y
 
 
-def _histogram_pairs(g, X, ys):
-    """Flat indices (alpha index * n_y + y index) of the pairs (alpha, y)
-    with y a column of ``ys`` that pass the row-histogram test on every row
-    of X: if f(x) = y * alpha(x) permutes the column multiset, then
-    t -> y_r * alpha(t) preserves the histogram of row r.  A row with one
-    count class constrains nothing and is skipped."""
-    n_a, n = len(g.aut_rows), g.T.order
-    hist = _row_histograms(X, n)
-    informative = np.flatnonzero((hist != hist[:, :1]).any(axis=1))
-    allowed = np.zeros((len(informative), n_a, n), dtype=bool)
-    allowed[_histogram_survivors(g, hist[informative])] = True
-    # only the alphas with a survivor in every row are read per column
-    alive = np.flatnonzero(allowed.any(axis=2).all(axis=0))
-    mask = np.ones((len(alive), ys.shape[1]), dtype=bool)
-    for i, r in enumerate(informative):
-        mask &= allowed[i][alive][:, ys[r]]
-    ia, iy = np.nonzero(mask)
-    return alive[ia] * ys.shape[1] + iy
-
-
 def _distinct_columns(X, n):
-    """(codes, uniq, first, inverse, counts): the base-n code of each column
+    """(codes, uniq, first, counts): the base-n code of each column
     of X, exact past int64, and ``np.unique``'s view of them."""
     dtype = np.int64 if n ** X.shape[0] < 2 ** 63 else object
     codes = digit_codes(X, n, dtype)
-    return (codes, *np.unique(codes, return_index=True, return_inverse=True,
-                              return_counts=True))
+    return (codes, *np.unique(codes, return_index=True, return_counts=True))
+
+
+def _pinned_pairs(g, D, cls, ys):
+    """Ascending flat indices (alpha index * n_y + y index) of the pairs
+    (alpha, y), y one of the n_y columns ``ys``, with y * alpha(z) in K, z a
+    distinct column (of D, x_0 first) other than x_0 of the smallest class
+    K of the codes ``cls``; None for every pair when that would not pay.  Each
+    c in K pins alpha(z) = y^-1 c: one run of ``AutTable.image_index`` at
+    the entry of z with the largest orbit (|A| / orbit alphas of the out
+    part A, so it pays while |K| < orbit), checked at the other entries."""
+    T, n_a, n_y = g.T, len(g.aut_rows), ys.shape[1]
+    if len(cls) == 1:
+        return None                                     # x_0 alone
+    codes, sizes = np.unique(cls, return_counts=True)
+    x0 = np.searchsorted(codes, cls[0])
+    sizes[x0] = sizes[x0] - 1 or len(cls)               # x_0 is not z
+    K = np.flatnonzero(cls == codes[sizes.argmin()])
+    z, c = D[:, K[int(K[0] == 0)]], D[:, K]
+    order, bounds = T.aut.image_index(g.out_labels)
+    # each image of an entry t has as many alphas as fix t: |A| / orbit
+    runs = bounds[z, z + 1] - bounds[z, z]
+    r = runs.argmin()
+    run, t = int(runs[r]), z[r]
+    if c.shape[1] * run > n_a:
+        return None
+    y_inv, at_z, found = T.inv[ys], T.aut.rows[:, z], []
+    step = max(1, SOLVER_CHUNK_PAIRS // (c.shape[1] * run))
+    for lo in range(0, n_y, step):
+        # u[:, i]: alpha(z) for pair i, the pairs y-major over c
+        u = T.mul[y_inv[:, lo:lo + step, None], c[:, None]].reshape(len(z), -1)
+        start = bounds[t, u[r]]
+        i = np.flatnonzero(bounds[t, u[r] + 1] > start)   # in t's orbit
+        a = order[t, start[i, None] + np.arange(run)].ravel().astype(np.intp)
+        i = i.repeat(run)
+        ok = (at_z[g.aut_rows[a]] == u[:, i].T).all(axis=1)
+        found.append(a[ok] * n_y + lo + i[ok] // c.shape[1])
+    return np.sort(np.concatenate(found))
 
 
 def _fixing_maps(g, X, columns):
     """Yield, chunk by chunk, (alpha rows, y columns) of the maps
     f(x) = y * alpha(x) other than the identity that permute the column
-    multiset of X, given its ``_distinct_columns``.  The pairs (alpha, y),
-    y a column as frequent as x_0, that pass the row-histogram test
-    (``_histogram_pairs``) map the distinct columns past x_0 in blocks
-    sized so that survivors x block stays near ``SOLVER_CHUNK_PAIRS``; f
-    is kept when every image is a column as frequent as its preimage."""
+    multiset of X, given its ``_distinct_columns``.  f keeps each distinct
+    column's class (its count and its entries' counts in their rows), so y
+    is in x_0's class; the pairs ``_pinned_pairs`` leaves map the distinct
+    columns past x_0, and f is kept if each image is as frequent."""
     rows, mul, n = g.T.aut.rows, g.T.mul, g.T.order
-    _codes, uniq, first, _inverse, counts = columns
-    ys, cols = X[:, first[counts == counts[0]]], X[:, first[1:]]
-    pairs = _histogram_pairs(g, X, ys)
-    pairs = pairs[pairs > 0]    # flat index 0, the identity pair, fixes all
-    for start in range(0, len(pairs), SOLVER_CHUNK_PAIRS):
-        p = pairs[start:start + SOLVER_CHUNK_PAIRS]
+    _codes, uniq, first, counts = columns
+    D, hist = X.take(first, axis=1), _row_histograms(X, n)
+    # class codes; past int64 they wrap, merging classes: Y and K only grow
+    cls, base = counts.astype(np.int64), int(hist.max()) + 1
+    for h, row in zip(hist, D):
+        cls *= base
+        cls += h[row]
+    ys, cols = D[:, cls == cls[0]], D[:, 1:]
+    pairs = _pinned_pairs(g, D, cls, ys)     # None: all, as arange(total)
+    total = len(g.aut_rows) * ys.shape[1] if pairs is None else len(pairs)
+    # flat index 0, the identity pair, fixes all (and is pinned first)
+    for s in range(1, total, SOLVER_CHUNK_PAIRS):
+        p = pairs[s:s + SOLVER_CHUNK_PAIRS] if pairs is not None else \
+            np.arange(s, min(s + SOLVER_CHUNK_PAIRS, total))
         a, y = g.aut_rows[p // ys.shape[1]], ys[:, p % ys.shape[1]]
         j = 0
         while len(a) and j < cols.shape[1]:
@@ -245,27 +262,18 @@ def _solve_symbolic(g: DiagTypeGroup, tuples):
     Read the m x k tuple matrix as k columns x_j in T^m, x_0 the identity.
     A pair (alpha, pi) fixes D and the points iff x_{i pi} = y * alpha(x_i)
     for every i, where y = x_{0 pi}: the map f(x) = y * alpha(x) permutes
-    the column multiset and pi matches it.  Then t -> y_r * alpha(t)
-    preserves the histogram of every row r, so the pairs (alpha, y), alpha
-    in the out part and y a column as frequent as x_0, are first narrowed
-    to those passing that row test on every row.  The exact test then maps
-    the distinct columns past x_0 by f, for all remaining pairs at once in
-    chunks, and keeps f when every image is a column as frequent as its
-    preimage (``_fixing_maps``).
-
-    A repeated column gives a transposition (Sym), a 3-cycle or a double
+    the column multiset (``_fixing_maps``) and pi matches it.  A repeated
+    column gives a transposition (Sym), a 3-cycle or a double
     transposition (Alt) outright; otherwise the first surviving f is
     matched, an odd pi fixed up with the one repeated pair, or (all columns
     distinct) skipped for Alt.
     """
-    T, k, n = g.T, g.k, g.T.order
-    alt = g.top.symbolic == "alt"
+    T, k, n, alt = g.T, g.k, g.T.order, g.top.symbolic == "alt"
     X = np.asarray(tuples, dtype=np.int64)
-    columns = codes, _uniq, _first, inverse, counts = _distinct_columns(X, n)
+    columns = codes, uniq, _first, counts = _distinct_columns(X, n)
     # equal columns swap freely: a transposition for Sym; for Alt a 3-cycle
     # on a triple or a double transposition on two pairs
-    repeated = [np.nonzero(inverse == c)[0]
-                for c in np.nonzero(counts > 1)[0][:2]]
+    repeated = [np.flatnonzero(codes == c) for c in uniq[counts > 1][:2]]
     if repeated and (not alt or len(repeated) > 1 or len(repeated[0]) > 2):
         cycles = [repeated[0][:3]] if alt and len(repeated[0]) > 2 else \
             [r[:2] for r in repeated[:1 + alt]]
@@ -293,28 +301,40 @@ def _solve_symbolic(g: DiagTypeGroup, tuples):
 
 
 def detect_symbolic(g: DiagTypeGroup, tuples):
-    """Non-base verdicts of single points for a symbolic top.  For one
-    point the columns are the entries, so the column-set test is the
-    row-histogram test: a repeated entry is a hit for Sym, a triple or two
-    pairs for Alt; the other samples, in blocks, survive if a nonidentity
-    (alpha, y) preserves their histogram.  Survivors are hits for Sym, and
-    for Alt go to the solver for the parity of pi."""
-    alt = g.top.symbolic == "alt"
+    """Non-base verdicts of single points for a symbolic top: the column
+    test on one point is the row-histogram test.  Hits: a repeated entry
+    for Sym, a triple or two pairs for Alt, and a row listing T equally
+    often (every (alpha, y) keeps it).  The rest go to the row test in
+    blocks: a nonidentity survivor is a hit for Sym, and for Alt with one
+    repeated pair (its swap fixes an odd pi).  With distinct entries the
+    survivors are a group whose even part has index <= 2: three or more
+    are a hit, and two iff the other, an involution, moves 4j entries."""
+    T, k, alt = g.T, g.k, g.top.symbolic == "alt"
     ordered = np.sort(tuples, axis=1)
     repeats = (ordered[:, 1:] == ordered[:, :-1]).sum(axis=1)
-    out = (repeats >= (2 if alt else 1)).astype(np.uint8)
+    uniform = k % T.order == 0 and (
+        ordered == np.arange(k) // (k // T.order)).all(axis=1)
+    out = ((repeats >= (2 if alt else 1)) | uniform).astype(np.uint8)
     open_rows = np.flatnonzero(out == 0)
     # k^2 pin pairs (y, c) at most per sample, as |Y|, |C| <= k
-    block = max(1, SOLVER_CHUNK_PAIRS // g.k ** 2)
+    block = max(1, SOLVER_CHUNK_PAIRS // k ** 2)
+    found = [(np.zeros(0, np.intp),) * 3]       # (sample, alpha, y)
     for start in range(0, len(open_rows), block):
-        rows = open_rows[start:start + block]
-        r, a, y = _histogram_survivors(
-            g, _row_histograms(tuples[rows], g.T.order))
-        moved = r[(a != 0) | (y != 0)]      # aut_rows[0] is the identity
-        for s in rows[np.bincount(moved, minlength=len(rows)) > 0].tolist():
-            out[s] = not alt or _solve_symbolic(g, tuples[s:s + 1]) \
-                is not None
-    return out
+        r, a, y = _histogram_survivors(g, _row_histograms(
+            tuples[open_rows[start:start + block]], T.order))
+        found.append((open_rows[start + r], a, y))
+    s, a, y = (np.concatenate(v) for v in zip(*found))
+    size = np.bincount(s, minlength=len(out))    # the identity included
+    if not alt:
+        return out | (size > 1)
+    # the other survivor of each sample with distinct entries and two
+    # (aut_rows[0] is the identity)
+    pick = ((a != 0) | (y != 0)) & ((size == 2) & (repeats == 0))[s]
+    s, a, y = s[pick], a[pick], y[pick]
+    t = tuples[s]
+    image = T.mul[y[:, None], T.aut.rows[g.aut_rows[a][:, None], t]]
+    out[s] = (image != t).sum(axis=1) % 4 == 0
+    return out | (size > 2) | (size == 2) & (repeats == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -355,16 +375,9 @@ def is_base(g: DiagTypeGroup, points) -> BaseCertificate:
 def element_fixes_points(g: DiagTypeGroup, aut_row: int, perm: Perm,
                          points) -> bool:
     """Re-check a (alpha, pi) pair against the fixing condition."""
-    T = g.T
-    alpha = T.aut.rows[aut_row]
-    pi = perm.images
-    for p in points:
-        t = p.as_array()
-        tp = t[pi]
-        rhs = T.mul[T.inv[tp[0]], tp]
-        if not np.array_equal(alpha[t], rhs):
-            return False
-    return True
+    T, alpha, pi = g.T, g.T.aut.rows[aut_row], perm.images
+    return all(np.array_equal(alpha[t], T.mul[T.inv[t[pi[0]]], t[pi]])
+               for t in (p.as_array() for p in points))
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +439,7 @@ def construct_generator_base(g: DiagTypeGroup):
     xi, yi = T.distinct_order_pair_ids()
     ids = [0] * k
     ids[base_pts[0]] = xi
-    if m >= 2:
-        ids[base_pts[1]] = yi
-    else:
-        ids[min(set(range(k)) - {base_pts[0]})] = yi
+    ids[base_pts[1] if m >= 2 else min(set(range(k)) - {base_pts[0]})] = yi
     if m >= 3:
         ox, oy = int(T.order_of[xi]), int(T.order_of[yi])
         pool = T.elements_with_orders_excluding({ox, oy})
@@ -486,32 +496,22 @@ def construct_distinguishing_base(g: DiagTypeGroup):
     """
     if g.top.is_symbolic or g.top.contains_alternating():
         return None
-    table = g.top.table
-    delta = table.distinguishing_subset()
-    if delta is None:
+    delta = g.top.table.distinguishing_subset()
+    if delta is None or len(delta) < 4:
         return None
-    k = g.k
     delta = sorted(delta)
-    gamma = [j for j in range(k) if j not in set(delta)]
-    if len(delta) < 4:
-        return None
-    size_g = len(gamma)
-    split = None
-    for a in range(1, len(delta)):
-        if a != size_g and len(delta) - a != size_g:
-            split = a
-            break
+    gamma = sorted(set(range(g.k)) - set(delta))
+    split = next((a for a in range(1, len(delta))
+                  if len(gamma) not in (a, len(delta) - a)), None)
     if split is None:
         return None
-    delta2 = delta[split:]
-    T = g.T
-    xi, yi = T.distinct_order_pair_ids()
-    ids = [0] * k
-    for j in delta2:
+    xi, yi = g.T.distinct_order_pair_ids()
+    ids = [0] * g.k
+    for j in delta[split:]:
         ids[j] = xi
     for j in gamma:
         ids[j] = yi
-    return [g.diagonal_point(), OmegaPoint.from_tuple(T, ids)]
+    return [g.diagonal_point(), OmegaPoint.from_tuple(g.T, ids)]
 
 
 # ---------------------------------------------------------------------------

@@ -230,7 +230,7 @@ class OmegaPoint:
                 f"tuple entries must be integers: {text!r}") from None
         if not ids:
             raise PreconditionError("empty tuple")
-        if any(not 0 <= v < T.order for v in ids):
+        if min(ids) < 0 or max(ids) >= T.order:
             raise PreconditionError("tuple entry out of range for |T|")
         if ids[0] != 0:
             raise PreconditionError("canonical tuple must start with 0")

@@ -40,6 +40,50 @@ def solver_maps(g, X):
             for a, y in zip(a_s.tolist(), y_s.T)]
 
 
+def solver_battery():
+    """160 seeded (group, tuple matrix) cases for the symbolic-top solver:
+    random, few distinct entries, distinct entries and planted fixers."""
+    rng = np.random.default_rng(707)
+    cases = []
+    for it in range(160):
+        T = get_group(("A5", "L2(7)")[it % 2])
+        k = int(rng.choice([3, 5, 8, 13, 31, 45, 59, 61, 90, 200]))
+        g = build_group(T, k, ("inner", "full")[it // 2 % 2],
+                        ("sym", "alt")[it // 4 % 2])
+        m = int(rng.integers(1, 4))
+        X = rng.integers(0, T.order, (m, k))
+        if it % 3 == 1:                  # few distinct entries
+            X = rng.choice(rng.choice(T.order, 3, replace=False), (m, k))
+        elif it % 3 == 2 and k < T.order:  # distinct entries
+            X = rng.permutation(T.order)[None, :k]
+        elif k > 30 and len(g.out_labels) > 1:   # planted fixer
+            _, pts = planted_points(g, rng, 2)
+            X = np.array([p.tuple_ids for p in pts])
+        X[:, 0] = 0
+        cases.append((g, X))
+    return cases
+
+
+def solver_results(cases):
+    return [(baseengine._solve_symbolic(g, X), solver_maps(g, X))
+            for g, X in cases]
+
+
+def witness_crc(witnesses):
+    """CRC-32 of the witnesses (aut row, perm) written out, None as -."""
+    return zlib.crc32("\n".join(
+        "-" if w is None else f"{w[0]} {w[1]}" for w in witnesses).encode())
+
+
+# witness_crc of the solver battery's witnesses, and of the sym and alt
+# witnesses of each uniform-row case, as first recorded
+SOLVER_BATTERY_CRC = 2483711516
+BOTH_BASES = witness_crc([None, None])
+UNIFORM_CRC = {("A5", 60, 1): 3219025853, ("A5", 60, 2): BOTH_BASES,
+               ("A5", 120, 3): BOTH_BASES, ("L2(7)", 168, 1): 4110949741,
+               ("L2(7)", 168, 3): BOTH_BASES, ("L2(7)", 336, 3): BOTH_BASES}
+
+
 def check_solver(g, pts, sym_stab, stab=None):
     """The symbolic-top solver on these points against listed stabilizers
     of the same points.  The maps its column test keeps are exactly the
@@ -428,54 +472,92 @@ class TestColumnSetSolver:
                    for r in range(len(hist) - 4, len(hist)))
 
     def test_prefilter_changes_no_result(self, monkeypatch):
-        # the same battery with the row-histogram prefilter and with every
-        # pair handed to the exact test: witnesses and the lists of maps
-        # the column test keeps (in order) must all agree
-        from diagbase.catalog import get_group
-        rng = np.random.default_rng(707)
-        cases = []
-        for it in range(160):
-            T = get_group(("A5", "L2(7)")[it % 2])
-            k = int(rng.choice([3, 5, 8, 13, 31, 45, 59, 61, 90, 200]))
-            g = build_group(T, k, ("inner", "full")[it // 2 % 2],
-                            ("sym", "alt")[it // 4 % 2])
-            m = int(rng.integers(1, 4))
-            X = rng.integers(0, T.order, (m, k))
-            if it % 3 == 1:                  # few distinct entries
-                X = rng.choice(rng.choice(T.order, 3, replace=False), (m, k))
-            elif it % 3 == 2 and k < T.order:  # distinct entries
-                X = rng.permutation(T.order)[None, :k]
-            elif k > 30 and len(g.out_labels) > 1:   # planted fixer
-                _, pts = planted_points(g, rng, 2)
-                X = np.array([p.tuple_ids for p in pts])
-            X[:, 0] = 0
-            cases.append((g, X))
-
-        def results():
-            return [(baseengine._solve_symbolic(g, X), solver_maps(g, X))
-                    for g, X in cases]
-        with_prefilter = results()
-        monkeypatch.setattr(baseengine, "_histogram_pairs",
-                            lambda g, X, ys: np.arange(len(g.aut_rows) *
-                                                       ys.shape[1]))
-        assert results() == with_prefilter
+        # the same battery with the column-class pin and with every pair
+        # (alpha, y in Y) handed to the exact test: witnesses and the lists
+        # of maps the column test keeps (in order) must all agree
+        cases = solver_battery()
+        with_prefilter = solver_results(cases)
+        monkeypatch.setattr(baseengine, "_pinned_pairs",
+                            lambda g, D, cls, ys: None)
+        assert solver_results(cases) == with_prefilter
         assert sum(w is not None for w, _maps in with_prefilter) > 10
         assert sum(len(maps) > 0 for _w, maps in with_prefilter) > 10
 
+    def test_one_class_changes_no_result(self, monkeypatch):
+        # every distinct column in one class: z is the first column past
+        # x_0 and its image ranges over all of them.  The pin still runs
+        # on few columns and hands every pair on past the orbit size; the
+        # witnesses are those recorded before the pin read column classes
+        cases = solver_battery()
+        want = solver_results(cases)
+        pinned_pairs, pinned = baseengine._pinned_pairs, []
+
+        def one_class(g, D, cls, ys):
+            pairs = pinned_pairs(g, D, np.zeros_like(cls), ys)
+            pinned.append(pairs is not None)
+            return pairs
+        monkeypatch.setattr(baseengine, "_pinned_pairs", one_class)
+        got = solver_results(cases)
+        assert got == want
+        assert witness_crc(w for w, _maps in got) == SOLVER_BATTERY_CRC
+        assert 10 < sum(pinned) < len(pinned) - 10
+
+    @pytest.mark.parametrize("name,k,m,copies", [
+        ("A5", 60, 1, 1), ("A5", 60, 2, 1), ("A5", 120, 3, 2),
+        ("L2(7)", 168, 1, 1), ("L2(7)", 168, 3, 1), ("L2(7)", 336, 3, 2)])
+    def test_coarse_classes_on_uniform_rows(self, name, k, m, copies,
+                                            monkeypatch):
+        # rows listing every element of T equally often: every column has
+        # one class, so the pin hands every pair (alpha, y in Y) on, and
+        # the witnesses are those recorded before the pin read column
+        # classes.  One point listing T once is no base ("l = 1 and
+        # k = |T|"); more points, with their columns distinct, are
+        T = get_group(name)
+        rng = np.random.default_rng(k + m)
+        X = np.zeros((m, k), dtype=np.int64)
+        for row in X:
+            row[1:] = rng.permutation(np.repeat(np.arange(T.order),
+                                                copies)[1:])
+        pts = [OmegaPoint(tuple(row)) for row in X.tolist()]
+        pinned_pairs, pinned = baseengine._pinned_pairs, []
+
+        def spy(g, D, cls, ys):
+            pairs = pinned_pairs(g, D, cls, ys)
+            pinned.append(pairs)
+            return pairs
+        monkeypatch.setattr(baseengine, "_pinned_pairs", spy)
+        witnesses = []
+        for top in ("sym", "alt"):
+            g = build_group(T, k, "full", top)
+            cert = is_base(g, pts)
+            assert cert.verdict == (m > 1)
+            if cert.witness is not None:
+                assert element_fixes_points(g, *cert.witness, pts)
+            witnesses.append(cert.witness)
+        assert pinned == [None, None]
+        assert witness_crc(witnesses) == UNIFORM_CRC[name, k, m]
+
     def test_prefilter_leaves_few_pairs_on_digit_base(self, A5, monkeypatch):
-        # 120 alphas x 5000 equally frequent columns = 600,000 pairs
+        # 120 alphas x 5000 equally frequent columns = 600,000 pairs, of
+        # which x_0's class keeps 240 (2 columns) and the pin 2: the
+        # identity pair, and a pair that the exact test drops.  The row
+        # test of every row left 1; one column of the smallest class
+        # leaves those of its |Y| x |K| images that agree at every row
         g = build_group(A5, 5000, "full", "sym")
         pts = construct_digit_base(g)
+        X = np.array([p.tuple_ids for p in pts[1:]])
+        columns = np.unique(X, axis=1, return_counts=True)[1]
+        assert len(g.aut_rows) * (columns == columns[0]).sum() == 600_000
         seen = []
-        histogram_pairs = baseengine._histogram_pairs
+        pinned_pairs = baseengine._pinned_pairs
 
-        def spy(g, X, ys):
-            pairs = histogram_pairs(g, X, ys)
-            seen.append(len(pairs))
+        def spy(g, D, cls, ys):
+            pairs = pinned_pairs(g, D, cls, ys)
+            seen.append((len(pairs), len(g.aut_rows) * ys.shape[1]))
             return pairs
-        monkeypatch.setattr(baseengine, "_histogram_pairs", spy)
+        monkeypatch.setattr(baseengine, "_pinned_pairs", spy)
         assert is_base(g, pts[1:]).verdict
-        assert len(seen) == 1 and 1 <= seen[0] <= 4
+        assert len(seen) == 1 and 1 <= seen[0][0] <= 4 and seen[0][1] == 240
 
     def test_symbolic_stabilizer_not_listed(self, A5):
         # a symbolic top answers only whether the stabilizer is trivial

@@ -322,44 +322,81 @@ class TestMonteCarlo:
                     assert _detect_nonbase(g, tuples).tolist() == want
 
     @pytest.mark.parametrize("name", ["A5", "L2(7)"])
-    def test_batched_symbolic_calls_solver_only_for_alt_survivors(
-            self, name, monkeypatch):
-        # a survivor is a nonidentity f(x) = y alpha(x) preserving the
-        # entries: read off the Sym(k)-table stabilizer as an element whose
-        # alpha is not the identity or which moves the identity entry
+    def test_batched_symbolic_never_calls_solver(self, name, monkeypatch):
+        # a survivor is a map f(x) = y alpha(x) preserving the entries,
+        # read off the Sym(k)-table stabilizer as (alpha, t[pi(0)]).  Alt
+        # verdicts must be the table's (an even nonidentity element) on
+        # samples with one survivor, two (pi even and pi odd) and three or
+        # more, with and without one repeated pair, all without the solver
         T = get_group(name)
         ident = T.aut.identity_row
-        cases = []
+        cases, kinds = [], set()
         for k in (3, 4, 5, 6):
-            tuples = _symbolic_samples(T, k, 60, k)
-            g_sym = build_group(T, k, "full", "sym")
+            rng = np.random.default_rng(k)
+            tuples = np.vstack([_symbolic_samples(T, k, 60, k), [
+                [0, *rng.choice(np.arange(1, T.order), k - 1, replace=False)]
+                for _ in range(60)]]).astype(np.int32)
             g_table = build_group(T, k, "full", symmetric_table(k))
-            want = []
-            for t in tuples:
-                counts = np.bincount(t)
-                if counts.max() > 2 or (counts == 2).sum() > 1:
-                    continue
-                stab = pointwise_stabilizer(g_table, [OmegaPoint(tuple(
-                    t.tolist()))])
-                if any(a != ident or t[p.images[0]] != 0 for a, p in stab):
-                    want.append(tuple(t.tolist()))
-            cases.append((g_sym, build_group(T, k, "full", "alt"), tuples,
-                          want))
-        assert sum(len(want) for *_, want in cases) > 0
+            want = {"sym": [], "alt": []}
+            for t in tuples.tolist():
+                stab = pointwise_stabilizer(g_table, [OmegaPoint(tuple(t))])
+                want["sym"].append(int(len(stab) > 1))
+                want["alt"].append(int(any(
+                    p.sign() == 1 and not (a == ident and p.is_identity())
+                    for a, p in stab)))
+                maps = {(a, t[p.images[0]]) for a, p in stab}
+                repeats = k - len(set(t))
+                if repeats < 2:
+                    kinds.add((repeats, min(len(maps), 3), want["alt"][-1]))
+            cases.append((k, tuples, want))
+        # (repeats, survivors, alt hit): 1 and 2 survivors of both
+        # parities, 3 or more, and one repeated pair with and without a
+        # second survivor
+        assert {(0, 1, 0), (0, 2, 0), (0, 2, 1), (0, 3, 1), (1, 1, 0),
+                (1, 2, 1)} <= kinds
 
-        calls = []
-        solve = baseengine._solve_symbolic
+        def solver(g, tuples):
+            raise AssertionError("the detector called the solver")
+        monkeypatch.setattr(baseengine, "_solve_symbolic", solver)
+        for k, tuples, want in cases:
+            for top in ("sym", "alt"):
+                g = build_group(T, k, "full", top)
+                assert _detect_nonbase(g, tuples).tolist() == want[top]
 
-        def spy(g, tuples):
-            calls.append(tuple(tuples[0].tolist()))
-            return solve(g, tuples)
-        monkeypatch.setattr(baseengine, "_solve_symbolic", spy)
-        for g_sym, g_alt, tuples, want in cases:
-            _detect_nonbase(g_sym, tuples)
-            assert calls == []
-            _detect_nonbase(g_alt, tuples)
-            assert calls == want
-            calls.clear()
+    @pytest.mark.parametrize("name", ["A5", "L2(7)"])
+    @pytest.mark.parametrize("top", ["sym", "alt"])
+    def test_uniform_samples_skip_the_row_test(self, name, top,
+                                               monkeypatch):
+        # samples listing every element of T once (k = |T|) or twice
+        # (k = 2|T|) are hits, as every (alpha, y) keeps them, and never
+        # reach the row test.  Among them: random samples, and at k = |T|
+        # samples with one repeated pair, which the Alt row test reads.
+        # Verdicts as the per-sample solver's
+        T = get_group(name)
+        n = T.order
+        survivors = baseengine._histogram_survivors
+        seen = []
+
+        def spy(g, hist):
+            seen.extend(hist.tolist())
+            return survivors(g, hist)
+        monkeypatch.setattr(baseengine, "_histogram_survivors", spy)
+        for k in (n, 2 * n):
+            rng = np.random.default_rng(k)
+            tuples = rng.integers(0, n, (9, k), dtype=np.int32)
+            for row in tuples[::3]:                 # uniform
+                row[1:] = rng.permutation(np.arange(1, k) % n)
+            for row in tuples[1::3] if k == n else ():  # one repeated pair
+                row[1:] = rng.permutation(np.arange(1, n))
+                row[-1] = row[1]
+            tuples[:, 0] = 0
+            g = build_group(T, k, "full", top)
+            want = [0 if _solve_symbolic(g, t[None]) is None else 1
+                    for t in tuples]
+            assert _detect_nonbase(g, tuples).tolist() == want
+            assert want[::3] == [1, 1, 1]
+        assert len(seen) == (3 if top == "alt" else 0)
+        assert all(len(set(row)) > 1 for row in seen)
 
     def test_large_k_cyclic_small_fraction(self, A5):
         g = build_group(A5, 37, "full", "cyclic")
