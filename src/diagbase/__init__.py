@@ -15,9 +15,9 @@ from .errors import (BudgetExceededError, DiagbaseError, InvalidTopError,
                      MembershipError, NotInnerError, PreconditionError,
                      UnsupportedEnumerationError, ValidationError)
 from .perm import GroupTable, Perm
-from .prob import (ProbReport, centralizer_order_formula,
-                   class_count_inequality_check, class_intersection_formula,
-                   exact_nonbase_pair_proportion, monte_carlo_nonbase,
-                   nonbase_fraction_and_q2_bound, q2_bound_exact)
+from .prob import (centralizer_order_formula, class_count_inequality_check,
+                   class_intersection_formula, exact_nonbase_pair_proportion,
+                   monte_carlo_nonbase, nonbase_fraction_and_q2_bound,
+                   q2_bound_exact)
 
 __version__ = "0.1.0"

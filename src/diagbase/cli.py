@@ -22,7 +22,7 @@ from .baseengine import (construct_auto, is_base, minimal_base_size,
 from .catalog import catalog_names, get_group
 from .diag import OMEGA_BUDGET, OmegaPoint, build_group
 from .errors import (BudgetExceededError, PreconditionError, ValidationError)
-from .prob import (DEFAULT_SEED, ProbReport, monte_carlo_nonbase,
+from .prob import (DEFAULT_SEED, monte_carlo_nonbase,
                    nonbase_fraction_and_q2_bound, r_split_formula)
 from .suite import ALL_CRITERIA, format_table, run_suite
 
@@ -165,9 +165,18 @@ def _prob_groups(args):
         yield _build_from_args(args, name)
 
 
-def _prob_report(g, **values):
-    """The report entry of one group, described once its values are in."""
-    return ProbReport(group=g.describe(), n=g.degree, **values).describe()
+def _prob_report(g, exact_nonbase_pair_fraction=None, q2_bound=None,
+                 r_split=None, mc_estimate=None):
+    """The report entry of one group (the report formatters write the
+    rationals as {"num", "den"})."""
+    return {
+        "group": g.describe(),
+        "n": report_mod.int_str(g.degree),
+        "exact_nonbase_pair_fraction": exact_nonbase_pair_fraction,
+        "q2_bound": q2_bound,
+        "r_split": r_split,
+        "mc_estimate": mc_estimate,
+    }
 
 
 def _config_echo(args):

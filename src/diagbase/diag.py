@@ -11,17 +11,17 @@ tuple of a leading 0 and the base-|T| digits of i (``point_tuple``, with
 inverse ``digit_codes``), so the orbits of G_D are walked one decoded
 representative at a time, each mapped through all of G_D at once.
 
-The right action on canonical tuples: for w = (a_1,...,a_k)pi and a point
-with tuple t, the image point has tuple
+The right action on canonical tuples: the library acts by diagonal
+elements only (``act_diag``), and w = (alpha,...,alpha)pi sends the point
+with tuple t to the point with tuple
 
-    s_i = g_1^-1 g_i   where   g_i = (t_{i pi^-1}) a_{i pi^-1}-ish
+    s_i = alpha(t_{1 pi^-1}^-1 t_{i pi^-1})
 
-computed concretely by composing each coordinate's inner map with a_i,
-permuting coordinates by pi, and renormalizing the first coordinate to the
-identity.  The library acts by diagonal elements only, for which this
-reduces to pure index arithmetic in T (``act_diag``).  The convention is
-pinned against literal right-coset multiplication in W(2, A5) by the
-coset oracle that the tests keep (``tests/coset_oracle.py``).
+the coordinates permuted by pi, renormalized so that the first entry is
+the identity, and mapped by alpha: pure index arithmetic in T.  The
+convention is pinned against literal right-coset multiplication in
+W(2, A5) by the coset oracle that the tests keep
+(``tests/coset_oracle.py``).
 
 ``build_group`` is memoized per process.  The key is (T by identity, k,
 the resolved out-label tuple, the normalized top spec), so every caller of

@@ -10,18 +10,19 @@ the exact non-base proportion (the points with a nonzero count), so one
 scan yields both.  The bound decomposes over conjugacy classes into three
 contributions split by the permutation part (fixed-point-free, trivial, or
 mixed), and the class data itself is computed twice: by the displayed
-product formulas, which give the split at any k without building an
-element, and by brute-force orbit enumeration in a row-coded copy of the
-full group, the oracle.  That enumeration packs each element into one int64
-code and walks each conjugacy class level by level, conjugating the whole
-frontier by every generator at once.
+product formulas, summed over a tally of the out-part automorphisms and
+one of the top permutations, which give the split at any k without
+listing an element; and by brute-force orbit enumeration in a row-coded
+copy of the full group, the oracle.  That enumeration packs each element
+into one int64 code and walks each conjugacy class level by level,
+conjugating the whole frontier by every generator at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .diag import (OMEGA_BUDGET, DiagTypeGroup, _read_only, check_entries,
                    gd_orbits, omega_tuples)
 from .errors import BudgetExceededError, PreconditionError
 from .perm import Perm, _is_prime
-from .report import int_str
 
 DEFAULT_SEED = 0x5EED
 # most top products (order^2 x degree): sym-table k=6 fits, k=7 (711 MB) not
@@ -39,14 +39,13 @@ ROW_CODED_TOP_MAX_ENTRIES = 4 * 10**6
 
 
 # ---------------------------------------------------------------------------
-# prime-order diagonal candidates and their R-tags
+# prime-order diagonal candidates
 
 
 def prime_order_candidates(g: DiagTypeGroup):
-    """(cand_a, cand_p, tags) for the prime-order elements of G_D.
-
-    Tags: 1 = permutation part fixed-point-free, 2 = trivial permutation
-    part, 3 = nontrivial with a fixed point.  Explicit tops only.
+    """(cand_a, cand_p): the aut rows and top perm ids of the prime-order
+    elements of G_D, the input of the scans and of the class oracle.
+    Explicit tops only.
 
     Perm-major: per perm order class, ascending, each perm of the class
     with every out-part aut row whose order has a prime lcm with the
@@ -62,11 +61,7 @@ def _prime_order_candidates(g: DiagTypeGroup):
     if g.top.is_symbolic:
         raise PreconditionError(
             "prime-order candidate listing needs an explicit top")
-    top = g.top.table
-    top_orders = top.element_orders()
-    fixed_point_free = ~(top.arrays() == np.arange(top.degree)).any(axis=1)
-    tag_of_perm = np.where(top_orders == 1, 2,
-                           np.where(fixed_point_free, 1, 3)).astype(np.int8)
+    top_orders = g.top.table.element_orders()
     a_orders, a_of = np.unique(g.T.aut.orders[g.aut_rows],
                                return_inverse=True)
     cand_a, cand_p = [], []
@@ -76,8 +71,7 @@ def _prime_order_candidates(g: DiagTypeGroup):
         pids = np.flatnonzero(top_orders == q).astype(np.int32)
         cand_a.append(np.tile(rows, len(pids)))
         cand_p.append(np.repeat(pids, len(rows)))
-    cand_a, cand_p = np.concatenate(cand_a), np.concatenate(cand_p)
-    return tuple(_read_only(c) for c in (cand_a, cand_p, tag_of_perm[cand_p]))
+    return tuple(_read_only(np.concatenate(c)) for c in (cand_a, cand_p))
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +99,7 @@ def nonbase_fraction_and_q2_bound(g: DiagTypeGroup,
     representative's stabilizer, so its count is the number of prime-order
     candidates in it.
     """
-    cand_a, cand_p, _tags = prime_order_candidates(g)
+    cand_a, cand_p = prime_order_candidates(g)
     prime = np.zeros(g.gd_order, dtype=bool)    # over the G_D indices
     prime[np.searchsorted(g.aut_rows, cand_a) * g.top.table.order
           + cand_p] = True
@@ -159,7 +153,7 @@ def _detect_nonbase(g: DiagTypeGroup, tuples):
     if g.top.is_symbolic:
         return detect_symbolic(g, tuples)
     return _accel.detect_per_tuple(g.T, g.top.table.arrays(),
-                                   *prime_order_candidates(g)[:2], tuples)
+                                   *prime_order_candidates(g), tuples)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +212,7 @@ def centralizer_order_formula(g: DiagTypeGroup, aut_row: int,
         raise PreconditionError("automorphism label outside the out-part")
     o_a = int(T.aut.orders[aut_row])
     o_p = perm.order()
-    order = o_a * o_p // gcd(o_a, o_p)
+    order = lcm(o_a, o_p)
     if order == 1:
         return g.top.order * len(g.aut_rows) * T.order ** (g.k - 1)
     if not _is_prime(order):
@@ -271,29 +265,35 @@ def r_split_formula(g: DiagTypeGroup):
         pi fixed-point-free:     N(alpha) |C_O(label)| |T|^(k/p)
                                  / (|X| |T|^(k-1))
     T has trivial centre, so |C_Inn(alpha)| is the number of elements of T
-    that alpha fixes.  Candidates with equal (tag, f, p, |C_Inn(alpha)| or
-    label) have equal terms, so the exact arithmetic runs once per such
-    key.  Explicit tops only."""
-    cand_a, cand_p, tags = prime_order_candidates(g)
-    aut, n, k = g.T.aut, g.T.order, g.k
-    top = g.top.table
-    fixed = (top.arrays() == np.arange(k)).sum(axis=1)[cand_p]
-    order = np.maximum(aut.orders[cand_a], top.element_orders()[cand_p])
-    rows, of = np.unique(cand_a, return_inverse=True)
-    c_inn = (aut.rows[rows] == np.arange(n)).sum(axis=1)[of]
-    value = np.where(tags == 1, aut.labels[cand_a], c_inn)
-    keys, counts = np.unique(np.stack([tags, fixed, order, value], axis=1),
-                             axis=0, return_counts=True)
-    num = {1: 0, 2: 0, 3: 0}
-    for (tag, f, p, v), c in zip(keys.tolist(), counts.tolist()):
-        if tag == 1:
-            num[1] += (c * _fpf_diagonal_count(g, v, p)
-                       * _out_centralizer_order(g, v) * n ** (k // p))
-        else:
-            num[tag] += c * v ** (f - 1) * n ** ((k - f) // p)
+    that alpha fixes.  A term depends on alpha only through (order,
+    |C_Inn(alpha)|, label) and on pi only through (order, f), so the sum
+    runs over pairs of an out-part tally entry and a top tally entry, each
+    term weighted by the two counts; p is the lcm of the two orders, and
+    pairs where it is not prime add nothing.  Explicit tops only."""
+    if g.top.is_symbolic:
+        raise PreconditionError("the split formula needs an explicit top")
+    aut, n, k, rows = g.T.aut, g.T.order, g.k, g.aut_rows
+    c_inn = np.bincount(aut.fixers[1], minlength=aut.n_aut)[rows]
+    out = Counter(zip(aut.orders[rows].tolist(), c_inn.tolist(),
+                      aut.labels[rows].tolist()))
+    table = g.top.table
+    top = Counter(zip(table.element_orders().tolist(),
+                      (table.arrays() == np.arange(k)).sum(axis=1).tolist()))
+    num = {"fpf": 0, "trivial": 0, "mixed": 0}
+    for (o_a, c, label), m_a in out.items():
+        for (o_p, f), m_p in top.items():
+            if not _is_prime(p := lcm(o_a, o_p)):
+                continue
+            if f == 0:
+                num["fpf"] += (m_a * m_p * _fpf_diagonal_count(g, label, p)
+                               * _out_centralizer_order(g, label)
+                               * n ** (k // p))
+            else:
+                num["trivial" if f == k else "mixed"] += (
+                    m_a * m_p * c ** (f - 1) * n ** ((k - f) // p))
     den = n ** (k - 1)
-    return (Fraction(num[1], len(g.aut_rows) * den),
-            Fraction(num[2], den), Fraction(num[3], den))
+    return (Fraction(num["fpf"], len(rows) * den),
+            Fraction(num["trivial"], den), Fraction(num["mixed"], den))
 
 
 def class_count_inequality_check(pairs):
@@ -437,8 +437,9 @@ class RowCodedGroup:
         members as sorted int64 codes; each level conjugates the whole
         frontier by every generator and keeps the codes not yet seen.
         Returns a list of dicts: class size, the diagonal members (all k
-        aut rows equal), the R-tag, and a representative.  Cached after the
-        first call.  More than ``budget`` members walked in all raise
+        aut rows equal), the R-tag, and a representative.  The tag is read
+        off the fixed points of the seed's perm: 1 = none, 2 = all (the
+        identity), 3 = some.  Cached after the first call.  More than ``budget`` members walked in all raise
         BudgetExceededError; groups whose codes would not fit in int64 are
         refused.
         """
@@ -449,9 +450,10 @@ class RowCodedGroup:
             raise PreconditionError(
                 "class walk codes would not fit in int64")
         gens = list(self.generators())
-        cand_a, cand_p, tags = prime_order_candidates(self.g)
-        diag = self._encode(np.repeat(cand_a[:, None], self.g.k, axis=1),
-                            cand_p)
+        cand_a, cand_p = prime_order_candidates(self.g)
+        k = self.g.k
+        fixed = (self.top_arr == np.arange(k)).sum(axis=1)
+        diag = self._encode(np.repeat(cand_a[:, None], k, axis=1), cand_p)
         assigned = np.zeros(len(diag), dtype=bool)
         classes, walked = [], 0
         for i in range(len(diag)):
@@ -479,13 +481,14 @@ class RowCodedGroup:
             found = members[on_diag]
             at = np.minimum(np.searchsorted(found, diag), len(found) - 1)
             assigned |= found[at] == diag
+            f = int(fixed[cand_p[i]])
             classes.append({
-                "rep": ((int(cand_a[i]),) * self.g.k, int(cand_p[i])),
+                "rep": ((int(cand_a[i]),) * k, int(cand_p[i])),
                 "size": len(members),
                 "diag_members": [(tuple(r), p) for r, p in
                                  zip(rows[on_diag].tolist(),
                                      pids[on_diag].tolist())],
-                "tag": int(tags[i]),
+                "tag": 1 if f == 0 else 2 if f == k else 3,
             })
         self._class_data = classes
         return classes
@@ -516,28 +519,3 @@ def q2_bound_by_classes(g: DiagTypeGroup,
             rows[:1], np.int32), np.array([pid], np.int32), tuples).sum())
         total += cls["size"] * Fraction(fix, g.degree) ** 2
     return total
-
-
-# ---------------------------------------------------------------------------
-# report container
-
-
-@dataclass
-class ProbReport:
-    group: dict
-    n: int
-    exact_nonbase_pair_fraction: Fraction | None = None
-    q2_bound: Fraction | None = None
-    r_split: tuple | None = None
-    mc_estimate: dict | None = None
-
-    def describe(self):
-        # the report formatters write the rationals as {"num", "den"}
-        return {
-            "group": self.group,
-            "n": int_str(self.n),
-            "exact_nonbase_pair_fraction": self.exact_nonbase_pair_fraction,
-            "q2_bound": self.q2_bound,
-            "r_split": self.r_split,
-            "mc_estimate": self.mc_estimate,
-        }

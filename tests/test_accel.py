@@ -355,7 +355,7 @@ def test_kernel_matches_the_broadcast(name, top, k, out, monkeypatch):
     rng = np.random.default_rng(zlib.crc32(f"{name} {top} {k} {out}".encode()))
     tuples = _edge_tuples(T, k, rng)
     everything = np.arange(g.gd_order)
-    prime_a, prime_p, _ = prime_order_candidates(g)
+    prime_a, prime_p = prime_order_candidates(g)
     sets = {
         "subset": rng.choice(everything, min(300, g.gd_order),
                              replace=False),

@@ -5,9 +5,9 @@ from math import lcm, sqrt
 import numpy as np
 import pytest
 
-from diagbase import _accel, baseengine
+from diagbase import _accel, baseengine, prob
 from diagbase.baseengine import _solve_symbolic, pointwise_stabilizer
-from diagbase.catalog import get_group
+from diagbase.catalog import catalog_names, get_group
 from diagbase.diag import (OmegaPoint, build_group, gd_orbit_reps, gd_orbits,
                            omega_tuples)
 from diagbase.errors import BudgetExceededError, PreconditionError
@@ -20,6 +20,15 @@ from diagbase.prob import (RowCodedGroup, _detect_nonbase,
                            nonbase_fraction_and_q2_bound,
                            prime_order_candidates, q2_bound_by_classes,
                            q2_bound_exact, r_split_exact, r_split_formula)
+
+import split_oracle
+
+# the explicit tops that the split formula is pinned to its listing on
+SPLIT_TOPS = ([("sym-table", k) for k in range(2, 7)]
+              + [("alt-table", k) for k in range(3, 7)]
+              + [(top, k) for top in ("cyclic", "dihedral")
+                 for k in (3, 5, 7, 37)]
+              + [("trivial", 2)])
 
 # the prob-exact shapes of the benchmark's prob-sweep, plus A5 k=4 full
 # alt-table (216,000 points)
@@ -74,27 +83,28 @@ def inn2a5(A5):
 
 class TestFixingElements:
     def test_tags_partition(self, A5, w2a5):
-        # the R-tag of each prime-order candidate is read off its
-        # permutation part; k = 3 adds the nontrivial ones with a fixed point
+        # the R-tag of each class is read off its seed's permutation part,
+        # and every diagonal member's perm has the same fixed points; k = 3
+        # adds the nontrivial ones with a fixed point
         seen = set()
         for g in (w2a5, build_group(A5, 3, "full", "sym-table")):
-            _cand_a, cand_p, tags = prime_order_candidates(g)
-            for pid, tag in zip(cand_p.tolist(), tags.tolist()):
-                p = g.top.table.element(pid)
-                if p.is_identity():
-                    assert tag == 2
-                elif not p.fixed_points():
-                    assert tag == 1
-                else:
-                    assert tag == 3
-                seen.add(tag)
+            for cls in RowCodedGroup(g).class_data():
+                for _rows, pid in cls["diag_members"]:
+                    p = g.top.table.element(pid)
+                    if p.is_identity():
+                        assert cls["tag"] == 2
+                    elif not p.fixed_points():
+                        assert cls["tag"] == 1
+                    else:
+                        assert cls["tag"] == 3
+                seen.add(cls["tag"])
         assert seen == {1, 2, 3}
 
     def test_cycle_statistics(self, A5):
         # p * (number of nontrivial cycles) + fixed points = k for each
         # prime-order element
         g = build_group(A5, 3, "full", "sym-table")
-        cand_a, cand_p, tags = prime_order_candidates(g)
+        cand_a, cand_p = prime_order_candidates(g)
         aut_orders = g.T.aut.group_table().element_orders()
         for a, pid in zip(cand_a[:200], cand_p[:200]):
             perm = g.top.table.element(int(pid))
@@ -116,8 +126,7 @@ def _is_prime_by_division(n):
     ("A6", 5, "full", "cyclic"), ("A5", 37, "full", "dihedral")])
 def test_prime_order_candidates_match_brute_force(name, k, out, top):
     # the candidates are the elements of G_D whose order, the lcm of the
-    # aut part's and the perm part's, is prime; each listed once, tagged by
-    # the perm's fixed points
+    # aut part's and the perm part's, is prime; each listed once
     g = build_group(get_group(name), k, out, top)
     aut_orders = g.T.aut.group_table().element_orders().tolist()
     perms = list(g.top.table)
@@ -127,10 +136,7 @@ def test_prime_order_candidates_match_brute_force(name, k, out, top):
         row, pid = divmod(i, len(perms))
         a = int(g.aut_rows[row])
         if _is_prime_by_division(lcm(aut_orders[a], perm_orders[pid])):
-            perm = perms[pid]
-            tag = 2 if perm.is_identity() else \
-                3 if perm.fixed_points() else 1
-            want.add((a, pid, tag))
+            want.add((a, pid))
     got = list(zip(*(x.tolist() for x in prime_order_candidates(g))))
     assert len(got) == len(set(got))
     assert set(got) == want
@@ -198,11 +204,38 @@ class TestSplitFormula:
         with pytest.raises(PreconditionError):
             r_split_formula(build_group(A5, 5, "full", top))
 
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_matches_listing(self, name):
+        # the tallies against the grouped candidate listing, on every out
+        # part and SPLIT_TOPS: 288 shapes over the five groups
+        T = get_group(name)
+        outs = ["inner", "full"] + [
+            f"g{i + 1}" for i in range(len(T.record.aut_generators))]
+        differ = [(out, top, k) for out in outs for top, k in SPLIT_TOPS
+                  if r_split_formula(g := build_group(T, k, out, top))
+                  != split_oracle.r_split(g)]
+        assert not differ
+
+    def test_matches_listing_on_a_large_top(self, A6):
+        # 40,320 perms and 58M elements of G_D
+        g = build_group(A6, 8, "full", "sym-table")
+        assert r_split_formula(g) == split_oracle.r_split(g)
+
+    def test_lists_no_candidates(self, A5, monkeypatch):
+        g = build_group(A5, 3, "full", "sym-table")
+        want = split_oracle.r_split(g)
+
+        def refuse(_g):
+            raise AssertionError("the split formula listed the candidates")
+        monkeypatch.setattr(prob, "prime_order_candidates", refuse)
+        monkeypatch.setattr(prob, "_prime_order_candidates", refuse)
+        assert r_split_formula(g) == want
+
 
 def _all_point_counts(g):
     """Per point of omega_tuples, the prime-order elements of G_D fixing
     it: the scan over every point, the oracle for the orbit scan."""
-    cand_a, cand_p, _ = prime_order_candidates(g)
+    cand_a, cand_p = prime_order_candidates(g)
     return _accel.count_per_tuple(g.T, g.top.table.arrays(), cand_a, cand_p,
                                   omega_tuples(g))
 
@@ -457,7 +490,7 @@ class TestFormulas:
         g = build_group(A5, 3, "inner", "sym-table")
         rc = RowCodedGroup(g)
         total = sum(len(c["diag_members"]) for c in rc.class_data())
-        cand_a, _, _ = prime_order_candidates(g)
+        cand_a, _ = prime_order_candidates(g)
         assert total == len(cand_a)
 
     def test_formula_matches_brute_on_w2a5(self, w2a5):
