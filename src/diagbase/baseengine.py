@@ -182,40 +182,41 @@ def _distinct_columns(X, n):
     return (codes, *np.unique(codes, return_index=True, return_counts=True))
 
 
-def _pinned_pairs(g, D, cls, ys):
+def _pinned_pairs(g, D, uniq, cls, ys):
     """Ascending flat indices (alpha index * n_y + y index) of the pairs
-    (alpha, y), y one of the n_y columns ``ys``, with y * alpha(z) in K, z a
-    distinct column (of D, x_0 first) other than x_0 of the smallest class
-    K of the codes ``cls``; None for every pair when that would not pay.  Each
-    c in K pins alpha(z) = y^-1 c: one run of ``AutTable.image_index`` at
-    the entry of z with the largest orbit (|A| / orbit alphas of the out
-    part A, so it pays while |K| < orbit), checked at the other entries."""
-    T, n_a, n_y = g.T, len(g.aut_rows), ys.shape[1]
+    (alpha, y), y one of the n_y columns ``ys``, with y * alpha(z) in K, the
+    smallest class of the codes ``cls`` of the distinct columns D (x_0 first,
+    not counted; ties to the least code), z its first column past x_0;
+    every pair when x_0 is alone.  At z's entry t of largest orbit, each
+    distinct value v of K's columns there pins alpha(t) = y^-1 v, one run
+    of ``AutTable.image_index``; the runs are disjoint, at most |A| alphas
+    per y, and a pair is kept iff y * alpha(z) has a code in ``uniq[K]``."""
+    T, n_y = g.T, ys.shape[1]
     if len(cls) == 1:
-        return None                                     # x_0 alone
+        return np.arange(len(g.aut_rows))               # x_0 alone
     codes, sizes = np.unique(cls, return_counts=True)
     x0 = np.searchsorted(codes, cls[0])
     sizes[x0] = sizes[x0] - 1 or len(cls)               # x_0 is not z
     K = np.flatnonzero(cls == codes[sizes.argmin()])
-    z, c = D[:, K[int(K[0] == 0)]], D[:, K]
+    z, keys = D[:, K[int(K[0] == 0)]], uniq[K]
     order, bounds = T.aut.image_index(g.out_labels)
     # each image of an entry t has as many alphas as fix t: |A| / orbit
-    runs = bounds[z, z + 1] - bounds[z, z]
-    r = runs.argmin()
-    run, t = int(runs[r]), z[r]
-    if c.shape[1] * run > n_a:
-        return None
-    y_inv, at_z, found = T.inv[ys], T.aut.rows[:, z], []
-    step = max(1, SOLVER_CHUNK_PAIRS // (c.shape[1] * run))
+    r = (runs := bounds[z, z + 1] - bounds[z, z]).argmin()
+    run, order, bounds = int(runs[r]), order[z[r]], bounds[z[r]]
+    v, found = np.flatnonzero(np.bincount(D[r, K])), []     # K's values at t
+    step = max(1, SOLVER_CHUNK_PAIRS // (len(v) * run))
     for lo in range(0, n_y, step):
-        # u[:, i]: alpha(z) for pair i, the pairs y-major over c
-        u = T.mul[y_inv[:, lo:lo + step, None], c[:, None]].reshape(len(z), -1)
-        start = bounds[t, u[r]]
-        i = np.flatnonzero(bounds[t, u[r] + 1] > start)   # in t's orbit
-        a = order[t, start[i, None] + np.arange(run)].ravel().astype(np.intp)
-        i = i.repeat(run)
-        ok = (at_z[g.aut_rows[a]] == u[:, i].T).all(axis=1)
-        found.append(a[ok] * n_y + lo + i[ok] // c.shape[1])
+        # u[i]: alpha(t) for run i, the runs y-major over v
+        u = T.mul[T.inv[ys[r, lo:lo + step, None]], v].ravel()
+        start = bounds[u]
+        i = np.flatnonzero(bounds[u + 1] > start)       # in t's orbit
+        a = order[start[i, None] + np.arange(run)].ravel().astype(np.intp)
+        y = lo + i.repeat(run) // len(v)
+        image = T.mul[ys[:, y], T.aut.rows[g.aut_rows[a], z[:, None]]]
+        code = digit_codes(image, T.order, keys.dtype)
+        # side right, less 1: a code below every key reads keys[-1]
+        ok = keys[np.searchsorted(keys, code, "right") - 1] == code
+        found.append(a[ok] * n_y + y[ok])
     return np.sort(np.concatenate(found))
 
 
@@ -224,8 +225,8 @@ def _fixing_maps(g, X, columns):
     f(x) = y * alpha(x) other than the identity that permute the column
     multiset of X, given its ``_distinct_columns``.  f keeps each distinct
     column's class (its count and its entries' counts in their rows), so y
-    is in x_0's class; the pairs ``_pinned_pairs`` leaves map the distinct
-    columns past x_0, and f is kept if each image is as frequent."""
+    is in x_0's class; the pairs ``_pinned_pairs`` leaves (<= |A| per y)
+    map the columns past x_0, and f is kept if each image is as frequent."""
     rows, mul, n = g.T.aut.rows, g.T.mul, g.T.order
     _codes, uniq, first, counts = columns
     D, hist = X.take(first, axis=1), _row_histograms(X, n)
@@ -235,12 +236,10 @@ def _fixing_maps(g, X, columns):
         cls *= base
         cls += h[row]
     ys, cols = D[:, cls == cls[0]], D[:, 1:]
-    pairs = _pinned_pairs(g, D, cls, ys)     # None: all, as arange(total)
-    total = len(g.aut_rows) * ys.shape[1] if pairs is None else len(pairs)
+    pairs = _pinned_pairs(g, D, uniq, cls, ys)
     # flat index 0, the identity pair, fixes all (and is pinned first)
-    for s in range(1, total, SOLVER_CHUNK_PAIRS):
-        p = pairs[s:s + SOLVER_CHUNK_PAIRS] if pairs is not None else \
-            np.arange(s, min(s + SOLVER_CHUNK_PAIRS, total))
+    for s in range(1, len(pairs), SOLVER_CHUNK_PAIRS):
+        p = pairs[s:s + SOLVER_CHUNK_PAIRS]
         a, y = g.aut_rows[p // ys.shape[1]], ys[:, p % ys.shape[1]]
         j = 0
         while len(a) and j < cols.shape[1]:

@@ -5,8 +5,8 @@ prob-exact, prob-mc, paper-suite.  Reports are deterministic given the same
 configuration (timing is opt-in via --timing), JSON by default; CSV is meant
 for sweep tables, plain text for eyeballing.
 
-Exit codes: 0 success, 2 usage, 3 validation failure, 4 budget exceeded
-(or out of memory), 5 precondition violation.
+Exit codes: 0 success, 1 paper-suite criterion failed, 2 usage, 3 validation
+failure, 4 budget exceeded (or out of memory), 5 precondition violation.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ from diagbase.errors import (BudgetExceededError, PreconditionError,
                              UnsupportedEnumerationError)
 from diagbase.perm import Perm, alternating_table, symmetric_table
 
+import pin_oracle
 from scan_oracle import fixes
 
 
@@ -75,13 +76,47 @@ def witness_crc(witnesses):
         "-" if w is None else f"{w[0]} {w[1]}" for w in witnesses).encode())
 
 
+def uniform_rows(T, k, m, copies):
+    """A seeded m x k tuple matrix, 0 first in every row, each row listing
+    every element of T ``copies`` times; the last row is drawn again until
+    the columns are distinct (m = 1 needs copies = 1)."""
+    rng = np.random.default_rng(k + m)
+    entries = np.repeat(np.arange(T.order), copies)[1:]
+    X = np.zeros((m, k), dtype=np.int64)
+    for row in X:
+        row[1:] = rng.permutation(entries)
+    while np.unique(X, axis=1).shape[1] < k:
+        X[-1, 1:] = rng.permutation(entries)
+    return X
+
+
+def spy_pins(monkeypatch):
+    """Record every ``_pinned_pairs`` call as ((g, D, uniq, cls, ys), out)."""
+    pin, calls = baseengine._pinned_pairs, []
+
+    def spy(*args):
+        calls.append((args, pin(*args)))
+        return calls[-1][1]
+    monkeypatch.setattr(baseengine, "_pinned_pairs", spy)
+    return calls
+
+
+def check_pins(calls):
+    """Each recorded pin output equals the brute-force pass over every pair
+    (alpha, y in Y) of the test "y alpha(z) is a column of K"."""
+    assert calls
+    for (g, D, _uniq, cls, ys), out in calls:
+        assert np.array_equal(out, pin_oracle.pinned_pairs(g, D, cls, ys))
+
+
 # witness_crc of the solver battery's witnesses, and of the sym and alt
 # witnesses of each uniform-row case, as first recorded
 SOLVER_BATTERY_CRC = 2483711516
 BOTH_BASES = witness_crc([None, None])
 UNIFORM_CRC = {("A5", 60, 1): 3219025853, ("A5", 60, 2): BOTH_BASES,
                ("A5", 120, 3): BOTH_BASES, ("L2(7)", 168, 1): 4110949741,
-               ("L2(7)", 168, 3): BOTH_BASES, ("L2(7)", 336, 3): BOTH_BASES}
+               ("L2(7)", 168, 3): BOTH_BASES, ("L2(7)", 336, 3): BOTH_BASES,
+               ("L2(11)", 660, 2): BOTH_BASES, ("L2(11)", 1320, 2): BOTH_BASES}
 
 
 def check_solver(g, pts, sym_stab, stab=None):
@@ -478,54 +513,51 @@ class TestColumnSetSolver:
         cases = solver_battery()
         with_prefilter = solver_results(cases)
         monkeypatch.setattr(baseengine, "_pinned_pairs",
-                            lambda g, D, cls, ys: None)
+                            lambda g, D, uniq, cls, ys:
+                            np.arange(len(g.aut_rows) * ys.shape[1]))
         assert solver_results(cases) == with_prefilter
         assert sum(w is not None for w, _maps in with_prefilter) > 10
         assert sum(len(maps) > 0 for _w, maps in with_prefilter) > 10
 
     def test_one_class_changes_no_result(self, monkeypatch):
         # every distinct column in one class: z is the first column past
-        # x_0 and its image ranges over all of them.  The pin still runs
-        # on few columns and hands every pair on past the orbit size; the
-        # witnesses are those recorded before the pin read column classes
+        # x_0 and its image ranges over all of them.  Every pin output is
+        # ascending without repeats, starts at the identity pair and holds
+        # at most |A| pairs per y; the witnesses are those recorded before
+        # the pin read column classes
         cases = solver_battery()
         want = solver_results(cases)
         pinned_pairs, pinned = baseengine._pinned_pairs, []
 
-        def one_class(g, D, cls, ys):
-            pairs = pinned_pairs(g, D, np.zeros_like(cls), ys)
-            pinned.append(pairs is not None)
+        def one_class(g, D, uniq, cls, ys):
+            pairs = pinned_pairs(g, D, uniq, np.zeros_like(cls), ys)
+            pinned.append((pairs, len(g.aut_rows) * ys.shape[1]))
             return pairs
         monkeypatch.setattr(baseengine, "_pinned_pairs", one_class)
         got = solver_results(cases)
         assert got == want
         assert witness_crc(w for w, _maps in got) == SOLVER_BATTERY_CRC
-        assert 10 < sum(pinned) < len(pinned) - 10
+        assert len(pinned) >= len(cases)
+        for pairs, total in pinned:
+            assert pairs[0] == 0 and (np.diff(pairs) > 0).all()
+            assert len(pairs) <= total
 
     @pytest.mark.parametrize("name,k,m,copies", [
         ("A5", 60, 1, 1), ("A5", 60, 2, 1), ("A5", 120, 3, 2),
-        ("L2(7)", 168, 1, 1), ("L2(7)", 168, 3, 1), ("L2(7)", 336, 3, 2)])
+        ("L2(7)", 168, 1, 1), ("L2(7)", 168, 3, 1), ("L2(7)", 336, 3, 2),
+        ("L2(11)", 660, 2, 1), ("L2(11)", 1320, 2, 2)])
     def test_coarse_classes_on_uniform_rows(self, name, k, m, copies,
                                             monkeypatch):
         # rows listing every element of T equally often: every column has
-        # one class, so the pin hands every pair (alpha, y in Y) on, and
+        # one class, Y and K are all the columns, and the pin keeps the
+        # pairs that send z to a column, as a pass over every pair does;
         # the witnesses are those recorded before the pin read column
         # classes.  One point listing T once is no base ("l = 1 and
         # k = |T|"); more points, with their columns distinct, are
         T = get_group(name)
-        rng = np.random.default_rng(k + m)
-        X = np.zeros((m, k), dtype=np.int64)
-        for row in X:
-            row[1:] = rng.permutation(np.repeat(np.arange(T.order),
-                                                copies)[1:])
+        X = uniform_rows(T, k, m, copies)
         pts = [OmegaPoint(tuple(row)) for row in X.tolist()]
-        pinned_pairs, pinned = baseengine._pinned_pairs, []
-
-        def spy(g, D, cls, ys):
-            pairs = pinned_pairs(g, D, cls, ys)
-            pinned.append(pairs)
-            return pairs
-        monkeypatch.setattr(baseengine, "_pinned_pairs", spy)
+        calls = spy_pins(monkeypatch)
         witnesses = []
         for top in ("sym", "alt"):
             g = build_group(T, k, "full", top)
@@ -534,8 +566,30 @@ class TestColumnSetSolver:
             if cert.witness is not None:
                 assert element_fixes_points(g, *cert.witness, pts)
             witnesses.append(cert.witness)
-        assert pinned == [None, None]
+        assert len(calls) == 2
+        assert all(len(np.unique(cls)) == 1
+                   for (_g, _D, _uniq, cls, _ys), _out in calls)
+        check_pins(calls)
         assert witness_crc(witnesses) == UNIFORM_CRC[name, k, m]
+
+    @pytest.mark.parametrize("case", ["battery", "digit bases"])
+    def test_pins_match_brute_force(self, case, monkeypatch):
+        # the pin against a pass over every pair (alpha, y in Y); the
+        # uniform rows, whose columns share one class, are checked in
+        # test_coarse_classes_on_uniform_rows
+        calls = spy_pins(monkeypatch)
+        if case == "battery":
+            for g, X in solver_battery():
+                solver_maps(g, X)
+            assert len(calls) == 160
+        else:
+            A5 = get_group("A5")
+            for k in (1100, 2700, 5000):
+                g = build_group(A5, k, "full", "sym")
+                solver_maps(g, [p.tuple_ids for p in
+                                construct_digit_base(g)[1:]])
+            assert len(calls) == 3
+        check_pins(calls)
 
     def test_prefilter_leaves_few_pairs_on_digit_base(self, A5, monkeypatch):
         # 120 alphas x 5000 equally frequent columns = 600,000 pairs, of
@@ -548,16 +602,10 @@ class TestColumnSetSolver:
         X = np.array([p.tuple_ids for p in pts[1:]])
         columns = np.unique(X, axis=1, return_counts=True)[1]
         assert len(g.aut_rows) * (columns == columns[0]).sum() == 600_000
-        seen = []
-        pinned_pairs = baseengine._pinned_pairs
-
-        def spy(g, D, cls, ys):
-            pairs = pinned_pairs(g, D, cls, ys)
-            seen.append((len(pairs), len(g.aut_rows) * ys.shape[1]))
-            return pairs
-        monkeypatch.setattr(baseengine, "_pinned_pairs", spy)
+        calls = spy_pins(monkeypatch)
         assert is_base(g, pts[1:]).verdict
-        assert len(seen) == 1 and 1 <= seen[0][0] <= 4 and seen[0][1] == 240
+        [((_g, _D, _uniq, _cls, ys), pairs)] = calls
+        assert 1 <= len(pairs) <= 4 and len(g.aut_rows) * ys.shape[1] == 240
 
     def test_symbolic_stabilizer_not_listed(self, A5):
         # a symbolic top answers only whether the stabilizer is trivial
