@@ -558,10 +558,7 @@ def minimal_base_size(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
     """
     if g.top.is_symbolic:
         raise PreconditionError("minimal_base_size needs an explicit top")
-    try:
-        _name, pts = construct_auto(g)
-    except PreconditionError:
-        pts = None
+    _name, pts = construct_auto(g)
     if pts is not None and len(pts) == 2 and is_base(g, pts[1:]).verdict:
         return 2, pts
     filters = count(1)

@@ -28,6 +28,7 @@ for the conjugation maps ``phi_t : x -> t^-1 x t``.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -250,9 +251,13 @@ class AutTable:
         self.out_order = self.n_aut // n
         self.identity_row = 0  # phi of the identity element
         self._assign_labels()
+        # the label of each record.aut_generators entry, for 'g<i>' out parts
+        self.generator_labels = tuple(
+            self.labels[self._lookup(gens[len(gen_ids):])].tolist())
         self._group = None
         self._comp = None
         self._image_index = {}
+        self._out_tally = {}
 
     def _codes(self, images):
         g1, g2 = self.T.gen_ids
@@ -330,15 +335,6 @@ class AutTable:
         """Row index of phi_t: the rows start with Inn in element order."""
         return int(t)
 
-    def row_of(self, bijection) -> int:
-        arr = np.asarray(bijection, dtype=np.int32)
-        n = self.T.order
-        if arr.shape == (n,) and 0 <= arr.min() and arr.max() < n:
-            r = int(self._lookup(arr))
-            if r >= 0 and np.array_equal(self.rows[r], arr):
-                return r
-        raise ValidationError("bijection is not an automorphism in the table")
-
     def invert_row(self, a: int) -> int:
         row = self.rows[a]
         rinv = np.empty(len(row), dtype=np.int32)
@@ -399,6 +395,19 @@ class AutTable:
                 np.argsort(img, axis=1, kind="stable").astype(np.int16),
                 np.pad(hist.cumsum(axis=1, dtype=np.int16), ((0, 0), (1, 0))))
         return self._image_index[labels]
+
+    def out_tally(self, labels: tuple) -> tuple:
+        """((order, |C_Inn(alpha)|, label), count) over the alpha in
+        ``rows_with_labels(labels)``; T has trivial centre, so |C_Inn(alpha)|
+        is the number of elements of T that alpha fixes.  Built on first
+        use, once per label tuple."""
+        if labels not in self._out_tally:
+            rows = self.rows_with_labels(labels)
+            c_inn = np.bincount(self.fixers[1], minlength=self.n_aut)[rows]
+            self._out_tally[labels] = tuple(Counter(zip(
+                self.orders[rows].tolist(), c_inn.tolist(),
+                self.labels[rows].tolist())).items())
+        return self._out_tally[labels]
 
     def group_table(self) -> GroupTable:
         """Aut(T) wrapped as a GroupTable on |T| points, generated by the

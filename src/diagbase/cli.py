@@ -22,8 +22,8 @@ from .baseengine import (construct_auto, is_base, minimal_base_size,
 from .catalog import catalog_names, get_group
 from .diag import OMEGA_BUDGET, OmegaPoint, build_group
 from .errors import (BudgetExceededError, PreconditionError, ValidationError)
-from .prob import (DEFAULT_SEED, monte_carlo_nonbase,
-                   nonbase_fraction_and_q2_bound, r_split_formula)
+from .prob import (DEFAULT_SEED, exact_nonbase_pair_proportion,
+                   monte_carlo_nonbase, r_split_formula)
 from .suite import ALL_CRITERIA, format_table, run_suite
 
 EXIT_VALIDATION = 3
@@ -245,10 +245,11 @@ def cmd_base_verify(args):
 def cmd_prob_exact(args):
     payload = []
     for g in _prob_groups(args):
-        fraction, bound = nonbase_fraction_and_q2_bound(g, budget=args.budget)
+        fraction = exact_nonbase_pair_proportion(g, budget=args.budget)
+        split = r_split_formula(g)
         payload.append(_prob_report(
-            g, exact_nonbase_pair_fraction=fraction, q2_bound=bound,
-            r_split=r_split_formula(g) if args.r_split else None))
+            g, exact_nonbase_pair_fraction=fraction, q2_bound=sum(split),
+            r_split=split if args.r_split else None))
     return payload
 
 

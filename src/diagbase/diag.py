@@ -185,12 +185,10 @@ def resolve_out_part(T: SimpleGroup, spec) -> tuple:
                     raise PreconditionError(
                         f"unknown out-part descriptor {spec!r}")
                 idx = int(part[1:]) - 1
-                if not 0 <= idx < len(T.record.aut_generators):
+                if not 0 <= idx < len(aut.generator_labels):
                     raise PreconditionError(
                         f"out-part generator g{idx + 1} not in catalog entry")
-                images = T.record.aut_generators[idx]
-                row = aut.row_of(aut._resolve_aut_images(images))
-                seeds.add(int(aut.labels[row]))
+                seeds.add(aut.generator_labels[idx])
     else:
         seeds = set(int(v) for v in spec)
     return tuple(_closure_ids(aut.label_mul, list(seeds)).tolist())

@@ -1,21 +1,20 @@
 """Fixed-point counting bounds and class/centralizer formulas, exactly.
 
-Everything enumerable is an exact rational.  The second-moment bound on the
-proportion of non-base pairs is evaluated by double counting: summing, over
-the points, the number of prime-order diagonal-stabilizer elements fixing
-each point, divided by the degree.  That count is constant on each orbit of
-the diagonal stabilizer, so the scan visits one representative per orbit
-and weights its count by the orbit's size.  The same per-point counts give
-the exact non-base proportion (the points with a nonzero count), so one
-scan yields both.  The bound decomposes over conjugacy classes into three
-contributions split by the permutation part (fixed-point-free, trivial, or
-mixed), and the class data itself is computed twice: by the displayed
-product formulas, summed over a tally of the out-part automorphisms and
-one of the top permutations, which give the split at any k without
-listing an element; and by brute-force orbit enumeration in a row-coded
-copy of the full group, the oracle.  That enumeration packs each element
-into one int64 code and walks each conjugacy class level by level,
-conjugating the whole frontier by every generator at once.
+Everything enumerable is an exact rational.  The exact proportion of
+non-base pairs comes from the orbits of the diagonal stabilizer G_D on the
+points: a point makes a base with D iff its stabilizer in G_D is trivial,
+and that stabilizer has the same order on a whole orbit, so one walk that
+yields each orbit's first point with its stabilizer gives the proportion.
+The second-moment bound on that proportion decomposes over conjugacy
+classes into three contributions split by the permutation part
+(fixed-point-free, trivial, or mixed), and the class data itself is
+computed twice: by the displayed product formulas, summed over a tally of
+the out-part automorphisms and one of the top permutations, which give the
+split and the bound at any k without listing an element; and by
+brute-force orbit enumeration in a row-coded copy of the full group, the
+oracle.  That enumeration packs each element into one int64 code and walks
+each conjugacy class level by level, conjugating the whole frontier by
+every generator at once.
 """
 
 from __future__ import annotations
@@ -80,40 +79,25 @@ def _prime_order_candidates(g: DiagTypeGroup):
 
 def nonbase_fraction_and_q2_bound(g: DiagTypeGroup,
                                   budget: int = OMEGA_BUDGET):
-    """The exact proportion of ordered point pairs that are not bases and
-    the second-moment bound at b = 2, both exact rationals, from one scan.
-
-    By transitivity both are averages over the points of the pair with D.
-    Per point, the scan counts the prime-order diagonal-stabilizer elements
-    fixing it.  A nontrivial stabilizer always contains an element of prime
-    order, so the points with a nonzero count are exactly the non-bases;
-    the bound is (1/n) * the sum of the counts.
-
-    The count is constant on each G_D orbit: if h in G_D fixes the point x,
-    then for any s in G_D the conjugate s^-1 h s fixes x s, and conjugation
-    by s permutes the prime-order elements of G_D.  So the scan visits one
-    representative per orbit (``budget`` still bounds the point set the
-    orbits are read from) and weights each count by its orbit's size: the
-    fraction is the summed size of the orbits with a nonzero count over n,
-    the bound the sum of size * count over n.  The orbit walk yields each
-    representative's stabilizer, so its count is the number of prime-order
-    candidates in it.
-    """
-    cand_a, cand_p = prime_order_candidates(g)
-    prime = np.zeros(g.gd_order, dtype=bool)    # over the G_D indices
-    prime[np.searchsorted(g.aut_rows, cand_a) * g.top.table.order
-          + cand_p] = True
-    sizes, counts = np.array(
-        [(g.gd_order // len(stab), np.count_nonzero(prime[stab]))
-         for _row, stab in gd_orbits(g, budget)], dtype=np.int64).T
-    return (Fraction(int(sizes[counts > 0].sum()), g.degree),
-            Fraction(int(sizes @ counts), g.degree))
+    """The exact proportion of ordered point pairs that are not bases
+    (``exact_nonbase_pair_proportion``) and the second-moment bound at
+    b = 2, the sum of ``r_split_formula``, both exact rationals."""
+    return exact_nonbase_pair_proportion(g, budget), sum(r_split_formula(g))
 
 
 def exact_nonbase_pair_proportion(g: DiagTypeGroup,
                                   budget: int = OMEGA_BUDGET) -> Fraction:
-    """Exact proportion of ordered point pairs that are not bases."""
-    return nonbase_fraction_and_q2_bound(g, budget)[0]
+    """Exact proportion of ordered point pairs that are not bases.
+
+    By transitivity it is the share of the points x for which {D, x} is
+    not a base, that is, whose stabilizer in G_D is nontrivial.  The walk
+    ``gd_orbits`` (at most ``budget`` points) yields one point per G_D
+    orbit with its stabilizer, so the proportion is the summed size of the
+    orbits with a stabilizer of more than one element, over the degree.
+    """
+    return Fraction(sum(g.gd_order // len(stab)
+                        for _row, stab in gd_orbits(g, budget)
+                        if len(stab) > 1), g.degree)
 
 
 def q2_bound_exact(g: DiagTypeGroup, budget: int = OMEGA_BUDGET) -> Fraction:
@@ -173,15 +157,14 @@ def _fpf_diagonal_count(g, label: int, p: int) -> int:
     so these elements, pi' running over pi^P, are all conjugate to
     (alpha,...,alpha)pi under Inn(T)^k, the diagonal X and P; and every
     diagonal conjugate has this form.  So |x^G intersect G_D| = |pi^P| * N.
+    N is read off the out-part tally (``AutTable.out_tally``).
     """
     aut = g.T.aut
     out = np.asarray(g.out_labels)
     lm = aut.label_mul
-    in_class = np.zeros(aut.out_order, dtype=bool)
-    in_class[lm[lm[out, label], aut.label_inv[out]]] = True
-    rows = g.aut_rows
-    return int(np.count_nonzero((p % aut.orders[rows] == 0)
-                                & in_class[aut.labels[rows]]))
+    in_class = set(lm[lm[out, label], aut.label_inv[out]].tolist())
+    return sum(m for (o, _c, b), m in aut.out_tally(g.out_labels)
+               if p % o == 0 and b in in_class)
 
 
 def _relative_aut_centralizers(g, aut_row: int):
@@ -264,23 +247,19 @@ def r_split_formula(g: DiagTypeGroup):
                                  / |T|^(k-1)
         pi fixed-point-free:     N(alpha) |C_O(label)| |T|^(k/p)
                                  / (|X| |T|^(k-1))
-    T has trivial centre, so |C_Inn(alpha)| is the number of elements of T
-    that alpha fixes.  A term depends on alpha only through (order,
-    |C_Inn(alpha)|, label) and on pi only through (order, f), so the sum
-    runs over pairs of an out-part tally entry and a top tally entry, each
+    A term depends on alpha only through (order, |C_Inn(alpha)|, label)
+    and on pi only through (order, f), so the sum runs over pairs of an
+    out-part tally entry (``AutTable.out_tally``) and a top tally entry, each
     term weighted by the two counts; p is the lcm of the two orders, and
     pairs where it is not prime add nothing.  Explicit tops only."""
     if g.top.is_symbolic:
         raise PreconditionError("the split formula needs an explicit top")
-    aut, n, k, rows = g.T.aut, g.T.order, g.k, g.aut_rows
-    c_inn = np.bincount(aut.fixers[1], minlength=aut.n_aut)[rows]
-    out = Counter(zip(aut.orders[rows].tolist(), c_inn.tolist(),
-                      aut.labels[rows].tolist()))
+    n, k = g.T.order, g.k
     table = g.top.table
     top = Counter(zip(table.element_orders().tolist(),
                       (table.arrays() == np.arange(k)).sum(axis=1).tolist()))
     num = {"fpf": 0, "trivial": 0, "mixed": 0}
-    for (o_a, c, label), m_a in out.items():
+    for (o_a, c, label), m_a in g.T.aut.out_tally(g.out_labels):
         for (o_p, f), m_p in top.items():
             if not _is_prime(p := lcm(o_a, o_p)):
                 continue
@@ -292,7 +271,7 @@ def r_split_formula(g: DiagTypeGroup):
                 num["trivial" if f == k else "mixed"] += (
                     m_a * m_p * c ** (f - 1) * n ** ((k - f) // p))
     den = n ** (k - 1)
-    return (Fraction(num["fpf"], len(rows) * den),
+    return (Fraction(num["fpf"], len(g.aut_rows) * den),
             Fraction(num["trivial"], den), Fraction(num["mixed"], den))
 
 
@@ -439,9 +418,9 @@ class RowCodedGroup:
         Returns a list of dicts: class size, the diagonal members (all k
         aut rows equal), the R-tag, and a representative.  The tag is read
         off the fixed points of the seed's perm: 1 = none, 2 = all (the
-        identity), 3 = some.  Cached after the first call.  More than ``budget`` members walked in all raise
-        BudgetExceededError; groups whose codes would not fit in int64 are
-        refused.
+        identity), 3 = some.  Cached after the first call.  More than
+        ``budget`` members walked in all raise BudgetExceededError; groups
+        whose codes would not fit in int64 are refused.
         """
         cached = getattr(self, "_class_data", None)
         if cached is not None:

@@ -12,13 +12,25 @@ import numpy as np
 
 from diagbase.catalog import SimpleGroup
 from diagbase.diag import OmegaPoint
-from diagbase.errors import NotInnerError, PreconditionError
+from diagbase.errors import (NotInnerError, PreconditionError,
+                             ValidationError)
 from diagbase.perm import Perm
+
+
+def row_of(aut, bijection) -> int:
+    """Row id of an automorphism given as its array of images."""
+    arr = np.asarray(bijection, dtype=np.int32)
+    n = aut.T.order
+    if arr.shape == (n,) and 0 <= arr.min() and arr.max() < n:
+        r = int(aut._lookup(arr))
+        if r >= 0 and np.array_equal(aut.rows[r], arr):
+            return r
+    raise ValidationError("bijection is not an automorphism in the table")
 
 
 def recover_conjugator(aut, a) -> int:
     """The unique t with a = phi_t; NotInnerError if a is outer."""
-    r = a if isinstance(a, (int, np.integer)) else aut.row_of(a)
+    r = a if isinstance(a, (int, np.integer)) else row_of(aut, a)
     if not 0 <= r < aut.T.order:
         raise NotInnerError("automorphism is not inner")
     return int(r)
@@ -26,7 +38,7 @@ def recover_conjugator(aut, a) -> int:
 
 def compose_rows(aut, a: int, b: int) -> int:
     """Row id of (apply a, then b)."""
-    return aut.row_of(aut.rows[b][aut.rows[a]])
+    return row_of(aut, aut.rows[b][aut.rows[a]])
 
 
 @dataclass(frozen=True)

@@ -9,15 +9,29 @@ group adds its size times the closed-form term of ``r_split_formula``:
     tag 1:  N(alpha) |C_O(label)| |T|^(k/p) / (|X| |T|^(k-1))
     else:   |C_Inn(alpha)|^(f-1) |T|^((k-f)/p) / |T|^(k-1)
 with |C_Inn(alpha)| counted by comparing each listed aut row with the
-identity map of T.
+identity map of T, and N(alpha) by ``fpf_diagonal_count`` over the
+out-part aut rows.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from diagbase.prob import (_fpf_diagonal_count, _out_centralizer_order,
-                           prime_order_candidates)
+from diagbase.prob import _out_centralizer_order, prime_order_candidates
+
+
+def fpf_diagonal_count(g, label, p):
+    """N = #{beta in X : beta^p = 1, label of beta in label^O}, over the
+    out-part aut rows one by one: the oracle of
+    ``prob._fpf_diagonal_count``."""
+    aut = g.T.aut
+    out = np.asarray(g.out_labels)
+    lm = aut.label_mul
+    in_class = np.zeros(aut.out_order, dtype=bool)
+    in_class[lm[lm[out, label], aut.label_inv[out]]] = True
+    rows = g.aut_rows
+    return int(np.count_nonzero((p % aut.orders[rows] == 0)
+                                & in_class[aut.labels[rows]]))
 
 
 def r_split(g):
@@ -36,7 +50,7 @@ def r_split(g):
     num = {1: 0, 2: 0, 3: 0}
     for (tag, f, p, v), c in zip(keys.tolist(), counts.tolist()):
         if tag == 1:
-            num[1] += (c * _fpf_diagonal_count(g, v, p)
+            num[1] += (c * fpf_diagonal_count(g, v, p)
                        * _out_centralizer_order(g, v) * n ** (k // p))
         else:
             num[tag] += c * v ** (f - 1) * n ** ((k - f) // p)

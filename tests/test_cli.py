@@ -107,6 +107,27 @@ class TestCommands:
         assert walks == [5, 6]
         assert kernel_calls == []
 
+    def test_prob_exact_sums_one_split_per_group(self, capsys, monkeypatch):
+        calls, formula = [], prob.r_split_formula
+
+        def spy(g):
+            calls.append(g.T.name)
+            return formula(g)
+
+        monkeypatch.setattr(prob, "r_split_formula", spy)
+        monkeypatch.setattr(cli, "r_split_formula", spy)
+        code, out = run_cli(capsys, "prob-exact", "--group", "A5,L2(7)",
+                            "--k", "3", "--top", "alt-table", "--r-split")
+        assert code == 0
+        # one formula call per group gives both the split and the bound
+        assert calls == ["A5", "L2(7)"]
+        for entry in json.loads(out)["payload"]:
+            split = [Fraction(int(r["num"]), int(r["den"]))
+                     for r in entry["r_split"]]
+            bound = entry["q2_bound"]
+            assert sum(split) == Fraction(int(bound["num"]),
+                                          int(bound["den"]))
+
     def test_prob_mc_sweep_csv(self, capsys):
         code, out = run_cli(capsys, "prob-mc", "--group", "A5,A6", "--k", "5",
                             "--top", "cyclic", "--samples", "200",

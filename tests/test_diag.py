@@ -22,7 +22,7 @@ from diagbase.errors import (BudgetExceededError, InvalidTopError,
 from diagbase.perm import Perm
 
 from coset_oracle import (WElement, act, compose_rows, recover_conjugator,
-                          w_identity, w_inverse, w_multiply)
+                          row_of, w_identity, w_inverse, w_multiply)
 
 
 class TestBuild:
@@ -64,6 +64,24 @@ class TestBuild:
         assert set(single.out_labels) != set(other.out_labels)
         both = build_group(A6, 2, "g1,g2", "sym-table")
         assert len(both.out_labels) == 4
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_generator_labels_recorded(self, name):
+        # each 'g<i>' label, kept by AutTable, against resolving the
+        # catalog's generator images again
+        T = get_group(name)
+        aut = T.aut
+        assert aut.generator_labels == tuple(
+            int(aut.labels[row_of(aut, aut._resolve_aut_images(images))])
+            for images in T.record.aut_generators)
+        for i, label in enumerate(aut.generator_labels):
+            assert resolve_out_part(T, f"g{i + 1}") == resolve_out_part(
+                T, {label})
+        for ref in ("g0", f"g{len(aut.generator_labels) + 1}"):
+            with pytest.raises(PreconditionError,
+                               match=f"out-part generator {ref} not in "
+                                     f"catalog entry"):
+                resolve_out_part(T, ref)
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_out_part_closes_every_label_subset(self, name):

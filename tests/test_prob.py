@@ -1,11 +1,13 @@
+import json
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import lcm, sqrt
 
 import numpy as np
 import pytest
 
-from diagbase import _accel, baseengine, prob
+from diagbase import _accel, baseengine, cli, prob
 from diagbase.baseengine import _solve_symbolic, pointwise_stabilizer
 from diagbase.catalog import catalog_names, get_group
 from diagbase.diag import (OmegaPoint, build_group, gd_orbit_reps, gd_orbits,
@@ -31,7 +33,8 @@ SPLIT_TOPS = ([("sym-table", k) for k in range(2, 7)]
               + [("trivial", 2)])
 
 # the prob-exact shapes of the benchmark's prob-sweep, plus A5 k=4 full
-# alt-table (216,000 points)
+# alt-table (216,000 points) and six larger shapes (0.07-0.64 s each on a
+# 2-CPU VM)
 ORBIT_SCAN_SHAPES = [
     ("A5", 2, "inner", "trivial"),
     ("A6", 2, "full", "sym-table"), ("A6", 2, "inner", "trivial"),
@@ -40,6 +43,11 @@ ORBIT_SCAN_SHAPES = [
     ("L2(11)", 2, "full", "sym-table"),
     ("A5", 3, "full", "sym-table"), ("L2(7)", 3, "full", "alt-table"),
     ("A5", 4, "full", "alt-table"),
+    ("L2(7)", 3, "full", "sym-table"),
+    ("A6", 3, "inner", "alt-table"), ("A6", 3, "full", "alt-table"),
+    ("L2(8)", 3, "full", "alt-table"),
+    ("A5", 4, "full", "sym-table"),
+    ("L2(11)", 3, "inner", "alt-table"),
 ]
 
 
@@ -69,6 +77,11 @@ def _symbolic_samples(T, k, samples, seed):
                     entries += coset
             row[1:] = rng.permutation(entries[1:])
     return tuples
+
+
+def _frac(r):
+    """A report's {num, den} rational as a Fraction."""
+    return Fraction(int(r["num"]), int(r["den"]))
 
 
 @pytest.fixture(scope="module")
@@ -185,11 +198,6 @@ class TestSplitFormula:
         g = build_group(get_group(name), k, out_part, top)
         assert r_split_formula(g) == r_split_exact(g)
 
-    @pytest.mark.parametrize("name,k,out_part,top", ORBIT_SCAN_SHAPES)
-    def test_sums_to_scanned_bound(self, name, k, out_part, top):
-        g = build_group(get_group(name), k, out_part, top)
-        assert sum(r_split_formula(g)) == q2_bound_exact(g)
-
     def test_past_the_point_budget(self, A5):
         # 12,960,000 points, past the scan's 10^7 default budget
         g = build_group(A5, 5, "full", "cyclic")
@@ -231,6 +239,63 @@ class TestSplitFormula:
         monkeypatch.setattr(prob, "_prime_order_candidates", refuse)
         assert r_split_formula(g) == want
 
+    def test_exact_quantities_list_no_candidates(self, A5, capsys,
+                                                 monkeypatch):
+        # the walk and the formula give the pinned values with the listing
+        # refused, in the library and through prob-exact
+        g = build_group(A5, 3, "full", "sym-table")
+
+        def refuse(_g):
+            raise AssertionError("the exact quantities listed candidates")
+        monkeypatch.setattr(prob, "prime_order_candidates", refuse)
+        monkeypatch.setattr(prob, "_prime_order_candidates", refuse)
+        assert exact_nonbase_pair_proportion(g) == Fraction(4, 5)
+        assert nonbase_fraction_and_q2_bound(g) == (Fraction(4, 5),
+                                                    Fraction(1157, 600))
+        argv = ["prob-exact", "--group", "A5,L2(7)", "--k", "3", "--top",
+                "alt-table"]
+        want = [(Fraction(1, 5), Fraction(377, 600),
+                 [Fraction(49, 200), Fraction(23, 60), 0]),
+                (Fraction(1, 7), Fraction(1951, 4704),
+                 [Fraction(361, 1568), Fraction(31, 168), 0])]
+        for r_split in (False, True):
+            assert cli.main(argv + ["--r-split"] * r_split) == 0
+            payload = json.loads(capsys.readouterr().out)["payload"]
+            assert len(payload) == len(want)
+            for entry, (fraction, bound, split) in zip(payload, want):
+                assert _frac(entry["exact_nonbase_pair_fraction"]) == fraction
+                assert _frac(entry["q2_bound"]) == bound
+                if r_split:
+                    assert [_frac(r) for r in entry["r_split"]] == split
+                else:
+                    assert entry["r_split"] is None
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_out_tally_kept_and_brute_forced(self, name):
+        # per out part, the kept tally of the aut rows by (order,
+        # |C_Inn(alpha)|, label) against powering each row; and N(label, p)
+        # read off it against the count over the rows
+        T = get_group(name)
+        aut, ident = T.aut, np.arange(T.order)
+        outs = ["inner", "full"] + [
+            f"g{i + 1}" for i in range(len(T.record.aut_generators))]
+        for out in outs:
+            g = build_group(T, 2, out, "trivial")
+            want = Counter()
+            for r in g.aut_rows.tolist():
+                row, power, order = aut.rows[r], aut.rows[r], 1
+                while not np.array_equal(power, ident):
+                    power, order = row[power], order + 1
+                want[order, int(np.count_nonzero(row == ident)),
+                     int(aut.labels[r])] += 1
+            tally = aut.out_tally(g.out_labels)
+            assert dict(tally) == want
+            assert aut.out_tally(g.out_labels) is tally
+            for label in g.out_labels:
+                for p in (2, 3, 5, 7, 11):
+                    assert prob._fpf_diagonal_count(g, label, p) == \
+                        split_oracle.fpf_diagonal_count(g, label, p)
+
 
 def _all_point_counts(g):
     """Per point of omega_tuples, the prime-order elements of G_D fixing
@@ -243,6 +308,8 @@ def _all_point_counts(g):
 class TestOrbitScan:
     @pytest.mark.parametrize("name,k,out_part,top", ORBIT_SCAN_SHAPES)
     def test_matches_all_points_scan(self, name, k, out_part, top):
+        # the walk's fraction and the split formula's bound, against the
+        # prime-order elements of G_D fixing each point of omega_tuples
         g = build_group(get_group(name), k, out_part, top)
         counts = _all_point_counts(g)
         assert nonbase_fraction_and_q2_bound(g) == (
