@@ -198,6 +198,16 @@ class TestSplitFormula:
         g = build_group(get_group(name), k, out_part, top)
         assert r_split_formula(g) == r_split_exact(g)
 
+    # the first nine orbit-scan shapes: the benchmark's prob-exact shapes
+    # and A5 k=4 full alt-table
+    @pytest.mark.parametrize("name,k,out_part,top", ORBIT_SCAN_SHAPES[:9])
+    def test_sums_to_scanned_bound(self, name, k, out_part, top):
+        # the split's sum, as q2_bound_exact reports it, against the
+        # prime-order elements of G_D fixing each point of omega_tuples
+        g = build_group(get_group(name), k, out_part, top)
+        scanned = Fraction(int(_all_point_counts(g).sum()), g.degree)
+        assert sum(r_split_formula(g)) == q2_bound_exact(g) == scanned
+
     def test_past_the_point_budget(self, A5):
         # 12,960,000 points, past the scan's 10^7 default budget
         g = build_group(A5, 5, "full", "cyclic")
