@@ -20,7 +20,9 @@ pairs) are breadth-first walks over ``mul``, and Aut(T) element orders are
 read off powers of the generator images alone, two entries per row a step.
 
 Automorphisms are stored as rows over the element index of T, so applying
-one is a single array lookup.  Composition is left-to-right throughout:
+one is a single array lookup.  Element ids are below ``ELEMENT_BUDGET``, so
+``mul`` and the Aut rows are int16, and codes made from them are widened
+first (an int16 id times |T| wraps).  Composition is left-to-right throughout:
 ``compose(a, b)[x] = b[a[x]]``, under which ``phi_s . phi_t = phi_{s t}``
 for the conjugation maps ``phi_t : x -> t^-1 x t``.
 """
@@ -40,6 +42,8 @@ from .errors import BudgetExceededError, MembershipError, ValidationError
 from .perm import GroupTable, Perm
 
 ELEMENT_BUDGET = 2520  # largest |T| the catalog materializes
+_ID = np.int16          # element ids, all below ELEMENT_BUDGET
+assert ELEMENT_BUDGET <= np.iinfo(_ID).max + 1
 
 
 # ---------------------------------------------------------------------------
@@ -196,16 +200,16 @@ def _levels(parents):
 
 
 class AutTable:
-    """Aut(T) as bijections of the element index of T."""
+    """Aut(T) as int16 rows over the element index of T.  A row is found by
+    its code img(g1) * |T| + img(g2) in ``_index``: the codes, ascending,
+    and their rows."""
 
     def __init__(self, group: "SimpleGroup"):
         self.T = T = group
         n = T.order
         mul, inv = T.mul, T.inv
-        g1, g2 = T.gen_ids
-        # an automorphism is known by its images of the two generators of T:
-        # _row_of_code[img(g1) * n + img(g2)] is its row, -1 if none yet
-        self._row_of_code = np.full(n * n, -1, dtype=np.int32)
+        # the key n * n, above every code, ends the index: searches land on it
+        self._index = (np.array([n * n]), np.array([-1], dtype=np.int32))
         self.n_aut = 0
         # the closure runs on codes and lists each new row's derivation,
         # (first row, parent rows, generators), for materializing at the end
@@ -215,7 +219,8 @@ class AutTable:
         # inner automorphisms phi_t[x] = t^-1 x t, one row per t in element
         # order: with e_j = e_parent * g, phi_j is phi_parent, then phi_g
         ts = np.arange(n)
-        inner_codes = mul[mul[inv, g1], ts] * n + mul[mul[inv, g2], ts]
+        inner_codes = self._code(
+            mul[mul[inv[:, None], T.gen_ids], ts[:, None]])
         if len(self._add_new(inner_codes)) != n:
             raise ValidationError("inner automorphisms not distinct; "
                                   "center is nontrivial", spec=T.name)
@@ -228,17 +233,17 @@ class AutTable:
         outer = outer[self._add_new(self._codes(outer))]
         # the rows found last start at row `frontier`; `images` holds their
         # images of g1, g2
-        frontier, images = n, outer[:, [g1, g2]]
+        frontier, images = n, outer[:, T.gen_ids]
         while len(images):
             # apply a frontier row, then a generator, in a-major order; the
             # code of that product is the generator at the row's images of
             # g1, g2, so only the new automorphisms get a derivation
-            codes = gens[:, images[:, 0]] * n + gens[:, images[:, 1]]
+            codes = self._code(gens[:, images])
             start = self.n_aut
             a, g = np.divmod(self._add_new(codes.T.ravel()), len(gens))
             steps.append((start, frontier + a, g))
             frontier, images = start, gens[g[:, None], images[a]]
-        self.rows = rows = np.empty((self.n_aut, n), dtype=np.int32)
+        self.rows = rows = np.empty((self.n_aut, n), dtype=_ID)
         rows[0] = ts
         rows[n:n + len(outer)] = outer
         for start, parent, g in steps:
@@ -259,23 +264,40 @@ class AutTable:
         self._image_index = {}
         self._out_tally = {}
 
+    def _code(self, at):
+        """Codes of the automorphisms with images ``at[..., :2]`` of g1, g2."""
+        return at[..., 0].astype(np.intp) * self.T.order + at[..., 1]
+
     def _codes(self, images):
-        g1, g2 = self.T.gen_ids
-        return images[..., g1] * self.T.order + images[..., g2]
+        return self._code(images[..., self.T.gen_ids])
+
+    def _row_of(self, codes):
+        """Row ids of the automorphisms with these codes, -1 for none."""
+        keys, ids = self._index
+        at = np.searchsorted(keys, codes)
+        return np.where(keys[at] == codes, ids[at], -1)
 
     def _lookup(self, images):
         """Row ids of automorphisms given as image arrays (last axis)."""
-        return self._row_of_code[self._codes(images)]
+        return self._row_of(self._codes(images))
+
+    def _compose(self, a, b):
+        """Row ids [i, j] of (apply row a[i], then row b[j])."""
+        at = self.rows[np.asarray(a)[:, None, None], self.T.gen_ids]
+        return self._row_of(self._code(self.rows[np.asarray(b)[:, None], at]))
 
     def _add_new(self, codes):
-        """Number the codes not in the table yet, in order of first
+        """Number the codes not in the index yet, in order of first
         occurrence, after the rows already there; returns their positions
         in ``codes``."""
-        fresh = np.flatnonzero(self._row_of_code[codes] < 0)
-        first = fresh[np.sort(np.unique(codes[fresh], return_index=True)[1])]
-        self._row_of_code[codes[first]] = self.n_aut + np.arange(len(first))
+        fresh = np.flatnonzero(self._row_of(codes) < 0)
+        new, first = np.unique(codes[fresh], return_index=True)
+        found, (keys, ids) = np.sort(first), self._index
+        at = np.searchsorted(keys, new)
+        self._index = (np.insert(keys, at, new), np.insert(
+            ids, at, self.n_aut + np.searchsorted(found, first)))
         self.n_aut += len(first)
-        return first
+        return fresh[found]
 
     def _resolve_aut_images(self, images):
         """Bijection of T induced by generator images, via derivation words,
@@ -288,7 +310,7 @@ class AutTable:
                 "aut_generator image is not an element of the group",
                 spec=T.name, field="aut_generator") from None
         parents, gis = T.table.deriv
-        f = np.zeros(T.order, dtype=np.int32)
+        f = np.zeros(T.order, dtype=_ID)
         for level in _levels(parents):
             f[level] = T.mul[f[parents[level]], img_ids[gis[level]]]
         if not np.all(np.bincount(f, minlength=T.order) == 1):
@@ -304,16 +326,13 @@ class AutTable:
         return f
 
     def _assign_labels(self):
-        n, (g1, g2) = self.T.order, self.T.gen_ids
-        # the Inn-coset of row r: apply phi_t, then r, for every t; the
-        # codes of those rows read r at the images of g1, g2 under phi_t
-        at1, at2 = self.rows[:n, g1], self.rows[:n, g2]
+        n = self.T.order
+        # the Inn-coset of row r: apply phi_t, then r, for every t
         labels = np.full(self.n_aut, -1, dtype=np.int32)
         reps = []
         for r in range(self.n_aut):
             if labels[r] < 0:
-                row = self.rows[r]
-                labels[self._row_of_code[row[at1] * n + row[at2]]] = len(reps)
+                labels[self._compose(np.arange(n), [r])] = len(reps)
                 reps.append(r)
         self.labels = labels
         self.label_reps = reps
@@ -323,10 +342,7 @@ class AutTable:
                 "Inn-coset partition is not out_order parts of size |T|",
                 spec=self.T.name)
         # multiplication table of the (small) outer label group
-        rep_rows = self.rows[reps]
-        # [b, a]: code of (apply rep a, then rep b)
-        codes = rep_rows[:, rep_rows[:, g1]] * n + rep_rows[:, rep_rows[:, g2]]
-        self.label_mul = labels[self._row_of_code[codes]].T
+        self.label_mul = labels[self._compose(reps, reps)]
         self.label_inv = np.argmin(self.label_mul, axis=1).astype(np.int32)
 
     # -- queries -------------------------------------------------------------
@@ -336,19 +352,16 @@ class AutTable:
         return int(t)
 
     def invert_row(self, a: int) -> int:
-        row = self.rows[a]
-        rinv = np.empty(len(row), dtype=np.int32)
-        rinv[row] = np.arange(len(row), dtype=np.int32)
-        return int(self._lookup(rinv))
+        return int(self._lookup(np.argsort(self.rows[a])))
 
     def composition_table(self) -> np.ndarray:
-        """Full n_aut x n_aut composition table (built lazily); a row is
-        known by its images of the two generators of T."""
+        """Full n_aut x n_aut composition table, [a, b] the row of (apply
+        a, then b); built lazily, 2^20 entries at a time."""
         if self._comp is None:
-            n, (g1, g2), rows = self.T.order, self.T.gen_ids, self.rows
-            # [b, a]: code of (apply a, then b)
-            codes = rows[:, rows[:, g1]] * n + rows[:, rows[:, g2]]
-            self._comp = np.ascontiguousarray(self._row_of_code[codes].T)
+            ids, step = np.arange(self.n_aut), max(1, (1 << 20) // self.n_aut)
+            self._comp = np.empty((self.n_aut, self.n_aut), dtype=np.int32)
+            for s in range(0, self.n_aut, step):
+                self._comp[s:s + step] = self._compose(ids[s:s + step], ids)
         return self._comp
 
     @cached_property
@@ -387,8 +400,8 @@ class AutTable:
         ``bounds[t, u + 1]``.  Built on first use, once per label tuple."""
         if labels not in self._image_index:
             n = self.T.order
-            img = self.rows[self.rows_with_labels(labels)].T.astype(
-                np.int16, order="C")
+            img = np.ascontiguousarray(
+                self.rows[self.rows_with_labels(labels)].T)
             hist = np.bincount((img + n * np.arange(n)[:, None]).ravel(),
                                minlength=n * n).reshape(n, n)
             self._image_index[labels] = (
@@ -457,7 +470,7 @@ class SimpleGroup:
         # e_i = e_parent * g, row i is row parent read at g * e_j, filled
         # one closure level at a time
         n = self.order
-        self.mul = mul = np.empty((n, n), dtype=np.int32)
+        self.mul = mul = np.empty((n, n), dtype=_ID)
         mul[0] = np.arange(n)
         for level in _levels(parents):
             mul[level] = mul.ravel()[(parents[level] * n)[:, None]

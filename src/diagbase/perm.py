@@ -18,6 +18,7 @@ never reach this module; ``Perm`` objects are made from rows only on request.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
@@ -216,7 +217,7 @@ class GroupTable:
         self.deriv = deriv
         self.degree = self._rows.shape[1]
         self._orders = orders
-        self._classes = None
+        self._classes = self._tally = None
         self._keys = self._at = None
 
     @classmethod
@@ -355,6 +356,14 @@ class GroupTable:
             self._orders = np.lcm.reduce(
                 np.bincount(at.ravel(), minlength=n * d)[at], axis=1)
         return self._orders
+
+    def order_fixed_tally(self) -> tuple:
+        """((order, fixed points), count) over the elements; cached."""
+        if self._tally is None:
+            fixed = (self._rows == np.arange(self.degree)).sum(axis=1)
+            self._tally = tuple(Counter(zip(self.element_orders().tolist(),
+                                            fixed.tolist())).items())
+        return self._tally
 
     # -- actions on points --------------------------------------------------
 

@@ -19,7 +19,6 @@ every generator at once.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -81,8 +80,8 @@ def nonbase_fraction_and_q2_bound(g: DiagTypeGroup,
                                   budget: int = OMEGA_BUDGET):
     """The exact proportion of ordered point pairs that are not bases
     (``exact_nonbase_pair_proportion``) and the second-moment bound at
-    b = 2, the sum of ``r_split_formula``, both exact rationals."""
-    return exact_nonbase_pair_proportion(g, budget), sum(r_split_formula(g))
+    b = 2 (``q2_bound_exact``), both exact rationals."""
+    return exact_nonbase_pair_proportion(g, budget), q2_bound_exact(g)
 
 
 def exact_nonbase_pair_proportion(g: DiagTypeGroup,
@@ -100,9 +99,10 @@ def exact_nonbase_pair_proportion(g: DiagTypeGroup,
                         if len(stab) > 1), g.degree)
 
 
-def q2_bound_exact(g: DiagTypeGroup, budget: int = OMEGA_BUDGET) -> Fraction:
-    """The second-moment bound at b = 2, as an exact rational."""
-    return nonbase_fraction_and_q2_bound(g, budget)[1]
+def q2_bound_exact(g: DiagTypeGroup) -> Fraction:
+    """The second-moment bound at b = 2, as an exact rational: the sum of
+    ``r_split_formula``, which reads no point, so at any degree."""
+    return sum(r_split_formula(g))
 
 
 def monte_carlo_nonbase(g: DiagTypeGroup, samples: int,
@@ -249,18 +249,16 @@ def r_split_formula(g: DiagTypeGroup):
                                  / (|X| |T|^(k-1))
     A term depends on alpha only through (order, |C_Inn(alpha)|, label)
     and on pi only through (order, f), so the sum runs over pairs of an
-    out-part tally entry (``AutTable.out_tally``) and a top tally entry, each
-    term weighted by the two counts; p is the lcm of the two orders, and
+    out-part tally entry (``AutTable.out_tally``) and a top tally entry
+    (``GroupTable.order_fixed_tally``), each term weighted by the two
+    counts; p is the lcm of the two orders, and
     pairs where it is not prime add nothing.  Explicit tops only."""
     if g.top.is_symbolic:
         raise PreconditionError("the split formula needs an explicit top")
     n, k = g.T.order, g.k
-    table = g.top.table
-    top = Counter(zip(table.element_orders().tolist(),
-                      (table.arrays() == np.arange(k)).sum(axis=1).tolist()))
     num = {"fpf": 0, "trivial": 0, "mixed": 0}
     for (o_a, c, label), m_a in g.T.aut.out_tally(g.out_labels):
-        for (o_p, f), m_p in top.items():
+        for (o_p, f), m_p in g.top.table.order_fixed_tally():
             if not _is_prime(p := lcm(o_a, o_p)):
                 continue
             if f == 0:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from itertools import accumulate
 
@@ -23,6 +24,21 @@ A5_RECORD = ("group {name}\n  natural_degree: 5\n"
              "  gen_pair_distinct_orders: {pair}\n"
              "  involution_pair: (1 2 3 4 5) | (2 4)(3 5)\n"
              "  min_index: 5\nend\n")
+
+# |T| = 2520, the catalog's ELEMENT_BUDGET; the outer automorphism is
+# conjugation by (6 7)
+A7_RECORD = ("group A7\n  natural_degree: 7\n"
+             "  generators: (1 2 3 4 5 6 7) | (1 2 3)\n"
+             "  aut_generator: (1 2 3 4 5 7 6) | (1 2 3)\n"
+             "  gen_pair_distinct_orders: (1 2 3 4 5 6 7) | (1 2 3)\n"
+             "  involution_pair: (1 2 3 4 5 6 7) | (1 2)(3 4)\n"
+             "  min_index: 7\nend\n")
+
+
+@pytest.fixture(scope="module")
+def A7():
+    (T,) = load_catalog(source=A7_RECORD)
+    return T
 
 
 def _perm_order(row):
@@ -421,7 +437,7 @@ def _reference_aut(T, mul, inv):
             reps.append(r)
     rep_rows = rows[reps]
     label_mul = labels[row_of_code[codes(rep_rows[:, rep_rows])]].T
-    return {"rows": rows, "_row_of_code": row_of_code, "labels": labels,
+    return {"rows": rows, "row_of_code": row_of_code, "labels": labels,
             "label_reps": np.array(reps), "label_mul": label_mul,
             "label_inv": np.argmin(label_mul, axis=1).astype(np.int32)}
 
@@ -430,9 +446,57 @@ def _reference_aut(T, mul, inv):
 def test_catalog_build_matches_reference(name):
     T = get_group(name)
     mul, inv, orders = _reference_tables(T)
-    assert np.array_equal(T.mul, mul) and T.mul.dtype == np.int32
+    assert np.array_equal(T.mul, mul) and T.mul.dtype == np.int16
     assert np.array_equal(T.inv, inv) and T.inv.dtype == np.int32
     assert T.order_of.tolist() == orders
-    for attr, want in _reference_aut(T, mul, inv).items():
+    ref = _reference_aut(T, mul, inv)
+    row_of_code = ref.pop("row_of_code")
+    for attr, want in ref.items():
         got = np.asarray(getattr(T.aut, attr))
-        assert got.dtype == want.dtype and np.array_equal(got, want), attr
+        dtype = np.int16 if attr == "rows" else want.dtype
+        assert got.dtype == dtype and np.array_equal(got, want), attr
+    # every row is found through the sorted code index, as through the
+    # reference's dense map; every other code finds none
+    n, (g1, g2), rows = T.order, T.gen_ids, ref["rows"]
+    assert np.array_equal(T.aut._lookup(rows), row_of_code[
+        rows[:, g1] * n + rows[:, g2]])
+    assert np.array_equal(T.aut._row_of(np.arange(n * n)), row_of_code)
+
+
+@pytest.mark.parametrize("name", catalog_names() + ["A7"])
+def test_codes_exact_on_int16_tables(name, request):
+    # an int16 id times |T| wraps (659 * 660 = 434,940 is past 2^15), so
+    # codes are widened first; A7 has the largest |T| the budget admits
+    T = request.getfixturevalue("A7") if name == "A7" else get_group(name)
+    aut, n, (g1, g2) = T.aut, T.order, T.gen_ids
+    rows = aut.rows
+    assert T.mul.dtype == rows.dtype == np.int16
+    wide = rows[:, g1].astype(np.int64) * n + rows[:, g2]
+    assert np.array_equal(aut._codes(rows), wide)
+    assert len(np.unique(wide)) == aut.n_aut
+    assert np.array_equal(aut._lookup(rows), np.arange(aut.n_aut))
+    # [a, b] is (apply a, then b): every pair at the images of g1 and g2,
+    # which fix an automorphism, and whole rows for five b
+    comp, step = aut.composition_table(), 256
+    for s in range(0, aut.n_aut, step):
+        for g in (g1, g2):
+            assert np.array_equal(rows[comp[s:s + step], g],
+                                  rows[:, rows[s:s + step, g]].T)
+    for b in np.linspace(0, aut.n_aut - 1, 5).astype(int):
+        assert np.array_equal(rows[comp[:, b]], rows[b][rows])
+
+
+def test_a7_tables_retain_under_40_mb():
+    # int16 tables and an index of n_aut codes, no |T|^2 map: A7's mul
+    # (12.1 MB) and Aut rows (24.2 MB) are most of what the build keeps
+    tracemalloc.start()
+    try:
+        (T,) = load_catalog(source=A7_RECORD)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    print(f"A7 tables: retained {retained / 2**20:.1f} MB, "
+          f"peak {peak / 2**20:.1f} MB")
+    assert (T.order, T.aut.n_aut, T.min_index_status) == \
+        (2520, 5040, "verified")
+    assert retained < 40 * 2**20

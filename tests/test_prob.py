@@ -10,8 +10,8 @@ import pytest
 from diagbase import _accel, baseengine, cli, prob
 from diagbase.baseengine import _solve_symbolic, pointwise_stabilizer
 from diagbase.catalog import catalog_names, get_group
-from diagbase.diag import (OmegaPoint, build_group, gd_orbit_reps, gd_orbits,
-                           omega_tuples)
+from diagbase.diag import (DiagTypeGroup, OmegaPoint, build_group,
+                           gd_orbit_reps, gd_orbits, make_top, omega_tuples)
 from diagbase.errors import BudgetExceededError, PreconditionError
 from diagbase.perm import Perm, symmetric_table, cyclic_table
 from diagbase.prob import (RowCodedGroup, _detect_nonbase,
@@ -209,13 +209,31 @@ class TestSplitFormula:
         assert sum(r_split_formula(g)) == q2_bound_exact(g) == scanned
 
     def test_past_the_point_budget(self, A5):
-        # 12,960,000 points, past the scan's 10^7 default budget
+        # 12,960,000 points, past the walk's 10^7 default budget: the
+        # fraction is refused, and the bound reads no point
         g = build_group(A5, 5, "full", "cyclic")
         with pytest.raises(BudgetExceededError):
-            q2_bound_exact(g)
+            exact_nonbase_pair_proportion(g)
+        assert q2_bound_exact(g) == Fraction(449, 162000)
         r1, r2, r3 = r_split_formula(g)
         assert r3 == 0      # a 5-cycle or the identity: no mixed part
         assert r1 + r2 == Fraction(449, 162000)
+
+    def test_top_tally_built_once_per_table(self, A5, monkeypatch):
+        # the top's (order, fixed points) tally is kept on its table: one
+        # build however often the split is taken, shared by the out parts
+        builds = []
+
+        def spy(pairs):
+            builds.append(1)
+            return Counter(pairs)
+        monkeypatch.setattr("diagbase.perm.Counter", spy)
+        top = make_top("sym-table", 4)
+        groups = [DiagTypeGroup(A5, 4, out, top) for out in ((0,), (0, 1))]
+        first = [r_split_formula(g) for g in groups]
+        assert [r_split_formula(g) for g in groups] == first
+        assert len(builds) == 1
+        assert first == [split_oracle.r_split(g) for g in groups]
 
     @pytest.mark.parametrize("top", ["sym", "alt"])
     def test_symbolic_top_rejected(self, A5, top):
