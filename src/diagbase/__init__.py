@@ -12,12 +12,11 @@ from .catalog import (AutTable, SimpleGroup, catalog_names, get_group,
 from .diag import (DiagTypeGroup, OmegaPoint, TopGroup, act_diag,
                    build_group, make_top, stab_of_D)
 from .errors import (BudgetExceededError, DiagbaseError, InvalidTopError,
-                     MembershipError, NotInnerError, PreconditionError,
+                     MembershipError, PreconditionError,
                      UnsupportedEnumerationError, ValidationError)
 from .perm import GroupTable, Perm
 from .prob import (centralizer_order_formula, class_count_inequality_check,
                    class_intersection_formula, exact_nonbase_pair_proportion,
-                   monte_carlo_nonbase, nonbase_fraction_and_q2_bound,
-                   q2_bound_exact)
+                   monte_carlo_nonbase, q2_bound_exact)
 
 __version__ = "0.1.0"

@@ -56,7 +56,7 @@ def _fixing_candidates(g: DiagTypeGroup, tuples, among=None):
     perm p; 0 is the identity) of the elements of ``among`` (default: all
     of G_D, never listed) that fix every tuple.  All of G_D meets the first
     tuple in the scan kernel, every perm with the whole out part; the
-    survivors, or ``among``, are filtered a coordinate at a time."""
+    survivors, or ``among``, meet the rest in ``filter_candidates``."""
     T, perms, n_p = g.T, g.top.table.arrays(), g.top.table.order
     if among is None:
         if not len(tuples):
@@ -64,12 +64,10 @@ def _fixing_candidates(g: DiagTypeGroup, tuples, among=None):
         p, pos, _ = _accel._scan(T, perms, True, g.aut_rows, tuples[:1])
         among = np.sort(pos * n_p + p)
         tuples = tuples[1:]
-    for t in tuples:
-        if len(among) < 2 and not among.any():
-            break           # none left, or the identity alone, which fixes all
-        among = among.take(_accel._holding(
-            T, perms, among % n_p, g.aut_rows.take(among // n_p), t[None],
-            np.zeros(len(among), np.intp), 1))
+    if len(tuples) and (len(among) > 1 or among.any()):
+        # skipped with none left, or the identity alone, which fixes all
+        among = among.take(np.flatnonzero(_accel.filter_candidates(
+            T, perms, g.aut_rows.take(among // n_p), among % n_p, tuples)))
     return among
 
 

@@ -397,16 +397,22 @@ class AutTable:
     def image_index(self, labels: tuple):
         """``order[t]``: the indices into ``rows_with_labels(labels)`` sorted
         by alpha(t), those with alpha(t) = u from ``bounds[t, u]`` up to
-        ``bounds[t, u + 1]``.  Built on first use, once per label tuple."""
+        ``bounds[t, u + 1]``.  Built on first use, once per label tuple,
+        2^20 entries at a time."""
         if labels not in self._image_index:
-            n = self.T.order
-            img = np.ascontiguousarray(
-                self.rows[self.rows_with_labels(labels)].T)
-            hist = np.bincount((img + n * np.arange(n)[:, None]).ravel(),
-                               minlength=n * n).reshape(n, n)
-            self._image_index[labels] = (
-                np.argsort(img, axis=1, kind="stable").astype(np.int16),
-                np.pad(hist.cumsum(axis=1, dtype=np.int16), ((0, 0), (1, 0))))
+            n, ids = self.T.order, self.rows_with_labels(labels)
+            order = np.empty((n, len(ids)), dtype=np.int16)
+            bounds = np.zeros((n, n + 1), dtype=np.int16)
+            step = max(1, (1 << 20) // len(ids))
+            for s in range(0, n, step):
+                img = np.ascontiguousarray(self.rows[ids, s:s + step].T)
+                order[s:s + step] = np.argsort(img, axis=1, kind="stable")
+                hist = np.bincount(
+                    (img + n * np.arange(len(img))[:, None]).ravel(),
+                    minlength=len(img) * n).reshape(-1, n)
+                np.cumsum(hist, axis=1, dtype=np.int16,
+                          out=bounds[s:s + step, 1:])
+            self._image_index[labels] = order, bounds
         return self._image_index[labels]
 
     def out_tally(self, labels: tuple) -> tuple:

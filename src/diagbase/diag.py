@@ -158,6 +158,10 @@ def make_top(spec, k: int) -> TopGroup:
         table = cyclic_table(k) if name == "cyclic" else dihedral_table(k)
         return TopGroup(k, table=table)
     if name.startswith("gens:"):
+        if k > TOP_TABLE_MAX_ENTRIES:    # the identity row alone is past it
+            raise BudgetExceededError(
+                f"gens: top table of 1 x {k} entries or more exceeds "
+                f"{TOP_TABLE_MAX_ENTRIES}")
         try:
             gens = [Perm.parse(part, k)
                     for part in spec.strip()[5:].split("|")]
@@ -374,16 +378,6 @@ class GroupMemo:
 _GROUP_MEMO = GroupMemo(GROUP_MEMO_CAP)
 
 
-def _top_key(top):
-    """A top spec as a memo key: descriptor strings as ``make_top`` reads
-    them, any other object (a TopGroup or GroupTable) by identity."""
-    if isinstance(top, str):
-        name = top.strip().lower()
-        return ("gens", top.strip()[5:]) if name.startswith("gens:") \
-            else name
-    return ("object", id(top))
-
-
 def build_group(T: SimpleGroup, k: int, out_part="full",
                 top="sym") -> DiagTypeGroup:
     """Construct and validate a diagonal-type group.
@@ -404,7 +398,10 @@ def build_group(T: SimpleGroup, k: int, out_part="full",
     except Exception:
         make_top(top, k)    # a bad top is reported before a bad out part
         raise
-    key = (id(T), k, labels, _top_key(top))
+    # a descriptor names what make_top reads from it (cycle notation has no
+    # letters to fold); a TopGroup or GroupTable is keyed by identity
+    key = (id(T), k, labels, top.strip().lower() if isinstance(top, str)
+           else ("object", id(top)))
     g = _GROUP_MEMO.get(key)
     if g is not None:
         return g

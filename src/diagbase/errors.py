@@ -35,10 +35,6 @@ class MembershipError(PreconditionError):
     """An element was expected to belong to a group but does not."""
 
 
-class NotInnerError(PreconditionError):
-    """A bijection expected to be an inner automorphism is not."""
-
-
 class InvalidTopError(PreconditionError):
     """The requested top group is not primitive (or trivial at k=2)."""
 

@@ -50,12 +50,8 @@ def prime_order_candidates(g: DiagTypeGroup):
     class's.  Every consumer sums over the candidates or takes their set.
     Listed once per group, into its ``prime_candidates`` slot.
     """
-    if g.prime_candidates is None:
-        g.prime_candidates = _prime_order_candidates(g)
-    return g.prime_candidates
-
-
-def _prime_order_candidates(g: DiagTypeGroup):
+    if g.prime_candidates is not None:
+        return g.prime_candidates
     if g.top.is_symbolic:
         raise PreconditionError(
             "prime-order candidate listing needs an explicit top")
@@ -69,19 +65,13 @@ def _prime_order_candidates(g: DiagTypeGroup):
         pids = np.flatnonzero(top_orders == q).astype(np.int32)
         cand_a.append(np.tile(rows, len(pids)))
         cand_p.append(np.repeat(pids, len(rows)))
-    return tuple(_read_only(np.concatenate(c)) for c in (cand_a, cand_p))
+    g.prime_candidates = tuple(_read_only(np.concatenate(c))
+                               for c in (cand_a, cand_p))
+    return g.prime_candidates
 
 
 # ---------------------------------------------------------------------------
 # exact bounds over the whole point set
-
-
-def nonbase_fraction_and_q2_bound(g: DiagTypeGroup,
-                                  budget: int = OMEGA_BUDGET):
-    """The exact proportion of ordered point pairs that are not bases
-    (``exact_nonbase_pair_proportion``) and the second-moment bound at
-    b = 2 (``q2_bound_exact``), both exact rationals."""
-    return exact_nonbase_pair_proportion(g, budget), q2_bound_exact(g)
 
 
 def exact_nonbase_pair_proportion(g: DiagTypeGroup,
@@ -416,13 +406,15 @@ class RowCodedGroup:
         Returns a list of dicts: class size, the diagonal members (all k
         aut rows equal), the R-tag, and a representative.  The tag is read
         off the fixed points of the seed's perm: 1 = none, 2 = all (the
-        identity), 3 = some.  Cached after the first call.  More than
-        ``budget`` members walked in all raise BudgetExceededError; groups
-        whose codes would not fit in int64 are refused.
+        identity), 3 = some.  Cached after the first call, with the count
+        of members walked: a later call with a smaller budget walks again.
+        More than ``budget`` members walked in all raise
+        BudgetExceededError; groups whose codes would not fit in int64 are
+        refused.
         """
-        cached = getattr(self, "_class_data", None)
-        if cached is not None:
-            return cached
+        classes, walked = getattr(self, "_class_data", (None, 0))
+        if classes is not None and walked <= budget:
+            return classes
         if self.T.aut.n_aut ** self.g.k * self.n_top > np.iinfo(np.int64).max:
             raise PreconditionError(
                 "class walk codes would not fit in int64")
@@ -467,7 +459,7 @@ class RowCodedGroup:
                                      pids[on_diag].tolist())],
                 "tag": 1 if f == 0 else 2 if f == k else 3,
             })
-        self._class_data = classes
+        self._class_data = classes, walked
         return classes
 
 

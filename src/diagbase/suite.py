@@ -22,8 +22,8 @@ from .catalog import get_group, load_catalog
 from .diag import OmegaPoint, build_group
 from .prob import (RowCodedGroup, centralizer_order_formula,
                    class_count_inequality_check, class_intersection_formula,
-                   monte_carlo_nonbase, nonbase_fraction_and_q2_bound,
-                   r_split_formula)
+                   exact_nonbase_pair_proportion, monte_carlo_nonbase,
+                   q2_bound_exact, r_split_formula)
 
 MC_SAMPLES = 10**4
 
@@ -209,11 +209,13 @@ def criterion_8():
     inn2 = build_group(T, 2, "inner", "sym-table")
     alt3 = build_group(T, 3, "inner", "alt-table")
 
-    prop_inn2, bound_inn2 = nonbase_fraction_and_q2_bound(inn2)
+    prop_inn2 = exact_nonbase_pair_proportion(inn2)
+    bound_inn2 = q2_bound_exact(inn2)
     passed &= prop_inn2 == 1
     details.append(f"nonbase proportion Inn(A5)^2:S2 = {prop_inn2} (want 1)")
 
-    prop_alt3, bound_alt3 = nonbase_fraction_and_q2_bound(alt3)
+    prop_alt3 = exact_nonbase_pair_proportion(alt3)
+    bound_alt3 = q2_bound_exact(alt3)
     passed &= prop_alt3 < 1
     details.append(f"nonbase proportion (A5,3,Alt(3)) = {prop_alt3} < 1: "
                    f"{prop_alt3 < 1}")

@@ -12,9 +12,12 @@ import numpy as np
 
 from diagbase.catalog import SimpleGroup
 from diagbase.diag import OmegaPoint
-from diagbase.errors import (NotInnerError, PreconditionError,
-                             ValidationError)
+from diagbase.errors import PreconditionError, ValidationError
 from diagbase.perm import Perm
+
+
+class NotInnerError(PreconditionError):
+    """A bijection expected to be an inner automorphism is not."""
 
 
 def row_of(aut, bijection) -> int:

@@ -153,10 +153,15 @@ ACTION_ORACLE_MAX_GD = 30_000
     *(("alt-table", k) for k in (3, 4, 5)),
     *((top, k) for top in ("cyclic", "dihedral") for k in (5, 7))])
 @pytest.mark.parametrize("name", catalog_names())
-def test_fixing_candidates_match_the_kernel_and_the_action(name, top, k, out):
+def test_fixing_candidates_match_the_kernel_and_the_action(
+        name, top, k, out, monkeypatch):
     # the G_D indices a * |P| + p that fix seeded 1-3 point sets, against
     # the candidate x tuple broadcast over G_D listed here and against the
-    # group action; entries from {1, x, y} give nontrivial stabilizers
+    # group action; entries from {1, x, y} give nontrivial stabilizers.
+    # Subsets ``among`` (none, the identity alone, one other element, half
+    # of a stabilizer, half of G_D) are filtered in filter_candidates, at
+    # the default chunk and at 61-entry chunks, past which the candidates
+    # go through the perm grouping
     g = build_group(get_group(name), k, out, top)
     T, table = g.T, g.top.table
     n_p = table.order
@@ -164,18 +169,24 @@ def test_fixing_candidates_match_the_kernel_and_the_action(name, top, k, out):
     cand_p = np.tile(np.arange(n_p, dtype=np.int32), len(g.aut_rows))
     aut_index = {int(a): i for i, a in enumerate(g.aut_rows)}
     rng = np.random.default_rng(zlib.crc32(f"{name} {top} {k} {out}".encode()))
+    chunks = (_accel._CHUNK_PAIRS, 61)
     for n_points in (1, 2, 3):
         pool = [0, *rng.choice(np.arange(1, T.order), 2, replace=False)]
         tuples = np.zeros((n_points, k), dtype=np.int32)
         tuples[:, 1:] = rng.choice(pool, (n_points, k - 1))
-        want = np.flatnonzero(fixes(
-            T, table.arrays(), cand_a, cand_p, tuples).all(axis=1)).tolist()
-        assert _fixing_candidates(g, tuples).tolist() == want
-        first = _fixing_candidates(g, tuples[:1])
-        assert _fixing_candidates(g, tuples[1:], first).tolist() == want
-        among = np.flatnonzero(rng.random(g.gd_order) < 0.5)
-        assert _fixing_candidates(g, tuples, among).tolist() == \
-            np.intersect1d(want, among).tolist()
+        fixing = fixes(T, table.arrays(), cand_a, cand_p, tuples).all(axis=1)
+        want = np.flatnonzero(fixing).tolist()
+        for chunk in chunks:
+            monkeypatch.setattr(_accel, "_CHUNK_PAIRS", chunk)
+            assert _fixing_candidates(g, tuples).tolist() == want
+            first = _fixing_candidates(g, tuples[:1])
+            assert _fixing_candidates(g, tuples[1:], first).tolist() == want
+            for among in (np.zeros(0, np.intp), np.zeros(1, np.intp),
+                          rng.integers(1, g.gd_order, 1),
+                          first[rng.random(len(first)) < 0.5],
+                          np.flatnonzero(rng.random(g.gd_order) < 0.5)):
+                assert _fixing_candidates(g, tuples, among).tolist() == \
+                    among[fixing[among]].tolist()
         if n_points == 1 and g.gd_order <= ACTION_ORACLE_MAX_GD:
             points = [OmegaPoint(tuple(t)) for t in tuples.tolist()]
             assert want == sorted(

@@ -13,10 +13,10 @@ import diagbase
 
 from diagbase.catalog import (SimpleGroup, _closure_ids, catalog_names,
                               get_group, load_catalog, parse_catalog)
-from diagbase.errors import MembershipError, NotInnerError, ValidationError
+from diagbase.errors import MembershipError, ValidationError
 from diagbase.perm import GroupTable, Perm
 
-from coset_oracle import compose_rows, recover_conjugator
+from coset_oracle import NotInnerError, compose_rows, recover_conjugator
 
 A5_RECORD = ("group {name}\n  natural_degree: 5\n"
              "  generators: (1 2 3 4 5) | (1 2 3)\n"
@@ -500,3 +500,27 @@ def test_a7_tables_retain_under_40_mb():
     assert (T.order, T.aut.n_aut, T.min_index_status) == \
         (2520, 5040, "verified")
     assert retained < 40 * 2**20
+
+
+@pytest.mark.parametrize("labels", [(0, 1), (0,)], ids=["full", "inner"])
+def test_a7_image_index_without_dense_histogram(A7, labels):
+    # the index is built a block of rows of T at a time; the reference is
+    # the one-shot build through a dense |T|^2 histogram (193.8 MB peak on
+    # the full out part)
+    aut, n = A7.aut, A7.order
+    aut._image_index.pop(labels, None)
+    tracemalloc.start()
+    try:
+        order, bounds = aut.image_index(labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"A7 image_index{labels}: peak {peak / 2**20:.1f} MB")
+    assert peak < 64 * 2**20
+    img = np.ascontiguousarray(aut.rows[aut.rows_with_labels(labels)].T)
+    hist = np.bincount((img + n * np.arange(n)[:, None]).ravel(),
+                       minlength=n * n).reshape(n, n)
+    assert order.dtype == bounds.dtype == np.int16
+    assert np.array_equal(order, np.argsort(img, axis=1, kind="stable"))
+    assert np.array_equal(bounds, np.pad(hist.cumsum(axis=1),
+                                         ((0, 0), (1, 0))))

@@ -390,6 +390,22 @@ class TestExitCodes:
         assert main(argv + ["37", "--top", "dihedral"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("k,top", [
+        (10**8, "gens:(1 2)"), (1000003, "gens:(1 2 3)")])
+    def test_oversized_gens_tops(self, capsys, k, top):
+        # past TOP_TABLE_MAX_ENTRIES the identity row alone is over the
+        # cap, so the top is refused before a k-entry generator is parsed
+        get_group("A5")
+        tracemalloc.start()
+        code = main(["base-construct", "--group", "A5", "--k", str(k),
+                     "--top", top])
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 4 and "budget exceeded" in err
+        assert str(k) in err and str(diag.TOP_TABLE_MAX_ENTRIES) in err
+        assert peak < 2**20    # a 10^6-entry int32 row alone is 4 MB
+
     @pytest.mark.parametrize("out,top,message", [
         ("full", "sym", "minimal_base_size needs an explicit top"),
         ("bogus", "sym", "unknown out-part descriptor"),

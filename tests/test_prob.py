@@ -19,7 +19,6 @@ from diagbase.prob import (RowCodedGroup, _detect_nonbase,
                            class_count_inequality_check,
                            class_intersection_formula,
                            exact_nonbase_pair_proportion, monte_carlo_nonbase,
-                           nonbase_fraction_and_q2_bound,
                            prime_order_candidates, q2_bound_by_classes,
                            q2_bound_exact, r_split_exact, r_split_formula)
 
@@ -264,7 +263,6 @@ class TestSplitFormula:
         def refuse(_g):
             raise AssertionError("the split formula listed the candidates")
         monkeypatch.setattr(prob, "prime_order_candidates", refuse)
-        monkeypatch.setattr(prob, "_prime_order_candidates", refuse)
         assert r_split_formula(g) == want
 
     def test_exact_quantities_list_no_candidates(self, A5, capsys,
@@ -276,10 +274,8 @@ class TestSplitFormula:
         def refuse(_g):
             raise AssertionError("the exact quantities listed candidates")
         monkeypatch.setattr(prob, "prime_order_candidates", refuse)
-        monkeypatch.setattr(prob, "_prime_order_candidates", refuse)
         assert exact_nonbase_pair_proportion(g) == Fraction(4, 5)
-        assert nonbase_fraction_and_q2_bound(g) == (Fraction(4, 5),
-                                                    Fraction(1157, 600))
+        assert q2_bound_exact(g) == Fraction(1157, 600)
         argv = ["prob-exact", "--group", "A5,L2(7)", "--k", "3", "--top",
                 "alt-table"]
         want = [(Fraction(1, 5), Fraction(377, 600),
@@ -340,9 +336,9 @@ class TestOrbitScan:
         # prime-order elements of G_D fixing each point of omega_tuples
         g = build_group(get_group(name), k, out_part, top)
         counts = _all_point_counts(g)
-        assert nonbase_fraction_and_q2_bound(g) == (
-            Fraction(int(np.count_nonzero(counts)), g.degree),
-            Fraction(int(counts.sum()), g.degree))
+        assert exact_nonbase_pair_proportion(g) == \
+            Fraction(int(np.count_nonzero(counts)), g.degree)
+        assert q2_bound_exact(g) == Fraction(int(counts.sum()), g.degree)
 
     # at k = 2 the orbits are the classes of T fused by the out part and
     # inversion: A5 has 5 classes; the 9 of L2(8) fuse to 5 under Aut
@@ -700,6 +696,12 @@ class TestRowCodedGroup:
         assert sum(r_split_exact(g, budget=22031)) == q2_bound_exact(g)
         with pytest.raises(BudgetExceededError):
             r_split_exact(g, budget=22030)
+        # a cached walk keeps its count, so a smaller budget still raises
+        rc = RowCodedGroup(g)
+        classes = rc.class_data()
+        assert rc.class_data(budget=22031) is classes
+        with pytest.raises(BudgetExceededError):
+            rc.class_data(budget=5)
 
     def test_top_product_table_refused_before_building(self, A5):
         # 5040^2 x 7 composed top rows would take 711 MB
