@@ -42,6 +42,7 @@ from .errors import BudgetExceededError, MembershipError, ValidationError
 from .perm import GroupTable, Perm
 
 ELEMENT_BUDGET = 2520  # largest |T| the catalog materializes
+assert ELEMENT_BUDGET < 1 << 16  # Monte Carlo draws ids as 16-bit words
 _ID = np.int16          # element ids, all below ELEMENT_BUDGET
 assert ELEMENT_BUDGET <= np.iinfo(_ID).max + 1
 

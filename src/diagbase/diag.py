@@ -167,8 +167,13 @@ def make_top(spec, k: int) -> TopGroup:
                     for part in spec.strip()[5:].split("|")]
         except ValueError as exc:
             raise PreconditionError(f"bad top generator: {exc}") from None
-        return TopGroup(k, table=GroupTable.generate(
-            gens, TOP_TABLE_MAX_ENTRIES // k))
+        most = TOP_TABLE_MAX_ENTRIES // k
+        try:
+            return TopGroup(k, table=GroupTable.generate(gens, most))
+        except BudgetExceededError:
+            raise BudgetExceededError(
+                f"gens: top table of more than {most} x {k} entries exceeds "
+                f"{TOP_TABLE_MAX_ENTRIES}") from None
     raise PreconditionError(f"unknown top descriptor {spec!r}")
 
 

@@ -17,6 +17,7 @@ never reach this module; ``Perm`` objects are made from rows only on request.
 
 from __future__ import annotations
 
+import random
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -453,12 +454,11 @@ class GroupTable:
                     if self.setwise_stabilizer_is_trivial(combo):
                         return frozenset(combo)
             return None
-        rng = np.random.default_rng(DISTINGUISHING_SEED)
+        rng = random.Random(DISTINGUISHING_SEED)
         for _ in range(DISTINGUISHING_SAMPLES):
-            size = int(rng.integers(lo, k))
-            combo = rng.choice(k, size=size, replace=False)
-            if self.setwise_stabilizer_is_trivial(combo.tolist()):
-                return frozenset(int(v) for v in combo)
+            combo = rng.sample(range(k), rng.randrange(lo, k))
+            if self.setwise_stabilizer_is_trivial(combo):
+                return frozenset(combo)
         return None
 
 

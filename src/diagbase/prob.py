@@ -19,6 +19,7 @@ every generator at once.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -99,21 +100,17 @@ def monte_carlo_nonbase(g: DiagTypeGroup, samples: int,
                         seed: int = DEFAULT_SEED):
     """Monte-Carlo estimate of the non-base pair proportion.
 
-    Points are sampled uniformly (independent coordinates past the first);
-    the per-sample test runs G_D-side only, so large point sets cost nothing.
+    Points are drawn uniformly from ``random.Random(seed)``; the per-sample
+    test runs G_D-side only, so large point sets cost nothing.
     The result depends only on (samples, seed).  More than
     ``ENTRY_BUDGET`` sample entries raise BudgetExceededError.
     """
     if samples < 1:
         raise PreconditionError("need at least one sample")
+    if seed < 0:
+        raise PreconditionError("seed must be non-negative")
     check_entries(samples, g.k, "Monte Carlo samples")
-    # drawing from the one spawned child, not from the seed itself, keeps
-    # the hit counts of a given seed equal to those of earlier versions
-    (stream,) = np.random.SeedSequence(seed).spawn(1)
-    rng = np.random.default_rng(stream)
-    tuples = np.zeros((samples, g.k), dtype=np.int32)
-    tuples[:, 1:] = rng.integers(0, g.T.order, size=(samples, g.k - 1),
-                                 dtype=np.int32)
+    tuples = _sample_tuples(random.Random(seed), g.T.order, samples, g.k)
     hits = int(_detect_nonbase(g, tuples).sum())
     return {
         "fraction": hits / samples,
@@ -121,6 +118,23 @@ def monte_carlo_nonbase(g: DiagTypeGroup, samples: int,
         "samples": samples,
         "seed": seed,
     }
+
+
+def _sample_tuples(rng, n: int, samples: int, k: int):
+    """(samples, k) int32 points: 0, then k - 1 ids uniform in [0, n), a
+    block of about ``_accel._CHUNK_PAIRS`` entries at a time.  A 16-bit
+    word of ``rng.getrandbits`` below q * n, q = 2^16 // n, is the id
+    word // q; the others are drawn again (exact rejection)."""
+    tuples = np.zeros((samples, k), dtype=np.int32)
+    q, rows = (1 << 16) // n, max(1, _accel._CHUNK_PAIRS // k)
+    for block in (tuples[r:r + rows, 1:] for r in range(0, samples, rows)):
+        ids = np.empty(0, dtype=np.uint16)
+        while (m := block.size - len(ids)) > 0:
+            words = np.frombuffer(
+                rng.getrandbits(16 * m).to_bytes(2 * m, "little"), "<u2")
+            ids = np.concatenate([ids, words[words < q * n] // q])
+        block[...] = ids.reshape(block.shape)
+    return tuples
 
 
 def _detect_nonbase(g: DiagTypeGroup, tuples):

@@ -406,6 +406,20 @@ class TestExitCodes:
         assert str(k) in err and str(diag.TOP_TABLE_MAX_ENTRIES) in err
         assert peak < 2**20    # a 10^6-entry int32 row alone is 4 MB
 
+    @pytest.mark.parametrize("k,top,most", [
+        (300007, "gens:(1 2 3)", 1),
+        (9, "gens:(1 2)|(1 2 3 4 5 6 7 8 9)", 35840)])
+    def test_gens_closure_past_cap(self, capsys, k, top, most):
+        # within the cap on k, the closure is allowed cap // k elements;
+        # past them the refusal names k and the cap, as cyclic's does
+        code = main(["base-construct", "--group", "A5", "--k", str(k),
+                     "--top", top])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err == (f"budget exceeded: gens: top table of more than "
+                       f"{most} x {k} entries exceeds "
+                       f"{diag.TOP_TABLE_MAX_ENTRIES}\n")
+
     @pytest.mark.parametrize("out,top,message", [
         ("full", "sym", "minimal_base_size needs an explicit top"),
         ("bogus", "sym", "unknown out-part descriptor"),

@@ -1,4 +1,8 @@
 import json
+import os
+import random
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -399,36 +403,83 @@ class TestMonteCarlo:
         assert 0.0 <= out["fraction"] <= 1.0
 
     @pytest.mark.parametrize("k,sym_hits,alt_hits", [
-        (6, 54, 7), (8, 84, 11), (10, 106, 33), (12, 142, 52)])
+        (6, 55, 11), (8, 69, 9), (10, 109, 26), (12, 143, 42)])
     def test_symbolic_hits_pinned(self, A5, k, sym_hits, alt_hits):
-        # hit counts of seed 4242, 200 samples, as first recorded
+        # hit counts of seed 4242, 200 samples, drawn from random.Random
         for top, hits in (("sym", sym_hits), ("alt", alt_hits)):
             g = build_group(A5, k, "full", top)
             assert monte_carlo_nonbase(g, 200, seed=4242)["hits"] == hits
 
     def test_symbolic_hits_pinned_l27(self, L27):
         g = build_group(L27, 9, "full", "alt")
-        assert monte_carlo_nonbase(g, 500, seed=4242)["hits"] == 5
+        assert monte_carlo_nonbase(g, 500, seed=4242)["hits"] == 8
 
     @pytest.mark.parametrize("name,k,top,hits", [
-        ("A5", 5, "dihedral", (2, 4, 5)), ("A5", 37, "cyclic", (0, 0, 0)),
+        ("A5", 5, "dihedral", (10, 6, 10)), ("A5", 37, "cyclic", (0, 0, 0)),
         ("A5", 37, "dihedral", (0, 0, 0)), ("A6", 5, "cyclic", (0, 0, 0)),
         ("A6", 37, "dihedral", (0, 0, 0)), ("L2(7)", 5, "cyclic", (0, 0, 0)),
         ("L2(7)", 37, "dihedral", (0, 0, 0)),
-        ("L2(8)", 5, "dihedral", (0, 1, 0)),
+        ("L2(8)", 5, "dihedral", (0, 0, 1)),
         ("L2(8)", 37, "cyclic", (0, 0, 0)),
-        ("L2(11)", 5, "dihedral", (0, 0, 0)),
+        ("L2(11)", 5, "dihedral", (0, 1, 0)),
         ("L2(11)", 37, "cyclic", (0, 0, 0)),
         ("A5", 2, "sym-table", (200, 200, 200)),
-        ("A5", 3, "sym-table", (153, 161, 168)),
+        ("A5", 3, "sym-table", (157, 162, 162)),
         ("L2(7)", 2, "sym-table", (200, 200, 200))])
     def test_explicit_hits_pinned(self, name, k, top, hits):
         # the explicit-top prob-mc shapes of the benchmark's prob-sweep, full
-        # out part, 200 samples, seeds 1-3, as recorded before the scan
-        # kernel tested (perm, tuple) pairs
+        # out part, 200 samples, seeds 1-3, drawn from random.Random
         g = build_group(get_group(name), k, "full", top)
         assert tuple(monte_carlo_nonbase(g, 200, seed)["hits"]
                      for seed in (1, 2, 3)) == hits
+
+    @pytest.mark.parametrize("name,k,top,samples,seeds,hits", [
+        # test_symbolic_hits_pinned and its L2(7) case
+        *[("A5", k, top, 200, (4242,), (hits,)) for k, top, hits in (
+            (6, "sym", 54), (6, "alt", 7), (8, "sym", 84), (8, "alt", 11),
+            (10, "sym", 106), (10, "alt", 33), (12, "sym", 142),
+            (12, "alt", 52))],
+        ("L2(7)", 9, "alt", 500, (4242,), (5,)),
+        # test_explicit_hits_pinned
+        *[(name, k, top, 200, (1, 2, 3), hits) for name, k, top, hits in (
+            ("A5", 5, "dihedral", (2, 4, 5)),
+            ("A5", 37, "cyclic", (0, 0, 0)),
+            ("A5", 37, "dihedral", (0, 0, 0)),
+            ("A6", 5, "cyclic", (0, 0, 0)),
+            ("A6", 37, "dihedral", (0, 0, 0)),
+            ("L2(7)", 5, "cyclic", (0, 0, 0)),
+            ("L2(7)", 37, "dihedral", (0, 0, 0)),
+            ("L2(8)", 5, "dihedral", (0, 1, 0)),
+            ("L2(8)", 37, "cyclic", (0, 0, 0)),
+            ("L2(11)", 5, "dihedral", (0, 0, 0)),
+            ("L2(11)", 37, "cyclic", (0, 0, 0)),
+            ("A5", 2, "sym-table", (200, 200, 200)),
+            ("A5", 3, "sym-table", (153, 161, 168)),
+            ("L2(7)", 2, "sym-table", (200, 200, 200)))],
+        # the tier1.yml Monte Carlo steps: large explicit tops at the
+        # default seed, and symbolic tops at seed 3
+        ("A5", 7, "sym-table", 10000, (prob.DEFAULT_SEED,), (3101,)),
+        ("A6", 8, "sym-table", 200, (prob.DEFAULT_SEED,), (14,)),
+        ("L2(11)", 5, "dihedral", 10000, (prob.DEFAULT_SEED,), (17,)),
+        ("A5", 12, "alt", 5000, (3,), (1353,)),
+        ("L2(7)", 9, "alt", 5000, (3,), (67,)),
+        ("A5", 6, "alt", 5000, (3,), (197,)),
+        ("L2(11)", 7, "alt", 2000, (3,), (1,)),
+        ("L2(7)", 6, "sym", 5000, (3,), (467,))])
+    def test_numpy_stream_hits_kept(self, name, k, top, samples, seeds,
+                                    hits):
+        # the hit counts pinned while monte_carlo_nonbase drew from
+        # numpy's PCG64, seeded by the one child of SeedSequence(seed):
+        # the detector still gives every one on those points
+        g = build_group(get_group(name), k, "full", top)
+        got = []
+        for seed in seeds:
+            (stream,) = np.random.SeedSequence(seed).spawn(1)
+            tuples = np.zeros((samples, k), dtype=np.int32)
+            tuples[:, 1:] = np.random.default_rng(stream).integers(
+                0, g.T.order, size=(samples, k - 1), dtype=np.int32)
+            got.append(int(_detect_nonbase(g, tuples).sum()))
+        assert tuple(got) == hits
 
     @pytest.mark.parametrize("name", ["A5", "L2(7)"])
     @pytest.mark.parametrize("top", ["sym", "alt"])
@@ -526,6 +577,89 @@ class TestMonteCarlo:
         g = build_group(A5, 37, "full", "cyclic")
         out = monte_carlo_nonbase(g, 2000, seed=0x5EED)
         assert out["fraction"] < 0.05
+
+
+class TestSampler:
+    @pytest.mark.parametrize("n", [60, 168, 360, 504, 660, 2520])
+    def test_ids_uniform(self, n):
+        tuples = prob._sample_tuples(random.Random(n), n, 20000, 11)
+        assert tuples.dtype == np.int32 and not tuples[:, 0].any()
+        counts = np.bincount(tuples[:, 1:].ravel(), minlength=n)
+        assert len(counts) == n
+        # chi-square on n - 1 degrees of freedom, within 5 of its sigmas
+        want = tuples[:, 1:].size / n
+        chi2 = float(((counts - want) ** 2).sum() / want)
+        assert abs(chi2 - (n - 1)) <= 5 * sqrt(2 * (n - 1))
+
+    def test_rejected_words_drawn_again(self):
+        # a first draw of all-ones words, each at or past q * n, is wholly
+        # rejected; the block is drawn again in full, and from then on the
+        # stream is the plain generator's
+        class Rejecting:
+            def __init__(self, seed):
+                self.rng, self.calls = random.Random(seed), []
+
+            def getrandbits(self, bits):
+                self.calls.append(bits)
+                if len(self.calls) == 1:
+                    return (1 << bits) - 1
+                return self.rng.getrandbits(bits)
+
+        stub = Rejecting(5)
+        tuples = prob._sample_tuples(stub, 60, 100, 7)
+        assert np.array_equal(
+            tuples, prob._sample_tuples(random.Random(5), 60, 100, 7))
+        assert stub.calls == [16 * 600] * 2
+
+    def test_same_seed_same_tuples(self, A5):
+        first, again, other = (prob._sample_tuples(random.Random(s), 60,
+                                                   300, 9)
+                               for s in (11, 11, 12))
+        assert np.array_equal(first, again)
+        assert not np.array_equal(first, other)
+        g = build_group(A5, 9, "full", "alt")
+        assert monte_carlo_nonbase(g, 300, 11) == \
+            monte_carlo_nonbase(g, 300, 11)
+
+    def test_negative_seed_refused(self, A5):
+        g = build_group(A5, 5, "full", "dihedral")
+        with pytest.raises(PreconditionError, match="seed"):
+            monte_carlo_nonbase(g, 10, seed=-1)
+
+    def test_draw_holds_no_sample_sized_temporary(self):
+        # 10^7 ids: the tuple matrix and block-sized scratch only
+        tracemalloc.start()
+        tuples = prob._sample_tuples(random.Random(0), 2520, 10**6, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= tuples.nbytes + 8 * 2**20
+
+    def test_no_numpy_random_loaded(self):
+        # a fresh process, since tests here import numpy.random; a bare
+        # ``import numpy`` loads it in numpy 1.x, so only the modules past
+        # those count
+        code = ("import contextlib, io, sys\n"
+                "import numpy\n"
+                "bare = {m for m in sys.modules if 'numpy.random' in m}\n"
+                "from diagbase.cli import main\n"
+                "for argv in (\n"
+                "        ['prob-mc', '--group', 'A5', '--k', '3',\n"
+                "         '--top', 'sym-table', '--samples', '200'],\n"
+                "        ['prob-mc', '--group', 'A5', '--k', '8',\n"
+                "         '--top', 'alt', '--samples', '200'],\n"
+                "        ['base-construct', '--group', 'A5', '--k', '37',\n"
+                "         '--top', 'cyclic'],\n"
+                "        ['paper-suite', '--criteria', '3,5']):\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        assert main(argv) == 0, argv\n"
+                "print(sorted(m for m in sys.modules\n"
+                "             if 'numpy.random' in m and m not in bare))\n")
+        src = os.path.dirname(os.path.dirname(prob.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestFormulas:
