@@ -123,17 +123,22 @@ def monte_carlo_nonbase(g: DiagTypeGroup, samples: int,
 def _sample_tuples(rng, n: int, samples: int, k: int):
     """(samples, k) int32 points: 0, then k - 1 ids uniform in [0, n), a
     block of about ``_accel._CHUNK_PAIRS`` entries at a time.  A 16-bit
-    word of ``rng.getrandbits`` below q * n, q = 2^16 // n, is the id
-    word // q; the others are drawn again (exact rejection)."""
+    half of a 32-bit ``rng.getrandbits`` word, low half first, below
+    q * n, q = 2^16 // n, is the id half // q; the others are skipped
+    (exact rejection).  Whole 32-bit words keep the stream of ids one
+    sequence, the surplus carried into the next block, so the tuples do
+    not depend on the block size."""
     tuples = np.zeros((samples, k), dtype=np.int32)
     q, rows = (1 << 16) // n, max(1, _accel._CHUNK_PAIRS // k)
+    ids = np.empty(0, dtype=np.uint16)
     for block in (tuples[r:r + rows, 1:] for r in range(0, samples, rows)):
-        ids = np.empty(0, dtype=np.uint16)
         while (m := block.size - len(ids)) > 0:
-            words = np.frombuffer(
-                rng.getrandbits(16 * m).to_bytes(2 * m, "little"), "<u2")
-            ids = np.concatenate([ids, words[words < q * n] // q])
-        block[...] = ids.reshape(block.shape)
+            w = (m + 1) // 2
+            halves = np.frombuffer(
+                rng.getrandbits(32 * w).to_bytes(4 * w, "little"), "<u2")
+            ids = np.concatenate([ids, halves[halves < q * n] // q])
+        block[...] = ids[:block.size].reshape(block.shape)
+        ids = ids[block.size:]
     return tuples
 
 

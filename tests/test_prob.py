@@ -609,7 +609,16 @@ class TestSampler:
         tuples = prob._sample_tuples(stub, 60, 100, 7)
         assert np.array_equal(
             tuples, prob._sample_tuples(random.Random(5), 60, 100, 7))
-        assert stub.calls == [16 * 600] * 2
+        assert stub.calls == [32 * 300] * 2
+
+    def test_stream_independent_of_block_size(self, monkeypatch):
+        # n = 660 rejects 196 of the 2^16 halves, so refills land inside
+        # the blocks at 61- and 64-entry chunks as well as at the default
+        draws = []
+        for chunk in (_accel._CHUNK_PAIRS, 61, 64):
+            monkeypatch.setattr(_accel, "_CHUNK_PAIRS", chunk)
+            draws.append(prob._sample_tuples(random.Random(9), 660, 2000, 7))
+        assert all(np.array_equal(draws[0], d) for d in draws[1:])
 
     def test_same_seed_same_tuples(self, A5):
         first, again, other = (prob._sample_tuples(random.Random(s), 60,
