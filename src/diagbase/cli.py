@@ -24,7 +24,6 @@ from .diag import OMEGA_BUDGET, OmegaPoint, build_group
 from .errors import (BudgetExceededError, PreconditionError, ValidationError)
 from .prob import (DEFAULT_SEED, exact_nonbase_pair_proportion,
                    monte_carlo_nonbase, r_split_formula)
-from .suite import ALL_CRITERIA, format_table, run_suite
 
 EXIT_VALIDATION = 3
 EXIT_BUDGET = 4
@@ -131,6 +130,7 @@ def parse_args(argv):
 
 def _emit(args, payload, elapsed):
     if args.command == "paper-suite" and args.format == "text":
+        from .suite import format_table
         text = format_table(payload) + "\n"
     else:
         text = report_mod.render(report_mod.make_report(
@@ -260,6 +260,8 @@ def cmd_prob_mc(args):
 
 
 def cmd_paper_suite(args):
+    # the battery is imported here, so that the other commands skip it
+    from . import suite
     ids = None
     if args.criteria is not None:
         try:
@@ -267,13 +269,13 @@ def cmd_paper_suite(args):
         except ValueError:
             raise PreconditionError(
                 f"--criteria takes integer ids: {args.criteria!r}") from None
-        known = [fn.criterion_id for fn in ALL_CRITERIA]
+        known = [fn.criterion_id for fn in suite.ALL_CRITERIA]
         unknown = sorted(ids.difference(known))
         if unknown:
             raise PreconditionError(
                 f"--criteria: no criterion {', '.join(map(str, unknown))}; "
                 f"the ids are {', '.join(map(str, known))}")
-    return run_suite(ids)
+    return suite.run_suite(ids)
 
 
 COMMANDS = {

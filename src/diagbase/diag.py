@@ -47,14 +47,16 @@ import numpy as np
 from .catalog import ELEMENT_BUDGET, SimpleGroup, _closure_ids
 from .errors import (BudgetExceededError, InvalidTopError, PreconditionError,
                      UnsupportedEnumerationError)
-from .perm import (GroupTable, Perm, alternating_table, cyclic_table,
-                   dihedral_table, symmetric_table)
+from .perm import (GroupTable, Perm, _is_prime, alternating_table,
+                   cyclic_table, dihedral_table, symmetric_table)
 from .report import int_str
 
 OMEGA_BUDGET = 10**7
-# most entries (rows x k) of a tuple matrix whose row count the caller
-# picks: Monte Carlo samples, construction points.  `prob-mc` on A5 k=3000
-# sym with 10^4 samples (3 x 10^7 entries) peaks at 294 MB RSS.
+# most entries (rows x k) of the points whose row count the caller picks:
+# construction points, held as one tuple matrix, and Monte Carlo samples,
+# drawn and tested a block at a time, so for them the cap bounds the work.
+# `prob-mc` on A5 k=3000 sym with 10^4 samples (3 x 10^7 entries) peaks at
+# 33 MB RSS.
 ENTRY_BUDGET = 10**8
 # most decimal digits of a symbolic top's degree and order together
 # (``group_weight``) that ``describe()`` writes out; the conversion is
@@ -70,16 +72,11 @@ _ID_STR = tuple(map(str, range(ELEMENT_BUDGET)))
 
 
 class TopGroup:
-    """Top group descriptor: an explicit table or a symbolic Alt/Sym tag."""
+    """Top group: an explicit table or a symbolic Alt/Sym tag, as
+    ``make_top`` reads it from a descriptor."""
 
     def __init__(self, k: int, table: GroupTable | None = None,
                  symbolic: str | None = None):
-        if (table is None) == (symbolic is None):
-            raise PreconditionError("top group needs a table or a tag")
-        if symbolic is not None and symbolic not in ("alt", "sym"):
-            raise PreconditionError(f"unknown symbolic top {symbolic!r}")
-        if table is not None and table.degree != k:
-            raise PreconditionError("top table degree differs from k")
         self.k = k
         self.table = table
         self.symbolic = symbolic
@@ -119,7 +116,17 @@ class TopGroup:
         return f"TopGroup({self.describe()})"
 
 
-def make_top(spec, k: int) -> TopGroup:
+def _descriptor(spec, what: str) -> str:
+    """A descriptor string stripped and lower-cased; anything else raises
+    PreconditionError."""
+    if not isinstance(spec, str):
+        raise PreconditionError(
+            f"{what} must be a descriptor string, not "
+            f"{type(spec).__name__}")
+    return spec.strip().lower()
+
+
+def make_top(spec: str, k: int) -> TopGroup:
     """Build a top group from a descriptor string.
 
     Accepted: ``trivial``, ``sym``/``alt`` (symbolic), ``sym-table`` /
@@ -128,11 +135,7 @@ def make_top(spec, k: int) -> TopGroup:
     k (up to 10^12) raise InvalidTopError; those and ``gens:`` past
     TOP_TABLE_MAX_ENTRIES entries (order x k) raise BudgetExceededError.
     """
-    if isinstance(spec, TopGroup):
-        return spec
-    if isinstance(spec, GroupTable):
-        return TopGroup(k, table=spec)
-    name = spec.strip().lower()
+    name = _descriptor(spec, "top")
     if name == "trivial":
         return TopGroup(k, table=GroupTable.generate([Perm.identity(k)]))
     if name in ("sym", "alt"):
@@ -177,30 +180,22 @@ def make_top(spec, k: int) -> TopGroup:
     raise PreconditionError(f"unknown top descriptor {spec!r}")
 
 
-def resolve_out_part(T: SimpleGroup, spec) -> tuple:
-    """Subgroup of outer labels from 'inner', 'full', 'g<i>' refs, or labels."""
-    aut = T.aut
-    if isinstance(spec, str):
-        name = spec.strip().lower()
-        if name == "inner":
-            seeds = set()
-        elif name == "full":
-            return tuple(range(aut.out_order))
-        else:
-            seeds = set()
-            for part in name.split(","):
-                part = part.strip()
-                if not (part.startswith("g") and part[1:].isdecimal()):
-                    raise PreconditionError(
-                        f"unknown out-part descriptor {spec!r}")
-                idx = int(part[1:]) - 1
-                if not 0 <= idx < len(aut.generator_labels):
-                    raise PreconditionError(
-                        f"out-part generator g{idx + 1} not in catalog entry")
-                seeds.add(aut.generator_labels[idx])
-    else:
-        seeds = set(int(v) for v in spec)
-    return tuple(_closure_ids(aut.label_mul, list(seeds)).tolist())
+def resolve_out_part(T: SimpleGroup, spec: str) -> tuple:
+    """Subgroup of outer labels from 'inner', 'full' or 'g<i>' refs."""
+    aut, name = T.aut, _descriptor(spec, "out-part")
+    if name == "full":
+        return tuple(range(aut.out_order))
+    seeds = []
+    for part in name.split(",") if name != "inner" else ():
+        part = part.strip()
+        if not (part.startswith("g") and part[1:].isdecimal()):
+            raise PreconditionError(f"unknown out-part descriptor {spec!r}")
+        idx = int(part[1:]) - 1
+        if not 0 <= idx < len(aut.generator_labels):
+            raise PreconditionError(
+                f"out-part generator g{idx + 1} not in catalog entry")
+        seeds.append(aut.generator_labels[idx])
+    return tuple(_closure_ids(aut.label_mul, seeds).tolist())
 
 
 @dataclass(frozen=True)
@@ -252,8 +247,7 @@ class DiagTypeGroup:
 
     ``build_group`` shares one instance between all callers of the same
     spec, so everything here is computed once and never changed after: its
-    index arrays are read-only, and ``prime_candidates`` is the slot that
-    ``prob.prime_order_candidates`` fills on first use."""
+    index arrays are read-only."""
 
     def __init__(self, T: SimpleGroup, k: int, out_labels: tuple,
                  top: TopGroup):
@@ -262,7 +256,6 @@ class DiagTypeGroup:
         self.out_labels = out_labels
         self.top = top
         self.aut_rows = _read_only(T.aut.rows_with_labels(out_labels))
-        self.prime_candidates = None
 
     # the orders are worked out on first use: at a huge k a symbolic top's
     # |T|^(k-1) and k! take minutes, and some commands refuse it unread
@@ -286,6 +279,32 @@ class DiagTypeGroup:
                 f"degree and order of about {group_weight(self)} digits "
                 f"exceed the budget {DIGIT_BUDGET}")
         return int_str(self.degree), int_str(self.order)
+
+    @cached_property
+    def prime_candidates(self) -> tuple:
+        """(cand_a, cand_p): the aut rows and top perm ids of the
+        prime-order elements of G_D, the input of the scans and of the
+        class oracle.  Explicit tops only.
+
+        Perm-major: per perm order class, ascending, each perm of the class
+        with every out-part aut row whose order has a prime lcm with the
+        class's.  Every consumer sums over the candidates or takes their
+        set."""
+        if self.top.is_symbolic:
+            raise PreconditionError(
+                "prime-order candidate listing needs an explicit top")
+        top_orders = self.top.table.element_orders()
+        a_orders, a_of = np.unique(self.T.aut.orders[self.aut_rows],
+                                   return_inverse=True)
+        cand_a, cand_p = [], []
+        for q in np.flatnonzero(np.bincount(top_orders)).tolist():
+            prime = np.array([_is_prime(v)
+                              for v in np.lcm(a_orders, q).tolist()])
+            rows = self.aut_rows[prime[a_of]]
+            pids = np.flatnonzero(top_orders == q).astype(np.int32)
+            cand_a.append(np.tile(rows, len(pids)))
+            cand_p.append(np.repeat(pids, len(rows)))
+        return tuple(_read_only(np.concatenate(c)) for c in (cand_a, cand_p))
 
     def describe(self) -> dict:
         degree, order = self._digits
@@ -392,9 +411,9 @@ def build_group(T: SimpleGroup, k: int, out_part="full",
     pairs are outside this artifact's scope by design.
 
     Memoized per process (``_GROUP_MEMO``): the same (T by identity, k,
-    resolved out labels, top spec) returns the same instance.  A failing
-    spec is never retained and raises on every call.  Keys by identity are
-    safe, since a retained group holds its T and its top.
+    resolved out labels, top descriptor) returns the same instance.  A
+    failing spec is never retained and raises on every call.  Keying T by
+    identity is safe, since a retained group holds its T.
     """
     if k < 2:
         raise PreconditionError("diagonal type needs k >= 2")
@@ -403,10 +422,9 @@ def build_group(T: SimpleGroup, k: int, out_part="full",
     except Exception:
         make_top(top, k)    # a bad top is reported before a bad out part
         raise
-    # a descriptor names what make_top reads from it (cycle notation has no
-    # letters to fold); a TopGroup or GroupTable is keyed by identity
-    key = (id(T), k, labels, top.strip().lower() if isinstance(top, str)
-           else ("object", id(top)))
+    # the descriptor names what make_top reads from it (cycle notation has
+    # no letters to fold)
+    key = (id(T), k, labels, _descriptor(top, "top"))
     g = _GROUP_MEMO.get(key)
     if g is not None:
         return g

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import _accel
 from .baseengine import detect_symbolic
-from .diag import (OMEGA_BUDGET, DiagTypeGroup, _read_only, check_entries,
-                   gd_orbits, omega_tuples)
+from .diag import (OMEGA_BUDGET, DiagTypeGroup, check_entries, gd_orbits,
+                   omega_tuples)
 from .errors import BudgetExceededError, PreconditionError
 from .perm import Perm, _is_prime
 
@@ -42,32 +42,7 @@ ROW_CODED_TOP_MAX_ENTRIES = 4 * 10**6
 
 
 def prime_order_candidates(g: DiagTypeGroup):
-    """(cand_a, cand_p): the aut rows and top perm ids of the prime-order
-    elements of G_D, the input of the scans and of the class oracle.
-    Explicit tops only.
-
-    Perm-major: per perm order class, ascending, each perm of the class
-    with every out-part aut row whose order has a prime lcm with the
-    class's.  Every consumer sums over the candidates or takes their set.
-    Listed once per group, into its ``prime_candidates`` slot.
-    """
-    if g.prime_candidates is not None:
-        return g.prime_candidates
-    if g.top.is_symbolic:
-        raise PreconditionError(
-            "prime-order candidate listing needs an explicit top")
-    top_orders = g.top.table.element_orders()
-    a_orders, a_of = np.unique(g.T.aut.orders[g.aut_rows],
-                               return_inverse=True)
-    cand_a, cand_p = [], []
-    for q in np.flatnonzero(np.bincount(top_orders)).tolist():
-        prime = np.array([_is_prime(v) for v in np.lcm(a_orders, q).tolist()])
-        rows = g.aut_rows[prime[a_of]]
-        pids = np.flatnonzero(top_orders == q).astype(np.int32)
-        cand_a.append(np.tile(rows, len(pids)))
-        cand_p.append(np.repeat(pids, len(rows)))
-    g.prime_candidates = tuple(_read_only(np.concatenate(c))
-                               for c in (cand_a, cand_p))
+    """``g.prime_candidates``, under the one name that callers go through."""
     return g.prime_candidates
 
 
@@ -100,18 +75,18 @@ def monte_carlo_nonbase(g: DiagTypeGroup, samples: int,
                         seed: int = DEFAULT_SEED):
     """Monte-Carlo estimate of the non-base pair proportion.
 
-    Points are drawn uniformly from ``random.Random(seed)``; the per-sample
-    test runs G_D-side only, so large point sets cost nothing.
-    The result depends only on (samples, seed).  More than
-    ``ENTRY_BUDGET`` sample entries raise BudgetExceededError.
+    Points are drawn uniformly from ``random.Random(seed)`` and tested a
+    block at a time; the per-sample test runs G_D-side only, so large point
+    sets cost nothing.  The result depends only on (samples, seed).  More
+    than ``ENTRY_BUDGET`` sample entries raise BudgetExceededError.
     """
     if samples < 1:
         raise PreconditionError("need at least one sample")
     if seed < 0:
         raise PreconditionError("seed must be non-negative")
     check_entries(samples, g.k, "Monte Carlo samples")
-    tuples = _sample_tuples(random.Random(seed), g.T.order, samples, g.k)
-    hits = int(_detect_nonbase(g, tuples).sum())
+    hits = sum(int(_detect_nonbase(g, block).sum()) for block in
+               _sample_tuples(random.Random(seed), g.T.order, samples, g.k))
     return {
         "fraction": hits / samples,
         "hits": hits,
@@ -121,25 +96,26 @@ def monte_carlo_nonbase(g: DiagTypeGroup, samples: int,
 
 
 def _sample_tuples(rng, n: int, samples: int, k: int):
-    """(samples, k) int32 points: 0, then k - 1 ids uniform in [0, n), a
-    block of about ``_accel._CHUNK_PAIRS`` entries at a time.  A 16-bit
-    half of a 32-bit ``rng.getrandbits`` word, low half first, below
-    q * n, q = 2^16 // n, is the id half // q; the others are skipped
-    (exact rejection).  Whole 32-bit words keep the stream of ids one
-    sequence, the surplus carried into the next block, so the tuples do
-    not depend on the block size."""
-    tuples = np.zeros((samples, k), dtype=np.int32)
+    """Yield ``samples`` points in all as (rows, k) int32 blocks of about
+    ``_accel._CHUNK_PAIRS`` entries: 0, then k - 1 ids uniform in [0, n).
+    A 16-bit half of a 32-bit ``rng.getrandbits`` word, low half first,
+    below q * n, q = 2^16 // n, is the id half // q; the others are
+    skipped (exact rejection).  Whole 32-bit words keep the stream of ids
+    one sequence, the surplus carried into the next block, so the points
+    do not depend on the block size."""
     q, rows = (1 << 16) // n, max(1, _accel._CHUNK_PAIRS // k)
     ids = np.empty(0, dtype=np.uint16)
-    for block in (tuples[r:r + rows, 1:] for r in range(0, samples, rows)):
-        while (m := block.size - len(ids)) > 0:
+    for r in range(0, samples, rows):
+        block = np.zeros((min(rows, samples - r), k), dtype=np.int32)
+        size = block.shape[0] * (k - 1)
+        while (m := size - len(ids)) > 0:
             w = (m + 1) // 2
             halves = np.frombuffer(
                 rng.getrandbits(32 * w).to_bytes(4 * w, "little"), "<u2")
             ids = np.concatenate([ids, halves[halves < q * n] // q])
-        block[...] = ids[:block.size].reshape(block.shape)
-        ids = ids[block.size:]
-    return tuples
+        block[:, 1:] = ids[:size].reshape(-1, k - 1)
+        ids = ids[size:]
+        yield block
 
 
 def _detect_nonbase(g: DiagTypeGroup, tuples):

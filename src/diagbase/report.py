@@ -11,7 +11,6 @@ JSON comes from a small writer that encodes as it writes, not ``json.dumps``
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from fractions import Fraction
@@ -142,6 +141,7 @@ def to_csv(report: dict) -> str:
         _flatten("", entry, flat)
         flats.append(flat)
     fieldnames = sorted({k for flat in flats for k in flat})
+    import csv    # here, so that only CSV reports load it
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fieldnames)
     writer.writeheader()

@@ -21,7 +21,7 @@ from diagbase.cli import main
 from diagbase.diag import OmegaPoint, build_group
 from diagbase.errors import (BudgetExceededError, PreconditionError,
                              UnsupportedEnumerationError)
-from diagbase.perm import Perm, alternating_table, symmetric_table
+from diagbase.perm import Perm
 
 import pin_oracle
 from scan_oracle import fixes
@@ -233,7 +233,7 @@ class TestPointwiseStabilizer:
 
     def test_strategies_agree_on_k5(self, A5):
         # constraint solver vs explicit enumeration on the same group
-        g_table = build_group(A5, 5, "full", symmetric_table(5))
+        g_table = build_group(A5, 5, "full", "sym-table")
         g_solver = build_group(A5, 5, "full", "sym")
         rng = np.random.default_rng(42)
         for _ in range(100):
@@ -249,10 +249,9 @@ class TestPointwiseStabilizer:
             [0, 0, x, x, x],
             [0, x, x, 0, 0],
         ]
-        g_sym_table = build_group(A5, 5, "full", symmetric_table(5))
-        for tag, table in [("sym", symmetric_table(5)),
-                           ("alt", alternating_table(5))]:
-            g_table = build_group(A5, 5, "full", table)
+        g_sym_table = build_group(A5, 5, "full", "sym-table")
+        for tag in ("sym", "alt"):
+            g_table = build_group(A5, 5, "full", f"{tag}-table")
             g_solver = build_group(A5, 5, "full", tag)
             for ids in cases:
                 pts = [OmegaPoint.from_tuple(A5, ids)]
@@ -265,8 +264,8 @@ class TestPointwiseStabilizer:
         # the Alt witness is an even element of the Sym stabilizer, found
         # iff the Alt stabilizer is more than the identity
         g_alt = build_group(A5, 5, "full", "alt")
-        g_sym_table = build_group(A5, 5, "full", symmetric_table(5))
-        g_alt_table = build_group(A5, 5, "full", alternating_table(5))
+        g_sym_table = build_group(A5, 5, "full", "sym-table")
+        g_alt_table = build_group(A5, 5, "full", "alt-table")
         rng = np.random.default_rng(17)
         for _ in range(20):
             pts = [random_point(A5, 5, rng)]
@@ -297,8 +296,7 @@ class TestPointwiseStabilizer:
     def test_distinct_values_force_entrywise_images(self, A5):
         # a tuple with pairwise-distinct nontrivial entries and two trivial
         # ones forces every stabilizing element to map entries onto entries
-        from diagbase.perm import symmetric_table
-        g = build_group(A5, 5, "full", symmetric_table(5))
+        g = build_group(A5, 5, "full", "sym-table")
         xi, yi = A5.distinct_order_pair_ids()
         om = OmegaPoint.from_tuple(A5, [0, xi, yi, 0, 0])
         t = np.array([0, xi, yi, 0, 0])
@@ -391,10 +389,9 @@ class TestColumnSetSolver:
         rng = np.random.default_rng(2024)
         for k in (5, 6):
             for out_part in ("inner", "full"):
-                g_sym_table = build_group(T, k, out_part, symmetric_table(k))
-                for tag, table in [("sym", symmetric_table(k)),
-                                   ("alt", alternating_table(k))]:
-                    g_table = build_group(T, k, out_part, table)
+                g_sym_table = build_group(T, k, out_part, "sym-table")
+                for tag in ("sym", "alt"):
+                    g_table = build_group(T, k, out_part, f"{tag}-table")
                     g_solver = build_group(T, k, out_part, tag)
                     for _ in range(6):
                         alphabet = rng.choice(T.order, int(rng.integers(2, 4)),
@@ -410,7 +407,7 @@ class TestColumnSetSolver:
         # 33 points: |T|^33 > 2^63, so columns need exact wide codes.
         # Columns 1 and 2 differ only in the first point, whose digit
         # weight 60^32 is 0 mod 2^64: wrapped int64 codes would merge them.
-        g_table = build_group(A5, 5, "full", symmetric_table(5))
+        g_table = build_group(A5, 5, "full", "sym-table")
         g_solver = build_group(A5, 5, "full", "sym")
         rng = np.random.default_rng(11)
         for _ in range(3):
@@ -429,7 +426,7 @@ class TestColumnSetSolver:
         a, b, c = (int(np.flatnonzero(A5.order_of == o)[0]) for o in (2, 3, 5))
         pts = [OmegaPoint((0, a, 0, 0, a, 0, a, a)),
                OmegaPoint((0, 0, b, b, b, c, c, c))]
-        g_table = build_group(A5, 8, "inner", symmetric_table(8))
+        g_table = build_group(A5, 8, "inner", "sym-table")
         g_solver = build_group(A5, 8, "inner", "sym")
         stab = pointwise_stabilizer(g_table, pts)
         check_solver(g_solver, pts, stab)

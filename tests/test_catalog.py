@@ -25,6 +25,16 @@ A5_RECORD = ("group {name}\n  natural_degree: 5\n"
              "  involution_pair: (1 2 3 4 5) | (2 4)(3 5)\n"
              "  min_index: 5\nend\n")
 
+A5_PAIRED = A5_RECORD.format(name="A5", pair="(1 2 3 4 5) | (1 2 3)")
+
+# S3, which has a trivial centre, is too small for a non-abelian simple group
+S3_RECORD = ("group S3\n  natural_degree: 3\n"
+             "  generators: (1 2 3) | (1 2)\n"
+             "  aut_generator: (1 2 3) | (1 2)\n"
+             "  gen_pair_distinct_orders: (1 2 3) | (1 2)\n"
+             "  involution_pair: (1 2 3) | (1 2)\n"
+             "  min_index: 3\nend\n")
+
 # |T| = 2520, the catalog's ELEMENT_BUDGET; the outer automorphism is
 # conjugation by (6 7)
 A7_RECORD = ("group A7\n  natural_degree: 7\n"
@@ -82,6 +92,30 @@ class TestParsing:
         with pytest.raises(ValidationError) as err:
             parse_catalog(bad)
         assert "generators" in str(err.value) and "line 3" in str(err.value)
+
+    @pytest.mark.parametrize("text,message,field,line", [
+        (A5_PAIRED.replace("(1 2 3 4 5) | (1 2 3)\n", "(1 2 3 4 5)\n", 1),
+         "expected two cycle expressions separated by '|'", "generators",
+         3),
+        ("group X\ngroup Y\n", "nested group block", None, 2),
+        ("# comment\nend\n", "'end' outside a group block", None, 2),
+        ("natural_degree: 5\n", "unexpected line 'natural_degree: 5'", None,
+         1),
+        (A5_PAIRED.replace("end\n", "  min_index: 6\nend\n"),
+         "duplicate field", "min_index", 8),
+        (A5_PAIRED.replace("end\n", ""), "group 'A5' not closed with 'end'",
+         None, None),
+        (A5_PAIRED.replace("  aut_generator: (1 2 3 5 4) | (1 2 3)\n", ""),
+         "at least one aut_generator required", "aut_generator", None),
+        (A5_PAIRED.replace("min_index: 5", "min_index: five"),
+         "expected an integer", "min_index", 7),
+        (A5_PAIRED.replace("natural_degree: 5", "natural_degree: 0"),
+         "degree must be positive", "natural_degree", None)])
+    def test_grammar_errors(self, text, message, field, line):
+        with pytest.raises(ValidationError) as err:
+            parse_catalog(text)
+        assert str(err.value).endswith(message)
+        assert (err.value.field, err.value.line) == (field, line)
 
 
 class TestBuild:
@@ -250,6 +284,33 @@ class TestValidationOnTables:
         with pytest.raises(ValidationError) as err:
             load_catalog(text)
         assert "center is nontrivial" in str(err.value)
+
+    @pytest.mark.parametrize("text,message,field", [
+        (S3_RECORD, "group too small to be non-abelian simple", None),
+        # two 3-cycles generate A5, but have one order
+        (A5_RECORD.format(name="A5", pair="(1 2 3) | (3 4 5)"),
+         "gen_pair_distinct_orders have equal orders",
+         "gen_pair_distinct_orders"),
+        (A5_PAIRED.replace("(2 4)(3 5)", "(1 2 3)"),
+         "second element of involution_pair is not an involution",
+         "involution_pair")])
+    def test_record_invariant_errors(self, text, message, field):
+        with pytest.raises(ValidationError) as err:
+            load_catalog(text)
+        assert str(err.value).endswith(message)
+        assert (err.value.spec, err.value.field, err.value.line) == \
+            (text.split()[1], field, None)
+
+    def test_two_prime_divisors_rejected(self, monkeypatch):
+        # a record with a trivial centre that passes the simplicity check
+        # is non-abelian simple, so by Burnside's p^a q^b theorem its order
+        # has three prime divisors or more: only with that check off does
+        # a record reach this one.  S3 passes the pair and |Out| checks
+        monkeypatch.setattr(SimpleGroup, "_check_simplicity", lambda _: None)
+        with pytest.raises(ValidationError) as err:
+            load_catalog(S3_RECORD)
+        assert str(err.value) == \
+            "[S3]: order is divisible by fewer than 3 distinct primes"
 
     def test_pair_generating_proper_subgroup_rejected(self):
         text = A5_RECORD.format(name="A5sub", pair="(1 2 3) | (1 2)(4 5)")

@@ -2,7 +2,9 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagbase import _accel, cli, diag, prob
+from diagbase import _accel, cli, diag, prob, suite
 from diagbase import report as report_mod
 from diagbase.catalog import get_group
 from diagbase.cli import main
@@ -147,8 +149,8 @@ class TestCommands:
                                                    tmp_path):
         # the criterion table goes to --output as it goes to stdout; wall
         # times are zeroed so that the two runs print the same
-        run_suite = cli.run_suite
-        monkeypatch.setattr(cli, "run_suite", lambda ids: [
+        run_suite = suite.run_suite
+        monkeypatch.setattr(suite, "run_suite", lambda ids: [
             dict(r, elapsed_seconds=0.0) for r in run_suite(ids)])
         argv = ["paper-suite", "--criteria", "7", "--format", "text"]
         code, out = run_cli(capsys, *argv)
@@ -156,6 +158,30 @@ class TestCommands:
         assert run_cli(capsys, *argv, "--output", str(target)) == (code, "")
         assert code == 0 and out.startswith("[PASS] criterion 7: ")
         assert target.read_text(encoding="utf-8") == out
+
+    def test_commands_load_only_what_they_run(self):
+        # a fresh process, since this session has loaded both: the battery
+        # is imported by paper-suite alone, and csv by CSV reports alone
+        code = ("import contextlib, io, sys\n"
+                "from diagbase.cli import main\n"
+                "def run(*argv):\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        assert main(list(argv)) in (0, 1), argv\n"
+                "    loaded = {'csv', 'diagbase.suite'} & set(sys.modules)\n"
+                "    print(sorted(loaded))\n"
+                "run('prob-mc', '--group', 'A5', '--k', '5', '--top',\n"
+                "    'dihedral', '--samples', '50', '--format', 'text')\n"
+                "run('base-min', '--group', 'A5', '--k', '2', '--top',\n"
+                "    'sym-table')\n"
+                "run('catalog-validate', '--group', 'A5', '--format', 'csv')\n"
+                "run('paper-suite', '--criteria', '4', '--format', 'text')\n")
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "[]", "[]", "['csv']", "['csv', 'diagbase.suite']"]
 
 
 class TestDeterminism:
@@ -480,7 +506,7 @@ class TestExitCodes:
                                    want):
         result = {"id": 1, "name": "stub", "passed": passed,
                   "details": ["d"], "elapsed_seconds": 0.0}
-        monkeypatch.setattr(cli, "run_suite", lambda ids: [result])
+        monkeypatch.setattr(suite, "run_suite", lambda ids: [result])
         code, out = run_cli(capsys, "paper-suite", "--format", fmt)
         assert code == want
         if fmt == "text":

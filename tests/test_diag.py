@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagbase import diag
-from diagbase.catalog import (ELEMENT_BUDGET, catalog_names,
+from diagbase.catalog import (ELEMENT_BUDGET, _closure_ids, catalog_names,
                               default_catalog_text, get_group, load_catalog)
 from diagbase.baseengine import (_fixing_candidates,
                                  pointwise_stabilizer_by_action)
@@ -19,7 +19,7 @@ from diagbase.prob import prime_order_candidates
 from diagbase.report import int_str
 from diagbase.errors import (BudgetExceededError, InvalidTopError,
                              PreconditionError, UnsupportedEnumerationError)
-from diagbase.perm import Perm
+from diagbase.perm import Perm, symmetric_table
 
 from coset_oracle import (WElement, act, compose_rows, recover_conjugator,
                           row_of, w_identity, w_inverse, w_multiply)
@@ -75,8 +75,8 @@ class TestBuild:
             int(aut.labels[row_of(aut, aut._resolve_aut_images(images))])
             for images in T.record.aut_generators)
         for i, label in enumerate(aut.generator_labels):
-            assert resolve_out_part(T, f"g{i + 1}") == resolve_out_part(
-                T, {label})
+            assert resolve_out_part(T, f"g{i + 1}") == tuple(
+                _closure_ids(aut.label_mul, [label]).tolist())
         for ref in ("g0", f"g{len(aut.generator_labels) + 1}"):
             with pytest.raises(PreconditionError,
                                match=f"out-part generator {ref} not in "
@@ -89,11 +89,27 @@ class TestBuild:
         aut, n_out = T.aut, T.aut.out_order
         for mask in range(2 ** n_out):
             seeds = {lab for lab in range(n_out) if mask >> lab & 1}
-            got = resolve_out_part(T, seeds)
+            got = tuple(_closure_ids(aut.label_mul, sorted(seeds)).tolist())
             assert got == tuple(sorted(got)) and 0 in got
             assert seeds <= set(got)
             assert {int(aut.label_mul[a, b]) for a in got for b in got} \
                 <= set(got)
+
+    def test_specs_other_than_descriptors_refused(self, A5, A6):
+        # tables, label sets and top objects are not specs: each raises
+        # PreconditionError where it enters, before anything is built
+        with pytest.raises(PreconditionError, match="top must be a "
+                           "descriptor string, not GroupTable"):
+            build_group(A5, 5, "full", symmetric_table(5))
+        with pytest.raises(PreconditionError, match="out-part must be a "
+                           "descriptor string, not set"):
+            resolve_out_part(A6, {3})
+        with pytest.raises(PreconditionError, match="not TopGroup"):
+            build_group(A5, 5, "full", make_top("cyclic", 5))
+        with pytest.raises(PreconditionError, match="out-part"):
+            build_group(A5, 5, [1], "cyclic")
+        with pytest.raises(PreconditionError, match="not NoneType"):
+            make_top(None, 5)
 
     def test_top_from_generator_string(self, A5):
         g = build_group(A5, 5, "full", "gens:(1 2 3 4 5)|(2 5)(3 4)")
@@ -118,8 +134,6 @@ class TestGroupMemo:
     def test_same_spec_same_object(self, A5, memo):
         g = build_group(A5, 5, "full", "cyclic")
         assert build_group(A5, 5, " Full", "Cyclic ") is g
-        # a label list resolves to the same out labels as "full"
-        assert build_group(A5, 5, [1], "cyclic") is g
         assert len(memo) == 1 and memo.weight == 120 * 5
 
     def test_different_specs_different_objects(self, A5, A6, memo):
@@ -134,10 +148,6 @@ class TestGroupMemo:
                   build_group(A5_again, 5, "full", "cyclic")]
         assert len({id(g) for g in groups}) == len(groups) == len(memo)
         assert groups[-1].T is A5_again
-        # a TopGroup object is its own spec
-        top = make_top("cyclic", 5)
-        assert build_group(A5, 5, "full", top).top is top
-        assert build_group(A5, 5, "full", top) is not groups[0]
 
     def test_failing_spec_raises_on_every_call(self, A5, memo):
         for _ in range(2):
