@@ -384,8 +384,10 @@ def element_fixes_points(g: DiagTypeGroup, aut_row: int, perm: Perm,
 def construct_small_k_base(g: DiagTypeGroup):
     """The small-k explicit base point sets (k = 2, 3, 4).
 
-    Supported tops: trivial (k=2), Alt(k), Sym(k).  Returns the point list
-    including D.  Unsupported combinations raise PreconditionError.
+    ``build_group`` admits at k <= 4 only the trivial top (k = 2) and the
+    primitive tops, which are Sym(2), Alt(3), Sym(3), Alt(4) and Sym(4).
+    Returns the point list including D; any other k raises
+    PreconditionError.
     """
     T, k = g.T, g.k
     xi, yi = T.distinct_order_pair_ids()
@@ -397,24 +399,17 @@ def construct_small_k_base(g: DiagTypeGroup):
     if k == 2:
         if g.top.is_trivial():
             return [D, pt((xi, 0)), pt((yi, 0))]
-        if g.top.order == 2:
-            return [D, pt((xi, 0)), pt((yi, 0)),
-                    pt((int(T.mul[xi, yi]), 0))]
-        raise PreconditionError("k=2 tops are trivial or Sym(2)")
+        return [D, pt((xi, 0)), pt((yi, 0)), pt((int(T.mul[xi, yi]), 0))]
     if k == 3:
         if g.top.is_symmetric():
             return [D, pt((xi, 0, 0)), pt((0, yi, 0))]
-        if g.top.contains_alternating():
-            ai, bi = T.involution_pair_ids()
-            return [D, pt((ai, bi, 0))]
-        raise PreconditionError("k=3 tops are Alt(3) or Sym(3)")
+        ai, bi = T.involution_pair_ids()
+        return [D, pt((ai, bi, 0))]
     if k == 4:
-        zi = T.third_order_element()
         if g.top.is_symmetric():
+            zi = T.third_order_element()
             return [D, pt((xi, zi, 0, 0)), pt((0, 0, yi, 0))]
-        if g.top.contains_alternating():
-            return [D, pt((xi, yi, 0, 0))]
-        raise PreconditionError("k=4 tops are Alt(4) or Sym(4)")
+        return [D, pt((xi, yi, 0, 0))]
     raise PreconditionError("small-k construction needs k in {2, 3, 4}")
 
 
@@ -430,9 +425,9 @@ def construct_generator_base(g: DiagTypeGroup):
     if g.top.is_symmetric():
         raise PreconditionError("top group must not be Sym(k)")
     T, k = g.T, g.k
+    # a base of k - 1 points leaves every (k-2)-point stabilizer holding a
+    # transposition, which makes the top Sym(k); so m <= k - 2
     m, base_pts = g.top.table.minimal_base()
-    if m > k - 2:
-        return None
     xi, yi = T.distinct_order_pair_ids()
     ids = [0] * k
     ids[base_pts[0]] = xi
@@ -498,10 +493,10 @@ def construct_distinguishing_base(g: DiagTypeGroup):
         return None
     delta = sorted(delta)
     gamma = sorted(set(range(g.k)) - set(delta))
-    split = next((a for a in range(1, len(delta))
-                  if len(gamma) not in (a, len(delta) - a)), None)
-    if split is None:
-        return None
+    # a = 1 fails only if |gamma| is 1 or |delta| - 1, a = 2 only if it is
+    # 2 or |delta| - 2; the two meet only at |delta| = 3
+    split = next(a for a in (1, 2)
+                 if len(gamma) not in (a, len(delta) - a))
     xi, yi = g.T.distinct_order_pair_ids()
     ids = [0] * g.k
     for j in delta[split:]:
@@ -521,14 +516,10 @@ def construct_auto(g: DiagTypeGroup):
     Small-k point sets for k <= 4; for tops without Alt(k) the
     distinguishing-subset pair, falling back to the generator-placement pair
     (the subset search is only guaranteed fruitful for k > 32); the digit
-    construction otherwise.  Returns (name, points) or (None, None).
+    construction otherwise.  Returns (name, points).
     """
-    k = g.k
-    if k <= 4:
-        try:
-            return "small-k", construct_small_k_base(g)
-        except PreconditionError:
-            return None, None
+    if g.k <= 4:
+        return "small-k", construct_small_k_base(g)
     if not g.top.contains_alternating():
         pts = construct_distinguishing_base(g)
         if pts is not None:
@@ -557,7 +548,7 @@ def minimal_base_size(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
     if g.top.is_symbolic:
         raise PreconditionError("minimal_base_size needs an explicit top")
     _name, pts = construct_auto(g)
-    if pts is not None and len(pts) == 2 and is_base(g, pts[1:]).verdict:
+    if len(pts) == 2 and is_base(g, pts[1:]).verdict:
         return 2, pts
     filters = count(1)
 

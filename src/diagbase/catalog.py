@@ -6,7 +6,7 @@ the minimal index of a proper subgroup.  Everything else is computed and
 verified here: the element list and multiplication table of T, the full
 automorphism group as index bijections of T, inner/outer coset labels, and
 the catalog invariants (simplicity, generation, the |Out|^3 < |T| bound,
-prime divisors, minimal-index consistency).  Permutation objects appear
+minimal-index consistency).  Permutation objects appear
 only where the record is read: the closure of the generators of T
 (``GroupTable.generate``) runs on rows, and the group theory after it on
 integer tables: ``mul`` follows from the closure's derivations and its
@@ -492,7 +492,6 @@ class SimpleGroup:
         self._check_simplicity()
         self._check_pairs()
         self._check_out_bound(self.order, self.out_order, self.name)
-        self._check_prime_divisors()
         self._check_min_index()
 
     def _check_simplicity(self):
@@ -547,21 +546,6 @@ class SimpleGroup:
             raise ValidationError(
                 f"|Out|^3 = {out_order ** 3} is not < |T| = {order}",
                 spec=name)
-
-    def _check_prime_divisors(self):
-        n, primes, d = self.order, set(), 2
-        while d * d <= n:
-            if n % d == 0:
-                primes.add(d)
-                while n % d == 0:
-                    n //= d
-            d += 1
-        if n > 1:
-            primes.add(n)
-        if len(primes) < 3:
-            raise ValidationError(
-                "order is divisible by fewer than 3 distinct primes",
-                spec=self.name)
 
     def _check_min_index(self):
         # index-d subgroup <=> faithful transitive action on d points, so

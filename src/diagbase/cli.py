@@ -204,8 +204,6 @@ def cmd_catalog_validate(args):
 def cmd_base_construct(args):
     g = _build_from_args(args)
     name, pts = construct_auto(g)
-    if pts is None:
-        raise PreconditionError("no construction applies to this instance")
     cert = is_base(g, pts[1:])
     if not cert.verdict:
         raise ValidationError(

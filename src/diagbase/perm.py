@@ -373,8 +373,6 @@ class GroupTable:
 
     def is_primitive(self) -> bool:
         """Transitive with no nontrivial block system (Atkinson's test)."""
-        if self.degree == 1:
-            return True
         if not self.is_transitive():
             return False
         if _is_prime(self.degree):
@@ -400,8 +398,6 @@ class GroupTable:
         stabilizer, ties lexicographic; at each level only one representative
         per stabilizer orbit is tried (conjugate continuations are isomorphic).
         """
-        if self.order == 1:
-            return 0, []
         arr = self.arrays()
 
         def orbit_reps_desc(stab):

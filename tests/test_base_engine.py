@@ -19,8 +19,8 @@ from diagbase.baseengine import _fixing_candidates
 from diagbase.catalog import catalog_names, get_group
 from diagbase.cli import main
 from diagbase.diag import OmegaPoint, build_group
-from diagbase.errors import (BudgetExceededError, PreconditionError,
-                             UnsupportedEnumerationError)
+from diagbase.errors import (BudgetExceededError, InvalidTopError,
+                             PreconditionError, UnsupportedEnumerationError)
 from diagbase.perm import Perm
 
 import pin_oracle
@@ -626,13 +626,31 @@ class TestColumnSetSolver:
 
 
 class TestConstructions:
-    @pytest.mark.parametrize("k,top", [(2, "trivial"), (2, "sym-table"),
-                                       (3, "alt-table"), (3, "sym-table"),
-                                       (4, "alt-table"), (4, "sym-table")])
-    def test_small_k_verified(self, A5, k, top):
-        g = build_group(A5, k, "full", top)
-        pts = construct_small_k_base(g)
-        assert is_base(g, pts[1:]).verdict
+    # every top build_group admits at k <= 4: the trivial top at k = 2 and
+    # the primitive groups S2, A3, S3, A4 and S4, in each spelling
+    @pytest.mark.parametrize("k,top", [
+        (2, "trivial"), (2, "sym-table"), (2, "alt-table"), (2, "cyclic"),
+        (2, "dihedral"), (2, "gens:(1 2)"),
+        (3, "alt-table"), (3, "sym-table"), (3, "cyclic"), (3, "dihedral"),
+        (3, "sym"), (3, "alt"), (3, "gens:(1 2 3)"),
+        (3, "gens:(1 2 3)|(1 2)"),
+        (4, "alt-table"), (4, "sym-table"), (4, "sym"), (4, "alt"),
+        (4, "gens:(1 2 3)|(2 3 4)"), (4, "gens:(1 2 3 4)|(1 2)")])
+    def test_small_k_verified(self, A5, L27, k, top):
+        for T in (A5, L27):
+            for out_part in ("inner", "full"):
+                g = build_group(T, k, out_part, top)
+                name, pts = construct_auto(g)
+                assert name == "small-k"
+                assert is_base(g, pts[1:]).verdict
+
+    @pytest.mark.parametrize("top", ["gens:(1 2 3 4)",
+                                     "gens:(1 2)(3 4)|(1 3)(2 4)",
+                                     "gens:(1 2 3 4)|(1 3)"])
+    def test_small_k_imprimitive_tops_rejected(self, A5, top):
+        # C4, V4 and D8 are transitive on 4 points but keep a block system
+        with pytest.raises(InvalidTopError):
+            build_group(A5, 4, "full", top)
 
     def test_small_k_no_pair_when_trivial_top(self, A5):
         # exhaustive: with trivial top no pair is a base, so b = 3
@@ -731,6 +749,26 @@ class TestConstructions:
         name, pts = construct_auto(g)
         assert name == "generator" and len(pts) == 2
         assert is_base(g, pts[1:]).verdict
+
+    @pytest.mark.parametrize("top,order", [
+        ("gens:(1 2 3 4 5)|(1 6)(2 5)", 60),               # PSL(2,5)
+        ("gens:(1 2 3 4 5)|(2 3 5 4)|(1 6)(2 5)", 120)])   # PGL(2,5)
+    def test_construct_auto_generator_third_orders(self, A5, L27, top,
+                                                   order):
+        # on the projective line over F_5 the top has a minimal base of 3
+        # points and no distinguishing subset, so the generator placement
+        # puts a third-order element on the third base point: (x, y, z, 1,
+        # 1, 1), which canonicalizes to (1, x^-1 y, x^-1 z, x^-1, ...)
+        for T, point in ((A5, (0, 26, 4, 14, 14, 14)),
+                         (L27, (0, 18, 2, 30, 30, 30))):
+            g = build_group(T, 6, "full", top)
+            assert g.top.order == order
+            assert g.top.table.minimal_base()[0] == 3
+            assert g.top.table.distinguishing_subset() is None
+            name, pts = construct_auto(g)
+            assert name == "generator" and pts[1].tuple_ids == point
+            assert is_base(g, pts[1:]).verdict
+            assert len(pointwise_stabilizer_by_action(g, pts[1:])) == 1
 
 
 class TestMinimalBaseSize:

@@ -293,24 +293,25 @@ class TestValidationOnTables:
          "gen_pair_distinct_orders"),
         (A5_PAIRED.replace("(2 4)(3 5)", "(1 2 3)"),
          "second element of involution_pair is not an involution",
-         "involution_pair")])
+         "involution_pair"),
+        # an odd permutation cannot be the image of an element of A5
+        (A5_PAIRED.replace("aut_generator: (1 2 3 5 4)",
+                           "aut_generator: (1 2)"),
+         "aut_generator image is not an element of the group",
+         "aut_generator"),
+        # S7 has 5040 elements, past the budget
+        (A7_RECORD.replace("A7", "S7").replace(
+            "  generators: (1 2 3 4 5 6 7) | (1 2 3)",
+            "  generators: (1 2) | (1 2 3 4 5 6 7)"),
+         "closure exceeded element budget 2520", None),
+        (A5_PAIRED.replace("min_index: 5", "min_index: 4"),
+         "min_index 4 impossible: |T| does not divide 4!", "min_index")])
     def test_record_invariant_errors(self, text, message, field):
         with pytest.raises(ValidationError) as err:
             load_catalog(text)
         assert str(err.value).endswith(message)
         assert (err.value.spec, err.value.field, err.value.line) == \
             (text.split()[1], field, None)
-
-    def test_two_prime_divisors_rejected(self, monkeypatch):
-        # a record with a trivial centre that passes the simplicity check
-        # is non-abelian simple, so by Burnside's p^a q^b theorem its order
-        # has three prime divisors or more: only with that check off does
-        # a record reach this one.  S3 passes the pair and |Out| checks
-        monkeypatch.setattr(SimpleGroup, "_check_simplicity", lambda _: None)
-        with pytest.raises(ValidationError) as err:
-            load_catalog(S3_RECORD)
-        assert str(err.value) == \
-            "[S3]: order is divisible by fewer than 3 distinct primes"
 
     def test_pair_generating_proper_subgroup_rejected(self):
         text = A5_RECORD.format(name="A5sub", pair="(1 2 3) | (1 2)(4 5)")
