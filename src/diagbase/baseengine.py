@@ -390,7 +390,7 @@ def construct_small_k_base(g: DiagTypeGroup):
     PreconditionError.
     """
     T, k = g.T, g.k
-    xi, yi = T.distinct_order_pair_ids()
+    xi, yi = T.distinct_order_ids
     D = g.diagonal_point()
 
     def pt(ids):
@@ -403,12 +403,12 @@ def construct_small_k_base(g: DiagTypeGroup):
     if k == 3:
         if g.top.is_symmetric():
             return [D, pt((xi, 0, 0)), pt((0, yi, 0))]
-        ai, bi = T.involution_pair_ids()
+        ai, bi = T.involution_ids
         return [D, pt((ai, bi, 0))]
     if k == 4:
         if g.top.is_symmetric():
-            zi = T.third_order_element()
-            return [D, pt((xi, zi, 0, 0)), pt((0, 0, yi, 0))]
+            return [D, pt((xi, T.third_order_ids[0], 0, 0)),
+                    pt((0, 0, yi, 0))]
         return [D, pt((xi, yi, 0, 0))]
     raise PreconditionError("small-k construction needs k in {2, 3, 4}")
 
@@ -418,7 +418,9 @@ def construct_generator_base(g: DiagTypeGroup):
 
     Places the distinct-order generating pair x, y and distinct third-order
     elements on a minimal base of the top group, identity elsewhere.  Returns
-    [D, point], or None when too few third-order elements exist.
+    [D, point].  There are always enough third-order elements: a top of m
+    base points has order 2^m or more on k >= m + 2 points, so within
+    TOP_TABLE_MAX_ENTRIES m <= 14, and every catalog group has 15 or more.
     """
     if g.top.is_symbolic or g.k < 4:
         raise PreconditionError("needs an explicit top and k >= 4")
@@ -428,17 +430,12 @@ def construct_generator_base(g: DiagTypeGroup):
     # a base of k - 1 points leaves every (k-2)-point stabilizer holding a
     # transposition, which makes the top Sym(k); so m <= k - 2
     m, base_pts = g.top.table.minimal_base()
-    xi, yi = T.distinct_order_pair_ids()
+    xi, yi = T.distinct_order_ids
     ids = [0] * k
     ids[base_pts[0]] = xi
     ids[base_pts[1] if m >= 2 else min(set(range(k)) - {base_pts[0]})] = yi
-    if m >= 3:
-        ox, oy = int(T.order_of[xi]), int(T.order_of[yi])
-        pool = T.elements_with_orders_excluding({ox, oy})
-        if len(pool) < m - 2:
-            return None
-        for j, p in enumerate(base_pts[2:m]):
-            ids[p] = pool[j]
+    for j, p in enumerate(base_pts[2:]):
+        ids[p] = T.third_order_ids[j]
     return [g.diagonal_point(), OmegaPoint.from_tuple(T, ids)]
 
 
@@ -454,8 +451,8 @@ def digit_base_rows(g: DiagTypeGroup):
     if k < 5:
         raise PreconditionError("digit construction needs k >= 5")
     nT = T.order
-    xi, yi = T.distinct_order_pair_ids()
-    zi = T.third_order_element()
+    xi, yi = T.distinct_order_ids
+    zi = T.third_order_ids[0]
     # enumeration t_0 = 1, t_1 = x, t_2 = y, t_3 = z, rest by index
     rest = [t for t in range(1, nT) if t not in (xi, yi, zi)]
     enum = np.array([0, xi, yi, zi, *rest])
@@ -497,7 +494,7 @@ def construct_distinguishing_base(g: DiagTypeGroup):
     # 2 or |delta| - 2; the two meet only at |delta| = 3
     split = next(a for a in (1, 2)
                  if len(gamma) not in (a, len(delta) - a))
-    xi, yi = g.T.distinct_order_pair_ids()
+    xi, yi = g.T.distinct_order_ids
     ids = [0] * g.k
     for j in delta[split:]:
         ids[j] = xi
@@ -515,8 +512,8 @@ def construct_auto(g: DiagTypeGroup):
 
     Small-k point sets for k <= 4; for tops without Alt(k) the
     distinguishing-subset pair, falling back to the generator-placement pair
-    (the subset search is only guaranteed fruitful for k > 32); the digit
-    construction otherwise.  Returns (name, points).
+    (the capped subset search is only guaranteed fruitful for k > 32); the
+    digit construction otherwise.  Returns (name, points).
     """
     if g.k <= 4:
         return "small-k", construct_small_k_base(g)
@@ -524,9 +521,7 @@ def construct_auto(g: DiagTypeGroup):
         pts = construct_distinguishing_base(g)
         if pts is not None:
             return "distinguishing", pts
-        pts = construct_generator_base(g)
-        if pts is not None:
-            return "generator", pts
+        return "generator", construct_generator_base(g)
     return "digit", construct_digit_base(g)
 
 
@@ -570,8 +565,6 @@ def minimal_base_size(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
     def extend(cand, start, depth):
         """DFS over rows from ``start`` on for a point set of the given
         depth killing all candidates; returns the row list or None."""
-        if len(cand) == 0:
-            return []
         if depth == 1:
             detected = _accel.detect_per_tuple(
                 T, perms, g.aut_rows[cand // len(perms)], cand % len(perms),

@@ -444,7 +444,10 @@ class AutTable:
 
 
 class SimpleGroup:
-    """A catalog group T, fully materialized."""
+    """A catalog group T, fully materialized.  Validation sets the ids that
+    the base constructions place: the record's pairs ``distinct_order_ids``
+    and ``involution_ids``, and ``third_order_ids``, ascending, of the
+    elements whose order is neither 1 nor a distinct-order pair order."""
 
     def __init__(self, record: CatalogRecord):
         self.record = record
@@ -527,15 +530,21 @@ class SimpleGroup:
         return ids
 
     def _check_pairs(self):
-        self._distinct_order_ids = x, y = \
+        orders = self.order_of
+        self.distinct_order_ids = x, y = \
             self._generating_pair_ids("gen_pair_distinct_orders")
-        if self.order_of[x] == self.order_of[y]:
+        if orders[x] == orders[y]:
             raise ValidationError("gen_pair_distinct_orders have equal orders",
                                   spec=self.name,
                                   field="gen_pair_distinct_orders")
-        self._involution_ids = _, y = \
+        # never empty: T is nonabelian simple, so by Burnside and Cauchy it
+        # has elements of three prime orders, and the pair names only two
+        self.third_order_ids = np.flatnonzero(
+            (orders != 1) & (orders != orders[x]) & (orders != orders[y])
+        ).tolist()
+        self.involution_ids = _, y = \
             self._generating_pair_ids("involution_pair")
-        if self.order_of[y] != 2:
+        if orders[y] != 2:
             raise ValidationError("second element of involution_pair is not "
                                   "an involution", spec=self.name,
                                   field="involution_pair")
@@ -563,31 +572,6 @@ class SimpleGroup:
             self.min_index_status = "lower-verified"
         else:
             self.min_index_status = "literature"
-
-    # -- convenience ----------------------------------------------------------
-
-    def distinct_order_pair_ids(self):
-        return self._distinct_order_ids
-
-    def involution_pair_ids(self):
-        return self._involution_ids
-
-    def third_order_element(self):
-        """Smallest-index nontrivial element whose order differs from both
-        distinct-order pair members."""
-        xi, yi = self.distinct_order_pair_ids()
-        ox, oy = int(self.order_of[xi]), int(self.order_of[yi])
-        for t in range(1, self.order):
-            if int(self.order_of[t]) not in (1, ox, oy):
-                return t
-        raise ValidationError("no element of a third order exists",
-                              spec=self.name)
-
-    def elements_with_orders_excluding(self, excluded):
-        """Ids of nontrivial elements whose orders avoid the excluded set."""
-        excluded = set(excluded) | {1}
-        return [t for t in range(self.order)
-                if int(self.order_of[t]) not in excluded]
 
     def __repr__(self):
         return f"SimpleGroup({self.name}, order={self.order}, " \

@@ -10,19 +10,19 @@ A :class:`GroupTable` is a fully enumerated permutation group, held as its
 closure is breadth-first on rows, and every other fact is a reduction over
 the element array: conjugacy classes are orbit labels of conjugation, orbits
 on points are column minima, centralizers are one comparison, and minimal
-bases come from backtracking.  Cyclic and dihedral tables skip the closure:
-their rows and orders are closed-form.  Groups too large to enumerate must
-never reach this module; ``Perm`` objects are made from rows only on request.
+bases come from backtracking; only the distinguishing-subset search is
+capped.  Cyclic and dihedral tables skip the closure: their rows and orders
+are closed-form.  Groups too large to enumerate must never reach this
+module; ``Perm`` objects are made from rows only on request.
 """
 
 from __future__ import annotations
 
-import random
 import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import factorial, gcd
 
 import numpy as np
@@ -30,11 +30,8 @@ import numpy as np
 from .errors import BudgetExceededError, MembershipError, PreconditionError
 
 DEFAULT_CLOSURE_BUDGET = 10**7
-# distinguishing_subset: every subset up to this degree, seeded random
-# subsets beyond it
-DISTINGUISHING_FULL_SEARCH_DEGREE = 24
+# distinguishing_subset tries at most this many subsets
 DISTINGUISHING_SAMPLES = 10**5
-DISTINGUISHING_SEED = 0x5EED
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -435,24 +432,17 @@ class GroupTable:
     def distinguishing_subset(self):
         """A proper subset with trivial setwise stabilizer and |D| >= |complement|.
 
-        Exhaustive (lexicographic within ascending size, sizes from ceil(k/2))
-        up to degree DISTINGUISHING_FULL_SEARCH_DEGREE; beyond it,
-        DISTINGUISHING_SAMPLES random subsets from DISTINGUISHING_SEED.
-        Returns the subset, or None if none was found.
+        The first such subset in lexicographic order within ascending size,
+        sizes from ceil(k/2), among the first DISTINGUISHING_SAMPLES
+        subsets of that order.  Returns the subset, or None if none of
+        them is one.
         """
         if not self.is_transitive():
             raise PreconditionError("distinguishing subset needs a transitive group")
         k = self.degree
-        lo = (k + 1) // 2
-        if k <= DISTINGUISHING_FULL_SEARCH_DEGREE:
-            for size in range(lo, k):
-                for combo in combinations(range(k), size):
-                    if self.setwise_stabilizer_is_trivial(combo):
-                        return frozenset(combo)
-            return None
-        rng = random.Random(DISTINGUISHING_SEED)
-        for _ in range(DISTINGUISHING_SAMPLES):
-            combo = rng.sample(range(k), rng.randrange(lo, k))
+        subsets = chain.from_iterable(combinations(range(k), size)
+                                      for size in range((k + 1) // 2, k))
+        for combo in islice(subsets, DISTINGUISHING_SAMPLES):
             if self.setwise_stabilizer_is_trivial(combo):
                 return frozenset(combo)
         return None

@@ -33,6 +33,8 @@ from .errors import BudgetExceededError, PreconditionError
 from .perm import Perm, _is_prime
 
 DEFAULT_SEED = 0x5EED
+# most members a class walk (RowCodedGroup.class_data) visits in all
+CLASS_WALK_BUDGET = 10**7
 # most top products (order^2 x degree): sym-table k=6 fits, k=7 (711 MB) not
 ROW_CODED_TOP_MAX_ENTRIES = 4 * 10**6
 
@@ -390,7 +392,7 @@ class RowCodedGroup:
         return (self.comp[u, np.asarray(sr)[self.top_arr[up]]],
                 self.tmul[up, sp])
 
-    def class_data(self, budget: int = 10**7):
+    def class_data(self):
         """Conjugacy classes of the prime-order diagonal elements, by orbit
         walks under conjugation by the generators.
 
@@ -401,15 +403,13 @@ class RowCodedGroup:
         Returns a list of dicts: class size, the diagonal members (all k
         aut rows equal), the R-tag, and a representative.  The tag is read
         off the fixed points of the seed's perm: 1 = none, 2 = all (the
-        identity), 3 = some.  Cached after the first call, with the count
-        of members walked: a later call with a smaller budget walks again.
-        More than ``budget`` members walked in all raise
+        identity), 3 = some.  Cached after the first call.  More than
+        ``CLASS_WALK_BUDGET`` members walked in all raise
         BudgetExceededError; groups whose codes would not fit in int64 are
         refused.
         """
-        classes, walked = getattr(self, "_class_data", (None, 0))
-        if classes is not None and walked <= budget:
-            return classes
+        if hasattr(self, "_class_data"):
+            return self._class_data
         if self.T.aut.n_aut ** self.g.k * self.n_top > np.iinfo(np.int64).max:
             raise PreconditionError(
                 "class walk codes would not fit in int64")
@@ -435,9 +435,10 @@ class RowCodedGroup:
                 new[1:] &= images[1:] != images[:-1]
                 frontier = images[new]
                 members = np.insert(members, at[new], frontier)
-                if walked + len(members) > budget:
+                if walked + len(members) > CLASS_WALK_BUDGET:
                     raise BudgetExceededError(
-                        f"class walk exceeds budget {budget} members")
+                        f"class walk exceeds budget {CLASS_WALK_BUDGET} "
+                        "members")
             walked += len(members)
             rows, pids = self._decode(members)
             on_diag = np.all(rows == rows[:, :1], axis=1)
@@ -454,28 +455,26 @@ class RowCodedGroup:
                                      pids[on_diag].tolist())],
                 "tag": 1 if f == 0 else 2 if f == k else 3,
             })
-        self._class_data = classes, walked
+        self._class_data = classes
         return classes
 
 
-def r_split_exact(g: DiagTypeGroup, budget: int = 10**7):
+def r_split_exact(g: DiagTypeGroup):
     """The three class-sum contributions (fpf / trivial / mixed permutation
-    part), each an exact rational; they sum to the second-moment bound.
-    ``budget`` bounds the members walked by ``RowCodedGroup.class_data``."""
+    part), each an exact rational; they sum to the second-moment bound."""
     rc = RowCodedGroup(g)
     split = {1: Fraction(0), 2: Fraction(0), 3: Fraction(0)}
-    for cls in rc.class_data(budget):
+    for cls in rc.class_data():
         contrib = Fraction(len(cls["diag_members"]) ** 2, cls["size"])
         split[cls["tag"]] += contrib
     return split[1], split[2], split[3]
 
 
-def q2_bound_by_classes(g: DiagTypeGroup,
-                        budget: int = OMEGA_BUDGET) -> Fraction:
+def q2_bound_by_classes(g: DiagTypeGroup) -> Fraction:
     """Per-class evaluation of the bound: sum |x^G| (fix(x)/n)^2 over
     prime-order classes (those missing every point stabilizer contribute 0)."""
     rc = RowCodedGroup(g)
-    tuples = omega_tuples(g, budget)
+    tuples = omega_tuples(g)
     total = Fraction(0)
     for cls in rc.class_data():
         rows, pid = cls["rep"]

@@ -14,9 +14,9 @@ from diagbase.baseengine import (alt_formula_bounds, ceil_log, construct_auto,
                                  minimal_base_size, nonbase_witness,
                                  pointwise_stabilizer,
                                  pointwise_stabilizer_by_action, pyber_check)
-from diagbase import _accel, baseengine
+from diagbase import _accel, baseengine, diag, perm
 from diagbase.baseengine import _fixing_candidates
-from diagbase.catalog import catalog_names, get_group
+from diagbase.catalog import catalog_names, get_group, load_catalog
 from diagbase.cli import main
 from diagbase.diag import OmegaPoint, build_group
 from diagbase.errors import (BudgetExceededError, InvalidTopError,
@@ -297,7 +297,7 @@ class TestPointwiseStabilizer:
         # a tuple with pairwise-distinct nontrivial entries and two trivial
         # ones forces every stabilizing element to map entries onto entries
         g = build_group(A5, 5, "full", "sym-table")
-        xi, yi = A5.distinct_order_pair_ids()
+        xi, yi = A5.distinct_order_ids
         om = OmegaPoint.from_tuple(A5, [0, xi, yi, 0, 0])
         t = np.array([0, xi, yi, 0, 0])
         stab = pointwise_stabilizer(g, [om])
@@ -696,8 +696,8 @@ class TestConstructions:
     def test_digit_rows_layout(self, A5):
         g = build_group(A5, 5, "full", "sym")
         rows = digit_base_rows(g)
-        xi, yi = A5.distinct_order_pair_ids()
-        zi = A5.third_order_element()
+        xi, yi = A5.distinct_order_ids
+        zi = A5.third_order_ids[0]
         assert (rows[0] == 0).all()
         assert list(rows[1][:3]) == [xi, yi, zi]
         assert rows[2][0] == xi and rows[2][1] == zi
@@ -749,6 +749,36 @@ class TestConstructions:
         name, pts = construct_auto(g)
         assert name == "generator" and len(pts) == 2
         assert is_base(g, pts[1:]).verdict
+
+    def test_distinguishing_agl_1_29(self, A5):
+        # AGL(1, 29) = <x -> x + 1, x -> 2x>, 2 a primitive root mod 29
+        doubling = [1]
+        while len(doubling) < 28:
+            doubling.append(2 * doubling[-1] % 29)
+        top = "gens:({})|({})".format(" ".join(str(x + 1) for x in range(29)),
+                                      " ".join(str(x + 1) for x in doubling))
+        g = build_group(A5, 29, "full", top)
+        assert g.top.order == 812
+        name, pts = construct_auto(g)
+        assert name == "distinguishing" and len(pts) == 2
+        assert is_base(g, pts[1:]).verdict
+
+    def test_capped_subset_search_falls_back(self, A5, monkeypatch):
+        # one subset tried, {0..18}, which x -> 18 - x maps onto itself
+        monkeypatch.setattr(perm, "DISTINGUISHING_SAMPLES", 1)
+        g = build_group(A5, 37, "full", "dihedral")
+        assert g.top.table.distinguishing_subset() is None
+        name, pts = construct_auto(g)
+        assert name == "generator" and len(pts) == 2
+        assert is_base(g, pts[1:]).verdict
+
+    def test_generator_third_orders_suffice(self):
+        # construct_generator_base places third-order elements on m - 2
+        # base points of the top; a top with an m-point minimal base has
+        # order >= 2^m on k >= m + 2 points, and order x k is capped
+        m = max(m for m in range(1, 64)
+                if 2 ** m * (m + 2) <= diag.TOP_TABLE_MAX_ENTRIES)
+        assert m <= 2 + min(len(T.third_order_ids) for T in load_catalog())
 
     @pytest.mark.parametrize("top,order", [
         ("gens:(1 2 3 4 5)|(1 6)(2 5)", 60),               # PSL(2,5)

@@ -499,7 +499,7 @@ class TestExitCodes:
         code, out = run_cli(capsys, *argv)
         assert code == 0
         g = build_group(get_group("A5"), 3, "inner", "alt-table")
-        want = r_split_exact(g, budget=22031)
+        want = r_split_exact(g)
         split = json.loads(out)["payload"][0]["r_split"]
         assert [Fraction(int(r["num"]), int(r["den"])) for r in split] == \
             list(want)

@@ -314,9 +314,14 @@ class TestMinimalBase:
 
 class TestDistinguishingSubset:
     def test_prime_regular(self):
-        delta = cyclic_table(37).distinguishing_subset()
-        assert delta is not None
-        assert len(delta) >= 37 - len(delta)
+        # sizes from ceil(37/2) = 19, in lexicographic order: the first
+        # subset tried has trivial setwise stabilizer
+        assert cyclic_table(37).distinguishing_subset() == set(range(19))
+
+    def test_dihedral_exact(self):
+        # x -> 18 - x maps {0..18} onto itself, so the second subset
+        assert dihedral_table(37).distinguishing_subset() == \
+            set(range(18)) | {19}
 
     def test_symmetric_absent(self):
         assert symmetric_table(5).distinguishing_subset() is None

@@ -852,20 +852,18 @@ class TestRowCodedGroup:
             assert (rows, pid) in cls["diag_members"]
             assert all(len(set(m[0])) == 1 for m in cls["diag_members"])
 
-    def test_class_walk_budget(self, A5):
+    def test_class_walk_budget(self, A5, monkeypatch):
         g = build_group(A5, 3, "inner", "alt-table")
-        with pytest.raises(BudgetExceededError):
-            r_split_exact(g, budget=5000)
         # 22,031 members in all
-        assert sum(r_split_exact(g, budget=22031)) == q2_bound_exact(g)
-        with pytest.raises(BudgetExceededError):
-            r_split_exact(g, budget=22030)
-        # a cached walk keeps its count, so a smaller budget still raises
+        monkeypatch.setattr(prob, "CLASS_WALK_BUDGET", 22031)
         rc = RowCodedGroup(g)
         classes = rc.class_data()
-        assert rc.class_data(budget=22031) is classes
-        with pytest.raises(BudgetExceededError):
-            rc.class_data(budget=5)
+        assert sum(c["size"] for c in classes) == 22031
+        assert rc.class_data() is classes
+        assert sum(r_split_exact(g)) == q2_bound_exact(g)
+        monkeypatch.setattr(prob, "CLASS_WALK_BUDGET", 22030)
+        with pytest.raises(BudgetExceededError, match="22030 members"):
+            r_split_exact(g)
 
     def test_top_product_table_refused_before_building(self, A5):
         # 5040^2 x 7 composed top rows would take 711 MB
