@@ -240,13 +240,17 @@ class TestPairs:
         x, y = T.record.involution_pair
         assert y.order() == 2 and x.order() != 2
 
-    def test_third_order_ids(self, A5):
-        # the A5 pair has orders (5, 3), so the third order is 2: the 15
-        # involutions, in ascending id order
+    def test_third_order_element(self, A5):
+        z = A5.third_order_ids[0]
+        assert int(A5.order_of[z]) == 2  # A5 pair is (5,3); third order is 2
+
+    def test_order_census_excluding(self, A5):
+        # elements with order not in {1, 5, 3}: the 15 involutions, in
+        # ascending id order
+        assert sorted(A5.order_of[list(A5.distinct_order_ids)]) == [3, 5]
         ids = A5.third_order_ids
         assert len(ids) == 15 and ids == sorted(ids)
         assert all(int(A5.order_of[t]) == 2 for t in ids)
-        assert sorted(A5.order_of[list(A5.distinct_order_ids)]) == [3, 5]
 
 
 class TestValidationOnTables:
