@@ -53,7 +53,7 @@ def _scan(T, P, ident, a, tuples, lo=None, hi=None):
     canonical, k >= 2, P's rows distinct, the identity first if ``ident``."""
     n, m, k, G = T.order, len(tuples), tuples.shape[1], len(P)
     rows, mul, (ptr, fixers) = T.aut.rows.ravel(), T.mul.ravel(), T.aut.fixers
-    if lo is None and (k == 2 or len(a) * G * m <= _CHUNK_PAIRS):
+    if lo is None and len(a) * G * m <= _CHUNK_PAIRS:
         # one block: alpha(t_1) once per aut row, against every perm's rhs
         t = np.ascontiguousarray(tuples)
         q, j = np.divmod(np.flatnonzero(rows.take(a[:, None] * n + t[:, 1])

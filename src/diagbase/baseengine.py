@@ -32,8 +32,7 @@ from . import _accel
 from .diag import (OMEGA_BUDGET, DiagTypeGroup, OmegaPoint, act_diag,
                    check_entries, digit_codes, gd_orbits, omega_tuples,
                    point_tuple, stab_of_D)
-from .errors import (BudgetExceededError, PreconditionError,
-                     UnsupportedEnumerationError, ValidationError)
+from .errors import BudgetExceededError, PreconditionError, ValidationError
 from .perm import Perm
 
 # most filters in one minimal_base_size search: a filter is one scan of
@@ -80,11 +79,8 @@ def _candidate(g: DiagTypeGroup, i):
 def pointwise_stabilizer(g: DiagTypeGroup, points):
     """All (alpha, pi) in G_D fixing every point (D itself is implicit), as
     (aut row id, Perm) pairs read off G_D indices (``_fixing_candidates``);
-    explicit tops only."""
-    if g.top.is_symbolic:
-        raise UnsupportedEnumerationError(
-            "stabilizers are listed for explicit tops only; a symbolic top "
-            "answers whether one is trivial (stabilizer_witness)")
+    explicit tops only: a symbolic top answers whether one is trivial
+    (``stabilizer_witness``)."""
     tuples = np.array([p.tuple_ids for p in points], np.int32).reshape(-1, g.k)
     return [_candidate(g, i) for i in _fixing_candidates(g, tuples)]
 
@@ -422,8 +418,8 @@ def construct_generator_base(g: DiagTypeGroup):
     base points has order 2^m or more on k >= m + 2 points, so within
     TOP_TABLE_MAX_ENTRIES m <= 14, and every catalog group has 15 or more.
     """
-    if g.top.is_symbolic or g.k < 4:
-        raise PreconditionError("needs an explicit top and k >= 4")
+    if g.k < 4:
+        raise PreconditionError("generator construction needs k >= 4")
     if g.top.is_symmetric():
         raise PreconditionError("top group must not be Sym(k)")
     T, k = g.T, g.k
@@ -483,7 +479,7 @@ def construct_distinguishing_base(g: DiagTypeGroup):
     distinguishing subset so neither part matches the complement's size, and
     writes the generating pair onto the parts.  Returns [D, point] or None.
     """
-    if g.top.is_symbolic or g.top.contains_alternating():
+    if g.top.contains_alternating():
         return None
     delta = g.top.table.distinguishing_subset()
     if delta is None or len(delta) < 4:
@@ -540,8 +536,7 @@ def minimal_base_size(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
     last level in bulk.  More than ``MIN_BASE_FILTER_BUDGET`` filters raise
     BudgetExceededError.
     """
-    if g.top.is_symbolic:
-        raise PreconditionError("minimal_base_size needs an explicit top")
+    perms = g.top.table.arrays()    # a symbolic top is refused first
     _name, pts = construct_auto(g)
     if len(pts) == 2 and is_base(g, pts[1:]).verdict:
         return 2, pts
@@ -560,7 +555,7 @@ def minimal_base_size(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
         if len(stab) == 1:
             return 2, [g.diagonal_point(), OmegaPoint(point_tuple(g, rep))]
         seen.append((rep, stab[1:]))
-    T, perms, tuples = g.T, g.top.table.arrays(), omega_tuples(g, budget)
+    T, tuples = g.T, omega_tuples(g, budget)
 
     def extend(cand, start, depth):
         """DFS over rows from ``start`` on for a point set of the given

@@ -73,13 +73,22 @@ _ID_STR = tuple(map(str, range(ELEMENT_BUDGET)))
 
 class TopGroup:
     """Top group: an explicit table or a symbolic Alt/Sym tag, as
-    ``make_top`` reads it from a descriptor."""
+    ``make_top`` admits it.  A symbolic top has no ``table``: reading it
+    raises UnsupportedEnumerationError, the one refusal of a symbolic top."""
 
     def __init__(self, k: int, table: GroupTable | None = None,
                  symbolic: str | None = None):
         self.k = k
-        self.table = table
+        self._table = table
         self.symbolic = symbolic
+
+    @property
+    def table(self) -> GroupTable:
+        if self.is_symbolic:
+            raise UnsupportedEnumerationError(
+                f"the {self.describe()} top has no table; this computation "
+                f"needs an explicit top")
+        return self._table
 
     @property
     def is_symbolic(self) -> bool:
@@ -90,27 +99,27 @@ class TopGroup:
         if self.is_symbolic:
             half = factorial(self.k) // 2
             return half if self.symbolic == "alt" else 2 * half
-        return self.table.order
+        return self._table.order
 
     def is_trivial(self) -> bool:
-        return not self.is_symbolic and self.table.order == 1
+        return not self.is_symbolic and self._table.order == 1
 
     def contains_alternating(self) -> bool:
         if self.is_symbolic:
             return True
-        return self.table.contains_alternating()
+        return self._table.contains_alternating()
 
     def is_symmetric(self) -> bool:
         if self.is_symbolic:
             return self.symbolic == "sym"
-        return self.table.is_symmetric()
+        return self._table.is_symmetric()
 
     def describe(self) -> str:
         if self.is_symbolic:
             return f"{self.symbolic.capitalize()}({self.k})"
-        if self.table.order == 1:
+        if self._table.order == 1:
             return "trivial"
-        return f"table[order {self.table.order}]"
+        return f"table[order {self._table.order}]"
 
     def __repr__(self):
         return f"TopGroup({self.describe()})"
@@ -126,19 +135,28 @@ def _descriptor(spec, what: str) -> str:
     return spec.strip().lower()
 
 
-def make_top(spec: str, k: int) -> TopGroup:
-    """Build a top group from a descriptor string.
+_TRIVIAL_ONLY_AT_2 = "trivial top group only allowed at k = 2"
+_NOT_PRIMITIVE = "top group is not primitive on k points"
 
-    Accepted: ``trivial``, ``sym``/``alt`` (symbolic), ``sym-table`` /
-    ``alt-table`` (explicit; small k only), ``cyclic``, ``dihedral``, or
-    ``gens:<cycles>|<cycles>|...``.  ``cyclic``/``dihedral`` at a composite
-    k (up to 10^12) raise InvalidTopError; those and ``gens:`` past
-    TOP_TABLE_MAX_ENTRIES entries (order x k) raise BudgetExceededError.
+
+def make_top(spec: str, k: int) -> TopGroup:
+    """Build an admissible top group from a descriptor string.
+
+    Accepted: ``trivial`` (k = 2 only), ``sym``/``alt`` (symbolic, k >= 3),
+    ``sym-table`` / ``alt-table`` (explicit; small k only), ``cyclic``,
+    ``dihedral`` (prime k only), or ``gens:<cycles>|<cycles>|...``, primitive
+    or trivial at k = 2.  Other tops raise InvalidTopError; ``cyclic``,
+    ``dihedral`` and ``gens:`` past TOP_TABLE_MAX_ENTRIES entries (order x
+    k) raise BudgetExceededError.
     """
     name = _descriptor(spec, "top")
     if name == "trivial":
+        if k != 2:
+            raise InvalidTopError(_TRIVIAL_ONLY_AT_2)
         return TopGroup(k, table=GroupTable.generate([Perm.identity(k)]))
     if name in ("sym", "alt"):
+        if k < 3:
+            raise InvalidTopError("symbolic tops need k >= 3")
         return TopGroup(k, symbolic=name)
     if name in ("sym-table", "alt-table"):
         if k > TOP_TABLE_MAX_K:
@@ -152,7 +170,7 @@ def make_top(spec: str, k: int) -> TopGroup:
         # primitive iff k is prime (residues mod a divisor of k form blocks);
         # factors past 10^6 go unsought, as such a k is over budget anyway
         if any(k % d == 0 for d in range(2, min(isqrt(k), 10**6) + 1)):
-            raise InvalidTopError("top group is not primitive on k points")
+            raise InvalidTopError(_NOT_PRIMITIVE)
         order = k if name == "cyclic" else 2 * k
         if order * k > TOP_TABLE_MAX_ENTRIES:
             raise BudgetExceededError(
@@ -172,11 +190,15 @@ def make_top(spec: str, k: int) -> TopGroup:
             raise PreconditionError(f"bad top generator: {exc}") from None
         most = TOP_TABLE_MAX_ENTRIES // k
         try:
-            return TopGroup(k, table=GroupTable.generate(gens, most))
+            table = GroupTable.generate(gens, most)
         except BudgetExceededError:
             raise BudgetExceededError(
                 f"gens: top table of more than {most} x {k} entries exceeds "
                 f"{TOP_TABLE_MAX_ENTRIES}") from None
+        if table.order == 1 and k == 2 or table.is_primitive():
+            return TopGroup(k, table=table)
+        raise InvalidTopError(
+            _TRIVIAL_ONLY_AT_2 if table.order == 1 else _NOT_PRIMITIVE)
     raise PreconditionError(f"unknown top descriptor {spec!r}")
 
 
@@ -290,9 +312,6 @@ class DiagTypeGroup:
         with every out-part aut row whose order has a prime lcm with the
         class's.  Every consumer sums over the candidates or takes their
         set."""
-        if self.top.is_symbolic:
-            raise PreconditionError(
-                "prime-order candidate listing needs an explicit top")
         top_orders = self.top.table.element_orders()
         a_orders, a_of = np.unique(self.T.aut.orders[self.aut_rows],
                                    return_inverse=True)
@@ -404,11 +423,11 @@ _GROUP_MEMO = GroupMemo(GROUP_MEMO_CAP)
 
 def build_group(T: SimpleGroup, k: int, out_part="full",
                 top="sym") -> DiagTypeGroup:
-    """Construct and validate a diagonal-type group.
+    """Construct a diagonal-type group.
 
-    The top must be primitive on k points, or trivial with k = 2; anything
-    else raises InvalidTopError.  Groups not expressible by (out part, top)
-    pairs are outside this artifact's scope by design.
+    ``make_top`` admits the top, and a bad top is reported before a bad out
+    part.  Groups not expressible by (out part, top) pairs are outside this
+    artifact's scope by design.
 
     Memoized per process (``_GROUP_MEMO``): the same (T by identity, k,
     resolved out labels, top descriptor) returns the same instance.  A
@@ -428,17 +447,7 @@ def build_group(T: SimpleGroup, k: int, out_part="full",
     g = _GROUP_MEMO.get(key)
     if g is not None:
         return g
-    top = make_top(top, k)
-    if top.is_trivial():
-        if k != 2:
-            raise InvalidTopError("trivial top group only allowed at k = 2")
-    elif not top.is_symbolic:
-        if not top.table.is_primitive():
-            raise InvalidTopError("top group is not primitive on k points")
-    else:
-        if k < 3:
-            raise InvalidTopError("symbolic tops need k >= 3")
-    g = DiagTypeGroup(T, k, labels, top)
+    g = DiagTypeGroup(T, k, labels, make_top(top, k))
     _GROUP_MEMO.put(key, g)
     return g
 
@@ -469,12 +478,9 @@ def act_diag(T: SimpleGroup, point: OmegaPoint, aut_row: int,
 
 def stab_of_D(g: DiagTypeGroup):
     """All (aut row, pi) pairs of the point stabilizer G_D, aut-row-major,
-    made one at a time; explicit tops only."""
-    if g.top.is_symbolic:
-        raise UnsupportedEnumerationError(
-            "symbolic top groups cannot be enumerated explicitly; route the "
-            "computation through the column-set test instead")
-    return ((int(a), p) for a in g.aut_rows for p in g.top.table)
+    made one at a time; explicit tops only, refused on the call."""
+    table = g.top.table
+    return ((int(a), p) for a in g.aut_rows for p in table)
 
 
 def point_tuple(g: DiagTypeGroup, i: int) -> tuple:
@@ -500,13 +506,18 @@ def digit_codes(digits, n: int, dtype=np.intp) -> np.ndarray:
 def omega_tuples(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
     """The point set as one (degree, k) int32 matrix, row i the tuple of
     point i, refusing oversized point sets."""
-    if g.degree > budget:
-        raise BudgetExceededError(
-            f"point set of size {g.degree} exceeds budget {budget}")
+    check_points(g, budget)
     tuples = np.zeros((g.degree, g.k), dtype=np.int32)
     tuples[:, 1:] = np.indices((g.T.order,) * (g.k - 1), dtype=np.int32) \
         .reshape(g.k - 1, -1).T
     return tuples
+
+
+def check_points(g: DiagTypeGroup, budget: int) -> None:
+    """Refuse a point set of more than ``budget`` points."""
+    if g.degree > budget:
+        raise BudgetExceededError(
+            f"point set of size {g.degree} exceeds budget {budget}")
 
 
 def check_entries(rows: int, k: int, what: str) -> None:
@@ -533,16 +544,12 @@ def gd_orbits(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
     G_D in one block (act_diag on every (alpha, pi): the tuple indexed by
     pi^-1) and marks the images seen, so a caller that stops early touches
     no later orbit; the walk keeps one byte per point, the unseen mask.
-    The candidates mapping the point to itself are its stabilizer.
+    The candidates mapping the point to itself are its stabilizer.  A
+    symbolic top is refused before the degree is worked out.
     """
-    if g.top.is_symbolic:
-        raise UnsupportedEnumerationError(
-            "G_D orbits requested for a symbolic top")
-    if g.degree > budget:
-        raise BudgetExceededError(
-            f"point set of size {g.degree} exceeds budget {budget}")
-    T = g.T
     perms = np.argsort(g.top.table.arrays(), axis=1)    # the inverses
+    check_points(g, budget)
+    T = g.T
     auts_flat = T.aut.rows.ravel()
     at_a = (g.aut_rows.astype(np.intp) * T.order)[:, None, None]
     unseen = np.ones(g.degree + 1, dtype=bool)    # the last: a sentinel

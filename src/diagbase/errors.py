@@ -40,4 +40,4 @@ class InvalidTopError(PreconditionError):
 
 
 class UnsupportedEnumerationError(PreconditionError):
-    """A symbolic top group was asked for an explicit element listing."""
+    """A symbolic Alt/Sym top was asked for its table (``TopGroup.table``)."""

@@ -240,12 +240,11 @@ def r_split_formula(g: DiagTypeGroup):
     (``GroupTable.order_fixed_tally``), each term weighted by the two
     counts; p is the lcm of the two orders, and
     pairs where it is not prime add nothing.  Explicit tops only."""
-    if g.top.is_symbolic:
-        raise PreconditionError("the split formula needs an explicit top")
+    top_tally = g.top.table.order_fixed_tally()
     n, k = g.T.order, g.k
     num = {"fpf": 0, "trivial": 0, "mixed": 0}
     for (o_a, c, label), m_a in g.T.aut.out_tally(g.out_labels):
-        for (o_p, f), m_p in g.top.table.order_fixed_tally():
+        for (o_p, f), m_p in top_tally:
             if not _is_prime(p := lcm(o_a, o_p)):
                 continue
             if f == 0:
@@ -290,8 +289,6 @@ class RowCodedGroup:
     """
 
     def __init__(self, g: DiagTypeGroup):
-        if g.top.is_symbolic:
-            raise PreconditionError("row-coded enumeration needs an explicit top")
         table = g.top.table
         if table.order ** 2 * table.degree > ROW_CODED_TOP_MAX_ENTRIES:
             raise BudgetExceededError(

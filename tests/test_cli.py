@@ -278,6 +278,13 @@ BAD_BASE_VERIFY_INPUT = [
      "symbolic tops need k >= 3"),
     (("--k", "3", "--top", "sym", "--points", "0 60 1"),
      "tuple entry out of range for |T|"),
+    # a top that make_top does not admit is reported before a bad out part
+    (("--k", "4", "--out-part", "bogus", "--top", "gens:(1 2)(3 4)",
+      "--points", "0 1 2 3"), "top group is not primitive on k points"),
+    (("--k", "4", "--out-part", "bogus", "--top", "trivial",
+      "--points", "0 1 2 3"), "trivial top group only allowed at k = 2"),
+    (("--k", "2", "--out-part", "bogus", "--top", "sym", "--points", "0 1"),
+     "symbolic tops need k >= 3"),
 ]
 
 
@@ -466,7 +473,8 @@ class TestExitCodes:
                        f"{diag.TOP_TABLE_MAX_ENTRIES}\n")
 
     @pytest.mark.parametrize("out,top,message", [
-        ("full", "sym", "minimal_base_size needs an explicit top"),
+        ("full", "sym", "the Sym(10000000) top has no table; this "
+         "computation needs an explicit top"),
         ("bogus", "sym", "unknown out-part descriptor"),
         ("bogus", "cyclic", "not primitive"),
     ], ids=["sym", "bad-out-part", "bad-top"])

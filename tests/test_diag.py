@@ -1,3 +1,4 @@
+import time
 from itertools import islice, product
 from math import factorial
 
@@ -9,13 +10,15 @@ from hypothesis import strategies as st
 from diagbase import diag
 from diagbase.catalog import (ELEMENT_BUDGET, _closure_ids, catalog_names,
                               default_catalog_text, get_group, load_catalog)
-from diagbase.baseengine import (_fixing_candidates,
+from diagbase.baseengine import (_fixing_candidates, minimal_base_size,
+                                 pointwise_stabilizer,
                                  pointwise_stabilizer_by_action)
 from diagbase.diag import (GROUP_MEMO_CAP, DiagTypeGroup, GroupMemo,
                            OmegaPoint, act_diag, build_group, gd_orbit_reps,
                            gd_orbits, group_weight, make_top, omega_iter,
                            omega_tuples, resolve_out_part, stab_of_D)
-from diagbase.prob import prime_order_candidates
+from diagbase.prob import (RowCodedGroup, prime_order_candidates,
+                           r_split_formula)
 from diagbase.report import int_str
 from diagbase.errors import (BudgetExceededError, InvalidTopError,
                              PreconditionError, UnsupportedEnumerationError)
@@ -396,16 +399,37 @@ class TestStabOfD:
         assert len(list(stab_of_D(build_group(A5, 2, "inner",
                                               "sym-table")))) == 120
 
-    def test_symbolic_errors(self, A5):
-        with pytest.raises(UnsupportedEnumerationError):
-            stab_of_D(build_group(A5, 5, "full", "sym"))
-        # 3,600 points, well within the point budget
-        for top in ("sym", "alt"):
-            g = build_group(A5, 3, "full", top)
-            with pytest.raises(UnsupportedEnumerationError):
-                next(gd_orbits(g))
-            with pytest.raises(UnsupportedEnumerationError):
-                gd_orbit_reps(g)
+    def test_symbolic_errors(self):
+        # a symbolic top refuses its table with one message naming it; its
+        # own methods answer without the table
+        top = make_top("sym", 200)
+        with pytest.raises(UnsupportedEnumerationError) as exc:
+            top.table
+        assert str(exc.value) == ("the Sym(200) top has no table; this "
+                                  "computation needs an explicit top")
+        assert top.contains_alternating() and top.is_symmetric()
+        assert not top.is_trivial() and top.describe() == "Sym(200)"
+
+    # every reader of the top's table, refused there alone
+    @pytest.mark.parametrize("read", [
+        stab_of_D, lambda g: next(gd_orbits(g)), gd_orbit_reps,
+        lambda g: g.prime_candidates, r_split_formula, RowCodedGroup,
+        minimal_base_size, lambda g: pointwise_stabilizer(g, [])],
+        ids=["stab_of_D", "gd_orbits", "gd_orbit_reps", "prime_candidates",
+             "r_split_formula", "RowCodedGroup", "minimal_base_size",
+             "pointwise_stabilizer"])
+    @pytest.mark.parametrize("top", ["sym", "alt"])
+    def test_table_reader_refuses_symbolic_top(self, A5, read, top):
+        # at k = 10^8 the degree |T|^(k-1) and k! take minutes, so nothing
+        # may be worked out before the table is read
+        g = build_group(A5, 10**8, "full", top)
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedEnumerationError) as exc:
+            read(g)
+        assert time.perf_counter() - start < 1
+        assert str(exc.value) == (
+            f"the {top.capitalize()}(100000000) top has no table; this "
+            f"computation needs an explicit top")
 
     def test_projection_matches_top(self, A5):
         g = build_group(A5, 2, "full", "sym-table")
