@@ -10,14 +10,12 @@ minimal-index consistency).  Permutation objects appear
 only where the record is read: the closure of the generators of T
 (``GroupTable.generate``) runs on rows, and the group theory after it on
 integer tables: ``mul`` follows from the closure's derivations and its
-element array, one breadth-first level at a time.  An automorphism is known
-by the code of its images of the two generators of T, so Aut(T) is closed
-on codes first: the code of (row, then generator) is the generator read at
-the row's two images, and whole rows are built only for the automorphisms
-found, from their derivations, once the closure is done.  Inn-coset labels
-are read off codes as well.  Subgroup closures (simplicity, generating
-pairs) are breadth-first walks over ``mul``, and Aut(T) element orders are
-read off powers of the generator images alone, two entries per row a step.
+element array, one breadth-first level at a time.  Aut(T) is laid out as
+the Inn(T)-cosets of its outer label reps, as in the paper (``AutTable``),
+so finding and composing rows is coset arithmetic.  Subgroup closures
+(simplicity, generating pairs) are breadth-first walks over ``mul``, and
+Aut(T) element orders are read off powers of the generator images alone,
+two entries per row a step.
 
 Automorphisms are stored as rows over the element index of T, so applying
 one is a single array lookup.  Element ids are below ``ELEMENT_BUDGET``, so
@@ -201,67 +199,64 @@ def _levels(parents):
 
 
 class AutTable:
-    """Aut(T) as int16 rows over the element index of T.  A row is found by
-    its code img(g1) * |T| + img(g2) in ``_index``: the codes, ascending,
-    and their rows."""
+    """Aut(T) as int16 rows over the element index of T, one Inn-coset a
+    block: row ``l |T| + t`` applies phi_t, then the label rep r_l, so rows
+    0..|T|-1 are Inn(T) in element order (r_0 is the identity) and the
+    label of a row is its block.  A row is found by its coset: f is phi_t,
+    then r_l, exactly when f, then r_l^-1, has the code of phi_t, looked up
+    among the |T| sorted inner codes (``_inner``)."""
 
     def __init__(self, group: "SimpleGroup"):
         self.T = T = group
         n = T.order
         mul, inv = T.mul, T.inv
-        # the key n * n, above every code, ends the index: searches land on it
-        self._index = (np.array([n * n]), np.array([-1], dtype=np.int32))
-        self.n_aut = 0
-        # the closure runs on codes and lists each new row's derivation,
-        # (first row, parent rows, generators), for materializing at the end
-        parents, gis = T.table.deriv
-        steps = [(level.start, parents[level], gis[level])
-                 for level in _levels(parents)]
-        # inner automorphisms phi_t[x] = t^-1 x t, one row per t in element
-        # order: with e_j = e_parent * g, phi_j is phi_parent, then phi_g
         ts = np.arange(n)
-        inner_codes = self._code(
-            mul[mul[inv[:, None], T.gen_ids], ts[:, None]])
-        if len(self._add_new(inner_codes)) != n:
+        # phi_t[x] = t^-1 x t at the generators of T; codes ascending, and
+        # the t of each
+        codes = self._code(mul[mul[inv[:, None], T.gen_ids], ts[:, None]])
+        by_code = np.argsort(codes)
+        self._inner = codes[by_code], by_code
+        if np.any(self._inner[0][1:] == self._inner[0][:-1]):
             raise ValidationError("inner automorphisms not distinct; "
                                   "center is nontrivial", spec=T.name)
-        outer = np.array([self._resolve_aut_images(images)
-                          for images in T.record.aut_generators])
-        # generators of Aut(T): phi_g for the generators g of T, then outer
-        gen_ids = np.array(T.gen_ids)
-        gens = np.concatenate([mul[mul[inv[gen_ids]], gen_ids[:, None]],
-                               outer])
-        outer = outer[self._add_new(self._codes(outer))]
-        # the rows found last start at row `frontier`; `images` holds their
-        # images of g1, g2
-        frontier, images = n, outer[:, T.gen_ids]
-        while len(images):
-            # apply a frontier row, then a generator, in a-major order; the
-            # code of that product is the generator at the row's images of
-            # g1, g2, so only the new automorphisms get a derivation
-            codes = self._code(gens[:, images])
-            start = self.n_aut
-            a, g = np.divmod(self._add_new(codes.T.ravel()), len(gens))
-            steps.append((start, frontier + a, g))
-            frontier, images = start, gens[g[:, None], images[a]]
+        outer = [self._resolve_aut_images(images)
+                 for images in T.record.aut_generators]
+        # label reps, breadth-first modulo Inn(T): each rep, then each
+        # outer generator, kept when no coset found so far holds it
+        reps, self._rep_invs = [ts.astype(_ID)], [ts]
+        for rep in reps:
+            for g in outer:
+                if self._lookup(g[rep]) < 0:
+                    reps.append(f := g[rep])
+                    self._rep_invs.append(np.argsort(f))
+        self.out_order, reps = len(reps), np.array(reps)
+        self.n_aut = self.out_order * n
+        # [l, m] the row of (apply r_l, then r_m)
+        self._rep_mul = self._lookup(reps[:, reps]).T
+        # phi_j is phi_parent, then phi_g for e_j = e_parent g, one closure
+        # level and 2^14 entries at a time; row l n + t is r_l read at phi_t
+        inner_gens = mul[mul[inv[T.gen_ids]], np.array(T.gen_ids)[:, None]]
         self.rows = rows = np.empty((self.n_aut, n), dtype=_ID)
-        rows[0] = ts
-        rows[n:n + len(outer)] = outer
-        for start, parent, g in steps:
-            rows[start:start + len(g)] = \
-                gens.ravel()[(g * n)[:, None] + rows[parent]]
-        if self.n_aut % n:
-            raise ValidationError(
-                f"|Aut| = {self.n_aut} is not a multiple of |T| = {n}",
-                spec=T.name)
-        self.out_order = self.n_aut // n
+        rows[::n] = reps
+        parents, gis = T.table.deriv
+        step = max(1, (1 << 14) // n)
+        for level in _levels(parents):
+            for s in range(level.start, level.stop, step):
+                t = ts[s:min(s + step, level.stop)]
+                rows[t] = np.take(inner_gens,
+                                  (gis[t] * n)[:, None] + rows[parents[t]])
+                for l, rep in enumerate(reps[1:], start=1):
+                    rows[l * n + t] = rep[rows[t]]
         self.identity_row = 0  # phi of the identity element
-        self._assign_labels()
+        self.labels = np.repeat(np.arange(self.out_order, dtype=np.int32), n)
+        self.label_reps = list(range(0, self.n_aut, n))
+        # multiplication table of the (small) outer label group
+        self.label_mul = (self._rep_mul // n).astype(np.int32)
+        self.label_inv = np.argmin(self.label_mul, axis=1).astype(np.int32)
         # the label of each record.aut_generators entry, for 'g<i>' out parts
         self.generator_labels = tuple(
-            self.labels[self._lookup(gens[len(gen_ids):])].tolist())
-        self._group = None
-        self._comp = None
+            (self._lookup(np.array(outer)) // n).tolist())
+        self._group = self._comp = None
         self._image_index = {}
         self._out_tally = {}
 
@@ -269,36 +264,17 @@ class AutTable:
         """Codes of the automorphisms with images ``at[..., :2]`` of g1, g2."""
         return at[..., 0].astype(np.intp) * self.T.order + at[..., 1]
 
-    def _codes(self, images):
-        return self._code(images[..., self.T.gen_ids])
-
-    def _row_of(self, codes):
-        """Row ids of the automorphisms with these codes, -1 for none."""
-        keys, ids = self._index
-        at = np.searchsorted(keys, codes)
-        return np.where(keys[at] == codes, ids[at], -1)
-
     def _lookup(self, images):
-        """Row ids of automorphisms given as image arrays (last axis)."""
-        return self._row_of(self._codes(images))
-
-    def _compose(self, a, b):
-        """Row ids [i, j] of (apply row a[i], then row b[j])."""
-        at = self.rows[np.asarray(a)[:, None, None], self.T.gen_ids]
-        return self._row_of(self._code(self.rows[np.asarray(b)[:, None], at]))
-
-    def _add_new(self, codes):
-        """Number the codes not in the index yet, in order of first
-        occurrence, after the rows already there; returns their positions
-        in ``codes``."""
-        fresh = np.flatnonzero(self._row_of(codes) < 0)
-        new, first = np.unique(codes[fresh], return_index=True)
-        found, (keys, ids) = np.sort(first), self._index
-        at = np.searchsorted(keys, new)
-        self._index = (np.insert(keys, at, new), np.insert(
-            ids, at, self.n_aut + np.searchsorted(found, first)))
-        self.n_aut += len(first)
-        return fresh[found]
+        """Row ids of automorphisms given as image arrays (last axis), -1
+        for none."""
+        n, (keys, ts) = self.T.order, self._inner
+        at = np.asarray(images)[..., self.T.gen_ids]
+        found = np.full(at.shape[:-1], -1, dtype=np.intp)
+        for l, back in enumerate(self._rep_invs):
+            codes = self._code(back[at])
+            i = np.minimum(np.searchsorted(keys, codes), n - 1)
+            found = np.where(keys[i] == codes, l * n + ts[i], found)
+        return found
 
     def _resolve_aut_images(self, images):
         """Bijection of T induced by generator images, via derivation words,
@@ -326,26 +302,6 @@ class AutTable:
                     spec=T.name, field="aut_generator")
         return f
 
-    def _assign_labels(self):
-        n = self.T.order
-        # the Inn-coset of row r: apply phi_t, then r, for every t
-        labels = np.full(self.n_aut, -1, dtype=np.int32)
-        reps = []
-        for r in range(self.n_aut):
-            if labels[r] < 0:
-                labels[self._compose(np.arange(n), [r])] = len(reps)
-                reps.append(r)
-        self.labels = labels
-        self.label_reps = reps
-        counts = np.bincount(labels, minlength=len(reps))
-        if len(reps) != self.out_order or not np.all(counts == n):
-            raise ValidationError(
-                "Inn-coset partition is not out_order parts of size |T|",
-                spec=self.T.name)
-        # multiplication table of the (small) outer label group
-        self.label_mul = labels[self._compose(reps, reps)]
-        self.label_inv = np.argmin(self.label_mul, axis=1).astype(np.int32)
-
     # -- queries -------------------------------------------------------------
 
     def inn_of(self, t: int) -> int:
@@ -357,12 +313,21 @@ class AutTable:
 
     def composition_table(self) -> np.ndarray:
         """Full n_aut x n_aut composition table, [a, b] the row of (apply
-        a, then b); built lazily, 2^20 entries at a time."""
+        a, then b); built lazily, 2^20 entries at a time, by coset
+        arithmetic.  For a = phi_s, then r_l and b = phi_t, then r_m:
+        r_l, then phi_t is phi_u, then r_l for u = r_l^-1(t), and r_l, then
+        r_m is row l' |T| + c, so a, then b is row l' |T| + s u c."""
         if self._comp is None:
-            ids, step = np.arange(self.n_aut), max(1, (1 << 20) // self.n_aut)
+            n, mul = self.T.order, self.T.mul
             self._comp = np.empty((self.n_aut, self.n_aut), dtype=np.int32)
-            for s in range(0, self.n_aut, step):
-                self._comp[s:s + step] = self._compose(ids[s:s + step], ids)
+            blocks = self._comp.reshape(self.out_order, n, self.out_order, n)
+            step = max(1, (1 << 20) // n)
+            for l, back in enumerate(self._rep_invs):
+                for m, lc in enumerate(self._rep_mul[l].tolist()):
+                    for s in range(0, n, step):
+                        su = mul[s:s + step, back]
+                        blocks[l, s:s + step, m] = \
+                            mul[su, lc % n] + (lc - lc % n)
         return self._comp
 
     @cached_property

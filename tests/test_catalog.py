@@ -373,13 +373,15 @@ class TestValidationOnTables:
             assert got.tolist() == [r for r in range(aut.n_aut)
                                     if int(aut.labels[r]) in labels]
 
-    @pytest.mark.parametrize("name", ["A5", "L2(7)"])
+    @pytest.mark.parametrize("name", catalog_names())
     def test_composition_table_composes_rows(self, name):
         aut = get_group(name).aut
-        rows = aut.rows
-        # [a, b, x] = x under (apply a, then b)
-        want = rows[:, rows].transpose(1, 0, 2)
-        assert np.array_equal(rows[aut.composition_table()], want)
+        rows, comp = aut.rows, aut.composition_table()
+        step = max(1, (1 << 22) // rows.size)
+        for s in range(0, aut.n_aut, step):
+            # [a, b, x] = x under (apply a, then b)
+            want = rows[:, rows[s:s + step]].transpose(1, 0, 2)
+            assert np.array_equal(rows[comp[s:s + step]], want)
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_image_index_matches_direct_scan(self, name):
@@ -501,8 +503,9 @@ def _reference_aut(T, mul, inv):
     rep_rows = rows[reps]
     label_mul = labels[row_of_code[codes(rep_rows[:, rep_rows])]].T
     return {"rows": rows, "row_of_code": row_of_code, "labels": labels,
-            "label_reps": np.array(reps), "label_mul": label_mul,
-            "label_inv": np.argmin(label_mul, axis=1).astype(np.int32)}
+            "label_mul": label_mul,
+            "label_inv": np.argmin(label_mul, axis=1).astype(np.int32),
+            "generator_labels": labels[row_of_code[codes(outer)]]}
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -513,17 +516,36 @@ def test_catalog_build_matches_reference(name):
     assert np.array_equal(T.inv, inv) and T.inv.dtype == np.int32
     assert T.order_of.tolist() == orders
     ref = _reference_aut(T, mul, inv)
-    row_of_code = ref.pop("row_of_code")
-    for attr, want in ref.items():
-        got = np.asarray(getattr(T.aut, attr))
-        dtype = np.int16 if attr == "rows" else want.dtype
-        assert got.dtype == dtype and np.array_equal(got, want), attr
-    # every row is found through the sorted code index, as through the
-    # reference's dense map; every other code finds none
-    n, (g1, g2), rows = T.order, T.gen_ids, ref["rows"]
-    assert np.array_equal(T.aut._lookup(rows), row_of_code[
-        rows[:, g1] * n + rows[:, g2]])
-    assert np.array_equal(T.aut._row_of(np.arange(n * n)), row_of_code)
+    aut, n, (g1, g2) = T.aut, T.order, T.gen_ids
+    rows, labels = aut.rows, aut.labels
+    # the same automorphisms, each with the same label, and Inn(T) first
+    # in element order
+    assert rows.dtype == np.int16 and labels.dtype == np.int32
+    assert np.array_equal(rows[:n], ref["rows"][:n])
+    row_of_code = np.full(n * n, -1)
+    row_of_code[rows[:, g1].astype(np.int64) * n + rows[:, g2]] = \
+        np.arange(aut.n_aut)
+    assert np.array_equal(row_of_code >= 0, ref["row_of_code"] >= 0)
+    at = row_of_code[ref["rows"][:, g1] * n + ref["rows"][:, g2]]
+    assert np.array_equal(rows[at], ref["rows"])
+    assert np.array_equal(labels[at], ref["labels"])
+    for attr in ("label_mul", "label_inv", "generator_labels"):
+        want = ref[attr]
+        got = np.asarray(getattr(aut, attr))
+        assert got.dtype.kind == "i" and np.array_equal(got, want), attr
+    # row l n + t applies phi_t, then the label rep l n
+    reps = rows[aut.label_reps]
+    assert aut.label_reps == list(range(0, aut.n_aut, n))
+    assert np.array_equal(rows.reshape(-1, n, n), reps[:, rows[:n]])
+    # every row is found through its coset; an image array that is no
+    # automorphism finds none
+    assert np.array_equal(aut._lookup(ref["rows"]), at)
+    images = np.tile(np.arange(n), (n, 1))
+    images[:, g2] = np.arange(n)
+    for a in range(n):
+        images[:, g1] = a
+        assert np.array_equal(aut._lookup(images),
+                              row_of_code[a * n + np.arange(n)])
 
 
 @pytest.mark.parametrize("name", catalog_names() + ["A7"])
@@ -535,7 +557,7 @@ def test_codes_exact_on_int16_tables(name, request):
     rows = aut.rows
     assert T.mul.dtype == rows.dtype == np.int16
     wide = rows[:, g1].astype(np.int64) * n + rows[:, g2]
-    assert np.array_equal(aut._codes(rows), wide)
+    assert np.array_equal(aut._code(rows[:, T.gen_ids]), wide)
     assert len(np.unique(wide)) == aut.n_aut
     assert np.array_equal(aut._lookup(rows), np.arange(aut.n_aut))
     # [a, b] is (apply a, then b): every pair at the images of g1 and g2,
@@ -550,8 +572,10 @@ def test_codes_exact_on_int16_tables(name, request):
 
 
 def test_a7_tables_retain_under_40_mb():
-    # int16 tables and an index of n_aut codes, no |T|^2 map: A7's mul
-    # (12.1 MB) and Aut rows (24.2 MB) are most of what the build keeps
+    # int16 tables and an index of the |T| inner codes, no |T|^2 map: A7's
+    # mul (12.1 MB) and Aut rows (24.2 MB) are most of what the build
+    # keeps; the rows are built 2^14 entries at a time, so the peak stays
+    # near that (40.4 MB; 48.3 MB when built a closure level at a time)
     tracemalloc.start()
     try:
         (T,) = load_catalog(source=A7_RECORD)
@@ -563,6 +587,26 @@ def test_a7_tables_retain_under_40_mb():
     assert (T.order, T.aut.n_aut, T.min_index_status) == \
         (2520, 5040, "verified")
     assert retained < 40 * 2**20
+    assert peak < 44 * 2**20
+
+
+def test_catalog_build_peak_in_fresh_process():
+    # the five catalog groups keep 6.2 MB of tables; built in blocks, the
+    # build adds 0.3 MB to that (7.1 MB peak a closure level at a time,
+    # 13.7 MB with the Aut rows built in one piece)
+    code = ("import tracemalloc\n"
+            "from diagbase.catalog import load_catalog\n"
+            "tracemalloc.start()\n"
+            "load_catalog()\n"
+            "print(tracemalloc.get_traced_memory()[1])\n")
+    src = os.path.dirname(os.path.dirname(diagbase.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    peak = int(proc.stdout)
+    print(f"load_catalog(): peak {peak / 2**20:.2f} MB")
+    assert peak < 6.8 * 2**20
 
 
 @pytest.mark.parametrize("labels", [(0, 1), (0,)], ids=["full", "inner"])
