@@ -233,20 +233,15 @@ class AutTable:
         self.n_aut = self.out_order * n
         # [l, m] the row of (apply r_l, then r_m)
         self._rep_mul = self._lookup(reps[:, reps]).T
-        # phi_j is phi_parent, then phi_g for e_j = e_parent g, one closure
-        # level and 2^14 entries at a time; row l n + t is r_l read at phi_t
-        inner_gens = mul[mul[inv[T.gen_ids]], np.array(T.gen_ids)[:, None]]
+        # phi_t, 2^14 entries at a time; row l n + t is r_l read at phi_t
         self.rows = rows = np.empty((self.n_aut, n), dtype=_ID)
-        rows[::n] = reps
-        parents, gis = T.table.deriv
         step = max(1, (1 << 14) // n)
-        for level in _levels(parents):
-            for s in range(level.start, level.stop, step):
-                t = ts[s:min(s + step, level.stop)]
-                rows[t] = np.take(inner_gens,
-                                  (gis[t] * n)[:, None] + rows[parents[t]])
-                for l, rep in enumerate(reps[1:], start=1):
-                    rows[l * n + t] = rep[rows[t]]
+        for s in range(0, n, step):
+            t = ts[s:s + step]
+            rows[t] = np.take(mul, mul[inv[t]].astype(np.intp) * n
+                              + t[:, None])
+            for l, rep in enumerate(reps[1:], start=1):
+                rows[l * n + t] = rep[rows[t]]
         self.identity_row = 0  # phi of the identity element
         self.labels = np.repeat(np.arange(self.out_order, dtype=np.int32), n)
         self.label_reps = list(range(0, self.n_aut, n))

@@ -529,10 +529,10 @@ def test_catalog_build_matches_reference(name):
     at = row_of_code[ref["rows"][:, g1] * n + ref["rows"][:, g2]]
     assert np.array_equal(rows[at], ref["rows"])
     assert np.array_equal(labels[at], ref["labels"])
-    for attr in ("label_mul", "label_inv", "generator_labels"):
-        want = ref[attr]
-        got = np.asarray(getattr(aut, attr))
-        assert got.dtype.kind == "i" and np.array_equal(got, want), attr
+    for attr in ("label_mul", "label_inv"):
+        got, want = getattr(aut, attr), ref[attr]
+        assert got.dtype == want.dtype and np.array_equal(got, want), attr
+    assert aut.generator_labels == tuple(ref["generator_labels"].tolist())
     # row l n + t applies phi_t, then the label rep l n
     reps = rows[aut.label_reps]
     assert aut.label_reps == list(range(0, aut.n_aut, n))
