@@ -1,5 +1,5 @@
 """Pointwise stabilizers, explicit base constructions, exact minimal base
-sizes, lower-bound witnesses, and the logarithmic bound checkers.
+sizes, and the logarithmic and theorem 1 bound checkers.
 
 All stabilizer computations are anchored at the diagonal point D (transitivity
 loses nothing), and never touch the point set itself: a diagonal pair
@@ -32,7 +32,7 @@ from . import _accel
 from .diag import (OMEGA_BUDGET, DiagTypeGroup, OmegaPoint, act_diag,
                    check_entries, digit_codes, gd_orbits, omega_tuples,
                    point_tuple, stab_of_D)
-from .errors import BudgetExceededError, PreconditionError, ValidationError
+from .errors import BudgetExceededError, PreconditionError
 from .perm import Perm
 
 # most filters in one minimal_base_size search: a filter is one scan of
@@ -464,12 +464,8 @@ def digit_base_rows(g: DiagTypeGroup):
 
 
 def construct_digit_base(g: DiagTypeGroup):
-    """Digit-style base of size r + 2 (k >= 5); includes D as the first point."""
-    rows = digit_base_rows(g)
-    points = [OmegaPoint.from_tuple(g.T, row) for row in rows]
-    if len({p.tuple_ids for p in points}) != len(points):
-        raise ValidationError("digit construction produced coincident points")
-    return points
+    """Digit-style base of r + 2 distinct points (k >= 5), D first."""
+    return [OmegaPoint.from_tuple(g.T, row) for row in digit_base_rows(g)]
 
 
 def construct_distinguishing_base(g: DiagTypeGroup):
@@ -588,41 +584,7 @@ def minimal_base_size(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
 
 
 # ---------------------------------------------------------------------------
-# lower-bound witnesses for Alt-containing tops
-
-
-def nonbase_witness(g: DiagTypeGroup, points):
-    """A nonidentity element fixing D and all points, which the
-    alternating-top lower-bound hypotheses guarantee; found by the
-    stabilizer test (for symbolic tops the column-set test; the paper's
-    argument has repeated columns, or columns filling T^l but for at most
-    one) and re-checked against the fixing condition.
-
-    points: the l non-anchor points.  Requires the top to contain Alt(k) and
-    one of: k > |T|^l; l = 1 and k = |T|; top symmetric and k in
-    {|T|^l, |T|^l - 1}.  These hold iff ``alt_formula_bounds`` puts b(G)
-    at l + 2 or more.
-    """
-    l = len(points)
-    if l == 0 or any(p.is_diagonal() for p in points):
-        raise PreconditionError("need l >= 1 non-diagonal points")
-    bounds = alt_formula_bounds(g)
-    if (bounds["exact"] or bounds["interval"][0]) < l + 2:
-        raise PreconditionError(
-            "hypotheses unmet: need k > |T|^l, or l=1 and k=|T|, or a "
-            "symmetric top with k in {|T|^l, |T|^l - 1}")
-
-    witness = stabilizer_witness(g, points)
-    if witness is None:
-        raise ValidationError("no witness although the hypotheses hold")
-    aut_row, perm = witness
-    if not element_fixes_points(g, aut_row, perm, points):
-        raise ValidationError("witness does not fix the points")
-    return witness
-
-
-# ---------------------------------------------------------------------------
-# logarithmic bound checkers
+# logarithmic bound checkers and theorem 1's interval
 
 
 def ceil_log(base: int, value: int) -> int:
@@ -655,41 +617,21 @@ def pyber_check(g: DiagTypeGroup, known_b: int, exact: bool = True):
 def alt_formula_bounds(g: DiagTypeGroup):
     """Predicted interval for b(G) when the top contains Alt(k), k >= 3.
 
-    Interval is [ceil(log k / log |T|) + 1, same + 2]; pinned to a point when
-    the tight-upper clause or one of the lower-bound clauses fires.
-    """
+    With c = ceil(log k / log |T|) the interval is [c + 1, c + 2].  Each
+    clause of the paper fires at one power |T|^l only: a lower-bound clause
+    (k = |T|, or a symmetric top with k in {|T|^l - 1, |T|^l}) at l = c,
+    pinning c + 2; the window |T|^l < k <= |T|^l + |T| - 1 at l = c - 1,
+    pinning c + 1."""
     if g.k < 3:
         raise PreconditionError("formula applies for k >= 3")
     if not g.top.contains_alternating():
         raise PreconditionError("top group must contain Alt(k)")
-    T, k = g.T, g.k
-    c = ceil_log(T.order, k)
-    lo, hi = c + 1, c + 2
-    clauses = []
-    # upper pins: |T|^l < k <= |T|^l + |T| - 1 for some positive l
-    l = 1
-    exact = None
-    while T.order ** l < k:
-        if k <= T.order ** l + T.order - 1:
-            exact = lo
-            clauses.append(f"a=1 window at l={l}")
-            break
-        l += 1
-    lower = None
-    if k == T.order:
-        lower = 3
-        clauses.append("k = |T|")
-    if g.top.is_symmetric():
-        l = 1
-        while T.order ** l <= k + 1:
-            if k in (T.order ** l, T.order ** l - 1):
-                lower = max(lower or 0, l + 2)
-                clauses.append(f"symmetric with k near |T|^{l}")
-            l += 1
-    if lower is not None and lower >= hi:
-        exact = hi
-    return {
-        "interval": (lo, hi),
-        "exact": exact,
-        "clauses": clauses,
-    }
+    n, k = g.T.order, g.k
+    c = ceil_log(n, k)
+    if k == n or (g.top.is_symmetric() and k >= n ** c - 1):
+        exact = c + 2
+    elif c >= 2 and k <= n ** (c - 1) + n - 1:
+        exact = c + 1
+    else:
+        exact = None
+    return {"interval": (c + 1, c + 2), "exact": exact}

@@ -151,7 +151,7 @@ def _build_from_args(args, name=None):
     for attr, least in (("budget", 1), ("samples", 1), ("seed", 0)):
         if getattr(args, attr, least) < least:
             raise PreconditionError(f"--{attr} must be at least {least}")
-    T = get_group(args.group if name is None else name)
+    T = get_group((args.group if name is None else name).strip())
     return build_group(T, args.k, args.out_part, args.top)
 
 
@@ -185,7 +185,7 @@ def _config_echo(args):
 
 
 def cmd_catalog_validate(args):
-    names = [args.group] if args.group else catalog_names()
+    names = [args.group.strip()] if args.group else catalog_names()
     payload = []
     for name in names:
         T = get_group(name)

@@ -92,7 +92,7 @@ class Perm:
         stripped = text.strip()
         if not re.fullmatch(r"(\([\d\s,]*\)\s*)+", stripped):
             raise ValueError(f"malformed cycle notation: {text!r}")
-        cycles = []
+        cycles, seen = [], set()
         for body in _CYCLE_RE.findall(stripped):
             entries = [int(tok) for tok in re.split(r"[,\s]+", body.strip()) if tok]
             if not entries:
@@ -101,6 +101,10 @@ class Perm:
                 raise ValueError(f"cycle entry out of range 1..{degree}: {text!r}")
             if len(set(entries)) != len(entries):
                 raise ValueError(f"repeated point in cycle: {text!r}")
+            # disjoint cycles only: from_cycles would overwrite, not compose
+            if seen.intersection(entries):
+                raise ValueError(f"point in two cycles: {text!r}")
+            seen.update(entries)
             cycles.append([e - 1 for e in entries])
         return cls.from_cycles(cycles, degree)
 

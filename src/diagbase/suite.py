@@ -15,8 +15,8 @@ from math import sqrt
 from .baseengine import (alt_formula_bounds, construct_digit_base,
                          construct_distinguishing_base, construct_small_k_base,
                          element_fixes_points, is_base, minimal_base_size,
-                         nonbase_witness, pointwise_stabilizer,
-                         pointwise_stabilizer_by_action, pyber_check)
+                         pointwise_stabilizer, pointwise_stabilizer_by_action,
+                         pyber_check, stabilizer_witness)
 from .catalog import get_group, load_catalog
 from .diag import OmegaPoint, build_group
 from .prob import (RowCodedGroup, centralizer_order_formula,
@@ -94,11 +94,13 @@ def criterion_3():
                 OmegaPoint.from_tuple(
                     T, [0, *(rng.randrange(T.order) for _ in range(k - 1))])
                 for _ in range(10)]
-            for om in probes:
-                w = nonbase_witness(g, [om])
-                wit_ok &= element_fixes_points(g, w[0], w[1], [om])
+            # b = 3 says no pair {D, om} is a base: each has a witness
             bounds = alt_formula_bounds(g)
             pinned = bounds["exact"] == 3
+            for om in probes:
+                w = stabilizer_witness(g, [om])
+                wit_ok &= w is not None and element_fixes_points(
+                    g, w[0], w[1], [om])
             passed &= wit_ok and pinned
             details.append(
                 f"  k={k}: pair witnesses on {len(probes)} points ok="

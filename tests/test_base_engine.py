@@ -11,9 +11,9 @@ from diagbase.baseengine import (alt_formula_bounds, ceil_log, construct_auto,
                                  construct_generator_base,
                                  construct_small_k_base, digit_base_rows,
                                  element_fixes_points, is_base,
-                                 minimal_base_size, nonbase_witness,
-                                 pointwise_stabilizer,
-                                 pointwise_stabilizer_by_action, pyber_check)
+                                 minimal_base_size, pointwise_stabilizer,
+                                 pointwise_stabilizer_by_action, pyber_check,
+                                 stabilizer_witness)
 from diagbase import _accel, baseengine, diag, perm
 from diagbase.baseengine import _fixing_candidates
 from diagbase.catalog import catalog_names, get_group, load_catalog
@@ -702,7 +702,7 @@ class TestConstructions:
         assert list(rows[1][:3]) == [xi, yi, zi]
         assert rows[2][0] == xi and rows[2][1] == zi
 
-    def test_digit_row2_meets_distinct_hypotheses(self, A5):
+    def test_digit_row2_meets_distinct_hypotheses(self, A5, L27):
         # at least two trivial entries, nontrivial entries pairwise distinct
         for k in (5, 10, 60):
             g = build_group(A5, k, "full", "sym")
@@ -710,6 +710,13 @@ class TestConstructions:
             nontrivial = [v for v in row if v != 0]
             assert len(row) - len(nontrivial) >= 2
             assert len(set(nontrivial)) == len(nontrivial)
+        # the points are pairwise distinct, around |T| and |T|^2 too
+        for T in (A5, L27):
+            n = T.order
+            for k in (5, n - 1, n, n + 1, n * n - 1, n * n, n * n + 1,
+                      n * n + n):
+                pts = construct_digit_base(build_group(T, k, "full", "sym"))
+                assert len({p.tuple_ids for p in pts}) == len(pts), (T.name, k)
 
     def test_distinguishing_base_c37(self, A5):
         g = build_group(A5, 37, "full", "cyclic")
@@ -924,40 +931,36 @@ class TestMinimalBaseSize:
         assert "budget exceeded" in capsys.readouterr().err
 
 
+def lower_bound_witness(g, points):
+    """A witness that {D} + points is no base, where theorem 1 puts b(G) at
+    len(points) + 2 or more; re-checked against the fixing condition."""
+    bounds = alt_formula_bounds(g)
+    assert (bounds["exact"] or bounds["interval"][0]) >= len(points) + 2
+    a, p = stabilizer_witness(g, points)
+    assert element_fixes_points(g, a, p, points)
+    return a, p
+
+
 class TestNonbaseWitness:
     def test_pigeonhole_k61(self, A5):
         g = build_group(A5, 61, "full", "sym")
         rng = np.random.default_rng(3)
         for _ in range(5):
-            om = random_point(A5, 61, rng)
-            a, p = nonbase_witness(g, [om])
-            assert element_fixes_points(g, a, p, [om])
+            a, p = lower_bound_witness(g, [random_point(A5, 61, rng)])
             assert not (a == A5.aut.identity_row and p.is_identity())
 
     def test_k60_equals_group_order(self, A5):
         g = build_group(A5, 60, "full", "sym")
         rng = np.random.default_rng(4)
         for _ in range(5):
-            om = random_point(A5, 60, rng)
-            a, p = nonbase_witness(g, [om])
-            assert element_fixes_points(g, a, p, [om])
-
-    def test_hypotheses_enforced(self, A5):
-        g = build_group(A5, 5, "full", "sym")
-        rng = np.random.default_rng(5)
-        with pytest.raises(PreconditionError):
-            nonbase_witness(g, [random_point(A5, 5, rng)])
-        g37 = build_group(A5, 37, "full", "cyclic")
-        with pytest.raises(PreconditionError):
-            nonbase_witness(g37, [random_point(A5, 37, rng)])
+            lower_bound_witness(g, [random_point(A5, 60, rng)])
 
     def test_two_point_witness_k_above_square(self, A5):
         # l = 2: any pair of points admits a witness when k > |T|^2
         g = build_group(A5, 3601, "full", "sym")
         rng = np.random.default_rng(6)
-        pts = [random_point(A5, 3601, rng) for _ in range(2)]
-        a, p = nonbase_witness(g, pts)
-        assert element_fixes_points(g, a, p, pts)
+        lower_bound_witness(g, [random_point(A5, 3601, rng)
+                                for _ in range(2)])
 
 
 class TestBounds:
@@ -1001,15 +1004,27 @@ class TestBounds:
         rep = alt_formula_bounds(g)
         assert rep["interval"] == (4, 5) and rep["exact"] == 4
 
-    def test_lower_bound_clauses_read_off_the_formula(self, monkeypatch):
-        # nonbase_witness takes its hypotheses from alt_formula_bounds; the
-        # paper's three clauses are the oracle, on stub groups of every
-        # catalog |T| with both tops, at small k and at k near |T|^1..|T|^3
-        monkeypatch.setattr(baseengine, "stabilizer_witness",
-                            lambda g, points: (0, None))
-        monkeypatch.setattr(baseengine, "element_fixes_points",
-                            lambda *args: True)
-        point = OmegaPoint((0, 1))
+    def test_digit_base_meets_the_closed_form(self):
+        # the digit construction attains theorem 1's interval, and its
+        # exact value wherever a clause pins one; k near |T| and |T|^2
+        for name in catalog_names():
+            T = get_group(name)
+            n = T.order
+            for top in ("sym", "alt"):
+                for k in (n - 1, n, n + 1, 2 * n - 1, 2 * n, n * n - 1,
+                          n * n, n * n + 1, n * n + n - 1, n * n + n):
+                    g = build_group(T, k, "full", top)
+                    size = len(construct_digit_base(g))
+                    rep = alt_formula_bounds(g)
+                    lo, hi = rep["interval"]
+                    assert lo <= size <= hi, (name, top, k)
+                    assert rep["exact"] in (None, size), (name, top, k)
+
+    def test_lower_bound_clauses_read_off_the_formula(self):
+        # the paper's clauses are the oracle, on stub groups of every
+        # catalog |T| with both tops, at small k and at k near |T|^1..|T|^3:
+        # b(G) >= l + 2 iff a lower-bound clause holds at l, and b(G) is
+        # the lower endpoint iff k lies in a tight-upper window
         for order in sorted({get_group(n).order for n in catalog_names()}):
             ks = set(range(3, 200))
             for e in (1, 2, 3):
@@ -1020,15 +1035,17 @@ class TestBounds:
                 for k in sorted(k for k in ks if k >= 3):
                     g = SimpleNamespace(T=SimpleNamespace(order=order), k=k,
                                         top=top)
+                    rep = alt_formula_bounds(g)
                     for l in range(1, 5):
                         power = order ** l
                         clauses = k > power or (l == 1 and k == order) or \
                             (symmetric and k in (power, power - 1))
-                        try:
-                            held = nonbase_witness(g, [point] * l) is not None
-                        except PreconditionError:
-                            held = False
+                        held = (rep["exact"] or rep["interval"][0]) >= l + 2
                         assert held == clauses, (order, symmetric, k, l)
+                    window = any(order ** l < k <= order ** l + order - 1
+                                 for l in range(1, 5))
+                    assert (rep["exact"] == rep["interval"][0]) == window, \
+                        (order, symmetric, k)
 
 
 class TestMembershipFacts:

@@ -73,6 +73,21 @@ class TestCommands:
         rep = json.loads(out)
         assert rep["payload"][0]["order"] == 60
 
+    @pytest.mark.parametrize("argv", [
+        ("catalog-validate",),
+        ("base-construct", "--k", "5", "--top", "sym"),
+        ("base-verify", "--k", "3", "--top", "sym", "--points", "0 1 2"),
+        ("prob-exact", "--k", "2", "--out-part", "inner", "--top", "trivial"),
+    ])
+    def test_group_name_is_stripped(self, capsys, argv):
+        # every command reads --group as the prob sweeps read each entry
+        payloads = []
+        for name in ("A5", " A5 "):
+            code, out = run_cli(capsys, *argv, "--group", name)
+            assert code == 0
+            payloads.append(json.loads(out)["payload"])
+        assert payloads[0] == payloads[1]
+
     def test_prob_exact(self, capsys):
         code, out = run_cli(capsys, "prob-exact", "--group", "A5", "--k", "2",
                             "--out-part", "inner", "--top", "sym-table")
@@ -285,6 +300,9 @@ BAD_BASE_VERIFY_INPUT = [
       "--points", "0 1 2 3"), "trivial top group only allowed at k = 2"),
     (("--k", "2", "--out-part", "bogus", "--top", "sym", "--points", "0 1"),
      "symbolic tops need k >= 3"),
+    (("--k", "5", "--top", "gens:(1 2 3 4 5)|(1 2)(1 2)", "--points",
+      "0 0 0 0 0"),
+     "bad top generator: point in two cycles: '(1 2)(1 2)'"),
 ]
 
 

@@ -50,6 +50,10 @@ class TestPermArithmetic:
             Perm.parse("(1 9)", 5)
         with pytest.raises(ValueError):
             Perm.parse("(1 1 2)", 5)
+        # a point in two cycles: the notation is of disjoint cycles
+        for text in ("(1 2)(1 2)", "(1 2 3)(3 2 1)", "(1 2)(2 3)"):
+            with pytest.raises(ValueError, match="point in two cycles"):
+                Perm.parse(text, 5)
 
     def test_identity_serializes_as_unit(self):
         assert str(Perm.identity(4)) == "()"
