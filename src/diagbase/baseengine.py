@@ -18,7 +18,9 @@ counts in their rows), so the image of one column of the smallest class
 pins alpha (``AutTable.image_index``), an exact column-set test over
 integer column codes checks the pairs left, and the permutation part of
 the first surviving map is read off by matching equal columns.  Monte
-Carlo decides single points from their row-histogram survivors alone.
+Carlo decides single points from their row-histogram survivors alone,
+pinned through difference-order classes: a map keeps each entry x's
+multiset of (order of x^-1 x', count of x') over the row.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from .perm import Perm
 # representative's stabilizer read off the G_D orbit walk
 MIN_BASE_FILTER_BUDGET = 10**5
 # pairs (alpha, y) per chunk of the column-set test, and the target size of
-# every block of the symbolic tests (survivors x columns, runs, pins).  On a
+# every block of the symbolic tests (survivors x columns, runs, pins; a
+# Monte Carlo block holds four times as many key entries).  On a
 # 2-CPU VM (symbolic-sweep op lists of seeds 811-813 in one process, column-
 # class pin) 2^10..2^14 ran alike, within the host's noise, at 40-41 MB.
 SOLVER_CHUNK_PAIRS = 1 << 12
@@ -124,25 +127,51 @@ def _runs(lengths):
 def _histogram_survivors(g, hist):
     """Row-histogram test: the triples (row, alpha index into g.aut_rows,
     y in T) for which t -> y * alpha(t) preserves the histogram ``hist[row]``
-    of a row over T.
+    of a row over T (every row nonempty).
 
-    Such a map sends each count class onto itself: y, the image of the
-    identity, lies in Y, the class of the identity, and with C the rarest
-    class and t* its last element, y * alpha(t*) lies in C.  Each (y, c) in
-    Y x C pins alpha(t*) = y^-1 c, one run of ``AutTable.image_index``,
-    and the rest of the support is tested a block at a time."""
+    Such a map f keeps each support element x's key, the multiset of
+    (order of x^-1 x', count of x') over the support (x' = x gives x's own
+    count), as f(x)^-1 f(x') = alpha(x^-1 x'); the key is a sum of fixed
+    hashes, and a collision only merges classes.  So y, the image of the
+    identity, has its count and key: y lies in Y.  With t* the nonidentity
+    support element of the smallest key class (the identity if alone) and
+    C its class, y * alpha(t*) lies in C.  Each (y, c) in Y x C pins
+    alpha(t*) = y^-1 c, one run of ``AutTable.image_index``, and the
+    support is tested a block at a time."""
     T, n = g.T, g.T.order
     order, bounds = T.aut.image_index(g.out_labels)
     # flat tables: entry [i, j] of an n-column table sits at i * n + j
     rows, mul, counts = T.aut.rows.ravel(), T.mul.ravel(), hist.ravel()
     R = len(hist)
-    # sizes[row, c]: how many elements occur c times in the row
-    sizes = _row_histograms(hist, int(hist.max(initial=0)) + 1)
-    rare = np.where(sizes > 0, sizes, n + 1).argmin(axis=1)
-    cr, c = np.nonzero(hist == rare[:, None])
-    t_star = c[np.searchsorted(cr, np.arange(R), side="right") - 1]
-    # every y as frequent as the identity, paired with every c of its row
-    yr, y = np.nonzero(hist == hist[:, :1])
+    # the support of each row, padded with the identity at count 0 (every
+    # candidate maps it to an element as frequent)
+    sr, st = np.nonzero(hist)
+    n_s = np.bincount(sr, minlength=R)
+    col = np.arange(len(sr)) - (np.cumsum(n_s) - n_s)[sr]
+    support = np.zeros((R, int(n_s.max(initial=0))), dtype=np.intp)
+    count = np.zeros(support.shape, dtype=np.intp)
+    support[sr, col], count[sr, col] = st, counts.take(sr * n + st)
+    # key[r, i], x the row's support entry i: a wrapping sum over the
+    # support of a fixed hash of (order of x^-1 x', count of x'), coded
+    # count * (order * base + 1), one-to-one as base exceeds every count,
+    # and 0 at the pads, which hash to 0
+    item = T.order_of.take(mul.take(
+        (T.inv.take(support) * n)[:, :, None] + support[:, None, :]))
+    item = ((item * (int(hist.max()) + 1) + 1) * count[:, None, :]) \
+        .astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    item ^= item >> np.uint64(32)
+    key = (item * np.uint64(0xBF58476D1CE4E5B9)).sum(axis=2)
+    # t*: per row, the first nonidentity element of the smallest class
+    size = (key[:, :, None] == key[:, None, :]).sum(axis=2)
+    size[support == 0] = n + 1
+    t = np.arange(R), size.argmin(axis=1)
+    t_star = support[t]
+    cr, i = np.nonzero((key == key[t][:, None]) & (count > 0))
+    c = support[cr, i]
+    # Y: as frequent as the identity, and in its key class on the support
+    same = hist == hist[:, :1]
+    same[sr, st] &= key[sr, col] == key[sr, 0]
+    yr, y = np.nonzero(same)
     n_c = np.bincount(cr, minlength=R)
     i, j = _runs(n_c[yr])
     r, y, c = yr[i], y[i], c[(np.cumsum(n_c) - n_c)[yr[i]] + j]
@@ -151,11 +180,6 @@ def _histogram_survivors(g, hist):
     start = bounds[t, u]
     i, j = _runs(bounds[t, u + 1] - start)
     r, a, y = r[i], order[t[i], start[i] + j], y[i]
-    # support past the identity, padded with it: every candidate maps it
-    sr, st = np.nonzero(hist[:, 1:])
-    rank = np.arange(len(sr)) - np.searchsorted(sr, sr)
-    support = np.zeros((R, int(rank.max(initial=-1)) + 1), dtype=np.intp)
-    support[sr, rank] = st + 1
     j, width = 0, support.shape[1]
     while len(r) and j < width:
         stop = j + max(1, SOLVER_CHUNK_PAIRS // len(r))
@@ -221,7 +245,7 @@ def _fixing_maps(g, X, columns):
     column's class (its count and its entries' counts in their rows), so y
     is in x_0's class; the pairs ``_pinned_pairs`` leaves (<= |A| per y)
     map the columns past x_0, and f is kept if each image is as frequent."""
-    rows, mul, n = g.T.aut.rows, g.T.mul, g.T.order
+    rows, mul, n = g.T.aut.rows.ravel(), g.T.mul.ravel(), g.T.order
     _codes, uniq, first, counts = columns
     D, hist = X.take(first, axis=1), _row_histograms(X, n)
     # class codes; past int64 they wrap, merging classes: Y and K only grow
@@ -237,9 +261,11 @@ def _fixing_maps(g, X, columns):
         a, y = g.aut_rows[p // ys.shape[1]], ys[:, p % ys.shape[1]]
         j = 0
         while len(a) and j < cols.shape[1]:
-            stop = j + max(1, SOLVER_CHUNK_PAIRS // len(a))
-            alpha_x = rows[a[None, :, None], cols[:, None, j:stop]]
-            code = digit_codes(mul[y[:, :, None], alpha_x], n, uniq.dtype)
+            # one column first, as most pairs fail there, then doubling
+            stop = j + max(1, min(j + 1, SOLVER_CHUNK_PAIRS // len(a)))
+            alpha_x = rows.take((a * n)[:, None] + cols[:, None, j:stop])
+            code = digit_codes(mul.take((y * n)[:, :, None] + alpha_x), n,
+                               uniq.dtype)
             pos = np.searchsorted(uniq, code).clip(max=len(uniq) - 1)
             ok = (uniq[pos] == code) & (counts[pos] == counts[1 + j:1 + stop])
             keep = ok.all(axis=1)
@@ -309,8 +335,9 @@ def detect_symbolic(g: DiagTypeGroup, tuples):
         ordered == np.arange(k) // (k // T.order)).all(axis=1)
     out = ((repeats >= (2 if alt else 1)) | uniform).astype(np.uint8)
     open_rows = np.flatnonzero(out == 0)
-    # k^2 pin pairs (y, c) at most per sample, as |Y|, |C| <= k
-    block = max(1, SOLVER_CHUNK_PAIRS // k ** 2)
+    # k^2 key entries per sample, one per pair of its at most k support
+    # elements; the pins (y, c) are few once the keys split the classes
+    block = max(1, 4 * SOLVER_CHUNK_PAIRS // k ** 2)
     found = [(np.zeros(0, np.intp),) * 3]       # (sample, alpha, y)
     for start in range(0, len(open_rows), block):
         r, a, y = _histogram_survivors(g, _row_histograms(

@@ -478,7 +478,7 @@ class TestColumnSetSolver:
     @pytest.mark.parametrize("name", ["A5", "L2(7)"])
     @pytest.mark.parametrize("out_part", ["inner", "full"])
     def test_histogram_survivors_match_brute_force(self, name, out_part):
-        # rows of four kinds, plus rows preserved by a random map
+        # rows of five kinds, plus rows preserved by a random map
         # t -> y alpha(t); every (alpha, y) is tried on every row
         T = get_group(name)
         n, mul = T.order, T.mul
@@ -491,14 +491,19 @@ class TestColumnSetSolver:
                          int(rng.integers(2, 12))) for _ in range(4)]
         X += [rng.permutation(n)[:k] for k in (n // 2, n - 2, n - 1)]  # dense
         X += [np.repeat(np.arange(n), 2)]                    # uniform
+        # distinct entries with the identity, as Monte Carlo samples have
+        X += [np.r_[0, rng.choice(np.arange(1, n), k - 1, replace=False)]
+              for k in (6, 6, 12, 12, n // 2)]
         hist = np.array([np.bincount(x, minlength=n) for x in X])
-        for _ in range(4):                 # unions of orbits of a map
+        for i in range(6):                 # unions of orbits of a map
             f = mul[rng.integers(n), maps[rng.integers(len(maps))]]
             row = np.zeros(n, dtype=int)
-            for count in rng.integers(1, 4, 3).tolist():
+            # the last two list the identity's orbit and two more, once each
+            for count in rng.integers(1, 4, 3).tolist() if i < 4 else [1] * 3:
                 if row.all():
                     break
-                t = int(rng.choice(np.flatnonzero(row == 0)))
+                t = 0 if i >= 4 and not row.any() else \
+                    int(rng.choice(np.flatnonzero(row == 0)))
                 while row[t] == 0:
                     row[t], t = count, f[t]
             hist = np.vstack([hist, row])
@@ -512,7 +517,7 @@ class TestColumnSetSolver:
         # every row keeps the identity; the planted rows keep more
         assert {(r, 0, 0) for r in range(len(hist))} < want
         assert all(sum(t[0] == r for t in want) > 1
-                   for r in range(len(hist) - 4, len(hist)))
+                   for r in range(len(hist) - 6, len(hist)))
 
     def test_prefilter_changes_no_result(self, monkeypatch):
         # the same battery with the column-class pin and with every pair

@@ -484,12 +484,14 @@ class TestMonteCarlo:
             got.append(int(_detect_nonbase(g, tuples).sum()))
         assert tuple(got) == hits
 
-    @pytest.mark.parametrize("name", ["A5", "L2(7)"])
+    @pytest.mark.parametrize("name", ["A5", "L2(7)", "L2(11)"])
     @pytest.mark.parametrize("top", ["sym", "alt"])
     def test_batched_symbolic_matches_per_sample_solver(self, name, top):
-        # both out parts; dense k, where blocks of samples are smallest
+        # both out parts; dense k, where blocks of samples are smallest,
+        # and L2(11) up to k = 40, where the key classes split most
         T = get_group(name)
-        ks = (3, 4, 5, 7, 10, 14, 20) + {"A5": (40, 57), "L2(7)": (150,)}[name]
+        ks = (3, 4, 5, 7, 10, 14, 20) + {"A5": (40, 57), "L2(7)": (150,),
+                                         "L2(11)": (28, 40)}[name]
         for out_part in ("full", "inner"):
             for k in ks:
                 g = build_group(T, k, out_part, top)
