@@ -26,7 +26,7 @@ multiset of (order of x^-1 x', count of x') over the row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import islice
 
 import numpy as np
 
@@ -37,9 +37,9 @@ from .diag import (OMEGA_BUDGET, DiagTypeGroup, OmegaPoint, act_diag,
 from .errors import BudgetExceededError, PreconditionError
 from .perm import Perm
 
-# most filters in one minimal_base_size search: a filter is one scan of
-# the surviving candidates against one further point, or one orbit
-# representative's stabilizer read off the G_D orbit walk
+# most filters in one minimal_base_size search: a filter is one orbit
+# representative's stabilizer read off the G_D orbit walk, or one bulk scan
+# of such a stabilizer against the point set
 MIN_BASE_FILTER_BUDGET = 10**5
 # pairs (alpha, y) per chunk of the column-set test, and the target size of
 # every block of the symbolic tests (survivors x columns, runs, pins; a
@@ -53,24 +53,23 @@ SOLVER_CHUNK_PAIRS = 1 << 12
 # scan plumbing for explicit tops
 
 
-def _fixing_candidates(g: DiagTypeGroup, tuples, among=None):
+def _fixing_candidates(g: DiagTypeGroup, tuples):
     """Ascending G_D indices a * |P| + p (aut row ``g.aut_rows[a]``, top
-    perm p; 0 is the identity) of the elements of ``among`` (default: all
-    of G_D, never listed) that fix every tuple.  All of G_D meets the first
-    tuple in the scan kernel, every perm with the whole out part; the
-    survivors, or ``among``, meet the rest in ``filter_candidates``."""
+    perm p; 0 is the identity) of the elements of G_D, never listed, that
+    fix every tuple.  All of G_D meets the first tuple in the scan kernel,
+    every perm with the whole out part; the survivors meet the rest in
+    ``filter_candidates``."""
     T, perms, n_p = g.T, g.top.table.arrays(), g.top.table.order
-    if among is None:
-        if not len(tuples):
-            return range(g.gd_order)    # all of G_D, unlisted
-        p, pos, _ = _accel._scan(T, perms, True, g.aut_rows, tuples[:1])
-        among = np.sort(pos * n_p + p)
-        tuples = tuples[1:]
-    if len(tuples) and (len(among) > 1 or among.any()):
+    if not len(tuples):
+        return range(g.gd_order)    # all of G_D, unlisted
+    p, pos, _ = _accel._scan(T, perms, True, g.aut_rows, tuples[:1])
+    found = np.sort(pos * n_p + p)
+    if len(tuples) > 1 and (len(found) > 1 or found.any()):
         # skipped with none left, or the identity alone, which fixes all
-        among = among.take(np.flatnonzero(_accel.filter_candidates(
-            T, perms, g.aut_rows.take(among // n_p), among % n_p, tuples)))
-    return among
+        found = found.take(np.flatnonzero(_accel.filter_candidates(
+            T, perms, g.aut_rows.take(found // n_p), found % n_p,
+            tuples[1:])))
+    return found
 
 
 def _candidate(g: DiagTypeGroup, i):
@@ -544,70 +543,54 @@ def construct_auto(g: DiagTypeGroup):
     return "digit", construct_digit_base(g)
 
 
+def _count_filter(n):
+    """Refuse the n-th filter of one search past MIN_BASE_FILTER_BUDGET."""
+    if n > MIN_BASE_FILTER_BUDGET:
+        raise BudgetExceededError(
+            f"minimal base search exceeds {MIN_BASE_FILTER_BUDGET} "
+            f"point filters")
+
+
 def minimal_base_size(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
     """Exact b(G) with a witness base, for explicit tops.
 
-    A verified two-point construction settles the answer outright (no base
-    of size 1 exists: the stabilizer of D alone is all of G_D).  Otherwise
-    search over subsets containing D, the first non-anchor point ranging
-    over orbit representatives of G_D, later points over the whole point
-    set in ascending order; the point set must be within ``budget``.  A
-    size-2 base is the first representative whose stabilizer, read off the
-    orbit walk (``gd_orbits``), is the identity alone.  Only a larger
-    search lists the point set (``omega_tuples``): it filters the
-    nonidentity part of each stabilizer one further point at a time, the
-    last level in bulk.  More than ``MIN_BASE_FILTER_BUDGET`` filters raise
+    No base has size 1: D alone is fixed by all of G_D.  A verified
+    two-point construction (``construct_auto``) gives b = 2; else the G_D
+    orbit walk (``gd_orbits``, within ``budget`` points) does, at the first
+    representative with trivial stabilizer.  Else one bulk scan of each
+    representative's nonidentity stabilizer over the point set gives b = 3
+    at the first free point, exhaustively, as G_D maps a base {D, p, q} to
+    one with p a representative.  Else b = 4 with the construction's
+    verified points: a tabled Alt/Sym top has k <= 8 < |T|, so past k = 2
+    a construction has at most 3 points.  More than
+    ``MIN_BASE_FILTER_BUDGET`` representatives and scans raise
     BudgetExceededError.
     """
     perms = g.top.table.arrays()    # a symbolic top is refused first
-    _name, pts = construct_auto(g)
+    name, pts = construct_auto(g)
     if len(pts) == 2 and is_base(g, pts[1:]).verdict:
         return 2, pts
-    filters = count(1)
-
-    def count_filter():
-        if next(filters) > MIN_BASE_FILTER_BUDGET:
-            raise BudgetExceededError(
-                f"minimal base search exceeds {MIN_BASE_FILTER_BUDGET} "
-                f"point filters")
-
     # row 0, D, is its own orbit's first; the rest are read as needed
     seen = []
     for rep, stab in islice(gd_orbits(g, budget), 1, None):
-        count_filter()    # the stabilizer of rep, off the walk
+        _count_filter(len(seen) + 1)    # the stabilizer of rep, off the walk
         if len(stab) == 1:
             return 2, [g.diagonal_point(), OmegaPoint(point_tuple(g, rep))]
         seen.append((rep, stab[1:]))
-    T, tuples = g.T, omega_tuples(g, budget)
-
-    def extend(cand, start, depth):
-        """DFS over rows from ``start`` on for a point set of the given
-        depth killing all candidates; returns the row list or None."""
-        if depth == 1:
-            detected = _accel.detect_per_tuple(
-                T, perms, g.aut_rows[cand // len(perms)], cand % len(perms),
-                tuples[start:])
-            free = np.flatnonzero(detected == 0)
-            return [start + int(free[0])] if len(free) else None
-        for j in range(start, g.degree):
-            count_filter()
-            found = extend(_fixing_candidates(g, tuples[j:j + 1], cand),
-                           j + 1, depth - 1)
-            if found is not None:
-                return [j, *found]
-        return None
-
-    try:
-        for size in range(3, g.degree + 2):
-            for rep, stab in seen:
-                count_filter()
-                found = extend(stab, 1, size - 2)
-                if found is not None:
-                    return size, [g.diagonal_point()] + [
-                        OmegaPoint(point_tuple(g, j)) for j in (rep, *found)]
-        raise PreconditionError("no base found; group not faithful?")
-    finally:
-        del extend  # it refers to itself, a cycle that holds tuples until gc
+    tuples = omega_tuples(g, budget)[1:]
+    for n, (rep, stab) in enumerate(seen, len(seen) + 1):
+        _count_filter(n)
+        free = np.flatnonzero(_accel.detect_per_tuple(
+            g.T, perms, g.aut_rows[stab // len(perms)], stab % len(perms),
+            tuples) == 0)
+        if len(free):
+            return 3, [g.diagonal_point()] + [
+                OmegaPoint(point_tuple(g, j)) for j in (rep, 1 + int(free[0]))]
+    if len(pts) != 4 or not is_base(g, pts[1:]).verdict:
+        raise PreconditionError(
+            f"no base of size 3, and the {name} construction gives no "
+            f"4-point base")
+    return 4, pts
 
 
 # ---------------------------------------------------------------------------

@@ -44,11 +44,13 @@ def criterion_1():
     ]
     for name, out_part, want in expected:
         g = build_group(get_group(name), 2, out_part, "sym-table")
-        size, _base = minimal_base_size(g)
-        ok = size == want
-        passed &= ok
+        size, base = minimal_base_size(g)
+        # the witness base, re-checked through the group action
+        faithful = len(pointwise_stabilizer_by_action(g, base[1:])) == 1
+        passed &= size == want and faithful
         label = f"Inn({name})^2:S2" if out_part == "inner" else f"W(2,{name})"
-        details.append(f"b({label}) = {size} (want {want})")
+        details.append(f"b({label}) = {size} (want {want}), witness base "
+                       f"verified by action: {faithful}")
     return passed, details
 
 

@@ -1,5 +1,6 @@
 import gc
 import zlib
+from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +19,7 @@ from diagbase import _accel, baseengine, diag, perm
 from diagbase.baseengine import _fixing_candidates
 from diagbase.catalog import catalog_names, get_group, load_catalog
 from diagbase.cli import main
-from diagbase.diag import OmegaPoint, build_group
+from diagbase.diag import OmegaPoint, build_group, resolve_out_part
 from diagbase.errors import (BudgetExceededError, InvalidTopError,
                              PreconditionError, UnsupportedEnumerationError)
 from diagbase.perm import Perm
@@ -158,10 +159,9 @@ def test_fixing_candidates_match_the_kernel_and_the_action(
     # the G_D indices a * |P| + p that fix seeded 1-3 point sets, against
     # the candidate x tuple broadcast over G_D listed here and against the
     # group action; entries from {1, x, y} give nontrivial stabilizers.
-    # Subsets ``among`` (none, the identity alone, one other element, half
-    # of a stabilizer, half of G_D) are filtered in filter_candidates, at
-    # the default chunk and at 61-entry chunks, past which the candidates
-    # go through the perm grouping
+    # The survivors of the first point meet the rest in filter_candidates,
+    # at the default chunk and at 61-entry chunks, past which the
+    # candidates go through the perm grouping
     g = build_group(get_group(name), k, out, top)
     T, table = g.T, g.top.table
     n_p = table.order
@@ -174,19 +174,11 @@ def test_fixing_candidates_match_the_kernel_and_the_action(
         pool = [0, *rng.choice(np.arange(1, T.order), 2, replace=False)]
         tuples = np.zeros((n_points, k), dtype=np.int32)
         tuples[:, 1:] = rng.choice(pool, (n_points, k - 1))
-        fixing = fixes(T, table.arrays(), cand_a, cand_p, tuples).all(axis=1)
-        want = np.flatnonzero(fixing).tolist()
+        want = np.flatnonzero(fixes(T, table.arrays(), cand_a, cand_p,
+                                    tuples).all(axis=1)).tolist()
         for chunk in chunks:
             monkeypatch.setattr(_accel, "_CHUNK_PAIRS", chunk)
             assert _fixing_candidates(g, tuples).tolist() == want
-            first = _fixing_candidates(g, tuples[:1])
-            assert _fixing_candidates(g, tuples[1:], first).tolist() == want
-            for among in (np.zeros(0, np.intp), np.zeros(1, np.intp),
-                          rng.integers(1, g.gd_order, 1),
-                          first[rng.random(len(first)) < 0.5],
-                          np.flatnonzero(rng.random(g.gd_order) < 0.5)):
-                assert _fixing_candidates(g, tuples, among).tolist() == \
-                    among[fixing[among]].tolist()
         if n_points == 1 and g.gd_order <= ACTION_ORACLE_MAX_GD:
             points = [OmegaPoint(tuple(t)) for t in tuples.tolist()]
             assert want == sorted(
@@ -813,7 +805,82 @@ class TestConstructions:
             assert len(pointwise_stabilizer_by_action(g, pts[1:])) == 1
 
 
+def table_shapes():
+    """Every (T, out part) of the catalog, with out parts closed from its
+    outer generators, at k = 2 with the trivial and Sym(2) tops and at
+    k = 3..8 with the Sym(k) and Alt(k) tables: 168 shapes."""
+    for name in catalog_names():
+        T = get_group(name)
+        parts = {}
+        for r in range(len(T.aut.generator_labels) + 1):
+            for gens in combinations(range(len(T.aut.generator_labels)), r):
+                spec = ",".join(f"g{i + 1}" for i in gens) or "inner"
+                labels = resolve_out_part(T, spec)
+                full = len(labels) == T.aut.out_order
+                parts.setdefault(labels, "full" if full else spec)
+        for out in parts.values():
+            yield from ((name, 2, out, top)
+                        for top in ("trivial", "sym-table"))
+            yield from ((name, k, out, top) for k in range(3, 9)
+                        for top in ("sym-table", "alt-table"))
+
+
+def table_shape_b(name, k, out, top):
+    """b(G) on a table shape, or None where the point budget refuses it.
+
+    At k = 2, b = 4 on A5 and A6 with their full Out and Sym(2), and 3
+    elsewhere.  At k >= 3, b = 2: Alt(3) and Alt(4) tops take the verified
+    2-point construction, and the rest the G_D orbit walk, which refuses
+    the |T|^(k-1) points past 10^7."""
+    if k == 2:
+        return 4 if name in ("A5", "A6") and out == "full" and \
+            top == "sym-table" else 3
+    if top == "alt-table" and k <= 4:
+        return 2
+    return 2 if get_group(name).order ** (k - 1) <= 10**7 else None
+
+
+TABLE_SHAPES = list(table_shapes())
+
+
+def test_table_shapes_tally():
+    b = [table_shape_b(*shape) for shape in TABLE_SHAPES]
+    assert len(b) == 168
+    assert {v: b.count(v) for v in set(b)} == {2: 40, 3: 22, 4: 2, None: 104}
+
+
 class TestMinimalBaseSize:
+    @pytest.mark.parametrize("shape", TABLE_SHAPES,
+                             ids=["-".join(map(str, s)) for s in TABLE_SHAPES])
+    def test_every_table_shape(self, shape):
+        g = build_group(get_group(shape[0]), *shape[1:])
+        want = table_shape_b(*shape)
+        if want is None:
+            with pytest.raises(BudgetExceededError, match="point set"):
+                minimal_base_size(g)
+            return
+        size, pts = minimal_base_size(g)
+        assert size == len(pts) == want
+        assert is_base(g, pts[1:]).verdict
+
+    def test_no_three_point_base_on_w2a5(self, A5):
+        # b = 4 rests on the bulk level being exhaustive; independently of
+        # it, every pair {p, q} of points other than D has a nonidentity
+        # stabilizer element, re-checked through the fixing condition
+        g = build_group(A5, 2, "full", "sym-table")
+        pairs = list(combinations(
+            [OmegaPoint((0, t)) for t in range(1, A5.order)], 2))
+        assert len(pairs) == 1711
+        for pair in pairs:
+            witness = stabilizer_witness(g, pair)
+            assert witness is not None
+            a, p = witness
+            assert a != A5.aut.identity_row or not p.is_identity()
+            assert element_fixes_points(g, a, p, pair)
+        size, pts = minimal_base_size(g)
+        assert size == 4
+        assert len(pointwise_stabilizer_by_action(g, pts[1:])) == 1
+
     def test_w2a5(self, A5):
         size, pts = minimal_base_size(build_group(A5, 2, "full", "sym-table"))
         assert size == 4
@@ -879,14 +946,14 @@ class TestMinimalBaseSize:
             minimal_base_size(build_group(A5, 5, "full", "sym"))
 
     @pytest.mark.parametrize("name,k,base", [
-        ("A5", 2, ["0 0", "0 1", "0 2", "0 4"]),
+        ("A5", 2, ["0 0", "0 14", "0 6", "0 16"]),
         ("L2(7)", 3, ["0 0 0", "0 1 2"]),
         ("A6", 3, ["0 0 0", "0 1 4"]),
         ("A5", 4, ["0 0 0 0", "0 1 2 3"]),
     ])
     def test_search_returns_pinned_base(self, name, k, base):
-        # the search order decides which base comes back; these are the
-        # bases it has always returned
+        # the walk's and the bulk level's order decide which base comes
+        # back, and at b = 4 the small-k construction does
         g = build_group(get_group(name), k, "full", "sym-table")
         size, pts = minimal_base_size(g)
         assert size == len(base)
@@ -894,9 +961,9 @@ class TestMinimalBaseSize:
 
     @pytest.mark.parametrize("shape,size,base", [
         (("A5", 2, "inner", "sym-table"), 3, ["0 0", "0 2", "0 27"]),
-        (("A5", 2, "full", "sym-table"), 4, ["0 0", "0 1", "0 2", "0 4"]),
+        (("A5", 2, "full", "sym-table"), 4, ["0 0", "0 14", "0 6", "0 16"]),
         (("A6", 2, "inner", "sym-table"), 3, ["0 0", "0 1", "0 24"]),
-        (("A6", 2, "full", "sym-table"), 4, ["0 0", "0 1", "0 2", "0 4"]),
+        (("A6", 2, "full", "sym-table"), 4, ["0 0", "0 14", "0 6", "0 65"]),
         (("L2(7)", 2, "inner", "sym-table"), 3, ["0 0", "0 1", "0 2"]),
         (("L2(7)", 2, "full", "sym-table"), 3, ["0 0", "0 1", "0 112"]),
         (("A5", 3, "full", "alt-table"), 2, ["0 0 0", "0 4 14"]),
