@@ -34,13 +34,9 @@ from . import _accel
 from .diag import (OMEGA_BUDGET, DiagTypeGroup, OmegaPoint, act_diag,
                    check_entries, digit_codes, gd_orbits, omega_tuples,
                    point_tuple, stab_of_D)
-from .errors import BudgetExceededError, PreconditionError
+from .errors import PreconditionError
 from .perm import Perm
 
-# most filters in one minimal_base_size search: a filter is one orbit
-# representative's stabilizer read off the G_D orbit walk, or one bulk scan
-# of such a stabilizer against the point set
-MIN_BASE_FILTER_BUDGET = 10**5
 # pairs (alpha, y) per chunk of the column-set test, and the target size of
 # every block of the symbolic tests (survivors x columns, runs, pins; a
 # Monte Carlo block holds four times as many key entries).  On a
@@ -436,22 +432,26 @@ def construct_small_k_base(g: DiagTypeGroup):
 
 
 def construct_generator_base(g: DiagTypeGroup):
-    """Base pair from a minimal base of the top group (k >= 4, top != Sym).
+    """Base pair from an irredundant base of the top (k >= 4, top != Sym).
 
     Places the distinct-order generating pair x, y and distinct third-order
-    elements on a minimal base of the top group, identity elsewhere.  Returns
-    [D, point].  There are always enough third-order elements: a top of m
-    base points has order 2^m or more on k >= m + 2 points, so within
-    TOP_TABLE_MAX_ENTRIES m <= 14, and every catalog group has 15 or more.
+    elements on the top group's greedy base (``GroupTable.base``), identity
+    elsewhere; any irredundant base would do.  Returns [D, point].  There
+    are always enough third-order elements: each point of an irredundant
+    base of m points at least halves the stabilizer, so the top has order
+    2^m or more on k >= m + 2 points; within TOP_TABLE_MAX_ENTRIES m <= 14,
+    and every catalog group has 15 or more.
     """
     if g.k < 4:
         raise PreconditionError("generator construction needs k >= 4")
     if g.top.is_symmetric():
         raise PreconditionError("top group must not be Sym(k)")
     T, k = g.T, g.k
-    # a base of k - 1 points leaves every (k-2)-point stabilizer holding a
-    # transposition, which makes the top Sym(k); so m <= k - 2
-    m, base_pts = g.top.table.minimal_base()
+    # in an irredundant base of k - 1 points the stabilizer of the first
+    # k - 2 is nontrivial and fixes k - 2 points: it holds a transposition,
+    # and a primitive group holding one is Sym(k) (Jordan); so m <= k - 2
+    base_pts = g.top.table.base()
+    m = len(base_pts)
     xi, yi = T.distinct_order_ids
     ids = [0] * k
     ids[base_pts[0]] = xi
@@ -543,14 +543,6 @@ def construct_auto(g: DiagTypeGroup):
     return "digit", construct_digit_base(g)
 
 
-def _count_filter(n):
-    """Refuse the n-th filter of one search past MIN_BASE_FILTER_BUDGET."""
-    if n > MIN_BASE_FILTER_BUDGET:
-        raise BudgetExceededError(
-            f"minimal base search exceeds {MIN_BASE_FILTER_BUDGET} "
-            f"point filters")
-
-
 def minimal_base_size(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
     """Exact b(G) with a witness base, for explicit tops.
 
@@ -562,9 +554,8 @@ def minimal_base_size(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
     at the first free point, exhaustively, as G_D maps a base {D, p, q} to
     one with p a representative.  Else b = 4 with the construction's
     verified points: a tabled Alt/Sym top has k <= 8 < |T|, so past k = 2
-    a construction has at most 3 points.  More than
-    ``MIN_BASE_FILTER_BUDGET`` representatives and scans raise
-    BudgetExceededError.
+    a construction has at most 3 points.  A point set of more than
+    ``budget`` points raises BudgetExceededError.
     """
     perms = g.top.table.arrays()    # a symbolic top is refused first
     name, pts = construct_auto(g)
@@ -573,13 +564,11 @@ def minimal_base_size(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
     # row 0, D, is its own orbit's first; the rest are read as needed
     seen = []
     for rep, stab in islice(gd_orbits(g, budget), 1, None):
-        _count_filter(len(seen) + 1)    # the stabilizer of rep, off the walk
         if len(stab) == 1:
             return 2, [g.diagonal_point(), OmegaPoint(point_tuple(g, rep))]
         seen.append((rep, stab[1:]))
     tuples = omega_tuples(g, budget)[1:]
-    for n, (rep, stab) in enumerate(seen, len(seen) + 1):
-        _count_filter(n)
+    for rep, stab in seen:
         free = np.flatnonzero(_accel.detect_per_tuple(
             g.T, perms, g.aut_rows[stab // len(perms)], stab % len(perms),
             tuples) == 0)

@@ -37,6 +37,7 @@ the same as from a fresh build.
 
 from __future__ import annotations
 
+import re
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
@@ -248,6 +249,10 @@ class OmegaPoint:
     @classmethod
     def parse(cls, text: str, T: SimpleGroup) -> "OmegaPoint":
         try:
+            # int() alone also reads '1_0', '+7' and the digits of other
+            # scripts; past this check it reads only -?[0-9]+ tokens
+            if not re.fullmatch(r"[-0-9\s]*", text):
+                raise ValueError(text)
             ids = [int(tok) for tok in text.split()]
         except ValueError:
             raise PreconditionError(

@@ -9,11 +9,11 @@ A :class:`GroupTable` is a fully enumerated permutation group, held as its
 (order, degree) element array.  Everything here is exhaustive by design:
 closure is breadth-first on rows, and every other fact is a reduction over
 the element array: conjugacy classes are orbit labels of conjugation, orbits
-on points are column minima, centralizers are one comparison, and minimal
-bases come from backtracking; only the distinguishing-subset search is
-capped.  Cyclic and dihedral tables skip the closure: their rows and orders
-are closed-form.  Groups too large to enumerate must never reach this
-module; ``Perm`` objects are made from rows only on request.
+on points are column minima, centralizers are one comparison, and a base is
+one greedy pass over stabilizer orbits; only the distinguishing-subset
+search is capped.  Cyclic and dihedral tables skip the closure: their rows
+and orders are closed-form.  Groups too large to enumerate must never reach
+this module; ``Perm`` objects are made from rows only on request.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class Perm:
     def parse(cls, text: str, degree: int) -> "Perm":
         """Parse 1-based cycle notation, e.g. ``(1 2 3)(4 5)`` or ``()``."""
         stripped = text.strip()
-        if not re.fullmatch(r"(\([\d\s,]*\)\s*)+", stripped):
+        if not re.fullmatch(r"(\([0-9\s,]*\)\s*)+", stripped):
             raise ValueError(f"malformed cycle notation: {text!r}")
         cycles, seen = [], set()
         for body in _CYCLE_RE.findall(stripped):
@@ -392,38 +392,19 @@ class GroupTable:
 
     # -- bases and distinguishing subsets ------------------------------------
 
-    def minimal_base(self):
-        """Exact minimal base via iterative-deepening backtracking.
-
-        Candidate points are explored in descending orbit size of the running
-        stabilizer, ties lexicographic; at each level only one representative
-        per stabilizer orbit is tried (conjugate continuations are isomorphic).
-        """
+    def base(self):
+        """An irredundant base, greedily: while the running stabilizer is
+        nontrivial, the least point of its largest orbit (each orbit's
+        least point is its column minimum).  Each point moves under the
+        stabilizer of the points before it, so each cuts that stabilizer
+        down."""
         arr = self.arrays()
-
-        def orbit_reps_desc(stab):
-            # each orbit's least point (its column minimum) stands for it;
-            # fixed points never cut the stabilizer down
-            sizes = np.bincount(arr[stab].min(axis=0), minlength=self.degree)
-            reps = np.flatnonzero(sizes > 1)
-            return reps[np.argsort(-sizes[reps], kind="stable")].tolist()
-
-        def dfs(stab, depth, chosen):
-            if len(stab) == 1:
-                return list(chosen)
-            if depth == 0:
-                return None
-            for p in orbit_reps_desc(stab):
-                found = dfs(stab[arr[stab, p] == p], depth - 1, chosen + [p])
-                if found is not None:
-                    return found
-            return None
-
-        for size in range(1, self.degree + 1):
-            base = dfs(np.arange(self.order), size, [])
-            if base is not None:
-                return len(base), base
-        raise PreconditionError("group is not faithful on its domain")
+        stab, base = np.arange(self.order), []
+        while len(stab) > 1:
+            point = int(np.bincount(arr[stab].min(axis=0)).argmax())
+            base.append(point)
+            stab = stab[arr[stab, point] == point]
+        return base
 
     def setwise_stabilizer_is_trivial(self, subset) -> bool:
         """Whether the identity is the only element mapping ``subset`` into

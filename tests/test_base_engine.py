@@ -18,7 +18,6 @@ from diagbase.baseengine import (alt_formula_bounds, ceil_log, construct_auto,
 from diagbase import _accel, baseengine, diag, perm
 from diagbase.baseengine import _fixing_candidates
 from diagbase.catalog import catalog_names, get_group, load_catalog
-from diagbase.cli import main
 from diagbase.diag import OmegaPoint, build_group, resolve_out_part
 from diagbase.errors import (BudgetExceededError, InvalidTopError,
                              PreconditionError, UnsupportedEnumerationError)
@@ -622,6 +621,32 @@ class TestColumnSetSolver:
         assert not is_base(g, [om]).verdict
 
 
+# primitive tops of degree 5-11 without Alt(k), by generators, as
+# (name, k, top, order)
+PRIMITIVE_TOP_ZOO = [
+    ("C5", 5, "gens:(1 2 3 4 5)", 5),
+    ("D5", 5, "gens:(1 2 3 4 5)|(2 5)(3 4)", 10),
+    ("F20", 5, "gens:(1 2 3 4 5)|(2 3 5 4)", 20),
+    ("PSL(2,5)", 6, "gens:(1 2 3 4 5)|(1 6)(2 5)", 60),
+    ("PGL(2,5)", 6, "gens:(1 2 3 4 5)|(2 3 5 4)|(1 6)(2 5)", 120),
+    ("C7", 7, "gens:(1 2 3 4 5 6 7)", 7),
+    ("D7", 7, "gens:(1 2 3 4 5 6 7)|(2 7)(3 6)(4 5)", 14),
+    ("F21", 7, "gens:(1 2 3 4 5 6 7)|(2 3 5)(4 7 6)", 21),
+    ("F42", 7, "gens:(1 2 3 4 5 6 7)|(2 4 3 7 5 6)", 42),
+    ("L3(2)", 7, "gens:(1 2 3 4 5 6 7)|(3 5)(6 7)", 168),
+    ("PSL(2,7)", 8, "gens:(1 2 3 4 5 6 7)|(1 8)(2 7)(3 4)(5 6)", 168),
+    ("PGL(2,7)", 8,
+     "gens:(1 2 3 4 5 6 7)|(1 8)(2 7)(3 4)(5 6)|(2 4 3 7 5 6)", 336),
+    ("AGL(3,2)", 8, "gens:(1 2)(3 4)(5 6)(7 8)|(2 3 5)(4 7 6)|(2 4)(6 8)",
+     1344),
+    ("M11", 11, "gens:(1 2 3 4 5 6 7 8 9 10 11)|(3 7 11 8)(4 10 5 6)",
+     7920),
+]
+# the zoo's constructions are also checked by the action oracle up to this
+# |G_D|
+ZOO_ACTION_MAX_GD = 20_000
+
+
 class TestConstructions:
     # every top build_group admits at k <= 4: the trivial top at k = 2 and
     # the primitive groups S2, A3, S3, A4 and S4, in each spelling
@@ -778,11 +803,43 @@ class TestConstructions:
 
     def test_generator_third_orders_suffice(self):
         # construct_generator_base places third-order elements on m - 2
-        # base points of the top; a top with an m-point minimal base has
-        # order >= 2^m on k >= m + 2 points, and order x k is capped
+        # base points of the top; a top with an m-point irredundant base
+        # has order >= 2^m on k >= m + 2 points, and order x k is capped
         m = max(m for m in range(1, 64)
                 if 2 ** m * (m + 2) <= diag.TOP_TABLE_MAX_ENTRIES)
         assert m <= 2 + min(len(T.third_order_ids) for T in load_catalog())
+
+    @pytest.mark.parametrize("name,k,top,order", PRIMITIVE_TOP_ZOO,
+                             ids=[z[0] for z in PRIMITIVE_TOP_ZOO])
+    def test_generator_base_on_primitive_zoo(self, A5, L27, name, k, top,
+                                             order):
+        # the top's greedy base is irredundant, within k - 2 points and
+        # 2 + len(third_order_ids), and no larger than the least base found
+        # over point subsets; the generator construction on it is a base
+        # on A5 and L2(7), inner and full
+        table = build_group(A5, k, "inner", top).top.table
+        assert table.order == order and table.is_primitive()
+        assert not table.contains_alternating()
+        arr, base = table.arrays(), table.base()
+        stab = arr
+        for point in base:
+            fixing = stab[stab[:, point] == point]
+            assert len(fixing) < len(stab)
+            stab = fixing
+        assert len(stab) == 1 and len(base) <= k - 2
+        assert len(base) == next(
+            size for size in range(k)
+            if any((arr[:, list(points)] == points).all(axis=1).sum() == 1
+                   for points in combinations(range(k), size)))
+        for T in (A5, L27):
+            assert len(base) - 2 <= len(T.third_order_ids)
+            for out_part in ("inner", "full"):
+                g = build_group(T, k, out_part, top)
+                pts = construct_generator_base(g)
+                assert is_base(g, pts[1:]).verdict
+                if g.gd_order <= ZOO_ACTION_MAX_GD:
+                    assert len(pointwise_stabilizer_by_action(g, pts[1:])) \
+                        == 1
 
     @pytest.mark.parametrize("top,order", [
         ("gens:(1 2 3 4 5)|(1 6)(2 5)", 60),               # PSL(2,5)
@@ -797,7 +854,7 @@ class TestConstructions:
                          (L27, (0, 18, 2, 30, 30, 30))):
             g = build_group(T, 6, "full", top)
             assert g.top.order == order
-            assert g.top.table.minimal_base()[0] == 3
+            assert len(g.top.table.base()) == 3
             assert g.top.table.distinguishing_subset() is None
             name, pts = construct_auto(g)
             assert name == "generator" and pts[1].tuple_ids == point
@@ -990,17 +1047,6 @@ class TestMinimalBaseSize:
         size, pts = minimal_base_size(g)
         assert size == 2
         assert is_base(g, pts[1:]).verdict
-
-    def test_filter_budget(self, A5, monkeypatch, capsys):
-        # b = 4, so the search runs past the two-point stage
-        g = build_group(A5, 2, "full", "sym-table")
-        monkeypatch.setattr(baseengine, "MIN_BASE_FILTER_BUDGET", 5)
-        with pytest.raises(BudgetExceededError, match="5 point filters"):
-            minimal_base_size(g)
-        code = main(["base-min", "--group", "A5", "--k", "2", "--top",
-                     "sym-table"])
-        assert code == 4
-        assert "budget exceeded" in capsys.readouterr().err
 
 
 def lower_bound_witness(g, points):

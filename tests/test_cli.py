@@ -303,6 +303,18 @@ BAD_BASE_VERIFY_INPUT = [
     (("--k", "5", "--top", "gens:(1 2 3 4 5)|(1 2)(1 2)", "--points",
       "0 0 0 0 0"),
      "bad top generator: point in two cycles: '(1 2)(1 2)'"),
+    # entries are ASCII decimal: int() alone reads the next three as 10, 7
+    # and 5, and \d the cycle's full-width 5; a negative one is out of range
+    (("--k", "2", "--top", "sym-table", "--points", "0 1_0"),
+     "tuple entries must be integers: '0 1_0'"),
+    (("--k", "2", "--top", "sym-table", "--points", "0 +7"),
+     "tuple entries must be integers: '0 +7'"),
+    (("--k", "2", "--top", "sym-table", "--points", "0 \uff15"),
+     "tuple entries must be integers: '0 \uff15'"),
+    (("--k", "5", "--top", "gens:(1 2 3 4 \uff15)", "--points", "0 0 0 0 0"),
+     "bad top generator: malformed cycle notation: '(1 2 3 4 \uff15)'"),
+    (("--k", "2", "--top", "sym-table", "--points", "0 -1"),
+     "tuple entry out of range for |T|"),
 ]
 
 
