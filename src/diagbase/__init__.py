@@ -3,10 +3,9 @@ at desk scale, with every computed quantity backed by an independent check.
 """
 
 from .baseengine import (BaseCertificate, alt_formula_bounds, construct_auto,
-                         construct_digit_base, construct_distinguishing_base,
-                         construct_generator_base, construct_small_k_base,
-                         is_base, minimal_base_size, pointwise_stabilizer,
-                         pyber_check, stabilizer_witness)
+                         construct_digit_base, construct_generator_base,
+                         construct_small_k_base, is_base, minimal_base_size,
+                         pointwise_stabilizer, pyber_check, stabilizer_witness)
 from .catalog import (AutTable, SimpleGroup, catalog_names, get_group,
                       load_catalog, parse_catalog)
 from .diag import (DiagTypeGroup, OmegaPoint, TopGroup, act_diag,

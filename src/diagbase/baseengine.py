@@ -494,33 +494,6 @@ def construct_digit_base(g: DiagTypeGroup):
     return [OmegaPoint.from_tuple(g.T, row) for row in digit_base_rows(g)]
 
 
-def construct_distinguishing_base(g: DiagTypeGroup):
-    """Base pair from a distinguishing subset of the top group.
-
-    Needs an explicit primitive top not containing Alt(k).  Partitions the
-    distinguishing subset so neither part matches the complement's size, and
-    writes the generating pair onto the parts.  Returns [D, point] or None.
-    """
-    if g.top.contains_alternating():
-        return None
-    delta = g.top.table.distinguishing_subset()
-    if delta is None or len(delta) < 4:
-        return None
-    delta = sorted(delta)
-    gamma = sorted(set(range(g.k)) - set(delta))
-    # a = 1 fails only if |gamma| is 1 or |delta| - 1, a = 2 only if it is
-    # 2 or |delta| - 2; the two meet only at |delta| = 3
-    split = next(a for a in (1, 2)
-                 if len(gamma) not in (a, len(delta) - a))
-    xi, yi = g.T.distinct_order_ids
-    ids = [0] * g.k
-    for j in delta[split:]:
-        ids[j] = xi
-    for j in gamma:
-        ids[j] = yi
-    return [g.diagonal_point(), OmegaPoint.from_tuple(g.T, ids)]
-
-
 # ---------------------------------------------------------------------------
 # exact minimal base size
 
@@ -528,17 +501,14 @@ def construct_distinguishing_base(g: DiagTypeGroup):
 def construct_auto(g: DiagTypeGroup):
     """The applicable explicit construction for this group, smallest first.
 
-    Small-k point sets for k <= 4; for tops without Alt(k) the
-    distinguishing-subset pair, falling back to the generator-placement pair
-    (the capped subset search is only guaranteed fruitful for k > 32); the
-    digit construction otherwise.  Returns (name, points).
+    Small-k point sets for k <= 4; for tops without Alt(k) the pair placing
+    the generators on a base of the top, a base with D on every admitted
+    top (``construct_generator_base``); the digit construction otherwise.
+    Returns (name, points).
     """
     if g.k <= 4:
         return "small-k", construct_small_k_base(g)
     if not g.top.contains_alternating():
-        pts = construct_distinguishing_base(g)
-        if pts is not None:
-            return "distinguishing", pts
         return "generator", construct_generator_base(g)
     return "digit", construct_digit_base(g)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 import time
 
@@ -32,13 +33,21 @@ EXIT_PRECONDITION = 5
 DEFAULT_SAMPLES = 10**4
 
 
+def _decimal(text):
+    """An integer option value: -?[0-9]+ with surrounding whitespace (int()
+    alone also reads '1_0', '+7' and the digits of other scripts)."""
+    if not re.fullmatch(r"\s*-?[0-9]+\s*", text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _group_flags(p, multi=False):
     if multi:
         p.add_argument("--group", required=True,
                        help="catalog group name, or a comma list for sweeps")
     else:
         p.add_argument("--group", required=True, help="catalog group name")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_decimal, required=True)
     p.add_argument("--out-part", default="full",
                    help="inner | full | g<i>[,g<j>] (catalog outer "
                         "generator refs)")
@@ -78,7 +87,7 @@ def build_parser():
 
     p = sub.add_parser("base-min", help="exact minimal base size")
     _group_flags(p)
-    p.add_argument("--budget", type=int, default=OMEGA_BUDGET,
+    p.add_argument("--budget", type=_decimal, default=OMEGA_BUDGET,
                    help="most points in the point set, |T|^(k-1)")
     _output_flags(p)
 
@@ -93,7 +102,7 @@ def build_parser():
     p = sub.add_parser("prob-exact",
                        help="exact non-base pair proportion and bound")
     _group_flags(p, multi=True)
-    p.add_argument("--budget", type=int, default=OMEGA_BUDGET,
+    p.add_argument("--budget", type=_decimal, default=OMEGA_BUDGET,
                    help="most points in the point set, |T|^(k-1)")
     p.add_argument("--r-split", action="store_true",
                    help="also split the bound by permutation part "
@@ -103,8 +112,8 @@ def build_parser():
 
     p = sub.add_parser("prob-mc", help="Monte-Carlo non-base fraction")
     _group_flags(p, multi=True)
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--samples", type=_decimal, default=DEFAULT_SAMPLES)
+    p.add_argument("--seed", type=_decimal, default=DEFAULT_SEED)
     _output_flags(p)
 
     p = sub.add_parser("paper-suite",
@@ -263,8 +272,8 @@ def cmd_paper_suite(args):
     ids = None
     if args.criteria is not None:
         try:
-            ids = {int(v) for v in args.criteria.split(",")}
-        except ValueError:
+            ids = {_decimal(v) for v in args.criteria.split(",")}
+        except argparse.ArgumentTypeError:
             raise PreconditionError(
                 f"--criteria takes integer ids: {args.criteria!r}") from None
         known = [fn.criterion_id for fn in suite.ALL_CRITERIA]

@@ -10,10 +10,10 @@ A :class:`GroupTable` is a fully enumerated permutation group, held as its
 closure is breadth-first on rows, and every other fact is a reduction over
 the element array: conjugacy classes are orbit labels of conjugation, orbits
 on points are column minima, centralizers are one comparison, and a base is
-one greedy pass over stabilizer orbits; only the distinguishing-subset
-search is capped.  Cyclic and dihedral tables skip the closure: their rows
-and orders are closed-form.  Groups too large to enumerate must never reach
-this module; ``Perm`` objects are made from rows only on request.
+one greedy pass over stabilizer orbits.  Cyclic and dihedral tables skip
+the closure: their rows and orders are closed-form.  Groups too large to
+enumerate must never reach this module; ``Perm`` objects are made from rows
+only on request.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, combinations, islice
 from math import factorial, gcd
 
 import numpy as np
@@ -30,8 +29,6 @@ import numpy as np
 from .errors import BudgetExceededError, MembershipError, PreconditionError
 
 DEFAULT_CLOSURE_BUDGET = 10**7
-# distinguishing_subset tries at most this many subsets
-DISTINGUISHING_SAMPLES = 10**5
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -390,7 +387,7 @@ class GroupTable:
     def is_symmetric(self) -> bool:
         return self.order == factorial(self.degree)
 
-    # -- bases and distinguishing subsets ------------------------------------
+    # -- bases --------------------------------------------------------------
 
     def base(self):
         """An irredundant base, greedily: while the running stabilizer is
@@ -405,32 +402,6 @@ class GroupTable:
             base.append(point)
             stab = stab[arr[stab, point] == point]
         return base
-
-    def setwise_stabilizer_is_trivial(self, subset) -> bool:
-        """Whether the identity is the only element mapping ``subset`` into
-        (hence onto) itself."""
-        inside = np.zeros(self.degree, dtype=bool)
-        inside[list(subset)] = True
-        images = self.arrays()[:, np.flatnonzero(inside)]
-        return int(inside[images].all(axis=1).sum()) == 1
-
-    def distinguishing_subset(self):
-        """A proper subset with trivial setwise stabilizer and |D| >= |complement|.
-
-        The first such subset in lexicographic order within ascending size,
-        sizes from ceil(k/2), among the first DISTINGUISHING_SAMPLES
-        subsets of that order.  Returns the subset, or None if none of
-        them is one.
-        """
-        if not self.is_transitive():
-            raise PreconditionError("distinguishing subset needs a transitive group")
-        k = self.degree
-        subsets = chain.from_iterable(combinations(range(k), size)
-                                      for size in range((k + 1) // 2, k))
-        for combo in islice(subsets, DISTINGUISHING_SAMPLES):
-            if self.setwise_stabilizer_is_trivial(combo):
-                return frozenset(combo)
-        return None
 
 
 def _minimal_block_size(gen_arrays, degree, a, b) -> int:

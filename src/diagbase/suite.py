@@ -12,8 +12,8 @@ import random
 import time
 from math import sqrt
 
-from .baseengine import (alt_formula_bounds, construct_digit_base,
-                         construct_distinguishing_base, construct_small_k_base,
+from .baseengine import (alt_formula_bounds, construct_auto,
+                         construct_digit_base, construct_small_k_base,
                          element_fixes_points, is_base, minimal_base_size,
                          pointwise_stabilizer, pointwise_stabilizer_by_action,
                          pyber_check, stabilizer_witness)
@@ -110,18 +110,17 @@ def criterion_3():
     return passed, details
 
 
-@_criterion(4, "distinguishing-subset base pair for (A5, k=37, C37)")
+@_criterion(4, "generator base pair for (A5, k=37, C37)")
 def criterion_4():
-    T = get_group("A5")
-    g = build_group(T, 37, "full", "cyclic")
-    pts = construct_distinguishing_base(g)
-    if pts is None:
-        return False, ["construction returned absent"]
+    g = build_group(get_group("A5"), 37, "full", "cyclic")
+    name, pts = construct_auto(g)
     cert = is_base(g, pts[1:])
-    details = [f"pair found, base={cert.verdict} via {cert.method} "
-               f"(b(G) = 2 confirmed)" if cert.verdict else
-               f"pair found but not a base"]
-    return cert.verdict, details
+    # the pair, re-checked through the group action
+    faithful = len(pointwise_stabilizer_by_action(g, pts[1:])) == 1
+    passed = name == "generator" and cert.verdict and faithful
+    return passed, [f"{name} construction, {len(pts)} points, "
+                    f"base={cert.verdict} via {cert.method}, verified by "
+                    f"action: {faithful}"]
 
 
 @_criterion(5, "condition-based stabilizers equal action-based stabilizers")

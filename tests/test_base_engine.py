@@ -8,14 +8,13 @@ import pytest
 
 from diagbase.baseengine import (alt_formula_bounds, ceil_log, construct_auto,
                                  construct_digit_base,
-                                 construct_distinguishing_base,
                                  construct_generator_base,
                                  construct_small_k_base, digit_base_rows,
                                  element_fixes_points, is_base,
                                  minimal_base_size, pointwise_stabilizer,
                                  pointwise_stabilizer_by_action, pyber_check,
                                  stabilizer_witness)
-from diagbase import _accel, baseengine, diag, perm
+from diagbase import _accel, baseengine, diag
 from diagbase.baseengine import _fixing_candidates
 from diagbase.catalog import catalog_names, get_group, load_catalog
 from diagbase.diag import OmegaPoint, build_group, resolve_out_part
@@ -645,6 +644,13 @@ PRIMITIVE_TOP_ZOO = [
 # the zoo's constructions are also checked by the action oracle up to this
 # |G_D|
 ZOO_ACTION_MAX_GD = 20_000
+# AGL(1, 29) = <x -> x + 1, x -> 2x>, 2 a primitive root mod 29, and D37 =
+# <x -> x + 1, x -> -x>, given by generators
+AGL_1_29 = "gens:({})|({})".format(
+    " ".join(str(x + 1) for x in range(29)),
+    " ".join(str(pow(2, i, 29) + 1) for i in range(28)))
+D37 = "gens:({})|{}".format(" ".join(str(x + 1) for x in range(37)),
+                           "".join(f"({i} {39 - i})" for i in range(2, 20)))
 
 
 class TestConstructions:
@@ -740,66 +746,47 @@ class TestConstructions:
                 pts = construct_digit_base(build_group(T, k, "full", "sym"))
                 assert len({p.tuple_ids for p in pts}) == len(pts), (T.name, k)
 
-    def test_distinguishing_base_c37(self, A5):
-        g = build_group(A5, 37, "full", "cyclic")
-        pts = construct_distinguishing_base(g)
-        assert pts is not None
-        assert is_base(g, pts[1:]).verdict
-
-    def test_distinguishing_base_absent_for_alt(self, A5):
-        g = build_group(A5, 5, "full", "sym-table")
-        assert construct_distinguishing_base(g) is None
-
-    def test_distinguishing_column_counts_separate(self, A5):
-        # the count of unit entries per column separates the complement
-        g = build_group(A5, 37, "full", "cyclic")
-        delta = g.top.table.distinguishing_subset()
-        pts = construct_distinguishing_base(g)
-        t = pts[1].as_array()
-        # unit entries of column j of the order matrix (t_i^-1 t_j): t_i = t_j
-        counts = (t[:, None] == t).sum(axis=0)
-        gamma = [j for j in range(37) if j not in delta]
-        gamma_counts = {int(counts[j]) for j in gamma}
-        delta_counts = {int(counts[j]) for j in delta}
-        assert gamma_counts.isdisjoint(delta_counts)
-
     def test_construct_auto_prefers_pairs(self, A5):
         name, pts = construct_auto(build_group(A5, 37, "full", "cyclic"))
-        assert name == "distinguishing" and len(pts) == 2
+        assert name == "generator" and len(pts) == 2
         name, pts = construct_auto(build_group(A5, 5, "full", "sym"))
         assert name == "digit"
         name, pts = construct_auto(build_group(A5, 3, "full", "alt-table"))
         assert name == "small-k"
 
     def test_construct_auto_generator_fallback(self, A5):
-        # cyclic top at k = 5: the subset search yields nothing splittable
-        # (|subset| < 4), so the generator placement takes over
+        # cyclic top at k = 5: a one-point base of the top, so y sits on
+        # the least other point
         g = build_group(A5, 5, "full", "cyclic")
+        assert g.top.table.base() == [0]
         name, pts = construct_auto(g)
         assert name == "generator" and len(pts) == 2
         assert is_base(g, pts[1:]).verdict
 
-    def test_distinguishing_agl_1_29(self, A5):
-        # AGL(1, 29) = <x -> x + 1, x -> 2x>, 2 a primitive root mod 29
-        doubling = [1]
-        while len(doubling) < 28:
-            doubling.append(2 * doubling[-1] % 29)
-        top = "gens:({})|({})".format(" ".join(str(x + 1) for x in range(29)),
-                                      " ".join(str(x + 1) for x in doubling))
-        g = build_group(A5, 29, "full", top)
+    def test_generator_agl_1_29(self, A5):
+        g = build_group(A5, 29, "full", AGL_1_29)
         assert g.top.order == 812
         name, pts = construct_auto(g)
-        assert name == "distinguishing" and len(pts) == 2
-        assert is_base(g, pts[1:]).verdict
-
-    def test_capped_subset_search_falls_back(self, A5, monkeypatch):
-        # one subset tried, {0..18}, which x -> 18 - x maps onto itself
-        monkeypatch.setattr(perm, "DISTINGUISHING_SAMPLES", 1)
-        g = build_group(A5, 37, "full", "dihedral")
-        assert g.top.table.distinguishing_subset() is None
-        name, pts = construct_auto(g)
         assert name == "generator" and len(pts) == 2
         assert is_base(g, pts[1:]).verdict
+
+    @pytest.mark.parametrize("k,top", [
+        (5, "cyclic"), (37, "cyclic"), (563, "cyclic"), (7, "dihedral"),
+        (37, "dihedral"), (401, "dihedral"), (29, AGL_1_29), (37, D37)],
+        ids=["C5", "C37", "C563", "D7", "D37", "D401", "AGL(1,29)",
+             "D37-gens"])
+    def test_construct_auto_generator_pair(self, A5, L27, k, top):
+        # every explicit top without Alt(k) at k >= 5 takes the generator
+        # pair, up to the largest cyclic and dihedral tops admitted
+        for T in (A5, L27):
+            for out_part in ("inner", "full"):
+                g = build_group(T, k, out_part, top)
+                name, pts = construct_auto(g)
+                assert name == "generator" and len(pts) == 2
+                assert is_base(g, pts[1:]).verdict
+                if g.gd_order <= ZOO_ACTION_MAX_GD:
+                    assert len(pointwise_stabilizer_by_action(g, pts[1:])) \
+                        == 1
 
     def test_generator_third_orders_suffice(self):
         # construct_generator_base places third-order elements on m - 2
@@ -847,15 +834,14 @@ class TestConstructions:
     def test_construct_auto_generator_third_orders(self, A5, L27, top,
                                                    order):
         # on the projective line over F_5 the top has a minimal base of 3
-        # points and no distinguishing subset, so the generator placement
-        # puts a third-order element on the third base point: (x, y, z, 1,
-        # 1, 1), which canonicalizes to (1, x^-1 y, x^-1 z, x^-1, ...)
+        # points, so the generator placement puts a third-order element on
+        # the third base point: (x, y, z, 1, 1, 1), which canonicalizes to
+        # (1, x^-1 y, x^-1 z, x^-1, ...)
         for T, point in ((A5, (0, 26, 4, 14, 14, 14)),
                          (L27, (0, 18, 2, 30, 30, 30))):
             g = build_group(T, 6, "full", top)
             assert g.top.order == order
             assert len(g.top.table.base()) == 3
-            assert g.top.table.distinguishing_subset() is None
             name, pts = construct_auto(g)
             assert name == "generator" and pts[1].tuple_ids == point
             assert is_base(g, pts[1:]).verdict

@@ -341,6 +341,42 @@ class TestExitCodes:
         assert code == 5
         assert "precondition error" in err and "Traceback" not in err
 
+    # int() also reads '1_1', '+1_0' and full-width digits; integer options
+    # take ASCII decimal only, and --criteria ids by the same rule
+    @pytest.mark.parametrize("argv", [
+        ("base-construct", "--group", "A5", "--k", "1_1", "--top", "cyclic"),
+        ("prob-mc", "--group", "A5", "--k", "\uff17", "--top", "cyclic",
+         "--samples", "+1_0", "--seed", "\uff13"),
+        ("prob-mc", "--group", "A5", "--k", "7", "--top", "cyclic",
+         "--samples", "+1_0"),
+        ("prob-mc", "--group", "A5", "--k", "7", "--top", "cyclic",
+         "--seed", "\uff13"),
+        ("base-min", "--group", "A5", "--k", "3", "--top", "alt-table",
+         "--budget", "1_000"),
+        ("prob-exact", "--group", "A5", "--k", "3", "--top", "alt-table",
+         "--budget", "+5000"),
+    ], ids=["k", "mc-all", "samples", "seed", "budget", "exact-budget"])
+    def test_integer_options_are_ascii_decimal(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "invalid int value" in captured.err
+
+    def test_integer_options_keep_surrounding_whitespace(self, capsys):
+        code, out = run_cli(capsys, "base-min", "--group", "A5", "--k", " 3 ",
+                            "--top", "alt-table", "--budget", "\t1000\n")
+        assert code == 0 and json.loads(out)["payload"]["size"] == 2
+        assert main(["paper-suite", "--criteria", " 4 "]) == 0
+        capsys.readouterr()
+
+    def test_criteria_ids_are_ascii_decimal(self, capsys):
+        code = main(["paper-suite", "--criteria", "\uff14"])
+        captured = capsys.readouterr()
+        assert code == 5 and captured.out == ""
+        assert captured.err == "precondition error: --criteria takes " \
+            "integer ids: '\uff14'\n"
+
     def test_unknown_criteria_id_names_the_ids(self, capsys):
         code = main(["paper-suite", "--criteria", "2,99"])
         captured = capsys.readouterr()

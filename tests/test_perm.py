@@ -318,32 +318,6 @@ class TestMinimalBase:
                        for p in g if not p.is_identity())
 
 
-class TestDistinguishingSubset:
-    def test_prime_regular(self):
-        # sizes from ceil(37/2) = 19, in lexicographic order: the first
-        # subset tried has trivial setwise stabilizer
-        assert cyclic_table(37).distinguishing_subset() == set(range(19))
-
-    def test_dihedral_exact(self):
-        # x -> 18 - x maps {0..18} onto itself, so the second subset
-        assert dihedral_table(37).distinguishing_subset() == \
-            set(range(18)) | {19}
-
-    def test_symmetric_absent(self):
-        assert symmetric_table(5).distinguishing_subset() is None
-
-    def test_dihedral_verified(self):
-        g = dihedral_table(5)
-        delta = g.distinguishing_subset()
-        if delta is not None:
-            assert g.setwise_stabilizer_is_trivial(delta)
-
-    def test_deterministic(self):
-        a = cyclic_table(37).distinguishing_subset()
-        b = cyclic_table(37).distinguishing_subset()
-        assert a == b
-
-
 class TestStructure:
     def test_primitive_prime_degree(self):
         assert cyclic_table(5).is_primitive()
