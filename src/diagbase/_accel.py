@@ -47,22 +47,12 @@ def _holding(T, P, g, alpha, t, j, c, order=False):
     return i
 
 
-def _scan(T, P, ident, a, tuples, lo=None, hi=None):
+def _scan(T, P, ident, a, tuples, lo, hi):
     """Index arrays (g, pos, j): candidate (aut row a[pos], top perm P[g]),
-    lo[g] <= pos < hi[g] (all of ``a`` if no ``lo``), fixes tuple j; tuples
-    canonical, k >= 2, P's rows distinct, the identity first if ``ident``."""
+    lo[g] <= pos < hi[g], fixes tuple j; tuples canonical, k >= 2, P's rows
+    distinct, the identity first if ``ident``."""
     n, m, k, G = T.order, len(tuples), tuples.shape[1], len(P)
     rows, mul, (ptr, fixers) = T.aut.rows.ravel(), T.mul.ravel(), T.aut.fixers
-    if lo is None and len(a) * G * m <= _CHUNK_PAIRS:
-        # one block: alpha(t_1) once per aut row, against every perm's rhs
-        t = np.ascontiguousarray(tuples)
-        q, j = np.divmod(np.flatnonzero(rows.take(a[:, None] * n + t[:, 1])
-                                        == _rhs(T, P, t.T)[:, None]), m)
-        g, pos = np.divmod(q, len(a))
-        ok = _holding(T, P, g, a.take(pos), t, j, 2)
-        return g.take(ok), pos.take(ok), j.take(ok)
-    if lo is None:    # every perm has all of a
-        lo, hi = np.zeros(G, np.intp), np.full(G, len(a))
     found = [(np.zeros(0, np.intp),) * 3]
     n_moved = int((sizes := hi - lo).sum()) - (n_id := ident and int(sizes[0]))
     # each test pays on a large scan of perms with many aut rows; P[d0:d1]

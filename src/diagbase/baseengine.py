@@ -8,8 +8,9 @@ loses nothing), and never touch the point set itself: a diagonal pair
     alpha(t[i]) = t[pi(0)]^-1 * t[pi(i)]   for every coordinate i,
 
 which is pure index arithmetic over the element table of T.  For explicit top
-groups the scan kernel reads G_D, never listed, at the first point
-(``_fixing_candidates``): the stabilizer and a nonidentity witness.
+groups a nonidentity witness is the first of G_D's prime-order elements
+(``DiagTypeGroup.prime_candidates``) that the scan kernel keeps, and the
+stabilizer is G_D filtered one chunk of indices at a time.
 For symbolic Alt/Sym tops the stabilizer is never listed, only a
 nonidentity witness sought: the same condition says that x -> t[0 pi] *
 alpha(x) permutes the multiset of columns of the points' tuple matrix.
@@ -49,25 +50,6 @@ SOLVER_CHUNK_PAIRS = 1 << 12
 # scan plumbing for explicit tops
 
 
-def _fixing_candidates(g: DiagTypeGroup, tuples):
-    """Ascending G_D indices a * |P| + p (aut row ``g.aut_rows[a]``, top
-    perm p; 0 is the identity) of the elements of G_D, never listed, that
-    fix every tuple.  All of G_D meets the first tuple in the scan kernel,
-    every perm with the whole out part; the survivors meet the rest in
-    ``filter_candidates``."""
-    T, perms, n_p = g.T, g.top.table.arrays(), g.top.table.order
-    if not len(tuples):
-        return range(g.gd_order)    # all of G_D, unlisted
-    p, pos, _ = _accel._scan(T, perms, True, g.aut_rows, tuples[:1])
-    found = np.sort(pos * n_p + p)
-    if len(tuples) > 1 and (len(found) > 1 or found.any()):
-        # skipped with none left, or the identity alone, which fixes all
-        found = found.take(np.flatnonzero(_accel.filter_candidates(
-            T, perms, g.aut_rows.take(found // n_p), found % n_p,
-            tuples[1:])))
-    return found
-
-
 def _candidate(g: DiagTypeGroup, i):
     """G_D index ``i`` as an (aut row id, Perm) pair."""
     a, p = divmod(int(i), g.top.table.order)
@@ -76,23 +58,34 @@ def _candidate(g: DiagTypeGroup, i):
 
 def pointwise_stabilizer(g: DiagTypeGroup, points):
     """All (alpha, pi) in G_D fixing every point (D itself is implicit), as
-    (aut row id, Perm) pairs read off G_D indices (``_fixing_candidates``);
-    explicit tops only: a symbolic top answers whether one is trivial
-    (``stabilizer_witness``)."""
+    (aut row id, Perm) pairs in ascending G_D index a * |P| + p (aut row
+    ``g.aut_rows[a]``, top perm p), G_D listed one chunk of indices at a
+    time through ``filter_candidates``; explicit tops only: a symbolic top
+    answers whether one is trivial (``stabilizer_witness``)."""
     tuples = np.array([p.tuple_ids for p in points], np.int32).reshape(-1, g.k)
-    return [_candidate(g, i) for i in _fixing_candidates(g, tuples)]
+    perms, n_p, found = g.top.table.arrays(), g.top.table.order, []
+    for s in range(0, g.gd_order, _accel._CHUNK_PAIRS):
+        i = np.arange(s, min(s + _accel._CHUNK_PAIRS, g.gd_order))
+        found.extend(i[_accel.filter_candidates(
+            g.T, perms, g.aut_rows.take(i // n_p), i % n_p, tuples) == 1])
+    return [_candidate(g, i) for i in found]
 
 
 def stabilizer_witness(g: DiagTypeGroup, points):
-    """A nonidentity element of G_D fixing every point, or None."""
+    """A nonidentity element of G_D fixing every point, or None.  On an
+    explicit top the first of ``g.prime_candidates`` that fixes them: a
+    nontrivial stabilizer holds an element of prime order (Cauchy)."""
     tuples = np.array([p.tuple_ids for p in points], np.int32).reshape(-1, g.k)
     if g.top.is_symbolic:
         if len(points) == 0:
             # any nontrivial inner diagonal pair lies in every diagonal-type G
             return (g.T.aut.inn_of(1), Perm.identity(g.k))
         return _solve_symbolic(g, tuples)
-    fixing = _fixing_candidates(g, tuples)
-    return _candidate(g, fixing[1]) if len(fixing) > 1 else None
+    cand_a, cand_p = g.prime_candidates
+    kept = np.flatnonzero(_accel.filter_candidates(
+        g.T, g.top.table.arrays(), cand_a, cand_p, tuples))
+    return (int(cand_a[kept[0]]), g.top.table.element(int(cand_p[kept[0]]))) \
+        if len(kept) else None
 
 
 def pointwise_stabilizer_by_action(g: DiagTypeGroup, points):

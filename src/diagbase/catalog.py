@@ -133,11 +133,11 @@ def _finish_record(name, fields):
 
     def intval(key):
         value, lineno = fields[key]
-        try:
-            return int(value)
-        except ValueError:
+        # int() alone also reads '1_2', '+12' and the digits of other scripts
+        if not re.fullmatch(r"-?[0-9]+", value):
             raise ValidationError("expected an integer", spec=name, field=key,
-                                  line=lineno) from None
+                                  line=lineno)
+        return int(value)
 
     degree = intval("natural_degree")
     if degree < 1:

@@ -211,7 +211,8 @@ def resolve_out_part(T: SimpleGroup, spec: str) -> tuple:
     seeds = []
     for part in name.split(",") if name != "inner" else ():
         part = part.strip()
-        if not (part.startswith("g") and part[1:].isdecimal()):
+        # isdecimal() would also admit the digits of other scripts
+        if not re.fullmatch(r"g[0-9]+", part):
             raise PreconditionError(f"unknown out-part descriptor {spec!r}")
         idx = int(part[1:]) - 1
         if not 0 <= idx < len(aut.generator_labels):

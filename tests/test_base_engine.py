@@ -15,12 +15,12 @@ from diagbase.baseengine import (alt_formula_bounds, ceil_log, construct_auto,
                                  pointwise_stabilizer_by_action, pyber_check,
                                  stabilizer_witness)
 from diagbase import _accel, baseengine, diag
-from diagbase.baseengine import _fixing_candidates
 from diagbase.catalog import catalog_names, get_group, load_catalog
-from diagbase.diag import OmegaPoint, build_group, resolve_out_part
+from diagbase.diag import (OmegaPoint, act_diag, build_group,
+                           resolve_out_part)
 from diagbase.errors import (BudgetExceededError, InvalidTopError,
                              PreconditionError, UnsupportedEnumerationError)
-from diagbase.perm import Perm
+from diagbase.perm import Perm, _is_prime
 
 import pin_oracle
 from scan_oracle import fixes
@@ -146,6 +146,35 @@ def check_solver(g, pts, sym_stab, stab=None):
 ACTION_ORACLE_MAX_GD = 30_000
 
 
+def gd_indices(g, pairs):
+    """The G_D indices a * |P| + p of (aut row id, Perm) pairs, in order."""
+    aut_index = {int(a): i for i, a in enumerate(g.aut_rows)}
+    table = g.top.table
+    return [aut_index[a] * table.order + table.position(p) for a, p in pairs]
+
+
+def check_witness(g, points):
+    """The explicit-top witness of the points against their listed
+    stabilizer: None iff the identity alone fixes them; else in the
+    stabilizer, of prime order lcm(|alpha|, |pi|), and the first of
+    ``g.prime_candidates`` that ``filter_candidates`` keeps.  Returns it."""
+    stab = pointwise_stabilizer(g, points)
+    witness = stabilizer_witness(g, points)
+    assert (witness is None) == (len(stab) == 1)
+    if witness is not None:
+        a, p = witness
+        assert (a, p) in stab
+        assert _is_prime(int(np.lcm(g.T.aut.orders[a], p.order())))
+        cand_a, cand_p = g.prime_candidates
+        tuples = np.array([pt.tuple_ids for pt in points], np.int32) \
+            .reshape(-1, g.k)
+        first = int(_accel.filter_candidates(
+            g.T, g.top.table.arrays(), cand_a, cand_p, tuples).argmax())
+        assert (a, g.top.table.position(p)) == \
+            (int(cand_a[first]), int(cand_p[first]))
+    return witness
+
+
 @pytest.mark.parametrize("out", ["inner", "full"])
 @pytest.mark.parametrize("top,k", [
     *(("sym-table", k) for k in (2, 3, 4, 5)),
@@ -157,49 +186,81 @@ def test_fixing_candidates_match_the_kernel_and_the_action(
     # the G_D indices a * |P| + p that fix seeded 1-3 point sets, against
     # the candidate x tuple broadcast over G_D listed here and against the
     # group action; entries from {1, x, y} give nontrivial stabilizers.
-    # The survivors of the first point meet the rest in filter_candidates,
-    # at the default chunk and at 61-entry chunks, past which the
-    # candidates go through the perm grouping
+    # pointwise_stabilizer lists G_D a chunk of indices at a time through
+    # filter_candidates, at the default chunk and at 61-entry chunks, past
+    # which the candidates go through the perm grouping.  The witness of
+    # each set, and of no points, is checked against the listing at the
+    # default chunk
     g = build_group(get_group(name), k, out, top)
     T, table = g.T, g.top.table
     n_p = table.order
     cand_a = np.repeat(g.aut_rows, n_p)
     cand_p = np.tile(np.arange(n_p, dtype=np.int32), len(g.aut_rows))
-    aut_index = {int(a): i for i, a in enumerate(g.aut_rows)}
     rng = np.random.default_rng(zlib.crc32(f"{name} {top} {k} {out}".encode()))
     chunks = (_accel._CHUNK_PAIRS, 61)
+    assert check_witness(g, []) is not None
     for n_points in (1, 2, 3):
         pool = [0, *rng.choice(np.arange(1, T.order), 2, replace=False)]
         tuples = np.zeros((n_points, k), dtype=np.int32)
         tuples[:, 1:] = rng.choice(pool, (n_points, k - 1))
         want = np.flatnonzero(fixes(T, table.arrays(), cand_a, cand_p,
                                     tuples).all(axis=1)).tolist()
+        points = [OmegaPoint(tuple(t)) for t in tuples.tolist()]
+        check_witness(g, points)
         for chunk in chunks:
             monkeypatch.setattr(_accel, "_CHUNK_PAIRS", chunk)
-            assert _fixing_candidates(g, tuples).tolist() == want
+            assert gd_indices(g, pointwise_stabilizer(g, points)) == want
         if n_points == 1 and g.gd_order <= ACTION_ORACLE_MAX_GD:
-            points = [OmegaPoint(tuple(t)) for t in tuples.tolist()]
-            assert want == sorted(
-                aut_index[a] * n_p + table.position(p)
-                for a, p in pointwise_stabilizer_by_action(g, points))
+            assert want == sorted(gd_indices(
+                g, pointwise_stabilizer_by_action(g, points)))
 
 
 @pytest.mark.parametrize("name", ["A5", "L2(7)"])
 def test_fixing_candidates_past_one_chunk(name, monkeypatch):
-    # with chunks this small, all of G_D at one point is past one chunk:
-    # the identity perm's aut rows are read off the fixer index and the
-    # moved perms meet the order test first
+    # with chunks this small, G_D is listed in many blocks; eight copies of
+    # the point put each block of candidates x tuples past one chunk, so the
+    # identity perm's aut rows are read off the fixer index and the moved
+    # perms meet the order test first
     g = build_group(get_group(name), 3, "full", "sym-table")
-    table, n_p = g.top.table, g.top.table.order
-    aut_index = {int(a): i for i, a in enumerate(g.aut_rows)}
     rng = np.random.default_rng(zlib.crc32(name.encode()))
+    order_tests, holding = [], _accel._holding
+
+    def spy(*args, order=False):
+        order_tests.append(order)
+        return holding(*args, order=order)
     monkeypatch.setattr(_accel, "_CHUNK_PAIRS", 64)
+    monkeypatch.setattr(_accel, "_holding", spy)
     for t in [[0, 1, 2], [0, 0, 1], *rng.integers(0, g.T.order, (3, 3))]:
         point = OmegaPoint.from_tuple(g.T, [int(v) for v in t])
-        want = sorted(aut_index[a] * n_p + table.position(p)
-                      for a, p in pointwise_stabilizer_by_action(g, [point]))
-        assert _fixing_candidates(
-            g, np.array([point.tuple_ids], np.int32)).tolist() == want
+        want = sorted(gd_indices(g, pointwise_stabilizer_by_action(g, [point])))
+        assert gd_indices(g, pointwise_stabilizer(g, [point])) == want
+        assert not any(order_tests)
+        assert gd_indices(g, pointwise_stabilizer(g, [point] * 8)) == want
+        assert any(order_tests)
+        check_witness(g, [point])
+        order_tests.clear()
+
+
+@pytest.mark.parametrize("name,k,top", [
+    ("A6", 401, "dihedral"), ("L2(11)", 563, "cyclic")])
+def test_planted_non_bases_past_one_chunk(name, k, top):
+    # G_D past one chunk of indices, and a point with a nontrivial
+    # stabilizer: mirror-symmetric, t[i] = t[-i], under a dihedral top (the
+    # reflection i -> -i fixes it), and one nonidentity entry x under a
+    # cyclic top (C_Aut(x) fixes it)
+    g = build_group(get_group(name), k, "full", top)
+    assert g.gd_order > _accel._CHUNK_PAIRS
+    ids = [0] * k
+    if top == "dihedral":
+        for i in range(1, k // 2 + 1):
+            ids[i] = ids[k - i] = i
+    else:
+        ids[1] = 1
+    point = OmegaPoint.from_tuple(g.T, ids)
+    cert = is_base(g, [point])
+    assert cert.verdict is False
+    assert cert.witness == check_witness(g, [point])
+    assert act_diag(g.T, point, *cert.witness) == point
 
 
 class TestPointwiseStabilizer:

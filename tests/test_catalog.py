@@ -109,6 +109,13 @@ class TestParsing:
          "at least one aut_generator required", "aut_generator", None),
         (A5_PAIRED.replace("min_index: 5", "min_index: five"),
          "expected an integer", "min_index", 7),
+        # int() alone reads each of these as an integer
+        (A5_PAIRED.replace("min_index: 5", "min_index: 1_2"),
+         "expected an integer", "min_index", 7),
+        (A5_PAIRED.replace("min_index: 5", "min_index: +12"),
+         "expected an integer", "min_index", 7),
+        (A5_PAIRED.replace("natural_degree: 5", "natural_degree: \uff15"),
+         "expected an integer", "natural_degree", 2),
         (A5_PAIRED.replace("natural_degree: 5", "natural_degree: 0"),
          "degree must be positive", "natural_degree", None)])
     def test_grammar_errors(self, text, message, field, line):

@@ -377,6 +377,18 @@ class TestExitCodes:
         assert captured.err == "precondition error: --criteria takes " \
             "integer ids: '\uff14'\n"
 
+    # str.isdecimal() also reads full-width and Arabic-Indic digits; a
+    # generator reference g<i> takes ASCII decimal only
+    @pytest.mark.parametrize("out", ["g\uff11", "g\u0661", "g1\uff10"],
+                             ids=["full-width", "arabic-indic", "mixed"])
+    def test_out_part_generators_are_ascii_decimal(self, capsys, out):
+        code = main(["base-construct", "--group", "A5", "--k", "5",
+                     "--out-part", out, "--top", "cyclic"])
+        captured = capsys.readouterr()
+        assert code == 5 and captured.out == ""
+        assert captured.err == "precondition error: unknown out-part " \
+            f"descriptor {out!r}\n"
+
     def test_unknown_criteria_id_names_the_ids(self, capsys):
         code = main(["paper-suite", "--criteria", "2,99"])
         captured = capsys.readouterr()

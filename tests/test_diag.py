@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from diagbase import diag
 from diagbase.catalog import (ELEMENT_BUDGET, _closure_ids, catalog_names,
                               default_catalog_text, get_group, load_catalog)
-from diagbase.baseengine import (_fixing_candidates, minimal_base_size,
-                                 pointwise_stabilizer,
+from diagbase.baseengine import (minimal_base_size, pointwise_stabilizer,
                                  pointwise_stabilizer_by_action)
 from diagbase.diag import (GROUP_MEMO_CAP, DiagTypeGroup, GroupMemo,
                            OmegaPoint, act_diag, build_group, gd_orbit_reps,
@@ -573,9 +572,10 @@ class TestOrbitReps:
         aut_index = {int(a): i for i, a in enumerate(g.aut_rows)}
         table = g.top.table
         for row, stab in gd_orbits(g):
-            assert stab.tolist() == \
-                _fixing_candidates(g, tuples[row:row + 1]).tolist()
             rep = OmegaPoint(tuple(tuples[row].tolist()))
+            assert stab.tolist() == [
+                aut_index[a] * table.order + table.position(p)
+                for a, p in pointwise_stabilizer(g, [rep])]
             by_action = sorted(aut_index[a] * table.order + table.position(p)
                                for a, p in
                                pointwise_stabilizer_by_action(g, [rep]))
