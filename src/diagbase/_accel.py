@@ -2,7 +2,7 @@
 
 (alpha, pi) fixes the point with canonical tuple t iff ``alpha[t[i]] ==
 mul[inv[t[pi[0]]], t[pi[i]]]`` at every i (README, "The scan kernel");
-a flat candidate list of up to one chunk of pairs skips the perm grouping.
+a flat candidate list of up to one chunk of pairs skips the perm runs.
 """
 
 from __future__ import annotations
@@ -49,8 +49,9 @@ def _holding(T, P, g, alpha, t, j, c, order=False):
 
 def _scan(T, P, ident, a, tuples, lo, hi):
     """Index arrays (g, pos, j): candidate (aut row a[pos], top perm P[g]),
-    lo[g] <= pos < hi[g], fixes tuple j; tuples canonical, k >= 2, P's rows
-    distinct, the identity first if ``ident``."""
+    lo[g] <= pos < hi[g], fixes tuple j; tuples canonical, k >= 2, run 0
+    the identity's if ``ident``; a perm in several runs, or the identity
+    heading a later one, gives the same pairs, only more slowly."""
     n, m, k, G = T.order, len(tuples), tuples.shape[1], len(P)
     rows, mul, (ptr, fixers) = T.aut.rows.ravel(), T.mul.ravel(), T.aut.fixers
     found = [(np.zeros(0, np.intp),) * 3]
@@ -100,7 +101,8 @@ def _fixing_pairs(T, perms, cand_a, cand_p, tuples):
     """Index arrays ``(c, j)``: candidate c, aut row cand_a[c] with top perm
     perms[cand_p[c]], fixes tuple j; perms row 0 the identity.  Up to one
     chunk of pairs, one block: alpha(t_1) against each pair's rhs; past
-    it, ``_scan`` of the candidates grouped by perm."""
+    it, ``_scan`` of the runs of equal cand_p as given: any order gives the
+    same pairs, fastest perm-major, identity first, as G_D is listed."""
     if len(cand_a) * len(tuples) <= _CHUNK_PAIRS:
         # each perm's rhs, or each candidate's if fewer: at most one chunk
         P, g = (perms, cand_p) if len(perms) <= len(cand_a) else \
@@ -110,12 +112,11 @@ def _fixing_pairs(T, perms, cand_a, cand_p, tuples):
                 T, P, tuples.T).take(g, 0)), len(tuples))
         ok = _holding(T, P, g.take(c), cand_a.take(c), tuples, j, 2)
         return c.take(ok), j.take(ok)
-    p = cand_p.take(order := np.argsort(cand_p, kind="stable"))  # by perm
-    lo = np.flatnonzero(np.concatenate((p[:1] == p[:1], p[1:] != p[:-1])))
-    hi, ident = np.append(lo[1:], len(p)), int(len(p) > 0 and p[0] == 0)
-    _, pos, j = _scan(T, perms[p.take(lo)], ident, cand_a.take(order), tuples,
-                      lo, hi)
-    return order.take(pos), j
+    # nonempty past one chunk; a run starts wherever the perm changes
+    lo = np.flatnonzero(np.concatenate(([True], cand_p[1:] != cand_p[:-1])))
+    _, pos, j = _scan(T, perms[cand_p.take(lo)], int(cand_p[0] == 0), cand_a,
+                      tuples, lo, np.append(lo[1:], len(cand_p)))
+    return pos, j
 
 
 def filter_candidates(T, perms, cand_a, cand_p, tuples):

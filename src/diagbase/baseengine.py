@@ -10,7 +10,7 @@ loses nothing), and never touch the point set itself: a diagonal pair
 which is pure index arithmetic over the element table of T.  For explicit top
 groups a nonidentity witness is the first of G_D's prime-order elements
 (``DiagTypeGroup.prime_candidates``) that the scan kernel keeps, and the
-stabilizer is G_D filtered one chunk of indices at a time.
+stabilizer is G_D listed perm-major, filtered a few whole perms at a time.
 For symbolic Alt/Sym tops the stabilizer is never listed, only a
 nonidentity witness sought: the same condition says that x -> t[0 pi] *
 alpha(x) permutes the multiset of columns of the points' tuple matrix.
@@ -50,25 +50,22 @@ SOLVER_CHUNK_PAIRS = 1 << 12
 # scan plumbing for explicit tops
 
 
-def _candidate(g: DiagTypeGroup, i):
-    """G_D index ``i`` as an (aut row id, Perm) pair."""
-    a, p = divmod(int(i), g.top.table.order)
-    return int(g.aut_rows[a]), g.top.table.element(p)
-
-
 def pointwise_stabilizer(g: DiagTypeGroup, points):
     """All (alpha, pi) in G_D fixing every point (D itself is implicit), as
-    (aut row id, Perm) pairs in ascending G_D index a * |P| + p (aut row
-    ``g.aut_rows[a]``, top perm p), G_D listed one chunk of indices at a
-    time through ``filter_candidates``; explicit tops only: a symbolic top
-    answers whether one is trivial (``stabilizer_witness``)."""
+    (aut row id, Perm) pairs in ascending perm-major G_D index (gd_orbits),
+    G_D listed max(1, _CHUNK_PAIRS // |A|) whole perms at a time through
+    ``filter_candidates``; explicit tops only: a symbolic top answers
+    whether one is trivial (``stabilizer_witness``)."""
     tuples = np.array([p.tuple_ids for p in points], np.int32).reshape(-1, g.k)
-    perms, n_p, found = g.top.table.arrays(), g.top.table.order, []
-    for s in range(0, g.gd_order, _accel._CHUNK_PAIRS):
-        i = np.arange(s, min(s + _accel._CHUNK_PAIRS, g.gd_order))
-        found.extend(i[_accel.filter_candidates(
-            g.T, perms, g.aut_rows.take(i // n_p), i % n_p, tuples) == 1])
-    return [_candidate(g, i) for i in found]
+    table, rows, found = g.top.table, g.aut_rows, []
+    step = max(1, _accel._CHUNK_PAIRS // len(rows))
+    for s in range(0, table.order, step):
+        p = np.arange(s, min(s + step, table.order)).repeat(len(rows))
+        a = np.tile(rows, len(p) // len(rows))
+        kept = np.flatnonzero(_accel.filter_candidates(
+            g.T, table.arrays(), a, p, tuples))
+        found.extend(zip(a.take(kept).tolist(), p.take(kept).tolist()))
+    return [(a, table.element(p)) for a, p in found]
 
 
 def stabilizer_witness(g: DiagTypeGroup, points):
@@ -532,9 +529,9 @@ def minimal_base_size(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
         seen.append((rep, stab[1:]))
     tuples = omega_tuples(g, budget)[1:]
     for rep, stab in seen:
+        p, a = np.divmod(stab, len(g.aut_rows))
         free = np.flatnonzero(_accel.detect_per_tuple(
-            g.T, perms, g.aut_rows[stab // len(perms)], stab % len(perms),
-            tuples) == 0)
+            g.T, perms, g.aut_rows.take(a), p, tuples) == 0)
         if len(free):
             return 3, [g.diagonal_point()] + [
                 OmegaPoint(point_tuple(g, j)) for j in (rep, 1 + int(free[0]))]

@@ -194,7 +194,7 @@ def _config_echo(args):
 
 
 def cmd_catalog_validate(args):
-    names = [args.group.strip()] if args.group else catalog_names()
+    names = catalog_names() if args.group is None else [args.group.strip()]
     payload = []
     for name in names:
         T = get_group(name)

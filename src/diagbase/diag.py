@@ -316,8 +316,8 @@ class DiagTypeGroup:
 
         Perm-major: per perm order class, ascending, each perm of the class
         with every out-part aut row whose order has a prime lcm with the
-        class's.  Every consumer sums over the candidates or takes their
-        set."""
+        class's.  An explicit-top witness is the first candidate the scan
+        keeps (``stabilizer_witness``): this order fixes each in a report."""
         top_orders = self.top.table.element_orders()
         a_orders, a_of = np.unique(self.T.aut.orders[self.aut_rows],
                                    return_inverse=True)
@@ -483,10 +483,10 @@ def act_diag(T: SimpleGroup, point: OmegaPoint, aut_row: int,
 
 
 def stab_of_D(g: DiagTypeGroup):
-    """All (aut row, pi) pairs of the point stabilizer G_D, aut-row-major,
-    made one at a time; explicit tops only, refused on the call."""
-    table = g.top.table
-    return ((int(a), p) for a in g.aut_rows for p in table)
+    """All (aut row, pi) pairs of G_D, perm-major as in ``gd_orbits``, made
+    one at a time; explicit tops only, refused on the call."""
+    table, rows = g.top.table, g.aut_rows.tolist()
+    return ((a, p) for p in table for a in rows)
 
 
 def point_tuple(g: DiagTypeGroup, i: int) -> tuple:
@@ -542,9 +542,9 @@ def omega_iter(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
 def gd_orbits(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
     """Yield (row, stab) per G_D orbit on the point set, refusing more than
     ``budget`` points: the number of its first point, ascending, and the
-    stabilizer of that point in G_D as indices a * |P| + p of the pairs
-    (``g.aut_rows[a]``, top perm p), ascending (the identity, index 0,
-    first).  The orbit has ``g.gd_order // len(stab)`` points.
+    stabilizer of that point in G_D as indices p * |A| + a, ascending, of
+    the pairs (``g.aut_rows[a]``, top perm p), |A| = ``len(g.aut_rows)``;
+    0, the identity, first.  The orbit has ``g.gd_order // len(stab)`` points.
 
     Lazily: a step decodes the next unseen point, maps it through all of
     G_D in one block (act_diag on every (alpha, pi): the tuple indexed by
@@ -563,7 +563,8 @@ def gd_orbits(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
     while j < g.degree:
         moved = np.array(point_tuple(g, j), dtype=np.int32)[perms]
         images = auts_flat[at_a + T.mul[T.inv[moved[:, :1]], moved[:, 1:]]]
-        codes = digit_codes(images.transpose(2, 0, 1), T.order)
+        # gathered aut row by aut row (the faster read), coded perm-major
+        codes = digit_codes(images.transpose(2, 1, 0), T.order)
         unseen[codes] = False
         yield j, np.flatnonzero(codes == j)
         j += int(np.argmax(unseen[j:]))

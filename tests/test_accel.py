@@ -18,17 +18,20 @@ from scan_oracle import fixes
 
 def _random_inputs(T, seed, n_cand=200, n_tuples=40, k=3):
     """Random candidates of G_D, repeats allowed (all of G_D if ``n_cand``
-    is None), and random canonical k-tuples whose entries come from three
-    elements of T, so that many pairs fix and many do not."""
+    is None), perm-major as G_D is listed, and random canonical k-tuples
+    whose entries come from three elements of T, so that many pairs fix
+    and many do not."""
     g = build_group(T, k, "full", "sym-table")
     rng = np.random.default_rng(seed)
     perms = g.top.table.arrays()
     if n_cand is None:
-        cand_a, cand_p = np.divmod(np.arange(T.aut.n_aut * len(perms),
-                                             dtype=np.int32), len(perms))
+        cand_p, cand_a = np.divmod(np.arange(T.aut.n_aut * len(perms),
+                                             dtype=np.int32), T.aut.n_aut)
     else:
         cand_a = rng.integers(0, T.aut.n_aut, n_cand).astype(np.int32)
         cand_p = rng.integers(0, len(perms), n_cand).astype(np.int32)
+        by_perm = np.argsort(cand_p, kind="stable")
+        cand_a, cand_p = cand_a[by_perm], cand_p[by_perm]
     entries = np.concatenate([[0], rng.choice(np.arange(1, T.order), 2,
                                               replace=False)])
     tuples = np.zeros((n_tuples, k), dtype=np.int32)
@@ -170,6 +173,25 @@ def test_pairs_span_several_chunks(A5, monkeypatch):
     assert len(calls) == 3 * -(-400 // (64 // 5))
 
 
+@pytest.mark.parametrize("chunk", [_accel._CHUNK_PAIRS, 64])
+def test_any_candidate_order_gives_the_same_answers(A5, chunk, monkeypatch):
+    # the kernel cuts runs where cand_p changes, in the order given: all of
+    # G_D perm-major, shuffled, reversed (the identity's run last) and with
+    # the identity's run split in two (first and last) gives the same
+    # answers, past one chunk already at the default chunk
+    _, args = _random_inputs(A5, 21, n_cand=None, n_tuples=30, k=4)
+    T, perms, cand_a, cand_p, tuples = args
+    assert len(cand_a) * len(tuples) > _accel._CHUNK_PAIRS
+    want = fixes(*args)
+    assert 0 < want.sum() < want.size
+    monkeypatch.setattr(_accel, "_CHUNK_PAIRS", chunk)
+    every = np.arange(len(cand_a))
+    for order in (every, np.random.default_rng(21).permutation(every),
+                  every[::-1], np.roll(every, -T.aut.n_aut // 2)):
+        _assert_reductions((T, perms, cand_a[order], cand_p[order], tuples),
+                           want[order])
+
+
 def test_chunk_dying_at_coordinate_2_then_a_fixing_chunk(A5, monkeypatch):
     # conjugation by x fixes (1, t1, t2, t2) iff x centralizes t1 and t2;
     # with t1, t2 of order 5 in different cyclic subgroups, the candidates
@@ -240,8 +262,8 @@ def test_order_test_keeps_exactly_the_fixing_pairs(A5, monkeypatch):
     passed = _accel._holding(A5, perms[[swap]], np.zeros(3, np.intp), None,
                              tuples, np.arange(3), 1, order=True)
     assert passed.tolist() == [0, 1]
-    cand_a = np.repeat(np.arange(A5.aut.n_aut, dtype=np.int32), 2)
-    cand_p = np.tile(np.array([0, swap], np.int32), A5.aut.n_aut)
+    cand_a = np.tile(np.arange(A5.aut.n_aut, dtype=np.int32), 2)
+    cand_p = np.repeat(np.array([0, swap], np.int32), A5.aut.n_aut)
     args = (A5, perms, cand_a, cand_p, tuples)
     want = _oracle(g, args)
     moved = cand_p == swap
@@ -351,7 +373,7 @@ def test_kernel_matches_the_broadcast(name, top, k, out, monkeypatch):
     # with chunks so small that every block boundary falls somewhere
     g = build_group(get_group(name), k, out, top)
     T, perms = g.T, g.top.table.arrays()
-    n_p = len(perms)
+    n_a = len(g.aut_rows)
     rng = np.random.default_rng(zlib.crc32(f"{name} {top} {k} {out}".encode()))
     tuples = _edge_tuples(T, k, rng)
     everything = np.arange(g.gd_order)
@@ -363,7 +385,7 @@ def test_kernel_matches_the_broadcast(name, top, k, out, monkeypatch):
         rng.choice(everything, MAX_CANDIDATES, replace=False),
     }
     for label, flat in sets.items():
-        sets[label] = (g.aut_rows[flat // n_p], flat % n_p)
+        sets[label] = (g.aut_rows[flat % n_a], flat // n_a)
     prime = rng.permutation(len(prime_a))[:MAX_CANDIDATES]
     sets["prime"] = (prime_a[prime], prime_p[prime])
     for label, (cand_a, cand_p) in sets.items():

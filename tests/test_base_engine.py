@@ -147,10 +147,11 @@ ACTION_ORACLE_MAX_GD = 30_000
 
 
 def gd_indices(g, pairs):
-    """The G_D indices a * |P| + p of (aut row id, Perm) pairs, in order."""
+    """The perm-major G_D indices p * |A| + a of (aut row id, Perm) pairs,
+    in order."""
     aut_index = {int(a): i for i, a in enumerate(g.aut_rows)}
-    table = g.top.table
-    return [aut_index[a] * table.order + table.position(p) for a, p in pairs]
+    n_a, table = len(g.aut_rows), g.top.table
+    return [table.position(p) * n_a + aut_index[a] for a, p in pairs]
 
 
 def check_witness(g, points):
@@ -183,19 +184,19 @@ def check_witness(g, points):
 @pytest.mark.parametrize("name", catalog_names())
 def test_fixing_candidates_match_the_kernel_and_the_action(
         name, top, k, out, monkeypatch):
-    # the G_D indices a * |P| + p that fix seeded 1-3 point sets, against
+    # the G_D indices p * |A| + a that fix seeded 1-3 point sets, against
     # the candidate x tuple broadcast over G_D listed here and against the
     # group action; entries from {1, x, y} give nontrivial stabilizers.
-    # pointwise_stabilizer lists G_D a chunk of indices at a time through
+    # pointwise_stabilizer lists G_D a few whole perms at a time through
     # filter_candidates, at the default chunk and at 61-entry chunks, past
-    # which the candidates go through the perm grouping.  The witness of
-    # each set, and of no points, is checked against the listing at the
-    # default chunk
+    # which the candidates go through the perm runs.  The witness of each
+    # set, and of no points, is checked against the listing at the default
+    # chunk
     g = build_group(get_group(name), k, out, top)
     T, table = g.T, g.top.table
-    n_p = table.order
-    cand_a = np.repeat(g.aut_rows, n_p)
-    cand_p = np.tile(np.arange(n_p, dtype=np.int32), len(g.aut_rows))
+    cand_a = np.tile(g.aut_rows, table.order)
+    cand_p = np.repeat(np.arange(table.order, dtype=np.int32),
+                       len(g.aut_rows))
     rng = np.random.default_rng(zlib.crc32(f"{name} {top} {k} {out}".encode()))
     chunks = (_accel._CHUNK_PAIRS, 61)
     assert check_witness(g, []) is not None
@@ -217,10 +218,10 @@ def test_fixing_candidates_match_the_kernel_and_the_action(
 
 @pytest.mark.parametrize("name", ["A5", "L2(7)"])
 def test_fixing_candidates_past_one_chunk(name, monkeypatch):
-    # with chunks this small, G_D is listed in many blocks; eight copies of
-    # the point put each block of candidates x tuples past one chunk, so the
-    # identity perm's aut rows are read off the fixer index and the moved
-    # perms meet the order test first
+    # with chunks this small, G_D is listed one whole perm per call, and
+    # the |A| candidates of one perm put a single point past one chunk: the
+    # identity perm's aut rows are read off the fixer index and each moved
+    # perm meets the order test first, once, and again on eight copies
     g = build_group(get_group(name), 3, "full", "sym-table")
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     order_tests, holding = [], _accel._holding
@@ -234,9 +235,10 @@ def test_fixing_candidates_past_one_chunk(name, monkeypatch):
         point = OmegaPoint.from_tuple(g.T, [int(v) for v in t])
         want = sorted(gd_indices(g, pointwise_stabilizer_by_action(g, [point])))
         assert gd_indices(g, pointwise_stabilizer(g, [point])) == want
-        assert not any(order_tests)
+        assert order_tests.count(True) == g.top.table.order - 1
+        order_tests.clear()
         assert gd_indices(g, pointwise_stabilizer(g, [point] * 8)) == want
-        assert any(order_tests)
+        assert order_tests.count(True) >= g.top.table.order - 1
         check_witness(g, [point])
         order_tests.clear()
 

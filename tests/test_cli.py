@@ -605,6 +605,20 @@ class TestExitCodes:
                           "--top", "sym-table")
         assert code == 3
 
+    # an empty or blank name is a name no entry has: catalog-validate
+    # validates every group only without --group
+    @pytest.mark.parametrize("argv", [
+        ("catalog-validate", "--group", ""),
+        ("catalog-validate", "--group", "  "),
+        ("base-min", "--group", "", "--k", "2", "--top", "sym-table"),
+    ], ids=["validate-empty", "validate-blank", "base-min-empty"])
+    def test_empty_group_name_validation(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == \
+            "validation failure: no catalog entry named ''\n"
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("passed,want", [(True, 0), (False, 1)])
     def test_paper_suite_exit_code(self, capsys, monkeypatch, fmt, passed,

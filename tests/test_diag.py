@@ -570,13 +570,13 @@ class TestOrbitReps:
         g = build_group(get_group(name), k, out, top)
         tuples = omega_tuples(g)
         aut_index = {int(a): i for i, a in enumerate(g.aut_rows)}
-        table = g.top.table
+        n_a, table = len(g.aut_rows), g.top.table
         for row, stab in gd_orbits(g):
             rep = OmegaPoint(tuple(tuples[row].tolist()))
             assert stab.tolist() == [
-                aut_index[a] * table.order + table.position(p)
+                table.position(p) * n_a + aut_index[a]
                 for a, p in pointwise_stabilizer(g, [rep])]
-            by_action = sorted(aut_index[a] * table.order + table.position(p)
+            by_action = sorted(table.position(p) * n_a + aut_index[a]
                                for a, p in
                                pointwise_stabilizer_by_action(g, [rep]))
             assert stab.tolist() == by_action

@@ -854,6 +854,23 @@ class TestRowCodedGroup:
             assert (rows, pid) in cls["diag_members"]
             assert all(len(set(m[0])) == 1 for m in cls["diag_members"])
 
+    @pytest.mark.parametrize("k,out_part,n_moved", [(2, "full", 2),
+                                                    (3, "inner", 3)])
+    def test_moved_perm_centralizers(self, A5, k, out_part, n_moved):
+        # every class with a moved perm in W(2, A5) and Inn(A5)^3:S3: the
+        # scan of C_G(x) skips the top perms that do not commute with x's,
+        # which at k = 3 is most of S3, and it agrees with orbit-stabilizer
+        # and the formula
+        g = build_group(A5, k, out_part, "sym-table")
+        rc = RowCodedGroup(g)
+        classes = [c for c in rc.class_data() if c["rep"][1]]
+        assert len(classes) == n_moved
+        for cls in classes:
+            (a, *_), pid = cls["rep"]
+            assert rc.centralizer_count(cls["rep"]) == \
+                rc.order // cls["size"] == \
+                centralizer_order_formula(g, a, g.top.table.element(pid))
+
     def test_class_walk_budget(self, A5, monkeypatch):
         g = build_group(A5, 3, "inner", "alt-table")
         # 22,031 members in all
