@@ -272,7 +272,7 @@ def _solve_symbolic(g: DiagTypeGroup, tuples):
     matched, an odd pi fixed up with the one repeated pair, or (all columns
     distinct) skipped for Alt.
     """
-    T, k, n, alt = g.T, g.k, g.T.order, g.top.symbolic == "alt"
+    T, k, n, alt = g.T, g.k, g.T.order, not g.top.symmetric
     X = np.asarray(tuples, dtype=np.int64)
     columns = codes, uniq, _first, counts = _distinct_columns(X, n)
     # equal columns swap freely: a transposition for Sym; for Alt a 3-cycle
@@ -313,7 +313,7 @@ def detect_symbolic(g: DiagTypeGroup, tuples):
     repeated pair (its swap fixes an odd pi).  With distinct entries the
     survivors are a group whose even part has index <= 2: three or more
     are a hit, and two iff the other, an involution, moves 4j entries."""
-    T, k, alt = g.T, g.k, g.top.symbolic == "alt"
+    T, k, alt = g.T, g.k, not g.top.symmetric
     ordered = np.sort(tuples, axis=1)
     repeats = (ordered[:, 1:] == ordered[:, :-1]).sum(axis=1)
     uniform = k % T.order == 0 and (
@@ -405,16 +405,16 @@ def construct_small_k_base(g: DiagTypeGroup):
         return OmegaPoint.from_tuple(T, ids)
 
     if k == 2:
-        if g.top.is_trivial():
+        if not g.top.symmetric:
             return [D, pt((xi, 0)), pt((yi, 0))]
         return [D, pt((xi, 0)), pt((yi, 0)), pt((int(T.mul[xi, yi]), 0))]
     if k == 3:
-        if g.top.is_symmetric():
+        if g.top.symmetric:
             return [D, pt((xi, 0, 0)), pt((0, yi, 0))]
         ai, bi = T.involution_ids
         return [D, pt((ai, bi, 0))]
     if k == 4:
-        if g.top.is_symmetric():
+        if g.top.symmetric:
             return [D, pt((xi, T.third_order_ids[0], 0, 0)),
                     pt((0, 0, yi, 0))]
         return [D, pt((xi, yi, 0, 0))]
@@ -434,7 +434,7 @@ def construct_generator_base(g: DiagTypeGroup):
     """
     if g.k < 4:
         raise PreconditionError("generator construction needs k >= 4")
-    if g.top.is_symmetric():
+    if g.top.symmetric:
         raise PreconditionError("top group must not be Sym(k)")
     T, k = g.T, g.k
     # in an irredundant base of k - 1 points the stabilizer of the first
@@ -498,7 +498,7 @@ def construct_auto(g: DiagTypeGroup):
     """
     if g.k <= 4:
         return "small-k", construct_small_k_base(g)
-    if not g.top.contains_alternating():
+    if not g.top.alternating:
         return "generator", construct_generator_base(g)
     return "digit", construct_digit_base(g)
 
@@ -514,8 +514,9 @@ def minimal_base_size(g: DiagTypeGroup, budget: int = OMEGA_BUDGET):
     at the first free point, exhaustively, as G_D maps a base {D, p, q} to
     one with p a representative.  Else b = 4 with the construction's
     verified points: a tabled Alt/Sym top has k <= 8 < |T|, so past k = 2
-    a construction has at most 3 points.  A point set of more than
-    ``budget`` points raises BudgetExceededError.
+    a construction has at most 3 points.  The budget binds once the walk
+    runs: past it, BudgetExceededError; a verified construction returns
+    first at any budget.
     """
     perms = g.top.table.arrays()    # a symbolic top is refused first
     name, pts = construct_auto(g)
@@ -583,11 +584,11 @@ def alt_formula_bounds(g: DiagTypeGroup):
     pinning c + 1."""
     if g.k < 3:
         raise PreconditionError("formula applies for k >= 3")
-    if not g.top.contains_alternating():
+    if not g.top.alternating:
         raise PreconditionError("top group must contain Alt(k)")
     n, k = g.T.order, g.k
     c = ceil_log(n, k)
-    if k == n or (g.top.is_symmetric() and k >= n ** c - 1):
+    if k == n or (g.top.symmetric and k >= n ** c - 1):
         exact = c + 2
     elif c >= 2 and k <= n ** (c - 1) + n - 1:
         exact = c + 1

@@ -179,8 +179,8 @@ def _prob_report(g, exact_nonbase_pair_fraction=None, q2_bound=None,
     """The report entry of one group (the report formatters write the
     rationals as {"num", "den"})."""
     return {
-        "group": g.describe(),
-        "n": report_mod.int_str(g.degree),
+        "group": (group := g.describe()),
+        "n": group["degree"],
         "exact_nonbase_pair_fraction": exact_nonbase_pair_fraction,
         "q2_bound": q2_bound,
         "r_split": r_split,

@@ -73,57 +73,47 @@ _ID_STR = tuple(map(str, range(ELEMENT_BUDGET)))
 
 
 class TopGroup:
-    """Top group: an explicit table or a symbolic Alt/Sym tag, as
-    ``make_top`` admits it.  A symbolic top has no ``table``: reading it
-    raises UnsupportedEnumerationError, the one refusal of a symbolic top."""
+    """Top group as ``make_top`` admits it, with its facts fixed on
+    admission: ``name``, ``symmetric`` (P is Sym(k)) and ``alternating``
+    (P contains Alt(k)).  A symbolic top is Sym(k) or Alt(k) and has no
+    ``table``: reading it raises UnsupportedEnumerationError, the one
+    refusal of a symbolic top.  A table top's order decides both facts, as
+    Alt(k) is the only subgroup of index 2 in Sym(k)."""
 
     def __init__(self, k: int, table: GroupTable | None = None,
-                 symbolic: str | None = None):
+                 symmetric: bool = True):
         self.k = k
         self._table = table
-        self.symbolic = symbolic
+        if table is None:
+            self.name = f"{'Sym' if symmetric else 'Alt'}({k})"
+            self.symmetric, self.alternating = symmetric, True
+        else:
+            full = factorial(k)
+            self.name = "trivial" if table.order == 1 else \
+                f"table[order {table.order}]"
+            self.symmetric = table.order == full
+            self.alternating = table.order in (full // 2, full)
 
     @property
     def table(self) -> GroupTable:
         if self.is_symbolic:
             raise UnsupportedEnumerationError(
-                f"the {self.describe()} top has no table; this computation "
+                f"the {self.name} top has no table; this computation "
                 f"needs an explicit top")
         return self._table
 
     @property
     def is_symbolic(self) -> bool:
-        return self.symbolic is not None
+        return self._table is None
 
     @property
     def order(self) -> int:
         if self.is_symbolic:
-            half = factorial(self.k) // 2
-            return half if self.symbolic == "alt" else 2 * half
+            return factorial(self.k) // (1 if self.symmetric else 2)
         return self._table.order
 
-    def is_trivial(self) -> bool:
-        return not self.is_symbolic and self._table.order == 1
-
-    def contains_alternating(self) -> bool:
-        if self.is_symbolic:
-            return True
-        return self._table.contains_alternating()
-
-    def is_symmetric(self) -> bool:
-        if self.is_symbolic:
-            return self.symbolic == "sym"
-        return self._table.is_symmetric()
-
-    def describe(self) -> str:
-        if self.is_symbolic:
-            return f"{self.symbolic.capitalize()}({self.k})"
-        if self._table.order == 1:
-            return "trivial"
-        return f"table[order {self._table.order}]"
-
     def __repr__(self):
-        return f"TopGroup({self.describe()})"
+        return f"TopGroup({self.name})"
 
 
 def _descriptor(spec, what: str) -> str:
@@ -158,7 +148,7 @@ def make_top(spec: str, k: int) -> TopGroup:
     if name in ("sym", "alt"):
         if k < 3:
             raise InvalidTopError("symbolic tops need k >= 3")
-        return TopGroup(k, symbolic=name)
+        return TopGroup(k, symmetric=name == "sym")
     if name in ("sym-table", "alt-table"):
         if k > TOP_TABLE_MAX_K:
             raise PreconditionError(
@@ -337,14 +327,14 @@ class DiagTypeGroup:
             "group": self.T.name,
             "k": self.k,
             "out_labels": list(self.out_labels),
-            "top": self.top.describe(),
+            "top": self.top.name,
             "degree": degree,
             "order": order,
         }
 
     def __repr__(self):
         return (f"DiagTypeGroup({self.T.name}, k={self.k}, "
-                f"out={list(self.out_labels)}, top={self.top.describe()})")
+                f"out={list(self.out_labels)}, top={self.top.name})")
 
     # -- membership-ish helpers ------------------------------------------------
 
@@ -355,7 +345,7 @@ class DiagTypeGroup:
         if int(self.T.aut.labels[aut_row]) not in self.out_labels:
             return False
         if self.top.is_symbolic:
-            return self.top.symbolic == "sym" or perm.sign() == 1
+            return self.top.symmetric or perm.sign() == 1
         return perm in self.top.table
 
 
@@ -383,11 +373,11 @@ def group_weight(g: DiagTypeGroup) -> int:
     the orders themselves may be too large to work out."""
     if g.top.is_symbolic:
         log_degree = (g.k - 1) * log10(g.T.order)
-        log_top = (lgamma(g.k + 1) - log(2) * (g.top.symbolic == "alt")) \
+        log_top = (lgamma(g.k + 1) - log(2) * (not g.top.symmetric)) \
             / log(10)
         log_gd = log10(g.T.order * len(g.out_labels)) + log_top
         return int(2 * log_degree + log_gd) + 2
-    return len(g.aut_rows) * g.top.table.order
+    return g.gd_order
 
 
 class GroupMemo:

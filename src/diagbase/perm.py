@@ -22,7 +22,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from math import factorial, gcd
+from math import gcd
 
 import numpy as np
 
@@ -378,14 +378,6 @@ class GroupTable:
             return True
         return all(_minimal_block_size(self.gen_rows, self.degree, 0, a)
                    == self.degree for a in range(1, self.degree))
-
-    def contains_alternating(self) -> bool:
-        """Whether A_degree <= group (order test; index-2 subgroup is unique)."""
-        half = factorial(self.degree) // 2
-        return self.order == half or self.order == 2 * half
-
-    def is_symmetric(self) -> bool:
-        return self.order == factorial(self.degree)
 
     # -- bases --------------------------------------------------------------
 

@@ -184,7 +184,7 @@ def centralizer_order_formula(g: DiagTypeGroup, aut_row: int,
     o_p = perm.order()
     order = lcm(o_a, o_p)
     if order == 1:
-        return g.top.order * len(g.aut_rows) * T.order ** (g.k - 1)
+        return g.order
     if not _is_prime(order):
         raise PreconditionError("element order is composite")
     p = order
@@ -254,7 +254,7 @@ def r_split_formula(g: DiagTypeGroup):
             else:
                 num["trivial" if f == k else "mixed"] += (
                     m_a * m_p * c ** (f - 1) * n ** ((k - f) // p))
-    den = n ** (k - 1)
+    den = g.degree
     return (Fraction(num["fpf"], len(g.aut_rows) * den),
             Fraction(num["trivial"], den), Fraction(num["mixed"], den))
 
@@ -303,7 +303,7 @@ class RowCodedGroup:
         self.tmul = table.positions(
             arr[np.arange(self.n_top)[:, None], arr[:, None]]
             .reshape(-1, table.degree)).reshape(self.n_top, self.n_top)
-        self.order = (self.T.order ** (g.k - 1)) * g.gd_order
+        self.order = g.order
 
     def generators(self):
         """Yield (s, s^-1) for each generator s of G: phi_g, then

@@ -197,7 +197,7 @@ def criterion_7():
         ok = rep["upper_holds"] and rep.get("lower_holds", True)
         passed &= ok
         details.append(
-            f"{g.T.name} k={g.k} top={g.top.describe()}: b={b} "
+            f"{g.T.name} k={g.k} top={g.top.name}: b={b} "
             f"{'(exact)' if exact else '(upper)'} <= ceil+2 = "
             f"{rep['upper_bound']}: {ok}")
     return passed, details

@@ -765,6 +765,16 @@ class TestConstructions:
         assert pts is not None
         assert is_base(g, pts[1:]).verdict
 
+    @pytest.mark.parametrize("construct,k,top,message", [
+        (construct_generator_base, 3, "alt-table",
+         "generator construction needs k >= 4"),
+        (digit_base_rows, 4, "sym-table", "digit construction needs k >= 5"),
+        (alt_formula_bounds, 2, "sym-table", "formula applies for k >= 3")],
+        ids=["generator", "digit", "alt-formula"])
+    def test_k_guards(self, A5, construct, k, top, message):
+        with pytest.raises(PreconditionError, match=message):
+            construct(build_group(A5, k, "full", top))
+
     def test_generator_base_rejects_sym(self, A5):
         with pytest.raises(PreconditionError):
             construct_generator_base(build_group(A5, 5, "full", "sym"))
@@ -867,9 +877,10 @@ class TestConstructions:
         # 2 + len(third_order_ids), and no larger than the least base found
         # over point subsets; the generator construction on it is a base
         # on A5 and L2(7), inner and full
-        table = build_group(A5, k, "inner", top).top.table
+        facts = build_group(A5, k, "inner", top).top
+        table = facts.table
         assert table.order == order and table.is_primitive()
-        assert not table.contains_alternating()
+        assert not facts.alternating and not facts.symmetric
         arr, base = table.arrays(), table.base()
         stab = arr
         for point in base:
@@ -1197,8 +1208,7 @@ class TestBounds:
             for e in (1, 2, 3):
                 ks.update(range(order ** e - order - 3, order ** e + order + 4))
             for symmetric in (True, False):
-                top = SimpleNamespace(contains_alternating=lambda: True,
-                                      is_symmetric=lambda s=symmetric: s)
+                top = SimpleNamespace(alternating=True, symmetric=symmetric)
                 for k in sorted(k for k in ks if k >= 3):
                     g = SimpleNamespace(T=SimpleNamespace(order=order), k=k,
                                         top=top)

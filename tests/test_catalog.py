@@ -312,6 +312,15 @@ class TestValidationOnTables:
             "  generators: (1 2 3 4 5 6 7) | (1 2 3)",
             "  generators: (1 2) | (1 2 3 4 5 6 7)"),
          "closure exceeded element budget 2520", None),
+        # on S3 = <(1 2), (2 3)> the images (1 2), (1 3 2) extend to a
+        # bijection along the closure tree, but (1 2)^2 = 1 goes to
+        # (1 3 2)(1 2)(1 3 2) != 1 through the other generator's edges
+        (S3_RECORD.replace("  generators: (1 2 3) | (1 2)",
+                           "  generators: (1 2) | (2 3)")
+         .replace("aut_generator: (1 2 3) | (1 2)",
+                  "aut_generator: (1 2) | (1 3 2)"),
+         "aut_generator images do not normalize the group structure "
+         "(homomorphism law fails)", "aut_generator"),
         (A5_PAIRED.replace("min_index: 5", "min_index: 4"),
          "min_index 4 impossible: |T| does not divide 4!", "min_index")])
     def test_record_invariant_errors(self, text, message, field):

@@ -723,6 +723,16 @@ class TestJsonWriter:
         assert report_mod.to_json({"payload": value}) == \
             _dumps({"payload": value})
 
+    # a format nobody writes, and a dict key json cannot write either
+    @pytest.mark.parametrize("write,error,message", [
+        (lambda: report_mod.render({}, "xml"), ValueError,
+         "unknown report format 'xml'"),
+        (lambda: report_mod.to_json({(1, 2): 0}), TypeError,
+         "tuple is not JSON serializable")], ids=["format", "key"])
+    def test_refusals(self, write, error, message):
+        with pytest.raises(error, match=message):
+            write()
+
     @pytest.mark.parametrize("timing", [None, 0.0, 1.25, 1e-07, 12345.678])
     def test_report_with_digit_strings_and_timing(self, timing):
         payload = {"degree": report_mod.int_str(60 ** 4999),

@@ -51,6 +51,49 @@ class TestBuild:
         with pytest.raises(InvalidTopError):
             build_group(A5, 4, "full", "cyclic")
 
+    # every admitted kind of top: its name and whether it is Sym(k) and
+    # contains Alt(k), fixed when make_top admits it
+    @pytest.mark.parametrize("spec,k,name,symmetric,alternating", [
+        ("trivial", 2, "trivial", False, True),       # Alt(2) is trivial
+        *[(spec, 2, "table[order 2]", True, True)
+          for spec in ("sym-table", "cyclic", "dihedral", "gens:(1 2)")],
+        *[(spec, k, f"{spec.capitalize()}({k})", spec == "sym", True)
+          for spec in ("sym", "alt") for k in range(3, 9)],
+        *[(f"{spec}-table", k, f"table[order {factorial(k) // half}]",
+           spec == "sym", True)
+          for spec, half in (("sym", 1), ("alt", 2)) for k in range(3, 9)],
+        ("cyclic", 3, "table[order 3]", False, True),     # Alt(3)
+        ("dihedral", 3, "table[order 6]", True, True),    # Sym(3)
+        ("cyclic", 7, "table[order 7]", False, False),
+        ("dihedral", 7, "table[order 14]", False, False),
+        ("gens:(1 2 3 4 5)|(1 2)", 5, "table[order 120]", True, True),
+        ("gens:(1 2 3 4 5)|(1 2 3)", 5, "table[order 60]", False, True),
+        ("gens:(1 2 3)", 3, "table[order 3]", False, True),
+        ("gens:(1 2 3 4 5 6 7 8 9 10 11)|(3 7 11 8)(4 10 5 6)", 11,
+         "table[order 7920]", False, False)])
+    def test_top_facts(self, spec, k, name, symmetric, alternating):
+        top = make_top(spec, k)
+        assert (top.name, top.symmetric, top.alternating) == \
+            (name, symmetric, alternating)
+        assert repr(top) == f"TopGroup({name})"
+        assert top.is_symbolic == (spec in ("sym", "alt"))
+
+    def test_contains_diag(self, A5):
+        # the out-part label first, then the perm: any for Sym(k), even for
+        # Alt(k), a member of the table for an explicit top
+        outer = int(np.flatnonzero(A5.aut.labels != 0)[0])
+        cycle, swap = Perm.parse("(1 2 3 4 5)", 5), Perm.parse("(1 2)", 5)
+        for top in ("cyclic", "sym", "alt"):
+            assert not build_group(A5, 5, "inner", top).contains_diag(
+                outer, cycle)
+        cyclic = build_group(A5, 5, "full", "cyclic")
+        assert cyclic.contains_diag(outer, cycle)
+        assert not cyclic.contains_diag(0, swap)
+        for top in ("sym", "alt"):
+            g = build_group(A5, 5, "full", top)
+            assert g.contains_diag(outer, cycle)
+            assert g.contains_diag(0, swap) == (top == "sym")
+
     def test_symbolic_order(self, A5):
         g = build_group(A5, 10, "full", "alt")
         assert g.top.order == 1814400
@@ -400,14 +443,13 @@ class TestStabOfD:
 
     def test_symbolic_errors(self):
         # a symbolic top refuses its table with one message naming it; its
-        # own methods answer without the table
+        # facts are read without the table
         top = make_top("sym", 200)
         with pytest.raises(UnsupportedEnumerationError) as exc:
             top.table
         assert str(exc.value) == ("the Sym(200) top has no table; this "
                                   "computation needs an explicit top")
-        assert top.contains_alternating() and top.is_symmetric()
-        assert not top.is_trivial() and top.describe() == "Sym(200)"
+        assert top.alternating and top.symmetric and top.name == "Sym(200)"
 
     # every reader of the top's table, refused there alone
     @pytest.mark.parametrize("read", [

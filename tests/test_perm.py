@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagbase.catalog import catalog_names, get_group
-from diagbase.errors import BudgetExceededError, MembershipError
+from diagbase.diag import TopGroup
+from diagbase.errors import (BudgetExceededError, MembershipError,
+                             PreconditionError)
 from diagbase.perm import (GroupTable, Perm, _minimal_block_size,
                            alternating_table, cyclic_table, dihedral_table,
                            symmetric_table)
@@ -27,6 +29,21 @@ class TestPermArithmetic:
     def test_compose_then_invert(self):
         p = Perm.parse("(1 2 3)(4 5)", 6)
         assert (p * p.inverse()).is_identity()
+
+    @pytest.mark.parametrize("make,error,message", [
+        (lambda: Perm([]), ValueError, "must be a bijection"),
+        (lambda: Perm([0, 3, 1]), ValueError, "must be a bijection"),
+        (lambda: Perm.identity(2) * Perm.identity(3), ValueError,
+         "different degrees"),
+        (lambda: GroupTable.generate([]), PreconditionError,
+         "at least one generator"),
+        (lambda: GroupTable.generate([Perm.identity(2), Perm.identity(3)]),
+         PreconditionError, "share a degree")],
+        ids=["empty", "out-of-range", "mixed-product", "no-generators",
+             "mixed-generators"])
+    def test_malformed_input_refused(self, make, error, message):
+        with pytest.raises(error, match=message):
+            make()
 
     @given(p=perms(6), q=perms(6))
     @settings(max_examples=60, deadline=None)
@@ -343,9 +360,11 @@ class TestStructure:
         assert not dihedral_table(6).is_primitive()
 
     def test_contains_alternating(self):
-        assert symmetric_table(5).contains_alternating()
-        assert alternating_table(5).contains_alternating()
-        assert not dihedral_table(5).contains_alternating()
+        # a table top's order alone decides it (Alt(k) is the only
+        # subgroup of index 2 in Sym(k))
+        assert TopGroup(5, symmetric_table(5)).alternating
+        assert TopGroup(5, alternating_table(5)).alternating
+        assert not TopGroup(5, dihedral_table(5)).alternating
 
     def test_bochert_bound_on_test_tops(self):
         # primitive tops without the alternating group have small bases

@@ -641,6 +641,11 @@ class TestSampler:
         assert monte_carlo_nonbase(g, 300, 11) == \
             monte_carlo_nonbase(g, 300, 11)
 
+    def test_no_samples_refused(self, A5):
+        g = build_group(A5, 5, "full", "dihedral")
+        with pytest.raises(PreconditionError, match="at least one sample"):
+            monte_carlo_nonbase(g, 0)
+
     def test_negative_seed_refused(self, A5):
         g = build_group(A5, 5, "full", "dihedral")
         with pytest.raises(PreconditionError, match="seed"):
@@ -709,6 +714,12 @@ class TestFormulas:
         pid = w2a5.top.table.position(Perm.parse("(1 2)", 2))
         brute = rc.centralizer_count(((A5.aut.identity_row,) * 2, pid))
         assert c == brute
+
+    def test_aut_row_outside_the_out_part_rejected(self, A5):
+        inner = build_group(A5, 2, "inner", "sym-table")
+        outer = int(np.flatnonzero(A5.aut.labels != 0)[0])
+        with pytest.raises(PreconditionError, match="outside the out-part"):
+            centralizer_order_formula(inner, outer, Perm.identity(2))
 
     def test_composite_rejected(self, A5, w2a5):
         six = int(np.where(
