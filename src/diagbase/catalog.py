@@ -12,8 +12,8 @@ only where the record is read: the closure of the generators of T
 integer tables: ``mul`` follows from the closure's derivations and its
 element array, one breadth-first level at a time.  Aut(T) is laid out as
 the Inn(T)-cosets of its outer label reps, as in the paper (``AutTable``),
-so finding and composing rows is coset arithmetic.  Subgroup closures
-(simplicity, generating pairs) are breadth-first walks over ``mul``, and
+so finding and composing rows is coset arithmetic.  Closures and the
+classes of T are orbits under a few maps (``perm.orbit_labels``), and
 Aut(T) element orders are read off powers of the generator images alone,
 two entries per row a step.
 
@@ -37,7 +37,7 @@ from math import factorial
 import numpy as np
 
 from .errors import BudgetExceededError, MembershipError, ValidationError
-from .perm import GroupTable, Perm
+from .perm import GroupTable, Perm, orbit_labels
 
 ELEMENT_BUDGET = 2520  # largest |T| the catalog materializes
 assert ELEMENT_BUDGET < 1 << 16  # Monte Carlo draws ids as 16-bit words
@@ -166,25 +166,10 @@ def _finish_record(name, fields):
 
 
 def _closure_ids(mul, gen_ids):
-    """Element ids of the subgroup generated by gen_ids (breadth-first over
-    the multiplication table, one whole frontier per step, until no new id
-    is reached or every id is).
-
-    Reached ids are marked on a boolean mask rather than listed with a
-    plain ``np.unique``: besides sorting every step, numpy 2 runs
-    ``np.ma.is_masked`` inside a plain ``np.unique``, and that imports all
-    of ``numpy.ma`` (up to 15 ms) on first use."""
-    gens = np.asarray(gen_ids, dtype=np.intp)
-    seen = np.zeros(mul.shape[0], dtype=bool)
-    seen[0] = True
-    frontier, found = np.zeros(1, dtype=np.intp), 1
-    while frontier.size and found < len(seen):
-        reached = np.zeros_like(seen)
-        reached[mul.ravel()[(frontier * mul.shape[1])[:, None] + gens]] = True
-        frontier = np.flatnonzero(reached & ~seen)
-        seen[frontier] = True
-        found += frontier.size
-    return np.flatnonzero(seen)
+    """Element ids of the subgroup generated by gen_ids: the orbit of the
+    identity under right multiplication by each generator."""
+    return np.flatnonzero(
+        orbit_labels(mul.T[np.asarray(gen_ids, dtype=np.intp)]) == 0)
 
 
 def _levels(parents):
@@ -394,13 +379,15 @@ class AutTable:
         phi_g of the generators g of T and the outer label reps."""
         if self._group is None:
             gens = list(self.T.gen_ids) + self.label_reps[1:]
-            self._group = GroupTable(self.rows, self.rows[gens])
+            self._group = GroupTable(self.rows, self.rows[gens],
+                                     orders=self.orders)
         return self._group
 
     def inn_group_table(self) -> GroupTable:
-        """Inn(T) as a subgroup of the Aut table (same |T|-point domain)."""
+        """Inn(T) as a subgroup of the Aut table (same |T|-point domain);
+        phi_t has the order of t, as Z(T) = 1."""
         return GroupTable(self.rows[:self.T.order],
-                          self.rows[self.T.gen_ids])
+                          self.rows[self.T.gen_ids], orders=self.T.order_of)
 
 
 class SimpleGroup:
@@ -461,18 +448,14 @@ class SimpleGroup:
         if self.order < 60:
             raise ValidationError("group too small to be non-abelian simple",
                                   spec=self.name)
-        # class of x = its images under the inner rows; a class generates
-        # its own normal closure, which must be all of T
-        inner = self.aut.rows[:self.order]
-        classified = np.zeros(self.order, dtype=bool)
-        classified[0] = True
-        for x in range(1, self.order):
-            if classified[x]:
-                continue
-            cls = np.flatnonzero(np.bincount(inner[:, x],
-                                             minlength=self.order))
-            classified[cls] = True
-            if len(_closure_ids(self.mul, cls)) != self.order:
+        # the classes of T are the orbits of the inner maps of its
+        # generators; the orbit of 1 under them and y -> y x is closed under
+        # conjugation and, as a x^h = (h a h^-1 x)^h, under y -> y x^h for
+        # every h: it is the normal closure of x, which must be all of T
+        inner = self.aut.rows[self.gen_ids]
+        reps = np.flatnonzero(orbit_labels(inner) == np.arange(self.order))
+        for x in reps[1:]:
+            if orbit_labels(np.vstack([self.mul.T[x], inner])).any():
                 raise ValidationError(
                     "normal closure of a nonidentity element is proper; "
                     "group is not simple", spec=self.name)

@@ -212,6 +212,7 @@ def cmd_catalog_validate(args):
 
 def cmd_base_construct(args):
     g = _build_from_args(args)
+    group = g.describe()    # over the digit budget: refused before the work
     name, pts = construct_auto(g)
     cert = is_base(g, pts[1:])
     if not cert.verdict:
@@ -219,7 +220,7 @@ def cmd_base_construct(args):
             f"construction {name!r} produced a non-base (this is a hard "
             f"failure)")
     return {
-        "group": g.describe(),
+        "group": group,
         "construction": name,
         "certificate": cert.describe(),
         "size": len(pts),
@@ -261,9 +262,12 @@ def cmd_prob_exact(args):
 
 
 def cmd_prob_mc(args):
-    return [_prob_report(g, mc_estimate=monte_carlo_nonbase(
-                g, args.samples, seed=args.seed))
-            for g in _prob_groups(args)]
+    payload = []
+    for g in _prob_groups(args):
+        g.describe()    # over the digit budget: refused before sampling
+        payload.append(_prob_report(g, mc_estimate=monte_carlo_nonbase(
+            g, args.samples, seed=args.seed)))
+    return payload
 
 
 def cmd_paper_suite(args):
@@ -282,7 +286,7 @@ def cmd_paper_suite(args):
             raise PreconditionError(
                 f"--criteria: no criterion {', '.join(map(str, unknown))}; "
                 f"the ids are {', '.join(map(str, known))}")
-    return suite.run_suite(ids)
+    return suite.run_suite(ids, args.timing)
 
 
 COMMANDS = {

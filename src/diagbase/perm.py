@@ -180,7 +180,8 @@ class ClassPartition:
 
 def orbit_labels(images) -> np.ndarray:
     """Per point, the least point of its orbit under the maps ``images``
-    (index arrays of one length, each a permutation of the points).
+    (the rows of a 2-D index array, each a permutation of the points; with
+    no rows, every point is its own orbit).
 
     Every point carries a label, at first itself; a pass takes each label's
     own label and then, map by map, the smaller of a point's label and its
@@ -189,7 +190,7 @@ def orbit_labels(images) -> np.ndarray:
     once every point carries its orbit's least point.  Labels have the
     dtype of the maps.
     """
-    label = np.arange(len(images[0]), dtype=images[0].dtype)
+    label = np.arange(images.shape[1], dtype=images.dtype)
     while True:
         new = label[label]
         for image in images:
@@ -314,8 +315,8 @@ class GroupTable:
         if self._classes is None:
             arr = self._rows
             # g^-1 x g for every x at once: apply g^-1, then x, then g
-            images = [self.positions(g[arr[:, np.argsort(g)]])
-                      for g in self.gen_rows]
+            images = np.stack([self.positions(g[arr[:, np.argsort(g)]])
+                               for g in self.gen_rows])
             reps, class_of, sizes = np.unique(
                 orbit_labels(images), return_inverse=True, return_counts=True)
             self._classes = ClassPartition(reps.tolist(), class_of,

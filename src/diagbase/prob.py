@@ -27,8 +27,8 @@ import numpy as np
 
 from . import _accel
 from .baseengine import detect_symbolic
-from .diag import (OMEGA_BUDGET, DiagTypeGroup, check_entries, gd_orbits,
-                   omega_tuples)
+from .diag import (OMEGA_BUDGET, DiagTypeGroup, check_entries, digit_codes,
+                   gd_orbits, omega_tuples)
 from .errors import BudgetExceededError, PreconditionError
 from .perm import Perm, _is_prime
 
@@ -155,13 +155,11 @@ def _fpf_diagonal_count(g, label: int, p: int) -> int:
 
 
 def _relative_aut_centralizers(g, aut_row: int):
-    """(|C_X(alpha)|, |C_Inn(alpha)|) where X is the out-part preimage."""
-    aut = g.T.aut
-    row = aut.rows[aut_row]
-    sub = aut.rows[g.aut_rows]
-    eq = np.all(sub[:, row] == row[sub], axis=1)
-    inn_mask = g.aut_rows < g.T.order
-    return int(eq.sum()), int(eq[inn_mask].sum())
+    """(|C_X(alpha)|, |C_Inn(alpha)|) where X is the out-part preimage;
+    |C_Inn(alpha)| is the number of elements alpha fixes, as Z(T) = 1."""
+    row, sub = g.T.aut.rows[aut_row], g.T.aut.rows[g.aut_rows]
+    return (int(np.all(sub[:, row] == row[sub], axis=1).sum()),
+            int((row == np.arange(g.T.order)).sum()))
 
 
 def centralizer_order_formula(g: DiagTypeGroup, aut_row: int,
@@ -368,10 +366,8 @@ class RowCodedGroup:
     def _encode(self, rows, pids):
         """int64 codes: the k aut-row ids as base-n_aut digits, most
         significant first, then the perm id."""
-        code = np.zeros(len(pids), dtype=np.int64)
-        for i in range(self.g.k):
-            code = code * self.T.aut.n_aut + rows[:, i]
-        return code * self.n_top + pids
+        return (digit_codes(rows.T, self.T.aut.n_aut, np.int64) * self.n_top
+                + pids)
 
     def _decode(self, codes):
         rest, pids = np.divmod(codes, self.n_top)

@@ -14,8 +14,7 @@ from diagbase.suite import ALL_CRITERIA, run_criterion
 def test_criterion(fn):
     result = run_criterion(fn)
     status = "PASS" if result["passed"] else "FAIL"
-    print(f"\n[{status}] criterion {result['id']}: {result['name']} "
-          f"({result['elapsed_seconds']:.1f}s)")
+    print(f"\n[{status}] criterion {result['id']}: {result['name']}")
     for line in result["details"]:
         print(f"    {line}")
     assert result["passed"], \

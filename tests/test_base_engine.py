@@ -1,5 +1,6 @@
 import gc
 import zlib
+from collections import Counter
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -16,7 +17,7 @@ from diagbase.baseengine import (alt_formula_bounds, ceil_log, construct_auto,
                                  stabilizer_witness)
 from diagbase import _accel, baseengine, diag
 from diagbase.catalog import catalog_names, get_group, load_catalog
-from diagbase.diag import (OmegaPoint, act_diag, build_group,
+from diagbase.diag import (OmegaPoint, act_diag, build_group, digit_codes,
                            resolve_out_part)
 from diagbase.errors import (BudgetExceededError, InvalidTopError,
                              PreconditionError, UnsupportedEnumerationError)
@@ -398,6 +399,67 @@ def brute_force_stabilizer(g, column):
     return out
 
 
+def brute_force_nonbase(g, X):
+    """Whether a nonidentity (alpha, pi) of G_D fixes D and the points, the
+    rows of X (m x k, the first column the identity; columns may repeat).
+
+    For every alpha in the out part and every column y, f(x) = y alpha(x)
+    must permute the column multiset; the pi with x_{i pi} = f(x_i) are
+    then one matching pi_0 times the group E of permutations of equal
+    columns.  For alpha and y the identity (f the identity map), E must
+    hold a nonidentity element of the top: a swap of equal columns for
+    Sym, a 3-cycle or a double transposition for Alt.  For any other f,
+    some pi is in Sym, and some pi is even iff pi_0 is or E holds a swap."""
+    T, k, n = g.T, X.shape[1], g.T.order
+    codes = digit_codes(X, n)
+    want = np.sort(codes)
+    _, first, counts = np.unique(codes, return_index=True, return_counts=True)
+    ys = X[:, first]
+    swap = counts.max() > 1
+    alt_in_e = counts.max() > 2 or (counts > 1).sum() > 1
+    for a in g.aut_rows.tolist():
+        image = T.aut.rows[a][X]
+        f_codes = digit_codes(T.mul[ys[:, :, None], image[:, None, :]], n)
+        for j in np.flatnonzero((np.sort(f_codes, axis=1) == want).all(1)):
+            if a == T.aut.identity_row and not ys[:, j].any():
+                if swap if g.top.symmetric else alt_in_e:
+                    return True
+                continue
+            pi = np.empty(k, dtype=np.int32)
+            pi[np.argsort(f_codes[j], kind="stable")] = \
+                np.argsort(codes, kind="stable")
+            if g.top.symmetric or swap or Perm(pi).sign() == 1:
+                return True
+    return False
+
+
+def planted_orbit_rows(g, rng, m, k_max):
+    """m x k rows, 9 <= k <= k_max, whose columns are a union of orbits of
+    a random f(x) = y alpha(x) on T^m, alpha in the out part, one orbit
+    that of the identity column: f permutes the columns.  Half the time y
+    is the identity, so that f fixes the identity column, and that column
+    is listed twice, the one repeated column."""
+    T, n = g.T, g.T.order
+    while True:
+        alpha = T.aut.rows[rng.choice(g.aut_rows)]
+        twice = rng.random() < 0.5
+        y = rng.integers(0, 1 if twice else n, (m, 1))
+        cols, seen = [], set()
+        for start in [np.zeros((m, 1), dtype=np.int64),
+                      *rng.integers(0, n, (60, m, 1))]:
+            orbit, x = [], start
+            while tuple(x[:, 0]) not in seen:
+                seen.add(tuple(x[:, 0]))
+                orbit.append(x)
+                x = T.mul[y, alpha[x]]
+            if len(cols) + len(orbit) < k_max:
+                cols += orbit
+        if twice:
+            cols.insert(0, cols[0])
+        if len(cols) >= 9 and not cols[0].any():
+            return np.hstack(cols)
+
+
 def planted_points(g, rng, m):
     """m points whose k distinct columns (the first the identity) form a
     union of orbits of f(x) = y alpha(x), alpha the last outer involution
@@ -504,6 +566,50 @@ class TestColumnSetSolver:
                 assert is_base(g, [om]).verdict == (len(want) == 1)
                 verdicts.add(len(want) == 1)
         assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("name,edges", [
+        ("A5", range(56, 61)), ("L2(7)", range(160, 170))],
+        ids=["A5", "L2(7)"])
+    def test_verdicts_past_k8_match_brute_force(self, name, edges):
+        # no sym-table exists past k = 8, so brute_force_nonbase is the
+        # oracle there: one or two points, random, with distinct entries,
+        # with a repeated entry or column (a pair or a triple), and planted
+        # unions of orbits; at random k and at the edges around |T|
+        T = get_group(name)
+        n = T.order
+        rng = np.random.default_rng(n)
+        verdicts = Counter()
+        for k in [*rng.integers(9, 301, 4).tolist(), *edges]:
+            sets = [np.r_[0, rng.integers(0, n, k - 1)][None]]
+            if k <= n:
+                sets.append(np.r_[0, rng.choice(np.arange(1, n), k - 1,
+                                                replace=False)][None])
+                sets.append(sets[-1].copy())
+                sets[-1][0, -1] = sets[-1][0, int(rng.integers(1, k - 1))]
+            two = rng.integers(0, n, (2, k))
+            two[:, 0] = 0
+            rep = two.copy()
+            i, j, l = rng.choice(np.arange(1, k), 3, replace=False)
+            rep[:, j] = rep[:, i]
+            if rng.random() < 0.5:
+                rep[:, l] = rep[:, i]
+            sets += [two, rep,
+                     planted_orbit_rows(build_group(T, k, "full", "sym"),
+                                        rng, int(rng.integers(1, 3)), k)]
+            for X in sets:
+                pts = [OmegaPoint(tuple(row)) for row in X.tolist()]
+                for top in ("sym", "alt"):
+                    g = build_group(T, X.shape[1], "full", top)
+                    want = brute_force_nonbase(g, X)
+                    witness = stabilizer_witness(g, pts)
+                    assert (witness is not None) == want, (k, top, X)
+                    if witness is not None:
+                        a, pi = witness
+                        assert element_fixes_points(g, a, pi, pts)
+                        assert g.contains_diag(a, pi)
+                        assert a != T.aut.identity_row or not pi.is_identity()
+                    verdicts[top, want] += 1
+        assert len(verdicts) == 4, verdicts
 
     @pytest.mark.parametrize("name,k,m,top", [
         ("A5", 1000, 3, "sym"), ("A5", 3000, 2, "alt"),

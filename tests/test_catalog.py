@@ -14,7 +14,7 @@ import diagbase
 from diagbase.catalog import (SimpleGroup, _closure_ids, catalog_names,
                               get_group, load_catalog, parse_catalog)
 from diagbase.errors import MembershipError, ValidationError
-from diagbase.perm import GroupTable, Perm
+from diagbase.perm import GroupTable, Perm, orbit_labels
 
 from coset_oracle import NotInnerError, compose_rows, recover_conjugator
 
@@ -34,6 +34,15 @@ S3_RECORD = ("group S3\n  natural_degree: 3\n"
              "  gen_pair_distinct_orders: (1 2 3) | (1 2)\n"
              "  involution_pair: (1 2 3) | (1 2)\n"
              "  min_index: 3\nend\n")
+
+# not simple: its classes of 3-cycles, double transpositions and 5-cycles
+# close to A5
+S5_RECORD = ("group S5\n  natural_degree: 5\n"
+             "  generators: (1 2 3 4 5) | (1 2)\n"
+             "  aut_generator: (1 2 3 4 5) | (1 2)\n"
+             "  gen_pair_distinct_orders: (1 2 3 4 5) | (1 2)\n"
+             "  involution_pair: (1 2 3 4 5) | (1 2)\n"
+             "  min_index: 5\nend\n")
 
 # |T| = 2520, the catalog's ELEMENT_BUDGET; the outer automorphism is
 # conjugation by (6 7)
@@ -263,15 +272,30 @@ class TestPairs:
 class TestValidationOnTables:
     def test_non_simple_group_rejected(self):
         # S5: the 3-cycle class closes only to A5
-        text = ("group S5\n  natural_degree: 5\n"
-                "  generators: (1 2 3 4 5) | (1 2)\n"
-                "  aut_generator: (1 2 3 4 5) | (1 2)\n"
-                "  gen_pair_distinct_orders: (1 2 3 4 5) | (1 2)\n"
-                "  involution_pair: (1 2 3 4 5) | (1 2)\n"
-                "  min_index: 5\nend\n")
         with pytest.raises(ValidationError) as err:
-            load_catalog(text)
+            load_catalog(S5_RECORD)
         assert "not simple" in str(err.value)
+
+    @pytest.mark.parametrize("name", ["S5", *catalog_names()])
+    def test_normal_closures_are_three_map_orbits(self, name, monkeypatch):
+        # each class of T, an orbit of the inner maps of its generators,
+        # against the subgroup its whole class generates: the orbit of 1
+        # under right multiplication by the class rep and those two maps.
+        # S5 is built unvalidated; its closures are 1, A5 and S5
+        if name == "S5":
+            monkeypatch.setattr(SimpleGroup, "validate", lambda self: None)
+            (T,) = load_catalog(S5_RECORD)
+        else:
+            T = get_group(name)
+        inner = T.aut.rows[T.gen_ids]
+        labels = orbit_labels(inner)
+        sizes = set()
+        for x in np.flatnonzero(labels == np.arange(T.order)):
+            orbit = orbit_labels(np.vstack([T.mul.T[x], inner])) == 0
+            want = _closure_ids(T.mul, np.flatnonzero(labels == x))
+            assert np.array_equal(np.flatnonzero(orbit), want)
+            sizes.add(len(want))
+        assert sizes == ({1, 60, 120} if name == "S5" else {1, T.order})
 
     def test_non_bijective_aut_generator_rejected(self):
         # both generators sent to the 5-cycle: the map lands in <(1 2 3 4 5)>
@@ -364,9 +388,15 @@ class TestValidationOnTables:
 
     @pytest.mark.parametrize("name", ["A5", "A6", "L2(7)", "L2(8)", "L2(11)"])
     def test_aut_orders_match_perm_orders(self, name):
-        aut = get_group(name).aut
-        assert np.array_equal(aut.orders,
-                              aut.group_table().element_orders())
+        # the orders the Aut and Inn tables carry, against label doubling
+        # on the same rows
+        T = get_group(name)
+        rows = T.aut.rows
+        assert np.array_equal(T.aut.group_table().element_orders(),
+                              GroupTable(rows, rows[:1]).element_orders())
+        assert np.array_equal(T.aut.inn_group_table().element_orders(),
+                              GroupTable(rows[:T.order],
+                                         rows[:1]).element_orders())
 
     @pytest.mark.parametrize("name", catalog_names() + ["from source"])
     def test_aut_orders_match_cycle_lengths(self, name):

@@ -160,13 +160,8 @@ class TestCommands:
         rep = json.loads(out)
         assert rep["payload"][0]["passed"] is True
 
-    def test_paper_suite_text_output_equals_stdout(self, capsys, monkeypatch,
-                                                   tmp_path):
-        # the criterion table goes to --output as it goes to stdout; wall
-        # times are zeroed so that the two runs print the same
-        run_suite = suite.run_suite
-        monkeypatch.setattr(suite, "run_suite", lambda ids: [
-            dict(r, elapsed_seconds=0.0) for r in run_suite(ids)])
+    def test_paper_suite_text_output_equals_stdout(self, capsys, tmp_path):
+        # the criterion table goes to --output as it goes to stdout
         argv = ["paper-suite", "--criteria", "7", "--format", "text"]
         code, out = run_cli(capsys, *argv)
         target = tmp_path / "suite.txt"
@@ -214,6 +209,25 @@ class TestDeterminism:
         _, out = run_cli(capsys, *args, "--timing")
         assert json.loads(out)["timing_seconds"] is not None
 
+    def test_criterion_times_opt_in(self, capsys):
+        # without --timing a criterion has no wall time, so two runs print
+        # the same bytes; the text table shows a time only when it has one
+        args = ("paper-suite", "--criteria", "4,7")
+        _, out1 = run_cli(capsys, *args)
+        _, out2 = run_cli(capsys, *args)
+        assert out1 == out2
+        assert [r["elapsed_seconds"] for r in json.loads(out1)["payload"]] \
+            == [None, None]
+        _, out = run_cli(capsys, *args, "--timing")
+        assert all(isinstance(r["elapsed_seconds"], float)
+                   for r in json.loads(out)["payload"])
+        _, out = run_cli(capsys, *args, "--format", "text")
+        assert out.splitlines()[0] == \
+            "[PASS] criterion 4: " + suite.criterion_4.criterion_name
+        _, out = run_cli(capsys, *args, "--format", "text", "--timing")
+        assert re.fullmatch(r"\[PASS\] criterion 4: .* \([0-9]+\.[0-9]s\)",
+                            out.splitlines()[0])
+
     # one argv per command, and a failing spec; the ops share groups
     # through the build_group memo when run in one process
     REPEATED = [
@@ -239,8 +253,6 @@ class TestDeterminism:
                 diag._GROUP_MEMO.clear()
             code = main(list(argv))
             out, err = capsys.readouterr()
-            # a criterion's wall time is the only field that may differ
-            out = re.sub(r'"elapsed_seconds": [0-9.e-]+', "", out)
             results.append((code, out, err))
         return results
 
@@ -441,15 +453,20 @@ class TestExitCodes:
             assert code == 4, argv
             assert "budget exceeded" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("argv", [
-        ["prob-mc", "--k", "3", "--samples", "99999999999999999999"],
-        ["prob-mc", "--k", "3", "--samples", "1000000000"],
-        ["prob-mc", "--k", "100000000", "--samples", "2"],
-        ["base-construct", "--k", "100000000"],
+    @pytest.mark.parametrize("argv,budget", [
+        (["prob-mc", "--k", "3", "--samples", "99999999999999999999"],
+         diag.ENTRY_BUDGET),
+        (["prob-mc", "--k", "3", "--samples", "1000000000"],
+         diag.ENTRY_BUDGET),
+        # 1.38e8 entries at the largest k the digit budget describes
+        (["prob-mc", "--k", "13771", "--samples", "10000"],
+         diag.ENTRY_BUDGET),
+        # past both budgets: the group is described, and refused, first
+        (["base-construct", "--k", "100000000"], diag.DIGIT_BUDGET),
     ], ids=["samples-past-int64", "samples", "k", "construction"])
-    def test_user_sized_matrices_refused(self, capsys, argv):
+    def test_user_sized_matrices_refused(self, capsys, argv, budget):
         # samples x k and construction points x k are checked against
-        # ENTRY_BUDGET before the group is described or a row allocated
+        # ENTRY_BUDGET before a row is allocated
         get_group("A5")
         tracemalloc.start()
         start = time.perf_counter()
@@ -459,19 +476,27 @@ class TestExitCodes:
         tracemalloc.stop()
         err = capsys.readouterr().err
         assert code == 4 and "budget exceeded" in err
-        assert str(diag.ENTRY_BUDGET) in err
+        assert err.endswith(f"the budget {budget}\n")
         assert peak < 2**20 and elapsed < 1
 
     @pytest.mark.parametrize("argv", [
-        ["base-construct", "--k", "100000"],
-        ["prob-mc", "--k", "100000", "--samples", "2"],
-    ], ids=["construction", "samples"])
-    def test_symbolic_digits_refused(self, capsys, argv):
+        ["base-construct", "--group", "A5", "--k", "100000"],
+        ["prob-mc", "--group", "A5", "--k", "100000", "--samples", "2"],
+        ["base-construct", "--group", "L2(7)", "--k", "28224"],
+        ["prob-mc", "--group", "A5", "--k", "100000", "--samples", "1000"],
+    ], ids=["construction", "samples", "construction-L2(7)",
+            "samples-1000"])
+    def test_symbolic_digits_refused(self, capsys, monkeypatch, argv):
         # a symbolic top's degree and order past DIGIT_BUDGET digits are
         # refused before they are written out (at k = 10^5 they have
-        # 812,204 digits, whose conversion took about 5 s)
+        # 812,204 digits, whose conversion took about 5 s), and before a
+        # base is built or a sample drawn
+        def unreached(*args, **kwargs):
+            raise AssertionError("work done before the digit budget check")
+        monkeypatch.setattr(cli, "construct_auto", unreached)
+        monkeypatch.setattr(cli, "monte_carlo_nonbase", unreached)
         start = time.perf_counter()
-        code = main([*argv, "--group", "A5", "--top", "sym"])
+        code = main([*argv, "--top", "sym"])
         elapsed = time.perf_counter() - start
         err = capsys.readouterr().err
         assert code == 4 and "budget exceeded" in err
@@ -624,8 +649,8 @@ class TestExitCodes:
     def test_paper_suite_exit_code(self, capsys, monkeypatch, fmt, passed,
                                    want):
         result = {"id": 1, "name": "stub", "passed": passed,
-                  "details": ["d"], "elapsed_seconds": 0.0}
-        monkeypatch.setattr(suite, "run_suite", lambda ids: [result])
+                  "details": ["d"], "elapsed_seconds": None}
+        monkeypatch.setattr(suite, "run_suite", lambda ids, timing: [result])
         code, out = run_cli(capsys, "paper-suite", "--format", fmt)
         assert code == want
         if fmt == "text":
