@@ -50,13 +50,21 @@ SOLVER_CHUNK_PAIRS = 1 << 12
 # scan plumbing for explicit tops
 
 
+def _tuple_matrix(g: DiagTypeGroup, points) -> np.ndarray:
+    """The points' tuples as int32 rows; a point not of length k refused."""
+    if bad := [p for p in points if p.k != g.k]:
+        raise PreconditionError(
+            f"point {bad[0]} has {bad[0].k} entries, expected k = {g.k}")
+    return np.array([p.tuple_ids for p in points], np.int32).reshape(-1, g.k)
+
+
 def pointwise_stabilizer(g: DiagTypeGroup, points):
     """All (alpha, pi) in G_D fixing every point (D itself is implicit), as
     (aut row id, Perm) pairs in ascending perm-major G_D index (gd_orbits),
     G_D listed max(1, _CHUNK_PAIRS // |A|) whole perms at a time through
     ``filter_candidates``; explicit tops only: a symbolic top answers
     whether one is trivial (``stabilizer_witness``)."""
-    tuples = np.array([p.tuple_ids for p in points], np.int32).reshape(-1, g.k)
+    tuples = _tuple_matrix(g, points)
     table, rows, found = g.top.table, g.aut_rows, []
     step = max(1, _accel._CHUNK_PAIRS // len(rows))
     for s in range(0, table.order, step):
@@ -72,7 +80,7 @@ def stabilizer_witness(g: DiagTypeGroup, points):
     """A nonidentity element of G_D fixing every point, or None.  On an
     explicit top the first of ``g.prime_candidates`` that fixes them: a
     nontrivial stabilizer holds an element of prime order (Cauchy)."""
-    tuples = np.array([p.tuple_ids for p in points], np.int32).reshape(-1, g.k)
+    tuples = _tuple_matrix(g, points)
     if g.top.is_symbolic:
         if len(points) == 0:
             # any nontrivial inner diagonal pair lies in every diagonal-type G
@@ -368,8 +376,9 @@ class BaseCertificate:
 
 
 def is_base(g: DiagTypeGroup, points) -> BaseCertificate:
-    """Whether {D} + points has trivial pointwise stabilizer in G."""
-    pts = [p for p in points if not p.is_diagonal()]
+    """Whether {D} + points has trivial pointwise stabilizer in G; D is
+    dropped, but not a point of the wrong length (``_tuple_matrix``)."""
+    pts = [p for p in points if p.k != g.k or not p.is_diagonal()]
     method = "constraint-solver" if g.top.is_symbolic else "enumeration"
     witness = stabilizer_witness(g, pts)
     return BaseCertificate(points=[g.diagonal_point(), *pts],

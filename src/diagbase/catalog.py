@@ -6,16 +6,16 @@ the minimal index of a proper subgroup.  Everything else is computed and
 verified here: the element list and multiplication table of T, the full
 automorphism group as index bijections of T, inner/outer coset labels, and
 the catalog invariants (simplicity, generation, the |Out|^3 < |T| bound,
-minimal-index consistency).  Permutation objects appear
-only where the record is read: the closure of the generators of T
-(``GroupTable.generate``) runs on rows, and the group theory after it on
-integer tables: ``mul`` follows from the closure's derivations and its
-element array, one breadth-first level at a time.  Aut(T) is laid out as
-the Inn(T)-cosets of its outer label reps, as in the paper (``AutTable``),
-so finding and composing rows is coset arithmetic.  Closures and the
-classes of T are orbits under a few maps (``perm.orbit_labels``), and
-Aut(T) element orders are read off powers of the generator images alone,
-two entries per row a step.
+minimal-index consistency).  Permutation objects appear only where the
+record is read: the closure of the generators of T (``GroupTable.generate``)
+runs on rows, and the group theory after it on integer tables: ``mul``
+follows from the closure's derivations and its element array, one
+breadth-first level at a time.  Aut(T) is laid out as the Inn(T)-cosets of
+its outer label reps, as in the paper (``AutTable``), so finding,
+composing and conjugating rows is coset arithmetic.  Closures and the
+classes of T (kept from validation) and of Aut(T) are orbits under a few
+maps (``perm.orbit_labels``), and Aut(T) element orders are read off powers
+of the generator images alone, two entries per row a step.
 
 Automorphisms are stored as rows over the element index of T, so applying
 one is a single array lookup.  Element ids are below ``ELEMENT_BUDGET``, so
@@ -236,7 +236,7 @@ class AutTable:
         # the label of each record.aut_generators entry, for 'g<i>' out parts
         self.generator_labels = tuple(
             (self._lookup(np.array(outer)) // n).tolist())
-        self._group = self._comp = None
+        self._comp = None
         self._image_index = {}
         self._out_tally = {}
 
@@ -374,27 +374,23 @@ class AutTable:
                 self.labels[rows].tolist())).items())
         return self._out_tally[labels]
 
-    def group_table(self) -> GroupTable:
-        """Aut(T) wrapped as a GroupTable on |T| points, generated by the
-        phi_g of the generators g of T and the outer label reps."""
-        if self._group is None:
-            gens = list(self.T.gen_ids) + self.label_reps[1:]
-            self._group = GroupTable(self.rows, self.rows[gens],
-                                     orders=self.orders)
-        return self._group
-
-    def inn_group_table(self) -> GroupTable:
-        """Inn(T) as a subgroup of the Aut table (same |T|-point domain);
-        phi_t has the order of t, as Z(T) = 1."""
-        return GroupTable(self.rows[:self.T.order],
-                          self.rows[self.T.gen_ids], orders=self.T.order_of)
+    @cached_property
+    def class_reps(self) -> np.ndarray:
+        """The least row of each class of Aut(T): orbits of conjugation by
+        phi_g, g a generator of T, and the label reps; s^-1 x s is s read
+        at x read at s^-1, found by its coset (``_lookup``)."""
+        gens = self.rows[list(self.T.gen_ids) + self.label_reps[1:]]
+        labels = orbit_labels(np.stack(
+            [self._lookup(s[self.rows[:, np.argsort(s)]]) for s in gens]))
+        return np.flatnonzero(labels == np.arange(self.n_aut))
 
 
 class SimpleGroup:
-    """A catalog group T, fully materialized.  Validation sets the ids that
-    the base constructions place: the record's pairs ``distinct_order_ids``
-    and ``involution_ids``, and ``third_order_ids``, ascending, of the
-    elements whose order is neither 1 nor a distinct-order pair order."""
+    """A catalog group T, fully materialized.  Validation sets the least id
+    of each class of T (``class_reps``) and the ids that the base
+    constructions place: the record's pairs ``distinct_order_ids`` and
+    ``involution_ids``, and ``third_order_ids``, ascending, of the elements
+    whose order is neither 1 nor a distinct-order pair order."""
 
     def __init__(self, record: CatalogRecord):
         self.record = record
@@ -453,7 +449,8 @@ class SimpleGroup:
         # conjugation and, as a x^h = (h a h^-1 x)^h, under y -> y x^h for
         # every h: it is the normal closure of x, which must be all of T
         inner = self.aut.rows[self.gen_ids]
-        reps = np.flatnonzero(orbit_labels(inner) == np.arange(self.order))
+        self.class_reps = reps = np.flatnonzero(
+            orbit_labels(inner) == np.arange(self.order))
         for x in reps[1:]:
             if orbit_labels(np.vstack([self.mul.T[x], inner])).any():
                 raise ValidationError(

@@ -9,11 +9,11 @@ A :class:`GroupTable` is a fully enumerated permutation group, held as its
 (order, degree) element array.  Everything here is exhaustive by design:
 closure is breadth-first on rows, and every other fact is a reduction over
 the element array: conjugacy classes are orbit labels of conjugation, orbits
-on points are column minima, centralizers are one comparison, and a base is
-one greedy pass over stabilizer orbits.  Cyclic and dihedral tables skip
-the closure: their rows and orders are closed-form.  Groups too large to
-enumerate must never reach this module; ``Perm`` objects are made from rows
-only on request.
+on points are column minima, a centralizer's order is one comparison, and a
+base is one greedy pass over stabilizer orbits.  Cyclic and dihedral tables
+skip the closure: their rows and orders are closed-form.  Groups too large
+to enumerate must never reach this module; ``Perm`` objects are made from
+rows only on request.
 """
 
 from __future__ import annotations
@@ -303,10 +303,6 @@ class GroupTable:
             raise MembershipError("element not in group table")
         return at
 
-    def is_subgroup_of(self, other: "GroupTable") -> bool:
-        return self.degree == other.degree and \
-            bool(other._find(self._rows)[1].all())
-
     # -- conjugacy machinery ------------------------------------------------
 
     def conjugacy_classes(self) -> ClassPartition:
@@ -323,18 +319,11 @@ class GroupTable:
                                            sizes.tolist())
         return self._classes
 
-    def centralizer(self, x: Perm) -> "GroupTable":
-        """All y in the group with xy = yx: the rows y with y[x] = x[y]."""
+    def centralizer_order(self, x: Perm) -> int:
+        """The number of rows y with y[x] = x[y], that is, xy = yx."""
         self.position(x)    # MembershipError unless x is in the group
-        arr = self._rows
-        members = arr[(arr[:, x.images] == x.images[arr]).all(axis=1)]
-        return GroupTable(members, members)
-
-    def prime_order_class_count(self) -> int:
-        """f_p: number of conjugacy classes of prime-order elements."""
-        orders = self.element_orders()
-        return sum(1 for r in self.conjugacy_classes().reps
-                   if _is_prime(int(orders[r])))
+        arr, im = self._rows, x.images
+        return np.count_nonzero((arr[:, im] == im[arr]).all(axis=1))
 
     def element_orders(self) -> np.ndarray:
         """Order of every element, in element order: the lcm of its cycle

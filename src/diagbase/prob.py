@@ -187,7 +187,7 @@ def centralizer_order_formula(g: DiagTypeGroup, aut_row: int,
         raise PreconditionError("element order is composite")
     p = order
     f = len(perm.fixed_points())
-    cp = g.top.table.centralizer(perm).order
+    cp = g.top.table.centralizer_order(perm)
     if f == 0:
         return (cp * _out_centralizer_order(g, int(T.aut.labels[aut_row]))
                 * T.order ** (g.k // p))
@@ -205,7 +205,7 @@ def class_intersection_formula(g: DiagTypeGroup, aut_row: int,
     beta^p = 1 whose label is O-conjugate to alpha's
     (``_fpf_diagonal_count``).  A fixed-point-free pi needs x of prime
     order."""
-    pi_class = g.top.order // g.top.table.centralizer(perm).order
+    pi_class = g.top.order // g.top.table.centralizer_order(perm)
     if not perm.fixed_points():
         p = perm.order()
         if p % int(g.T.aut.orders[aut_row]) or not _is_prime(p):
@@ -257,21 +257,13 @@ def r_split_formula(g: DiagTypeGroup):
             Fraction(num["trivial"], den), Fraction(num["mixed"], den))
 
 
-def class_count_inequality_check(pairs):
-    """Assert f_p(Y) <= [X:Y] f_p(X) for each (Y, X) subgroup pair."""
-    results = []
-    for Y, X in pairs:
-        if not Y.is_subgroup_of(X):
-            raise PreconditionError("first table is not a subgroup of second")
-        fy, fx = Y.prime_order_class_count(), X.prime_order_class_count()
-        index = X.order // Y.order
-        results.append({
-            "f_p_sub": fy,
-            "f_p_whole": fx,
-            "index": index,
-            "holds": fy <= index * fx,
-        })
-    return results
+def class_count_inequality_check(T) -> dict:
+    """f_p(Inn T) <= |Out T| f_p(Aut T), f_p counting the classes of
+    prime-order elements; Inn(T) has T's classes and orders, as Z(T) = 1."""
+    fy = sum(_is_prime(int(T.order_of[r])) for r in T.class_reps)
+    fx = sum(_is_prime(int(T.aut.orders[r])) for r in T.aut.class_reps)
+    return {"f_p_sub": fy, "f_p_whole": fx, "index": T.out_order,
+            "holds": fy <= T.out_order * fx}
 
 
 # ---------------------------------------------------------------------------

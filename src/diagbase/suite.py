@@ -268,18 +268,14 @@ def criterion_9():
         ok &= x.order() != y.order()
         _, invol = T.record.involution_pair
         ok &= invol.order() == 2
-        inn = T.aut.inn_group_table()
-        aut = T.aut.group_table()
-        checks = class_count_inequality_check([(inn, aut)])
-        ok &= checks[0]["holds"]
+        c = class_count_inequality_check(T)
+        ok &= c["holds"]
         passed &= ok
         details.append(
             f"{T.name}: |Out|^3 = {T.out_order ** 3} < |T| = {T.order}; "
             f"distinct orders ({x.order()},{y.order()}); involution pair ok; "
-            f"f_p({T.name}) = {checks[0]['f_p_sub']} <= "
-            f"{checks[0]['index']} * f_p(Aut) = "
-            f"{checks[0]['index'] * checks[0]['f_p_whole']}: "
-            f"{checks[0]['holds']}")
+            f"f_p({T.name}) = {c['f_p_sub']} <= {c['index']} * f_p(Aut) = "
+            f"{c['index'] * c['f_p_whole']}: {c['holds']}")
     return passed, details
 
 

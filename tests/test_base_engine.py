@@ -271,6 +271,20 @@ class TestPointwiseStabilizer:
         g = build_group(A5, 2, "full", "sym-table")
         assert len(pointwise_stabilizer(g, [])) == 240
 
+    @pytest.mark.parametrize("k,top,points", [
+        (6, "sym", [(0, 5, 9), (0, 7, 3)]),
+        (4, "alt-table", [(0, 5), (0, 7)]),
+        (3, "sym-table", [(0, 0)])], ids=["sym-6", "alt-table-4", "D-3"])
+    def test_points_of_the_wrong_length_refused(self, A5, k, top, points):
+        # never read as one point of the right length; a wrong-length
+        # diagonal point is refused before is_base drops D
+        g = build_group(A5, k, "full", top)
+        pts = [OmegaPoint(p) for p in points]
+        msg = f"point {pts[0]} has {len(points[0])} entries, expected k = {k}"
+        for call in (is_base, stabilizer_witness, pointwise_stabilizer):
+            with pytest.raises(PreconditionError, match=msg):
+                call(g, pts)
+
     def test_centralizer_lower_bound(self, A5):
         # a point built from an order-5 element keeps its centralizer in the
         # stabilizer of the pair: (phi_t, phi_t) for t in C_T(x)

@@ -388,15 +388,25 @@ class TestValidationOnTables:
 
     @pytest.mark.parametrize("name", ["A5", "A6", "L2(7)", "L2(8)", "L2(11)"])
     def test_aut_orders_match_perm_orders(self, name):
-        # the orders the Aut and Inn tables carry, against label doubling
-        # on the same rows
+        # Aut(T) orders and T's own, against label doubling on the Aut rows
+        # and on the inner rows (phi_t has the order of t, as Z(T) = 1)
         T = get_group(name)
         rows = T.aut.rows
-        assert np.array_equal(T.aut.group_table().element_orders(),
+        assert np.array_equal(T.aut.orders,
                               GroupTable(rows, rows[:1]).element_orders())
-        assert np.array_equal(T.aut.inn_group_table().element_orders(),
+        assert np.array_equal(T.order_of,
                               GroupTable(rows[:T.order],
                                          rows[:1]).element_orders())
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_class_reps_match_conjugacy_classes(self, name):
+        # positions in T.table are element ids; the Aut(T) table is
+        # generated by the inner maps of T's generators and the label reps
+        T = get_group(name)
+        assert T.class_reps.tolist() == T.table.conjugacy_classes().reps
+        gens = list(T.gen_ids) + T.aut.label_reps[1:]
+        table = GroupTable(T.aut.rows, T.aut.rows[gens])
+        assert T.aut.class_reps.tolist() == table.conjugacy_classes().reps
 
     @pytest.mark.parametrize("name", catalog_names() + ["from source"])
     def test_aut_orders_match_cycle_lengths(self, name):
@@ -447,7 +457,7 @@ class TestValidationOnTables:
                     (count[u] for u in range(aut.T.order)), initial=0))
 
     def test_prob_path_builds_no_perm_aut_table(self):
-        # a fresh process: other tests build Aut(T) as a GroupTable on
+        # a fresh process: other tests fill the classes of Aut(T) on
         # purpose, in the shared get_group cache
         code = ("import contextlib, io\n"
                 "from diagbase.catalog import get_group\n"
@@ -457,7 +467,7 @@ class TestValidationOnTables:
                 "    code = main(['prob-exact', '--group', 'A5', '--k', '3',\n"
                 "                 '--out-part', 'full', '--top', 'sym-table'])\n"
                 "assert code == 0, code\n"
-                "assert T.aut._group is None\n")
+                "assert 'class_reps' not in vars(T.aut)\n")
         src = os.path.dirname(os.path.dirname(diagbase.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run([sys.executable, "-c", code], env=env,

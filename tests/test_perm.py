@@ -8,7 +8,7 @@ from diagbase.catalog import catalog_names, get_group
 from diagbase.diag import TopGroup
 from diagbase.errors import (BudgetExceededError, MembershipError,
                              PreconditionError)
-from diagbase.perm import (GroupTable, Perm, _minimal_block_size,
+from diagbase.perm import (GroupTable, Perm, _is_prime, _minimal_block_size,
                            alternating_table, cyclic_table, dihedral_table,
                            symmetric_table)
 
@@ -255,10 +255,23 @@ def _brute_force_classes(table):
     return reps, [cid[min(c)] for c in conj], [len(conj[r]) for r in reps]
 
 
+def _aut_table(T):
+    """Aut(T) as a table on |T| points, generated by the inner maps of the
+    generators of T and the outer label reps."""
+    gens = list(T.gen_ids) + T.aut.label_reps[1:]
+    return GroupTable(T.aut.rows, T.aut.rows[gens])
+
+
+def _prime_order_class_count(table):
+    orders = table.element_orders()
+    return sum(_is_prime(int(orders[r]))
+               for r in table.conjugacy_classes().reps)
+
+
 class TestClasses:
     @pytest.mark.parametrize("make", [
         lambda: symmetric_table(5), lambda: dihedral_table(8),
-        lambda: get_group("A5").aut.group_table()],
+        lambda: _aut_table(get_group("A5"))],
         ids=["S5", "D8", "Aut(A5)"])
     def test_classes_match_brute_force(self, make):
         table = make()
@@ -283,32 +296,31 @@ class TestClasses:
         g = A5.table
         part = g.conjugacy_classes()
         for rep, size in zip(part.reps, part.sizes):
-            cent = g.centralizer(g.element(rep))
-            assert size * cent.order == g.order
+            assert size * g.centralizer_order(g.element(rep)) == g.order
 
     def test_centralizer_of_identity(self, A5):
-        assert A5.table.centralizer(Perm.identity(5)).order == 60
+        assert A5.table.centralizer_order(Perm.identity(5)) == 60
 
     def test_centralizer_of_five_cycle(self, A5):
-        assert A5.table.centralizer(Perm.parse("(1 2 3 4 5)", 5)).order == 5
+        assert A5.table.centralizer_order(Perm.parse("(1 2 3 4 5)", 5)) == 5
 
     def test_centralizer_membership_error(self, A5):
         with pytest.raises(MembershipError):
-            A5.table.centralizer(Perm.parse("(1 2)", 5))
+            A5.table.centralizer_order(Perm.parse("(1 2)", 5))
 
     def test_fp_trivial(self):
         g = GroupTable.generate([Perm.identity(2)])
-        assert g.prime_order_class_count() == 0
+        assert _prime_order_class_count(g) == 0
 
     @pytest.mark.parametrize("m", [5, 6, 7])
     def test_fp_bound_symmetric(self, m):
-        assert symmetric_table(m).prime_order_class_count() <= m * m / 2
+        assert _prime_order_class_count(symmetric_table(m)) <= m * m / 2
 
     def test_fp_subgroup_inequality(self, A5):
         s5 = symmetric_table(5)
         a5 = alternating_table(5)
-        assert a5.prime_order_class_count() <= \
-            2 * s5.prime_order_class_count()
+        assert _prime_order_class_count(a5) <= \
+            2 * _prime_order_class_count(s5)
 
 
 # -- bases, degrees, subsets ---------------------------------------------------

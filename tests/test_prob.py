@@ -17,7 +17,7 @@ from diagbase.catalog import catalog_names, get_group
 from diagbase.diag import (DiagTypeGroup, OmegaPoint, build_group,
                            gd_orbit_reps, gd_orbits, make_top, omega_tuples)
 from diagbase.errors import BudgetExceededError, PreconditionError
-from diagbase.perm import Perm, symmetric_table, cyclic_table
+from diagbase.perm import Perm
 from diagbase.prob import (RowCodedGroup, _detect_nonbase,
                            centralizer_order_formula,
                            class_count_inequality_check,
@@ -121,7 +121,7 @@ class TestFixingElements:
         # prime-order element
         g = build_group(A5, 3, "full", "sym-table")
         cand_a, cand_p = prime_order_candidates(g)
-        aut_orders = g.T.aut.group_table().element_orders()
+        aut_orders = g.T.aut.orders
         for a, pid in zip(cand_a[:200], cand_p[:200]):
             perm = g.top.table.element(int(pid))
             o_a = int(aut_orders[int(a)])
@@ -144,7 +144,7 @@ def test_prime_order_candidates_match_brute_force(name, k, out, top):
     # the candidates are the elements of G_D whose order, the lcm of the
     # aut part's and the perm part's, is prime; each listed once
     g = build_group(get_group(name), k, out, top)
-    aut_orders = g.T.aut.group_table().element_orders().tolist()
+    aut_orders = g.T.aut.orders.tolist()
     perms = list(g.top.table)
     perm_orders = [p.order() for p in perms]
     want = set()
@@ -722,8 +722,7 @@ class TestFormulas:
             centralizer_order_formula(inner, outer, Perm.identity(2))
 
     def test_composite_rejected(self, A5, w2a5):
-        six = int(np.where(
-            A5.aut.group_table().element_orders() == 6)[0][0])
+        six = int(np.flatnonzero(A5.aut.orders == 6)[0])
         with pytest.raises(PreconditionError):
             centralizer_order_formula(w2a5, six, Perm.parse("(1 2)", 2))
 
@@ -790,27 +789,14 @@ class TestFormulas:
 
 
 class TestClassCountInequality:
-    def test_a5_in_s5(self):
-        from diagbase.perm import alternating_table
-        pairs = [(alternating_table(5), symmetric_table(5))]
-        out = class_count_inequality_check(pairs)
-        assert out[0]["holds"] and out[0]["index"] == 2
-
-    def test_self_pair(self):
-        s = symmetric_table(4)
-        out = class_count_inequality_check([(s, s)])
-        assert out[0]["holds"] and out[0]["index"] == 1
-
-    def test_c5_in_a5(self):
-        from diagbase.perm import alternating_table
-        out = class_count_inequality_check(
-            [(cyclic_table(5), alternating_table(5))])
-        assert out[0]["holds"]
-
-    def test_not_subgroup_rejected(self):
-        with pytest.raises(PreconditionError):
-            class_count_inequality_check(
-                [(cyclic_table(4), symmetric_table(5))])
+    @pytest.mark.parametrize("name,triple", [
+        ("A5", (4, 4, 2)), ("A6", (5, 5, 4)), ("L2(7)", (4, 4, 2)),
+        ("L2(8)", (5, 5, 3)), ("L2(11)", (6, 6, 2))])
+    def test_catalog_triples(self, name, triple):
+        # (f_p(T), f_p(Aut T), |Out T|)
+        out = class_count_inequality_check(get_group(name))
+        assert (out["f_p_sub"], out["f_p_whole"], out["index"]) == triple
+        assert out["holds"]
 
 
 class TestRowCodedGroup:
