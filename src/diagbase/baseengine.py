@@ -302,7 +302,7 @@ def _solve_symbolic(g: DiagTypeGroup, tuples):
                               codes.dtype)
             pi[np.argsort(img, kind="stable")] = order
             perm = Perm(pi)
-            if alt and perm.sign() != 1:
+            if perm not in g.top:
                 if not repeated:
                     continue
                 swap = np.arange(k)         # the one repeated pair, swapped
@@ -434,12 +434,12 @@ def construct_generator_base(g: DiagTypeGroup):
     """Base pair from an irredundant base of the top (k >= 4, top != Sym).
 
     Places the distinct-order generating pair x, y and distinct third-order
-    elements on the top group's greedy base (``GroupTable.base``), identity
-    elsewhere; any irredundant base would do.  Returns [D, point].  There
-    are always enough third-order elements: each point of an irredundant
+    elements on the top group's base (``TopGroup.base``), identity
+    elsewhere; any irredundant base would do.  Returns [D, point].  A table
+    top leaves enough third-order elements: each point of an irredundant
     base of m points at least halves the stabilizer, so the top has order
     2^m or more on k >= m + 2 points; within TOP_TABLE_MAX_ENTRIES m <= 14,
-    and every catalog group has 15 or more.
+    and every catalog group has 15 or more.  Alt(k) past that is refused.
     """
     if g.k < 4:
         raise PreconditionError("generator construction needs k >= 4")
@@ -449,8 +449,11 @@ def construct_generator_base(g: DiagTypeGroup):
     # in an irredundant base of k - 1 points the stabilizer of the first
     # k - 2 is nontrivial and fixes k - 2 points: it holds a transposition,
     # and a primitive group holding one is Sym(k) (Jordan); so m <= k - 2
-    base_pts = g.top.table.base()
+    base_pts = g.top.base()
     m = len(base_pts)
+    if m > len(T.third_order_ids) + 2:
+        raise PreconditionError(f"{T.name} has too few elements to place "
+                                f"on the {m}-point base of the top")
     xi, yi = T.distinct_order_ids
     ids = [0] * k
     ids[base_pts[0]] = xi

@@ -244,11 +244,11 @@ class AutTable:
         """Codes of the automorphisms with images ``at[..., :2]`` of g1, g2."""
         return at[..., 0].astype(np.intp) * self.T.order + at[..., 1]
 
-    def _lookup(self, images):
-        """Row ids of automorphisms given as image arrays (last axis), -1
-        for none."""
+    def _lookup(self, images, at_gens=False):
+        """Row ids of automorphisms given as image arrays (last axis), or
+        as images of T's generators alone (``at_gens``); -1 for none."""
         n, (keys, ts) = self.T.order, self._inner
-        at = np.asarray(images)[..., self.T.gen_ids]
+        at = images if at_gens else np.asarray(images)[..., self.T.gen_ids]
         found = np.full(at.shape[:-1], -1, dtype=np.intp)
         for l, back in enumerate(self._rep_invs):
             codes = self._code(back[at])
@@ -312,13 +312,14 @@ class AutTable:
 
     @cached_property
     def orders(self) -> np.ndarray:
-        """orders[r] is the order of the automorphism in row r.  An
-        automorphism is known by its images of the two generators of T, so
-        only those images are powered: each step reads two entries (at the
-        current images) of each row not yet back at the generators."""
-        gens = np.asarray(self.T.gen_ids)
-        orders = np.zeros(self.n_aut, dtype=np.int64)
-        open_ids, images, step = np.arange(self.n_aut), self.rows[:, gens], 1
+        """orders[r] is the order of the automorphism in row r: t's for
+        phi_t, row t < |T|, as Z(T) = 1.  An outer row is known by its
+        images of T's two generators, so only those are powered: each step
+        reads two entries of each outer row not yet back at the generators."""
+        n, gens = self.T.order, np.asarray(self.T.gen_ids, self.rows.dtype)
+        orders = np.pad(self.T.order_of, (0, self.n_aut - n))
+        open_ids, images = np.arange(n, self.n_aut), self.rows[n:, gens]
+        step = 1
         while open_ids.size:
             done = np.all(images == gens, axis=1)
             orders[open_ids[done]] = step
@@ -330,9 +331,10 @@ class AutTable:
     @cached_property
     def fixers(self):
         """(ptr, rows): rows[ptr[x]:ptr[x + 1]] fix element x, ascending."""
-        n = self.T.order
-        rows, x = np.divmod(np.flatnonzero(self.rows == np.arange(n)), n)
-        by_x = np.argsort(x, kind="stable")
+        n, dtype = self.T.order, self.rows.dtype
+        rows, x = np.divmod(np.flatnonzero(
+            self.rows == np.arange(n, dtype=dtype)), n)
+        by_x = np.argsort(x.astype(dtype), kind="stable")
         return np.searchsorted(x[by_x], np.arange(n + 1)), rows[by_x]
 
     def rows_with_labels(self, labels) -> np.ndarray:
@@ -378,10 +380,11 @@ class AutTable:
     def class_reps(self) -> np.ndarray:
         """The least row of each class of Aut(T): orbits of conjugation by
         phi_g, g a generator of T, and the label reps; s^-1 x s is s read
-        at x read at s^-1, found by its coset (``_lookup``)."""
-        gens = self.rows[list(self.T.gen_ids) + self.label_reps[1:]]
+        at x read at s^-1, found by its generator images (``_lookup``)."""
+        ids = self.T.gen_ids
         labels = orbit_labels(np.stack(
-            [self._lookup(s[self.rows[:, np.argsort(s)]]) for s in gens]))
+            [self._lookup(s[self.rows[:, np.argsort(s)[ids]]], True)
+             for s in self.rows[ids + self.label_reps[1:]]]))
         return np.flatnonzero(labels == np.arange(self.n_aut))
 
 

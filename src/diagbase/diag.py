@@ -38,16 +38,16 @@ the same as from a fresh build.
 from __future__ import annotations
 
 import re
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial, isqrt, lgamma, log, log10
+from math import factorial, isqrt, lgamma, log, log10, prod
 
 import numpy as np
 
 from .catalog import ELEMENT_BUDGET, SimpleGroup, _closure_ids
-from .errors import (BudgetExceededError, InvalidTopError, PreconditionError,
-                     UnsupportedEnumerationError)
+from .errors import (BudgetExceededError, InvalidTopError, MembershipError,
+                     PreconditionError, UnsupportedEnumerationError)
 from .perm import (GroupTable, Perm, _is_prime, alternating_table,
                    cyclic_table, dihedral_table, symmetric_table)
 from .report import int_str
@@ -75,10 +75,12 @@ _ID_STR = tuple(map(str, range(ELEMENT_BUDGET)))
 class TopGroup:
     """Top group as ``make_top`` admits it, with its facts fixed on
     admission: ``name``, ``symmetric`` (P is Sym(k)) and ``alternating``
-    (P contains Alt(k)).  A symbolic top is Sym(k) or Alt(k) and has no
-    ``table``: reading it raises UnsupportedEnumerationError, the one
-    refusal of a symbolic top.  A table top's order decides both facts, as
-    Alt(k) is the only subgroup of index 2 in Sym(k)."""
+    (P contains Alt(k)), which a table top's order decides, as Alt(k) is
+    the only subgroup of index 2 in Sym(k).  Callers ask it ``order``,
+    ``base()``, ``tally()``, ``centralizer_order(perm)`` and ``perm in
+    top``; only listings read ``table``.  A symbolic Sym(k) or Alt(k)
+    answers from k and cycle types, and refuses ``table`` (so far also
+    ``tally()``) with UnsupportedEnumerationError."""
 
     def __init__(self, k: int, table: GroupTable | None = None,
                  symmetric: bool = True):
@@ -111,6 +113,36 @@ class TopGroup:
         if self.is_symbolic:
             return factorial(self.k) // (1 if self.symmetric else 2)
         return self._table.order
+
+    def base(self) -> list:
+        """An irredundant base: the table's greedy one; for Sym(k) points
+        0..k-2, for Alt(k) 0..k-3, whose stabilizer in Sym(k) is odd."""
+        if self.is_symbolic:
+            return list(range(self.k - 2 + self.symmetric))
+        return self._table.base()
+
+    def tally(self) -> tuple:
+        """((order, fixed points), count) over the elements."""
+        return self.table.order_fixed_tally()
+
+    def centralizer_order(self, perm: Perm) -> int:
+        """|C_P(perm)|, MembershipError unless perm is in P.  In Sym(k), the
+        product of i^m m! over the cycle lengths i, m cycles each (fixed
+        points too); in Alt(k), half that unless they are distinct and odd."""
+        if not self.is_symbolic:
+            return self._table.centralizer_order(perm)
+        if perm not in self:
+            raise MembershipError("element not in the top group")
+        m = Counter(map(len, perm.cycles()))
+        m[1] = self.k - sum(i * c for i, c in m.items())
+        whole = self.symmetric or all(i % 2 and c < 2 for i, c in m.items())
+        return prod(i ** c * factorial(c) for i, c in m.items()) // \
+            (1 if whole else 2)
+
+    def __contains__(self, perm: Perm) -> bool:
+        if not self.is_symbolic:
+            return perm in self._table
+        return perm.degree == self.k and (self.symmetric or perm.sign() > 0)
 
     def __repr__(self):
         return f"TopGroup({self.name})"
@@ -342,11 +374,8 @@ class DiagTypeGroup:
         return OmegaPoint((0,) * self.k)
 
     def contains_diag(self, aut_row: int, perm: Perm) -> bool:
-        if int(self.T.aut.labels[aut_row]) not in self.out_labels:
-            return False
-        if self.top.is_symbolic:
-            return self.top.symmetric or perm.sign() == 1
-        return perm in self.top.table
+        return int(self.T.aut.labels[aut_row]) in self.out_labels and \
+            perm in self.top
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -21,8 +21,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
-from math import gcd
+from math import lcm
 
 import numpy as np
 
@@ -107,20 +106,16 @@ class Perm:
 
     def cycles(self):
         """Nontrivial cycles as lists of 0-based points."""
-        seen = np.zeros(self.degree, dtype=bool)
-        out = []
-        for start in range(self.degree):
-            if seen[start]:
+        images, seen, out = self.images.tolist(), [False] * self.degree, []
+        for start, j in enumerate(images):
+            if seen[start] or j == start:
                 continue
             cyc = [start]
-            seen[start] = True
-            j = int(self.images[start])
             while j != start:
-                cyc.append(j)
                 seen[j] = True
-                j = int(self.images[j])
-            if len(cyc) > 1:
-                out.append(cyc)
+                cyc.append(j)
+                j = images[j]
+            out.append(cyc)
         return out
 
     def __str__(self) -> str:
@@ -150,8 +145,7 @@ class Perm:
         return bool(np.array_equal(self.images, np.arange(self.degree)))
 
     def order(self) -> int:
-        return reduce(lambda a, c: a * c // gcd(a, c),
-                      (len(c) for c in self.cycles()), 1)
+        return lcm(*map(len, self.cycles()))
 
     def sign(self) -> int:
         return -1 if sum(len(c) - 1 for c in self.cycles()) % 2 else 1

@@ -187,7 +187,7 @@ def centralizer_order_formula(g: DiagTypeGroup, aut_row: int,
         raise PreconditionError("element order is composite")
     p = order
     f = len(perm.fixed_points())
-    cp = g.top.table.centralizer_order(perm)
+    cp = g.top.centralizer_order(perm)
     if f == 0:
         return (cp * _out_centralizer_order(g, int(T.aut.labels[aut_row]))
                 * T.order ** (g.k // p))
@@ -205,7 +205,7 @@ def class_intersection_formula(g: DiagTypeGroup, aut_row: int,
     beta^p = 1 whose label is O-conjugate to alpha's
     (``_fpf_diagonal_count``).  A fixed-point-free pi needs x of prime
     order."""
-    pi_class = g.top.order // g.top.table.centralizer_order(perm)
+    pi_class = g.top.order // g.top.centralizer_order(perm)
     if not perm.fixed_points():
         p = perm.order()
         if p % int(g.T.aut.orders[aut_row]) or not _is_prime(p):
@@ -235,10 +235,10 @@ def r_split_formula(g: DiagTypeGroup):
     A term depends on alpha only through (order, |C_Inn(alpha)|, label)
     and on pi only through (order, f), so the sum runs over pairs of an
     out-part tally entry (``AutTable.out_tally``) and a top tally entry
-    (``GroupTable.order_fixed_tally``), each term weighted by the two
-    counts; p is the lcm of the two orders, and
-    pairs where it is not prime add nothing.  Explicit tops only."""
-    top_tally = g.top.table.order_fixed_tally()
+    (``TopGroup.tally``), each term weighted by the two counts; p is the
+    lcm of the two orders, and pairs where it is not prime add nothing.
+    Explicit tops only."""
+    top_tally = g.top.tally()
     n, k = g.T.order, g.k
     num = {"fpf": 0, "trivial": 0, "mixed": 0}
     for (o_a, c, label), m_a in g.T.aut.out_tally(g.out_labels):

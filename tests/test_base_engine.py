@@ -899,6 +899,14 @@ class TestConstructions:
         with pytest.raises(PreconditionError):
             construct_generator_base(build_group(A5, 5, "full", "sym"))
 
+    def test_generator_base_on_symbolic_alt_top(self, A5):
+        # the top's base is points 0..k-3, and A5's 15 third-order elements
+        # fill its points past the first two up to k = 19
+        g = build_group(A5, 19, "full", "alt")
+        assert is_base(g, construct_generator_base(g)[1:]).verdict
+        with pytest.raises(PreconditionError, match="too few elements"):
+            construct_generator_base(build_group(A5, 20, "full", "alt"))
+
     @pytest.mark.parametrize("k", [5, 10, 60, 61])
     def test_digit_base(self, A5, k):
         g = build_group(A5, k, "full", "sym")

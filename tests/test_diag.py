@@ -20,7 +20,8 @@ from diagbase.prob import (RowCodedGroup, prime_order_candidates,
                            r_split_formula)
 from diagbase.report import int_str
 from diagbase.errors import (BudgetExceededError, InvalidTopError,
-                             PreconditionError, UnsupportedEnumerationError)
+                             MembershipError, PreconditionError,
+                             UnsupportedEnumerationError)
 from diagbase.perm import Perm, symmetric_table
 
 from coset_oracle import (WElement, act, compose_rows, recover_conjugator,
@@ -159,6 +160,59 @@ class TestBuild:
     def test_top_from_generator_string(self, A5):
         g = build_group(A5, 5, "full", "gens:(1 2 3 4 5)|(2 5)(3 4)")
         assert g.top.table.order == 10  # dihedral of degree 5
+
+
+def _top_pair(spec, k):
+    """The symbolic top of a spec and its table twin at the same k."""
+    return make_top(spec, k), make_top(f"{spec}-table", k)
+
+
+class TestTopQuestions:
+    """A symbolic Sym(k)/Alt(k) top answers from k and cycle types what the
+    sym-table/alt-table top of the same k answers from its table."""
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_membership(self, k):
+        perms = list(symmetric_table(k)) + [Perm.identity(k + 1)]
+        for spec in ("sym", "alt"):
+            top, table = _top_pair(spec, k)
+            assert [p in top for p in perms] == [p in table for p in perms]
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_base(self, k):
+        for spec in ("sym", "alt"):
+            top, table = _top_pair(spec, k)
+            assert top.base() == table.base() == \
+                list(range(k - (1 if spec == "sym" else 2)))
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_centralizer_order(self, k):
+        # every element at k <= 7 (8,865 in all), a seeded sample at k = 8
+        for spec in ("sym", "alt"):
+            top, table = _top_pair(spec, k)
+            perms = list(table.table)
+            if k == 8:
+                rng = np.random.default_rng(8)
+                perms = [perms[i] for i in rng.choice(len(perms), 300)]
+            assert [top.centralizer_order(p) for p in perms] == \
+                [table.centralizer_order(p) for p in perms]
+
+    def test_centralizer_order_refuses_a_nonmember(self):
+        swap = Perm.parse("(1 2)", 5)
+        for top in _top_pair("alt", 5):
+            with pytest.raises(MembershipError):
+                top.centralizer_order(swap)
+
+    def test_tally(self):
+        table = make_top("sym-table", 5)
+        assert table.tally() == table.table.order_fixed_tally()
+        for spec in ("sym", "alt"):
+            top = make_top(spec, 5)
+            with pytest.raises(UnsupportedEnumerationError) as exc:
+                top.tally()
+            assert str(exc.value) == (f"the {top.name} top has no table; "
+                                      f"this computation needs an explicit "
+                                      f"top")
 
 
 @pytest.fixture
